@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
                             psl::encode(*property)));
   for (const auto& ev : stimuli) {
     drct.observe(ev.name, ev.time);
-    recognizer_cov.sample();
+    recognizer_cov.sample(drct);
     alphabet_cov.record(ev.name);
     checker.observe(ev.name, ev.time);
   }

@@ -55,15 +55,18 @@ struct CampaignJob {
 };
 
 // One per-seed cache entry: the valid trace plus — when incremental replay
-// is on — the checkpoint ladder recorded while a throwaway monitor observes
-// that trace exactly once.  checkpoints[k] is the monitor state after the
+// is on — the checkpoint ladder recorded while a recorder monitor and the
+// reference oracle each walk that trace exactly once.  checkpoints[k] is
+// the monitor state and oracle.rungs[k] the oracle's walk state after the
 // first (k+1)*stride events; a mutant whose divergence position p admits a
-// floor rung restores checkpoints[p/stride - 1] and replays only the
-// suffix.  The ladder is a pure function of (property, seed, options), so
-// it is deterministic no matter which unit's lookup builds it.
+// floor rung resumes both from rung p/stride - 1 and walks only the
+// suffix, and the valid unit reads its verdict from oracle.full.  The
+// ladder is a pure function of (property, seed, options), so it is
+// deterministic no matter which unit's lookup builds it.
 struct CachedSeedTrace {
   spec::Trace trace;
   std::vector<mon::Snapshot> checkpoints;
+  spec::RefLadder oracle;
   std::size_t stride = 0;  // 0: no ladder (incremental off or stride 0)
 };
 
@@ -141,6 +144,10 @@ struct UnitScratch {
   spec::Trace local_trace;     // valid trace when the seed cache is off
   std::unique_ptr<mon::Monitor> monitor;  // chosen-backend pool slot
   std::unique_ptr<mon::Monitor> viapsl;   // check_viapsl pool slot
+  // Checkpoint-ladder recorder: stamped once per shard, reset per seed.
+  // Ladder recording is unaccounted engine overhead, so this slot stays
+  // out of the draw/stamp accounting.
+  std::unique_ptr<mon::Monitor> ladder;
   // Hoisted batched-replay host: one kernel + module per shard, reset
   // between mutants, watchdogs off (the kernel is never pumped, so an
   // armed entry could never fire — skipping it keeps the timed queue
@@ -172,6 +179,7 @@ struct UnitScratch {
     replay_sched.reset();
     monitor.reset();
     viapsl.reset();
+    ladder.reset();
   }
 };
 
@@ -226,43 +234,52 @@ bool incremental_enabled(const CampaignOptions& options) {
          options.checkpoint_stride > 0;
 }
 
-// Records the checkpoint ladder for one cached seed trace: a throwaway
-// monitor stamped from the shared plan observes the valid trace once,
-// snapshotting after every `stride` events.  The pass is engine overhead of
-// the cache-entry build (like generation itself): its instance and
-// Figure-6 stats are deliberately not accounted anywhere, so the ladder
-// knob cannot move a semantic counter.
+// Records the checkpoint ladder for one cached seed trace: the reference
+// oracle walks the valid trace once, saving its state after every `stride`
+// events, and a recorder monitor from the worker's scratch (reset ≡ fresh)
+// observes it once, snapshotting at the same cuts.  The pass is engine
+// overhead of the cache-entry build (like generation itself): its instance
+// and Figure-6 stats are deliberately not accounted anywhere, so the
+// ladder knob cannot move a semantic counter.
 void build_checkpoint_ladder(const CampaignJob& job,
                              const CampaignOptions& options,
-                             CachedSeedTrace& entry) {
+                             UnitScratch& scratch, CachedSeedTrace& entry) {
   entry.stride = options.checkpoint_stride;
-  const std::size_t rungs = entry.trace.size() / entry.stride;
+  entry.oracle = spec::record_reference_ladder(
+      *job.property, job.plan->compiled.plan(), entry.trace,
+      end_of(entry.trace), entry.stride);
+  const std::size_t rungs = entry.oracle.rungs.size();
   if (rungs == 0) return;
   entry.checkpoints.resize(rungs);
-  const std::unique_ptr<mon::Monitor> monitor =
-      job.plan->compiled.instantiate();
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < entry.trace.size(); ++i) {
-    monitor->observe(entry.trace[i].name, entry.trace[i].time);
-    if ((i + 1) % entry.stride == 0) {
-      monitor->snapshot(entry.checkpoints[next]);
-      if (++next == rungs) break;  // ladder full; the tail has no rung
-    }
+  if (scratch.ladder == nullptr) {
+    scratch.ladder = job.plan->compiled.instantiate();
+  } else {
+    scratch.ladder->reset();
   }
+  mon::Monitor* const monitor = scratch.ladder.get();
+  const spec::TimedEvent* const events = entry.trace.data();
+  for (std::size_t k = 0; k < rungs; ++k) {
+    monitor->observe_batch(events + k * entry.stride,
+                           events + (k + 1) * entry.stride);
+    // One monitor's rungs share a shape: sizing each buffer after the
+    // previous rung lets the snapshot write without regrowing.
+    if (k > 0) entry.checkpoints[k].reserve_like(entry.checkpoints[k - 1]);
+    monitor->snapshot(entry.checkpoints[k]);
+  }  // the tail past the last full stride has no rung
 }
 
 // Hands out the seed's valid trace: from the shared cache when trace reuse
 // is on (whichever unit asks first generates — and, with incremental
 // replay, records the checkpoint ladder — then inserts; the rest hit),
-// regenerated into `local` otherwise.  Cached or not, the trace bytes are
-// the same — a pure function of (first_seed + s).
+// regenerated into the scratch's local_trace otherwise.  Cached or not,
+// the trace bytes are the same — a pure function of (first_seed + s).
 SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
                                const CampaignOptions& options, std::size_t s,
                                SeedTraceCache* cache, ShardOutcome& out,
-                               spec::Trace& local) {
+                               UnitScratch& scratch) {
   if (cache == nullptr) {
-    local = seed_trace(job, ab, options, s);
-    return {&local, nullptr};
+    scratch.local_trace = seed_trace(job, ab, options, s);
+    return {&scratch.local_trace, nullptr};
   }
   bool inserted = false;
   const std::uint64_t key =
@@ -273,7 +290,7 @@ SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
         CachedSeedTrace fresh;
         fresh.trace = seed_trace(job, ab, options, s);
         if (incremental_enabled(options)) {
-          build_checkpoint_ladder(job, options, fresh);
+          build_checkpoint_ladder(job, options, scratch, fresh);
         }
         return fresh;
       },
@@ -286,13 +303,33 @@ SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
   return {&entry.trace, &entry};
 }
 
-// The reference oracle for one unit: the scratch path hands the compiled
-// OrderingPlan back to the checker instead of letting it re-plan the
-// property per call — the plan is a pure function of the property, so the
-// verdict bytes are identical (spec/reference.hpp).
+// A mutant's floor rung: how many whole ladder rungs lie at or below its
+// divergence position (0: none, so the mutant is walked from the start).
+// MutationResult::position guarantees the mutant shares its first
+// `position` events with the valid trace, so after that many rungs both
+// the monitor state and the oracle's walk state are exactly what the
+// ladder recorded.
+std::size_t floor_rungs(const CachedSeedTrace* ladder, std::size_t position) {
+  if (ladder == nullptr) return 0;
+  return std::min(position / ladder->stride, ladder->checkpoints.size());
+}
+
+// The reference oracle for one unit: resumed from the floor rung's saved
+// walk state when the mutant has one; otherwise a full walk, where the
+// scratch path hands the compiled OrderingPlan back to the checker instead
+// of letting it re-plan the property per call.  Resumed, re-planned or
+// not, the verdict bytes are identical (spec/reference.hpp).
 spec::RefResult oracle_check(const CampaignJob& job,
                              const CampaignOptions& options,
-                             const spec::Trace& trace, sim::Time end_time) {
+                             const spec::Trace& trace, sim::Time end_time,
+                             const CachedSeedTrace* ladder = nullptr,
+                             std::size_t rungs = 0) {
+  if (rungs > 0) {
+    return spec::resume_reference_check(*job.property,
+                                        job.plan->compiled.plan(),
+                                        ladder->oracle, rungs - 1, trace,
+                                        end_time);
+  }
   if (options.reuse_scratch) {
     return spec::reference_check(*job.property, job.plan->compiled.plan(),
                                  trace, end_time);
@@ -305,9 +342,9 @@ void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
                     SeedTraceCache* cache, UnitScratch& scratch,
                     ShardOutcome& out) {
   const spec::Property& property = *job.property;
-  const spec::Trace& valid = *obtain_seed_trace(job, ab, options, s, cache,
-                                                out, scratch.local_trace)
-                                  .trace;
+  const SeedTraceRef seed_ref = obtain_seed_trace(job, ab, options, s, cache,
+                                                  out, scratch);
+  const spec::Trace& valid = *seed_ref.trace;
   ++out.partial.traces;
   out.partial.events += valid.size();
 
@@ -323,29 +360,43 @@ void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
     fresh = stamp_monitor(job, options, ab, out);
     monitor = fresh.get();
   }
-  // Recognizer-state coverage samples the Drct antecedent recognizer; a
-  // ViaPSL-backed campaign has no such structure to sample.
-  std::optional<RecognizerCoverage> rec_cov;
-  if (property.is_antecedent() &&
-      job.plan->compiled.chosen() == mon::Backend::Drct) {
-    rec_cov.emplace(static_cast<const mon::AntecedentMonitor&>(*monitor));
-  }
-  for (const auto& ev : valid) {
-    monitor->observe(ev.name, ev.time);
-    out.alphabet->record(ev.name);
-    if (rec_cov) rec_cov->sample();
-  }
-  monitor->finish(end_of(valid));
-  if (rec_cov) {
-    rec_cov->detach();  // outlives this unit's monitor from here on
-    if (out.recognizer) {
-      out.recognizer->merge(*rec_cov);
-    } else {
-      out.recognizer.emplace(std::move(*rec_cov));
+  // Recognizer-state coverage samples the antecedent's range automata —
+  // the Drct recognizers or the Vm frame, which number their states alike —
+  // straight into the shard's accumulator (sampling into one instance is
+  // the merge); a ViaPSL-backed campaign has no such structure to sample.
+  const mon::AntecedentMonitor* drct = nullptr;
+  const mon::VmMonitor* vm = nullptr;
+  if (property.is_antecedent()) {
+    if (job.plan->compiled.chosen() == mon::Backend::Drct) {
+      drct = static_cast<const mon::AntecedentMonitor*>(monitor);
+      if (!out.recognizer) out.recognizer.emplace(*drct);
+    } else if (job.plan->compiled.chosen() == mon::Backend::Vm) {
+      vm = static_cast<const mon::VmMonitor*>(monitor);
+      if (!out.recognizer) out.recognizer.emplace(*vm);
     }
   }
+  // Only events of the property alphabet can move a range automaton, so
+  // sampling after the first event and after each of those sees every
+  // state a per-event sample would.
+  const spec::NameSet& moves = job.plan->compiled.plan().alphabet;
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    const spec::TimedEvent& ev = valid[i];
+    monitor->observe(ev.name, ev.time);
+    out.alphabet->record(ev.name);
+    if (i != 0 && !moves.test(ev.name)) continue;
+    if (vm != nullptr) {
+      out.recognizer->sample(*vm);
+    } else if (drct != nullptr) {
+      out.recognizer->sample(*drct);
+    }
+  }
+  monitor->finish(end_of(valid));
 
-  const auto ref = oracle_check(job, options, valid, end_of(valid));
+  // The ladder pass already walked this trace with the oracle.
+  const spec::RefResult ref =
+      seed_ref.cached != nullptr && seed_ref.cached->oracle.stride != 0
+          ? seed_ref.cached->oracle.full
+          : oracle_check(job, options, valid, end_of(valid));
   const bool monitor_ok = monitor->verdict() != mon::Verdict::Violated;
   if (monitor_ok && !ref.rejected()) ++out.partial.valid_accepted;
   if (monitor_ok == ref.rejected()) ++out.partial.oracle_disagreements;
@@ -464,22 +515,14 @@ void run_mutation_wave(const CampaignJob& job, spec::Alphabet& ab,
       continue;
     }
     ++stats.applied;
-    const auto mref =
-        oracle_check(job, options, mutant.trace, end_of(mutant.trace));
+    const std::size_t rungs = floor_rungs(ladder, mutant.position);
+    const auto mref = oracle_check(job, options, mutant.trace,
+                                   end_of(mutant.trace), ladder, rungs);
     if (!mref.rejected()) continue;
     ++stats.invalid;
-    // Floor-rung resolution, verbatim from the scalar path.
-    std::size_t replay_begin = 0;
-    const mon::Snapshot* rung = nullptr;
-    if (ladder != nullptr && !ladder->checkpoints.empty()) {
-      const std::size_t whole_strides = mutant.position / ladder->stride;
-      const std::size_t rungs =
-          std::min(whole_strides, ladder->checkpoints.size());
-      if (rungs > 0) {
-        rung = &ladder->checkpoints[rungs - 1];
-        replay_begin = rungs * ladder->stride;
-      }
-    }
+    const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
+    const mon::Snapshot* rung =
+        rungs > 0 ? &ladder->checkpoints[rungs - 1] : nullptr;
     LOOM_DASSERT(replay_begin <= mutant.trace.size());
     scratch.lane_traces.push_back(&mutant.trace);
     scratch.lane_starts.push_back(replay_begin);
@@ -496,7 +539,7 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
   LOOM_DASSERT(slot >= 1 && slot < kSlotsPerSeed);
   const spec::Property& property = *job.property;
   const SeedTraceRef seed_ref = obtain_seed_trace(job, ab, options, s, cache,
-                                                  out, scratch.local_trace);
+                                                  out, scratch);
   const spec::Trace& valid = *seed_ref.trace;
   // Checkpoint ladder for suffix-only replay (null without the cache or
   // with the knob off — those configurations replay every mutant in full).
@@ -543,27 +586,18 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
       mutant = &*fresh_mutant;
     }
     ++stats.applied;
-    const auto mref =
-        oracle_check(job, options, mutant->trace, end_of(mutant->trace));
+    // Incremental replay: the oracle and the monitor both resume from the
+    // mutant's floor rung.  The rung is resolved before drawing the
+    // monitor: when a restore will overwrite the whole state, the draw
+    // below skips its redundant reset pass.
+    const std::size_t rungs = floor_rungs(ladder, mutant->position);
+    const auto mref = oracle_check(job, options, mutant->trace,
+                                   end_of(mutant->trace), ladder, rungs);
     if (!mref.rejected()) continue;
     ++stats.invalid;
-    // Incremental replay: MutationResult::position guarantees the mutant
-    // shares its first `position` events with the valid trace, so the
-    // monitor state after that prefix is exactly what the ladder recorded.
-    // Resolve the floor rung (the highest checkpoint at or below the
-    // position) before drawing the monitor: when a restore will overwrite
-    // the whole state, the draw below skips its redundant reset pass.
-    std::size_t replay_begin = 0;
-    const mon::Snapshot* rung = nullptr;
-    if (ladder != nullptr && !ladder->checkpoints.empty()) {
-      const std::size_t whole_strides = mutant->position / ladder->stride;
-      const std::size_t rungs =
-          std::min(whole_strides, ladder->checkpoints.size());
-      if (rungs > 0) {
-        rung = &ladder->checkpoints[rungs - 1];
-        replay_begin = rungs * ladder->stride;
-      }
-    }
+    const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
+    const mon::Snapshot* rung =
+        rungs > 0 ? &ladder->checkpoints[rungs - 1] : nullptr;
     mon::Monitor* mmon = nullptr;
     if (pooled) {
       mmon = &draw_pooled(scratch.monitor, job, options, ab,

@@ -18,8 +18,7 @@ std::string AlphabetCoverage::report(const spec::Alphabet& ab) const {
   return out;
 }
 
-RecognizerCoverage::RecognizerCoverage(const mon::AntecedentMonitor& monitor)
-    : monitor_(&monitor) {
+RecognizerCoverage::RecognizerCoverage(const mon::AntecedentMonitor& monitor) {
   const auto& rec = monitor.recognizer();
   per_fragment_.resize(rec.fragment_count());
   for (std::size_t f = 0; f < rec.fragment_count(); ++f) {
@@ -34,17 +33,51 @@ RecognizerCoverage::RecognizerCoverage(const mon::AntecedentMonitor& monitor)
   }
 }
 
-void RecognizerCoverage::sample() {
-  LOOM_DASSERT(monitor_ != nullptr);
-  const auto& rec = monitor_->recognizer();
+RecognizerCoverage::RecognizerCoverage(const mon::VmMonitor& monitor) {
+  const mon::VmProgram& p = monitor.program();
+  per_fragment_.resize(p.frag_count);
+  for (std::uint32_t f = 0; f < p.frag_count; ++f) {
+    per_fragment_[f].resize(p.frag_ranges[f]);
+    for (std::uint32_t r = 0; r < p.frag_ranges[f]; ++r) {
+      const std::uint32_t flat = p.frag_first[f] + r;
+      per_fragment_[f][r].name = p.range_name[flat];
+      per_fragment_[f][r].lo = p.consts_of(flat).lo;
+      per_fragment_[f][r].hi = p.consts_of(flat).hi;
+    }
+  }
+}
+
+namespace {
+
+void note(RecognizerCoverage::RangeCov& cov, unsigned state,
+          std::uint32_t count) {
+  cov.state_mask |= static_cast<std::uint8_t>(1u << state);
+  cov.max_count = std::max(cov.max_count, count);
+}
+
+}  // namespace
+
+void RecognizerCoverage::sample(const mon::AntecedentMonitor& monitor) {
+  const auto& rec = monitor.recognizer();
+  LOOM_DASSERT(rec.fragment_count() == per_fragment_.size());
   for (std::size_t f = 0; f < rec.fragment_count(); ++f) {
     const auto& frag = rec.fragment(f);
     for (std::size_t r = 0; r < frag.child_count(); ++r) {
       const auto& child = frag.child(r);
-      auto& cov = per_fragment_[f][r];
-      cov.state_mask |=
-          static_cast<std::uint8_t>(1u << static_cast<unsigned>(child.state()));
-      cov.max_count = std::max(cov.max_count, child.count());
+      note(per_fragment_[f][r], static_cast<unsigned>(child.state()),
+           child.count());
+    }
+  }
+}
+
+void RecognizerCoverage::sample(const mon::VmMonitor& monitor) {
+  const mon::VmProgram& p = monitor.program();
+  LOOM_DASSERT(p.frag_count == per_fragment_.size());
+  for (std::uint32_t f = 0; f < p.frag_count; ++f) {
+    for (std::uint32_t r = 0; r < p.frag_ranges[f]; ++r) {
+      const std::uint32_t flat = p.frag_first[f] + r;
+      note(per_fragment_[f][r], monitor.range_state(flat),
+           monitor.range_count(flat));
     }
   }
 }

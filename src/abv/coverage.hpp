@@ -6,10 +6,12 @@
 //!                       visited and whether the block-length bounds u and v
 //!                       were actually hit.
 //!
-//! Ownership: RecognizerCoverage borrows the Drct antecedent monitor it
-//! samples — call detach() before outliving it (the campaign engine stores
-//! merged coverage long after each unit's monitor died).  A ViaPSL-backed
-//! campaign has no recognizer structure to sample and reports 1.0.
+//! Ownership: RecognizerCoverage owns its rows and borrows nothing; each
+//! sample() reads the antecedent monitor it is handed (Drct or Vm: both
+//! hold the same Fig. 5 range automata), so one instance can accumulate
+//! over any number of monitors of the same property — the campaign engine
+//! samples every valid unit of a shard into one.  A ViaPSL-backed campaign
+//! has no recognizer structure to sample and reports 1.0.
 //! Thread-safety: instances are single-thread; campaign shards each sample
 //! into their own instance and merge() afterwards.
 //! Determinism: merge() is an order-independent union (state masks OR,
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "mon/antecedent_monitor.hpp"
+#include "mon/vm.hpp"
 
 namespace loom::abv {
 
@@ -59,8 +62,11 @@ class AlphabetCoverage {
   spec::NameSet seen_;
 };
 
-/// Structural coverage of a Drct antecedent monitor: call sample() after
-/// every observed event.
+/// Structural coverage of an antecedent monitor's range recognizers: call
+/// sample() after every observed event (or, equivalently, after the first
+/// event and every event of the property alphabet — no other event can
+/// move a range automaton).  Sampling several monitors of the same property
+/// into one instance equals sampling each into its own and merging.
 class RecognizerCoverage {
  public:
   /// One range recognizer's coverage row: which of its six states were
@@ -74,20 +80,21 @@ class RecognizerCoverage {
     std::uint32_t lo = 1, hi = 1;
   };
 
+  /// Empty rows shaped after the monitor's range recognizers.
   explicit RecognizerCoverage(const mon::AntecedentMonitor& monitor);
+  /// The same rows from a Vm-backed antecedent monitor, whose frame holds
+  /// the ranges in plan order.
+  explicit RecognizerCoverage(const mon::VmMonitor& monitor);
 
-  /// Rebuilds a detached instance from wire-decoded rows (sample() is
-  /// unavailable; merge() and every accessor work).
+  /// Rebuilds an instance from wire-decoded rows.
   explicit RecognizerCoverage(std::vector<std::vector<RangeCov>> rows)
-      : monitor_(nullptr), per_fragment_(std::move(rows)) {}
+      : per_fragment_(std::move(rows)) {}
 
-  void sample();
-
-  /// Drops the monitor binding.  Call before storing the coverage past the
-  /// monitor's lifetime (the campaign engine keeps merged coverage around
-  /// long after each seed's monitor is gone); sample() asserts against use
-  /// after detach, every other accessor keeps working.
-  void detach() { monitor_ = nullptr; }
+  /// Records the monitor's current range states and block counters.  The
+  /// Vm frame's state bytes share RangeRecognizer::State's numbering, so
+  /// both backends fill the rows identically.
+  void sample(const mon::AntecedentMonitor& monitor);
+  void sample(const mon::VmMonitor& monitor);
 
   /// Order-independent union with coverage sampled from another monitor of
   /// the same property (state masks OR, block-length maxima take the max).
@@ -107,7 +114,6 @@ class RecognizerCoverage {
   }
 
  private:
-  const mon::AntecedentMonitor* monitor_;
   std::vector<std::vector<RangeCov>> per_fragment_;
 };
 

@@ -69,6 +69,13 @@ class Snapshot {
     strings_used_ = 0;
   }
 
+  /// Pre-sizes the buffers for content shaped like `other` (as many words
+  /// and strings), so writing such a snapshot performs no regrowth.
+  void reserve_like(const Snapshot& other) {
+    words_.reserve(other.words_.size());
+    strings_.reserve(other.strings_used_);
+  }
+
   bool empty() const { return words_.empty() && strings_used_ == 0; }
   std::size_t word_count() const { return words_.size(); }
 

@@ -34,6 +34,14 @@ class TimedImplicationMonitor final : public Monitor {
   void observe_batch(const spec::TimedEvent* begin,
                      const spec::TimedEvent* end) override {
     for (const auto* ev = begin; ev != end; ++ev) {
+      if (verdict_ == Verdict::Violated) {
+        // Retired: observe() would charge each remaining event 0 ops, so
+        // count the rest of the slice in one step.
+        const auto rest = static_cast<std::uint64_t>(end - ev);
+        stats_.events += rest;
+        ordinal_ += rest;
+        return;
+      }
       observe(ev->name, ev->time);  // devirtualized
     }
   }

@@ -506,12 +506,21 @@ void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
 void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
                   const spec::TimedEvent* begin, const spec::TimedEvent* end) {
   // Same per-event schedule as vm_step_event in a loop — the events/ops/
-  // max-ops totals land identically, they just flush once per slice.
+  // max-ops totals land identically, they just flush once per slice, and a
+  // retired frame fast-forwards instead of stepping.
   MonitorStats& st = *f.stats;
   const Insn* const code = p.code.data();
+  LOOM_DASSERT(code[0].op == Op::RetireIfDone);
+  const unsigned retire_mask = code[0].a;
   std::uint64_t total = 0;
   std::uint64_t max_ops = st.max_ops_per_event;
   for (const auto* ev = begin; ev != end; ++ev) {
+    if ((retire_mask >> static_cast<unsigned>(*f.verdict)) & 1) {
+      // Retired: every remaining event would halt at retire.if for 0 ops
+      // and only bump the ordinal, so advance it over the rest at once.
+      *f.ordinal += static_cast<std::uint64_t>(end - ev);
+      break;
+    }
     const std::uint64_t ops = step_event_core(p, f, code, ev->name, ev->time);
     total += ops;
     if (ops > max_ops) max_ops = ops;

@@ -67,8 +67,10 @@ void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
                    sim::Time time);
 /// Steps a whole event slice through one frame: identical state, verdict
 /// and Figure-6 accounting to calling vm_step_event per event, but the
-/// program pointer stays hoisted and the stats flush once per slice — the
-/// campaign's batched mutant replay lands here.
+/// program pointer stays hoisted, the stats flush once per slice, and once
+/// the frame retires (retire.if would halt every later event for 0 ops) the
+/// rest of the slice is counted in one step — the campaign's batched mutant
+/// replay lands here.
 void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
                   const spec::TimedEvent* begin, const spec::TimedEvent* end);
 void vm_finish(const VmProgram& p, const VmFrameRef& f, sim::Time end_time);
@@ -120,6 +122,11 @@ class VmMonitor final : public Monitor {
   const VmProgram& program() const { return *program_; }
   /// Validated triggers (antecedent) / completed P=>Q rounds (timed).
   std::uint64_t validated_or_rounds() const { return validated_or_rounds_; }
+  /// Range r's automaton (flat plan order: fragment-major, range-minor):
+  /// its state, numbered like RangeRecognizer::State, and its block
+  /// counter — what recognizer-state coverage samples.
+  std::uint8_t range_state(std::uint32_t r) const { return range_state_[r]; }
+  std::uint32_t range_count(std::uint32_t r) const { return range_cpt_[r]; }
 
  private:
   VmFrameRef make_ref();

@@ -110,6 +110,37 @@ class RoundWalker {
     return fail("name not in the property alphabet");  // unreachable
   }
 
+  /// Checkpoint support for the oracle ladder.  Only the block counters of
+  /// the plan's ranges are stored (counts_ is zero everywhere else), and
+  /// closed_ is not stored at all: within the active fragment the closed
+  /// blocks are exactly the opened ones other than the current block, and
+  /// every other fragment's blocks are zero.
+  void save(RefRung& rung, std::uint32_t* counts) const {
+    rung.fragment = static_cast<std::uint32_t>(k_);
+    rung.current = current_;
+    rung.consumed = consumed_;
+    rung.frag_min_complete = frag_min_complete_;
+    rung.frag_min_time = frag_min_time_;
+    for (const auto& f : plan_->fragments) {
+      for (const auto& r : f.ranges) *counts++ = counts_[r.name];
+    }
+  }
+
+  /// Restores a save()d state over a freshly bound walker.
+  void load(const RefRung& rung, const std::uint32_t* counts) {
+    k_ = rung.fragment;
+    current_ = rung.current;
+    consumed_ = rung.consumed;
+    frag_min_complete_ = rung.frag_min_complete;
+    frag_min_time_ = rung.frag_min_time;
+    for (const auto& f : plan_->fragments) {
+      for (const auto& r : f.ranges) counts_[r.name] = *counts++;
+    }
+    for (const auto& r : plan_->fragments[k_].ranges) {
+      if (counts_[r.name] > 0 && r.name != current_) closed_.set(r.name);
+    }
+  }
+
   std::size_t fragment_index() const { return k_; }
   bool consumed_anything() const { return consumed_; }
   bool fragment_min_complete_flag() const { return frag_min_complete_; }
@@ -164,6 +195,176 @@ RoundWalker& pooled_walker(const OrderingPlan& plan) {
   return walker;
 }
 
+// The one reference walk behind every entry point: a round walker plus the
+// timed implication's obligation registers.  reference_check runs it from
+// the initial state over the whole trace, resume_reference_check from a
+// ladder rung over the suffix, and record_reference_ladder over the whole
+// trace in stride-sized slices, saving the state between slices.
+class ReferenceWalk {
+ public:
+  /// `timed` is null for an antecedent requirement.
+  ReferenceWalk(const OrderingPlan& plan, bool repeated,
+                const TimedImplication* timed)
+      : plan_(plan),
+        walker_(pooled_walker(plan)),
+        repeated_(repeated),
+        timed_(timed) {}
+
+  /// Steps trace[begin, end); true once the verdict is decided (then
+  /// result() holds it and the rest of the trace cannot change it).
+  bool advance(const Trace& trace, std::size_t begin, std::size_t end) {
+    return timed_ != nullptr ? advance_timed(trace, begin, end)
+                             : advance_antecedent(trace, begin, end);
+  }
+
+  /// The verdict of a walk that reached the end of `trace` undecided.
+  RefResult finish(const Trace& trace, sim::Time end_time) const {
+    if (timed_ == nullptr) {
+      return {walker_.consumed_anything() ? RefVerdict::Pending
+                                          : RefVerdict::Accepted,
+              kNoIndex, ""};
+    }
+    if (armed_ && !q_done_ && end_time > t_start_ + timed_->bound) {
+      return {RefVerdict::Rejected,
+              trace.empty() ? kNoIndex : trace.size() - 1,
+              "observation ended after the deadline with the consequent "
+              "unfinished"};
+    }
+    if (!walker_.consumed_anything()) {
+      return {RefVerdict::Accepted, kNoIndex, ""};
+    }
+    // Mid-round at end of trace: if the final fragment already reached its
+    // minimum within the deadline, the obligation is met (earliest-match).
+    if (q_done_) return {RefVerdict::Accepted, kNoIndex, ""};
+    return {RefVerdict::Pending, kNoIndex, ""};
+  }
+
+  /// Walks the whole of trace[begin, end) and returns its verdict.
+  RefResult run(const Trace& trace, std::size_t begin, sim::Time end_time) {
+    if (advance(trace, begin, trace.size())) return std::move(result_);
+    return finish(trace, end_time);
+  }
+
+  void save(RefRung& rung, std::uint32_t* counts) const {
+    walker_.save(rung, counts);
+    rung.armed = armed_;
+    rung.q_done = q_done_;
+    rung.t_start = t_start_;
+    rung.decided = false;
+  }
+
+  void load(const RefRung& rung, const std::uint32_t* counts) {
+    walker_.load(rung, counts);
+    armed_ = rung.armed;
+    q_done_ = rung.q_done;
+    t_start_ = rung.t_start;
+  }
+
+  RefResult& result() { return result_; }
+
+ private:
+  bool decide(RefVerdict verdict, std::size_t index, std::string reason) {
+    result_ = {verdict, index, std::move(reason)};
+    return true;
+  }
+
+  bool advance_antecedent(const Trace& trace, std::size_t begin,
+                          std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& ev = trace[i];
+      if (!plan_.alphabet.test(ev.name)) continue;  // projection
+      switch (walker_.step(ev.name, ev.time)) {
+        case RoundWalker::Step::Consumed:
+          break;
+        case RoundWalker::Step::RoundCompleted:
+          if (!repeated_) return decide(RefVerdict::Accepted, kNoIndex, "");
+          walker_.reset();
+          break;
+        case RoundWalker::Step::Error:
+          return decide(RefVerdict::Rejected, i, walker_.reason());
+      }
+    }
+    return false;
+  }
+
+  // Arms the obligation once P is min-complete and checks the deadline
+  // once Q is; true when that check failed (result() is set).
+  bool update_timing(sim::Time now, std::size_t index) {
+    const std::size_t p_last = plan_.p_boundary - 1;
+    const std::size_t q_last = plan_.fragments.size() - 1;
+    if (!armed_ && (walker_.fragment_index() > p_last ||
+                    (walker_.fragment_index() == p_last &&
+                     walker_.fragment_min_complete_flag()))) {
+      armed_ = true;
+      t_start_ = walker_.fragment_index() == p_last
+                     ? walker_.fragment_min_time()
+                     : now;
+    }
+    if (armed_ && !q_done_ && walker_.fragment_index() == q_last &&
+        walker_.fragment_min_complete_flag()) {
+      q_done_ = true;
+      const sim::Time t_stop = walker_.fragment_min_time();
+      if (t_stop - t_start_ > timed_->bound) {
+        return decide(RefVerdict::Rejected, index,
+                      "consequent finished after the deadline");
+      }
+    }
+    return false;
+  }
+
+  bool advance_timed(const Trace& trace, std::size_t begin,
+                     std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto& ev = trace[i];
+      if (!plan_.alphabet.test(ev.name)) continue;
+      if (armed_ && !q_done_ && ev.time > t_start_ + timed_->bound) {
+        return decide(RefVerdict::Rejected, i,
+                      "deadline elapsed before the consequent finished");
+      }
+      switch (walker_.step(ev.name, ev.time)) {
+        case RoundWalker::Step::Consumed:
+          if (update_timing(ev.time, i)) return true;
+          break;
+        case RoundWalker::Step::RoundCompleted:
+          // The completing event restarts the chain at fragment 0.
+          armed_ = false;
+          q_done_ = false;
+          walker_.reset();
+          if (walker_.step(ev.name, ev.time) == RoundWalker::Step::Error) {
+            return decide(RefVerdict::Rejected, i, walker_.reason());
+          }
+          if (update_timing(ev.time, i)) return true;
+          break;
+        case RoundWalker::Step::Error:
+          return decide(RefVerdict::Rejected, i, walker_.reason());
+      }
+    }
+    return false;
+  }
+
+  const OrderingPlan& plan_;
+  RoundWalker& walker_;
+  bool repeated_ = false;
+  const TimedImplication* timed_ = nullptr;
+  bool armed_ = false;
+  bool q_done_ = false;
+  sim::Time t_start_;
+  RefResult result_;
+};
+
+ReferenceWalk walk_of(const Property& p, const OrderingPlan& plan) {
+  if (p.is_antecedent()) {
+    return ReferenceWalk(plan, p.antecedent().repeated, nullptr);
+  }
+  return ReferenceWalk(plan, false, &p.timed());
+}
+
+std::size_t range_count(const OrderingPlan& plan) {
+  std::size_t n = 0;
+  for (const auto& f : plan.fragments) n += f.ranges.size();
+  return n;
+}
+
 }  // namespace
 
 const char* to_string(RefVerdict v) {
@@ -181,24 +382,8 @@ RefResult reference_check(const Antecedent& a, const Trace& trace) {
 
 RefResult reference_check(const Antecedent& a, const OrderingPlan& plan,
                           const Trace& trace) {
-  RoundWalker& walker = pooled_walker(plan);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& ev = trace[i];
-    if (!plan.alphabet.test(ev.name)) continue;  // projection
-    switch (walker.step(ev.name, ev.time)) {
-      case RoundWalker::Step::Consumed:
-        break;
-      case RoundWalker::Step::RoundCompleted:
-        if (!a.repeated) return {RefVerdict::Accepted, kNoIndex, ""};
-        walker.reset();
-        break;
-      case RoundWalker::Step::Error:
-        return {RefVerdict::Rejected, i, walker.reason()};
-    }
-  }
-  return {walker.consumed_anything() ? RefVerdict::Pending
-                                     : RefVerdict::Accepted,
-          kNoIndex, ""};
+  return ReferenceWalk(plan, a.repeated, nullptr)
+      .run(trace, 0, sim::Time::zero());
 }
 
 RefResult reference_check(const TimedImplication& t, const Trace& trace,
@@ -208,75 +393,7 @@ RefResult reference_check(const TimedImplication& t, const Trace& trace,
 
 RefResult reference_check(const TimedImplication& t, const OrderingPlan& plan,
                           const Trace& trace, sim::Time end_time) {
-  const std::size_t p_last = plan.p_boundary - 1;
-  const std::size_t q_last = plan.fragments.size() - 1;
-  RoundWalker& walker = pooled_walker(plan);
-
-  bool armed = false;    // P min-complete, obligation running
-  bool q_done = false;   // Q min-complete in this round
-  sim::Time t_start;
-
-  auto update_timing = [&](sim::Time now, std::size_t index,
-                           RefResult* failure) {
-    if (!armed && (walker.fragment_index() > p_last ||
-                   (walker.fragment_index() == p_last &&
-                    walker.fragment_min_complete_flag()))) {
-      armed = true;
-      t_start = walker.fragment_index() == p_last ? walker.fragment_min_time()
-                                                  : now;
-    }
-    if (armed && !q_done && walker.fragment_index() == q_last &&
-        walker.fragment_min_complete_flag()) {
-      q_done = true;
-      const sim::Time t_stop = walker.fragment_min_time();
-      if (t_stop - t_start > t.bound) {
-        *failure = {RefVerdict::Rejected, index,
-                    "consequent finished after the deadline"};
-      }
-    }
-  };
-
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& ev = trace[i];
-    if (!plan.alphabet.test(ev.name)) continue;
-    if (armed && !q_done && ev.time > t_start + t.bound) {
-      return {RefVerdict::Rejected, i,
-              "deadline elapsed before the consequent finished"};
-    }
-    switch (walker.step(ev.name, ev.time)) {
-      case RoundWalker::Step::Consumed: {
-        RefResult failure;
-        update_timing(ev.time, i, &failure);
-        if (failure.rejected()) return failure;
-        break;
-      }
-      case RoundWalker::Step::RoundCompleted: {
-        // The completing event restarts the chain at fragment 0.
-        armed = false;
-        q_done = false;
-        walker.reset();
-        if (walker.step(ev.name, ev.time) == RoundWalker::Step::Error) {
-          return {RefVerdict::Rejected, i, walker.reason()};
-        }
-        RefResult failure;
-        update_timing(ev.time, i, &failure);
-        if (failure.rejected()) return failure;
-        break;
-      }
-      case RoundWalker::Step::Error:
-        return {RefVerdict::Rejected, i, walker.reason()};
-    }
-  }
-  if (armed && !q_done && end_time > t_start + t.bound) {
-    return {RefVerdict::Rejected, trace.empty() ? kNoIndex : trace.size() - 1,
-            "observation ended after the deadline with the consequent "
-            "unfinished"};
-  }
-  if (!walker.consumed_anything()) return {RefVerdict::Accepted, kNoIndex, ""};
-  // Mid-round at end of trace: if the final fragment already reached its
-  // minimum within the deadline, the obligation is met (earliest-match).
-  if (q_done) return {RefVerdict::Accepted, kNoIndex, ""};
-  return {RefVerdict::Pending, kNoIndex, ""};
+  return ReferenceWalk(plan, false, &t).run(trace, 0, end_time);
 }
 
 RefResult reference_check(const Property& p, const Trace& trace,
@@ -289,6 +406,42 @@ RefResult reference_check(const Property& p, const OrderingPlan& plan,
                           const Trace& trace, sim::Time end_time) {
   if (p.is_antecedent()) return reference_check(p.antecedent(), plan, trace);
   return reference_check(p.timed(), plan, trace, end_time);
+}
+
+RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
+                                  const Trace& trace, sim::Time end_time,
+                                  std::size_t stride) {
+  assert(stride > 0);
+  RefLadder ladder;
+  ladder.stride = stride;
+  ladder.ranges = range_count(plan);
+  const std::size_t rungs = trace.size() / stride;
+  ladder.rungs.resize(rungs);
+  ladder.counts.resize(rungs * ladder.ranges);
+  ReferenceWalk walk = walk_of(p, plan);
+  for (std::size_t k = 0; k < rungs; ++k) {
+    if (walk.advance(trace, k * stride, (k + 1) * stride)) {
+      // Decided inside rung k's prefix: this rung and every later one
+      // resume straight to the recorded verdict.
+      for (; k < rungs; ++k) ladder.rungs[k].decided = true;
+      ladder.full = std::move(walk.result());
+      return ladder;
+    }
+    walk.save(ladder.rungs[k], ladder.counts.data() + k * ladder.ranges);
+  }
+  ladder.full = walk.run(trace, rungs * stride, end_time);
+  return ladder;
+}
+
+RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
+                                 const RefLadder& ladder, std::size_t rung,
+                                 const Trace& trace, sim::Time end_time) {
+  assert(rung < ladder.rungs.size());
+  const RefRung& at = ladder.rungs[rung];
+  if (at.decided) return ladder.full;
+  ReferenceWalk walk = walk_of(p, plan);
+  walk.load(at, ladder.counts.data() + rung * ladder.ranges);
+  return walk.run(trace, (rung + 1) * ladder.stride, end_time);
 }
 
 }  // namespace loom::spec

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -69,5 +70,54 @@ RefResult reference_check(const TimedImplication& t, const OrderingPlan& plan,
                           const Trace& trace, sim::Time end_time);
 RefResult reference_check(const Property& p, const OrderingPlan& plan,
                           const Trace& trace, sim::Time end_time);
+
+/// One rung of an oracle checkpoint ladder: the reference walk's complete
+/// state after a prefix of the trace — the round walker's registers, the
+/// timed implication's obligation registers, and whether the walk had
+/// already decided inside the prefix.  The walker's block counters live
+/// beside the rung in RefLadder::counts.
+struct RefRung {
+  std::uint32_t fragment = 0;   // the fragment being recognized
+  Name current = kInvalidName;  // the range whose block is open
+  sim::Time frag_min_time;      // when the fragment reached its minimum
+  sim::Time t_start;            // timed: when the obligation armed
+  bool consumed = false;        // the walk has consumed a chain event
+  bool frag_min_complete = false;
+  bool armed = false;   // timed: P min-complete, obligation running
+  bool q_done = false;  // timed: Q min-complete in this round
+  bool decided = false;  // the walk returned inside the prefix
+};
+
+/// The oracle's checkpoint ladder over one trace, recorded by a single
+/// walk: rungs[k] is the walk state after the first (k+1)·stride events,
+/// and `full` is the verdict of the whole trace.  Flat by design — one
+/// record array plus one counter array, however many rungs.
+struct RefLadder {
+  std::size_t stride = 0;  // 0: nothing recorded
+  std::size_t ranges = 0;  // counters per rung: the plan's range count
+  std::vector<RefRung> rungs;
+  /// counts[k·ranges + j]: rung k's block counter of the plan's j-th range
+  /// (fragment-major, range-minor).
+  std::vector<std::uint32_t> counts;
+  RefResult full;
+};
+
+/// Walks `trace` once from the initial state, recording a rung after every
+/// `stride` events (stride > 0; trace.size() / stride rungs) and the whole
+/// trace's verdict — which is exactly reference_check(p, plan, trace,
+/// end_time).
+RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
+                                  const Trace& trace, sim::Time end_time,
+                                  std::size_t stride);
+
+/// Resumes the walk at rung `rung` of `ladder` and finishes it over
+/// `trace`, which must share its first (rung+1)·stride events with the
+/// trace the ladder was recorded on (a mutant at or past its divergence
+/// position).  Byte-identical to reference_check(p, plan, trace, end_time):
+/// the walk is deterministic, so the state after the shared prefix is the
+/// rung — a rung whose walk already decided returns the recorded verdict.
+RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
+                                 const RefLadder& ladder, std::size_t rung,
+                                 const Trace& trace, sim::Time end_time);
 
 }  // namespace loom::spec

@@ -153,8 +153,8 @@ TEST(Campaign, VmBackendRunsAndReportsItsCounter) {
 
   ASSERT_TRUE(vm.ok()) << vm.report(ab);
   EXPECT_EQ(vm.compile_stats.backend_chosen, mon::Backend::Vm);
-  // Same work, same kills, same Figure-6 accounting — only the report's
-  // backend line (and the Drct-only recognizer coverage) may differ.
+  // Same work, same kills, same Figure-6 accounting, same recognizer
+  // coverage — only the report's backend line may differ.
   EXPECT_EQ(vm.traces, drct.traces);
   EXPECT_EQ(vm.events, drct.events);
   EXPECT_EQ(vm.valid_accepted, drct.valid_accepted);
@@ -167,6 +167,7 @@ TEST(Campaign, VmBackendRunsAndReportsItsCounter) {
   }
   EXPECT_EQ(vm.monitor_stats.ops, drct.monitor_stats.ops);
   EXPECT_EQ(vm.monitor_stats.events, drct.monitor_stats.events);
+  EXPECT_EQ(vm.recognizer_state_coverage, drct.recognizer_state_coverage);
 
   const auto counters = vm.diagnostic_counters();
   const auto value = [&](const char* name) {
@@ -178,6 +179,26 @@ TEST(Campaign, VmBackendRunsAndReportsItsCounter) {
   };
   EXPECT_EQ(value("backend_vm"), 1.0);
   EXPECT_EQ(value("backend_viapsl"), 0.0);
+}
+
+TEST(Campaign, DefaultBackendSamplesRecognizerCoverage) {
+  // Auto resolves to Vm for campaigns; its recognizer coverage must come
+  // from the VM frame, not default to a vacuous 100%.  A single-round
+  // conjunctive fragment never reaches the error or counting-overflow
+  // states on valid stimuli, so the honest figure is below 100%.
+  spec::Alphabet ab;
+  auto p = loom::testing::parse("(({a, b, c}, &) << s, false)", ab);
+  CampaignOptions opt;
+  opt.seeds = 4;
+  opt.mutants_per_kind = 2;
+  const CampaignResult r = run_campaign(p, ab, opt);
+  ASSERT_EQ(r.compile_stats.backend_chosen, mon::Backend::Vm);
+  EXPECT_GT(r.recognizer_state_coverage, 0.0);
+  EXPECT_LT(r.recognizer_state_coverage, 1.0);
+  opt.backend = mon::Backend::Drct;
+  opt.lane_width = 1;
+  EXPECT_EQ(run_campaign(p, ab, opt).recognizer_state_coverage,
+            r.recognizer_state_coverage);
 }
 
 TEST(Campaign, ReportIsHumanReadable) {

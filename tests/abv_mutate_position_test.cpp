@@ -9,13 +9,16 @@
 // property is load-bearing: a mutant whose prefix silently differed from
 // the valid trace would replay against the wrong monitor state.  Fuzzed
 // over every mutation kind, several property shapes and many seeds, plus
-// pinned per-kind placement checks.
+// pinned per-kind placement checks.  The same prefix carries the oracle:
+// a mutant's reference check resumes from the oracle ladder's floor rung,
+// which must equal the full walk for every mutation kind.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "abv/mutate.hpp"
 #include "abv/stimuli.hpp"
+#include "spec/attributes.hpp"
 #include "testing.hpp"
 
 namespace loom::abv {
@@ -76,6 +79,76 @@ INSTANTIATE_TEST_SUITE_P(
                       "(({a, b, c}, &) << s, false)",
                       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
                       "(p[2,3] => q[1,4] < r, 10us)"));
+
+// The campaign's oracle resume, per mutation kind: record the oracle ladder
+// on the valid trace, resolve each mutant's floor rung from its position
+// exactly like the engine does, and resume there — verdict, error index
+// and reason must equal the full walk.  Duplicate and StallDeadline shift
+// the suffix's times, which the timed deadline checks read.
+class MutationOracleResume
+    : public ::testing::TestWithParam<std::tuple<const char*, MutationKind>> {
+};
+
+TEST_P(MutationOracleResume, FloorRungResumeEqualsFullWalk) {
+  const auto [source, kind] = GetParam();
+  spec::Alphabet ab;
+  const spec::Property property = loom::testing::parse(source, ab);
+  const spec::OrderingPlan plan =
+      property.is_antecedent() ? spec::plan_antecedent(property.antecedent())
+                               : spec::plan_timed(property.timed());
+  StimuliOptions sopt;
+  sopt.rounds = 6;
+  sopt.noise_permille = 150;
+  const auto end_of = [](const spec::Trace& t) {
+    return t.empty() ? sim::Time::zero() : t.back().time;
+  };
+
+  std::size_t applied = 0, resumed = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    support::Rng gen_rng = support::Rng::stream(seed, 0);
+    const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
+    for (const std::size_t stride : {1, 3, 32}) {
+      const spec::RefLadder ladder = spec::record_reference_ladder(
+          property, plan, valid, end_of(valid), stride);
+      support::Rng rng = support::Rng::stream(seed, 7);
+      for (int round = 0; round < 10; ++round) {
+        const auto mutant = mutate(valid, kind, property, rng);
+        if (!mutant) continue;
+        ++applied;
+        const std::size_t rungs =
+            std::min(mutant->position / stride, ladder.rungs.size());
+        if (rungs == 0) continue;
+        ++resumed;
+        const spec::RefResult full = spec::reference_check(
+            property, plan, mutant->trace, end_of(mutant->trace));
+        const spec::RefResult resumed_result = spec::resume_reference_check(
+            property, plan, ladder, rungs - 1, mutant->trace,
+            end_of(mutant->trace));
+        const std::string what = std::string(to_string(kind)) + " seed=" +
+                                 std::to_string(seed) + " stride=" +
+                                 std::to_string(stride) + " position=" +
+                                 std::to_string(mutant->position);
+        EXPECT_EQ(resumed_result.verdict, full.verdict) << what;
+        EXPECT_EQ(resumed_result.error_index, full.error_index) << what;
+        EXPECT_EQ(resumed_result.reason, full.reason) << what;
+      }
+    }
+  }
+  if (kind == MutationKind::StallDeadline && property.is_antecedent()) {
+    EXPECT_EQ(applied, 0u) << "an antecedent has no deadline to stall";
+  } else {
+    EXPECT_GT(resumed, 0u) << "no mutant had a floor rung";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsByShape, MutationOracleResume,
+    ::testing::Combine(
+        ::testing::Values(
+            "(n << i, true)", "(n[2,3] << i, false)",
+            "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+            "(p[2,3] => q[1,4] < r, 10us)"),
+        ::testing::ValuesIn(kKinds)));
 
 TEST(MutationPositionPlacement, PinnedPerKindSemantics) {
   // Deterministic single-site traces pin the per-kind placement documented

@@ -174,7 +174,7 @@ TEST(Coverage, RecognizerCoverageGrowsWithStimuli) {
   auto p = parse("(({a, b}, &) < c[2,4] << i, true)", ab);
   mon::AntecedentMonitor m(p.antecedent());
   RecognizerCoverage cov(m);
-  cov.sample();
+  cov.sample(m);
   const double before = cov.state_ratio();
 
   support::Rng rng(5);
@@ -184,7 +184,7 @@ TEST(Coverage, RecognizerCoverageGrowsWithStimuli) {
                                        rng, opt);
   for (const auto& ev : t) {
     m.observe(ev.name, ev.time);
-    cov.sample();
+    cov.sample(m);
   }
   EXPECT_GT(cov.state_ratio(), before);
   EXPECT_GE(cov.lo_bound_hits(), 1u);

@@ -102,6 +102,41 @@ TEST_P(CampaignIncrementalDiff, IncrementalEqualsFullReplayByteForByte) {
   }
 }
 
+TEST_P(CampaignIncrementalDiff, DrctAndVmAgreeAtEveryStride) {
+  // Backend independence across the incremental grid: with or without the
+  // checkpoint ladder, at any stride and thread count, forced Drct and
+  // forced Vm differ only in the report's backend line.
+  const Knobs knob_grid[] = {
+      {true, true, true, true},
+      {true, true, false, true},
+      {false, true, true, true},
+  };
+  for (const Knobs& knobs : knob_grid) {
+    for (const bool incremental : {false, true}) {
+      for (const std::size_t stride : {std::size_t{1}, std::size_t{3},
+                                       std::size_t{32}}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          const CampaignRun drct = run_with(GetParam(), mon::Backend::Drct,
+                                            incremental, stride, threads,
+                                            knobs);
+          const CampaignRun vm = run_with(GetParam(), mon::Backend::Vm,
+                                          incremental, stride, threads, knobs);
+          const std::string what =
+              "incremental=" + std::to_string(incremental) +
+              " stride=" + std::to_string(stride) +
+              " threads=" + std::to_string(threads) +
+              " compiled=" + std::to_string(knobs.compiled) +
+              " batch=" + std::to_string(knobs.batch_replay);
+          EXPECT_NE(drct.report, vm.report) << what << ": backends not forced";
+          EXPECT_EQ(loom::testing::report_without_backend(drct.report),
+                    loom::testing::report_without_backend(vm.report))
+              << what;
+        }
+      }
+    }
+  }
+}
+
 TEST_P(CampaignIncrementalDiff, NoLadderConfigurationsReplayInFull) {
   // Without a cache entry to hold the ladder (reuse_traces off), with a
   // zero stride, or with the knob off, every mutant replays from event 0 —

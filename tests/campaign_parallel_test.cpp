@@ -111,6 +111,36 @@ TEST_P(ParallelCampaign, BackendKnobStaysDeterministicAcrossThreads) {
   }
 }
 
+TEST_P(ParallelCampaign, DrctAndVmAgreeBeyondTheBackendLine) {
+  // Backend independence across the thread/shard grid: forced Drct (at
+  // lane width 1, it has no VM frames to wave over) and forced Vm differ
+  // only in the report's backend line — recognizer coverage included.
+  struct Layout {
+    std::size_t threads, shard_size;
+  };
+  for (const Layout layout : {Layout{1, 0}, Layout{8, 1}, Layout{3, 7}}) {
+    for (const bool viapsl : {false, true}) {
+      const CampaignRun drct =
+          run_with(GetParam(), layout.threads, layout.shard_size, viapsl,
+                   mon::Backend::Drct);
+      const CampaignRun vm = run_with(GetParam(), layout.threads,
+                                      layout.shard_size, viapsl,
+                                      mon::Backend::Vm);
+      const std::string what = "threads=" + std::to_string(layout.threads) +
+                               " shard_size=" +
+                               std::to_string(layout.shard_size) +
+                               " viapsl=" + std::to_string(viapsl);
+      EXPECT_NE(drct.report, vm.report) << what << ": backends not forced";
+      EXPECT_EQ(loom::testing::report_without_backend(drct.report),
+                loom::testing::report_without_backend(vm.report))
+          << what;
+      EXPECT_EQ(drct.result.recognizer_state_coverage,
+                vm.result.recognizer_state_coverage)
+          << what;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Properties, ParallelCampaign,
     ::testing::Values("(n << i, true)",                               //

@@ -8,6 +8,9 @@
 // units) because the cache's exactly-once insert makes them deterministic.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "abv/campaign.hpp"
 #include "testing.hpp"
 
@@ -119,6 +122,28 @@ TEST_P(CampaignReplayDiff, BackendGridKeepsTheCachedPathBitIdentical) {
         << what;
     EXPECT_EQ(cached.report, legacy.report) << what;
     expect_cache_counters(cached.result, kModes[2], 3, what.c_str());
+  }
+}
+
+TEST_P(CampaignReplayDiff, DrctAndVmAgreeInEveryReplayMode) {
+  // Backend independence across the replay grid: in the legacy mode and
+  // every cached/batched mode, forced Drct and forced Vm differ only in
+  // the report's backend line.
+  std::vector<Mode> modes = {kLegacy};
+  modes.insert(modes.end(), std::begin(kModes), std::end(kModes));
+  for (const Mode mode : modes) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const CampaignRun drct = run_with(GetParam(), threads, mode, 3,
+                                        /*viapsl=*/false, mon::Backend::Drct);
+      const CampaignRun vm = run_with(GetParam(), threads, mode, 3,
+                                      /*viapsl=*/false, mon::Backend::Vm);
+      const std::string what =
+          std::string(mode.label) + " threads=" + std::to_string(threads);
+      EXPECT_NE(drct.report, vm.report) << what << ": backends not forced";
+      EXPECT_EQ(loom::testing::report_without_backend(drct.report),
+                loom::testing::report_without_backend(vm.report))
+          << what;
+    }
   }
 }
 

@@ -1,9 +1,14 @@
 // MonitorModule::observe_batch contract: same verdict as the per-event
 // observe() path, violation callback exactly once, and the documented
-// early-stop on a violating slice.
+// early-stop on a violating slice.  Plus the Drct monitors' own
+// observe_batch retirement fast-forward, locked against the event loop.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mon/monitors.hpp"
+#include "mon/snapshot.hpp"
+#include "support/rng.hpp"
 #include "testing.hpp"
 
 namespace loom::mon {
@@ -135,6 +140,87 @@ TEST(MonitorModuleBatch, MonitorLevelBatchIsObservationallyPerEvent) {
   EXPECT_EQ(batched->stats().ops, looped->stats().ops);
   EXPECT_EQ(batched->stats().max_ops_per_event,
             looped->stats().max_ops_per_event);
+}
+
+bool retired(Verdict v) {
+  return v == Verdict::Violated || v == Verdict::Holds;
+}
+
+void expect_same_state(Monitor& batched, Monitor& looped,
+                       const std::string& what) {
+  EXPECT_EQ(batched.verdict(), looped.verdict()) << what;
+  ASSERT_EQ(batched.violation().has_value(), looped.violation().has_value())
+      << what;
+  if (batched.violation()) {
+    EXPECT_EQ(batched.violation()->event_ordinal,
+              looped.violation()->event_ordinal)
+        << what;
+    EXPECT_EQ(batched.violation()->time, looped.violation()->time) << what;
+    EXPECT_EQ(batched.violation()->name, looped.violation()->name) << what;
+    EXPECT_EQ(batched.violation()->reason, looped.violation()->reason)
+        << what;
+  }
+  EXPECT_EQ(batched.stats().events, looped.stats().events) << what;
+  EXPECT_EQ(batched.stats().ops, looped.stats().ops) << what;
+  EXPECT_EQ(batched.stats().max_ops_per_event,
+            looped.stats().max_ops_per_event)
+      << what;
+  // The event ordinal has no accessor: it rides in the snapshot.
+  Snapshot a, b;
+  batched.snapshot(a);
+  looped.snapshot(b);
+  EXPECT_TRUE(loom::testing::snapshots_equal(a, b)) << what;
+}
+
+TEST(MonitorBatchRetire, RetiringMidSliceEqualsTheEventLoop) {
+  // Once a Drct monitor retires (Violated, or Holds for a non-repeated
+  // antecedent) its observe_batch counts the rest of the slice in one step
+  // instead of stepping it.  Every slice here retires part-way, whole or
+  // cut at random points; each must land on the event loop's bytes.
+  constexpr const char* kSources[] = {
+      "(n << i, true)",
+      "(n[2,3] << i, false)",
+      "(({a, b, c}, &) << s, false)",
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+      "(p[2,3] => q[1,4] < r, 10us)",
+  };
+  std::size_t violated_mid = 0, holds_mid = 0;
+  for (const char* source : kSources) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(source, ab);
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      const spec::Trace trace = loom::testing::retiring_trace(p, ab, seed, 80);
+      auto looped = make_monitor(p);
+      std::size_t retired_at = trace.size();
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        looped->observe(trace[i].name, trace[i].time);
+        if (retired_at == trace.size() && retired(looped->verdict())) {
+          retired_at = i;
+        }
+      }
+      if (retired_at + 1 < trace.size()) {
+        ++(looped->verdict() == Verdict::Holds ? holds_mid : violated_mid);
+      }
+      const std::string what =
+          std::string(source) + " seed " + std::to_string(seed);
+
+      auto whole = make_monitor(p);
+      whole->observe_batch(trace);
+      expect_same_state(*whole, *looped, what + " [whole slice]");
+
+      auto cut = make_monitor(p);
+      support::Rng rng = support::Rng::stream(seed, 9);
+      std::size_t done = 0;
+      while (done < trace.size()) {
+        const std::size_t next = done + 1 + rng.below(trace.size() - done);
+        cut->observe_batch(trace.data() + done, trace.data() + next);
+        done = next;
+      }
+      expect_same_state(*cut, *looped, what + " [random cuts]");
+    }
+  }
+  EXPECT_GT(violated_mid, 50u);
+  EXPECT_GT(holds_mid, 10u);
 }
 
 }  // namespace

@@ -616,5 +616,169 @@ TEST(MonBytecodeLanes, PartialWavesLeaveUnlistedLanesUntouched) {
   }
 }
 
+// --- retirement fast-forward ------------------------------------------------
+//
+// Once a frame retires (Violated, or Holds for a non-repeated antecedent)
+// vm_run_batch counts the rest of the slice in one step instead of
+// executing retire.if per event.  Every trace below retires part-way, with
+// a tail longer than one lockstep block; batched execution must land on
+// the per-event loop's bytes — verdict, violation, stats and the event
+// ordinal, which only the snapshot exposes.
+
+void expect_same_frame(Monitor& got, Monitor& want, const Snapshot& got_snap,
+                       const std::string& what) {
+  expect_same_outcome(got, want, what);
+  Snapshot want_snap;
+  want.snapshot(want_snap);
+  EXPECT_TRUE(loom::testing::snapshots_equal(got_snap, want_snap)) << what;
+}
+
+bool retired(Verdict v) {
+  return v == Verdict::Violated || v == Verdict::Holds;
+}
+
+TEST(MonBytecodeRetire, ObserveBatchRetiringMidSliceEqualsTheEventLoop) {
+  std::size_t mid_slice = 0;
+  for (const auto& c : kCases) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(c.source, ab);
+    const auto program = compile_vm(p);
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      const spec::Trace trace =
+          loom::testing::retiring_trace(p, ab, 0x7E71 + seed, 150);
+      VmMonitor looped(program);
+      std::size_t retired_at = trace.size();
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        looped.observe(trace[i].name, trace[i].time);
+        if (retired_at == trace.size() && retired(looped.verdict())) {
+          retired_at = i;
+        }
+      }
+      if (retired_at + 1 < trace.size()) ++mid_slice;
+      const std::string what =
+          std::string(c.label) + " seed " + std::to_string(seed);
+
+      VmMonitor whole(program);
+      whole.observe_batch(trace);
+      Snapshot snap;
+      whole.snapshot(snap);
+      expect_same_frame(whole, looped, snap, what + " [whole slice]");
+
+      VmMonitor cut(program);
+      support::Rng rng = support::Rng::stream(seed, 23);
+      std::size_t done = 0;
+      while (done < trace.size()) {
+        const std::size_t next = done + 1 + rng.below(trace.size() - done);
+        cut.observe_batch(trace.data() + done, trace.data() + next);
+        done = next;
+      }
+      cut.snapshot(snap);
+      expect_same_frame(cut, looped, snap, what + " [random cuts]");
+    }
+  }
+  EXPECT_GT(mid_slice, 100u);
+}
+
+TEST(MonBytecodeRetire, LaneRunWithPerLaneStartsRetiringMidSliceEqualsSolo) {
+  // The campaign's wave shape: each lane restored from a solo monitor's
+  // snapshot at its own start — before or after the retirement point —
+  // then the wave advances in block-lockstep over per-lane suffixes.
+  constexpr std::size_t kLanes = 8;
+  std::size_t mid_slice = 0;
+  for (const auto& c : kCases) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(c.source, ab);
+    const auto program = compile_vm(p);
+    VmLaneBatch lanes(program, kLanes);
+    for (std::uint64_t round = 0; round < 4; ++round) {
+      support::Rng rng = support::Rng::stream(0x1A7E + round, 29);
+      std::vector<spec::Trace> traces;
+      std::vector<std::size_t> starts;
+      std::vector<std::unique_ptr<VmMonitor>> solos;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        traces.push_back(loom::testing::retiring_trace(
+            p, ab, 0x1A7E + round * kLanes + l, 150));
+        const spec::Trace& t = traces.back();
+        // Even lanes start at or before the retiring event, odd lanes
+        // after it (a rung taken from an already-retired frame).
+        std::size_t retire_at = t.size();
+        {
+          VmMonitor probe(program);
+          for (std::size_t i = 0; i < t.size() && retire_at == t.size();
+               ++i) {
+            probe.observe(t[i].name, t[i].time);
+            if (retired(probe.verdict())) retire_at = i;
+          }
+        }
+        const std::size_t start =
+            l % 2 == 0 || retire_at == t.size()
+                ? rng.below(std::min(retire_at, t.size()) + 1)
+                : retire_at + 1 + rng.below(t.size() - retire_at);
+        auto solo = std::make_unique<VmMonitor>(program);
+        for (std::size_t i = 0; i < start; ++i) {
+          solo->observe(t[i].name, t[i].time);
+        }
+        if (start == 0) {
+          lanes.reset(l);
+        } else {
+          Snapshot snap;
+          solo->snapshot(snap);
+          lanes.restore(l, snap);
+        }
+        starts.push_back(start);
+        solos.push_back(std::move(solo));
+      }
+      std::vector<const spec::Trace*> ptrs;
+      for (const auto& t : traces) ptrs.push_back(&t);
+
+      lanes.run(ptrs, starts);
+
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const spec::Trace& t = traces[l];
+        bool was_retired = retired(solos[l]->verdict());
+        for (std::size_t i = starts[l]; i < t.size(); ++i) {
+          solos[l]->observe(t[i].name, t[i].time);
+          if (!was_retired && retired(solos[l]->verdict())) {
+            was_retired = true;
+            if (i + 1 < t.size()) ++mid_slice;
+          }
+        }
+        const std::string what = std::string(c.label) + " round " +
+                                 std::to_string(round) + " lane " +
+                                 std::to_string(l) + " start " +
+                                 std::to_string(starts[l]);
+        // Compared before finish(): finish may latch a deadline violation
+        // at the ordinal, which is exactly what must already agree.
+        Snapshot lane_snap;
+        lanes.snapshot(l, lane_snap);
+        Snapshot solo_snap;
+        solos[l]->snapshot(solo_snap);
+        EXPECT_TRUE(loom::testing::snapshots_equal(lane_snap, solo_snap))
+            << what;
+        const sim::Time end = t.empty() ? sim::Time::zero() : t.back().time;
+        lanes.finish(l, end);
+        solos[l]->finish(end);
+        EXPECT_EQ(lanes.verdict(l), solos[l]->verdict()) << what;
+        ASSERT_EQ(lanes.violation(l).has_value(),
+                  solos[l]->violation().has_value())
+            << what;
+        if (lanes.violation(l)) {
+          EXPECT_EQ(lanes.violation(l)->event_ordinal,
+                    solos[l]->violation()->event_ordinal)
+              << what;
+          EXPECT_EQ(lanes.violation(l)->reason, solos[l]->violation()->reason)
+              << what;
+        }
+        EXPECT_EQ(lanes.stats(l).ops, solos[l]->stats().ops) << what;
+        EXPECT_EQ(lanes.stats(l).events, solos[l]->stats().events) << what;
+        EXPECT_EQ(lanes.stats(l).max_ops_per_event,
+                  solos[l]->stats().max_ops_per_event)
+            << what;
+      }
+    }
+  }
+  EXPECT_GT(mid_slice, 30u);
+}
+
 }  // namespace
 }  // namespace loom::mon

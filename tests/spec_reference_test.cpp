@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "abv/stimuli.hpp"
+#include "spec/attributes.hpp"
 #include "spec/parser.hpp"
 #include "spec/reference.hpp"
+#include "support/rng.hpp"
 
 namespace loom::spec {
 namespace {
@@ -255,6 +260,176 @@ TEST(TimedRefDetails, DeadlineAtEndOfObservation) {
   // end_time past the deadline: rejected
   EXPECT_EQ(reference_check(p->timed(), t, sim::Time::ns(111)).verdict,
             RefVerdict::Rejected);
+}
+
+
+// --- Resume ≡ full walk (the oracle checkpoint ladder) ---------------------
+//
+// record_reference_ladder walks a trace once, saving the oracle's state
+// every `stride` events; resume_reference_check restarts from such a rung
+// over any trace sharing the rung's prefix.  Fuzzed at every cut: for each
+// rung, the recorded trace itself and random edits of its suffix must get
+// exactly reference_check's verdict, error index and reason.
+
+void expect_same(const RefResult& resumed, const RefResult& full,
+                 const std::string& what) {
+  EXPECT_EQ(resumed.verdict, full.verdict) << what;
+  EXPECT_EQ(resumed.error_index, full.error_index) << what;
+  EXPECT_EQ(resumed.reason, full.reason) << what;
+}
+
+// One random edit at or after `from`: drop, duplicate (1 ps later), insert
+// a random name, or delay every later event (a stall) — the same shapes the
+// campaign's mutators produce, including suffix time shifts.
+Trace edit_suffix(const Trace& t, std::size_t from,
+                  const std::vector<Name>& names, support::Rng& rng) {
+  Trace out = t;
+  const std::size_t at = from + rng.below(t.size() - from + 1);
+  switch (rng.below(4)) {
+    case 0:
+      if (at < out.size()) out.erase(out.begin() + static_cast<long>(at));
+      break;
+    case 1:
+      if (at > 0 && at <= out.size()) {
+        TimedEvent copy = out[at - 1];
+        copy.time = copy.time + sim::Time::ps(1);
+        out.insert(out.begin() + static_cast<long>(at), copy);
+      }
+      break;
+    case 2: {
+      const sim::Time time = at < out.size() ? out[at].time
+                             : out.empty()   ? sim::Time::ns(1)
+                                             : out.back().time;
+      out.insert(out.begin() + static_cast<long>(at),
+                 {names[rng.below(names.size())], time});
+      break;
+    }
+    default: {
+      const sim::Time delay = sim::Time::ns(rng.between(1, 20000));
+      for (std::size_t i = at; i < out.size(); ++i) {
+        out[i].time = out[i].time + delay;
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+struct ResumeTally {
+  std::size_t rungs = 0;
+  std::size_t decided_rejected = 0;  // rungs after a prefix rejection
+  std::size_t decided_accepted = 0;  // rungs after a non-repeated accept
+  std::size_t armed = 0;             // rungs while a deadline is running
+};
+
+void check_every_cut(const Property& p, const OrderingPlan& plan,
+                     const Trace& trace, std::size_t stride,
+                     const std::vector<Name>& names, support::Rng& rng,
+                     ResumeTally& tally) {
+  for (const sim::Time slack : {sim::Time::zero(), sim::Time::us(50)}) {
+    const sim::Time end =
+        (trace.empty() ? sim::Time::zero() : trace.back().time) + slack;
+    const RefLadder ladder =
+        record_reference_ladder(p, plan, trace, end, stride);
+    expect_same(ladder.full, reference_check(p, plan, trace, end), "full");
+    ASSERT_EQ(ladder.rungs.size(), trace.size() / stride);
+    ASSERT_EQ(ladder.counts.size(), ladder.rungs.size() * ladder.ranges);
+    for (std::size_t k = 0; k < ladder.rungs.size(); ++k) {
+      const RefRung& rung = ladder.rungs[k];
+      ++tally.rungs;
+      if (rung.decided) {
+        ++(ladder.full.rejected() ? tally.decided_rejected
+                                  : tally.decided_accepted);
+      }
+      if (rung.armed && !rung.q_done) ++tally.armed;
+      const std::string what = "stride " + std::to_string(stride) +
+                               " rung " + std::to_string(k) + " of " +
+                               std::to_string(trace.size()) + " events";
+      expect_same(resume_reference_check(p, plan, ladder, k, trace, end),
+                  ladder.full, what + " (recorded trace)");
+      const std::size_t cut = (k + 1) * stride;
+      for (int e = 0; e < 3; ++e) {
+        const Trace variant = edit_suffix(trace, cut, names, rng);
+        const sim::Time vend =
+            (variant.empty() ? sim::Time::zero() : variant.back().time) +
+            slack;
+        expect_same(resume_reference_check(p, plan, ladder, k, variant, vend),
+                    reference_check(p, plan, variant, vend),
+                    what + " (edited suffix)");
+      }
+    }
+  }
+}
+
+class ReferenceResume : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ReferenceResume, EqualsTheFullWalkAtEveryCut) {
+  Alphabet ab;
+  support::DiagnosticSink sink;
+  auto parsed = parse_property(GetParam(), ab, sink);
+  ASSERT_TRUE(parsed.has_value()) << sink.to_string();
+  const Property& p = *parsed;
+  const OrderingPlan plan = p.is_antecedent() ? plan_antecedent(p.antecedent())
+                                              : plan_timed(p.timed());
+  abv::StimuliOptions sopt;
+  sopt.rounds = 4;
+  sopt.noise_permille = 200;
+  // Names for random insertions: the property's own plus two noise names.
+  std::vector<Name> names;
+  for (std::size_t n = plan.alphabet.first(); n < plan.alphabet.capacity();
+       n = plan.alphabet.next(n)) {
+    names.push_back(static_cast<Name>(n));
+  }
+  names.push_back(ab.name("noise_x"));
+  names.push_back(ab.name("noise_y"));
+
+  ResumeTally tally;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    support::Rng gen = support::Rng::stream(seed, 0);
+    support::Rng rng = support::Rng::stream(seed, 1);
+    const Trace valid = abv::generate_valid(p, ab, gen, sopt);
+    // A valid trace, plus an edited one that usually rejects somewhere in
+    // its prefix — so later rungs are recorded after a decided walk.
+    const Trace edited = edit_suffix(valid, 0, names, rng);
+    for (const std::size_t stride : {1, 3, 32}) {
+      check_every_cut(p, plan, valid, stride, names, rng, tally);
+      check_every_cut(p, plan, edited, stride, names, rng, tally);
+    }
+  }
+  EXPECT_GT(tally.rungs, 0u);
+  EXPECT_GT(tally.decided_rejected, 0u) << "no rung after a prefix rejection";
+  if (p.is_timed()) {
+    EXPECT_GT(tally.armed, 0u) << "no rung while a deadline was running";
+  } else if (!p.antecedent().repeated) {
+    EXPECT_GT(tally.decided_accepted, 0u)
+        << "no rung after an accepted non-repeated round";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ReferenceResume,
+    ::testing::Values(
+        "(n << i, true)", "(n[2,3] << i, false)",
+        "(({a, b, c}, &) << s, false)", "(({a, b}, |) << i, true)",
+        "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+        "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, false)",
+        "(a => b[2,4], 100ns)", "(p[2,3] => q[1,4] < r, 10us)",
+        "(start => read_img[2,5] < set_irq, 1us)"));
+
+TEST(ReferenceResumeDetails, ShortTraceRecordsOnlyTheVerdict) {
+  Alphabet ab;
+  support::DiagnosticSink sink;
+  auto p = parse_property("(n << i, true)", ab, sink);
+  ASSERT_TRUE(p.has_value());
+  const OrderingPlan plan = plan_antecedent(p->antecedent());
+  const Trace t = trace_of("n i i", ab);
+  const RefLadder ladder =
+      record_reference_ladder(*p, plan, t, t.back().time, 32);
+  EXPECT_TRUE(ladder.rungs.empty());
+  EXPECT_TRUE(ladder.counts.empty());
+  expect_same(ladder.full, reference_check(*p, plan, t, t.back().time),
+              "short trace");
+  EXPECT_EQ(ladder.full.error_index, 2u);
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "abv/campaign.hpp"
+#include "abv/stimuli.hpp"
 #include "mon/monitors.hpp"
+#include "mon/snapshot.hpp"
 #include "spec/parser.hpp"
 #include "spec/reference.hpp"
 #include "spec/wellformed.hpp"
@@ -131,6 +133,22 @@ inline void scalar_lanes_if_forced(abv::CampaignOptions& opt) {
   }
 }
 
+/// A campaign report without its "backend:" line.  Forcing Drct or Vm
+/// changes only that line: every other field of report() is semantic and
+/// must not depend on the monitor construction (the backend-independence
+/// differential compares what this leaves).
+inline std::string report_without_backend(const std::string& report) {
+  std::string out;
+  std::istringstream in(report);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("backend: ", 0) == 0) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
 /// Field-wise CampaignResult comparison for the determinism / differential
 /// suites: lists every differing field by name.  The trace-cache hit/miss
 /// counters and the compiled-plan instance counters are engine
@@ -186,6 +204,52 @@ inline ::testing::AssertionResult results_identical(
   return ::testing::AssertionFailure()
          << "CampaignResult fields differ:\n"
          << diff.str();
+}
+
+/// Byte equality of two monitor snapshots (word sequence and string pool):
+/// the complete mutable state — stats, verdict, violation and the event
+/// ordinal included.
+inline ::testing::AssertionResult snapshots_equal(const mon::Snapshot& a,
+                                                  const mon::Snapshot& b) {
+  if (a.words() != b.words()) {
+    return ::testing::AssertionFailure() << "snapshot words differ";
+  }
+  if (a.string_count() != b.string_count()) {
+    return ::testing::AssertionFailure() << "snapshot string counts differ";
+  }
+  for (std::size_t i = 0; i < a.string_count(); ++i) {
+    if (a.string_at(i) != b.string_at(i)) {
+      return ::testing::AssertionFailure()
+             << "snapshot string " << i << " differs: \"" << a.string_at(i)
+             << "\" vs \"" << b.string_at(i) << "\"";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A trace whose monitor retires part-way: a valid prefix from the stimuli
+/// generator (a non-repeated antecedent already reaches Holds there),
+/// followed by `tail` random events over the property's names plus two
+/// noise names, spaced up to 2 µs apart — random order violates almost at
+/// once, and the gaps break timed deadlines.
+inline spec::Trace retiring_trace(const spec::Property& p, spec::Alphabet& ab,
+                                  std::uint64_t seed, std::size_t tail) {
+  support::Rng rng = support::Rng::stream(seed, 0);
+  abv::StimuliOptions sopt;
+  sopt.rounds = 1 + rng.below(3);
+  sopt.noise_permille = 150;
+  spec::Trace t = abv::generate_valid(p, ab, rng, sopt);
+  std::vector<spec::Name> names;
+  p.alphabet().for_each(
+      [&](std::size_t n) { names.push_back(static_cast<spec::Name>(n)); });
+  names.push_back(ab.name("noise_x"));
+  names.push_back(ab.name("noise_y"));
+  sim::Time now = t.empty() ? sim::Time::zero() : t.back().time;
+  for (std::size_t i = 0; i < tail; ++i) {
+    now += sim::Time::ns(1 + rng.below(2000));
+    t.push_back({names[rng.below(names.size())], now});
+  }
+  return t;
 }
 
 /// Maps a monitor verdict onto the reference verdict domain.
