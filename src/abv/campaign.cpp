@@ -843,14 +843,16 @@ void run_shards_legacy(const std::vector<CampaignJob>& jobs,
   std::vector<wire::WorkerProcess> procs;
   procs.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    // Fork-only children must close the parent-side pipe ends of their
-    // already-spawned siblings: a sibling holding a read end open would
-    // swallow the EOF the parent relies on (exec-mode pipes are O_CLOEXEC,
-    // so the list is only load-bearing on the no-exec path).
+    // Fork-only children must close the parent-side pipe ends (and
+    // pidfds) of their already-spawned siblings: a sibling holding a read
+    // end open would swallow the EOF the parent relies on (exec-mode
+    // descriptors are close-on-exec, so the list is only load-bearing on
+    // the no-exec path).
     std::vector<int> inherited;
     for (const auto& p : procs) {
-      if (p.to_child >= 0) inherited.push_back(p.to_child);
-      if (p.from_child >= 0) inherited.push_back(p.from_child);
+      for (const int fd : {p.to_child, p.from_child, p.exit_fd}) {
+        if (fd >= 0) inherited.push_back(fd);
+      }
     }
     try {
       procs.push_back(wire::spawn_worker(
@@ -965,6 +967,12 @@ void run_shards_legacy(const std::vector<CampaignJob>& jobs,
 // times.  Only a clean Done merges; exhausted budgets either throw
 // WorkerFailure or — under allow_partial — record the slot's shards in
 // SupervisionInfo::failures and let the rest of the campaign stand.
+//
+// Nothing in the loop blocks on a single worker: exits are waited for in
+// the same poll set, through each worker's pidfd (WorkerProcess::exit_fd),
+// with their own deadlines — so a worker slow to exit after its Done
+// frame, or slow to die after SIGTERM, never starves a sibling's stream
+// or runs down a sibling's frame deadline.
 void run_shards_supervised(const std::vector<CampaignJob>& jobs,
                            const CampaignOptions& options,
                            const std::vector<Shard>& shards,
@@ -975,6 +983,7 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
   using Clock = std::chrono::steady_clock;
   const std::size_t workers = assigned.size();
   const long timeout_ms = static_cast<long>(options.worker_timeout_ms);
+  const auto grace = std::chrono::milliseconds(kKillGraceMs);
 
   struct Slot {
     wire::WorkerProcess proc;
@@ -984,9 +993,20 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
     std::vector<wire::WorkerPartialData> partials;
     std::vector<bool> got;  // per assigned shard: partial received
     std::size_t attempts = 0;
-    enum class State { Draining, Done, Failed } state = State::Draining;
+    // Draining: reading the reply pipe.  Reaping: a valid Done arrived;
+    // waiting for the worker's exit.  Terminating: retired; waiting for
+    // the SIGTERM (or, past the grace, the SIGKILL) to land.  Done and
+    // Failed are final.
+    enum class State { Draining, Reaping, Terminating, Done, Failed } state =
+        State::Draining;
     std::string diagnostic;
-    Clock::time_point frame_deadline{};
+    // Draining: the frame deadline (only with worker_timeout_ms set).
+    // Reaping: the exit deadline.  Terminating: the SIGKILL deadline.
+    Clock::time_point deadline{};
+    std::uint64_t done_count = 0;  // Reaping: the Done frame's count
+    bool killed = false;           // Terminating: SIGKILL already sent
+    // Terminating: renders the failure over the final wait status.
+    std::function<std::string(int)> describe;
   };
 
   std::vector<Slot> slots(workers);
@@ -1020,14 +1040,15 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
     throw WorkerFailure("cross-process campaign: " + message);
   };
 
-  // Every parent-side pipe end currently open across the fleet: the close
-  // list a fresh fork-only child runs before child_main, so no sibling
-  // relationship can swallow an EOF.
+  // Every parent-side pipe end and pidfd currently open across the fleet:
+  // the close list a fresh fork-only child runs before child_main, so no
+  // sibling relationship can swallow an EOF or pin a descriptor.
   const auto open_parent_fds = [&]() {
     std::vector<int> fds;
     for (const auto& s : slots) {
-      if (s.proc.to_child >= 0) fds.push_back(s.proc.to_child);
-      if (s.proc.from_child >= 0) fds.push_back(s.proc.from_child);
+      for (const int fd : {s.proc.to_child, s.proc.from_child, s.proc.exit_fd}) {
+        if (fd >= 0) fds.push_back(fd);
+      }
     }
     return fds;
   };
@@ -1061,33 +1082,74 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
     slot.got.assign(assigned[w].size(), false);
     slot.state = Slot::State::Draining;
     if (timeout_ms > 0) {
-      slot.frame_deadline =
-          Clock::now() + std::chrono::milliseconds(timeout_ms);
+      slot.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
     }
     return true;
   };
 
-  // Retires slot w's current worker: SIGTERM→grace→SIGKILL (a Hang-faulted
-  // worker ignores the SIGTERM and dies only to the escalation), render
-  // the failure over the final wait status, then spend the retry budget on
-  // fresh fault-free dispatches.  An exhausted budget marks the slot
-  // Failed under allow_partial and tears the campaign down otherwise.
+  // Retires slot w's current worker without waiting for it: both pipe
+  // ends close (EOF/EPIPE for a cooperative worker), SIGTERM goes out and
+  // the slot turns Terminating.  The poll loop sends SIGKILL at the grace
+  // deadline (a Hang-faulted worker ignores the SIGTERM and dies only to
+  // the escalation) and settles the slot once the worker is reaped.
+  // `describe` is stored, so it must capture by value.
   const auto retire = [&](std::size_t w,
-                          const std::function<std::string(int)>& describe) {
+                          std::function<std::string(int)> describe) {
     Slot& slot = slots[w];
     slot.reader.reset();
-    std::string message = describe(slot.proc.terminate(kKillGraceMs));
-    while (slot.attempts <= options.worker_retries) {
+    slot.proc.close_to_child();
+    slot.proc.close_from_child();
+    slot.proc.kill(SIGTERM);
+    slot.describe = std::move(describe);
+    slot.killed = false;
+    slot.deadline = Clock::now() + grace;
+    slot.state = Slot::State::Terminating;
+  };
+
+  // Settles a retired slot once its worker is reaped: render the failure
+  // over the final wait status, then spend the retry budget on a fresh
+  // fault-free dispatch.  An exhausted budget marks the slot Failed under
+  // allow_partial and tears the campaign down otherwise.
+  const auto settle = [&](std::size_t w, int status) {
+    Slot& slot = slots[w];
+    if (slot.attempts <= options.worker_retries) {
       for (const std::size_t p : slot_jobs[w]) ++sup.retries_by_job[p];
-      if (dispatch(w)) return;
-      message = who_of(w) + ": " + slot.diagnostic + " (" +
-                describe_worker_exit(slot.proc.terminate(kKillGraceMs)) + ")";
+      if (!dispatch(w)) {
+        const std::string text = who_of(w) + ": " + slot.diagnostic;
+        retire(w, [text](int st) {
+          return text + " (" + describe_worker_exit(st) + ")";
+        });
+      }
+      return;
     }
-    slot.diagnostic = message + " (attempt " + std::to_string(slot.attempts) +
-                      " of " + std::to_string(options.worker_retries + 1) +
-                      ")";
+    slot.diagnostic = slot.describe(status) + " (attempt " +
+                      std::to_string(slot.attempts) + " of " +
+                      std::to_string(options.worker_retries + 1) + ")";
     slot.state = Slot::State::Failed;
     if (!options.allow_partial) fail_all(slot.diagnostic);
+  };
+
+  // Checks a Reaping slot's reaped worker, in the order the blocking drain
+  // always has: exit code first, then the Done count against the buffered
+  // partials against the assigned shards.
+  const auto check_exit = [&](std::size_t w, int status) {
+    Slot& slot = slots[w];
+    const std::string who = who_of(w);
+    if (wire::exit_code(status) != kWorkerExitOk) {
+      const std::string text = who + " " + describe_worker_exit(status);
+      retire(w, [text](int) { return text; });
+      return;
+    }
+    if (slot.done_count != slot.partials.size() ||
+        slot.partials.size() != assigned[w].size()) {
+      const std::string text =
+          who + ": returned " + std::to_string(slot.partials.size()) +
+          " partials for " + std::to_string(assigned[w].size()) +
+          " assigned shards";
+      retire(w, [text](int) { return text; });
+      return;
+    }
+    slot.state = Slot::State::Done;
   };
 
   // Drains every frame slot w's reader can produce without blocking.
@@ -1102,7 +1164,7 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
       const auto st = slot.reader->next(frame, err);
       if (st == wire::FdFrameReader::Status::Again) return;
       if (st == wire::FdFrameReader::Status::Eof) {
-        retire(w, [&who](int status) {
+        retire(w, [who](int status) {
           return who + ": stream ended before its Done frame (" +
                  describe_worker_exit(status) + ")";
         });
@@ -1115,8 +1177,7 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
       }
       if (timeout_ms > 0) {
         // A complete frame is progress: the deadline re-arms per frame.
-        slot.frame_deadline =
-            Clock::now() + std::chrono::milliseconds(timeout_ms);
+        slot.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
       }
       wire::Decoder d(frame.data, frame.size);
       switch (frame.tag) {
@@ -1151,37 +1212,17 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
           break;
         }
         case wire::Payload::WorkerDone: {
-          std::uint64_t done_count = 0;
-          if (!wire::decode_worker_done(d, done_count) || !d.exhausted()) {
+          if (!wire::decode_worker_done(d, slot.done_count) ||
+              !d.exhausted()) {
             const std::string text = who + ": malformed Done frame";
             retire(w, [text](int) { return text; });
             return;
           }
+          // The stream is complete; the exit is awaited in the poll set.
           slot.reader.reset();
           slot.proc.close_from_child();
-          int status = 0;
-          if (!slot.proc.wait_for(kKillGraceMs, status)) {
-            retire(w, [&who](int st) {
-              return who + ": kept running after its Done frame (" +
-                     describe_worker_exit(st) + ")";
-            });
-            return;
-          }
-          if (wire::exit_code(status) != kWorkerExitOk) {
-            const std::string text = who + " " + describe_worker_exit(status);
-            retire(w, [text](int) { return text; });
-            return;
-          }
-          if (done_count != slot.partials.size() ||
-              slot.partials.size() != assigned[w].size()) {
-            const std::string text =
-                who + ": returned " + std::to_string(slot.partials.size()) +
-                " partials for " + std::to_string(assigned[w].size()) +
-                " assigned shards";
-            retire(w, [text](int) { return text; });
-            return;
-          }
-          slot.state = Slot::State::Done;
+          slot.deadline = Clock::now() + grace;
+          slot.state = Slot::State::Reaping;
           return;
         }
         case wire::Payload::WorkerError: {
@@ -1212,36 +1253,96 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
     }
   }
 
-  // The multiplexed drain: poll every Draining slot's pipe, pump whoever
-  // is readable, then sweep expired frame deadlines.  The loop ends when
-  // every slot is Done or Failed.
+  // The multiplexed drain.  Each pass first advances every slot that can
+  // move without I/O — expired frame deadlines retire, reaped workers are
+  // checked or settled, expired exit deadlines retire or escalate to
+  // SIGKILL — then polls the Draining slots' pipes and the waiting slots'
+  // pidfds together and pumps whichever pipes are readable.  A waiting
+  // slot without a pidfd caps the poll at 1 ms so its WNOHANG re-check
+  // runs on every wake-up.  The loop ends when every slot is Done or
+  // Failed.
   std::vector<struct pollfd> pfds;
   std::vector<std::size_t> pfd_slot;
   for (;;) {
+    const auto now = Clock::now();
+    for (std::size_t w = 0; w < workers; ++w) {
+      Slot& slot = slots[w];
+      int status = 0;
+      if (slot.state == Slot::State::Draining && timeout_ms > 0 &&
+          now >= slot.deadline) {
+        const std::string text = who_of(w) + ": timed out after " +
+                                 std::to_string(timeout_ms) +
+                                 " ms waiting for a frame";
+        retire(w, [text](int) { return text; });
+      }
+      if (slot.state == Slot::State::Reaping) {
+        if (slot.proc.wait_for(0, status)) {
+          check_exit(w, status);
+        } else if (now >= slot.deadline) {
+          const std::string who = who_of(w);
+          retire(w, [who](int st) {
+            return who + ": kept running after its Done frame (" +
+                   describe_worker_exit(st) + ")";
+          });
+        }
+      }
+      // Not an else: a slot retired just above settles in the same pass
+      // when its worker is already gone.
+      if (slot.state == Slot::State::Terminating) {
+        if (slot.proc.wait_for(0, status)) {
+          settle(w, status);
+        } else if (!slot.killed && now >= slot.deadline) {
+          slot.proc.kill(SIGKILL);
+          slot.killed = true;
+        }
+      }
+    }
+
     pfds.clear();
     pfd_slot.clear();
     Clock::time_point next_deadline{};
     bool have_deadline = false;
+    bool fallback_tick = false;
     for (std::size_t w = 0; w < workers; ++w) {
       const Slot& slot = slots[w];
-      if (slot.state != Slot::State::Draining) continue;
-      pfds.push_back({slot.proc.from_child, POLLIN, 0});
-      pfd_slot.push_back(w);
-      if (timeout_ms > 0 &&
-          (!have_deadline || slot.frame_deadline < next_deadline)) {
-        next_deadline = slot.frame_deadline;
+      int fd = -1;
+      bool timed = false;
+      switch (slot.state) {
+        case Slot::State::Draining:
+          fd = slot.proc.from_child;
+          timed = timeout_ms > 0;
+          break;
+        case Slot::State::Reaping:
+        case Slot::State::Terminating:
+          fd = slot.proc.exit_fd;
+          fallback_tick = fallback_tick || fd < 0;
+          timed = !slot.killed || slot.state == Slot::State::Reaping;
+          break;
+        case Slot::State::Done:
+        case Slot::State::Failed:
+          continue;
+      }
+      if (fd >= 0) {
+        pfds.push_back({fd, POLLIN, 0});
+        pfd_slot.push_back(w);
+      }
+      if (timed && (!have_deadline || slot.deadline < next_deadline)) {
+        next_deadline = slot.deadline;
         have_deadline = true;
       }
     }
-    if (pfds.empty()) break;
+    if (pfds.empty() && !fallback_tick) break;
     int poll_timeout = -1;
     if (have_deadline) {
       const long long remain =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              next_deadline - Clock::now())
+          std::chrono::ceil<std::chrono::milliseconds>(next_deadline -
+                                                       Clock::now())
               .count();
       poll_timeout =
           remain <= 0 ? 0 : static_cast<int>(std::min<long long>(remain, INT_MAX));
+    }
+    if (fallback_tick && (poll_timeout < 0 || poll_timeout > 1)) {
+      poll_timeout = 1;
     }
     const int n = ::poll(pfds.data(), pfds.size(), poll_timeout);
     if (n < 0) {
@@ -1251,20 +1352,10 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
     for (std::size_t k = 0; k < pfds.size(); ++k) {
       if (pfds[k].revents == 0) continue;
       const std::size_t w = pfd_slot[k];
-      // pump may retire-and-respawn; the stale pollfd entry is harmless
-      // because the vector is rebuilt before the next poll().
+      // Only pipes are pumped; a readable pidfd is picked up by the next
+      // pass's reap check.  pump may retire-and-respawn slot w, which is
+      // harmless: the vector is rebuilt before the next poll().
       if (slots[w].state == Slot::State::Draining) pump(w);
-    }
-    if (timeout_ms > 0) {
-      const auto now = Clock::now();
-      for (std::size_t w = 0; w < workers; ++w) {
-        if (slots[w].state != Slot::State::Draining) continue;
-        if (now < slots[w].frame_deadline) continue;
-        const std::string text = who_of(w) + ": timed out after " +
-                                 std::to_string(timeout_ms) +
-                                 " ms waiting for a frame";
-        retire(w, [text](int) { return text; });
-      }
     }
   }
 
@@ -1696,6 +1787,7 @@ int run_campaign_worker(int in_fd, int out_fd,
           case WorkerFault::None:
           case WorkerFault::PartialWritesOnly:
           case WorkerFault::ExitBeforeRequest:
+          case WorkerFault::LingerAfterDone:
             break;
         }
       }
@@ -1711,6 +1803,12 @@ int run_campaign_worker(int in_fd, int out_fd,
     enc.clear();
     wire::encode_worker_done(enc, shards.size());
     if (!send(wire::Payload::WorkerDone)) return kWorkerExitIo;
+    if (options.worker_fault == WorkerFault::LingerAfterDone &&
+        options.worker_fault_at < shards.size()) {
+      // A complete, valid stream — but the exit it promises comes only
+      // after the supervisor's reap grace: only retirement ends this one.
+      std::this_thread::sleep_for(std::chrono::milliseconds(4 * kKillGraceMs));
+    }
     return kWorkerExitOk;
   } catch (const std::exception& e) {
     send_error(std::string("worker: ") + e.what());

@@ -65,6 +65,10 @@ enum class WorkerFault : std::uint8_t {
   PartialWritesOnly,  // send every partial but exit before the Done trailer
   ExitBeforeRequest,  // exit silently right after reading the request, as
                       // if the process died before starting work
+  LingerAfterDone,    // send every partial and the Done trailer, then keep
+                      // running past the supervisor's reap grace before
+                      // exiting 0 (armed only while worker_fault_at is
+                      // below the worker's partial count)
 };
 
 struct CampaignOptions {

@@ -199,7 +199,7 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   const std::size_t at = d.offset();
   const std::uint8_t fault = d.u8();
   if (d.ok() &&
-      fault > static_cast<std::uint8_t>(abv::WorkerFault::ExitBeforeRequest)) {
+      fault > static_cast<std::uint8_t>(abv::WorkerFault::LingerAfterDone)) {
     d.fail_at(at, "bad worker-fault byte " + std::to_string(fault));
   }
   if (d.ok()) o.worker_fault = static_cast<abv::WorkerFault>(fault);

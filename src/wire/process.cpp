@@ -13,18 +13,23 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#if defined(__linux__)
+#include <sys/syscall.h>
+#endif
+
 namespace loom::wire {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Milliseconds until `deadline`, clamped at 0 (poll() treats a negative
+// Milliseconds until `deadline`, rounded up so a sub-millisecond remainder
+// sleeps instead of spinning, and clamped at 0 (poll() treats a negative
 // timeout as infinite, which is exactly the bug a clamp prevents).
 int remaining_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+          .count();
   if (left <= 0) return 0;
   if (left > 0x7fffffff) return 0x7fffffff;
   return static_cast<int>(left);
@@ -64,6 +69,19 @@ int pipe_cloexec(int fds[2]) {
     }
   }
   return 0;
+#endif
+}
+
+// pidfd_open(2): a close-on-exec descriptor that polls readable once `pid`
+// has exited.  -1 where the call is missing (non-Linux, pre-5.3 kernels) or
+// filtered (seccomp EPERM); waiters then fall back to WNOHANG polling.
+int open_pidfd(pid_t pid) {
+#if defined(__linux__) && defined(SYS_pidfd_open)
+  const long fd = ::syscall(SYS_pidfd_open, pid, 0);
+  return fd < 0 ? -1 : static_cast<int>(fd);
+#else
+  (void)pid;
+  return -1;
 #endif
 }
 
@@ -126,21 +144,25 @@ WorkerProcess& WorkerProcess::operator=(WorkerProcess&& other) noexcept {
   if (this == &other) return *this;
   close_to_child();
   close_from_child();
+  close_exit_fd();
   pid = other.pid;
   to_child = other.to_child;
   from_child = other.from_child;
+  exit_fd = other.exit_fd;
   index = other.index;
   waited_ = other.waited_;
   status_ = other.status_;
   other.pid = -1;
   other.to_child = -1;
   other.from_child = -1;
+  other.exit_fd = -1;
   return *this;
 }
 
 WorkerProcess::~WorkerProcess() {
   close_to_child();
   close_from_child();
+  close_exit_fd();
 }
 
 void WorkerProcess::close_to_child() {
@@ -153,6 +175,17 @@ void WorkerProcess::close_from_child() {
   from_child = -1;
 }
 
+void WorkerProcess::close_exit_fd() {
+  if (exit_fd >= 0) ::close(exit_fd);
+  exit_fd = -1;
+}
+
+void WorkerProcess::reaped(int status) {
+  status_ = status;
+  waited_ = true;
+  close_exit_fd();
+}
+
 int WorkerProcess::wait() {
   if (!waited_ && pid > 0) {
     int status = 0;
@@ -162,51 +195,53 @@ int WorkerProcess::wait() {
         break;
       }
     }
-    status_ = status;
-    waited_ = true;
+    reaped(status);
   }
   return status_;
 }
 
 bool WorkerProcess::wait_for(long timeout_ms, int& status) {
-  if (waited_ || pid <= 0) {
-    status = status_;
-    return true;
-  }
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(timeout_ms > 0 ? timeout_ms : 0);
-  for (;;) {
+  while (!waited_ && pid > 0) {
     int raw = 0;
     const pid_t r = ::waitpid(static_cast<pid_t>(pid), &raw, WNOHANG);
     if (r == static_cast<pid_t>(pid)) {
-      status_ = raw;
-      waited_ = true;
-      status = status_;
-      return true;
-    }
-    if (r < 0 && errno != EINTR) {
+      reaped(raw);
+    } else if (r < 0 && errno != EINTR) {
       // ECHILD etc.: nothing left to reap — report "done" with a zero
       // status rather than spinning until the deadline.
-      status_ = 0;
-      waited_ = true;
-      status = status_;
-      return true;
+      reaped(0);
+    } else if (r < 0) {
+      continue;  // EINTR: retry the reap at once
+    } else if (Clock::now() >= deadline) {
+      return false;
+    } else if (exit_fd >= 0) {
+      // Sleep until the child exits (the pidfd turns readable) or the
+      // deadline passes; either way the loop re-checks with WNOHANG.
+      poll_readable_until(exit_fd, deadline);
+    } else {
+      // No pidfd: exits are signaled by SIGCHLD only, so a short sleep
+      // bounds the reap latency without burning a core.
+      ::usleep(1000);
     }
-    if (Clock::now() >= deadline) return false;
-    // Exits are signaled by SIGCHLD, not by a pollable fd here; a short
-    // sleep bounds the reap latency without burning a core.
-    ::usleep(1000);
   }
+  status = status_;
+  return true;
+}
+
+void WorkerProcess::kill(int sig) {
+  if (!waited_ && pid > 0) ::kill(static_cast<pid_t>(pid), sig);
 }
 
 int WorkerProcess::terminate(long grace_ms) {
   close_to_child();
   close_from_child();
   if (waited_ || pid <= 0) return status_;
-  ::kill(static_cast<pid_t>(pid), SIGTERM);
+  kill(SIGTERM);
   int status = 0;
   if (wait_for(grace_ms, status)) return status;
-  ::kill(static_cast<pid_t>(pid), SIGKILL);
+  kill(SIGKILL);
   return wait();  // SIGKILL cannot be ignored; this reaps promptly
 }
 
@@ -271,13 +306,15 @@ WorkerProcess spawn_worker(const std::vector<std::string>& argv,
     ::execvp(cargv[0], cargv.data());
     ::_exit(127);  // abv::kWorkerExitExecMissing: exec itself failed
   }
-  // Parent.
+  // Parent.  The child cannot be reaped before this process waits for it,
+  // so the pid stays valid for pidfd_open even if the child already died.
   ::close(to_child[0]);
   ::close(from_child[1]);
   WorkerProcess w;
   w.pid = pid;
   w.to_child = to_child[1];
   w.from_child = from_child[0];
+  w.exit_fd = open_pidfd(pid);
   w.index = index;
   return w;
 }

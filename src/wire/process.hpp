@@ -13,7 +13,12 @@
 //! descriptors — the multiplexed drain's building block) and enforces an
 //! optional poll(2)-based read deadline (Status::Timeout) so a stalled or
 //! trickling peer can never wedge the caller inside read(2).  WorkerProcess
-//! grows a bounded wait (wait_for) and a SIGTERM→grace→SIGKILL escalation
+//! carries a pidfd (exit_fd, from pidfd_open(2)) that polls readable once
+//! the child has exited, so a supervisor can wait for exits in the same
+//! poll(2) set as its reply pipes instead of blocking on each worker.  On
+//! top of it sit a bounded wait (wait_for: poll the pidfd until the
+//! deadline, then reap with WNOHANG — or, where pidfd_open is unavailable,
+//! a 1 ms WNOHANG sleep-poll) and a SIGTERM→grace→SIGKILL escalation
 //! (terminate) for workers that ignore pipe EOF.
 //!
 //! Descriptor hygiene: pipes are created close-on-exec (pipe2(O_CLOEXEC)
@@ -22,9 +27,11 @@
 //! caller lists in `inherited_fds`, so a sibling worker can never hold a
 //! parent pipe end open and swallow its EOF.
 //!
-//! Ownership: WorkerProcess owns its two descriptors until close_fds() or
-//! wait(); the destructor closes leaked descriptors but never waits (a
-//! parent must reap explicitly so exit codes are observed, not lost).
+//! Ownership: WorkerProcess owns its pipe ends until close_to_child() /
+//! close_from_child() and its pidfd until the worker is reaped; the
+//! destructor closes leaked descriptors but never waits (a parent must
+//! reap explicitly so exit codes are observed, not lost).  The pidfd is
+//! close-on-exec; fork-only children must close it like a pipe end.
 //! Platform: POSIX only (fork/pipe/waitpid); LOOM_WIRE_HAS_PROCESS tells
 //! callers whether cross-process mode exists in this build.
 #pragma once
@@ -69,11 +76,15 @@ void ignore_sigpipe();
 /// returns Status::Again instead of blocking between poll() wakeups.
 bool set_nonblocking(int fd);
 
-/// One spawned worker: its pid plus the parent's two pipe ends.
+/// One spawned worker: its pid, the parent's two pipe ends and a pidfd.
 struct WorkerProcess {
   long pid = -1;
   int to_child = -1;    // parent writes the request frame here
   int from_child = -1;  // parent reads partial/done/error frames here
+  /// pidfd for the child: polls readable (POLLIN) once it has exited.
+  /// -1 where pidfd_open(2) is unavailable (non-Linux, pre-5.3 kernels,
+  /// seccomp filters), and again once the worker is reaped.
+  int exit_fd = -1;
   /// Index in the parent's worker list (diagnostics only).
   std::size_t index = 0;
 
@@ -91,12 +102,19 @@ struct WorkerProcess {
   /// later calls return the first status).  Blocks until the worker exits.
   int wait();
 
-  /// Bounded wait: polls waitpid(WNOHANG) for up to `timeout_ms`
-  /// milliseconds.  True (with the status in `status`) once the worker is
-  /// reaped — also on later calls, like wait(); false if it is still
-  /// running when the deadline passes.  Never blocks longer than the
-  /// deadline, so supervision tests stay well under the ctest timeout.
+  /// Bounded wait: sleeps in poll(2) on exit_fd for up to `timeout_ms`
+  /// milliseconds and reaps with waitpid(WNOHANG) as soon as the child is
+  /// gone (without a pidfd: a waitpid(WNOHANG) + 1 ms sleep loop).  True
+  /// (with the status in `status`) once the worker is reaped — also on
+  /// later calls, like wait(); false if it is still running when the
+  /// deadline passes.  A zero timeout is a non-blocking reap attempt.
+  /// Never blocks longer than the deadline, so supervision tests stay
+  /// well under the ctest timeout.
   bool wait_for(long timeout_ms, int& status);
+
+  /// Sends `sig` to the worker; a no-op once it has been reaped (its pid
+  /// may already name another process).
+  void kill(int sig);
 
   /// SIGTERM→grace→SIGKILL escalation: closes both pipe ends (EOF/EPIPE
   /// for a cooperative worker), sends SIGTERM, waits up to `grace_ms`,
@@ -106,6 +124,10 @@ struct WorkerProcess {
   int terminate(long grace_ms);
 
  private:
+  void close_exit_fd();
+  // Records the final wait status and closes exit_fd.
+  void reaped(int status);
+
   bool waited_ = false;
   int status_ = 0;
 };
@@ -118,9 +140,11 @@ struct WorkerProcess {
 /// pipes or the fork itself fail.
 ///
 /// `inherited_fds` lists descriptors the fork-only child must close before
-/// running child_main — typically the parent-side pipe ends of its sibling
-/// workers, which O_CLOEXEC cannot cover on the no-exec path.  Exec-mode
-/// children need no list: every pipe is close-on-exec.
+/// running child_main — typically the parent-side pipe ends and pidfds of
+/// its sibling workers, which O_CLOEXEC cannot cover on the no-exec path.
+/// Exec-mode children need no list: every pipe and pidfd is close-on-exec.
+/// The returned worker's exit_fd is opened right after fork(); it stays -1
+/// when pidfd_open(2) is unavailable.
 WorkerProcess spawn_worker(const std::vector<std::string>& argv,
                            const std::function<int(int, int)>& child_main,
                            std::size_t index,

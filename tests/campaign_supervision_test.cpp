@@ -6,9 +6,11 @@
 // Plus lockdowns of the degradation contract (allow_partial turns an
 // exhausted worker slot into pinned per-shard failure records instead of a
 // throw), the frame-deadline escalation (a Hang-faulted worker that
-// ignores SIGTERM dies to SIGKILL without wedging the suite), the legacy
-// blocking drain (supervised=false) as the differential baseline, and the
-// descriptor-hygiene / bounded-wait process primitives underneath.
+// ignores SIGTERM dies to SIGKILL without wedging the suite), the
+// non-blocking reap (a worker lingering after its Done frame never costs a
+// streaming sibling its deadline), the legacy blocking drain
+// (supervised=false) as the differential baseline, and the
+// descriptor-hygiene / pidfd / bounded-wait process primitives underneath.
 //
 // Custom main: the binary re-execs itself with --worker so the fork+exec
 // spawn path runs against a real exec'd worker, not just the fork-only
@@ -16,8 +18,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "abv/campaign.hpp"
@@ -27,7 +32,9 @@
 
 #if LOOM_WIRE_HAS_PROCESS
 
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace {
@@ -43,7 +50,7 @@ constexpr WorkerFault kAllFaults[] = {
     WorkerFault::CorruptFrame,   WorkerFault::DieMidStream,
     WorkerFault::FutureVersion,  WorkerFault::Hang,
     WorkerFault::SlowStream,     WorkerFault::PartialWritesOnly,
-    WorkerFault::ExitBeforeRequest,
+    WorkerFault::ExitBeforeRequest, WorkerFault::LingerAfterDone,
 };
 
 const char* fault_name(WorkerFault f) {
@@ -56,6 +63,7 @@ const char* fault_name(WorkerFault f) {
     case WorkerFault::SlowStream: return "SlowStream";
     case WorkerFault::PartialWritesOnly: return "PartialWritesOnly";
     case WorkerFault::ExitBeforeRequest: return "ExitBeforeRequest";
+    case WorkerFault::LingerAfterDone: return "LingerAfterDone";
   }
   return "?";
 }
@@ -221,6 +229,65 @@ TEST(CampaignSupervision, SlowStreamTimesOutLikeASilentOne) {
   } catch (const WorkerFailure& e) {
     EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(CampaignSupervision, LingeringWorkerNeverCostsAStreamingSiblingItsDeadline) {
+  // Three properties with one shard each (shard_size = a property's 12
+  // units) on two workers: worker 0 runs properties 0 and 2 (two
+  // partials), worker 1 runs property 1 (one partial), so
+  // worker_fault_at=1 arms LingerAfterDone on worker 0 alone.  Property 1
+  // is the heavy one: worker 1 is still computing when worker 0 sends its
+  // Done frame and then withholds its exit past the 500 ms reap grace.
+  // The frame deadline sits below that grace, so a drain that blocked on
+  // worker 0's exit would let worker 1's deadline run out unserved and
+  // retire a healthy worker.  Only worker 0 may be retired — once — and
+  // the result must still equal a clean run.
+  const char* sources[] = {
+      "(n << i, true)",
+      "(({n1, n2, n6, n7}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+      "(m << i, true)"};
+  CampaignOptions base = small_options();
+  base.stimuli.rounds = 8;
+  base.mutants_per_kind = 16;
+  base.shard_size = 12;
+  const auto run = [&](const CampaignOptions& opt) {
+    spec::Alphabet ab;
+    std::vector<spec::Property> props;
+    for (const char* src : sources) props.push_back(loom::testing::parse(src, ab));
+    std::vector<const spec::Property*> ptrs;
+    for (const auto& p : props) ptrs.push_back(&p);
+    std::vector<CampaignRun> runs;
+    for (const CampaignResult& r : run_campaigns(ptrs, ab, opt)) {
+      runs.push_back({r, r.report(ab)});
+    }
+    return runs;
+  };
+  const std::vector<CampaignRun> clean = run(base);
+  for (const bool exec_mode : {false, true}) {
+    CampaignOptions opt = base;
+    opt.workers = 2;
+    opt.worker_fault = WorkerFault::LingerAfterDone;
+    opt.worker_fault_at = 1;
+    opt.worker_retries = 1;
+    opt.worker_timeout_ms = 450;
+    if (exec_mode) opt.worker_command = {g_self, "--worker"};
+    const std::vector<CampaignRun> got = run(opt);
+    const std::string mode = exec_mode ? "exec" : "fork";
+    ASSERT_EQ(got.size(), clean.size()) << mode;
+    // Retries are charged per property: worker 0's (0 and 2) once each,
+    // worker 1's never.
+    EXPECT_EQ(got[0].result.worker_retries, 1u) << mode;
+    EXPECT_EQ(got[1].result.worker_retries, 0u) << mode;
+    EXPECT_EQ(got[2].result.worker_retries, 1u) << mode;
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      const std::string what = mode + " property " + std::to_string(p);
+      EXPECT_FALSE(got[p].result.degraded()) << what;
+      EXPECT_TRUE(
+          loom::testing::results_identical(got[p].result, clean[p].result))
+          << what;
+      EXPECT_EQ(got[p].report, clean[p].report) << what;
+    }
   }
 }
 
@@ -410,6 +477,126 @@ TEST(CampaignSupervision, WaitForTimesOutOnARunningWorker) {
   EXPECT_NE(wire::describe_wait_status(final_status).find("signal"),
             std::string::npos)
       << wire::describe_wait_status(final_status);
+}
+
+TEST(CampaignSupervision, WaitForReturnsTheExactExitCodeWellInsideTheDeadline) {
+  wire::WorkerProcess w = wire::spawn_worker(
+      {},
+      [](int, int) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return 42;
+      },
+      0);
+  const auto begin = std::chrono::steady_clock::now();
+  int status = 0;
+  ASSERT_TRUE(w.wait_for(5000, status));
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_EQ(wire::exit_code(status), 42) << wire::describe_wait_status(status);
+  EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 2.5);
+  EXPECT_EQ(w.exit_fd, -1) << "reaping must release the pidfd";
+}
+
+TEST(CampaignSupervision, WaitForIsIdempotentAfterWait) {
+  wire::WorkerProcess w =
+      wire::spawn_worker({}, [](int, int) { return 3; }, 0);
+  const int first = w.wait();
+  EXPECT_EQ(wire::exit_code(first), 3);
+  for (const long timeout_ms : {0L, 1000L}) {
+    int status = -1;
+    EXPECT_TRUE(w.wait_for(timeout_ms, status)) << timeout_ms;
+    EXPECT_EQ(status, first) << timeout_ms;
+  }
+  EXPECT_EQ(w.wait(), first);
+  EXPECT_EQ(w.terminate(100), first);
+}
+
+TEST(CampaignSupervision, TerminateEscalatesToSigkillForAWorkerIgnoringSigterm) {
+  wire::WorkerProcess w = wire::spawn_worker(
+      {},
+      [](int, int out) {
+        struct sigaction sa;
+        std::memset(&sa, 0, sizeof(sa));
+        sa.sa_handler = SIG_IGN;
+        ::sigaction(SIGTERM, &sa, nullptr);
+        const std::uint8_t ready = 1;
+        wire::write_all(out, &ready, 1);
+        for (;;) ::pause();
+        return 0;
+      },
+      0);
+  // Wait until the child ignores SIGTERM, so the escalation is what ends it.
+  std::uint8_t ready = 0;
+  ASSERT_EQ(wire::read_exact(w.from_child, &ready, 1), 1);
+  const int status = w.terminate(100);
+  ASSERT_TRUE(WIFSIGNALED(status)) << wire::describe_wait_status(status);
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  EXPECT_NE(wire::describe_wait_status(status).find(
+                "killed by signal " + std::to_string(SIGKILL)),
+            std::string::npos)
+      << wire::describe_wait_status(status);
+}
+
+TEST(CampaignSupervision, SpawnWorkerOpensACloseOnExecPidfd) {
+#if defined(__linux__)
+  // Without a pidfd every wait falls back to 1 ms sleep-polling and the
+  // supervisor caps its poll at 1 ms — correct but slow, and silent.
+  // Pin the fast path on Linux so the fallback cannot slip in unnoticed.
+  wire::WorkerProcess w = wire::spawn_worker(
+      {},
+      [](int in, int) {
+        std::uint8_t b = 0;
+        wire::read_exact(in, &b, 1);  // returns at EOF
+        return 0;
+      },
+      0);
+  ASSERT_GE(w.exit_fd, 0) << "pidfd_open failed: reaping would sleep-poll";
+  EXPECT_NE(::fcntl(w.exit_fd, F_GETFD) & FD_CLOEXEC, 0);
+  struct pollfd pfd = {w.exit_fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "pidfd readable while the child runs";
+  w.close_to_child();  // EOF: the child exits
+  ASSERT_GT(::poll(&pfd, 1, 5000), 0) << "pidfd never reported the exit";
+  EXPECT_EQ(wire::exit_code(w.wait()), 0);
+  EXPECT_EQ(w.exit_fd, -1);
+#else
+  GTEST_SKIP() << "pidfd_open is Linux-only";
+#endif
+}
+
+std::size_t open_descriptor_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(CampaignSupervision, SupervisedRunsLeaveNoDescriptorBehind) {
+  // Pipes and pidfds of every attempt — clean, retired-and-retried,
+  // exhausted-and-degraded — must all be closed when the campaign returns.
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd to count descriptors with";
+  }
+  CampaignOptions clean = small_options();
+  clean.workers = 2;
+  CampaignOptions hang = clean;
+  hang.worker_fault = WorkerFault::Hang;
+  hang.worker_retries = 1;
+  hang.worker_timeout_ms = 250;
+  CampaignOptions degraded = clean;
+  degraded.worker_fault = WorkerFault::CorruptFrame;
+  degraded.allow_partial = true;
+  const struct {
+    const char* name;
+    const CampaignOptions& opt;
+  } cases[] = {{"clean", clean}, {"hang+retry", hang}, {"degraded", degraded}};
+  for (const auto& c : cases) {
+    const std::size_t before = open_descriptor_count();
+    const CampaignRun r = run_with(c.opt);
+    EXPECT_EQ(open_descriptor_count(), before) << c.name;
+    EXPECT_EQ(r.result.degraded(), &c.opt == &degraded) << c.name;
+  }
 }
 
 TEST(CampaignSupervision, RequestTimeoutBoundsAnAbandonedWorker) {

@@ -507,6 +507,41 @@ TEST(WireFuzz, NestedCorruptionInsideWorkerPayloads) {
   }
 }
 
+TEST(WireFuzz, WorkerFaultByteBeyondTheLastFaultIsRejected) {
+  // The fault byte's valid range ends at the last WorkerFault enumerator:
+  // that one decodes, the next value is refused at the byte's own offset.
+  // The byte is located by diffing two encodings, not by layout arithmetic.
+  constexpr auto last = abv::WorkerFault::LingerAfterDone;
+  abv::CampaignOptions o;
+  Encoder plain;
+  encode_options(plain, o);
+  o.worker_fault = last;
+  Encoder faulted;
+  encode_options(faulted, o);
+  ASSERT_EQ(plain.size(), faulted.size());
+  std::size_t at = 0;
+  while (at < plain.size() && plain.bytes()[at] == faulted.bytes()[at]) ++at;
+  ASSERT_LT(at, plain.size()) << "worker_fault is not encoded";
+  {
+    abv::CampaignOptions back;
+    Decoder d(faulted.bytes());
+    ASSERT_TRUE(decode_options(d, back)) << d.error().to_string();
+    EXPECT_EQ(back.worker_fault, last);
+  }
+  std::vector<std::uint8_t> bad = faulted.bytes();
+  bad[at] = static_cast<std::uint8_t>(static_cast<std::uint8_t>(last) + 1);
+  abv::CampaignOptions back;
+  Decoder d(bad.data(), bad.size());
+  ASSERT_FALSE(decode_options(d, back));
+  expect_positioned(d.error(), bad.size(), "fault byte");
+  EXPECT_EQ(d.error().offset, at);
+  EXPECT_NE(d.error().message.find(
+                "bad worker-fault byte " +
+                std::to_string(static_cast<int>(last) + 1)),
+            std::string::npos)
+      << d.error().to_string();
+}
+
 TEST(WireFuzz, ErrorStateIsStickyAndReadsReturnZero) {
   // After the first failure every later read is a quiet zero and the first
   // diagnostic survives — the pattern the payload codecs rely on to

@@ -60,7 +60,8 @@ abv::CampaignOptions fuzz_options(support::Rng& rng) {
   for (std::uint64_t i = rng.below(4); i > 0; --i) {
     o.worker_command.push_back("arg" + std::to_string(i));
   }
-  o.worker_fault = static_cast<abv::WorkerFault>(rng.below(8));
+  o.worker_fault = static_cast<abv::WorkerFault>(
+      rng.below(static_cast<std::uint64_t>(abv::WorkerFault::LingerAfterDone) + 1));
   o.worker_fault_at = rng.below(16);
   o.worker_timeout_ms = rng.below(10000);
   o.worker_retries = rng.below(8);
