@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -35,7 +36,8 @@ constexpr const char* kUsage =
     "  --checkpoint-stride=N  events between checkpoint snapshots on each\n"
     "                       valid trace (default 32, N >= 1)\n"
     "  --lanes=N            mutant-wave width for the lane-batched VM replay\n"
-    "                       (default 8, N >= 1; 1 = the scalar per-mutant\n"
+    "                       (default 8, or 1 with the drct or viapsl\n"
+    "                       backend; N >= 1; 1 = the scalar per-mutant\n"
     "                       loop; result-neutral — the runs stay\n"
     "                       bit-identical at every width; widths > 1 need\n"
     "                       the vm or auto backend)\n"
@@ -72,7 +74,7 @@ int main(int argc, char** argv) {
   // Flags may appear anywhere; positionals keep their order.
   bool incremental = true;
   std::size_t checkpoint_stride = 32;
-  std::size_t lanes = 8;
+  std::optional<std::size_t> lanes;  // absent: 8, or 1 for drct/viapsl
   std::size_t workers = 0;
   std::size_t worker_timeout_ms = 0;
   std::size_t worker_retries = 0;
@@ -194,15 +196,17 @@ int main(int argc, char** argv) {
   opt.backend = *backend;
   opt.incremental_replay = incremental;
   opt.checkpoint_stride = checkpoint_stride;
-  // Catch the contradiction here as a usage error (exit 2) instead of
-  // letting run_campaigns throw it mid-run.
-  if (lanes > 1 && (*backend == mon::Backend::Drct ||
-                    *backend == mon::Backend::ViaPSL)) {
+  // Lane waves replay through VM frames only, so a forced drct or viapsl
+  // backend defaults to the scalar loop.  An explicit --lanes > 1 with one
+  // is a usage error (exit 2) here instead of a throw from run_campaigns.
+  const bool scalar_only = *backend == mon::Backend::Drct ||
+                           *backend == mon::Backend::ViaPSL;
+  if (lanes.value_or(1) > 1 && scalar_only) {
     return usage_error(
         "--lanes > 1 needs the vm or auto backend, got: %s\n",
         mon::to_string(*backend));
   }
-  opt.lane_width = lanes;
+  opt.lane_width = lanes.value_or(scalar_only ? 1 : 8);
 
   // Show what the campaigns will execute: each property's translate-once
   // plan, rendered through the plan's own interned alphabet snapshot (no
@@ -332,7 +336,7 @@ int main(int argc, char** argv) {
     std::printf(
         "lane-batched waves (width %zu): %zu waves, %zu/%zu lanes filled "
         "(%.0f%% occupancy)\n",
-        lanes, lane_waves, lanes_filled, lane_capacity,
+        opt.lane_width, lane_waves, lanes_filled, lane_capacity,
         lane_capacity == 0 ? 0.0
                            : 100.0 * static_cast<double>(lanes_filled) /
                                  static_cast<double>(lane_capacity));

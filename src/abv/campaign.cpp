@@ -141,6 +141,7 @@ std::unique_ptr<mon::Monitor> stamp_monitor(const CampaignJob& job,
 // identity is stable and the hoisted replay host can keep borrowing it.
 struct UnitScratch {
   MutationResult mutant;       // mutate_into target, capacity reused
+  std::vector<std::size_t> sites;  // the unit's mutation sites, ditto
   spec::Trace local_trace;     // valid trace when the seed cache is off
   std::unique_ptr<mon::Monitor> monitor;  // chosen-backend pool slot
   std::unique_ptr<mon::Monitor> viapsl;   // check_viapsl pool slot
@@ -510,7 +511,7 @@ void run_mutation_wave(const CampaignJob& job, spec::Alphabet& ab,
     // Fill the next free lane slot; a mutant the oracle accepts (or a kind
     // that does not apply) leaves the slot free for the next draw.
     MutationResult& mutant = scratch.lane_mutants[scratch.lane_traces.size()];
-    if (!mutate_into(valid, kAllKinds[k], property, compiled.alphabet(), rng,
+    if (!mutate_into(valid, kAllKinds[k], property, scratch.sites, rng,
                      mutant)) {
       continue;
     }
@@ -552,6 +553,15 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
   auto& stats = out.partial.mutation[k];
   support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
   const bool pooled = pool_monitors(options);
+  // The scratch path lists the valid trace's alphabet sites once for the
+  // unit's mutants_per_kind draws, and only for a kind that reads them.
+  if (options.reuse_scratch) {
+    scratch.sites.clear();
+    if (mutation_reads_sites(kAllKinds[k])) {
+      mutation_sites_into(valid, job.plan->compiled.alphabet(),
+                          scratch.sites);
+    }
+  }
   // Wave execution wants lanes to fill (lane_width > 1), VM frames to
   // restore into (chosen backend Vm), the pooled arena (the lane batch is
   // pool machinery) and batched replay (the wave IS a batch).  Any other
@@ -570,13 +580,13 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
   std::unique_ptr<mon::Monitor> fresh;
   std::optional<MutationResult> fresh_mutant;
   for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
-    // Scratch path: write the mutant into the worker's reusable buffer
-    // (identical bytes and Rng draws — mutate() is the same code).  The
-    // compiled alphabet snapshot saves the per-call NameSet rebuild.
+    // Scratch path: write the mutant into the worker's reusable buffer,
+    // from the unit's site list (identical bytes and Rng draws — mutate()
+    // is the same code).
     const MutationResult* mutant = nullptr;
     if (options.reuse_scratch) {
-      if (!mutate_into(valid, kAllKinds[k], property,
-                       job.plan->compiled.alphabet(), rng, scratch.mutant)) {
+      if (!mutate_into(valid, kAllKinds[k], property, scratch.sites, rng,
+                       scratch.mutant)) {
         continue;
       }
       mutant = &scratch.mutant;

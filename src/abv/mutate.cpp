@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/diagnostics.hpp"
+
 namespace loom::abv {
 
 const char* to_string(MutationKind k) {
@@ -15,18 +17,21 @@ const char* to_string(MutationKind k) {
   return "?";
 }
 
-namespace {
-
-/// Collects the indices of trace events that belong to the property
-/// alphabet into `out` (cleared first; capacity reused across calls).
-void relevant_positions_into(const spec::Trace& trace,
-                             const spec::NameSet& alphabet,
-                             std::vector<std::size_t>& out) {
+void mutation_sites_into(const spec::Trace& trace,
+                         const spec::NameSet& alphabet,
+                         std::vector<std::size_t>& out) {
   out.clear();
   for (std::size_t k = 0; k < trace.size(); ++k) {
     if (alphabet.test(trace[k].name)) out.push_back(k);
   }
 }
+
+bool mutation_reads_sites(MutationKind kind) {
+  return kind == MutationKind::Drop || kind == MutationKind::Duplicate ||
+         kind == MutationKind::SwapAdjacent;
+}
+
+namespace {
 
 /// Copies `src` into `dst` with room for one extra event, reusing `dst`'s
 /// capacity.  Every operator below rebuilds the mutant from the source
@@ -41,13 +46,9 @@ void copy_with_headroom(const spec::Trace& src, spec::Trace& dst) {
 
 bool mutate_into(const spec::Trace& trace, MutationKind kind,
                  const spec::Property& property,
-                 const spec::NameSet& alphabet, support::Rng& rng,
+                 std::span<const std::size_t> sites, support::Rng& rng,
                  MutationResult& out) {
-  // One site index per thread: content is recomputed from scratch each
-  // call, so reuse is invisible to results — it only avoids the per-call
-  // vector growth the profile showed.
-  thread_local std::vector<std::size_t> sites;
-  relevant_positions_into(trace, alphabet, sites);
+  LOOM_DASSERT(sites.empty() || sites.back() < trace.size());
   out.kind = kind;
   spec::Trace& t = out.trace;
 
@@ -121,11 +122,43 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
   return false;
 }
 
+namespace {
+
+/// The NameSet overloads' shared body: scans `trace` for its sites only
+/// when `kind` reads them, and only then calls `alphabet()`, so the
+/// convenience overload builds its NameSet only for those kinds too.
+template <class AlphabetFn>
+bool scan_and_mutate(const spec::Trace& trace, MutationKind kind,
+                     const spec::Property& property,
+                     const AlphabetFn& alphabet, support::Rng& rng,
+                     MutationResult& out) {
+  // One site index per thread (and overload): content is recomputed from
+  // scratch each call, so reuse is invisible to results — it only avoids
+  // the per-call vector growth the profile showed.
+  static thread_local std::vector<std::size_t> sites;
+  sites.clear();
+  if (mutation_reads_sites(kind)) {
+    mutation_sites_into(trace, alphabet(), sites);
+  }
+  return mutate_into(trace, kind, property, sites, rng, out);
+}
+
+}  // namespace
+
+bool mutate_into(const spec::Trace& trace, MutationKind kind,
+                 const spec::Property& property,
+                 const spec::NameSet& alphabet, support::Rng& rng,
+                 MutationResult& out) {
+  return scan_and_mutate(
+      trace, kind, property,
+      [&]() -> const spec::NameSet& { return alphabet; }, rng, out);
+}
+
 bool mutate_into(const spec::Trace& trace, MutationKind kind,
                  const spec::Property& property, support::Rng& rng,
                  MutationResult& out) {
-  const spec::NameSet alphabet = property.alphabet();
-  return mutate_into(trace, kind, property, alphabet, rng, out);
+  return scan_and_mutate(
+      trace, kind, property, [&] { return property.alphabet(); }, rng, out);
 }
 
 std::optional<MutationResult> mutate(const spec::Trace& trace,

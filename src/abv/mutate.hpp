@@ -11,20 +11,29 @@
 //! Ownership: mutate() returns a fresh trace; mutate_into() writes into a
 //! caller-owned MutationResult, reusing its buffer's capacity across calls
 //! (the campaign engine's per-worker scratch); inputs are never modified.
+//! The sites overload of mutate_into() reads a caller-owned site list
+//! (mutation_sites_into), so a caller that mutates one trace many times
+//! scans it once; the campaign engine builds the list once per mutation
+//! unit, in its per-worker scratch.
 //! Thread-safety: pure functions of (trace, property, rng) — safe to call
 //! concurrently as long as each caller owns its Rng and, for mutate_into,
-//! its output scratch (a small thread-local site index is reused
-//! internally, which keeps both entry points allocation-free in steady
-//! state without changing any result).
+//! its output scratch.  Only the NameSet overloads keep hidden state: a
+//! small thread-local site index they rebuild on every call for the kinds
+//! that read sites, which keeps them allocation-free in steady state
+//! without changing any result.  The sites overload has none.
 //! Determinism: a given Rng stream yields the same mutant sequence on any
 //! thread; the campaign engine keys streams by (seed, mutation slot) so
 //! its mutants never depend on scheduling.  mutate_into() is byte-identical
 //! to mutate() — same Rng draws, same MutationResult — even when the
-//! scratch arrives dirty from an unrelated earlier call (locked by
-//! tests/campaign_scratch_diff_test.cpp).
+//! scratch arrives dirty from an unrelated earlier call, and the sites
+//! overload is byte-identical to both (locked by
+//! tests/campaign_scratch_diff_test.cpp and the MutationSites suite of
+//! tests/abv_mutate_position_test.cpp).
 #pragma once
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "spec/ast.hpp"
 #include "spec/reference.hpp"
@@ -85,13 +94,41 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
                  MutationResult& out);
 
 /// Precomputed-alphabet form, for callers that already hold the property's
-/// alphabet (the campaign engine reuses the compiled plan's snapshot): the
-/// only fully allocation-free entry point, since the convenience overloads
-/// must materialize a fresh NameSet per call.  `alphabet` must equal
-/// property.alphabet().
+/// alphabet (the campaign engine reuses the compiled plan's snapshot): it
+/// never allocates once warm, while the convenience overload materializes
+/// a fresh NameSet per call of a kind that reads sites.  `alphabet` must
+/// equal property.alphabet().  Scans the trace for its sites on every call
+/// of Drop, Duplicate or SwapAdjacent.
 bool mutate_into(const spec::Trace& trace, MutationKind kind,
                  const spec::Property& property,
                  const spec::NameSet& alphabet, support::Rng& rng,
+                 MutationResult& out);
+
+/// Writes into `out` (cleared first, capacity reused) the ascending indices
+/// of the events of `trace` whose name is in `alphabet` — the sites that
+/// Drop, Duplicate and SwapAdjacent choose among.
+void mutation_sites_into(const spec::Trace& trace,
+                         const spec::NameSet& alphabet,
+                         std::vector<std::size_t>& out);
+
+/// Whether `kind` picks among the alphabet sites (Drop, Duplicate,
+/// SwapAdjacent).  EarlyTrigger and StallDeadline draw their positions
+/// from the whole trace and never read them.
+bool mutation_reads_sites(MutationKind kind);
+
+/// Precomputed-sites form, for callers that mutate one trace many times
+/// (the campaign engine lists a seed's sites once per mutation unit): no
+/// scan and no allocation once `out` is warm.
+/// Precondition, for a kind that reads sites (mutation_reads_sites):
+/// `sites` is exactly the ascending indices of the events of `trace` whose
+/// name is in property.alphabet() — what mutation_sites_into(trace,
+/// property.alphabet(), ...) writes.  Any other list yields mutants the
+/// other forms would not, or reads out of bounds.  Other kinds ignore
+/// `sites`.  Same result, `out` bytes and Rng draws as the NameSet
+/// overloads.
+bool mutate_into(const spec::Trace& trace, MutationKind kind,
+                 const spec::Property& property,
+                 std::span<const std::size_t> sites, support::Rng& rng,
                  MutationResult& out);
 
 }  // namespace loom::abv

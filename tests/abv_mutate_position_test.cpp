@@ -14,7 +14,10 @@
 // which must equal the full walk for every mutation kind.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "abv/mutate.hpp"
 #include "abv/stimuli.hpp"
@@ -149,6 +152,140 @@ INSTANTIATE_TEST_SUITE_P(
             "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
             "(p[2,3] => q[1,4] < r, 10us)"),
         ::testing::ValuesIn(kKinds)));
+
+// The sites overload of mutate_into, differentially: from the ascending
+// alphabet-event indices (computed here independently of the library), it
+// must match the NameSet overload and mutate() call for call — return
+// value, kind, position, mutant bytes and Rng consumption (the next draw
+// after the call) — into a scratch left dirty by an unrelated call.  Kinds
+// that never read sites must also ignore the list: an empty one (what the
+// campaign engine passes them) gives the same mutant.
+class MutationSites : public ::testing::TestWithParam<const char*> {};
+
+std::vector<std::size_t> alphabet_sites(const spec::Trace& trace,
+                                        const spec::Property& property) {
+  const spec::NameSet alphabet = property.alphabet();
+  std::vector<std::size_t> sites;
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    if (alphabet.test(trace[k].name)) sites.push_back(k);
+  }
+  return sites;
+}
+
+// One call through each entry point from equal Rng states; the scratch
+// targets arrive dirty (`dirty` was mutated from another trace first).
+// Advances `rng` past the call and returns whether the mutation applied.
+bool expect_entry_points_agree(const spec::Trace& trace,
+                               const spec::Property& property,
+                               const std::vector<std::size_t>& sites,
+                               MutationKind kind, support::Rng& rng,
+                               const MutationResult& dirty,
+                               const std::string& what) {
+  support::Rng by_sites = rng, by_names = rng, by_fresh = rng;
+  MutationResult sites_out = dirty, names_out = dirty;
+  const std::span<const std::size_t> given =
+      mutation_reads_sites(kind) ? std::span<const std::size_t>(sites)
+                                 : std::span<const std::size_t>();
+  const bool sites_ok =
+      mutate_into(trace, kind, property, given, by_sites, sites_out);
+  const bool names_ok = mutate_into(trace, kind, property,
+                                    property.alphabet(), by_names, names_out);
+  const auto fresh = mutate(trace, kind, property, by_fresh);
+  rng = by_fresh;
+
+  EXPECT_EQ(sites_ok, names_ok) << what;
+  EXPECT_EQ(sites_ok, fresh.has_value()) << what;
+  if (sites_ok != names_ok || sites_ok != fresh.has_value()) return false;
+  const std::uint64_t next = by_fresh.next();
+  EXPECT_EQ(by_sites.next(), next) << what << ": Rng consumption differs";
+  EXPECT_EQ(by_names.next(), next) << what << ": Rng consumption differs";
+  EXPECT_EQ(sites_out.kind, kind) << what;
+  EXPECT_EQ(names_out.kind, kind) << what;
+  if (!sites_ok) return false;
+  EXPECT_EQ(sites_out.kind, fresh->kind) << what;
+  EXPECT_EQ(sites_out.position, fresh->position) << what;
+  EXPECT_EQ(names_out.position, fresh->position) << what;
+  EXPECT_EQ(sites_out.trace, fresh->trace) << what;
+  EXPECT_EQ(names_out.trace, fresh->trace) << what;
+  return true;
+}
+
+TEST_P(MutationSites, SitesOverloadEqualsNameSetOverloadAndMutate) {
+  spec::Alphabet ab;
+  const spec::Property property = loom::testing::parse(GetParam(), ab);
+  const spec::Property other =
+      loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
+  StimuliOptions sopt;
+  sopt.rounds = 5;
+  sopt.noise_permille = 150;
+
+  // The unrelated earlier call that leaves the scratch dirty.
+  support::Rng other_rng = support::Rng::stream(99, 0);
+  const spec::Trace other_trace = generate_valid(other, ab, other_rng, sopt);
+  MutationResult dirty;
+  ASSERT_TRUE(mutate_into(other_trace, MutationKind::Duplicate, other,
+                          other_rng, dirty));
+
+  // Per kind: Drop, Duplicate and SwapAdjacent read sites and must each
+  // apply somewhere, so a predicate that wrongly hands one an empty list
+  // cannot pass unseen.
+  std::size_t applied[std::size(kKinds)] = {};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    support::Rng gen_rng = support::Rng::stream(seed, 0);
+    const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
+    const std::vector<std::size_t> sites = alphabet_sites(valid, property);
+    for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+      const MutationKind kind = kKinds[i];
+      support::Rng rng = support::Rng::stream(seed, 21);
+      for (int round = 0; round < 10; ++round) {
+        const std::string what = std::string(to_string(kind)) + " seed=" +
+                                 std::to_string(seed) + " round=" +
+                                 std::to_string(round);
+        if (expect_entry_points_agree(valid, property, sites, kind, rng,
+                                      dirty, what)) {
+          ++applied[i];
+        }
+      }
+    }
+  }
+  // kKinds lists the three site-reading kinds first.
+  for (std::size_t i = 0; i < std::size(kKinds); ++i) {
+    EXPECT_EQ(mutation_reads_sites(kKinds[i]), i < 3) << to_string(kKinds[i]);
+    if (i < 3) EXPECT_GT(applied[i], 0u) << to_string(kKinds[i]);
+  }
+}
+
+TEST_P(MutationSites, EmptyTraceAndTraceWithoutAlphabetEvents) {
+  spec::Alphabet ab;
+  const spec::Property property = loom::testing::parse(GetParam(), ab);
+  // Names outside every property of the suite.
+  const spec::Trace foreign = loom::testing::trace_of("zz yy zz xx", ab);
+  const spec::Trace empty;
+  ASSERT_TRUE(alphabet_sites(foreign, property).empty());
+
+  MutationResult dirty;
+  support::Rng dirty_rng(5);
+  ASSERT_TRUE(mutate_into(foreign, MutationKind::EarlyTrigger, property,
+                          dirty_rng, dirty));
+  for (const MutationKind kind : kKinds) {
+    support::Rng rng = support::Rng::stream(3, 4);
+    for (int round = 0; round < 10; ++round) {
+      const std::string round_tag = std::string(to_string(kind)) +
+                                    " round=" + std::to_string(round);
+      (void)expect_entry_points_agree(empty, property, {}, kind, rng, dirty,
+                                      "empty " + round_tag);
+      (void)expect_entry_points_agree(foreign, property, {}, kind, rng,
+                                      dirty, "foreign " + round_tag);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Properties, MutationSites,
+    ::testing::Values("(n << i, true)",
+                      "(({a, b, c}, &) << s, false)",
+                      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+                      "(p[2,3] => q[1,4] < r, 10us)"));
 
 TEST(MutationPositionPlacement, PinnedPerKindSemantics) {
   // Deterministic single-site traces pin the per-kind placement documented

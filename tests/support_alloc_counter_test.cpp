@@ -86,5 +86,45 @@ TEST(AllocCounter, WarmedMutateIntoScratchIsAllocationFree) {
   EXPECT_EQ(scope.allocs(), 0u) << "steady-state mutate_into touched the heap";
 }
 
+TEST(AllocCounter, WarmedSitesOverloadScratchIsAllocationFree) {
+  // The campaign engine's form: the site list is computed once per trace
+  // and every mutation reads it, so once the output buffer is warm no
+  // kind touches the heap.
+  spec::Alphabet ab;
+  const spec::Property property = loom::testing::parse(
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
+  abv::StimuliOptions sopt;
+  sopt.rounds = 8;
+  support::Rng gen = support::Rng::stream(4, 0);
+  const spec::Trace valid = abv::generate_valid(property, ab, gen, sopt);
+  std::vector<std::size_t> sites;
+  abv::mutation_sites_into(valid, property.alphabet(), sites);
+  ASSERT_FALSE(sites.empty());
+
+  constexpr abv::MutationKind kKinds[] = {
+      abv::MutationKind::Drop, abv::MutationKind::Duplicate,
+      abv::MutationKind::SwapAdjacent, abv::MutationKind::EarlyTrigger,
+      abv::MutationKind::StallDeadline};
+
+  abv::MutationResult scratch;
+  support::Rng rng = support::Rng::stream(4, 1);
+  for (const auto kind : kKinds) {  // warm the output buffer
+    (void)abv::mutate_into(valid, kind, property, sites, rng, scratch);
+  }
+
+  AllocCounter::Scope scope;
+  std::size_t applied = 0;
+  for (int round = 0; round < 16; ++round) {
+    for (const auto kind : kKinds) {
+      if (abv::mutate_into(valid, kind, property, sites, rng, scratch)) {
+        ++applied;
+      }
+    }
+  }
+  EXPECT_GT(applied, 0u);
+  EXPECT_EQ(scope.allocs(), 0u)
+      << "steady-state sites-overload mutate_into touched the heap";
+}
+
 }  // namespace
 }  // namespace loom::support
