@@ -55,14 +55,18 @@ struct CampaignJob {
 };
 
 // One per-seed cache entry: the valid trace plus — when incremental replay
-// is on — the checkpoint ladder recorded while a recorder monitor and the
+// is on — the checkpoint ladders recorded while a recorder monitor and the
 // reference oracle each walk that trace exactly once.  checkpoints[k] is
-// the monitor state and oracle.rungs[k] the oracle's walk state after the
-// first (k+1)*stride events; a mutant whose divergence position p admits a
-// floor rung resumes both from rung p/stride - 1 and walks only the
-// suffix, and the valid unit reads its verdict from oracle.full.  The
-// ladder is a pure function of (property, seed, options), so it is
-// deterministic no matter which unit's lookup builds it.
+// the monitor state after the first (k+1)*stride events; the oracle's
+// ladder is four times finer (oracle.stride = max(1, stride/4)), because
+// its rungs are small and both its resume point and its reconvergence
+// point sit closer to the edit.  A mutant whose divergence position p
+// admits a floor rung resumes the monitor from rung p/stride - 1 and
+// replays only the suffix; its oracle resumes from p/oracle.stride rungs
+// and stops where it rejoins the valid walk; and the valid unit reads its
+// verdict from oracle.full.  The ladders are a pure function of
+// (property, seed, options), so they are deterministic no matter which
+// unit's lookup builds them.
 struct CachedSeedTrace {
   spec::Trace trace;
   std::vector<mon::Snapshot> checkpoints;
@@ -235,21 +239,22 @@ bool incremental_enabled(const CampaignOptions& options) {
          options.checkpoint_stride > 0;
 }
 
-// Records the checkpoint ladder for one cached seed trace: the reference
-// oracle walks the valid trace once, saving its state after every `stride`
-// events, and a recorder monitor from the worker's scratch (reset ≡ fresh)
-// observes it once, snapshotting at the same cuts.  The pass is engine
-// overhead of the cache-entry build (like generation itself): its instance
-// and Figure-6 stats are deliberately not accounted anywhere, so the
-// ladder knob cannot move a semantic counter.
+// Records the checkpoint ladders for one cached seed trace: the reference
+// oracle walks the valid trace once, saving its state after every
+// stride/4 events (at least 1), and a recorder monitor from the worker's
+// scratch (reset ≡ fresh) observes it once, snapshotting after every
+// `stride` events.  The pass is engine overhead of the cache-entry build
+// (like generation itself): its instance and Figure-6 stats are
+// deliberately not accounted anywhere, so the ladder knob cannot move a
+// semantic counter.
 void build_checkpoint_ladder(const CampaignJob& job,
                              const CampaignOptions& options,
                              UnitScratch& scratch, CachedSeedTrace& entry) {
   entry.stride = options.checkpoint_stride;
   entry.oracle = spec::record_reference_ladder(
       *job.property, job.plan->compiled.plan(), entry.trace,
-      end_of(entry.trace), entry.stride);
-  const std::size_t rungs = entry.oracle.rungs.size();
+      end_of(entry.trace), std::max<std::size_t>(1, entry.stride / 4));
+  const std::size_t rungs = entry.trace.size() / entry.stride;
   if (rungs == 0) return;
   entry.checkpoints.resize(rungs);
   if (scratch.ladder == nullptr) {
@@ -304,38 +309,46 @@ SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
   return {&entry.trace, &entry};
 }
 
-// A mutant's floor rung: how many whole ladder rungs lie at or below its
-// divergence position (0: none, so the mutant is walked from the start).
-// MutationResult::position guarantees the mutant shares its first
-// `position` events with the valid trace, so after that many rungs both
-// the monitor state and the oracle's walk state are exactly what the
-// ladder recorded.
+// A mutant's floor rung: how many whole monitor-ladder rungs lie at or
+// below its divergence position (0: none, so the mutant is replayed from
+// the start).  MutationResult::position guarantees the mutant shares its
+// first `position` events with the valid trace, so after that many rungs
+// the monitor state is exactly what the ladder recorded.
 std::size_t floor_rungs(const CachedSeedTrace* ladder, std::size_t position) {
   if (ladder == nullptr) return 0;
   return std::min(position / ladder->stride, ladder->checkpoints.size());
 }
 
-// The reference oracle for one unit: resumed from the floor rung's saved
-// walk state when the mutant has one; otherwise a full walk, where the
+// The reference oracle for one unit.  A mutant of a seed with a ladder
+// resumes from its floor on the oracle ladder (possibly the initial state)
+// and stops at the first rung past MutationResult::aligned where its walk
+// rejoins the valid trace's.  Anything else is a full walk, where the
 // scratch path hands the compiled OrderingPlan back to the checker instead
-// of letting it re-plan the property per call.  Resumed, re-planned or
-// not, the verdict bytes are identical (spec/reference.hpp).
+// of letting it re-plan the property per call.  Resumed, rejoined,
+// re-planned or not, the verdict bytes are identical (spec/reference.hpp).
 spec::RefResult oracle_check(const CampaignJob& job,
                              const CampaignOptions& options,
-                             const spec::Trace& trace, sim::Time end_time,
-                             const CachedSeedTrace* ladder = nullptr,
-                             std::size_t rungs = 0) {
-  if (rungs > 0) {
-    return spec::resume_reference_check(*job.property,
-                                        job.plan->compiled.plan(),
-                                        ladder->oracle, rungs - 1, trace,
-                                        end_time);
-  }
+                             const spec::Trace& trace, sim::Time end_time) {
   if (options.reuse_scratch) {
     return spec::reference_check(*job.property, job.plan->compiled.plan(),
                                  trace, end_time);
   }
   return spec::reference_check(*job.property, trace, end_time);
+}
+
+spec::RefResult oracle_check(const CampaignJob& job,
+                             const CampaignOptions& options,
+                             const MutationResult& mutant,
+                             const CachedSeedTrace* ladder) {
+  const sim::Time end_time = end_of(mutant.trace);
+  if (ladder == nullptr) {
+    return oracle_check(job, options, mutant.trace, end_time);
+  }
+  const spec::RefLadder& oracle = ladder->oracle;
+  return spec::resume_reference_check(
+      *job.property, job.plan->compiled.plan(), oracle,
+      std::min(mutant.position / oracle.stride, oracle.rungs.size()),
+      mutant.trace, end_time, mutant.aligned);
 }
 
 void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
@@ -516,10 +529,8 @@ void run_mutation_wave(const CampaignJob& job, spec::Alphabet& ab,
       continue;
     }
     ++stats.applied;
+    if (!oracle_check(job, options, mutant, ladder).rejected()) continue;
     const std::size_t rungs = floor_rungs(ladder, mutant.position);
-    const auto mref = oracle_check(job, options, mutant.trace,
-                                   end_of(mutant.trace), ladder, rungs);
-    if (!mref.rejected()) continue;
     ++stats.invalid;
     const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
     const mon::Snapshot* rung =
@@ -597,13 +608,11 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
     }
     ++stats.applied;
     // Incremental replay: the oracle and the monitor both resume from the
-    // mutant's floor rung.  The rung is resolved before drawing the
-    // monitor: when a restore will overwrite the whole state, the draw
-    // below skips its redundant reset pass.
+    // mutant's floor on their ladders.  The monitor's rung is resolved
+    // before drawing the monitor: when a restore will overwrite the whole
+    // state, the draw below skips its redundant reset pass.
+    if (!oracle_check(job, options, *mutant, ladder).rejected()) continue;
     const std::size_t rungs = floor_rungs(ladder, mutant->position);
-    const auto mref = oracle_check(job, options, mutant->trace,
-                                   end_of(mutant->trace), ladder, rungs);
-    if (!mref.rejected()) continue;
     ++stats.invalid;
     const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
     const mon::Snapshot* rung =

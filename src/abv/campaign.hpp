@@ -140,7 +140,12 @@ struct CampaignOptions {
   bool incremental_replay = true;
   /// Events between checkpoint snapshots on the valid trace (the ladder's
   /// rung spacing): smaller strides skip more prefix per mutant but store
-  /// more snapshots per seed.  0 disables the ladder (full replay).
+  /// more snapshots per seed.  It also sets the reference oracle's ladder,
+  /// recorded four times finer (every max(1, checkpoint_stride / 4)
+  /// events; an oracle rung is a few dozen bytes), from which each
+  /// mutant's oracle check resumes and where it stops once its walk
+  /// rejoins the valid trace's.  0 disables both ladders (full replay and
+  /// full oracle walks).
   std::size_t checkpoint_stride = 32;
 
   /// Cross-process sharding: 0 runs every shard in this process (threads

@@ -63,6 +63,7 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
       t.insert(t.end(), trace.begin() + static_cast<long>(pos) + 1,
                trace.end());
       out.position = pos;
+      out.aligned = pos;
       return true;
     }
     case MutationKind::Duplicate: {
@@ -76,6 +77,7 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
       // duplicated original — position names the insertion index, keeping
       // the "first possible divergence" contract uniform across kinds.
       out.position = pos + 1;
+      out.aligned = pos + 2;
       return true;
     }
     case MutationKind::SwapAdjacent: {
@@ -88,6 +90,7 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
       t.assign(trace.begin(), trace.end());
       std::swap(t[a].name, t[b].name);
       out.position = a;
+      out.aligned = b + 1;
       return true;
     }
     case MutationKind::EarlyTrigger: {
@@ -104,6 +107,7 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
       copy_with_headroom(trace, t);
       t.insert(t.begin() + static_cast<long>(pos) + 1, ev);
       out.position = pos + 1;
+      out.aligned = pos + 2;
       return true;
     }
     case MutationKind::StallDeadline: {
@@ -116,6 +120,7 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
         t[k].time = t[k].time + shift;
       }
       out.position = pos;
+      out.aligned = pos;
       return true;
     }
   }

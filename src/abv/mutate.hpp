@@ -75,6 +75,26 @@ struct MutationResult {
   /// source trace happens to repeat the displaced event bit-for-bit (the
   /// guarantee above is what downstream consumers may rely on).
   std::size_t position = 0;
+  /// Index from which the mutant is the source trace again, re-indexed by
+  /// δ = mutant size − source size and re-timed by τ = mutant.back().time −
+  /// trace.back().time (the end-time shift; an empty trace ends at 0):
+  ///
+  ///     mutant[j] == {trace[j − δ].name, trace[j − δ].time + τ}
+  ///                                         for every j >= aligned.
+  ///
+  /// Per kind (δ in parentheses; τ is 0 unless the edit changed the time
+  /// of the last event):
+  ///   Drop          position                 (δ = −1);
+  ///   Duplicate     position + 1, past the copy  (δ = +1);
+  ///   SwapAdjacent  one past the second swapped event  (δ = 0);
+  ///   EarlyTrigger  position + 1, past the inserted event  (δ = +1);
+  ///   StallDeadline position                 (δ = 0, τ = the stall).
+  ///
+  /// position <= aligned <= mutant size.  Past `aligned` the mutant's
+  /// reference walk can rejoin the source trace's, where
+  /// spec::resume_reference_check stops (tests/abv_mutate_position_test.cpp
+  /// locks the contract).  Time sums are assumed not to saturate.
+  std::size_t aligned = 0;
 };
 
 /// Applies `kind` at a random applicable position; nullopt when the trace

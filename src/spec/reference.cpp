@@ -1,5 +1,6 @@
 #include "spec/reference.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "spec/attributes.hpp"
@@ -141,6 +142,22 @@ class RoundWalker {
     }
   }
 
+  /// Whether every register but the fragment's minimum time equals a
+  /// save()d state (closed_ follows from the counters, as in load()).
+  bool matches(const RefRung& rung, const std::uint32_t* counts) const {
+    if (k_ != rung.fragment || current_ != rung.current ||
+        consumed_ != rung.consumed ||
+        frag_min_complete_ != rung.frag_min_complete) {
+      return false;
+    }
+    for (const auto& f : plan_->fragments) {
+      for (const auto& r : f.ranges) {
+        if (counts_[r.name] != *counts++) return false;
+      }
+    }
+    return true;
+  }
+
   std::size_t fragment_index() const { return k_; }
   bool consumed_anything() const { return consumed_; }
   bool fragment_min_complete_flag() const { return frag_min_complete_; }
@@ -195,10 +212,23 @@ RoundWalker& pooled_walker(const OrderingPlan& plan) {
   return walker;
 }
 
+// A signed time shift τ = to − from, compared exactly (no saturation or
+// clamping): the distance from a recorded trace's end time to a mutant's.
+struct Shift {
+  sim::Time to, from;
+
+  /// Whether `live` == `recorded` + τ.
+  bool maps(sim::Time recorded, sim::Time live) const {
+    return to >= from ? live >= recorded && live - recorded == to - from
+                      : recorded >= live && recorded - live == from - to;
+  }
+};
+
 // The one reference walk behind every entry point: a round walker plus the
 // timed implication's obligation registers.  reference_check runs it from
 // the initial state over the whole trace, resume_reference_check from a
-// ladder rung over the suffix, and record_reference_ladder over the whole
+// ladder rung over the suffix until it rejoins a later rung, and
+// record_reference_ladder over the whole
 // trace in stride-sized slices, saving the state between slices.
 class ReferenceWalk {
  public:
@@ -260,11 +290,36 @@ class ReferenceWalk {
     t_start_ = rung.t_start;
   }
 
+  /// Whether the live state is a save()d one with every time register
+  /// later by `shift`: then a suffix that is the recorded one re-timed by
+  /// the same shift walks to the same verdict.  Every rule compares time
+  /// differences, and a saturating deadline t_start + bound compares
+  /// against any representable time exactly as the true sum would, so the
+  /// shift cannot move a verdict.  A register is compared only while it is
+  /// live (frag_min_time once the fragment is min-complete, t_start once
+  /// armed), and an antecedent's walk reads no time at all.
+  bool rejoins(const RefRung& rung, const std::uint32_t* counts,
+               const Shift& shift) const {
+    if (!walker_.matches(rung, counts)) return false;
+    if (timed_ == nullptr) return true;
+    if (armed_ != rung.armed || q_done_ != rung.q_done) return false;
+    if (rung.frag_min_complete &&
+        !shift.maps(rung.frag_min_time, walker_.fragment_min_time())) {
+      return false;
+    }
+    return !rung.armed || shift.maps(rung.t_start, t_start_);
+  }
+
   RefResult& result() { return result_; }
+  /// One past the index of the event that decided the walk.
+  std::size_t stop() const { return stop_; }
 
  private:
-  bool decide(RefVerdict verdict, std::size_t index, std::string reason) {
-    result_ = {verdict, index, std::move(reason)};
+  // Decides at event `at`, which is the error index of a rejection.
+  bool decide(RefVerdict verdict, std::size_t at, std::string reason) {
+    result_ = {verdict, verdict == RefVerdict::Rejected ? at : kNoIndex,
+               std::move(reason)};
+    stop_ = at + 1;
     return true;
   }
 
@@ -277,7 +332,7 @@ class ReferenceWalk {
         case RoundWalker::Step::Consumed:
           break;
         case RoundWalker::Step::RoundCompleted:
-          if (!repeated_) return decide(RefVerdict::Accepted, kNoIndex, "");
+          if (!repeated_) return decide(RefVerdict::Accepted, i, "");
           walker_.reset();
           break;
         case RoundWalker::Step::Error:
@@ -350,6 +405,7 @@ class ReferenceWalk {
   bool q_done_ = false;
   sim::Time t_start_;
   RefResult result_;
+  std::size_t stop_ = 0;
 };
 
 ReferenceWalk walk_of(const Property& p, const OrderingPlan& plan) {
@@ -415,6 +471,8 @@ RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
   RefLadder ladder;
   ladder.stride = stride;
   ladder.ranges = range_count(plan);
+  ladder.size = trace.size();
+  ladder.end_time = end_time;
   const std::size_t rungs = trace.size() / stride;
   ladder.rungs.resize(rungs);
   ladder.counts.resize(rungs * ladder.ranges);
@@ -434,14 +492,54 @@ RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
 }
 
 RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
-                                 const RefLadder& ladder, std::size_t rung,
-                                 const Trace& trace, sim::Time end_time) {
-  assert(rung < ladder.rungs.size());
-  const RefRung& at = ladder.rungs[rung];
-  if (at.decided) return ladder.full;
+                                 const RefLadder& ladder, std::size_t floor,
+                                 const Trace& trace, sim::Time end_time,
+                                 std::size_t aligned, std::size_t* walked) {
+  assert(floor <= ladder.rungs.size());
+  const std::size_t begin = floor * ladder.stride;
+  assert(begin <= trace.size());
+  if (walked != nullptr) *walked = 0;
+  if (floor > 0 && ladder.rungs[floor - 1].decided) return ladder.full;
   ReferenceWalk walk = walk_of(p, plan);
-  walk.load(at, ladder.counts.data() + rung * ladder.ranges);
-  return walk.run(trace, (rung + 1) * ladder.stride, end_time);
+  if (floor > 0) {
+    walk.load(ladder.rungs[floor - 1],
+              ladder.counts.data() + (floor - 1) * ladder.ranges);
+  }
+  std::size_t at = begin;
+  const Shift shift{end_time, ladder.end_time};
+  if (aligned <= trace.size()) {
+    // Rung k's cut (k+1)·stride of the recorded trace sits at mutant index
+    // (k+1)·stride + δ, δ = trace.size() − ladder.size (modular size_t
+    // arithmetic: every index formed here is non-negative).  Try every cut
+    // at or past both `aligned` and the resume point, up to the first
+    // decided rung.
+    const std::size_t from = std::max(aligned, begin);
+    const std::size_t min_cut =
+        from + ladder.size > trace.size() ? from + ladder.size - trace.size()
+                                          : 0;
+    const std::size_t delta = trace.size() - ladder.size;
+    for (std::size_t k = min_cut == 0 ? 0 : (min_cut - 1) / ladder.stride;
+         k < ladder.rungs.size() && !ladder.rungs[k].decided; ++k) {
+      const std::size_t next = (k + 1) * ladder.stride + delta;
+      if (walk.advance(trace, at, next)) {
+        if (walked != nullptr) *walked = walk.stop() - begin;
+        return std::move(walk.result());
+      }
+      at = next;
+      if (walk.rejoins(ladder.rungs[k],
+                       ladder.counts.data() + k * ladder.ranges, shift)) {
+        if (walked != nullptr) *walked = at - begin;
+        RefResult rejoined = ladder.full;
+        if (rejoined.error_index != kNoIndex) rejoined.error_index += delta;
+        return rejoined;
+      }
+    }
+  }
+  const bool decided = walk.advance(trace, at, trace.size());
+  if (walked != nullptr) {
+    *walked = (decided ? walk.stop() : trace.size()) - begin;
+  }
+  return decided ? std::move(walk.result()) : walk.finish(trace, end_time);
 }
 
 }  // namespace loom::spec

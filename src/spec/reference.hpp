@@ -89,12 +89,14 @@ struct RefRung {
 };
 
 /// The oracle's checkpoint ladder over one trace, recorded by a single
-/// walk: rungs[k] is the walk state after the first (k+1)·stride events,
-/// and `full` is the verdict of the whole trace.  Flat by design — one
-/// record array plus one counter array, however many rungs.
+/// walk: rungs[k] is the walk state after the first (k+1)·stride events
+/// (rung k's cut), and `full` is the verdict of the whole trace.  Flat by
+/// design — one record array plus one counter array, however many rungs.
 struct RefLadder {
   std::size_t stride = 0;  // 0: nothing recorded
   std::size_t ranges = 0;  // counters per rung: the plan's range count
+  std::size_t size = 0;    // events in the recorded trace
+  sim::Time end_time;      // the end time the recording walk finished at
   std::vector<RefRung> rungs;
   /// counts[k·ranges + j]: rung k's block counter of the plan's j-th range
   /// (fragment-major, range-minor).
@@ -110,14 +112,40 @@ RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
                                   const Trace& trace, sim::Time end_time,
                                   std::size_t stride);
 
-/// Resumes the walk at rung `rung` of `ladder` and finishes it over
-/// `trace`, which must share its first (rung+1)·stride events with the
-/// trace the ladder was recorded on (a mutant at or past its divergence
-/// position).  Byte-identical to reference_check(p, plan, trace, end_time):
-/// the walk is deterministic, so the state after the shared prefix is the
-/// rung — a rung whose walk already decided returns the recorded verdict.
+/// Resumes the walk after the first `floor` rungs of `ladder` (floor 0:
+/// the initial state; floor <= ladder.rungs.size()) and finishes it over
+/// `trace`, a mutant of the recorded trace.  Byte-identical — verdict,
+/// error index and reason — to reference_check(p, plan, trace, end_time)
+/// when both contracts below hold; the walk is deterministic, so the state
+/// after a shared prefix is the rung, and a rung whose walk already
+/// decided returns the recorded verdict.
+///
+/// Resume: `trace` shares its first floor·stride events with the recorded
+/// trace (abv::MutationResult::position bounds that prefix).
+///
+/// Reconvergence: with δ = trace.size() − ladder.size and τ = end_time −
+/// ladder.end_time, every event trace[j], j >= `aligned`, is the recorded
+/// trace's event j − δ with its time later by τ (abv::MutationResult::
+/// aligned; `aligned` = trace.size() claims nothing about the events and
+/// is always safe).  At each undecided rung k whose cut maps to a mutant
+/// index cut + δ >= max(aligned, floor·stride), the live walk state is
+/// compared with rung k: block counters, fragment, open block, and the
+/// consumed / min-complete / armed / consequent-done flags; for a timed
+/// property also the fragment's minimum time while min-complete and the
+/// obligation's start while armed, each of which must be later by exactly
+/// τ.  On a match, the rest of the walk is the recorded one re-timed by τ,
+/// and every verdict rule compares time differences, so the result is
+/// ladder.full with its error index moved by δ.  A deadline sum t_start +
+/// bound that saturates sim::Time needs no guard: against any
+/// representable time it compares exactly as the true sum would.
+///
+/// `walked`, when given, receives the number of events the walk stepped
+/// past the resume point: up to the reconvergence cut, the deciding event
+/// or the end of the trace.
 RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
-                                 const RefLadder& ladder, std::size_t rung,
-                                 const Trace& trace, sim::Time end_time);
+                                 const RefLadder& ladder, std::size_t floor,
+                                 const Trace& trace, sim::Time end_time,
+                                 std::size_t aligned,
+                                 std::size_t* walked = nullptr);
 
 }  // namespace loom::spec

@@ -10,21 +10,6 @@ void Bitset::resize(std::size_t capacity) {
   if (words > words_.size()) words_.resize(words, 0);
 }
 
-void Bitset::set(std::size_t i) {
-  if (i >= capacity()) resize(i + 1);
-  words_[i / kBits] |= std::uint64_t{1} << (i % kBits);
-}
-
-void Bitset::reset(std::size_t i) {
-  if (i >= capacity()) return;
-  words_[i / kBits] &= ~(std::uint64_t{1} << (i % kBits));
-}
-
-bool Bitset::test(std::size_t i) const {
-  if (i >= capacity()) return false;
-  return (words_[i / kBits] >> (i % kBits)) & 1u;
-}
-
 bool Bitset::empty() const {
   return std::all_of(words_.begin(), words_.end(),
                      [](std::uint64_t w) { return w == 0; });

@@ -24,9 +24,19 @@ class Bitset {
 
   std::size_t capacity() const { return words_.size() * kBits; }
 
-  void set(std::size_t i);
-  void reset(std::size_t i);
-  bool test(std::size_t i) const;
+  // Inline: the reference walk and the mutation-site scan test per event.
+  void set(std::size_t i) {
+    if (i >= capacity()) resize(i + 1);
+    words_[i / kBits] |= std::uint64_t{1} << (i % kBits);
+  }
+  void reset(std::size_t i) {
+    if (i >= capacity()) return;
+    words_[i / kBits] &= ~(std::uint64_t{1} << (i % kBits));
+  }
+  bool test(std::size_t i) const {
+    if (i >= capacity()) return false;
+    return (words_[i / kBits] >> (i % kBits)) & 1u;
+  }
 
   /// True when no bit is set.
   bool empty() const;

@@ -12,6 +12,11 @@
 // pinned per-kind placement checks.  The same prefix carries the oracle:
 // a mutant's reference check resumes from the oracle ladder's floor rung,
 // which must equal the full walk for every mutation kind.
+//
+// MutationResult::aligned is the other end of the edit: past it the
+// mutant is the source trace again, re-indexed by the size change δ and
+// re-timed by the end-time change τ — where the oracle's walk may rejoin
+// the valid trace's and stop.  Fuzzed and pinned per kind the same way.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -32,6 +37,42 @@ constexpr MutationKind kKinds[] = {
     MutationKind::EarlyTrigger, MutationKind::StallDeadline};
 
 class MutationPosition : public ::testing::TestWithParam<const char*> {};
+
+sim::Time end_of(const spec::Trace& t) {
+  return t.empty() ? sim::Time::zero() : t.back().time;
+}
+
+// The aligned contract (mutate.hpp), including each kind's own value.
+void expect_aligned(const spec::Trace& trace, const MutationResult& m,
+                    const std::string& what) {
+  ASSERT_GE(m.aligned, m.position) << what;
+  ASSERT_LE(m.aligned, m.trace.size()) << what;
+  // δ in modular size_t arithmetic; j - delta is the source index.
+  const std::size_t delta = m.trace.size() - trace.size();
+  for (std::size_t j = m.aligned; j < m.trace.size(); ++j) {
+    const spec::TimedEvent& source = trace[j - delta];
+    ASSERT_EQ(m.trace[j].name, source.name) << what << " at " << j;
+    // mutant time − source time == τ, kept exact for either sign of τ.
+    ASSERT_EQ(m.trace[j].time + end_of(trace), source.time + end_of(m.trace))
+        << what << " at " << j;
+  }
+  switch (m.kind) {
+    case MutationKind::Drop:
+    case MutationKind::StallDeadline:
+      EXPECT_EQ(m.aligned, m.position) << what;
+      break;
+    case MutationKind::Duplicate:
+    case MutationKind::EarlyTrigger:
+      EXPECT_EQ(m.aligned, m.position + 1) << what;
+      break;
+    case MutationKind::SwapAdjacent:
+      // One past the second swapped event, which now holds another name.
+      ASSERT_GT(m.aligned, m.position + 1) << what;
+      EXPECT_NE(m.trace[m.aligned - 1].name, trace[m.aligned - 1].name)
+          << what;
+      break;
+  }
+}
 
 TEST_P(MutationPosition, PrefixBelowPositionIsSharedElementForElement) {
   spec::Alphabet ab;
@@ -71,6 +112,7 @@ TEST_P(MutationPosition, PrefixBelowPositionIsSharedElementForElement) {
           return false;
         }();
         EXPECT_TRUE(suffix_differs) << what;
+        expect_aligned(valid, *mutant, what);
       }
     }
   }
@@ -85,15 +127,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The campaign's oracle resume, per mutation kind: record the oracle ladder
 // on the valid trace, resolve each mutant's floor rung from its position
-// exactly like the engine does, and resume there — verdict, error index
-// and reason must equal the full walk.  Duplicate and StallDeadline shift
-// the suffix's times, which the timed deadline checks read.
-class MutationOracleResume
-    : public ::testing::TestWithParam<std::tuple<const char*, MutationKind>> {
+// exactly like the engine does, and resume there — and from the initial
+// state — told the mutant's aligned index: verdict, error index and reason
+// must equal the full walk.  Duplicate, EarlyTrigger and StallDeadline can
+// shift the suffix's times, which the timed deadline checks read.  A walk
+// told the aligned index never steps more events than one told nothing
+// (aligned = the mutant's size); it steps fewer exactly when it rejoined.
+
+constexpr const char* kOracleShapes[] = {
+    "(n << i, true)", "(n[2,3] << i, false)",
+    "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+    "(p[2,3] => q[1,4] < r, 10us)", "(a => b[1,3], 15ns)"};
+
+struct OracleTally {
+  std::size_t applied = 0;
+  std::size_t resumed = 0;   // mutants with a floor rung
+  std::size_t rejoined = 0;  // resumes that stopped where the walk rejoined
 };
 
-TEST_P(MutationOracleResume, FloorRungResumeEqualsFullWalk) {
-  const auto [source, kind] = GetParam();
+// Resumes each of `rounds` mutants of every seed's valid trace from the
+// initial state and from its floor rung, told and untold, against the
+// full walk.
+void check_oracle_resume(const char* source, MutationKind kind,
+                         std::uint64_t seeds,
+                         std::initializer_list<std::size_t> strides,
+                         int rounds, OracleTally& tally) {
   spec::Alphabet ab;
   const spec::Property property = loom::testing::parse(source, ab);
   const spec::OrderingPlan plan =
@@ -102,56 +160,86 @@ TEST_P(MutationOracleResume, FloorRungResumeEqualsFullWalk) {
   StimuliOptions sopt;
   sopt.rounds = 6;
   sopt.noise_permille = 150;
-  const auto end_of = [](const spec::Trace& t) {
-    return t.empty() ? sim::Time::zero() : t.back().time;
-  };
-
-  std::size_t applied = 0, resumed = 0;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     support::Rng gen_rng = support::Rng::stream(seed, 0);
     const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
-    for (const std::size_t stride : {1, 3, 32}) {
+    for (const std::size_t stride : strides) {
       const spec::RefLadder ladder = spec::record_reference_ladder(
           property, plan, valid, end_of(valid), stride);
       support::Rng rng = support::Rng::stream(seed, 7);
-      for (int round = 0; round < 10; ++round) {
+      for (int round = 0; round < rounds; ++round) {
         const auto mutant = mutate(valid, kind, property, rng);
         if (!mutant) continue;
-        ++applied;
-        const std::size_t rungs =
+        ++tally.applied;
+        const spec::Trace& trace = mutant->trace;
+        const spec::RefResult full =
+            spec::reference_check(property, plan, trace, end_of(trace));
+        const std::size_t floor =
             std::min(mutant->position / stride, ladder.rungs.size());
-        if (rungs == 0) continue;
-        ++resumed;
-        const spec::RefResult full = spec::reference_check(
-            property, plan, mutant->trace, end_of(mutant->trace));
-        const spec::RefResult resumed_result = spec::resume_reference_check(
-            property, plan, ladder, rungs - 1, mutant->trace,
-            end_of(mutant->trace));
-        const std::string what = std::string(to_string(kind)) + " seed=" +
-                                 std::to_string(seed) + " stride=" +
-                                 std::to_string(stride) + " position=" +
-                                 std::to_string(mutant->position);
-        EXPECT_EQ(resumed_result.verdict, full.verdict) << what;
-        EXPECT_EQ(resumed_result.error_index, full.error_index) << what;
-        EXPECT_EQ(resumed_result.reason, full.reason) << what;
+        if (floor > 0) ++tally.resumed;
+        for (const std::size_t from : {std::size_t{0}, floor}) {
+          const std::string what =
+              std::string(source) + " " + to_string(kind) +
+              " seed=" + std::to_string(seed) +
+              " stride=" + std::to_string(stride) +
+              " position=" + std::to_string(mutant->position) +
+              " aligned=" + std::to_string(mutant->aligned) +
+              " floor=" + std::to_string(from);
+          std::size_t walked = 0, walked_untold = 0;
+          const spec::RefResult told = spec::resume_reference_check(
+              property, plan, ladder, from, trace, end_of(trace),
+              mutant->aligned, &walked);
+          const spec::RefResult untold = spec::resume_reference_check(
+              property, plan, ladder, from, trace, end_of(trace),
+              trace.size(), &walked_untold);
+          for (const spec::RefResult* r : {&told, &untold}) {
+            EXPECT_EQ(r->verdict, full.verdict) << what;
+            EXPECT_EQ(r->error_index, full.error_index) << what;
+            EXPECT_EQ(r->reason, full.reason) << what;
+          }
+          EXPECT_LE(walked, walked_untold) << what;
+          if (walked < walked_untold) ++tally.rejoined;
+        }
       }
     }
   }
-  if (kind == MutationKind::StallDeadline && property.is_antecedent()) {
-    EXPECT_EQ(applied, 0u) << "an antecedent has no deadline to stall";
+}
+
+class MutationOracleResume
+    : public ::testing::TestWithParam<std::tuple<const char*, MutationKind>> {
+};
+
+TEST_P(MutationOracleResume, FloorRungResumeEqualsFullWalk) {
+  const auto [source, kind] = GetParam();
+  OracleTally tally;
+  check_oracle_resume(source, kind, 20, {1, 2, 3, 5, 8, 32}, 10, tally);
+  if (kind == MutationKind::StallDeadline &&
+      std::string(source).find("=>") == std::string::npos) {
+    EXPECT_EQ(tally.applied, 0u) << "an antecedent has no deadline to stall";
   } else {
-    EXPECT_GT(resumed, 0u) << "no mutant had a floor rung";
+    EXPECT_GT(tally.resumed, 0u) << "no mutant had a floor rung";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     KindsByShape, MutationOracleResume,
-    ::testing::Combine(
-        ::testing::Values(
-            "(n << i, true)", "(n[2,3] << i, false)",
-            "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
-            "(p[2,3] => q[1,4] < r, 10us)"),
-        ::testing::ValuesIn(kKinds)));
+    ::testing::Combine(::testing::ValuesIn(kOracleShapes),
+                       ::testing::ValuesIn(kKinds)));
+
+// The shortcut fires for every kind: across the shapes, some mutant's
+// oracle walk rejoins the valid trace's and stops early.  Not per shape —
+// every mutant of "(n << i, true)" is rejected at its edit, and a
+// non-repeated antecedent decides at its first round, before any rejoin.
+TEST(MutationOracleResumeDetails, ReconvergenceFiresForEveryKind) {
+  for (const MutationKind kind : kKinds) {
+    OracleTally tally;
+    for (const char* source : kOracleShapes) {
+      check_oracle_resume(source, kind, 10, {1, 8}, 10, tally);
+    }
+    EXPECT_GT(tally.rejoined, 0u)
+        << to_string(kind) << ": no mutant's oracle walk rejoined";
+  }
+}
 
 // The sites overload of mutate_into, differentially: from the ascending
 // alphabet-event indices (computed here independently of the library), it
@@ -205,6 +293,8 @@ bool expect_entry_points_agree(const spec::Trace& trace,
   EXPECT_EQ(sites_out.kind, fresh->kind) << what;
   EXPECT_EQ(sites_out.position, fresh->position) << what;
   EXPECT_EQ(names_out.position, fresh->position) << what;
+  EXPECT_EQ(sites_out.aligned, fresh->aligned) << what;
+  EXPECT_EQ(names_out.aligned, fresh->aligned) << what;
   EXPECT_EQ(sites_out.trace, fresh->trace) << what;
   EXPECT_EQ(names_out.trace, fresh->trace) << what;
   return true;

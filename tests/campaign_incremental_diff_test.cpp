@@ -3,7 +3,10 @@
 // from the nearest checkpoint at or before the mutation site and replays
 // only the suffix must be byte-for-byte identical to the full-replay
 // engine — for every backend, at every thread count, at every checkpoint
-// stride, under every cache/batch/plan/scratch knob.  Plus lockdowns of the
+// stride, under every cache/batch/plan/scratch knob.  The same grid covers
+// the oracle, resumed from its own ladder (stride/4, at least 1) and
+// stopped where a mutant's walk rejoins the valid trace's: reconverged ≡
+// full walk.  Plus lockdowns of the
 // accounting: the checkpoint_hits / events_skipped diagnostics are a pure
 // function of the campaign parameters (never of scheduling), the ladder
 // actually fires on checkpoint-friendly shapes, and configurations without
@@ -75,7 +78,9 @@ TEST_P(CampaignIncrementalDiff, IncrementalEqualsFullReplayByteForByte) {
       {true, true, true, false},    // no scratch arenas (fresh hosts)
       {false, true, true, true},    // legacy translate-per-unit baseline
   };
-  const std::size_t strides[] = {1, 3, 32, 1000000};
+  // Stride 8 derives an oracle ladder of stride 2, beside 1 (from 1 and
+  // 3) and 8 (from 32): the oracle rungs are four times finer.
+  const std::size_t strides[] = {1, 3, 8, 32, 1000000};
   for (const mon::Backend backend : kBackends) {
     for (const Knobs& knobs : knob_grid) {
       const CampaignRun full = run_with(GetParam(), backend,

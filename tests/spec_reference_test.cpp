@@ -266,10 +266,14 @@ TEST(TimedRefDetails, DeadlineAtEndOfObservation) {
 // --- Resume ≡ full walk (the oracle checkpoint ladder) ---------------------
 //
 // record_reference_ladder walks a trace once, saving the oracle's state
-// every `stride` events; resume_reference_check restarts from such a rung
-// over any trace sharing the rung's prefix.  Fuzzed at every cut: for each
-// rung, the recorded trace itself and random edits of its suffix must get
-// exactly reference_check's verdict, error index and reason.
+// every `stride` events; resume_reference_check restarts after any number
+// of rungs (0: the initial state) over any trace sharing that prefix, and
+// stops early where the walk rejoins the recorded one past the edit's
+// aligned index.  Fuzzed at every cut: for each floor, the recorded trace
+// itself and random edits of its suffix must get exactly reference_check's
+// verdict, error index and reason — and the reconvergence shortcut must
+// actually fire, which `walked` proves: a walk that rejoined stepped fewer
+// events than the same resume told nothing about the edit.
 
 void expect_same(const RefResult& resumed, const RefResult& full,
                  const std::string& what) {
@@ -278,36 +282,48 @@ void expect_same(const RefResult& resumed, const RefResult& full,
   EXPECT_EQ(resumed.reason, full.reason) << what;
 }
 
+// A trace edited at or after some index, and the index from which it is
+// the original again, re-indexed by the size change and re-timed by the
+// end-time change (the reconvergence contract of resume_reference_check).
+struct Edited {
+  Trace trace;
+  std::size_t aligned = 0;
+};
+
 // One random edit at or after `from`: drop, duplicate (1 ps later), insert
 // a random name, or delay every later event (a stall) — the same shapes the
 // campaign's mutators produce, including suffix time shifts.
-Trace edit_suffix(const Trace& t, std::size_t from,
-                  const std::vector<Name>& names, support::Rng& rng) {
-  Trace out = t;
+Edited edit_suffix(const Trace& t, std::size_t from,
+                   const std::vector<Name>& names, support::Rng& rng) {
+  Edited out{t, 0};
+  Trace& e = out.trace;
   const std::size_t at = from + rng.below(t.size() - from + 1);
+  out.aligned = at;  // right for a drop, a stall, and every no-op
   switch (rng.below(4)) {
     case 0:
-      if (at < out.size()) out.erase(out.begin() + static_cast<long>(at));
+      if (at < e.size()) e.erase(e.begin() + static_cast<long>(at));
       break;
     case 1:
-      if (at > 0 && at <= out.size()) {
-        TimedEvent copy = out[at - 1];
+      if (at > 0 && at <= e.size()) {
+        TimedEvent copy = e[at - 1];
         copy.time = copy.time + sim::Time::ps(1);
-        out.insert(out.begin() + static_cast<long>(at), copy);
+        e.insert(e.begin() + static_cast<long>(at), copy);
+        out.aligned = at + 1;
       }
       break;
     case 2: {
-      const sim::Time time = at < out.size() ? out[at].time
-                             : out.empty()   ? sim::Time::ns(1)
-                                             : out.back().time;
-      out.insert(out.begin() + static_cast<long>(at),
-                 {names[rng.below(names.size())], time});
+      const sim::Time time = at < e.size() ? e[at].time
+                             : e.empty()   ? sim::Time::ns(1)
+                                           : e.back().time;
+      e.insert(e.begin() + static_cast<long>(at),
+               {names[rng.below(names.size())], time});
+      out.aligned = at + 1;
       break;
     }
     default: {
       const sim::Time delay = sim::Time::ns(rng.between(1, 20000));
-      for (std::size_t i = at; i < out.size(); ++i) {
-        out[i].time = out[i].time + delay;
+      for (std::size_t i = at; i < e.size(); ++i) {
+        e[i].time = e[i].time + delay;
       }
       break;
     }
@@ -320,7 +336,28 @@ struct ResumeTally {
   std::size_t decided_rejected = 0;  // rungs after a prefix rejection
   std::size_t decided_accepted = 0;  // rungs after a non-repeated accept
   std::size_t armed = 0;             // rungs while a deadline is running
+  std::size_t rejoined = 0;          // edits whose walk stopped early
 };
+
+// Resumes `trace` after `floor` rungs twice — told its aligned index, and
+// told nothing (aligned = its size) — and checks both against the full
+// walk; true when the told walk rejoined, stepping fewer events.
+bool expect_resume(const Property& p, const OrderingPlan& plan,
+                   const RefLadder& ladder, std::size_t floor,
+                   const Trace& trace, std::size_t aligned, sim::Time end,
+                   const std::string& what) {
+  const RefResult full = reference_check(p, plan, trace, end);
+  std::size_t walked = 0, walked_untold = 0;
+  expect_same(resume_reference_check(p, plan, ladder, floor, trace, end,
+                                     aligned, &walked),
+              full, what);
+  expect_same(resume_reference_check(p, plan, ladder, floor, trace, end,
+                                     trace.size(), &walked_untold),
+              full, what + " (untold)");
+  EXPECT_LE(walked, walked_untold) << what;
+  EXPECT_LE(floor * ladder.stride + walked_untold, trace.size()) << what;
+  return walked < walked_untold;
+}
 
 void check_every_cut(const Property& p, const OrderingPlan& plan,
                      const Trace& trace, std::size_t stride,
@@ -334,28 +371,35 @@ void check_every_cut(const Property& p, const OrderingPlan& plan,
     expect_same(ladder.full, reference_check(p, plan, trace, end), "full");
     ASSERT_EQ(ladder.rungs.size(), trace.size() / stride);
     ASSERT_EQ(ladder.counts.size(), ladder.rungs.size() * ladder.ranges);
-    for (std::size_t k = 0; k < ladder.rungs.size(); ++k) {
-      const RefRung& rung = ladder.rungs[k];
-      ++tally.rungs;
-      if (rung.decided) {
-        ++(ladder.full.rejected() ? tally.decided_rejected
-                                  : tally.decided_accepted);
+    ASSERT_EQ(ladder.size, trace.size());
+    ASSERT_EQ(ladder.end_time, end);
+    for (std::size_t floor = 0; floor <= ladder.rungs.size(); ++floor) {
+      if (floor > 0) {
+        const RefRung& rung = ladder.rungs[floor - 1];
+        ++tally.rungs;
+        if (rung.decided) {
+          ++(ladder.full.rejected() ? tally.decided_rejected
+                                    : tally.decided_accepted);
+        }
+        if (rung.armed && !rung.q_done) ++tally.armed;
       }
-      if (rung.armed && !rung.q_done) ++tally.armed;
       const std::string what = "stride " + std::to_string(stride) +
-                               " rung " + std::to_string(k) + " of " +
+                               " floor " + std::to_string(floor) + " of " +
                                std::to_string(trace.size()) + " events";
-      expect_same(resume_reference_check(p, plan, ladder, k, trace, end),
-                  ladder.full, what + " (recorded trace)");
-      const std::size_t cut = (k + 1) * stride;
+      // The recorded trace is aligned with itself from event 0.
+      expect_resume(p, plan, ladder, floor, trace, 0, end,
+                    what + " (recorded trace)");
+      const std::size_t cut = floor * stride;
       for (int e = 0; e < 3; ++e) {
-        const Trace variant = edit_suffix(trace, cut, names, rng);
-        const sim::Time vend =
-            (variant.empty() ? sim::Time::zero() : variant.back().time) +
-            slack;
-        expect_same(resume_reference_check(p, plan, ladder, k, variant, vend),
-                    reference_check(p, plan, variant, vend),
-                    what + " (edited suffix)");
+        const Edited variant = edit_suffix(trace, cut, names, rng);
+        const sim::Time vend = (variant.trace.empty()
+                                    ? sim::Time::zero()
+                                    : variant.trace.back().time) +
+                               slack;
+        if (expect_resume(p, plan, ladder, floor, variant.trace,
+                          variant.aligned, vend, what + " (edited suffix)")) {
+          ++tally.rejoined;
+        }
       }
     }
   }
@@ -390,13 +434,14 @@ TEST_P(ReferenceResume, EqualsTheFullWalkAtEveryCut) {
     const Trace valid = abv::generate_valid(p, ab, gen, sopt);
     // A valid trace, plus an edited one that usually rejects somewhere in
     // its prefix — so later rungs are recorded after a decided walk.
-    const Trace edited = edit_suffix(valid, 0, names, rng);
+    const Trace edited = edit_suffix(valid, 0, names, rng).trace;
     for (const std::size_t stride : {1, 3, 32}) {
       check_every_cut(p, plan, valid, stride, names, rng, tally);
       check_every_cut(p, plan, edited, stride, names, rng, tally);
     }
   }
   EXPECT_GT(tally.rungs, 0u);
+  EXPECT_GT(tally.rejoined, 0u) << "no edited walk rejoined the recorded one";
   EXPECT_GT(tally.decided_rejected, 0u) << "no rung after a prefix rejection";
   if (p.is_timed()) {
     EXPECT_GT(tally.armed, 0u) << "no rung while a deadline was running";
@@ -414,7 +459,114 @@ INSTANTIATE_TEST_SUITE_P(
         "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
         "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, false)",
         "(a => b[2,4], 100ns)", "(p[2,3] => q[1,4] < r, 10us)",
+        "(a => b[1,3], 15ns)",
         "(start => read_img[2,5] < set_irq, 1us)"));
+
+// Hand-built edges of the reconvergence shortcut, each resumed from every
+// floor and compared with the full walk.  An edit is a mutant plus its
+// aligned index (the reconvergence contract), so edits need not come from
+// a mutator.
+struct EdgeCase {
+  const char* property;
+  const char* valid;   // timed_trace entries: name@ns
+  const char* mutant;
+  std::size_t aligned;
+};
+
+class ReferenceReconverge : public ::testing::TestWithParam<EdgeCase> {};
+
+TEST_P(ReferenceReconverge, EdgeEqualsTheFullWalkFromEveryFloor) {
+  const EdgeCase& c = GetParam();
+  Alphabet ab;
+  support::DiagnosticSink sink;
+  auto parsed = parse_property(c.property, ab, sink);
+  ASSERT_TRUE(parsed.has_value()) << sink.to_string();
+  const Property& p = *parsed;
+  const OrderingPlan plan = p.is_antecedent() ? plan_antecedent(p.antecedent())
+                                              : plan_timed(p.timed());
+  const Trace valid = timed_trace(c.valid, ab);
+  const Trace mutant = timed_trace(c.mutant, ab);
+  const auto end_of = [](const Trace& t) {
+    return t.empty() ? sim::Time::zero() : t.back().time;
+  };
+  for (const sim::Time slack : {sim::Time::zero(), sim::Time::us(1)}) {
+    for (const std::size_t stride : {1, 2, 3}) {
+      const RefLadder ladder = record_reference_ladder(
+          p, plan, valid, end_of(valid) + slack, stride);
+      for (std::size_t floor = 0; floor <= ladder.rungs.size(); ++floor) {
+        if (floor * stride > mutant.size()) break;
+        bool shared = true;  // the resume contract: a shared prefix
+        for (std::size_t i = 0; i < floor * stride; ++i) {
+          shared = shared && i < valid.size() && valid[i] == mutant[i];
+        }
+        if (!shared) break;
+        expect_resume(p, plan, ladder, floor, mutant, c.aligned,
+                      end_of(mutant) + slack,
+                      std::string(c.mutant) + " stride " +
+                          std::to_string(stride) + " floor " +
+                          std::to_string(floor));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Edges, ReferenceReconverge,
+    ::testing::Values(
+        // A stall of the last event (τ = 31 ns, empty suffix): the arming
+        // event moves, so the final state matches modulo τ.
+        EdgeCase{"(a => b[1,3], 15ns)", "a@10 b@20 a@40", "a@10 b@20 a@71", 2},
+        // ... and with the obligation running, it cannot match.
+        EdgeCase{"(a => b[1,3], 15ns)", "a@10 b@20 a@40 b@45",
+                 "a@10 b@20 a@40 b@76", 3},
+        // A drop of a trailing event (δ = −1, τ = 0, empty suffix), whose
+        // deadline verdict moves its error index by δ.
+        EdgeCase{"(a => b[1,3], 15ns)", "a@10 b@20 a@40 z@40",
+                 "a@10 b@20 a@40", 3},
+        // A drop of the only event: the mutant is empty.
+        EdgeCase{"(a => b[1,3], 15ns)", "z@10", "", 0},
+        EdgeCase{"(a => b[1,3], 15ns)", "a@10", "", 0},
+        // Empty recorded trace: no rungs, only floor 0.
+        EdgeCase{"(n << i, true)", "", "", 0},
+        EdgeCase{"(n << i, true)", "", "n@10", 1},
+        // Decided rungs: an accepted non-repeated round, then a rejection
+        // in the recorded prefix; the edit lands before and after them.
+        EdgeCase{"(n << i, false)", "n@10 i@20 n@30 i@40",
+                 "n@10 z@15 i@20 n@30 i@40", 2},
+        EdgeCase{"(n << i, false)", "n@10 i@20 n@30 i@40",
+                 "n@10 i@20 n@30 n@31 i@40", 4},
+        EdgeCase{"(a => b[1,3], 15ns)", "a@10 b@40 a@50 b@55",
+                 "a@10 b@40 a@50 b@86", 3},
+        EdgeCase{"(a => b[1,3], 15ns)", "a@10 b@40 a@50 b@55",
+                 "a@10 z@11 b@40 a@50 b@55", 2},
+        // A mid-trace stall between rounds: every later register moves by
+        // τ, so the walk rejoins modulo τ at the next cut.
+        EdgeCase{"(a => b[1,3], 15ns)", "a@10 b@20 a@40 b@50 a@70 b@80",
+                 "a@10 b@20 a@71 b@81 a@101 b@111", 2}),
+    [](const ::testing::TestParamInfo<EdgeCase>& info) {
+      return "edge" + std::to_string(info.index);
+    });
+
+TEST(ReferenceReconvergeDetails, StallBetweenRoundsRejoinsAtTheNextCut) {
+  // The shortcut fires modulo τ: after the stall, the mutant's walk state
+  // is the recorded one 31 ns later, so it stops at the first cut past
+  // the edit instead of stepping the rest of the trace.
+  Alphabet ab;
+  support::DiagnosticSink sink;
+  auto p = parse_property("(a => b[1,3], 15ns)", ab, sink);
+  ASSERT_TRUE(p.has_value());
+  const OrderingPlan plan = plan_timed(p->timed());
+  const Trace valid = timed_trace("a@10 b@20 a@40 b@50 a@70 b@80", ab);
+  const Trace mutant = timed_trace("a@10 b@20 a@71 b@81 a@101 b@111", ab);
+  const RefLadder ladder =
+      record_reference_ladder(*p, plan, valid, valid.back().time, 1);
+  std::size_t walked = 0;
+  expect_same(resume_reference_check(*p, plan, ladder, 2, mutant,
+                                     mutant.back().time, 2, &walked),
+              reference_check(*p, plan, mutant, mutant.back().time),
+              "stall");
+  EXPECT_EQ(walked, 1u) << "the walk did not rejoin at the first cut";
+}
 
 TEST(ReferenceResumeDetails, ShortTraceRecordsOnlyTheVerdict) {
   Alphabet ab;
