@@ -10,7 +10,8 @@
 //
 // `stride` is the checkpoint spacing of the incremental (suffix-only)
 // mutant replay, so the threads sweep exercises the checkpointed path at
-// any granularity (the default engine setting is 32).
+// any granularity (absent: the engine default,
+// abv::CampaignOptions{}.checkpoint_stride).
 //
 // With --benchmark_format=json (the google-benchmark spelling, shared via
 // bench/bench_json.hpp) the human table goes to stderr and stdout carries
@@ -126,7 +127,8 @@ int main(int argc, char** argv) {
     return usage_error("bad backend '%s' (want auto, drct, viapsl or vm)\n",
                        pos_argv[3], argv[0]);
   }
-  const auto stride = support::parse_count(pos_argc, pos_argv, 4, 32);
+  const auto stride = support::parse_count(
+      pos_argc, pos_argv, 4, loom::abv::CampaignOptions{}.checkpoint_stride);
   if (!stride) {
     return usage_error("bad stride '%s' (want a positive count)\n", pos_argv[4],
                        argv[0]);

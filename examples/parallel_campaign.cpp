@@ -33,8 +33,9 @@ constexpr const char* kUsage =
     "  --incremental=on|off checkpointed suffix-only mutant replay\n"
     "                       (default on; result-neutral — the runs stay\n"
     "                       bit-identical either way)\n"
-    "  --checkpoint-stride=N  events between checkpoint snapshots on each\n"
-    "                       valid trace (default 32, N >= 1)\n"
+    "  --checkpoint-stride=N  events between checkpoints on each valid\n"
+    "                       trace (default: the engine's, see\n"
+    "                       abv::CampaignOptions; N >= 1)\n"
     "  --lanes=N            mutant-wave width for the lane-batched VM replay\n"
     "                       (default 8, or 1 with the drct or viapsl\n"
     "                       backend; N >= 1; 1 = the scalar per-mutant\n"
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
   }
   // Flags may appear anywhere; positionals keep their order.
   bool incremental = true;
-  std::size_t checkpoint_stride = 32;
+  std::size_t checkpoint_stride = abv::CampaignOptions{}.checkpoint_stride;
   std::optional<std::size_t> lanes;  // absent: 8, or 1 for drct/viapsl
   std::size_t workers = 0;
   std::size_t worker_timeout_ms = 0;

@@ -10,8 +10,8 @@
 #include <optional>
 #include <thread>
 
+#include "mon/checkpoint_ladder.hpp"
 #include "mon/monitors.hpp"
-#include "mon/snapshot.hpp"
 #include "mon/vm.hpp"
 #include "psl/clause_monitor.hpp"
 #include "sim/scheduler.hpp"
@@ -56,8 +56,10 @@ struct CampaignJob {
 
 // One per-seed cache entry: the valid trace plus — when incremental replay
 // is on — the checkpoint ladders recorded while a recorder monitor and the
-// reference oracle each walk that trace exactly once.  checkpoints[k] is
-// the monitor state after the first (k+1)*stride events; the oracle's
+// reference oracle each walk that trace exactly once.  Rung k of
+// `checkpoints` is the monitor state after the first (k+1)*stride events —
+// compact VM rungs in one slab for a Vm monitor, mon::Snapshot rungs for
+// any other (mon/checkpoint_ladder.hpp); the oracle's
 // ladder is four times finer (oracle.stride = max(1, stride/4)), because
 // its rungs are small and both its resume point and its reconvergence
 // point sit closer to the edit.  A mutant whose divergence position p
@@ -69,7 +71,7 @@ struct CampaignJob {
 // unit's lookup builds them.
 struct CachedSeedTrace {
   spec::Trace trace;
-  std::vector<mon::Snapshot> checkpoints;
+  mon::CheckpointLadder checkpoints;
   spec::RefLadder oracle;
   std::size_t stride = 0;  // 0: no ladder (incremental off or stride 0)
 };
@@ -174,7 +176,6 @@ struct UnitScratch {
   std::unique_ptr<mon::VmLaneBatch> lane_batch;
   std::vector<const spec::Trace*> lane_traces;
   std::vector<std::size_t> lane_starts;
-  std::vector<const mon::Snapshot*> lane_rungs;
 
   /// Drops every pooled instance; buffers keep their capacity.  Also the
   /// end-of-shard cleanup, so nothing borrowed (monitor, alphabet) can
@@ -194,10 +195,11 @@ namespace {
 // the first draw of a shard stamps from the shared plan, every later draw
 // resets the existing instance (reset ≡ fresh, mon_reset_reuse_test) —
 // valid units and mutation units alike.  `skip_reset` elides the physical
-// reset when the caller is about to restore() a checkpoint over the whole
-// state anyway (restore overwrites every field a reset touches, and the
-// snapshot fuzz covers restoring into a dirty instance); the reuse
-// accounting still counts the logical draw either way.
+// reset when the caller is about to restore a checkpoint rung over the
+// whole state anyway (a Snapshot restore and a compact-rung load both
+// overwrite every field a reset touches; mon_snapshot_test and MonVmRung
+// cover restoring into a dirty instance); the reuse accounting still
+// counts the logical draw either way.
 mon::Monitor& draw_pooled(std::unique_ptr<mon::Monitor>& slot,
                           const CampaignJob& job, const CampaignOptions& options,
                           const spec::Alphabet& ab, mon::Backend backend,
@@ -242,7 +244,7 @@ bool incremental_enabled(const CampaignOptions& options) {
 // Records the checkpoint ladders for one cached seed trace: the reference
 // oracle walks the valid trace once, saving its state after every
 // stride/4 events (at least 1), and a recorder monitor from the worker's
-// scratch (reset ≡ fresh) observes it once, snapshotting after every
+// scratch (reset ≡ fresh) observes it once, keeping a rung after every
 // `stride` events.  The pass is engine overhead of the cache-entry build
 // (like generation itself): its instance and Figure-6 stats are
 // deliberately not accounted anywhere, so the ladder knob cannot move a
@@ -254,24 +256,13 @@ void build_checkpoint_ladder(const CampaignJob& job,
   entry.oracle = spec::record_reference_ladder(
       *job.property, job.plan->compiled.plan(), entry.trace,
       end_of(entry.trace), std::max<std::size_t>(1, entry.stride / 4));
-  const std::size_t rungs = entry.trace.size() / entry.stride;
-  if (rungs == 0) return;
-  entry.checkpoints.resize(rungs);
+  if (entry.trace.size() < entry.stride) return;  // no full stride, no rung
   if (scratch.ladder == nullptr) {
     scratch.ladder = job.plan->compiled.instantiate();
   } else {
     scratch.ladder->reset();
   }
-  mon::Monitor* const monitor = scratch.ladder.get();
-  const spec::TimedEvent* const events = entry.trace.data();
-  for (std::size_t k = 0; k < rungs; ++k) {
-    monitor->observe_batch(events + k * entry.stride,
-                           events + (k + 1) * entry.stride);
-    // One monitor's rungs share a shape: sizing each buffer after the
-    // previous rung lets the snapshot write without regrowing.
-    if (k > 0) entry.checkpoints[k].reserve_like(entry.checkpoints[k - 1]);
-    monitor->snapshot(entry.checkpoints[k]);
-  }  // the tail past the last full stride has no rung
+  entry.checkpoints.record(*scratch.ladder, entry.trace, entry.stride);
 }
 
 // Hands out the seed's valid trace: from the shared cache when trace reuse
@@ -295,6 +286,9 @@ SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
       [&] {
         CachedSeedTrace fresh;
         fresh.trace = seed_trace(job, ab, options, s);
+        // The entry lives as long as the campaign: drop the generator's
+        // growth slack, about a third of the trace's capacity.
+        fresh.trace.shrink_to_fit();
         if (incremental_enabled(options)) {
           build_checkpoint_ladder(job, options, scratch, fresh);
         }
@@ -316,7 +310,7 @@ SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
 // the monitor state is exactly what the ladder recorded.
 std::size_t floor_rungs(const CachedSeedTrace* ladder, std::size_t position) {
   if (ladder == nullptr) return 0;
-  return std::min(position / ladder->stride, ladder->checkpoints.size());
+  return std::min(position / ladder->stride, ladder->checkpoints.count());
 }
 
 // The reference oracle for one unit.  A mutant of a seed with a ladder
@@ -443,9 +437,9 @@ void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
 // tentpole of CampaignOptions::lane_width): mutants are mutated into
 // per-lane scratch slots until the wave holds lane_width reference-rejected
 // mutants (or the unit runs out), each lane is restored from its own
-// checkpoint-ladder floor rung — the same mon::Snapshot rungs the scalar
-// path restores, written by a pooled VmMonitor and read back into a batch
-// lane, which the shared snapshot format makes exact — and the whole wave
+// checkpoint-ladder floor rung — the same compact rungs the scalar path
+// restores, written by a pooled VmMonitor and loaded into a batch lane,
+// which the shared frame layout makes exact — and the whole wave
 // advances through VmLaneBatch's block-lockstep with per-lane
 // suffix starts.  Verdicts, kill accounting and MonitorStats then merge
 // per lane in buffering order, which is exactly the scalar mutant order.
@@ -479,7 +473,6 @@ void run_mutation_wave(const CampaignJob& job, spec::Alphabet& ab,
   mon::VmLaneBatch& batch = *scratch.lane_batch;
   scratch.lane_traces.clear();
   scratch.lane_starts.clear();
-  scratch.lane_rungs.clear();
 
   const auto flush = [&] {
     const std::size_t wave = scratch.lane_traces.size();
@@ -496,11 +489,14 @@ void run_mutation_wave(const CampaignJob& job, spec::Alphabet& ab,
       // the slot resets or restores it first, like every unit does.
       draw_pooled(scratch.monitor, job, options, ab, mon::Backend::Auto, out,
                   /*skip_reset=*/true);
-      const mon::Snapshot* rung = scratch.lane_rungs[lane];
-      if (rung != nullptr) {
-        batch.restore(lane, *rung);
+      // A lane starts past event 0 exactly when it has a floor rung, and
+      // starts at that rung's cut.
+      const std::size_t start = scratch.lane_starts[lane];
+      if (start > 0) {
+        ladder->checkpoints.restore_into(start / ladder->stride - 1, batch,
+                                         lane);
         ++out.partial.checkpoint_hits;
-        out.partial.events_skipped += scratch.lane_starts[lane];
+        out.partial.events_skipped += start;
       } else {
         batch.reset(lane);
       }
@@ -517,7 +513,6 @@ void run_mutation_wave(const CampaignJob& job, spec::Alphabet& ab,
     }
     scratch.lane_traces.clear();
     scratch.lane_starts.clear();
-    scratch.lane_rungs.clear();
   };
 
   for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
@@ -533,12 +528,9 @@ void run_mutation_wave(const CampaignJob& job, spec::Alphabet& ab,
     const std::size_t rungs = floor_rungs(ladder, mutant.position);
     ++stats.invalid;
     const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
-    const mon::Snapshot* rung =
-        rungs > 0 ? &ladder->checkpoints[rungs - 1] : nullptr;
     LOOM_DASSERT(replay_begin <= mutant.trace.size());
     scratch.lane_traces.push_back(&mutant.trace);
     scratch.lane_starts.push_back(replay_begin);
-    scratch.lane_rungs.push_back(rung);
     if (scratch.lane_traces.size() == width) flush();
   }
   flush();  // the unit's final, usually partial, wave
@@ -615,26 +607,24 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
     const std::size_t rungs = floor_rungs(ladder, mutant->position);
     ++stats.invalid;
     const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
-    const mon::Snapshot* rung =
-        rungs > 0 ? &ladder->checkpoints[rungs - 1] : nullptr;
     mon::Monitor* mmon = nullptr;
     if (pooled) {
       mmon = &draw_pooled(scratch.monitor, job, options, ab,
                           mon::Backend::Auto, out,
-                          /*skip_reset=*/rung != nullptr);
+                          /*skip_reset=*/rungs > 0);
     } else if (fresh == nullptr || !options.use_compiled_plans) {
       fresh = stamp_monitor(job, options, ab, out);
       mmon = fresh.get();
     } else {
-      if (rung == nullptr) fresh->reset();
+      if (rungs == 0) fresh->reset();
       ++out.partial.compile_stats.instance_reuses;
       mmon = fresh.get();
     }
     // The restored state already carries the prefix's stats, verdict and
     // timing registers, so replaying only [floor, end) produces bytes that
     // match a full replay exactly (campaign_incremental_diff_test).
-    if (rung != nullptr) {
-      mmon->restore(*rung);
+    if (rungs > 0) {
+      ladder->checkpoints.restore_into(rungs - 1, *mmon);
       LOOM_DASSERT(replay_begin <= mutant->trace.size());
       ++out.partial.checkpoint_hits;
       out.partial.events_skipped += replay_begin;

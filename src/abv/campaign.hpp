@@ -127,9 +127,11 @@ struct CampaignOptions {
 
   /// Replay each mutant from the nearest checkpoint at or before its
   /// mutation site instead of from event 0.  While the per-seed cache
-  /// entry is built, the engine records monitor-state snapshots
-  /// (mon::Snapshot) every `checkpoint_stride` events of the valid trace;
-  /// a mutant whose MutationResult::position proves a shared prefix then
+  /// entry is built, the engine records the monitor's state every
+  /// `checkpoint_stride` events of the valid trace — compact rungs in one
+  /// slab per seed for a Vm monitor (mon::vm_save_rung), a mon::Snapshot
+  /// per rung for Drct and ViaPSL (mon/checkpoint_ladder.hpp); a mutant
+  /// whose MutationResult::position proves a shared prefix then
   /// restores the floor checkpoint and batch-replays only [floor, end) —
   /// O(suffix) instead of O(trace) per mutant.  Requires reuse_traces (the
   /// ladder lives next to the cached trace); with the cache off the engine
@@ -138,15 +140,18 @@ struct CampaignOptions {
   /// incremental byte-for-byte equal to full replay at any thread count,
   /// backend, stride and knob combination.
   bool incremental_replay = true;
-  /// Events between checkpoint snapshots on the valid trace (the ladder's
-  /// rung spacing): smaller strides skip more prefix per mutant but store
-  /// more snapshots per seed.  It also sets the reference oracle's ladder,
+  /// Events between checkpoints on the valid trace (the ladder's rung
+  /// spacing): smaller strides skip more prefix per mutant but store more
+  /// rungs per seed.  The default 8 is affordable because a Vm rung is a
+  /// fixed-size copy of the frame (80–128 B on the bundled properties);
+  /// with Snapshot rungs it would cost about 30% more peak memory on
+  /// seed-heavy campaigns.  It also sets the reference oracle's ladder,
   /// recorded four times finer (every max(1, checkpoint_stride / 4)
-  /// events; an oracle rung is a few dozen bytes), from which each
-  /// mutant's oracle check resumes and where it stops once its walk
-  /// rejoins the valid trace's.  0 disables both ladders (full replay and
-  /// full oracle walks).
-  std::size_t checkpoint_stride = 32;
+  /// events — every 2 at the default; an oracle rung is a few dozen
+  /// bytes), from which each mutant's oracle check resumes and where it
+  /// stops once its walk rejoins the valid trace's.  0 disables both
+  /// ladders (full replay and full oracle walks).
+  std::size_t checkpoint_stride = 8;
 
   /// Cross-process sharding: 0 runs every shard in this process (threads
   /// decide the parallelism as before); N > 0 spawns N worker subprocesses

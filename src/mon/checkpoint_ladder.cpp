@@ -1,0 +1,59 @@
+#include "mon/checkpoint_ladder.hpp"
+
+#include "mon/vm.hpp"
+#include "support/diagnostics.hpp"
+
+namespace loom::mon {
+
+void CheckpointLadder::record(Monitor& recorder, const spec::Trace& trace,
+                              std::size_t stride) {
+  LOOM_DASSERT(stride > 0);
+  const std::size_t rungs = trace.size() / stride;
+  const spec::TimedEvent* const events = trace.data();
+  count_ = 0;
+  slab_.clear();
+  snapshots_.clear();
+  if (auto* vm = dynamic_cast<VmMonitor*>(&recorder)) {
+    rung_words_ = vm_rung_words(vm->program());
+    slab_.resize(rungs * rung_words_);
+    for (std::size_t k = 0; k < rungs; ++k) {
+      vm->observe_batch(events + k * stride, events + (k + 1) * stride);
+      if (!vm->save_rung(slab_.data() + k * rung_words_)) break;
+      ++count_;
+    }
+    slab_.resize(count_ * rung_words_);
+    return;
+  }
+  rung_words_ = 0;
+  snapshots_.resize(rungs);
+  for (std::size_t k = 0; k < rungs; ++k) {
+    recorder.observe_batch(events + k * stride, events + (k + 1) * stride);
+    // One monitor's rungs share a shape: sizing each buffer after the
+    // previous rung lets the snapshot write without regrowing.
+    if (k > 0) snapshots_[k].reserve_like(snapshots_[k - 1]);
+    recorder.snapshot(snapshots_[k]);
+  }
+  count_ = rungs;
+}
+
+void CheckpointLadder::restore_into(std::size_t k, Monitor& monitor) const {
+  LOOM_DASSERT(k < count_);
+  if (compact()) {
+    LOOM_DASSERT(dynamic_cast<VmMonitor*>(&monitor) != nullptr);
+    static_cast<VmMonitor&>(monitor).load_rung(slab_.data() + k * rung_words_);
+  } else {
+    monitor.restore(snapshots_[k]);
+  }
+}
+
+void CheckpointLadder::restore_into(std::size_t k, VmLaneBatch& batch,
+                                    std::size_t lane) const {
+  LOOM_DASSERT(k < count_);
+  if (compact()) {
+    batch.load_rung(lane, slab_.data() + k * rung_words_);
+  } else {
+    batch.restore(lane, snapshots_[k]);
+  }
+}
+
+}  // namespace loom::mon

@@ -1,6 +1,7 @@
 #include "mon/vm.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "mon/snapshot.hpp"
@@ -642,6 +643,89 @@ void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
   *f.validated_or_rounds = r.u64();
   *f.ordinal = r.u64();
   LOOM_DASSERT(r.exhausted());  // format drift: snapshot wrote more fields
+}
+
+namespace {
+
+constexpr std::size_t kRungHeaderWords = 8;
+
+std::size_t rung_packed_bytes(const VmProgram& p) {
+  return std::size_t{5} * p.range_total + std::size_t{2} * p.frag_count;
+}
+
+}  // namespace
+
+std::size_t vm_rung_words(const VmProgram& p) {
+  return kRungHeaderWords + p.frag_count + (rung_packed_bytes(p) + 7) / 8;
+}
+
+bool vm_save_rung(const VmProgram& p, const VmFrameRef& f,
+                  std::uint64_t* out) {
+  if (f.violation->has_value()) return false;
+  for (std::uint32_t r = 0; r < p.range_total; ++r) {
+    if (!f.range_reason[r].empty()) return false;
+  }
+  out[0] = f.stats->ops;
+  out[1] = f.stats->events;
+  out[2] = f.stats->max_ops_per_event;
+  out[3] = f.t_start->picoseconds();
+  out[4] = f.t_stop->picoseconds();
+  out[5] = *f.validated_or_rounds;
+  out[6] = *f.ordinal;
+  out[7] = std::uint64_t{*f.active} |
+           std::uint64_t{static_cast<std::uint8_t>(*f.verdict)} << 32 |
+           std::uint64_t{*f.armed} << 40 | std::uint64_t{*f.q_done} << 48;
+  std::uint64_t* const times = out + kRungHeaderWords;
+  for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
+    times[frag] = f.frag_min_time[frag].picoseconds();
+  }
+  std::uint64_t* const packed = times + p.frag_count;
+  // Zero the tail word first so the padding bytes past the packed arrays
+  // are deterministic: two saves of the same state write the same words.
+  if (rung_packed_bytes(p) % 8 != 0) packed[rung_packed_bytes(p) / 8] = 0;
+  auto* bytes = reinterpret_cast<unsigned char*>(packed);
+  std::memcpy(bytes, f.range_cpt, std::size_t{4} * p.range_total);
+  bytes += std::size_t{4} * p.range_total;
+  std::memcpy(bytes, f.range_state, p.range_total);
+  bytes += p.range_total;
+  std::memcpy(bytes, f.frag_min_complete, p.frag_count);
+  bytes += p.frag_count;
+  std::memcpy(bytes, f.frag_in_progress, p.frag_count);
+  return true;
+}
+
+void vm_load_rung(const VmProgram& p, const VmFrameRef& f,
+                  const std::uint64_t* in) {
+  f.stats->ops = in[0];
+  f.stats->events = in[1];
+  f.stats->max_ops_per_event = in[2];
+  *f.t_start = sim::Time::ps(in[3]);
+  *f.t_stop = sim::Time::ps(in[4]);
+  *f.validated_or_rounds = in[5];
+  *f.ordinal = in[6];
+  *f.active = static_cast<std::uint32_t>(in[7]);
+  *f.verdict = static_cast<Verdict>(static_cast<std::uint8_t>(in[7] >> 32));
+  *f.armed = static_cast<std::uint8_t>(in[7] >> 40);
+  *f.q_done = static_cast<std::uint8_t>(in[7] >> 48);
+  // A rung never holds a violation or a reason (vm_save_rung refuses
+  // those), so whatever the frame carried before is cleared here.
+  f.violation->reset();
+  for (std::uint32_t r = 0; r < p.range_total; ++r) {
+    if (!f.range_reason[r].empty()) f.range_reason[r].clear();
+  }
+  const std::uint64_t* const times = in + kRungHeaderWords;
+  for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
+    f.frag_min_time[frag] = sim::Time::ps(times[frag]);
+  }
+  const auto* bytes =
+      reinterpret_cast<const unsigned char*>(times + p.frag_count);
+  std::memcpy(f.range_cpt, bytes, std::size_t{4} * p.range_total);
+  bytes += std::size_t{4} * p.range_total;
+  std::memcpy(f.range_state, bytes, p.range_total);
+  bytes += p.range_total;
+  std::memcpy(f.frag_min_complete, bytes, p.frag_count);
+  bytes += p.frag_count;
+  std::memcpy(f.frag_in_progress, bytes, p.frag_count);
 }
 
 void VmMonitor::snapshot(Snapshot& out) const {

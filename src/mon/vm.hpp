@@ -77,13 +77,36 @@ void vm_finish(const VmProgram& p, const VmFrameRef& f, sim::Time end_time);
 void vm_poll(const VmProgram& p, const VmFrameRef& f, sim::Time now);
 /// Serializes / restores one frame's complete mutable state through
 /// mon::Snapshot — the same format (tag word, shape guard, field order)
-/// whether the frame is a VmMonitor's own or one lane of a VmLaneBatch,
-/// which is what lets a campaign restore a checkpoint-ladder rung (written
-/// by a pooled VmMonitor) straight into a batch lane.  `who` names the
-/// caller in the foreign-format / shape-mismatch diagnostics.
+/// whether the frame is a VmMonitor's own or one lane of a VmLaneBatch, so
+/// a snapshot written by a solo monitor restores straight into a batch
+/// lane.  `who` names the caller in the foreign-format / shape-mismatch
+/// diagnostics.
 void vm_snapshot(const VmProgram& p, const VmFrameRef& f, Snapshot& out);
 void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
                 const char* who);
+
+/// Compact checkpoint rungs: a frame's state as a fixed-size block of
+/// vm_rung_words(p) words, for in-memory checkpoint ladders only (never
+/// the wire — mon::Snapshot stays the exchange format).  Layout: 8 header
+/// words (stats ops, events, max-ops; t_start; t_stop;
+/// validated_or_rounds; ordinal; active | verdict << 32 | armed << 40 |
+/// q_done << 48), then frag_min_time[frag_count], then the bytes of
+/// range_cpt, range_state, frag_min_complete and frag_in_progress packed
+/// into ceil((5·range_total + 2·frag_count) / 8) words.
+///
+/// A rung holds no strings, so vm_save_rung refuses — returns false and
+/// leaves `out` unspecified — a frame that carries a violation or any
+/// non-empty range error reason; the caller keeps an earlier rung instead.
+/// vm_load_rung overwrites every field of the frame: the violation resets
+/// and every range reason clears, so loading into a dirty frame (a pooled
+/// monitor or batch lane that violated before) is exact without a reset.
+/// A rung is shape-bound like a Snapshot, but carries no guard: load it
+/// only into a frame of a program with the same range_total / frag_count.
+std::size_t vm_rung_words(const VmProgram& p);
+bool vm_save_rung(const VmProgram& p, const VmFrameRef& f,
+                  std::uint64_t* out);
+void vm_load_rung(const VmProgram& p, const VmFrameRef& f,
+                  const std::uint64_t* in);
 
 /// The Monitor implementation behind Backend::Vm.
 class VmMonitor final : public Monitor {
@@ -118,6 +141,13 @@ class VmMonitor final : public Monitor {
   void reset() override { vm_reset(*program_, frame_); }
   void snapshot(Snapshot& out) const override;
   void restore(const Snapshot& in) override;
+  /// Compact rungs (vm_save_rung / vm_load_rung) over this frame.
+  bool save_rung(std::uint64_t* out) const {
+    return vm_save_rung(*program_, frame_, out);
+  }
+  void load_rung(const std::uint64_t* in) {
+    vm_load_rung(*program_, frame_, in);
+  }
 
   const VmProgram& program() const { return *program_; }
   /// Validated triggers (antecedent) / completed P=>Q rounds (timed).
@@ -207,6 +237,13 @@ class VmLaneBatch {
   }
   void restore(std::size_t lane, const Snapshot& in) {
     vm_restore(*program_, frames_[lane], in, "VmLaneBatch::restore");
+  }
+  /// Lane-addressed compact rungs, layout-identical to VmMonitor's.
+  bool save_rung(std::size_t lane, std::uint64_t* out) const {
+    return vm_save_rung(*program_, frames_[lane], out);
+  }
+  void load_rung(std::size_t lane, const std::uint64_t* in) {
+    vm_load_rung(*program_, frames_[lane], in);
   }
 
   Verdict verdict(std::size_t lane) const { return verdict_[lane]; }

@@ -142,6 +142,32 @@ TEST_P(CampaignIncrementalDiff, DrctAndVmAgreeAtEveryStride) {
   }
 }
 
+TEST_P(CampaignIncrementalDiff, DrctAndVmPickTheSameFloorsAtTheDefaultStride) {
+  // Forced Drct records Snapshot rungs, Vm compact rungs: both ladders
+  // must offer the same floors, so the restore and skip diagnostics —
+  // which report() leaves out — agree too, serial and parallel.  Stride 1
+  // rides along because every property restores there (the default
+  // stride restores nothing on the short non-repeated traces).
+  for (const std::size_t stride :
+       {CampaignOptions{}.checkpoint_stride, std::size_t{1}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const CampaignRun drct = run_with(GetParam(), mon::Backend::Drct,
+                                        /*incremental=*/true, stride,
+                                        threads, Knobs{});
+      const CampaignRun vm = run_with(GetParam(), mon::Backend::Vm,
+                                      /*incremental=*/true, stride, threads,
+                                      Knobs{});
+      const std::string what = "stride=" + std::to_string(stride) +
+                               " threads=" + std::to_string(threads);
+      if (stride == 1) EXPECT_GT(drct.result.checkpoint_hits, 0u) << what;
+      EXPECT_EQ(vm.result.checkpoint_hits, drct.result.checkpoint_hits)
+          << what;
+      EXPECT_EQ(vm.result.events_skipped, drct.result.events_skipped)
+          << what;
+    }
+  }
+}
+
 TEST_P(CampaignIncrementalDiff, NoLadderConfigurationsReplayInFull) {
   // Without a cache entry to hold the ladder (reuse_traces off), with a
   // zero stride, or with the knob off, every mutant replays from event 0 —

@@ -467,6 +467,10 @@ TEST(CampaignSupervision, WaitForTimesOutOnARunningWorker) {
       [](int in, int) {
         std::uint8_t b = 0;
         wire::read_exact(in, &b, 1);  // blocks: the parent never writes
+        // terminate() closes the request pipe before it signals, so the
+        // read above may return on EOF first; staying blocked past it
+        // leaves SIGTERM as the only way out.
+        for (;;) ::pause();
         return 0;
       },
       0);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mon/bytecode.hpp"
+#include "mon/checkpoint_ladder.hpp"
 #include "mon/compiled.hpp"
 #include "mon/monitor_module.hpp"
 #include "mon/monitors.hpp"
@@ -778,6 +779,278 @@ TEST(MonBytecodeRetire, LaneRunWithPerLaneStartsRetiringMidSliceEqualsSolo) {
     }
   }
   EXPECT_GT(mid_slice, 30u);
+}
+
+// --- compact checkpoint rungs ----------------------------------------------
+//
+// vm_save_rung / vm_load_rung are the checkpoint ladder's rung format for
+// Vm monitors: raw word and byte copies of the frame, with no strings.  A
+// loaded rung must continue exactly like the Snapshot restore it replaces
+// and like the uninterrupted run — into a frame that held anything before.
+
+// Complete frame state of a monitor (or lane) as a Snapshot: stats,
+// verdict, violation, every range reason and the event ordinal.
+Snapshot frame_of(const Monitor& m) {
+  Snapshot s;
+  m.snapshot(s);
+  return s;
+}
+
+Snapshot frame_of(const VmLaneBatch& lanes, std::size_t lane) {
+  Snapshot s;
+  lanes.snapshot(lane, s);
+  return s;
+}
+
+// Non-empty strings in a VM snapshot: the range reasons plus the
+// violation's reason.
+std::size_t reasons_in(const Snapshot& s) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < s.string_count(); ++i) {
+    if (!s.string_at(i).empty()) ++n;
+  }
+  return n;
+}
+
+// Drives `observe` over fuzzed traces until the frame holds a violation
+// latched from a range error — so it carries a violation and at least one
+// range reason — the dirtiest state a pooled frame can be drawn in.
+template <typename Observe, typename Frame, typename Reset>
+void make_dirty(const std::vector<spec::Name>& names, std::uint64_t seed,
+                Observe observe, Frame frame, Reset reset) {
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    reset();
+    support::Rng rng = support::Rng::stream(seed + trial, 31);
+    const spec::Trace t = fuzz_trace(names, rng);
+    observe(t);
+    if (reasons_in(frame()) >= 2) return;
+  }
+  FAIL() << "no fuzzed trace left a range reason behind";
+}
+
+// The traces every rung test cuts: fuzzed ones (which violate early) and
+// retiring ones (a long valid prefix, then a fuzzed tail), so accepted and
+// refused cuts both occur in every program shape.
+std::vector<spec::Trace> rung_traces(const spec::Property& p,
+                                     spec::Alphabet& ab,
+                                     const std::vector<spec::Name>& names,
+                                     std::uint64_t seed) {
+  std::vector<spec::Trace> traces;
+  for (std::uint64_t trial = 0; trial < 40; ++trial) {
+    support::Rng rng = support::Rng::stream(seed + trial, 37);
+    traces.push_back(fuzz_trace(names, rng));
+    traces.push_back(loom::testing::retiring_trace(p, ab, seed + trial, 20));
+  }
+  return traces;
+}
+
+TEST(MonVmRung, LoadContinuesLikeASnapshotRestoreAndTheUninterruptedRun) {
+  std::size_t saved = 0;
+  std::size_t refused = 0;
+  for (const auto& c : kCases) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(c.source, ab);
+    const auto names = names_of(p, ab);
+    const auto program = compile_vm(p);
+    const std::size_t words = vm_rung_words(*program);
+    EXPECT_EQ(words, 8 + program->frag_count +
+                         (5 * program->range_total +
+                          2 * program->frag_count + 7) / 8)
+        << c.label;
+
+    VmMonitor dirty(program);
+    make_dirty(
+        names, 0xD1E7, [&](const spec::Trace& t) { dirty.observe_batch(t); },
+        [&] { return frame_of(dirty); }, [&] { dirty.reset(); });
+    VmLaneBatch lanes(program, 3);
+    make_dirty(
+        names, 0xD1E8,
+        [&](const spec::Trace& t) {
+          lanes.observe_batch(1, t.data(), t.data() + t.size());
+        },
+        [&] { return frame_of(lanes, 1); }, [&] { lanes.reset(1); });
+
+    const auto traces = rung_traces(p, ab, names, 0x5A7E);
+    for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+      const spec::Trace& t = traces[ti];
+      const sim::Time end = t.empty() ? sim::Time::zero() : t.back().time;
+      VmMonitor whole(program);
+      whole.observe_batch(t);
+      whole.finish(end);
+
+      for (std::size_t cut = 0; cut <= t.size(); ++cut) {
+        const std::string what = std::string(c.label) + " trace " +
+                                 std::to_string(ti) + " cut " +
+                                 std::to_string(cut);
+        VmMonitor head(program);
+        head.observe_batch(t.data(), t.data() + cut);
+        std::vector<std::uint64_t> rung(words, ~std::uint64_t{0});
+        const bool ok = head.save_rung(rung.data());
+        if (head.violation().has_value()) {
+          EXPECT_FALSE(ok) << what << ": saved a violated frame";
+        }
+        if (!ok) {
+          ++refused;
+          continue;
+        }
+        ++saved;
+        const Snapshot at_cut = frame_of(head);
+
+        // Saving is a pure function of the state: a lane that ran the same
+        // prefix writes the same words, padding included.
+        {
+          VmLaneBatch twin(program, 2);
+          twin.observe_batch(1, t.data(), t.data() + cut);
+          std::vector<std::uint64_t> lane_rung(words, 0);
+          ASSERT_TRUE(twin.save_rung(1, lane_rung.data())) << what;
+          EXPECT_EQ(lane_rung, rung) << what;
+        }
+
+        // Load into the dirty monitor and the dirty lane: both now hold
+        // exactly the state at the cut, reasons and violation cleared.
+        VmMonitor loaded(program);
+        loaded.restore(frame_of(dirty));
+        ASSERT_TRUE(loaded.violation().has_value()) << what;
+        loaded.load_rung(rung.data());
+        EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(loaded), at_cut))
+            << what << " [monitor load]";
+        lanes.restore(2, frame_of(lanes, 1));  // lane 2: a dirty copy
+        lanes.load_rung(2, rung.data());
+        EXPECT_TRUE(
+            loom::testing::snapshots_equal(frame_of(lanes, 2), at_cut))
+            << what << " [lane load]";
+
+        // Continue all three: the rung-loaded monitor and lane, and a
+        // Snapshot-restored monitor, must all finish like the whole run.
+        VmMonitor restored(program);
+        restored.restore(at_cut);
+        loaded.observe_batch(t.data() + cut, t.data() + t.size());
+        restored.observe_batch(t.data() + cut, t.data() + t.size());
+        lanes.observe_batch(2, t.data() + cut, t.data() + t.size());
+        loaded.finish(end);
+        restored.finish(end);
+        lanes.finish(2, end);
+        expect_same_frame(loaded, whole, frame_of(loaded), what + " [load]");
+        expect_same_frame(restored, whole, frame_of(restored),
+                          what + " [restore]");
+        EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(lanes, 2),
+                                                   frame_of(whole)))
+            << what << " [lane]";
+      }
+    }
+  }
+  EXPECT_GT(saved, 2500u);
+  EXPECT_GT(refused, 2500u);
+}
+
+TEST(MonVmRung, SaveRefusesAViolatedFrame) {
+  spec::Alphabet ab;
+  const spec::Property p = loom::testing::parse("(n << i, true)", ab);
+  const auto program = compile_vm(p);
+  VmMonitor m(program);
+  std::vector<std::uint64_t> rung(vm_rung_words(*program));
+  EXPECT_TRUE(m.save_rung(rung.data()));
+  // A trigger with no preceding n violates at once.
+  m.observe(ab.name("i"), sim::Time::ns(10));
+  ASSERT_EQ(m.verdict(), Verdict::Violated);
+  EXPECT_FALSE(m.save_rung(rung.data()));
+  VmLaneBatch lanes(program, 2);
+  lanes.observe(0, ab.name("i"), sim::Time::ns(10));
+  ASSERT_EQ(lanes.verdict(0), Verdict::Violated);
+  EXPECT_FALSE(lanes.save_rung(0, rung.data()));
+  EXPECT_TRUE(lanes.save_rung(1, rung.data()));
+
+  // A deadline violation latches no range reason: the violation alone
+  // must refuse the rung.
+  spec::Alphabet tab;
+  const spec::Property timed =
+      loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", tab);
+  const auto timed_program = compile_vm(timed);
+  VmMonitor late(timed_program);
+  late.observe(tab.name("p"), sim::Time::us(1));
+  late.observe(tab.name("p"), sim::Time::us(2));
+  std::vector<std::uint64_t> timed_rung(vm_rung_words(*timed_program));
+  EXPECT_TRUE(late.save_rung(timed_rung.data()));
+  late.poll(sim::Time::us(20));
+  ASSERT_EQ(late.verdict(), Verdict::Violated);
+  EXPECT_EQ(reasons_in(frame_of(late)), 1u);  // the violation's own
+  EXPECT_FALSE(late.save_rung(timed_rung.data()));
+}
+
+// The rung after (k + 1)·stride events of `t`, as a Snapshot of a monitor
+// that observed exactly that prefix.
+Snapshot state_after(std::unique_ptr<Monitor> m, const spec::Trace& t,
+                     std::size_t events) {
+  m->observe_batch(t.data(), t.data() + events);
+  return frame_of(*m);
+}
+
+TEST(MonVmRung, LadderStopsRecordingAtTheFirstRefusedRung) {
+  // (n << i, true): every i needs its own preceding n.  The hand-built
+  // trace alternates n i, but its ninth event (ordinal 8) is a second i in
+  // a row: the monitor violates there.  At stride 2 a Vm ladder keeps the
+  // four rungs before the violation and stops; a Drct ladder, whose
+  // Snapshot rungs can hold a violation, keeps all ten.
+  spec::Alphabet ab;
+  const spec::Property p = loom::testing::parse("(n << i, true)", ab);
+  const spec::Trace t = loom::testing::trace_of(
+      "n i n i n i n i i n i n i n i n i n i n", ab);
+  ASSERT_EQ(t.size(), 20u);
+  const auto program = compile_vm(p);
+  {
+    VmMonitor probe(program);
+    probe.observe_batch(t);
+    ASSERT_TRUE(probe.violation().has_value());
+    ASSERT_EQ(probe.violation()->event_ordinal, 8u);
+  }
+  constexpr std::size_t kStride = 2;
+
+  VmMonitor recorder(program);
+  CheckpointLadder vm_ladder;
+  vm_ladder.record(recorder, t, kStride);
+  EXPECT_TRUE(vm_ladder.compact());
+  EXPECT_EQ(vm_ladder.count(), 4u);
+
+  auto drct_recorder = make_monitor(p);
+  CheckpointLadder drct_ladder;
+  drct_ladder.record(*drct_recorder, t, kStride);
+  EXPECT_FALSE(drct_ladder.compact());
+  EXPECT_EQ(drct_ladder.count(), t.size() / kStride);
+
+  // Every recorded rung restores the state after its prefix, into a dirty
+  // monitor and a dirty lane alike; re-recording replaces the content.
+  VmLaneBatch lanes(program, 2);
+  lanes.observe_batch(1, t.data(), t.data() + t.size());  // violated lane
+  VmMonitor target(program);
+  target.observe_batch(t);  // violated monitor
+  for (std::size_t k = 0; k < vm_ladder.count(); ++k) {
+    const Snapshot want = state_after(std::make_unique<VmMonitor>(program), t,
+                                      (k + 1) * kStride);
+    vm_ladder.restore_into(k, target);
+    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(target), want))
+        << "rung " << k;
+    vm_ladder.restore_into(k, lanes, 1);
+    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(lanes, 1), want))
+        << "lane rung " << k;
+  }
+  for (std::size_t k = 0; k < drct_ladder.count(); ++k) {
+    auto drct = make_monitor(p);
+    drct_ladder.restore_into(k, *drct);
+    EXPECT_TRUE(loom::testing::snapshots_equal(
+        frame_of(*drct), state_after(make_monitor(p), t, (k + 1) * kStride)))
+        << "drct rung " << k;
+  }
+
+  // A valid prefix alone records every rung; the tail past the last full
+  // stride has none.
+  const spec::Trace valid(t.begin(), t.begin() + 7);
+  recorder.reset();
+  vm_ladder.record(recorder, valid, kStride);
+  EXPECT_EQ(vm_ladder.count(), 3u);
+  vm_ladder.restore_into(2, target);
+  EXPECT_TRUE(loom::testing::snapshots_equal(
+      frame_of(target),
+      state_after(std::make_unique<VmMonitor>(program), valid, 6)));
 }
 
 }  // namespace
