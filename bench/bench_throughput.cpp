@@ -54,9 +54,6 @@ struct CampaignTally {
   std::uint64_t instance_reuses = 0;
   std::uint64_t checkpoint_hits = 0;
   std::uint64_t events_skipped = 0;
-  std::uint64_t lane_waves = 0;
-  std::uint64_t lanes_filled = 0;
-  std::uint64_t lane_capacity = 0;
   bool backend_viapsl = false;
   bool backend_vm = false;
 
@@ -81,9 +78,6 @@ struct CampaignTally {
     instance_reuses += r.compile_stats.instance_reuses;
     checkpoint_hits += r.checkpoint_hits;
     events_skipped += r.events_skipped;
-    lane_waves += r.lane_waves;
-    lanes_filled += r.lanes_filled;
-    lane_capacity += r.lane_capacity;
     backend_viapsl = r.compile_stats.backend_chosen == mon::Backend::ViaPSL;
     backend_vm = r.compile_stats.backend_chosen == mon::Backend::Vm;
   }
@@ -111,11 +105,11 @@ struct CampaignTally {
         d(instance_reuses), d(instances_stamped + instance_reuses)));
     state.counters["checkpoint_hits"] = benchmark::Counter(d(checkpoint_hits));
     state.counters["events_skipped"] = benchmark::Counter(d(events_skipped));
-    state.counters["skip_ratio"] = benchmark::Counter(safe_ratio(
-        d(events_skipped), d(events_skipped) + d(monitor_events)));
-    state.counters["lane_occupancy"] = benchmark::Counter(
-        safe_ratio(d(lanes_filled), d(lane_capacity)));
-    state.counters["lane_waves"] = benchmark::Counter(d(lane_waves));
+    // A restored rung carries its prefix's stats, so monitor_events
+    // already counts the skipped events (CampaignResult::
+    // diagnostic_counters defines the ratio the same way).
+    state.counters["skip_ratio"] = benchmark::Counter(
+        safe_ratio(d(events_skipped), d(monitor_events)));
     state.counters["backend_viapsl"] =
         benchmark::Counter(backend_viapsl ? 1.0 : 0.0);
     state.counters["backend_vm"] = benchmark::Counter(backend_vm ? 1.0 : 0.0);
@@ -181,25 +175,6 @@ void BM_VmMonitor(benchmark::State& state) {
   state.SetLabel(kConfig[state.range(0)]);
 }
 BENCHMARK(BM_VmMonitor)->DenseRange(0, 3);
-
-void BM_VmLaneBatch(benchmark::State& state) {
-  // Many frames of one program advanced block-lockstep: the campaign
-  // shard's mutant shape.  Items processed counts every lane's events, so
-  // the rate is directly comparable to BM_VmMonitor's single frame.
-  constexpr std::size_t kLanes = 16;
-  Fixture fx(kConfig[state.range(0)]);
-  mon::VmLaneBatch lanes(mon::compile_vm(fx.property), kLanes);
-  std::vector<const spec::Trace*> traces(kLanes, &fx.trace);
-  for (auto _ : state) {
-    for (std::size_t l = 0; l < kLanes; ++l) lanes.reset(l);
-    lanes.run(traces);
-    benchmark::DoNotOptimize(lanes.verdict(0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.trace.size() * kLanes));
-  state.SetLabel(kConfig[state.range(0)]);
-}
-BENCHMARK(BM_VmLaneBatch)->DenseRange(0, 3);
 
 void BM_ViaPslMonitor(benchmark::State& state) {
   Fixture fx(kConfig[state.range(0)]);
@@ -324,48 +299,6 @@ BENCHMARK(BM_CampaignMutationHeavy)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)
-    ->UseRealTime();
-
-void BM_CampaignLaneBatch(benchmark::State& state) {
-  // Lane-width sweep of the wave engine on the mutation-heavy VM shape:
-  // the argument is CampaignOptions::lane_width (1 = the scalar
-  // per-mutant loop, the eighth invariant's differential baseline).
-  // Every width produces bit-identical results (campaign_lane_diff_test);
-  // the wall clock per unit, the block-lockstep sweep's amortized
-  // dispatch, and the printed lane_occupancy are the win.  16 mutants per
-  // kind, so even width-16 waves can fill — occupancy measures oracle
-  // rejections and unit tails, not an artificially starved fixture.
-  const auto width = static_cast<std::size_t>(state.range(0));
-  Fixture fx(kConfig[2], 4);
-  abv::CampaignOptions opt;
-  opt.seeds = 64;
-  opt.stimuli.rounds = 16;  // long traces: suffix replay is the hot path
-  opt.mutants_per_kind = 16;
-  opt.threads = 1;
-  opt.backend = mon::Backend::Vm;
-  opt.lane_width = width;
-  CampaignTally tally;
-  for (auto _ : state) {
-    support::AllocCounter::Scope scope;
-    const abv::CampaignResult r =
-        tally.timed([&] { return abv::run_campaign(fx.property, fx.ab, opt); });
-    tally.allocs += scope.allocs();
-    tally.units += opt.seeds * 6;
-    tally.mutants += opt.seeds * 5 * opt.mutants_per_kind;
-    tally.absorb(r);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(tally.monitor_events));
-  tally.report(state);
-  state.SetLabel(width == 1 ? "scalar baseline"
-                            : "lane_width=" + std::to_string(width));
-}
-BENCHMARK(BM_CampaignLaneBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
     ->UseRealTime();
 
 void BM_CampaignIncremental(benchmark::State& state) {

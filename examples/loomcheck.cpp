@@ -16,7 +16,6 @@
 #include "abv/checker.hpp"
 #include "abv/trace.hpp"
 #include "mon/compiled.hpp"
-#include "mon/vm.hpp"
 #include "support/args.hpp"
 #include "spec/export.hpp"
 #include "spec/parser.hpp"
@@ -48,13 +47,6 @@ constexpr const char* kUsage =
     "                              mon::Snapshot contract)\n"
     "  --checkpoint-stride=N       events between snapshot round-trips\n"
     "                              (default 64, N >= 1)\n"
-    "  --lanes=N                   lane-batched self-check (default 1: off;\n"
-    "                              N >= 1): replay the trace through N\n"
-    "                              lockstep VmLaneBatch lanes per vm-backed\n"
-    "                              property and cross-check every lane\n"
-    "                              against a solo monitor — the wave\n"
-    "                              machinery behind the campaign engine's\n"
-    "                              --lanes, exercised live on this trace\n"
     "  --dot OUT.dot               write the first property's syntax tree\n"
     "  --worker [--worker-timeout-ms=N]  hidden: speak the campaign worker\n"
     "                              wire protocol on stdin/stdout; N bounds\n"
@@ -144,7 +136,6 @@ int main(int argc, char** argv) {
   // machinery, not something a plain trace check should pay for.
   bool incremental = false;
   std::size_t checkpoint_stride = 64;
-  std::size_t lanes = 1;
   for (int k = 3; k < argc; ++k) {
     if (std::strcmp(argv[k], "--psl") == 0) {
       backend = mon::Backend::ViaPSL;
@@ -167,13 +158,6 @@ int main(int argc, char** argv) {
             argv[k] + 20);
       }
       checkpoint_stride = *parsed;
-    } else if (std::strncmp(argv[k], "--lanes=", 8) == 0) {
-      const auto parsed = support::parse_positive(argv[k] + 8);
-      if (!parsed) {
-        return usage_error("bad --lanes value (want a positive count): %s\n",
-                           argv[k] + 8);
-      }
-      lanes = *parsed;
     } else if (std::strcmp(argv[k], "--dot") == 0 && k + 1 < argc) {
       dot_path = argv[++k];
     } else {
@@ -220,17 +204,10 @@ int main(int argc, char** argv) {
   mon::CompileOptions copt;
   copt.backend = backend;
   bool any_viapsl = false;
-  // With --lanes=N > 1: the vm-backed properties' programs, kept for the
-  // lane-batched self-check after the plain replay.
-  std::vector<std::pair<std::size_t, std::shared_ptr<const mon::VmProgram>>>
-      vm_programs;
   for (std::size_t i = 0; i < properties.size(); ++i) {
     try {
       auto compiled = mon::CompiledProperty::compile(properties[i], ab, copt);
       any_viapsl = any_viapsl || compiled.chosen() == mon::Backend::ViaPSL;
-      if (lanes > 1 && compiled.chosen() == mon::Backend::Vm) {
-        vm_programs.emplace_back(i, compiled.vm_program_shared());
-      }
       checker.add(lines_kept[i] + "  [" + mon::to_string(compiled.chosen()) +
                       "]",
                   compiled.instantiate());
@@ -267,46 +244,6 @@ int main(int argc, char** argv) {
               backend == mon::Backend::Auto
                   ? (any_viapsl ? ", resolved per property" : ", all drct")
                   : "");
-  // Lane-batched self-check: every vm-backed property's trace replayed
-  // through N lockstep lanes must land on the exact bytes of a solo
-  // monitor — the eighth engine invariant (lane-batched ≡ scalar), live
-  // on this trace.
-  if (lanes > 1 && !vm_programs.empty()) {
-    bool lanes_identical = true;
-    for (const auto& [index, program] : vm_programs) {
-      mon::VmMonitor solo(program);
-      for (const auto& ev : *trace) solo.observe(ev.name, ev.time);
-      const sim::Time end =
-          trace->empty() ? sim::Time::zero() : trace->back().time;
-      solo.finish(end);
-
-      mon::VmLaneBatch batch(program, lanes);
-      const std::vector<const spec::Trace*> ptrs(lanes, &*trace);
-      for (std::size_t l = 0; l < lanes; ++l) batch.reset(l);
-      batch.run(ptrs);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        batch.finish(l, end);
-        const bool same =
-            batch.verdict(l) == solo.verdict() &&
-            batch.stats(l).ops == solo.stats().ops &&
-            batch.violation(l).has_value() == solo.violation().has_value();
-        if (!same) {
-          std::fprintf(stderr,
-                       "lane self-check MISMATCH: property %zu lane %zu "
-                       "disagrees with the solo monitor\n",
-                       index, l);
-          lanes_identical = false;
-        }
-      }
-    }
-    std::printf("\nlane self-check: %zu lockstep lanes × %zu vm %s — %s\n",
-                lanes, vm_programs.size(),
-                vm_programs.size() == 1 ? "property" : "properties",
-                lanes_identical ? "bit-identical to solo replay"
-                                : "MISMATCH (bug!)");
-    if (!lanes_identical) return 1;
-  }
-
   std::printf("%s", checker.summary(ab).c_str());
   return checker.all_passing() ? 0 : 1;
 }

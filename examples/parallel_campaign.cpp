@@ -4,7 +4,7 @@
 //
 //   $ ./examples/parallel_campaign [threads] [seeds] [auto|drct|viapsl|vm]
 //                                  [--incremental=on|off]
-//                                  [--checkpoint-stride=N] [--lanes=N]
+//                                  [--checkpoint-stride=N]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,7 +22,6 @@ namespace {
 constexpr const char* kUsage =
     "usage: parallel_campaign [threads] [seeds] [auto|drct|viapsl|vm]\n"
     "                         [--incremental=on|off] [--checkpoint-stride=N]\n"
-    "                         [--lanes=N]\n"
     "                         [--workers=N] [--worker-timeout-ms=N]\n"
     "                         [--worker-retries=N] [--allow-partial=on|off]\n"
     "\n"
@@ -36,12 +35,7 @@ constexpr const char* kUsage =
     "  --checkpoint-stride=N  events between checkpoints on each valid\n"
     "                       trace (default: the engine's, see\n"
     "                       abv::CampaignOptions; N >= 1)\n"
-    "  --lanes=N            mutant-wave width for the lane-batched VM replay\n"
-    "                       (default 8, or 1 with the drct or viapsl\n"
-    "                       backend; N >= 1; 1 = the scalar per-mutant\n"
-    "                       loop; result-neutral — the runs stay\n"
-    "                       bit-identical at every width; widths > 1 need\n"
-    "                       the vm or auto backend)\n"
+
     "  --workers=N          additionally run the campaigns across N worker\n"
     "                       subprocesses (exec'd copies of this binary\n"
     "                       speaking the wire format on pipes) and compare\n"
@@ -75,7 +69,6 @@ int main(int argc, char** argv) {
   // Flags may appear anywhere; positionals keep their order.
   bool incremental = true;
   std::size_t checkpoint_stride = abv::CampaignOptions{}.checkpoint_stride;
-  std::optional<std::size_t> lanes;  // absent: 8, or 1 for drct/viapsl
   std::size_t workers = 0;
   std::size_t worker_timeout_ms = 0;
   std::size_t worker_retries = 0;
@@ -130,13 +123,6 @@ int main(int argc, char** argv) {
             argv[k] + 20);
       }
       checkpoint_stride = *parsed;
-    } else if (std::strncmp(argv[k], "--lanes=", 8) == 0) {
-      const auto parsed = support::parse_positive(argv[k] + 8);
-      if (!parsed) {
-        return usage_error("bad --lanes value (want a positive count): %s\n",
-                           argv[k] + 8);
-      }
-      lanes = *parsed;
     } else if (std::strncmp(argv[k], "--", 2) == 0) {
       return usage_error("unknown option: %s\n", argv[k]);
     } else {
@@ -197,17 +183,6 @@ int main(int argc, char** argv) {
   opt.backend = *backend;
   opt.incremental_replay = incremental;
   opt.checkpoint_stride = checkpoint_stride;
-  // Lane waves replay through VM frames only, so a forced drct or viapsl
-  // backend defaults to the scalar loop.  An explicit --lanes > 1 with one
-  // is a usage error (exit 2) here instead of a throw from run_campaigns.
-  const bool scalar_only = *backend == mon::Backend::Drct ||
-                           *backend == mon::Backend::ViaPSL;
-  if (lanes.value_or(1) > 1 && scalar_only) {
-    return usage_error(
-        "--lanes > 1 needs the vm or auto backend, got: %s\n",
-        mon::to_string(*backend));
-  }
-  opt.lane_width = lanes.value_or(scalar_only ? 1 : 8);
 
   // Show what the campaigns will execute: each property's translate-once
   // plan, rendered through the plan's own interned alphabet snapshot (no
@@ -301,46 +276,33 @@ int main(int argc, char** argv) {
   std::size_t reused = 0;
   std::size_t checkpoint_hits = 0;
   std::size_t events_skipped = 0;
-  std::size_t events_stepped = 0;
-  std::size_t lane_waves = 0;
-  std::size_t lanes_filled = 0;
-  std::size_t lane_capacity = 0;
+  std::size_t events_observed = 0;
   for (const auto& r : parallel) {
     stamped += r.compile_stats.instances_stamped;
     reused += r.compile_stats.instance_reuses;
     checkpoint_hits += r.checkpoint_hits;
     events_skipped += r.events_skipped;
-    events_stepped += static_cast<std::size_t>(r.monitor_stats.events);
-    lane_waves += static_cast<std::size_t>(r.lane_waves);
-    lanes_filled += static_cast<std::size_t>(r.lanes_filled);
-    lane_capacity += static_cast<std::size_t>(r.lane_capacity);
+    events_observed += static_cast<std::size_t>(r.monitor_stats.events);
   }
   std::printf(
       "compiled plans: %zu properties translated once each; "
       "%zu instances stamped, %zu reset-reused\n",
       properties.size(), stamped, reused);
   if (incremental) {
-    // Guard the denominator: a zero-seed / empty-trace campaign steps and
-    // skips nothing, and "0%" beats printing nan.
-    const std::size_t replayable = events_skipped + events_stepped;
+    // A restored rung carries its prefix's stats, so the monitors' event
+    // count already includes every skipped event.  Guard the denominator:
+    // a zero-seed / empty-trace campaign observes nothing, and "0%" beats
+    // printing nan.
     std::printf(
         "incremental replay (stride %zu): %zu checkpoint restores skipped "
         "%zu prefix events (%.0f%% of the %zu the monitors would have "
         "stepped)\n",
         checkpoint_stride, checkpoint_hits, events_skipped,
-        replayable == 0 ? 0.0
-                        : 100.0 * static_cast<double>(events_skipped) /
-                              static_cast<double>(replayable),
-        replayable);
-  }
-  if (lane_waves > 0) {
-    std::printf(
-        "lane-batched waves (width %zu): %zu waves, %zu/%zu lanes filled "
-        "(%.0f%% occupancy)\n",
-        opt.lane_width, lane_waves, lanes_filled, lane_capacity,
-        lane_capacity == 0 ? 0.0
-                           : 100.0 * static_cast<double>(lanes_filled) /
-                                 static_cast<double>(lane_capacity));
+        events_observed == 0
+            ? 0.0
+            : 100.0 * static_cast<double>(events_skipped) /
+                  static_cast<double>(events_observed),
+        events_observed);
   }
   std::printf("serial:   %7.1f ms\n", serial_s * 1e3);
   std::printf("parallel: %7.1f ms  (%.2fx on %zu threads)\n",

@@ -133,56 +133,34 @@ std::unique_ptr<mon::Monitor> stamp_monitor(const CampaignJob& job,
 
 // Per-worker scratch arena for the steady-state loop
 // (CampaignOptions::reuse_scratch).  Two lifetimes coexist inside it:
-//   - the *buffers* live for the worker: the mutant trace's capacity
-//     ratchets up once and every later mutate_into reuses it; local_trace
-//     is only a stable home for the per-unit generated trace on the
-//     cache-off path (generation itself still allocates — it is the
-//     non-default baseline knob);
-//   - the *pool* (monitor, ViaPSL cross-check instance, replay host) is
-//     scoped to one shard: begin_shard() drops it, so the draw/stamp
+//   - the *buffers* live for the worker: the site list's capacity
+//     ratchets up once and every later unit reuses it; local_trace is only
+//     a stable home for the per-unit generated trace on the cache-off path
+//     (generation itself still allocates — it is the non-default baseline
+//     knob);
+//   - the *pool* (monitor, ViaPSL cross-check instance, ladder recorder)
+//     is scoped to one shard: begin_shard() drops it, so the draw/stamp
 //     accounting is a pure function of the deterministic shard layout and
 //     never of which worker ran which shard — that is what keeps the
 //     instance counters identical between serial and parallel runs.
-// Shards never span properties, so within a shard the pooled monitor's
-// identity is stable and the hoisted replay host can keep borrowing it.
 struct UnitScratch {
-  MutationResult mutant;       // mutate_into target, capacity reused
-  std::vector<std::size_t> sites;  // the unit's mutation sites, ditto
-  spec::Trace local_trace;     // valid trace when the seed cache is off
+  // The current mutant, as an edit of its seed's valid trace: its pieces
+  // borrow that trace, so it is read only within the unit that wrote it,
+  // while the seed's cache entry (or local_trace) lives.
+  MutantEdit edit;
+  std::vector<std::size_t> sites;  // the unit's mutation sites
+  spec::Trace local_trace;  // valid trace when the seed cache is off
   std::unique_ptr<mon::Monitor> monitor;  // chosen-backend pool slot
   std::unique_ptr<mon::Monitor> viapsl;   // check_viapsl pool slot
   // Checkpoint-ladder recorder: stamped once per shard, reset per seed.
   // Ladder recording is unaccounted engine overhead, so this slot stays
   // out of the draw/stamp accounting.
   std::unique_ptr<mon::Monitor> ladder;
-  // Hoisted batched-replay host: one kernel + module per shard, reset
-  // between mutants, watchdogs off (the kernel is never pumped, so an
-  // armed entry could never fire — skipping it keeps the timed queue
-  // empty).  Declaration order matters: the module borrows the scheduler
-  // and is destroyed first.
-  std::optional<sim::Scheduler> replay_sched;
-  std::optional<mon::MonitorModule> replay_module;
-
-  // Wave arena (lane-batched mutant replay, CampaignOptions::lane_width):
-  // per-lane reusable mutant slots — each ratchets its capacity like
-  // `mutant` — plus the VmLaneBatch the wave scheduler fills and runs, and
-  // the per-wave trace/start scatter vectors.  Unlike the monitor pool the
-  // batch survives shard boundaries: it borrows nothing (it shares
-  // ownership of the program) and carries no draw accounting, so the wave
-  // scheduler just rebuilds it whenever the shard's program or the lane
-  // width differs from what it was built for — every lane is restored or
-  // reset before it runs either way.
-  std::vector<MutationResult> lane_mutants;
-  std::unique_ptr<mon::VmLaneBatch> lane_batch;
-  std::vector<const spec::Trace*> lane_traces;
-  std::vector<std::size_t> lane_starts;
 
   /// Drops every pooled instance; buffers keep their capacity.  Also the
   /// end-of-shard cleanup, so nothing borrowed (monitor, alphabet) can
   /// dangle past the campaign in a worker's thread-local scratch.
   void begin_shard() {
-    replay_module.reset();
-    replay_sched.reset();
     monitor.reset();
     viapsl.reset();
     ladder.reset();
@@ -305,7 +283,7 @@ SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
 
 // A mutant's floor rung: how many whole monitor-ladder rungs lie at or
 // below its divergence position (0: none, so the mutant is replayed from
-// the start).  MutationResult::position guarantees the mutant shares its
+// the start).  MutantEdit::position guarantees the mutant shares its
 // first `position` events with the valid trace, so after that many rungs
 // the monitor state is exactly what the ladder recorded.
 std::size_t floor_rungs(const CachedSeedTrace* ladder, std::size_t position) {
@@ -315,7 +293,7 @@ std::size_t floor_rungs(const CachedSeedTrace* ladder, std::size_t position) {
 
 // The reference oracle for one unit.  A mutant of a seed with a ladder
 // resumes from its floor on the oracle ladder (possibly the initial state)
-// and stops at the first rung past MutationResult::aligned where its walk
+// and stops at the first rung past MutantEdit::aligned where its walk
 // rejoins the valid trace's.  Anything else is a full walk, where the
 // scratch path hands the compiled OrderingPlan back to the checker instead
 // of letting it re-plan the property per call.  Resumed, rejoined,
@@ -330,19 +308,49 @@ spec::RefResult oracle_check(const CampaignJob& job,
   return spec::reference_check(*job.property, trace, end_time);
 }
 
+// A mutant's oracle check reads its pieces in place.  `bytes` is the
+// materialized mutant on the fresh path (reuse_scratch off), whose
+// baseline oracle re-plans the property per call and needs them.
 spec::RefResult oracle_check(const CampaignJob& job,
                              const CampaignOptions& options,
-                             const MutationResult& mutant,
+                             const MutantEdit& mutant,
+                             const spec::Trace* bytes,
                              const CachedSeedTrace* ladder) {
-  const sim::Time end_time = end_of(mutant.trace);
+  const sim::Time end_time = mutant.view.end_time();
   if (ladder == nullptr) {
-    return oracle_check(job, options, mutant.trace, end_time);
+    if (bytes != nullptr) return oracle_check(job, options, *bytes, end_time);
+    return spec::reference_check(*job.property, job.plan->compiled.plan(),
+                                 mutant.view, end_time);
   }
   const spec::RefLadder& oracle = ladder->oracle;
   return spec::resume_reference_check(
       *job.property, job.plan->compiled.plan(), oracle,
       std::min(mutant.position / oracle.stride, oracle.rungs.size()),
-      mutant.trace, end_time, mutant.aligned);
+      mutant.view, end_time, mutant.aligned);
+}
+
+// Steps a mutant's events [begin, end) through `monitor`, piece by piece:
+// batched through Monitor::observe_shifted, or one observe() per event on
+// the per-event baseline (batch_replay off).  Either way the monitor sees
+// exactly the materialized mutant's events from `begin` on.
+void replay_pieces(mon::Monitor& monitor, const spec::TraceView& view,
+                   std::size_t begin, bool batched) {
+  std::size_t base = 0;  // index of the piece's first event
+  for (std::size_t i = 0; i < view.count; ++i) {
+    const spec::TracePiece& piece = view.pieces[i];
+    const std::size_t skip = begin > base ? begin - base : 0;
+    base += piece.size;
+    if (skip >= piece.size) continue;
+    const spec::TimedEvent* const first = piece.data + skip;
+    const spec::TimedEvent* const last = piece.data + piece.size;
+    if (batched) {
+      monitor.observe_shifted(first, last, piece.shift);
+      continue;
+    }
+    for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
+      monitor.observe(ev->name, ev->time + piece.shift);
+    }
+  }
 }
 
 void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
@@ -433,109 +441,6 @@ void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
   }
 }
 
-// Lane-batched wave execution of one mutation unit's inner loop (the
-// tentpole of CampaignOptions::lane_width): mutants are mutated into
-// per-lane scratch slots until the wave holds lane_width reference-rejected
-// mutants (or the unit runs out), each lane is restored from its own
-// checkpoint-ladder floor rung — the same compact rungs the scalar path
-// restores, written by a pooled VmMonitor and loaded into a batch lane,
-// which the shared frame layout makes exact — and the whole wave
-// advances through VmLaneBatch's block-lockstep with per-lane
-// suffix starts.  Verdicts, kill accounting and MonitorStats then merge
-// per lane in buffering order, which is exactly the scalar mutant order.
-//
-// Byte-for-byte contract (the eighth invariant, campaign_lane_diff_test):
-// every counter this produces — semantic and diagnostic alike, minus the
-// wave accounting itself — equals the scalar loop's.  Three facts carry
-// that: mutate_into and the oracle run before buffering, in mutant order,
-// drawing the same Rng stream; a batch lane is bit-equal to a solo
-// VmMonitor (mon_bytecode_test's lockstep ≡ solo); and the logical
-// per-mutant pool draw is replicated on the shard's pooled slot, so the
-// stamp/reuse accounting never depends on the lane knob.
-void run_mutation_wave(const CampaignJob& job, spec::Alphabet& ab,
-                       const CampaignOptions& options,
-                       const spec::Trace& valid, const CachedSeedTrace* ladder,
-                       std::size_t k, MutationStats& stats, support::Rng& rng,
-                       UnitScratch& scratch, ShardOutcome& out) {
-  const spec::Property& property = *job.property;
-  const mon::CompiledProperty& compiled = job.plan->compiled;
-  const std::size_t width = options.lane_width;
-  if (scratch.lane_mutants.size() < width) scratch.lane_mutants.resize(width);
-  if (scratch.lane_batch == nullptr ||
-      &scratch.lane_batch->program() != compiled.vm_program_shared().get() ||
-      scratch.lane_batch->lanes() != width) {
-    // Worker-pooled, beyond shard boundaries: the batch shares ownership
-    // of the program and every lane is restored/reset before running, so
-    // only a program or width change forces a rebuild.
-    scratch.lane_batch = std::make_unique<mon::VmLaneBatch>(
-        compiled.vm_program_shared(), width);
-  }
-  mon::VmLaneBatch& batch = *scratch.lane_batch;
-  scratch.lane_traces.clear();
-  scratch.lane_starts.clear();
-
-  const auto flush = [&] {
-    const std::size_t wave = scratch.lane_traces.size();
-    if (wave == 0) return;
-    ++out.partial.lane_waves;
-    out.partial.lanes_filled += wave;
-    out.partial.lane_capacity += width;
-    for (std::size_t lane = 0; lane < wave; ++lane) {
-      // Replicate the scalar path's logical pool draw: the wave replays
-      // through batch lanes, but the draw accounting — and the pooled slot
-      // itself, which this shard's valid units share — must not depend on
-      // the lane knob.  The physical reset is skipped (the lane, not the
-      // slot, carries the mutant's state); the next unit to actually use
-      // the slot resets or restores it first, like every unit does.
-      draw_pooled(scratch.monitor, job, options, ab, mon::Backend::Auto, out,
-                  /*skip_reset=*/true);
-      // A lane starts past event 0 exactly when it has a floor rung, and
-      // starts at that rung's cut.
-      const std::size_t start = scratch.lane_starts[lane];
-      if (start > 0) {
-        ladder->checkpoints.restore_into(start / ladder->stride - 1, batch,
-                                         lane);
-        ++out.partial.checkpoint_hits;
-        out.partial.events_skipped += start;
-      } else {
-        batch.reset(lane);
-      }
-    }
-    batch.run(scratch.lane_traces, scratch.lane_starts);
-    for (std::size_t lane = 0; lane < wave; ++lane) {
-      batch.finish(lane, end_of(*scratch.lane_traces[lane]));
-      if (batch.verdict(lane) == mon::Verdict::Violated) {
-        ++stats.detected;
-      } else {
-        ++stats.missed;
-      }
-      out.partial.monitor_stats.merge(batch.stats(lane));
-    }
-    scratch.lane_traces.clear();
-    scratch.lane_starts.clear();
-  };
-
-  for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
-    // Fill the next free lane slot; a mutant the oracle accepts (or a kind
-    // that does not apply) leaves the slot free for the next draw.
-    MutationResult& mutant = scratch.lane_mutants[scratch.lane_traces.size()];
-    if (!mutate_into(valid, kAllKinds[k], property, scratch.sites, rng,
-                     mutant)) {
-      continue;
-    }
-    ++stats.applied;
-    if (!oracle_check(job, options, mutant, ladder).rejected()) continue;
-    const std::size_t rungs = floor_rungs(ladder, mutant.position);
-    ++stats.invalid;
-    const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
-    LOOM_DASSERT(replay_begin <= mutant.trace.size());
-    scratch.lane_traces.push_back(&mutant.trace);
-    scratch.lane_starts.push_back(replay_begin);
-    if (scratch.lane_traces.size() == width) flush();
-  }
-  flush();  // the unit's final, usually partial, wave
-}
-
 void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
                        const CampaignOptions& options, std::size_t s,
                        std::size_t slot, SeedTraceCache* cache,
@@ -565,45 +470,41 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
                           scratch.sites);
     }
   }
-  // Wave execution wants lanes to fill (lane_width > 1), VM frames to
-  // restore into (chosen backend Vm), the pooled arena (the lane batch is
-  // pool machinery) and batched replay (the wave IS a batch).  Any other
-  // combination runs the scalar loop below — silently, because Auto may
-  // legitimately resolve elsewhere; a *forced* non-Vm backend with
-  // lane_width > 1 was already rejected by run_campaigns.
-  if (options.lane_width > 1 && pooled && options.batch_replay &&
-      job.plan->compiled.chosen() == mon::Backend::Vm) {
-    run_mutation_wave(job, ab, options, valid, ladder, k, stats, rng, scratch,
-                      out);
-    return;
-  }
   // Fresh-path monitor: stamped per unit (compiled) or per mutant (legacy
   // translation), exactly like the pre-scratch engine.  The scratch path
   // draws from the shard pool instead.
   std::unique_ptr<mon::Monitor> fresh;
   std::optional<MutationResult> fresh_mutant;
+  MutantEdit fresh_edit;  // the fresh path's mutant, as one whole piece
   for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
-    // Scratch path: write the mutant into the worker's reusable buffer,
-    // from the unit's site list (identical bytes and Rng draws — mutate()
-    // is the same code).
-    const MutationResult* mutant = nullptr;
+    // Scratch path: the mutant is an edit of the valid trace, from the
+    // unit's site list, and is never copied out — the oracle and the
+    // monitor read its pieces in place.  Fresh path: mutate() materializes
+    // it like the pre-scratch engine (the same edit, so the same bytes and
+    // Rng draws), read as one piece.
+    const MutantEdit* mutant = &scratch.edit;
     if (options.reuse_scratch) {
-      if (!mutate_into(valid, kAllKinds[k], property, scratch.sites, rng,
-                       scratch.mutant)) {
+      if (!mutate_edit(valid, kAllKinds[k], property, scratch.sites, rng,
+                       scratch.edit)) {
         continue;
       }
-      mutant = &scratch.mutant;
     } else {
       fresh_mutant = mutate(valid, kAllKinds[k], property, rng);
       if (!fresh_mutant) continue;
-      mutant = &*fresh_mutant;
+      fresh_edit.view = spec::TraceView::of(fresh_mutant->trace);
+      fresh_edit.position = fresh_mutant->position;
+      fresh_edit.aligned = fresh_mutant->aligned;
+      mutant = &fresh_edit;
     }
     ++stats.applied;
     // Incremental replay: the oracle and the monitor both resume from the
     // mutant's floor on their ladders.  The monitor's rung is resolved
     // before drawing the monitor: when a restore will overwrite the whole
     // state, the draw below skips its redundant reset pass.
-    if (!oracle_check(job, options, *mutant, ladder).rejected()) continue;
+    const spec::Trace* bytes = fresh_mutant ? &fresh_mutant->trace : nullptr;
+    if (!oracle_check(job, options, *mutant, bytes, ladder).rejected()) {
+      continue;
+    }
     const std::size_t rungs = floor_rungs(ladder, mutant->position);
     ++stats.invalid;
     const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
@@ -625,42 +526,22 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
     // match a full replay exactly (campaign_incremental_diff_test).
     if (rungs > 0) {
       ladder->checkpoints.restore_into(rungs - 1, *mmon);
-      LOOM_DASSERT(replay_begin <= mutant->trace.size());
+      LOOM_DASSERT(replay_begin <= mutant->view.size);
       ++out.partial.checkpoint_hits;
       out.partial.events_skipped += replay_begin;
     }
-    if (options.batch_replay) {
-      if (options.reuse_scratch && pooled) {
-        // Hoisted replay host: one kernel + module per shard, reset
-        // between mutants, watchdogs off (the kernel is never pumped, so
-        // the armed entry could never fire — finish() still runs every
-        // deadline check, exactly as on the per-event path).
-        if (!scratch.replay_module) {
-          scratch.replay_sched.emplace();
-          scratch.replay_module.emplace(*scratch.replay_sched, "replay",
-                                        *mmon, ab);
-          scratch.replay_module->set_arm_watchdogs(false);
-        } else {
-          scratch.replay_module->reset();
-        }
-        scratch.replay_module->observe_batch(
-            mutant->trace, mon::MonitorModule::BatchPolicy::ReplayAll,
-            replay_begin);
-      } else {
-        // Fresh baseline: in-simulation replay host scoped per mutant —
-        // whatever the module armed dies with it right here.
-        sim::Scheduler replay_sched;
-        mon::MonitorModule module(replay_sched, "replay", *mmon, ab);
-        module.observe_batch(mutant->trace,
-                             mon::MonitorModule::BatchPolicy::ReplayAll,
-                             replay_begin);
-      }
+    if (options.batch_replay && bytes != nullptr) {
+      // Fresh baseline: in-simulation replay host scoped per mutant over
+      // the materialized bytes — whatever the module armed dies with it
+      // right here.
+      sim::Scheduler replay_sched;
+      mon::MonitorModule module(replay_sched, "replay", *mmon, ab);
+      module.observe_batch(*bytes, mon::MonitorModule::BatchPolicy::ReplayAll,
+                           replay_begin);
     } else {
-      for (std::size_t e = replay_begin; e < mutant->trace.size(); ++e) {
-        mmon->observe(mutant->trace[e].name, mutant->trace[e].time);
-      }
+      replay_pieces(*mmon, mutant->view, replay_begin, options.batch_replay);
     }
-    mmon->finish(end_of(mutant->trace));
+    mmon->finish(mutant->view.end_time());
     if (mmon->verdict() == mon::Verdict::Violated) {
       ++stats.detected;
     } else {
@@ -675,7 +556,7 @@ void run_shard(const std::vector<CampaignJob>& jobs, spec::Alphabet& ab,
                SeedTraceCache* cache, UnitScratch& scratch,
                ShardOutcome& out) {
   const CampaignJob& job = jobs[shard.job];
-  // Fresh pool + replay host per shard (buffers keep their capacity): the
+  // Fresh pool per shard (buffers keep their capacity): the
   // instance accounting stays a pure function of the shard layout, and
   // nothing borrowed survives in a worker's scratch past this campaign.
   scratch.begin_shard();
@@ -1433,12 +1314,10 @@ std::vector<PropertyPlan> compile_property_plans(
   // clause set must be materialized even when the chosen backend is Drct.
   copt.with_viapsl_artifact = options.check_viapsl;
   // Campaign Auto resolves the Drct/Vm cost-model tie to Vm — the
-  // wall-clock winner, and the only backend whose frames the lane-batched
-  // wave scheduler can restore into.  Set unconditionally (not gated on
-  // use_compiled_plans or lane_width): both the compiled and the legacy
-  // translation legs compile through here, so invariant 3 sees one
-  // resolution, and the lane knob can never move the chosen backend —
-  // which invariant 8 needs.
+  // wall-clock winner, whose checkpoint rungs are compact copies.  Set
+  // unconditionally (not gated on use_compiled_plans): both the compiled
+  // and the legacy translation legs compile through here, so invariant 3
+  // sees one resolution.
   copt.prefer_vm = true;
   for (std::size_t p = 0; p < properties.size(); ++p) {
     PropertyPlan& plan = plans[p];
@@ -1470,26 +1349,6 @@ std::vector<PropertyPlan> compile_property_plans(
 std::vector<CampaignResult> run_campaigns(
     const std::vector<const spec::Property*>& properties, spec::Alphabet& ab,
     const CampaignOptions& options) {
-  if (options.lane_width == 0) {
-    throw std::invalid_argument(
-        "CampaignOptions::lane_width must be at least 1 (1 is the scalar "
-        "path; the default wave width is 8)");
-  }
-  // Waves replay through VmLaneBatch frames, so a campaign that *forces* a
-  // backend without VM frames while asking for lanes is contradictory —
-  // refuse it rather than silently ignore one of the two requests.  Auto
-  // stays fine at any width: when it resolves away from Vm (a ViaPSL cost
-  // win) the engine just runs the scalar loop.
-  if (options.lane_width > 1 && (options.backend == mon::Backend::Drct ||
-                                 options.backend == mon::Backend::ViaPSL)) {
-    throw std::invalid_argument(
-        std::string("CampaignOptions::lane_width > 1 needs the Vm backend "
-                    "(lane-batched waves replay through VmLaneBatch frames), "
-                    "but backend=") +
-        mon::to_string(options.backend) +
-        " was forced; use backend=vm or auto, or lane_width=1 for the "
-        "scalar path");
-  }
   // Setup runs serially on the caller: intern everything stimuli
   // generation could lazily intern, then translate every property exactly
   // once — plan tables, backend choice, ViaPSL clause sets — so both the
@@ -1571,9 +1430,6 @@ std::vector<CampaignResult> run_campaigns(
     result.trace_cache_misses += out.partial.trace_cache_misses;
     result.checkpoint_hits += out.partial.checkpoint_hits;
     result.events_skipped += out.partial.events_skipped;
-    result.lane_waves += out.partial.lane_waves;
-    result.lanes_filled += out.partial.lanes_filled;
-    result.lane_capacity += out.partial.lane_capacity;
     if (out.alphabet) alphabet_covs[p].merge(*out.alphabet);
     if (out.recognizer) {
       if (rec_covs[p]) {
@@ -1842,22 +1698,17 @@ CampaignResult::diagnostic_counters() const {
   const double stamped = static_cast<double>(compile_stats.instances_stamped);
   const double reuses = static_cast<double>(compile_stats.instance_reuses);
   const double skipped = static_cast<double>(events_skipped);
-  const double stepped = static_cast<double>(monitor_stats.events);
-  const double filled = static_cast<double>(lanes_filled);
-  const double capacity = static_cast<double>(lane_capacity);
+  // A restored rung carries its prefix's stats, so monitor_stats.events
+  // already counts every skipped event: it is the whole stepped-or-skipped
+  // total, and the ratio's only denominator.
+  const double observed = static_cast<double>(monitor_stats.events);
   return {
       {"trace_cache_hit_rate", ratio(trace_hits, trace_hits + trace_misses)},
       {"plan_cache_hit_rate", ratio(plan_hits, plan_hits + plan_misses)},
       {"instance_reuse_rate", ratio(reuses, stamped + reuses)},
       {"checkpoint_hits", static_cast<double>(checkpoint_hits)},
       {"events_skipped", skipped},
-      {"skip_ratio", ratio(skipped, skipped + stepped)},
-      // How full the waves ran: filled lanes over offered capacity.  A
-      // scalar campaign (no waves) reports 0 by the guard; a drop in a
-      // batched campaign means waves flushing emptier — a scheduling
-      // regression tools/bench_compare.py gates on.
-      {"lane_occupancy", ratio(filled, capacity)},
-      {"lane_waves", static_cast<double>(lane_waves)},
+      {"skip_ratio", ratio(skipped, observed)},
       {"backend_viapsl",
        compile_stats.backend_chosen == mon::Backend::ViaPSL ? 1.0 : 0.0},
       {"backend_vm",
@@ -1911,12 +1762,6 @@ std::string CampaignResult::report(const spec::Alphabet&,
                   "replay: %zu checkpoint restores, %zu prefix events "
                   "skipped\n",
                   checkpoint_hits, events_skipped);
-    out += buf;
-    std::snprintf(buf, sizeof buf,
-                  "lanes: %llu waves, %llu/%llu lanes filled\n",
-                  static_cast<unsigned long long>(lane_waves),
-                  static_cast<unsigned long long>(lanes_filled),
-                  static_cast<unsigned long long>(lane_capacity));
     out += buf;
   }
   // Semantic, not diagnostic: a degraded run (allow_partial absorbing an

@@ -24,9 +24,8 @@
 //!   compiled ≡ per-unit      (compiled_plan_diff_test)
 //!   scratch/pooled ≡ fresh   (campaign_scratch_diff_test)
 //!   incremental ≡ full replay (campaign_incremental_diff_test)
-//!   lane-batched ≡ scalar    (campaign_lane_diff_test)
 //! A run with threads=N, any shard size, any cache/batch/plan/scratch/
-//! checkpoint/lane knob setting is bit-identical to the serial legacy run —
+//! checkpoint knob setting is bit-identical to the serial legacy run —
 //! same counts, same coverage ratios, same report text.
 #pragma once
 
@@ -108,20 +107,22 @@ struct CampaignOptions {
   /// function of the seed, so this knob cannot change the result — the
   /// differential tests hold the engine to that.
   bool reuse_traces = true;
-  /// Replay each mutant through MonitorModule::observe_batch (one batched
-  /// call per mutant, ReplayAll policy) instead of a raw per-event
-  /// observe() loop.  Result-neutral by the same contract.
+  /// Replay each mutant in batches — one Monitor::observe_shifted call per
+  /// piece of the mutant with reuse_scratch, one
+  /// MonitorModule::observe_batch (ReplayAll) call per mutant without —
+  /// instead of a raw per-event observe() loop.  Result-neutral by the
+  /// same contract.
   bool batch_replay = true;
 
-  /// Run the steady-state loop out of per-worker scratch arenas: mutants
-  /// are written into a reusable trace buffer (abv::mutate_into), the
-  /// batched replay host (sim::Scheduler + mon::MonitorModule) is hoisted
-  /// out of the mutant loop and reset between mutants, the reference
-  /// oracle reuses the compiled OrderingPlan, and — on the compiled-plans
-  /// path — a per-shard monitor pool lets *valid* units draw/reset()
+  /// Run the steady-state loop out of per-worker scratch arenas: each
+  /// mutant is an edit of the cached valid trace (abv::mutate_edit), whose
+  /// pieces the oracle and the monitor read in place, so no mutant is ever
+  /// copied out; the reference oracle reuses the compiled OrderingPlan;
+  /// and a per-shard monitor pool lets *valid* units draw/reset()
   /// instances exactly like mutation units (counted via
-  /// compile_stats.instance_reuses).  Off re-allocates everything fresh per
-  /// mutant like the pre-scratch engine; the fourth differential invariant
+  /// compile_stats.instance_reuses).  Off materializes every
+  /// mutant (abv::mutate) and re-allocates everything fresh per mutant like
+  /// the pre-scratch engine; the fourth differential invariant
   /// (campaign_scratch_diff_test) holds the two paths byte-for-byte equal.
   bool reuse_scratch = true;
 
@@ -131,7 +132,7 @@ struct CampaignOptions {
   /// `checkpoint_stride` events of the valid trace — compact rungs in one
   /// slab per seed for a Vm monitor (mon::vm_save_rung), a mon::Snapshot
   /// per rung for Drct and ViaPSL (mon/checkpoint_ladder.hpp); a mutant
-  /// whose MutationResult::position proves a shared prefix then
+  /// whose MutantEdit::position proves a shared prefix then
   /// restores the floor checkpoint and batch-replays only [floor, end) —
   /// O(suffix) instead of O(trace) per mutant.  Requires reuse_traces (the
   /// ladder lives next to the cached trace); with the cache off the engine
@@ -209,22 +210,6 @@ struct CampaignOptions {
   /// the differential baseline and the BM_WorkerSupervision yardstick.
   /// Clean runs are byte-identical either way.
   bool supervised = true;
-
-  /// Wave width for lane-batched mutant replay: up to this many mutants of
-  /// one (seed × property × kind) unit are mutated into per-lane slots,
-  /// each lane restored from its own checkpoint-ladder floor rung, and the
-  /// whole wave advanced through mon::VmLaneBatch's block-lockstep
-  /// lockstep — the program's route tables stay hot while lane state
-  /// streams.  1 is the scalar path (one mutant at a time, the historical
-  /// loop), kept alive as the differential baseline.  Waves need the Vm
-  /// backend plus pooled scratch and batched replay; when Auto resolves to
-  /// another backend or a scratch/batch knob is off, the engine silently
-  /// runs scalar — but *forcing* a non-Vm backend with lane_width > 1
-  /// throws std::invalid_argument, since that request is contradictory.
-  /// Result-neutral at every width: the eighth differential invariant
-  /// (campaign_lane_diff_test) holds lane-batched byte-for-byte equal to
-  /// scalar at any width, thread count, worker count and knob setting.
-  std::size_t lane_width = 8;
 
   /// Optional cross-campaign plan cache (borrowed; must outlive the call):
   /// when set, compile_property_plans() memoizes each property's
@@ -342,18 +327,6 @@ struct CampaignResult {
   /// invariant — so this count lives with the other per-process
   /// diagnostics: excluded from report() and results_identical.
   std::size_t worker_retries = 0;
-
-  /// Lane-batched wave accounting (all 0 when every unit ran scalar):
-  /// waves flushed through VmLaneBatch, the lanes those waves actually
-  /// filled, and the capacity they offered (lane_waves × lane_width — the
-  /// result carries it so lanes_filled / lane_capacity, the occupancy,
-  /// survives merging and the wire without knowing the knob).  The final
-  /// wave of a unit is usually partial, which is what occupancy < 1 means.
-  /// Engine diagnostics like the checkpoint counters: deterministic for a
-  /// given knob setting, excluded from report() and results_identical.
-  std::uint64_t lane_waves = 0;
-  std::uint64_t lanes_filled = 0;
-  std::uint64_t lane_capacity = 0;
 
   /// One shard a cross-process campaign could not execute: its worker slot
   /// exhausted every retry and options.allow_partial chose degradation

@@ -31,37 +31,22 @@ bool mutation_reads_sites(MutationKind kind) {
          kind == MutationKind::SwapAdjacent;
 }
 
-namespace {
-
-/// Copies `src` into `dst` with room for one extra event, reusing `dst`'s
-/// capacity.  Every operator below rebuilds the mutant from the source
-/// trace, so a dirty scratch from an earlier call can never leak through.
-void copy_with_headroom(const spec::Trace& src, spec::Trace& dst) {
-  dst.clear();
-  dst.reserve(src.size() + 1);
-  dst.insert(dst.end(), src.begin(), src.end());
-}
-
-}  // namespace
-
-bool mutate_into(const spec::Trace& trace, MutationKind kind,
+bool mutate_edit(const spec::Trace& trace, MutationKind kind,
                  const spec::Property& property,
                  std::span<const std::size_t> sites, support::Rng& rng,
-                 MutationResult& out) {
+                 MutantEdit& out) {
   LOOM_DASSERT(sites.empty() || sites.back() < trace.size());
   out.kind = kind;
-  spec::Trace& t = out.trace;
+  out.view = {};
+  const spec::TimedEvent* const s = trace.data();
+  const std::size_t n = trace.size();
 
   switch (kind) {
     case MutationKind::Drop: {
       if (sites.empty()) return false;
       const std::size_t pos = sites[rng.below(sites.size())];
-      t.clear();
-      t.reserve(trace.size());
-      t.insert(t.end(), trace.begin(),
-               trace.begin() + static_cast<long>(pos));
-      t.insert(t.end(), trace.begin() + static_cast<long>(pos) + 1,
-               trace.end());
+      out.view.append(s, pos);
+      out.view.append(s + pos + 1, n - pos - 1);
       out.position = pos;
       out.aligned = pos;
       return true;
@@ -69,10 +54,10 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
     case MutationKind::Duplicate: {
       if (sites.empty()) return false;
       const std::size_t pos = sites[rng.below(sites.size())];
-      spec::TimedEvent copy = trace[pos];
-      copy.time = copy.time + sim::Time::ps(1);
-      copy_with_headroom(trace, t);
-      t.insert(t.begin() + static_cast<long>(pos) + 1, copy);
+      out.patch[0] = {s[pos].name, s[pos].time + sim::Time::ps(1)};
+      out.view.append(s, pos + 1);
+      out.view.append(out.patch, 1);
+      out.view.append(s + pos + 1, n - pos - 1);
       // The copy lands at pos + 1, so the shared prefix extends through the
       // duplicated original — position names the insertion index, keeping
       // the "first possible divergence" contract uniform across kinds.
@@ -82,13 +67,19 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
     }
     case MutationKind::SwapAdjacent: {
       // Swap the names of two consecutive relevant events (times stay put,
-      // so the trace remains chronologically ordered).
+      // so the trace remains chronologically ordered).  Noise may lie
+      // between the two, which stays where it is.
       if (sites.size() < 2) return false;
       const std::size_t k = rng.below(sites.size() - 1);
       const std::size_t a = sites[k], b = sites[k + 1];
-      if (trace[a].name == trace[b].name) return false;
-      t.assign(trace.begin(), trace.end());
-      std::swap(t[a].name, t[b].name);
+      if (s[a].name == s[b].name) return false;
+      out.patch[0] = {s[b].name, s[a].time};
+      out.patch[1] = {s[a].name, s[b].time};
+      out.view.append(s, a);
+      out.view.append(out.patch, 1);
+      out.view.append(s + a + 1, b - a - 1);
+      out.view.append(out.patch + 1, 1);
+      out.view.append(s + b + 1, n - b - 1);
       out.position = a;
       out.aligned = b + 1;
       return true;
@@ -102,29 +93,47 @@ bool mutate_into(const spec::Trace& trace, MutationKind kind,
         reset = frags.back().ranges.front().name;
       }
       if (trace.empty()) return false;
-      const std::size_t pos = rng.below(trace.size());
-      const spec::TimedEvent ev{reset, trace[pos].time + sim::Time::ps(1)};
-      copy_with_headroom(trace, t);
-      t.insert(t.begin() + static_cast<long>(pos) + 1, ev);
+      const std::size_t pos = rng.below(n);
+      out.patch[0] = {reset, s[pos].time + sim::Time::ps(1)};
+      out.view.append(s, pos + 1);
+      out.view.append(out.patch, 1);
+      out.view.append(s + pos + 1, n - pos - 1);
       out.position = pos + 1;
       out.aligned = pos + 2;
       return true;
     }
     case MutationKind::StallDeadline: {
-      if (!property.is_timed() || trace.size() < 2) return false;
+      if (!property.is_timed() || n < 2) return false;
       const sim::Time bound = property.timed().bound;
-      const std::size_t pos = 1 + rng.below(trace.size() - 1);
-      const sim::Time shift = bound + bound + sim::Time::ns(1);
-      t.assign(trace.begin(), trace.end());
-      for (std::size_t k = pos; k < t.size(); ++k) {
-        t[k].time = t[k].time + shift;
-      }
+      const std::size_t pos = 1 + rng.below(n - 1);
+      // Saturating, like every sim::Time sum: the materialized tail holds
+      // exactly the times the view reads.
+      out.view.append(s, pos);
+      out.view.append(s + pos, n - pos, bound + bound + sim::Time::ns(1));
       out.position = pos;
       out.aligned = pos;
       return true;
     }
   }
   return false;
+}
+
+void materialize(const MutantEdit& edit, MutationResult& out) {
+  spec::materialize(edit.view, out.trace);
+  out.kind = edit.kind;
+  out.position = edit.position;
+  out.aligned = edit.aligned;
+}
+
+bool mutate_into(const spec::Trace& trace, MutationKind kind,
+                 const spec::Property& property,
+                 std::span<const std::size_t> sites, support::Rng& rng,
+                 MutationResult& out) {
+  MutantEdit edit;
+  const bool applied = mutate_edit(trace, kind, property, sites, rng, edit);
+  out.kind = kind;
+  if (applied) materialize(edit, out);
+  return applied;
 }
 
 namespace {

@@ -8,27 +8,38 @@
 //! swap inside a fragment is legal by design!): callers decide expected
 //! verdicts with the reference checker.
 //!
-//! Ownership: mutate() returns a fresh trace; mutate_into() writes into a
-//! caller-owned MutationResult, reusing its buffer's capacity across calls
-//! (the campaign engine's per-worker scratch); inputs are never modified.
-//! The sites overload of mutate_into() reads a caller-owned site list
-//! (mutation_sites_into), so a caller that mutates one trace many times
-//! scans it once; the campaign engine builds the list once per mutation
-//! unit, in its per-worker scratch.
+//! Representation: a mutant is an edit of its source trace, not a copy.
+//! mutate_edit() writes a MutantEdit — the source trace's runs around at
+//! most two patch events, as a spec::TraceView of at most five pieces —
+//! and the campaign engine feeds those pieces straight to the oracle
+//! (spec::resume_reference_check) and the monitor
+//! (mon::Monitor::observe_shifted), so its mutants are never copied out.
+//! Every other entry point is that edit plus materialize(): mutate()
+//! returns a fresh trace, mutate_into() writes into a caller-owned
+//! MutationResult, reusing its buffer's capacity across calls.
+//! Ownership and lifetime: a MutantEdit borrows the source trace — its
+//! pieces point into it and into the edit's own patch — so it is valid
+//! while the source trace lives and stays unmoved (in the campaign engine:
+//! while the seed's cache entry lives), and it cannot be copied.  Inputs
+//! are never modified.
+//! The sites overloads read a caller-owned site list (mutation_sites_into),
+//! so a caller that mutates one trace many times scans it once; the
+//! campaign engine builds the list once per mutation unit, in its
+//! per-worker scratch.
 //! Thread-safety: pure functions of (trace, property, rng) — safe to call
-//! concurrently as long as each caller owns its Rng and, for mutate_into,
-//! its output scratch.  Only the NameSet overloads keep hidden state: a
-//! small thread-local site index they rebuild on every call for the kinds
-//! that read sites, which keeps them allocation-free in steady state
-//! without changing any result.  The sites overload has none.
+//! concurrently as long as each caller owns its Rng and its output.  Only
+//! the NameSet overloads keep hidden state: a small thread-local site
+//! index they rebuild on every call for the kinds that read sites, which
+//! keeps them allocation-free in steady state without changing any
+//! result.  The sites overloads have none.
 //! Determinism: a given Rng stream yields the same mutant sequence on any
 //! thread; the campaign engine keys streams by (seed, mutation slot) so
-//! its mutants never depend on scheduling.  mutate_into() is byte-identical
-//! to mutate() — same Rng draws, same MutationResult — even when the
-//! scratch arrives dirty from an unrelated earlier call, and the sites
-//! overload is byte-identical to both (locked by
-//! tests/campaign_scratch_diff_test.cpp and the MutationSites suite of
-//! tests/abv_mutate_position_test.cpp).
+//! its mutants never depend on scheduling.  Every entry point draws the
+//! same Rng values and yields the same kind, position, aligned and bytes
+//! (materialized) as every other — even when the scratch arrives dirty
+//! from an unrelated earlier call (locked by
+//! tests/campaign_scratch_diff_test.cpp and the MutationSites and
+//! MutantView suites of tests/abv_mutate_position_test.cpp).
 #pragma once
 
 #include <optional>
@@ -96,6 +107,43 @@ struct MutationResult {
   /// locks the contract).  Time sums are assumed not to saturate.
   std::size_t aligned = 0;
 };
+
+/// A mutant as an edit of its source trace S (n = |S|, `·` joins pieces;
+/// every piece is unshifted but StallDeadline's tail):
+///   Drop(p)           S[0,p) · S[p+1,n)
+///   Duplicate(p)      S[0,p+1) · {S[p].name, S[p].time+1ps} · S[p+1,n)
+///   SwapAdjacent(a,b) S[0,a) · {S[b].name, S[a].time} · S[a+1,b)
+///                       · {S[a].name, S[b].time} · S[b+1,n)
+///   EarlyTrigger(p)   S[0,p+1) · {reset, S[p].time+1ps} · S[p+1,n)
+///   StallDeadline(p)  S[0,p) · S[p,n) shifted by 2·bound + 1ns
+/// (empty pieces are left out).  kind, position and aligned are exactly
+/// MutationResult's.  The view's pieces point into the source trace and
+/// into `patch`, so the edit is valid while the source trace is, and is
+/// neither copyable nor movable.
+struct MutantEdit {
+  MutationKind kind = MutationKind::Drop;
+  std::size_t position = 0;
+  std::size_t aligned = 0;
+  spec::TimedEvent patch[2];
+  spec::TraceView view;
+
+  MutantEdit() = default;
+  MutantEdit(const MutantEdit&) = delete;
+  MutantEdit& operator=(const MutantEdit&) = delete;
+};
+
+/// The one mutation implementation: applies `kind` at a random applicable
+/// position of `trace`, as an edit.  Same sites precondition, Rng draws
+/// and return value as the sites overload of mutate_into(); on false
+/// `out` is unspecified but for its kind.
+bool mutate_edit(const spec::Trace& trace, MutationKind kind,
+                 const spec::Property& property,
+                 std::span<const std::size_t> sites, support::Rng& rng,
+                 MutantEdit& out);
+
+/// Writes the edit's mutant into `out` (trace bytes, kind, position,
+/// aligned), reusing the trace buffer's capacity.
+void materialize(const MutantEdit& edit, MutationResult& out);
 
 /// Applies `kind` at a random applicable position; nullopt when the trace
 /// offers no applicable site (e.g. StallDeadline on an antecedent).

@@ -30,7 +30,7 @@
 //! (tests/mon_bytecode_test.cpp locks VM ≡ Drct event-for-event).
 //!
 //! Ownership: a VmProgram is immutable after compile_vm() and shared
-//! behind shared_ptr by every monitor instance and lane batch it stamps;
+//! behind shared_ptr by every monitor instance it stamps;
 //! sharing one program across threads is safe.
 #pragma once
 

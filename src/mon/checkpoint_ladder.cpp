@@ -46,14 +46,4 @@ void CheckpointLadder::restore_into(std::size_t k, Monitor& monitor) const {
   }
 }
 
-void CheckpointLadder::restore_into(std::size_t k, VmLaneBatch& batch,
-                                    std::size_t lane) const {
-  LOOM_DASSERT(k < count_);
-  if (compact()) {
-    batch.load_rung(lane, slab_.data() + k * rung_words_);
-  } else {
-    batch.restore(lane, snapshots_[k]);
-  }
-}
-
 }  // namespace loom::mon

@@ -27,8 +27,6 @@
 
 namespace loom::mon {
 
-class VmLaneBatch;  // mon/vm.hpp
-
 class CheckpointLadder {
  public:
   /// Feeds `trace` through `recorder` — fresh or just reset — and keeps its
@@ -45,9 +43,6 @@ class CheckpointLadder {
   /// Restores rung k into a monitor of the recorder's kind and program
   /// shape (a VmMonitor for compact rungs), overwriting its whole state.
   void restore_into(std::size_t k, Monitor& monitor) const;
-  /// Restores rung k into one lane of a batch over the recorder's program.
-  void restore_into(std::size_t k, VmLaneBatch& batch,
-                    std::size_t lane) const;
 
  private:
   std::size_t count_ = 0;

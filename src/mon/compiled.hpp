@@ -81,7 +81,7 @@ struct CompileOptions {
   /// Auto tie-break: the VM executes Drct's exact abstract op schedule, so
   /// the two tie under the Figure-6 cost model and ties historically went
   /// to Drct.  With prefer_vm set, Auto resolves that tie to Vm instead —
-  /// the wall-clock winner (flat dispatch loop, lane-batchable frames) —
+  /// the wall-clock winner (flat dispatch loop, compact checkpoint rungs) —
   /// while a ViaPSL cost win still takes precedence.  The campaign engine
   /// sets this on both its compiled and legacy translation paths, so the
   /// compiled ≡ per-unit invariant sees one resolution; standalone
@@ -124,8 +124,7 @@ class CompiledProperty {
   /// The compiled bytecode program; nullptr unless chosen()==Vm.
   const VmProgram* vm_program() const { return vm_program_.get(); }
   /// Owning form of the same artifact, for executors that outlive a plain
-  /// borrow or batch many frames over one program (mon::VmLaneBatch takes
-  /// shared ownership, exactly like a stamped VmMonitor does).
+  /// borrow (a stamped VmMonitor takes shared ownership the same way).
   std::shared_ptr<const VmProgram> vm_program_shared() const {
     return vm_program_;
   }

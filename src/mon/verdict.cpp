@@ -12,6 +12,17 @@ void Monitor::observe_batch(const spec::TimedEvent* begin,
   }
 }
 
+void Monitor::observe_shifted(const spec::TimedEvent* begin,
+                              const spec::TimedEvent* end, sim::Time shift) {
+  if (shift.is_zero()) {
+    observe_batch(begin, end);
+    return;
+  }
+  for (const spec::TimedEvent* ev = begin; ev != end; ++ev) {
+    observe(ev->name, ev->time + shift);
+  }
+}
+
 void snapshot_violation(Snapshot& out, const std::optional<Violation>& v) {
   out.put_bool(v.has_value());
   if (!v.has_value()) return;

@@ -71,6 +71,15 @@ class Monitor {
   void observe_batch(const spec::Trace& slice) {
     observe_batch(slice.data(), slice.data() + slice.size());
   }
+  /// Steps a recorded event range with every time later by `shift`
+  /// (saturating): one piece of a spec::TraceView, which is how the
+  /// campaign engine replays a mutant without materializing it.  Shift 0
+  /// is observe_batch(); any other shift is an observe(name, time + shift)
+  /// loop, which the observe_batch contract makes byte-identical to a
+  /// batch over the re-timed events.  The VM overrides it with its batched
+  /// loop.
+  virtual void observe_shifted(const spec::TimedEvent* begin,
+                               const spec::TimedEvent* end, sim::Time shift);
   /// Signals end of observation at `end_time` (deadline checks).
   virtual void finish(sim::Time end_time) { (void)end_time; }
   /// Time-triggered check between events (in-simulation watchdogs).

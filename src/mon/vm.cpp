@@ -505,7 +505,8 @@ void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
 }
 
 void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
-                  const spec::TimedEvent* begin, const spec::TimedEvent* end) {
+                  const spec::TimedEvent* begin, const spec::TimedEvent* end,
+                  sim::Time shift) {
   // Same per-event schedule as vm_step_event in a loop — the events/ops/
   // max-ops totals land identically, they just flush once per slice, and a
   // retired frame fast-forwards instead of stepping.
@@ -522,7 +523,8 @@ void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
       *f.ordinal += static_cast<std::uint64_t>(end - ev);
       break;
     }
-    const std::uint64_t ops = step_event_core(p, f, code, ev->name, ev->time);
+    const std::uint64_t ops =
+        step_event_core(p, f, code, ev->name, ev->time + shift);
     total += ops;
     if (ops > max_ops) max_ops = ops;
   }
@@ -734,127 +736,6 @@ void VmMonitor::snapshot(Snapshot& out) const {
 
 void VmMonitor::restore(const Snapshot& in) {
   vm_restore(*program_, frame_, in, "VmMonitor::restore");
-}
-
-// --- VmLaneBatch ----------------------------------------------------------
-
-namespace {
-
-// Rounds a per-lane row length up so each lane's row starts on a 64-byte
-// cache-line boundary in the flat lane-major arrays (element sizes here are
-// 1, 4, 8 or 32 bytes — all divide or are multiples of 64 after the
-// element-count rounding below, so one count-level stride serves every
-// array of the same row).
-std::size_t lane_stride(std::size_t count) {
-  constexpr std::size_t kLine = 64;
-  return (count + kLine - 1) / kLine * kLine;
-}
-
-}  // namespace
-
-VmLaneBatch::VmLaneBatch(std::shared_ptr<const VmProgram> program,
-                         std::size_t lanes)
-    : program_(std::move(program)),
-      lanes_(lanes),
-      range_stride_(lane_stride(program_->range_total)),
-      frag_stride_(lane_stride(program_->frag_count)),
-      range_state_(lanes * range_stride_,
-                   static_cast<std::uint8_t>(RS::Idle)),
-      range_cpt_(lanes * range_stride_, 0),
-      range_reason_(lanes * range_stride_),
-      frag_min_complete_(lanes * frag_stride_, 0),
-      frag_in_progress_(lanes * frag_stride_, 0),
-      frag_min_time_(lanes * frag_stride_),
-      active_(lanes, 0),
-      verdict_(lanes, Verdict::Monitoring),
-      violation_(lanes),
-      stats_(lanes),
-      armed_(lanes, 0),
-      q_done_(lanes, 0),
-      t_start_(lanes),
-      t_stop_(lanes),
-      validated_or_rounds_(lanes, 0),
-      ordinal_(lanes, 0) {
-  frames_.reserve(lanes_);
-  for (std::size_t lane = 0; lane < lanes_; ++lane) {
-    frames_.push_back(make_ref(lane));
-    vm_init(*program_, frames_[lane]);
-  }
-}
-
-VmFrameRef VmLaneBatch::make_ref(std::size_t lane) {
-  return VmFrameRef{
-      range_state_.data() + lane * range_stride_,
-      range_cpt_.data() + lane * range_stride_,
-      range_reason_.data() + lane * range_stride_,
-      frag_min_complete_.data() + lane * frag_stride_,
-      frag_in_progress_.data() + lane * frag_stride_,
-      frag_min_time_.data() + lane * frag_stride_,
-      &active_[lane], &verdict_[lane], &violation_[lane], &stats_[lane],
-      &armed_[lane], &q_done_[lane], &t_start_[lane], &t_stop_[lane],
-      &validated_or_rounds_[lane], &ordinal_[lane]};
-}
-
-namespace {
-
-// Lockstep block size: lanes advance together in windows of this many
-// suffix positions, and within a window each lane's sub-slice runs through
-// vm_run_batch's hoisted inner loop — the per-event entry overhead (code
-// pointer reload, per-event stats flush) is paid once per block per lane
-// instead of once per event, while lanes still stay within one block of
-// each other, so the shared program tables and every used frame remain
-// hot.  Lanes are independent frames: relative alignment is a pure
-// scheduling choice, and vm_run_batch accumulates ops/events and folds
-// max-ops exactly like per-event stepping, so the block size is invisible
-// in every result byte (mon_bytecode_test locks lockstep ≡ solo).
-constexpr std::size_t kLockstepBlock = 64;
-
-}  // namespace
-
-void VmLaneBatch::run(const std::vector<const spec::Trace*>& traces) {
-  LOOM_DASSERT(traces.size() == lanes_);
-  std::size_t longest = 0;
-  for (const auto* t : traces) {
-    if (t->size() > longest) longest = t->size();
-  }
-  const VmFrameRef* const frames = frames_.data();
-  for (std::size_t b = 0; b < longest; b += kLockstepBlock) {
-    for (std::size_t lane = 0; lane < lanes_; ++lane) {
-      const spec::Trace& t = *traces[lane];
-      if (b >= t.size()) continue;
-      const std::size_t end = std::min(t.size(), b + kLockstepBlock);
-      vm_run_batch(*program_, frames[lane], t.data() + b, t.data() + end);
-    }
-  }
-}
-
-void VmLaneBatch::run(const std::vector<const spec::Trace*>& traces,
-                      const std::vector<std::size_t>& starts) {
-  // A partial wave steps only the first traces.size() lanes; the rest are
-  // untouched (the campaign's final wave per unit is usually partial).
-  const std::size_t used = traces.size();
-  LOOM_DASSERT(used <= lanes_);
-  LOOM_DASSERT(starts.size() == used);
-  // Lockstep by suffix position: lane l's block b covers its events
-  // [starts[l] + b·B, starts[l] + (b+1)·B) — each lane still sees exactly
-  // its own suffix in order, which is all bit-identity needs.
-  std::size_t longest = 0;
-  for (std::size_t lane = 0; lane < used; ++lane) {
-    const std::size_t size = traces[lane]->size();
-    const std::size_t suffix = size > starts[lane] ? size - starts[lane] : 0;
-    if (suffix > longest) longest = suffix;
-  }
-  const VmFrameRef* const frames = frames_.data();
-  for (std::size_t b = 0; b < longest; b += kLockstepBlock) {
-    for (std::size_t lane = 0; lane < used; ++lane) {
-      const spec::Trace& t = *traces[lane];
-      const std::size_t begin = starts[lane] + b;
-      if (begin >= t.size()) continue;
-      const std::size_t end = std::min(t.size(), begin + kLockstepBlock);
-      vm_run_batch(*program_, frames[lane], t.data() + begin,
-                   t.data() + end);
-    }
-  }
 }
 
 }  // namespace loom::mon

@@ -1,14 +1,11 @@
 //! The monitor VM: interprets a mon::VmProgram (bytecode.hpp) over monitor
 //! state held in a flat struct-of-arrays frame.
 //!
-//! Two execution shapes share one interpreter core:
-//!   - VmMonitor: the mon::Monitor implementation behind Backend::Vm — one
-//!     frame, the drop-in peer of the Drct/ViaPSL monitors in campaigns,
-//!     CLIs and diff grids;
-//!   - VmLaneBatch: L frames over one shared program laid out lane-major in
-//!     contiguous arrays, advanced block-lockstep — the shape a campaign
-//!     shard wants for many mutants of the same (seed × property): the
-//!     program's route tables stay hot while the per-lane state streams.
+//! VmMonitor is the mon::Monitor implementation behind Backend::Vm — one
+//! frame, the drop-in peer of the Drct/ViaPSL monitors in campaigns, CLIs
+//! and diff grids.  The interpreter entry points below take the frame as a
+//! VmFrameRef, so the compact checkpoint rungs and the snapshot codec work
+//! on any frame the same way.
 //!
 //! Bit-identity contract (tests/mon_bytecode_test.cpp): a VmMonitor is
 //! indistinguishable from the Drct monitor of the same property — verdicts,
@@ -18,8 +15,8 @@
 //! into every byte-for-byte invariant grid unchanged.
 //!
 //! Ownership: frames own their state; the program is shared immutable.
-//! Thread-safety: one VmMonitor / VmLaneBatch belongs to one thread at a
-//! time; a VmProgram may be shared across threads freely.
+//! Thread-safety: one VmMonitor belongs to one thread at a time; a
+//! VmProgram may be shared across threads freely.
 #pragma once
 
 #include <memory>
@@ -33,10 +30,8 @@
 
 namespace loom::mon {
 
-/// Pointer bundle over one monitor's mutable state, however it is stored
-/// (a VmMonitor's own frame or one lane of a VmLaneBatch).  The interpreter
-/// only ever touches state through this view, so both shapes execute the
-/// same code paths — divergence between them is structurally impossible.
+/// Pointer bundle over one monitor's mutable state.  The interpreter only
+/// ever touches state through this view.
 struct VmFrameRef {
   std::uint8_t* range_state;    // [range_total] RangeState values
   std::uint32_t* range_cpt;     // [range_total] occurrence counters
@@ -56,11 +51,10 @@ struct VmFrameRef {
   std::uint64_t* ordinal;              // next event ordinal
 };
 
-/// Interpreter entry points (shared by VmMonitor and VmLaneBatch; see
-/// vm.cpp for the dispatch loop).  Each mirrors the corresponding Drct
-/// monitor entry point bit for bit.  The frame is taken by reference — the
-/// callers below keep a prebuilt VmFrameRef per frame, so stepping an event
-/// never re-materializes the 16-pointer bundle.
+/// Interpreter entry points (see vm.cpp for the dispatch loop).  Each
+/// mirrors the corresponding Drct monitor entry point bit for bit.  The
+/// frame is taken by reference — VmMonitor keeps a prebuilt VmFrameRef, so
+/// stepping an event never re-materializes the 16-pointer bundle.
 void vm_init(const VmProgram& p, const VmFrameRef& f);
 void vm_reset(const VmProgram& p, const VmFrameRef& f);
 void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
@@ -70,17 +64,16 @@ void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
 /// program pointer stays hoisted, the stats flush once per slice, and once
 /// the frame retires (retire.if would halt every later event for 0 ops) the
 /// rest of the slice is counted in one step — the campaign's batched mutant
-/// replay lands here.
+/// replay lands here.  Each event is stepped at its time plus `shift`
+/// (saturating): a shifted piece of a mutant's spec::TraceView.
 void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
-                  const spec::TimedEvent* begin, const spec::TimedEvent* end);
+                  const spec::TimedEvent* begin, const spec::TimedEvent* end,
+                  sim::Time shift = sim::Time::zero());
 void vm_finish(const VmProgram& p, const VmFrameRef& f, sim::Time end_time);
 void vm_poll(const VmProgram& p, const VmFrameRef& f, sim::Time now);
 /// Serializes / restores one frame's complete mutable state through
-/// mon::Snapshot — the same format (tag word, shape guard, field order)
-/// whether the frame is a VmMonitor's own or one lane of a VmLaneBatch, so
-/// a snapshot written by a solo monitor restores straight into a batch
-/// lane.  `who` names the caller in the foreign-format / shape-mismatch
-/// diagnostics.
+/// mon::Snapshot (tag word, shape guard, field order).  `who` names the
+/// caller in the foreign-format / shape-mismatch diagnostics.
 void vm_snapshot(const VmProgram& p, const VmFrameRef& f, Snapshot& out);
 void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
                 const char* who);
@@ -99,7 +92,7 @@ void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
 /// non-empty range error reason; the caller keeps an earlier rung instead.
 /// vm_load_rung overwrites every field of the frame: the violation resets
 /// and every range reason clears, so loading into a dirty frame (a pooled
-/// monitor or batch lane that violated before) is exact without a reset.
+/// monitor that violated before) is exact without a reset.
 /// A rung is shape-bound like a Snapshot, but carries no guard: load it
 /// only into a frame of a program with the same range_total / frag_count.
 std::size_t vm_rung_words(const VmProgram& p);
@@ -125,6 +118,10 @@ class VmMonitor final : public Monitor {
   void observe_batch(const spec::TimedEvent* begin,
                      const spec::TimedEvent* end) override {
     vm_run_batch(*program_, frame_, begin, end);
+  }
+  void observe_shifted(const spec::TimedEvent* begin,
+                       const spec::TimedEvent* end, sim::Time shift) override {
+    vm_run_batch(*program_, frame_, begin, end, shift);
   }
   void finish(sim::Time end_time) override {
     vm_finish(*program_, frame_, end_time);
@@ -179,110 +176,6 @@ class VmMonitor final : public Monitor {
   std::uint64_t validated_or_rounds_ = 0;
   std::uint64_t ordinal_ = 0;
   VmFrameRef frame_;  // prebuilt view over the members above (stable)
-};
-
-/// L monitor frames over one shared program, laid out lane-major in flat
-/// arrays (lane l's ranges live at [l * range_total, (l+1) * range_total)).
-/// Each lane is semantically an independent VmMonitor — same verdicts, same
-/// stats (tests/mon_bytecode_test.cpp locks the equivalence) — but the
-/// frames are contiguous and the program tables are shared, so advancing
-/// many mutants of one (seed × property) in block-lockstep keeps both in
-/// cache.
-class VmLaneBatch {
- public:
-  VmLaneBatch(std::shared_ptr<const VmProgram> program, std::size_t lanes);
-  // frames_ points into the lane-major state arrays (see VmMonitor).
-  VmLaneBatch(const VmLaneBatch&) = delete;
-  VmLaneBatch& operator=(const VmLaneBatch&) = delete;
-
-  std::size_t lanes() const { return lanes_; }
-  const VmProgram& program() const { return *program_; }
-
-  void observe(std::size_t lane, spec::Name name, sim::Time time) {
-    vm_step_event(*program_, frames_[lane], name, time);
-  }
-  void observe_batch(std::size_t lane, const spec::TimedEvent* begin,
-                     const spec::TimedEvent* end) {
-    vm_run_batch(*program_, frames_[lane], begin, end);
-  }
-  /// Block-lockstep over per-lane traces (the mutant-replay shape): lanes
-  /// advance together in fixed event-index windows, each lane's sub-slice
-  /// running through vm_run_batch's hoisted inner loop — lanes whose trace
-  /// is exhausted simply sit out the tail.  Equivalent, bit for bit, to
-  /// running each lane's trace through its own monitor.
-  void run(const std::vector<const spec::Trace*>& traces);
-  /// Suffix-replay lockstep: lane l steps only events
-  /// [starts[l], traces[l]->size()) of its trace — the checkpointed-mutant
-  /// shape, where each lane was restored from its floor rung and owes only
-  /// its own suffix.  Lockstep is by suffix position (relative index), so
-  /// uneven starts and uneven lengths both just sit out the tail; with all
-  /// starts zero and every lane used this is exactly run(traces).  A
-  /// partial wave (traces.size() < lanes()) steps only the listed lanes
-  /// and leaves the rest untouched.
-  void run(const std::vector<const spec::Trace*>& traces,
-           const std::vector<std::size_t>& starts);
-  void finish(std::size_t lane, sim::Time end_time) {
-    vm_finish(*program_, frames_[lane], end_time);
-  }
-  void poll(std::size_t lane, sim::Time now) {
-    vm_poll(*program_, frames_[lane], now);
-  }
-  void reset(std::size_t lane) { vm_reset(*program_, frames_[lane]); }
-  /// Lane-addressed snapshot/restore, format-identical to VmMonitor's:
-  /// restoring a VmMonitor-written snapshot (e.g. a checkpoint-ladder rung)
-  /// into lane l reproduces that monitor's state bit for bit, other lanes
-  /// untouched.
-  void snapshot(std::size_t lane, Snapshot& out) const {
-    vm_snapshot(*program_, frames_[lane], out);
-  }
-  void restore(std::size_t lane, const Snapshot& in) {
-    vm_restore(*program_, frames_[lane], in, "VmLaneBatch::restore");
-  }
-  /// Lane-addressed compact rungs, layout-identical to VmMonitor's.
-  bool save_rung(std::size_t lane, std::uint64_t* out) const {
-    return vm_save_rung(*program_, frames_[lane], out);
-  }
-  void load_rung(std::size_t lane, const std::uint64_t* in) {
-    vm_load_rung(*program_, frames_[lane], in);
-  }
-
-  Verdict verdict(std::size_t lane) const { return verdict_[lane]; }
-  const std::optional<Violation>& violation(std::size_t lane) const {
-    return violation_[lane];
-  }
-  MonitorStats& stats(std::size_t lane) { return stats_[lane]; }
-  std::size_t space_bits() const { return program_->space_bits; }
-
- private:
-  VmFrameRef make_ref(std::size_t lane);
-
-  std::shared_ptr<const VmProgram> program_;
-  std::size_t lanes_ = 0;
-  // Per-lane row strides, rounded up from range_total / frag_count so every
-  // lane's row starts on a cache-line boundary in the flat arrays below —
-  // lockstep stepping never has two lanes' hot words sharing a line.  The
-  // interpreter only ever touches [0, range_total) / [0, frag_count) of a
-  // row through the VmFrameRef, so the padding slack is dead space, not
-  // state.
-  std::size_t range_stride_ = 0;
-  std::size_t frag_stride_ = 0;
-  std::vector<std::uint8_t> range_state_;
-  std::vector<std::uint32_t> range_cpt_;
-  std::vector<std::string> range_reason_;
-  std::vector<std::uint8_t> frag_min_complete_;
-  std::vector<std::uint8_t> frag_in_progress_;
-  std::vector<sim::Time> frag_min_time_;
-  std::vector<std::uint32_t> active_;
-  std::vector<Verdict> verdict_;
-  std::vector<std::optional<Violation>> violation_;
-  std::vector<MonitorStats> stats_;
-  std::vector<std::uint8_t> armed_;
-  std::vector<std::uint8_t> q_done_;
-  std::vector<sim::Time> t_start_;
-  std::vector<sim::Time> t_stop_;
-  std::vector<std::uint64_t> validated_or_rounds_;
-  std::vector<std::uint64_t> ordinal_;
-  std::vector<VmFrameRef> frames_;  // prebuilt per-lane views (stable)
 };
 
 }  // namespace loom::mon

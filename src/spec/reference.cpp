@@ -240,15 +240,28 @@ class ReferenceWalk {
         repeated_(repeated),
         timed_(timed) {}
 
-  /// Steps trace[begin, end); true once the verdict is decided (then
-  /// result() holds it and the rest of the trace cannot change it).
-  bool advance(const Trace& trace, std::size_t begin, std::size_t end) {
-    return timed_ != nullptr ? advance_timed(trace, begin, end)
-                             : advance_antecedent(trace, begin, end);
+  /// Steps events [begin, end) of `trace`, piece by piece; true once the
+  /// verdict is decided (then result() holds it and the rest of the trace
+  /// cannot change it).
+  bool advance(const TraceView& trace, std::size_t begin, std::size_t end) {
+    std::size_t base = 0;  // index of the piece's first event
+    for (std::size_t k = 0; k < trace.count && base < end; ++k) {
+      const TracePiece& piece = trace.pieces[k];
+      const std::size_t from = std::max(begin, base);
+      const std::size_t to = std::min(end, base + piece.size);
+      if (from < to && (timed_ != nullptr
+                            ? advance_timed(piece, base, from, to)
+                            : advance_antecedent(piece, base, from, to))) {
+        return true;
+      }
+      base += piece.size;
+    }
+    return false;
   }
 
-  /// The verdict of a walk that reached the end of `trace` undecided.
-  RefResult finish(const Trace& trace, sim::Time end_time) const {
+  /// The verdict of a walk that reached the end of a `size`-event trace
+  /// undecided.
+  RefResult finish(std::size_t size, sim::Time end_time) const {
     if (timed_ == nullptr) {
       return {walker_.consumed_anything() ? RefVerdict::Pending
                                           : RefVerdict::Accepted,
@@ -256,7 +269,7 @@ class ReferenceWalk {
     }
     if (armed_ && !q_done_ && end_time > t_start_ + timed_->bound) {
       return {RefVerdict::Rejected,
-              trace.empty() ? kNoIndex : trace.size() - 1,
+              size == 0 ? kNoIndex : size - 1,
               "observation ended after the deadline with the consequent "
               "unfinished"};
     }
@@ -270,9 +283,10 @@ class ReferenceWalk {
   }
 
   /// Walks the whole of trace[begin, end) and returns its verdict.
-  RefResult run(const Trace& trace, std::size_t begin, sim::Time end_time) {
-    if (advance(trace, begin, trace.size())) return std::move(result_);
-    return finish(trace, end_time);
+  RefResult run(const TraceView& trace, std::size_t begin,
+                sim::Time end_time) {
+    if (advance(trace, begin, trace.size)) return std::move(result_);
+    return finish(trace.size, end_time);
   }
 
   void save(RefRung& rung, std::uint32_t* counts) const {
@@ -323,12 +337,14 @@ class ReferenceWalk {
     return true;
   }
 
-  bool advance_antecedent(const Trace& trace, std::size_t begin,
-                          std::size_t end) {
+  // Both steppers walk the trace indices [begin, end) that lie inside
+  // `piece`, whose first event has index `base`.
+  bool advance_antecedent(const TracePiece& piece, std::size_t base,
+                          std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const auto& ev = trace[i];
+      const auto& ev = piece.data[i - base];
       if (!plan_.alphabet.test(ev.name)) continue;  // projection
-      switch (walker_.step(ev.name, ev.time)) {
+      switch (walker_.step(ev.name, ev.time + piece.shift)) {
         case RoundWalker::Step::Consumed:
           break;
         case RoundWalker::Step::RoundCompleted:
@@ -367,28 +383,29 @@ class ReferenceWalk {
     return false;
   }
 
-  bool advance_timed(const Trace& trace, std::size_t begin,
-                     std::size_t end) {
+  bool advance_timed(const TracePiece& piece, std::size_t base,
+                     std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      const auto& ev = trace[i];
-      if (!plan_.alphabet.test(ev.name)) continue;
-      if (armed_ && !q_done_ && ev.time > t_start_ + timed_->bound) {
+      const Name name = piece.data[i - base].name;
+      if (!plan_.alphabet.test(name)) continue;
+      const sim::Time time = piece.data[i - base].time + piece.shift;
+      if (armed_ && !q_done_ && time > t_start_ + timed_->bound) {
         return decide(RefVerdict::Rejected, i,
                       "deadline elapsed before the consequent finished");
       }
-      switch (walker_.step(ev.name, ev.time)) {
+      switch (walker_.step(name, time)) {
         case RoundWalker::Step::Consumed:
-          if (update_timing(ev.time, i)) return true;
+          if (update_timing(time, i)) return true;
           break;
         case RoundWalker::Step::RoundCompleted:
           // The completing event restarts the chain at fragment 0.
           armed_ = false;
           q_done_ = false;
           walker_.reset();
-          if (walker_.step(ev.name, ev.time) == RoundWalker::Step::Error) {
+          if (walker_.step(name, time) == RoundWalker::Step::Error) {
             return decide(RefVerdict::Rejected, i, walker_.reason());
           }
-          if (update_timing(ev.time, i)) return true;
+          if (update_timing(time, i)) return true;
           break;
         case RoundWalker::Step::Error:
           return decide(RefVerdict::Rejected, i, walker_.reason());
@@ -423,6 +440,21 @@ std::size_t range_count(const OrderingPlan& plan) {
 
 }  // namespace
 
+void materialize(const TraceView& view, Trace& out) {
+  out.clear();
+  out.reserve(view.size);
+  for (std::size_t k = 0; k < view.count; ++k) {
+    const TracePiece& piece = view.pieces[k];
+    if (piece.shift.is_zero()) {
+      out.insert(out.end(), piece.data, piece.data + piece.size);
+      continue;
+    }
+    for (std::size_t i = 0; i < piece.size; ++i) {
+      out.push_back({piece.data[i].name, piece.data[i].time + piece.shift});
+    }
+  }
+}
+
 const char* to_string(RefVerdict v) {
   switch (v) {
     case RefVerdict::Accepted: return "accepted";
@@ -439,7 +471,7 @@ RefResult reference_check(const Antecedent& a, const Trace& trace) {
 RefResult reference_check(const Antecedent& a, const OrderingPlan& plan,
                           const Trace& trace) {
   return ReferenceWalk(plan, a.repeated, nullptr)
-      .run(trace, 0, sim::Time::zero());
+      .run(TraceView::of(trace), 0, sim::Time::zero());
 }
 
 RefResult reference_check(const TimedImplication& t, const Trace& trace,
@@ -449,7 +481,8 @@ RefResult reference_check(const TimedImplication& t, const Trace& trace,
 
 RefResult reference_check(const TimedImplication& t, const OrderingPlan& plan,
                           const Trace& trace, sim::Time end_time) {
-  return ReferenceWalk(plan, false, &t).run(trace, 0, end_time);
+  return ReferenceWalk(plan, false, &t).run(TraceView::of(trace), 0,
+                                            end_time);
 }
 
 RefResult reference_check(const Property& p, const Trace& trace,
@@ -460,8 +493,12 @@ RefResult reference_check(const Property& p, const Trace& trace,
 
 RefResult reference_check(const Property& p, const OrderingPlan& plan,
                           const Trace& trace, sim::Time end_time) {
-  if (p.is_antecedent()) return reference_check(p.antecedent(), plan, trace);
-  return reference_check(p.timed(), plan, trace, end_time);
+  return reference_check(p, plan, TraceView::of(trace), end_time);
+}
+
+RefResult reference_check(const Property& p, const OrderingPlan& plan,
+                          const TraceView& view, sim::Time end_time) {
+  return walk_of(p, plan).run(view, 0, end_time);
 }
 
 RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
@@ -476,9 +513,10 @@ RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
   const std::size_t rungs = trace.size() / stride;
   ladder.rungs.resize(rungs);
   ladder.counts.resize(rungs * ladder.ranges);
+  const TraceView view = TraceView::of(trace);
   ReferenceWalk walk = walk_of(p, plan);
   for (std::size_t k = 0; k < rungs; ++k) {
-    if (walk.advance(trace, k * stride, (k + 1) * stride)) {
+    if (walk.advance(view, k * stride, (k + 1) * stride)) {
       // Decided inside rung k's prefix: this rung and every later one
       // resume straight to the recorded verdict.
       for (; k < rungs; ++k) ladder.rungs[k].decided = true;
@@ -487,7 +525,7 @@ RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
     }
     walk.save(ladder.rungs[k], ladder.counts.data() + k * ladder.ranges);
   }
-  ladder.full = walk.run(trace, rungs * stride, end_time);
+  ladder.full = walk.run(view, rungs * stride, end_time);
   return ladder;
 }
 
@@ -495,9 +533,17 @@ RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
                                  const RefLadder& ladder, std::size_t floor,
                                  const Trace& trace, sim::Time end_time,
                                  std::size_t aligned, std::size_t* walked) {
+  return resume_reference_check(p, plan, ladder, floor, TraceView::of(trace),
+                                end_time, aligned, walked);
+}
+
+RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
+                                 const RefLadder& ladder, std::size_t floor,
+                                 const TraceView& trace, sim::Time end_time,
+                                 std::size_t aligned, std::size_t* walked) {
   assert(floor <= ladder.rungs.size());
   const std::size_t begin = floor * ladder.stride;
-  assert(begin <= trace.size());
+  assert(begin <= trace.size);
   if (walked != nullptr) *walked = 0;
   if (floor > 0 && ladder.rungs[floor - 1].decided) return ladder.full;
   ReferenceWalk walk = walk_of(p, plan);
@@ -507,17 +553,17 @@ RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
   }
   std::size_t at = begin;
   const Shift shift{end_time, ladder.end_time};
-  if (aligned <= trace.size()) {
+  if (aligned <= trace.size) {
     // Rung k's cut (k+1)·stride of the recorded trace sits at mutant index
-    // (k+1)·stride + δ, δ = trace.size() − ladder.size (modular size_t
+    // (k+1)·stride + δ, δ = trace.size − ladder.size (modular size_t
     // arithmetic: every index formed here is non-negative).  Try every cut
     // at or past both `aligned` and the resume point, up to the first
     // decided rung.
     const std::size_t from = std::max(aligned, begin);
     const std::size_t min_cut =
-        from + ladder.size > trace.size() ? from + ladder.size - trace.size()
-                                          : 0;
-    const std::size_t delta = trace.size() - ladder.size;
+        from + ladder.size > trace.size ? from + ladder.size - trace.size
+                                        : 0;
+    const std::size_t delta = trace.size - ladder.size;
     for (std::size_t k = min_cut == 0 ? 0 : (min_cut - 1) / ladder.stride;
          k < ladder.rungs.size() && !ladder.rungs[k].decided; ++k) {
       const std::size_t next = (k + 1) * ladder.stride + delta;
@@ -535,11 +581,12 @@ RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
       }
     }
   }
-  const bool decided = walk.advance(trace, at, trace.size());
+  const bool decided = walk.advance(trace, at, trace.size);
   if (walked != nullptr) {
-    *walked = (decided ? walk.stop() : trace.size()) - begin;
+    *walked = (decided ? walk.stop() : trace.size) - begin;
   }
-  return decided ? std::move(walk.result()) : walk.finish(trace, end_time);
+  return decided ? std::move(walk.result())
+                 : walk.finish(trace.size, end_time);
 }
 
 }  // namespace loom::spec

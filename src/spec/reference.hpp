@@ -8,6 +8,7 @@
 // accounting over the projected trace instead of per-range state machines.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -26,6 +27,55 @@ struct TimedEvent {
 };
 
 using Trace = std::vector<TimedEvent>;
+
+/// A contiguous run of borrowed events, each read with its time later by
+/// `shift` (saturating sim::Time addition, like the trace it stands for).
+struct TracePiece {
+  const TimedEvent* data = nullptr;
+  std::size_t size = 0;
+  sim::Time shift;
+};
+
+/// A trace presented as up to five borrowed pieces instead of one owned
+/// buffer: event j of the view is the event at offset j − base of the
+/// piece that holds index j, where base is the summed size of the pieces
+/// before it.  A mutant of a valid trace is such a view — the valid
+/// trace's runs around at most two patch events (abv::MutantEdit) — so the
+/// oracle and the monitors read it without the mutant ever being copied
+/// out.  The view owns nothing: its pieces must outlive it.
+struct TraceView {
+  static constexpr std::size_t kMaxPieces = 5;
+  std::array<TracePiece, kMaxPieces> pieces{};
+  std::size_t count = 0;  // pieces in use; none of them is empty
+  std::size_t size = 0;   // events over all pieces
+
+  /// The whole of `trace` as one unshifted piece.
+  static TraceView of(const Trace& trace) {
+    TraceView v;
+    v.append(trace.data(), trace.size());
+    return v;
+  }
+
+  /// Appends a piece; an empty run adds nothing.
+  void append(const TimedEvent* data, std::size_t n,
+              sim::Time shift = sim::Time::zero()) {
+    if (n == 0) return;
+    pieces[count++] = {data, n, shift};
+    size += n;
+  }
+
+  /// The time of the last event, as reference_check's callers take it for
+  /// the end of observation (0 for an empty view).
+  sim::Time end_time() const {
+    if (count == 0) return sim::Time::zero();
+    const TracePiece& last = pieces[count - 1];
+    return last.data[last.size - 1].time + last.shift;
+  }
+};
+
+/// Writes the view's events into `out` (cleared first, capacity reused):
+/// the trace the view stands for, byte for byte.
+void materialize(const TraceView& view, Trace& out);
 
 enum class RefVerdict {
   Accepted,  // no violation, no recognition in progress
@@ -70,6 +120,10 @@ RefResult reference_check(const TimedImplication& t, const OrderingPlan& plan,
                           const Trace& trace, sim::Time end_time);
 RefResult reference_check(const Property& p, const OrderingPlan& plan,
                           const Trace& trace, sim::Time end_time);
+/// The same walk over a pieced trace: byte-identical to the Trace form
+/// over materialize(view), which is the one-piece case of this one.
+RefResult reference_check(const Property& p, const OrderingPlan& plan,
+                          const TraceView& view, sim::Time end_time);
 
 /// One rung of an oracle checkpoint ladder: the reference walk's complete
 /// state after a prefix of the trace — the round walker's registers, the
@@ -142,6 +196,16 @@ RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
 /// `walked`, when given, receives the number of events the walk stepped
 /// past the resume point: up to the reconvergence cut, the deciding event
 /// or the end of the trace.
+///
+/// The mutant may arrive as a TraceView (abv::MutantEdit::view): the walk
+/// steps its pieces in place, and the result — `walked` included — is the
+/// Trace form's over materialize(view).  The Trace form is the one-piece
+/// view of the trace.
+RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
+                                 const RefLadder& ladder, std::size_t floor,
+                                 const TraceView& trace, sim::Time end_time,
+                                 std::size_t aligned,
+                                 std::size_t* walked = nullptr);
 RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
                                  const RefLadder& ladder, std::size_t floor,
                                  const Trace& trace, sim::Time end_time,

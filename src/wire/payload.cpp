@@ -168,7 +168,6 @@ void encode_options(Encoder& e, const abv::CampaignOptions& o) {
   put_size(e, o.worker_retries);
   e.put_bool(o.allow_partial);
   e.put_bool(o.supervised);
-  put_size(e, o.lane_width);
 }
 
 bool decode_options(Decoder& d, abv::CampaignOptions& o) {
@@ -208,7 +207,6 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   o.worker_retries = get_size(d);
   o.allow_partial = d.boolean();
   o.supervised = d.boolean();
-  o.lane_width = get_size(d);
   // Borrowed pointers never cross a process boundary.
   o.plan_cache = nullptr;
   return d.ok();
@@ -230,9 +228,6 @@ void encode_result(Encoder& e, const abv::CampaignResult& r) {
   put_size(e, r.checkpoint_hits);
   put_size(e, r.events_skipped);
   put_size(e, r.worker_retries);
-  e.put_u64(r.lane_waves);
-  e.put_u64(r.lanes_filled);
-  e.put_u64(r.lane_capacity);
   e.put_u64(r.shard_failures.size());
   for (const auto& f : r.shard_failures) {
     put_size(e, f.worker);
@@ -260,9 +255,6 @@ bool decode_result(Decoder& d, abv::CampaignResult& r) {
   r.checkpoint_hits = get_size(d);
   r.events_skipped = get_size(d);
   r.worker_retries = get_size(d);
-  r.lane_waves = d.u64();
-  r.lanes_filled = d.u64();
-  r.lane_capacity = d.u64();
   // A failure record is at least four u64 fields plus the diagnostic's
   // 8-byte length word.
   const std::uint64_t failures = d.count(40, "shard failure list");

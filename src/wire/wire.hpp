@@ -47,8 +47,9 @@ namespace loom::wire {
 /// per-shard failure records of degraded runs.  Version 3 added the
 /// lane-batched wave surface: the lane_width knob in CampaignOptions and
 /// the lane_waves / lanes_filled / lane_capacity counters in
-/// CampaignResult.
-constexpr std::uint8_t kWireVersion = 3;
+/// CampaignResult.  Version 4 removed that surface again, with the wave
+/// engine it described.
+constexpr std::uint8_t kWireVersion = 4;
 
 /// "LOOM" as a little-endian u32 (the file starts with the bytes L O O M).
 constexpr std::uint32_t kMagic = 0x4D4F4F4Cu;

@@ -17,15 +17,26 @@
 // mutant is the source trace again, re-indexed by the size change δ and
 // re-timed by the end-time change τ — where the oracle's walk may rejoin
 // the valid trace's and stop.  Fuzzed and pinned per kind the same way.
+//
+// A mutant is an edit (MutantEdit): pieces of the source trace around at
+// most two patch events.  The MutantView suite pins the edit's bytes to
+// the copying implementation it replaced — golden digests recorded with
+// that implementation, over generated traces and hand-built edges — and
+// holds its two readers, the oracle and the monitors, to the materialized
+// bytes.
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abv/mutate.hpp"
 #include "abv/stimuli.hpp"
+#include "mon/compiled.hpp"
+#include "mon/snapshot.hpp"
 #include "spec/attributes.hpp"
 #include "testing.hpp"
 
@@ -139,6 +150,18 @@ constexpr const char* kOracleShapes[] = {
     "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
     "(p[2,3] => q[1,4] < r, 10us)", "(a => b[1,3], 15ns)"};
 
+// The ascending indices of `trace`'s alphabet events, computed here
+// independently of the library.
+std::vector<std::size_t> alphabet_sites(const spec::Trace& trace,
+                                        const spec::Property& property) {
+  const spec::NameSet alphabet = property.alphabet();
+  std::vector<std::size_t> sites;
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    if (alphabet.test(trace[k].name)) sites.push_back(k);
+  }
+  return sites;
+}
+
 struct OracleTally {
   std::size_t applied = 0;
   std::size_t resumed = 0;   // mutants with a floor rung
@@ -168,12 +191,27 @@ void check_oracle_resume(const char* source, MutationKind kind,
           property, plan, valid, end_of(valid), stride);
       support::Rng rng = support::Rng::stream(seed, 7);
       for (int round = 0; round < rounds; ++round) {
+        // The same draw as an edit, read in pieces by the view forms.
+        support::Rng edit_rng = rng;
         const auto mutant = mutate(valid, kind, property, rng);
+        MutantEdit edit;
+        const std::vector<std::size_t> sites = alphabet_sites(valid, property);
+        const bool edited =
+            mutate_edit(valid, kind, property, sites, edit_rng, edit);
+        ASSERT_EQ(edited, mutant.has_value());
         if (!mutant) continue;
         ++tally.applied;
         const spec::Trace& trace = mutant->trace;
         const spec::RefResult full =
             spec::reference_check(property, plan, trace, end_of(trace));
+        ASSERT_EQ(edit.view.end_time(), end_of(trace));
+        {
+          const spec::RefResult pieced = spec::reference_check(
+              property, plan, edit.view, edit.view.end_time());
+          EXPECT_EQ(pieced.verdict, full.verdict);
+          EXPECT_EQ(pieced.error_index, full.error_index);
+          EXPECT_EQ(pieced.reason, full.reason);
+        }
         const std::size_t floor =
             std::min(mutant->position / stride, ladder.rungs.size());
         if (floor > 0) ++tally.resumed;
@@ -185,18 +223,22 @@ void check_oracle_resume(const char* source, MutationKind kind,
               " position=" + std::to_string(mutant->position) +
               " aligned=" + std::to_string(mutant->aligned) +
               " floor=" + std::to_string(from);
-          std::size_t walked = 0, walked_untold = 0;
+          std::size_t walked = 0, walked_untold = 0, walked_view = 0;
           const spec::RefResult told = spec::resume_reference_check(
               property, plan, ladder, from, trace, end_of(trace),
               mutant->aligned, &walked);
           const spec::RefResult untold = spec::resume_reference_check(
               property, plan, ladder, from, trace, end_of(trace),
               trace.size(), &walked_untold);
-          for (const spec::RefResult* r : {&told, &untold}) {
+          const spec::RefResult viewed = spec::resume_reference_check(
+              property, plan, ladder, from, edit.view, edit.view.end_time(),
+              edit.aligned, &walked_view);
+          for (const spec::RefResult* r : {&told, &untold, &viewed}) {
             EXPECT_EQ(r->verdict, full.verdict) << what;
             EXPECT_EQ(r->error_index, full.error_index) << what;
             EXPECT_EQ(r->reason, full.reason) << what;
           }
+          EXPECT_EQ(walked_view, walked) << what << " [view]";
           EXPECT_LE(walked, walked_untold) << what;
           if (walked < walked_untold) ++tally.rejoined;
         }
@@ -250,15 +292,6 @@ TEST(MutationOracleResumeDetails, ReconvergenceFiresForEveryKind) {
 // campaign engine passes them) gives the same mutant.
 class MutationSites : public ::testing::TestWithParam<const char*> {};
 
-std::vector<std::size_t> alphabet_sites(const spec::Trace& trace,
-                                        const spec::Property& property) {
-  const spec::NameSet alphabet = property.alphabet();
-  std::vector<std::size_t> sites;
-  for (std::size_t k = 0; k < trace.size(); ++k) {
-    if (alphabet.test(trace[k].name)) sites.push_back(k);
-  }
-  return sites;
-}
 
 // One call through each entry point from equal Rng states; the scratch
 // targets arrive dirty (`dirty` was mutated from another trace first).
@@ -423,6 +456,389 @@ TEST(MutationPositionPlacement, PinnedPerKindSemantics) {
     EXPECT_GT(m->trace[m->position].time, t[m->position].time);
     EXPECT_EQ(m->trace[m->position].name, t[m->position].name);
   }
+}
+
+
+// --- MutantView: the edit's pieces against the bytes ----------------------
+//
+// Golden digests recorded with the copying implementation the edit
+// replaced (mutate() at the time), over every call's outcome: whether it
+// applied, the next Rng draw, and kind, position, aligned and every event
+// of the mutant.  Every entry point must still land on them — mutate(),
+// both mutate_into() overloads, and mutate_edit() materialized.
+
+spec::Property parse_shape(const char* source, spec::Alphabet& ab) {
+  return loom::testing::parse(source, ab);
+}
+
+// FNV-1a over 64-bit words.
+std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// One mutation call's observable outcome: whether it applied, the next
+// Rng draw after it, and — when it applied — kind, position, aligned and
+// every event of the mutant.
+std::uint64_t fold_call(std::uint64_t h, bool applied,
+                        const MutationResult& m, support::Rng rng) {
+  h = fnv(h, applied ? 1 : 0);
+  h = fnv(h, rng.next());
+  if (!applied) return h;
+  h = fnv(h, static_cast<std::uint64_t>(m.kind));
+  h = fnv(h, m.position);
+  h = fnv(h, m.aligned);
+  h = fnv(h, m.trace.size());
+  for (const spec::TimedEvent& ev : m.trace) {
+    h = fnv(h, ev.name);
+    h = fnv(h, ev.time.picoseconds());
+  }
+  return h;
+}
+
+constexpr const char* kDigestShapes[] = {
+    "(n << i, true)", "(n[2,3] << i, false)", "(({a, b, c}, &) << s, false)",
+    "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+    "(p[2,3] => q[1,4] < r, 10us)", "(a => b[1,3], 15ns)"};
+
+// The digest over (property × seed × kind × draw) of `mutator`'s calls on
+// generated valid traces.
+template <typename Mutator>
+std::uint64_t shapes_digest(Mutator mutator) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char* source : kDigestShapes) {
+    spec::Alphabet ab;
+    const spec::Property property = parse_shape(source, ab);
+    StimuliOptions sopt;
+    sopt.rounds = 5;
+    sopt.noise_permille = 150;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      support::Rng gen_rng = support::Rng::stream(seed, 0);
+      const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
+      for (const MutationKind kind : kKinds) {
+        support::Rng rng = support::Rng::stream(seed, 17);
+        for (int draw = 0; draw < 10; ++draw) {
+          MutationResult m;
+          const bool applied = mutator(valid, kind, property, rng, m);
+          h = fold_call(h, applied, m, rng);
+        }
+      }
+    }
+  }
+  return h;
+}
+
+// Hand-built edge traces: 0, 1 and 2 events, noise between the two events
+// a swap exchanges, and times so close to sim::Time's ceiling that a
+// stalled tail saturates.
+struct EdgeCase {
+  const char* property;
+  std::vector<std::pair<const char*, std::uint64_t>> events;  // name, ps
+};
+
+std::vector<EdgeCase> edge_cases() {
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  return {
+      {"(n << i, true)", {}},
+      {"(n << i, true)", {{"n", 10}}},
+      {"(n << i, true)", {{"n", 10}, {"i", 20}}},
+      {"(n << i, true)", {{"n", 10}, {"z", 15}, {"y", 17}, {"i", 20}}},
+      {"(n << i, true)", {{"i", 10}, {"z", 15}, {"n", 20}, {"z", 25}}},
+      {"(p[2,3] => q[1,4] < r, 10us)", {}},
+      {"(p[2,3] => q[1,4] < r, 10us)", {{"p", 1000}}},
+      {"(p[2,3] => q[1,4] < r, 10us)", {{"p", 1000}, {"q", 2000}}},
+      {"(p[2,3] => q[1,4] < r, 10us)",
+       {{"p", 1000}, {"z", 1500}, {"q", 2000}, {"r", 3000}}},
+      {"(p[2,3] => q[1,4] < r, 10us)",
+       {{"p", kTop - 30}, {"p", kTop - 20}, {"q", kTop - 10}, {"r", kTop}}},
+      {"(a => b[1,3], 15ns)", {{"a", kTop - 1}, {"b", kTop}}},
+  };
+}
+
+template <typename Mutator>
+std::uint64_t edges_digest(Mutator mutator) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t index = 0;
+  for (const EdgeCase& c : edge_cases()) {
+    spec::Alphabet ab;
+    const spec::Property property = parse_shape(c.property, ab);
+    spec::Trace trace;
+    for (const auto& [name, ps] : c.events) {
+      trace.push_back({ab.name(name), sim::Time::ps(ps)});
+    }
+    ++index;
+    for (const MutationKind kind : kKinds) {
+      support::Rng rng = support::Rng::stream(index, 29);
+      for (int draw = 0; draw < 16; ++draw) {
+        MutationResult m;
+        const bool applied = mutator(trace, kind, property, rng, m);
+        h = fold_call(h, applied, m, rng);
+      }
+    }
+  }
+  return h;
+}
+
+constexpr std::uint64_t kShapesGolden = 0x767fe0361c6b3970ULL;
+constexpr std::uint64_t kEdgesGolden = 0x885e7bfa2ab1ca31ULL;
+
+// Each entry point as a digest mutator.
+bool by_mutate(const spec::Trace& t, MutationKind k, const spec::Property& p,
+               support::Rng& rng, MutationResult& m) {
+  auto r = mutate(t, k, p, rng);
+  if (r) m = std::move(*r);
+  return r.has_value();
+}
+
+bool by_names(const spec::Trace& t, MutationKind k, const spec::Property& p,
+              support::Rng& rng, MutationResult& m) {
+  return mutate_into(t, k, p, p.alphabet(), rng, m);
+}
+
+bool by_sites(const spec::Trace& t, MutationKind k, const spec::Property& p,
+              support::Rng& rng, MutationResult& m) {
+  return mutate_into(t, k, p, alphabet_sites(t, p), rng, m);
+}
+
+bool by_edit(const spec::Trace& t, MutationKind k, const spec::Property& p,
+             support::Rng& rng, MutationResult& m) {
+  MutantEdit edit;
+  if (!mutate_edit(t, k, p, alphabet_sites(t, p), rng, edit)) return false;
+  materialize(edit, m);
+  return true;
+}
+
+TEST(MutantView, EveryEntryPointLandsOnTheGoldenDigestOfGeneratedTraces) {
+  EXPECT_EQ(shapes_digest(by_mutate), kShapesGolden);
+  EXPECT_EQ(shapes_digest(by_names), kShapesGolden);
+  EXPECT_EQ(shapes_digest(by_sites), kShapesGolden);
+  EXPECT_EQ(shapes_digest(by_edit), kShapesGolden);
+}
+
+TEST(MutantView, EveryEntryPointLandsOnTheGoldenDigestOfEdgeTraces) {
+  EXPECT_EQ(edges_digest(by_mutate), kEdgesGolden);
+  EXPECT_EQ(edges_digest(by_names), kEdgesGolden);
+  EXPECT_EQ(edges_digest(by_sites), kEdgesGolden);
+  EXPECT_EQ(edges_digest(by_edit), kEdgesGolden);
+}
+
+// The view's shape, per edit: at most five non-empty pieces summing to the
+// mutant's size, each pointing into the source trace or the edit's own
+// patch, unshifted but for StallDeadline's tail, and ending at the
+// materialized mutant's end time.
+void expect_well_formed(const spec::Trace& source, const MutantEdit& edit,
+                        const spec::Trace& bytes, const std::string& what) {
+  const spec::TraceView& v = edit.view;
+  ASSERT_LE(v.count, spec::TraceView::kMaxPieces) << what;
+  EXPECT_EQ(v.size, bytes.size()) << what;
+  EXPECT_EQ(v.end_time(), end_of(bytes)) << what;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < v.count; ++i) {
+    const spec::TracePiece& piece = v.pieces[i];
+    EXPECT_GT(piece.size, 0u) << what << " piece " << i;
+    total += piece.size;
+    const bool in_source =
+        piece.data >= source.data() &&
+        piece.data + piece.size <= source.data() + source.size();
+    const bool in_patch = piece.data >= edit.patch &&
+                          piece.data + piece.size <= edit.patch + 2;
+    EXPECT_TRUE(in_source || in_patch) << what << " piece " << i;
+    if (!piece.shift.is_zero()) {
+      EXPECT_EQ(edit.kind, MutationKind::StallDeadline) << what;
+      EXPECT_EQ(i + 1, v.count) << what << ": only the tail is shifted";
+    }
+  }
+  EXPECT_EQ(total, v.size) << what;
+}
+
+TEST(MutantView, PiecesAreWellFormedAndCoverTheEdges) {
+  // Coverage the edge traces exist for: an edit at the first index and at
+  // the last, a swap across noise, and a stalled tail that saturates.
+  bool at_first = false, at_last = false, noisy_swap = false;
+  bool saturated = false;
+  const auto check = [&](const spec::Trace& trace,
+                         const spec::Property& property, support::Rng& rng,
+                         MutationKind kind, const std::string& what) {
+    MutantEdit edit;
+    support::Rng copy = rng;
+    if (!mutate_edit(trace, kind, property, alphabet_sites(trace, property),
+                     rng, edit)) {
+      return;
+    }
+    MutationResult bytes;
+    ASSERT_TRUE(by_mutate(trace, kind, property, copy, bytes)) << what;
+    expect_well_formed(trace, edit, bytes.trace, what);
+    MutationResult materialized;
+    materialize(edit, materialized);
+    EXPECT_EQ(materialized.trace, bytes.trace) << what;
+    const std::size_t n = trace.size();
+    if ((kind == MutationKind::Drop || kind == MutationKind::SwapAdjacent) &&
+        edit.position == 0) {
+      at_first = true;
+    }
+    if ((kind == MutationKind::Drop && edit.position + 1 == n) ||
+        (kind == MutationKind::Duplicate && edit.position == n) ||
+        (kind == MutationKind::EarlyTrigger && edit.position == n)) {
+      at_last = true;
+    }
+    if (kind == MutationKind::SwapAdjacent &&
+        edit.aligned > edit.position + 2) {
+      noisy_swap = true;
+    }
+    if (kind == MutationKind::StallDeadline &&
+        end_of(bytes.trace) == sim::Time::max()) {
+      saturated = true;
+    }
+  };
+  std::uint64_t index = 0;
+  for (const EdgeCase& c : edge_cases()) {
+    spec::Alphabet ab;
+    const spec::Property property = parse_shape(c.property, ab);
+    spec::Trace trace;
+    for (const auto& [name, ps] : c.events) {
+      trace.push_back({ab.name(name), sim::Time::ps(ps)});
+    }
+    ++index;
+    for (const MutationKind kind : kKinds) {
+      support::Rng rng = support::Rng::stream(index, 29);
+      for (int draw = 0; draw < 16; ++draw) {
+        check(trace, property, rng, kind,
+              std::string(c.property) + " edge " + std::to_string(index) +
+                  " " + to_string(kind) + " draw " + std::to_string(draw));
+      }
+    }
+  }
+  for (const char* source : kDigestShapes) {
+    spec::Alphabet ab;
+    const spec::Property property = parse_shape(source, ab);
+    StimuliOptions sopt;
+    sopt.rounds = 5;
+    sopt.noise_permille = 150;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      support::Rng gen_rng = support::Rng::stream(seed, 0);
+      const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
+      for (const MutationKind kind : kKinds) {
+        support::Rng rng = support::Rng::stream(seed, 17);
+        for (int draw = 0; draw < 10; ++draw) {
+          check(valid, property, rng, kind,
+                std::string(source) + " seed " + std::to_string(seed) + " " +
+                    to_string(kind) + " draw " + std::to_string(draw));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(at_first);
+  EXPECT_TRUE(at_last);
+  EXPECT_TRUE(noisy_swap);
+  EXPECT_TRUE(saturated);
+}
+
+// Steps the view's events [begin, end) through `monitor` piece by piece,
+// the way the campaign engine replays a mutant.
+void replay_pieces(mon::Monitor& monitor, const spec::TraceView& view,
+                   std::size_t begin) {
+  std::size_t base = 0;
+  for (std::size_t i = 0; i < view.count; ++i) {
+    const spec::TracePiece& piece = view.pieces[i];
+    const std::size_t skip = begin > base ? begin - base : 0;
+    base += piece.size;
+    if (skip < piece.size) {
+      monitor.observe_shifted(piece.data + skip, piece.data + piece.size,
+                              piece.shift);
+    }
+  }
+}
+
+void expect_same_monitor(mon::Monitor& got, mon::Monitor& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.verdict(), want.verdict()) << what;
+  ASSERT_EQ(got.violation().has_value(), want.violation().has_value())
+      << what;
+  if (got.violation()) {
+    EXPECT_EQ(got.violation()->event_ordinal, want.violation()->event_ordinal)
+        << what;
+    EXPECT_EQ(got.violation()->time, want.violation()->time) << what;
+    EXPECT_EQ(got.violation()->name, want.violation()->name) << what;
+    EXPECT_EQ(got.violation()->reason, want.violation()->reason) << what;
+  }
+  EXPECT_EQ(got.stats().ops, want.stats().ops) << what;
+  EXPECT_EQ(got.stats().events, want.stats().events) << what;
+  EXPECT_EQ(got.stats().max_ops_per_event, want.stats().max_ops_per_event)
+      << what;
+}
+
+TEST(MutantView, ReplayingThePiecesFromEveryCutEqualsTheMaterializedBatch) {
+  // The engine's replay: a monitor restored to the valid prefix at a cut
+  // <= position (a dirty instance, like a pooled one), then the edit's
+  // pieces from the cut on through observe_shifted, then finish at the
+  // view's end time — against a fresh monitor batching the materialized
+  // mutant.  Vm and Drct alike; StallDeadline's shifted tail (τ != 0) on
+  // the timed shapes.
+  std::size_t shifted = 0, resumed = 0;
+  for (const mon::Backend backend : {mon::Backend::Vm, mon::Backend::Drct}) {
+    for (const char* source : kDigestShapes) {
+      spec::Alphabet ab;
+      const spec::Property property = parse_shape(source, ab);
+      mon::CompileOptions copt;
+      copt.backend = backend;
+      const mon::CompiledProperty compiled =
+          mon::CompiledProperty::compile(property, ab, copt);
+      StimuliOptions sopt;
+      sopt.rounds = 5;
+      sopt.noise_permille = 150;
+      const std::unique_ptr<mon::Monitor> prefix = compiled.instantiate();
+      const std::unique_ptr<mon::Monitor> pooled = compiled.instantiate();
+      const std::unique_ptr<mon::Monitor> whole = compiled.instantiate();
+      mon::Snapshot at_cut;
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        support::Rng gen_rng = support::Rng::stream(seed, 0);
+        const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
+        const std::vector<std::size_t> sites = alphabet_sites(valid, property);
+        for (const MutationKind kind : kKinds) {
+          support::Rng rng = support::Rng::stream(seed, 41);
+          for (int draw = 0; draw < 4; ++draw) {
+            MutantEdit edit;
+            if (!mutate_edit(valid, kind, property, sites, rng, edit)) {
+              continue;
+            }
+            MutationResult bytes;
+            materialize(edit, bytes);
+            whole->reset();
+            whole->observe_batch(bytes.trace);
+            whole->finish(end_of(bytes.trace));
+            if (edit.view.pieces[edit.view.count - 1].shift !=
+                sim::Time::zero()) {
+              ++shifted;
+            }
+            std::vector<std::size_t> cuts;
+            for (std::size_t c = 0; c < edit.position; c += 3) {
+              cuts.push_back(c);
+            }
+            cuts.push_back(edit.position);
+            for (const std::size_t cut : cuts) {
+              const std::string what =
+                  std::string(to_string(backend)) + " " + source + " seed " +
+                  std::to_string(seed) + " " + to_string(kind) + " draw " +
+                  std::to_string(draw) + " cut " + std::to_string(cut);
+              prefix->reset();
+              prefix->observe_batch(valid.data(), valid.data() + cut);
+              prefix->snapshot(at_cut);
+              pooled->restore(at_cut);
+              replay_pieces(*pooled, edit.view, cut);
+              pooled->finish(edit.view.end_time());
+              expect_same_monitor(*pooled, *whole, what);
+              if (cut > 0) ++resumed;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(shifted, 0u);
+  EXPECT_GT(resumed, 1000u);
 }
 
 }  // namespace

@@ -32,7 +32,6 @@ CampaignRun run_with(const char* source, std::size_t threads, std::size_t shard_
   opt.threads = threads;
   opt.shard_size = shard_size;
   opt.backend = backend;
-  loom::testing::scalar_lanes_if_forced(opt);
   const CampaignResult r = run_campaign(p, ab, opt);
   return {r, r.report(ab)};
 }
@@ -112,9 +111,9 @@ TEST_P(ParallelCampaign, BackendKnobStaysDeterministicAcrossThreads) {
 }
 
 TEST_P(ParallelCampaign, DrctAndVmAgreeBeyondTheBackendLine) {
-  // Backend independence across the thread/shard grid: forced Drct (at
-  // lane width 1, it has no VM frames to wave over) and forced Vm differ
-  // only in the report's backend line — recognizer coverage included.
+  // Backend independence across the thread/shard grid: forced Drct and
+  // forced Vm differ only in the report's backend line — recognizer
+  // coverage included.
   struct Layout {
     std::size_t threads, shard_size;
   };

@@ -55,7 +55,6 @@ CampaignRun run_with(const char* source, std::size_t threads, Mode mode,
   opt.reuse_traces = mode.reuse_traces;
   opt.batch_replay = mode.batch_replay;
   opt.backend = backend;
-  loom::testing::scalar_lanes_if_forced(opt);
   const CampaignResult r = run_campaign(p, ab, opt);
   return {r, r.report(ab)};
 }

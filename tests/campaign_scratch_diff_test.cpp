@@ -53,7 +53,6 @@ CampaignRun run_with(const char* source, mon::Backend backend, bool scratch,
   opt.mutants_per_kind = 6;
   opt.check_viapsl = viapsl;
   opt.backend = backend;
-  loom::testing::scalar_lanes_if_forced(opt);
   opt.use_compiled_plans = knobs.compiled;
   opt.threads = threads;
   opt.shard_size = shard_size;

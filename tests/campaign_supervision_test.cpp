@@ -151,7 +151,6 @@ TEST(CampaignSupervision, SeventhInvariantHoldsPerBackend) {
        {mon::Backend::Drct, mon::Backend::ViaPSL, mon::Backend::Vm}) {
     CampaignOptions base = small_options();
     base.backend = backend;
-    loom::testing::scalar_lanes_if_forced(base);
     const CampaignRun clean = run_with(base, "(n << i, true)");
     for (const WorkerFault fault :
          {WorkerFault::CorruptFrame, WorkerFault::Hang}) {

@@ -4,8 +4,7 @@
 // fuzzed against the Drct monitors it compiles from — verdicts, violation
 // reports (reason strings included), the Figure-6 op/event/max-ops
 // accounting and the space bits must match event for event, through both
-// MonitorModule batch policies, at random batch cut points, and lane for
-// lane through VmLaneBatch's block-lockstep.  ViaPSL rides
+// MonitorModule batch policies and at random batch cut points.  ViaPSL rides
 // along as the relational cross-check: a clause-network rejection must
 // always be confirmed by the VM (no false alarms, psl_equivalence_test's
 // relation 1 per prefix).
@@ -384,245 +383,12 @@ TEST(MonBytecodeBatch, BothModulePoliciesMatchDrctHostedTheSameWay) {
   }
 }
 
-// --- VmLaneBatch ≡ independent VmMonitors ----------------------------------
-
-TEST(MonBytecodeLanes, LockstepLanesEqualIndependentMonitors) {
-  for (const auto& c : kCases) {
-    spec::Alphabet ab;
-    const spec::Property p = loom::testing::parse(c.source, ab);
-    const auto names = names_of(p, ab);
-    const auto program = compile_vm(p);
-
-    constexpr std::size_t kLanes = 8;
-    VmLaneBatch lanes(program, kLanes);
-    ASSERT_EQ(lanes.lanes(), kLanes);
-
-    for (std::uint64_t round = 0; round < 6; ++round) {
-      // Per-lane traces of deliberately different lengths: exhausted lanes
-      // must sit out the lockstep tail untouched.
-      std::vector<spec::Trace> traces;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        support::Rng rng = support::Rng::stream(0x1A9E + round * kLanes + l, 3);
-        traces.push_back(fuzz_trace(names, rng));
-      }
-      std::vector<const spec::Trace*> ptrs;
-      for (const auto& t : traces) ptrs.push_back(&t);
-
-      for (std::size_t l = 0; l < kLanes; ++l) lanes.reset(l);
-      lanes.run(ptrs);
-
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const sim::Time end =
-            traces[l].empty() ? sim::Time::zero() : traces[l].back().time;
-        lanes.finish(l, end);
-
-        VmMonitor solo(program);
-        for (const auto& ev : traces[l]) solo.observe(ev.name, ev.time);
-        solo.finish(end);
-
-        const std::string what = std::string(c.label) + " round " +
-                                 std::to_string(round) + " lane " +
-                                 std::to_string(l);
-        EXPECT_EQ(lanes.verdict(l), solo.verdict()) << what;
-        ASSERT_EQ(lanes.violation(l).has_value(), solo.violation().has_value())
-            << what;
-        if (lanes.violation(l) && solo.violation()) {
-          EXPECT_EQ(lanes.violation(l)->event_ordinal,
-                    solo.violation()->event_ordinal)
-              << what;
-          EXPECT_EQ(lanes.violation(l)->time, solo.violation()->time) << what;
-          EXPECT_EQ(lanes.violation(l)->name, solo.violation()->name) << what;
-          EXPECT_EQ(lanes.violation(l)->reason, solo.violation()->reason)
-              << what;
-        }
-        EXPECT_EQ(lanes.stats(l).ops, solo.stats().ops) << what;
-        EXPECT_EQ(lanes.stats(l).events, solo.stats().events) << what;
-        EXPECT_EQ(lanes.stats(l).max_ops_per_event,
-                  solo.stats().max_ops_per_event)
-            << what;
-        EXPECT_EQ(lanes.space_bits(), solo.space_bits()) << what;
-      }
-    }
-  }
-}
-
-TEST(MonBytecodeLanes, PerLaneBatchSlicesMatchTheLockstepRun) {
-  // observe_batch on individual lanes at arbitrary cuts lands on the same
-  // bytes as run()'s block-lockstep sweep.
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse(
-      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
-  const auto names = names_of(p, ab);
-  const auto program = compile_vm(p);
-
-  constexpr std::size_t kLanes = 4;
-  std::vector<spec::Trace> traces;
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    support::Rng rng = support::Rng::stream(0xC4A0 + l, 17);
-    traces.push_back(fuzz_trace(names, rng));
-  }
-  std::vector<const spec::Trace*> ptrs;
-  for (const auto& t : traces) ptrs.push_back(&t);
-
-  VmLaneBatch lockstep(program, kLanes);
-  lockstep.run(ptrs);
-
-  VmLaneBatch sliced(program, kLanes);
-  support::Rng rng = support::Rng::stream(0xC4A0, 19);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    std::size_t done = 0;
-    while (done < traces[l].size()) {
-      const std::size_t cut = done + 1 + rng.below(traces[l].size() - done);
-      sliced.observe_batch(l, traces[l].data() + done,
-                           traces[l].data() + cut);
-      done = cut;
-    }
-  }
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    const sim::Time end =
-        traces[l].empty() ? sim::Time::zero() : traces[l].back().time;
-    lockstep.finish(l, end);
-    sliced.finish(l, end);
-    EXPECT_EQ(lockstep.verdict(l), sliced.verdict(l)) << "lane " << l;
-    EXPECT_EQ(lockstep.stats(l).ops, sliced.stats(l).ops) << "lane " << l;
-    EXPECT_EQ(lockstep.violation(l).has_value(),
-              sliced.violation(l).has_value())
-        << "lane " << l;
-  }
-}
-
-TEST(MonBytecodeLanes, MidWaveRestoreResumesLockstepBitForBit) {
-  // The campaign's wave shape: each lane is either reset fresh or restored
-  // from a snapshot taken at a random cut of its own trace, then the whole
-  // wave resumes in block-lockstep over per-lane suffixes.
-  // Every lane — restored or not — must land on the same bytes as a solo
-  // VmMonitor that ran its full trace without interruption.  Snapshots are
-  // written by a *solo* monitor and restored into a *lane*, crossing the
-  // shared format exactly the way a checkpoint-ladder rung does.
-  for (const auto& c : kCases) {
-    spec::Alphabet ab;
-    const spec::Property p = loom::testing::parse(c.source, ab);
-    const auto names = names_of(p, ab);
-    const auto program = compile_vm(p);
-
-    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{8},
-                                    std::size_t{13}}) {
-      VmLaneBatch lanes(program, width);
-      for (std::uint64_t round = 0; round < 4; ++round) {
-        support::Rng rng =
-            support::Rng::stream(0x5A7E + round * 131 + width, 7);
-        std::vector<spec::Trace> traces;
-        std::vector<std::size_t> starts;
-        std::vector<std::unique_ptr<VmMonitor>> solos;
-        for (std::size_t l = 0; l < width; ++l) {
-          traces.push_back(fuzz_trace(names, rng));
-          auto solo = std::make_unique<VmMonitor>(program);
-          const spec::Trace& t = traces.back();
-          if (!t.empty() && rng.below(2) != 0) {
-            // Restored lane: the solo runs a random prefix, a snapshot of
-            // it primes the lane, and the lane owes only the suffix.
-            const std::size_t cut = 1 + rng.below(t.size());
-            for (std::size_t i = 0; i < cut; ++i) {
-              solo->observe(t[i].name, t[i].time);
-            }
-            Snapshot snap;
-            solo->snapshot(snap);
-            lanes.restore(l, snap);
-            starts.push_back(cut);
-          } else {
-            lanes.reset(l);
-            starts.push_back(0);
-          }
-          solos.push_back(std::move(solo));
-        }
-        std::vector<const spec::Trace*> ptrs;
-        for (const auto& t : traces) ptrs.push_back(&t);
-
-        lanes.run(ptrs, starts);
-
-        for (std::size_t l = 0; l < width; ++l) {
-          const spec::Trace& t = traces[l];
-          for (std::size_t i = starts[l]; i < t.size(); ++i) {
-            solos[l]->observe(t[i].name, t[i].time);
-          }
-          const sim::Time end =
-              t.empty() ? sim::Time::zero() : t.back().time;
-          lanes.finish(l, end);
-          solos[l]->finish(end);
-          const std::string what = std::string(c.label) + " width " +
-                                   std::to_string(width) + " round " +
-                                   std::to_string(round) + " lane " +
-                                   std::to_string(l) + " start " +
-                                   std::to_string(starts[l]);
-          EXPECT_EQ(lanes.verdict(l), solos[l]->verdict()) << what;
-          ASSERT_EQ(lanes.violation(l).has_value(),
-                    solos[l]->violation().has_value())
-              << what;
-          if (lanes.violation(l) && solos[l]->violation()) {
-            EXPECT_EQ(lanes.violation(l)->event_ordinal,
-                      solos[l]->violation()->event_ordinal)
-                << what;
-            EXPECT_EQ(lanes.violation(l)->reason,
-                      solos[l]->violation()->reason)
-                << what;
-          }
-          EXPECT_EQ(lanes.stats(l).ops, solos[l]->stats().ops) << what;
-          EXPECT_EQ(lanes.stats(l).events, solos[l]->stats().events) << what;
-          EXPECT_EQ(lanes.stats(l).max_ops_per_event,
-                    solos[l]->stats().max_ops_per_event)
-              << what;
-        }
-      }
-    }
-  }
-}
-
-TEST(MonBytecodeLanes, PartialWavesLeaveUnlistedLanesUntouched) {
-  // run(traces, starts) with fewer traces than lanes — the campaign's
-  // trailing flush — steps only the listed lanes; the remaining frames
-  // must stay exactly as reset() left them, ready for the next wave.
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse(
-      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
-  const auto names = names_of(p, ab);
-  const auto program = compile_vm(p);
-
-  constexpr std::size_t kLanes = 8;
-  VmLaneBatch lanes(program, kLanes);
-  for (std::size_t l = 0; l < kLanes; ++l) lanes.reset(l);
-  // reset() charges the activation ops a fresh monitor carries; that is
-  // the exact state an untouched lane must still show after the wave.
-  const std::uint64_t ops_after_reset = lanes.stats(0).ops;
-
-  constexpr std::size_t kUsed = 3;
-  support::Rng rng = support::Rng::stream(0xF111, 11);
-  std::vector<spec::Trace> traces;
-  for (std::size_t l = 0; l < kUsed; ++l) {
-    traces.push_back(fuzz_trace(names, rng));
-  }
-  std::vector<const spec::Trace*> ptrs;
-  for (const auto& t : traces) ptrs.push_back(&t);
-  const std::vector<std::size_t> starts(kUsed, 0);
-
-  lanes.run(ptrs, starts);
-
-  for (std::size_t l = 0; l < kUsed; ++l) {
-    EXPECT_EQ(lanes.stats(l).events, traces[l].size()) << "lane " << l;
-  }
-  for (std::size_t l = kUsed; l < kLanes; ++l) {
-    EXPECT_EQ(lanes.stats(l).events, 0u) << "lane " << l;
-    EXPECT_EQ(lanes.stats(l).ops, ops_after_reset) << "lane " << l;
-    EXPECT_EQ(lanes.verdict(l), Verdict::Monitoring) << "lane " << l;
-  }
-}
-
 // --- retirement fast-forward ------------------------------------------------
 //
 // Once a frame retires (Violated, or Holds for a non-repeated antecedent)
 // vm_run_batch counts the rest of the slice in one step instead of
 // executing retire.if per event.  Every trace below retires part-way, with
-// a tail longer than one lockstep block; batched execution must land on
+// a long tail; batched execution must land on
 // the per-event loop's bytes — verdict, violation, stats and the event
 // ordinal, which only the snapshot exposes.
 
@@ -680,107 +446,6 @@ TEST(MonBytecodeRetire, ObserveBatchRetiringMidSliceEqualsTheEventLoop) {
   EXPECT_GT(mid_slice, 100u);
 }
 
-TEST(MonBytecodeRetire, LaneRunWithPerLaneStartsRetiringMidSliceEqualsSolo) {
-  // The campaign's wave shape: each lane restored from a solo monitor's
-  // snapshot at its own start — before or after the retirement point —
-  // then the wave advances in block-lockstep over per-lane suffixes.
-  constexpr std::size_t kLanes = 8;
-  std::size_t mid_slice = 0;
-  for (const auto& c : kCases) {
-    spec::Alphabet ab;
-    const spec::Property p = loom::testing::parse(c.source, ab);
-    const auto program = compile_vm(p);
-    VmLaneBatch lanes(program, kLanes);
-    for (std::uint64_t round = 0; round < 4; ++round) {
-      support::Rng rng = support::Rng::stream(0x1A7E + round, 29);
-      std::vector<spec::Trace> traces;
-      std::vector<std::size_t> starts;
-      std::vector<std::unique_ptr<VmMonitor>> solos;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        traces.push_back(loom::testing::retiring_trace(
-            p, ab, 0x1A7E + round * kLanes + l, 150));
-        const spec::Trace& t = traces.back();
-        // Even lanes start at or before the retiring event, odd lanes
-        // after it (a rung taken from an already-retired frame).
-        std::size_t retire_at = t.size();
-        {
-          VmMonitor probe(program);
-          for (std::size_t i = 0; i < t.size() && retire_at == t.size();
-               ++i) {
-            probe.observe(t[i].name, t[i].time);
-            if (retired(probe.verdict())) retire_at = i;
-          }
-        }
-        const std::size_t start =
-            l % 2 == 0 || retire_at == t.size()
-                ? rng.below(std::min(retire_at, t.size()) + 1)
-                : retire_at + 1 + rng.below(t.size() - retire_at);
-        auto solo = std::make_unique<VmMonitor>(program);
-        for (std::size_t i = 0; i < start; ++i) {
-          solo->observe(t[i].name, t[i].time);
-        }
-        if (start == 0) {
-          lanes.reset(l);
-        } else {
-          Snapshot snap;
-          solo->snapshot(snap);
-          lanes.restore(l, snap);
-        }
-        starts.push_back(start);
-        solos.push_back(std::move(solo));
-      }
-      std::vector<const spec::Trace*> ptrs;
-      for (const auto& t : traces) ptrs.push_back(&t);
-
-      lanes.run(ptrs, starts);
-
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const spec::Trace& t = traces[l];
-        bool was_retired = retired(solos[l]->verdict());
-        for (std::size_t i = starts[l]; i < t.size(); ++i) {
-          solos[l]->observe(t[i].name, t[i].time);
-          if (!was_retired && retired(solos[l]->verdict())) {
-            was_retired = true;
-            if (i + 1 < t.size()) ++mid_slice;
-          }
-        }
-        const std::string what = std::string(c.label) + " round " +
-                                 std::to_string(round) + " lane " +
-                                 std::to_string(l) + " start " +
-                                 std::to_string(starts[l]);
-        // Compared before finish(): finish may latch a deadline violation
-        // at the ordinal, which is exactly what must already agree.
-        Snapshot lane_snap;
-        lanes.snapshot(l, lane_snap);
-        Snapshot solo_snap;
-        solos[l]->snapshot(solo_snap);
-        EXPECT_TRUE(loom::testing::snapshots_equal(lane_snap, solo_snap))
-            << what;
-        const sim::Time end = t.empty() ? sim::Time::zero() : t.back().time;
-        lanes.finish(l, end);
-        solos[l]->finish(end);
-        EXPECT_EQ(lanes.verdict(l), solos[l]->verdict()) << what;
-        ASSERT_EQ(lanes.violation(l).has_value(),
-                  solos[l]->violation().has_value())
-            << what;
-        if (lanes.violation(l)) {
-          EXPECT_EQ(lanes.violation(l)->event_ordinal,
-                    solos[l]->violation()->event_ordinal)
-              << what;
-          EXPECT_EQ(lanes.violation(l)->reason, solos[l]->violation()->reason)
-              << what;
-        }
-        EXPECT_EQ(lanes.stats(l).ops, solos[l]->stats().ops) << what;
-        EXPECT_EQ(lanes.stats(l).events, solos[l]->stats().events) << what;
-        EXPECT_EQ(lanes.stats(l).max_ops_per_event,
-                  solos[l]->stats().max_ops_per_event)
-            << what;
-      }
-    }
-  }
-  EXPECT_GT(mid_slice, 30u);
-}
-
 // --- compact checkpoint rungs ----------------------------------------------
 //
 // vm_save_rung / vm_load_rung are the checkpoint ladder's rung format for
@@ -788,17 +453,11 @@ TEST(MonBytecodeRetire, LaneRunWithPerLaneStartsRetiringMidSliceEqualsSolo) {
 // loaded rung must continue exactly like the Snapshot restore it replaces
 // and like the uninterrupted run — into a frame that held anything before.
 
-// Complete frame state of a monitor (or lane) as a Snapshot: stats,
-// verdict, violation, every range reason and the event ordinal.
+// Complete frame state of a monitor as a Snapshot: stats, verdict,
+// violation, every range reason and the event ordinal.
 Snapshot frame_of(const Monitor& m) {
   Snapshot s;
   m.snapshot(s);
-  return s;
-}
-
-Snapshot frame_of(const VmLaneBatch& lanes, std::size_t lane) {
-  Snapshot s;
-  lanes.snapshot(lane, s);
   return s;
 }
 
@@ -862,13 +521,6 @@ TEST(MonVmRung, LoadContinuesLikeASnapshotRestoreAndTheUninterruptedRun) {
     make_dirty(
         names, 0xD1E7, [&](const spec::Trace& t) { dirty.observe_batch(t); },
         [&] { return frame_of(dirty); }, [&] { dirty.reset(); });
-    VmLaneBatch lanes(program, 3);
-    make_dirty(
-        names, 0xD1E8,
-        [&](const spec::Trace& t) {
-          lanes.observe_batch(1, t.data(), t.data() + t.size());
-        },
-        [&] { return frame_of(lanes, 1); }, [&] { lanes.reset(1); });
 
     const auto traces = rung_traces(p, ab, names, 0x5A7E);
     for (std::size_t ti = 0; ti < traces.size(); ++ti) {
@@ -896,46 +548,36 @@ TEST(MonVmRung, LoadContinuesLikeASnapshotRestoreAndTheUninterruptedRun) {
         ++saved;
         const Snapshot at_cut = frame_of(head);
 
-        // Saving is a pure function of the state: a lane that ran the same
-        // prefix writes the same words, padding included.
+        // Saving is a pure function of the state: another monitor that ran
+        // the same prefix writes the same words, padding included.
         {
-          VmLaneBatch twin(program, 2);
-          twin.observe_batch(1, t.data(), t.data() + cut);
-          std::vector<std::uint64_t> lane_rung(words, 0);
-          ASSERT_TRUE(twin.save_rung(1, lane_rung.data())) << what;
-          EXPECT_EQ(lane_rung, rung) << what;
+          VmMonitor twin(program);
+          twin.observe_batch(t.data(), t.data() + cut);
+          std::vector<std::uint64_t> twin_rung(words, 0);
+          ASSERT_TRUE(twin.save_rung(twin_rung.data())) << what;
+          EXPECT_EQ(twin_rung, rung) << what;
         }
 
-        // Load into the dirty monitor and the dirty lane: both now hold
-        // exactly the state at the cut, reasons and violation cleared.
+        // Load into the dirty monitor: it now holds exactly the state at
+        // the cut, reasons and violation cleared.
         VmMonitor loaded(program);
         loaded.restore(frame_of(dirty));
         ASSERT_TRUE(loaded.violation().has_value()) << what;
         loaded.load_rung(rung.data());
         EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(loaded), at_cut))
             << what << " [monitor load]";
-        lanes.restore(2, frame_of(lanes, 1));  // lane 2: a dirty copy
-        lanes.load_rung(2, rung.data());
-        EXPECT_TRUE(
-            loom::testing::snapshots_equal(frame_of(lanes, 2), at_cut))
-            << what << " [lane load]";
 
-        // Continue all three: the rung-loaded monitor and lane, and a
-        // Snapshot-restored monitor, must all finish like the whole run.
+        // Continue both: the rung-loaded monitor and a Snapshot-restored
+        // one must finish like the whole run.
         VmMonitor restored(program);
         restored.restore(at_cut);
         loaded.observe_batch(t.data() + cut, t.data() + t.size());
         restored.observe_batch(t.data() + cut, t.data() + t.size());
-        lanes.observe_batch(2, t.data() + cut, t.data() + t.size());
         loaded.finish(end);
         restored.finish(end);
-        lanes.finish(2, end);
         expect_same_frame(loaded, whole, frame_of(loaded), what + " [load]");
         expect_same_frame(restored, whole, frame_of(restored),
                           what + " [restore]");
-        EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(lanes, 2),
-                                                   frame_of(whole)))
-            << what << " [lane]";
       }
     }
   }
@@ -954,11 +596,6 @@ TEST(MonVmRung, SaveRefusesAViolatedFrame) {
   m.observe(ab.name("i"), sim::Time::ns(10));
   ASSERT_EQ(m.verdict(), Verdict::Violated);
   EXPECT_FALSE(m.save_rung(rung.data()));
-  VmLaneBatch lanes(program, 2);
-  lanes.observe(0, ab.name("i"), sim::Time::ns(10));
-  ASSERT_EQ(lanes.verdict(0), Verdict::Violated);
-  EXPECT_FALSE(lanes.save_rung(0, rung.data()));
-  EXPECT_TRUE(lanes.save_rung(1, rung.data()));
 
   // A deadline violation latches no range reason: the violation alone
   // must refuse the rung.
@@ -1018,9 +655,7 @@ TEST(MonVmRung, LadderStopsRecordingAtTheFirstRefusedRung) {
   EXPECT_EQ(drct_ladder.count(), t.size() / kStride);
 
   // Every recorded rung restores the state after its prefix, into a dirty
-  // monitor and a dirty lane alike; re-recording replaces the content.
-  VmLaneBatch lanes(program, 2);
-  lanes.observe_batch(1, t.data(), t.data() + t.size());  // violated lane
+  // monitor; re-recording replaces the content.
   VmMonitor target(program);
   target.observe_batch(t);  // violated monitor
   for (std::size_t k = 0; k < vm_ladder.count(); ++k) {
@@ -1029,9 +664,6 @@ TEST(MonVmRung, LadderStopsRecordingAtTheFirstRefusedRung) {
     vm_ladder.restore_into(k, target);
     EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(target), want))
         << "rung " << k;
-    vm_ladder.restore_into(k, lanes, 1);
-    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(lanes, 1), want))
-        << "lane rung " << k;
   }
   for (std::size_t k = 0; k < drct_ladder.count(); ++k) {
     auto drct = make_monitor(p);

@@ -183,8 +183,8 @@ TEST(MonSnapshot, CompiledInstancesRoundTripAtRandomCuts) {
 }
 
 TEST(MonSnapshot, VmRestoreCrossesInstancesOfTheSameProgram) {
-  // The lane-batched campaign shape: a snapshot written by one VM frame
-  // restores into a different, dirty frame stamped from the same program.
+  // The pooled campaign shape: a snapshot written by one VM frame restores
+  // into a different, dirty frame stamped from the same program.
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse(
       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);

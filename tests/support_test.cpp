@@ -246,22 +246,6 @@ TEST(Args, ParseOnOffIsExact) {
   EXPECT_EQ(parse_on_off("true"), std::nullopt);
 }
 
-TEST(Args, LaneWidthFlagRidesTheParsePositiveContract) {
-  // Both CLIs parse --lanes= through parse_positive, so the lane-width
-  // contract is exactly its contract: plain decimals >= 1 pass, zero and
-  // garbage are nullopt — which loomcheck and parallel_campaign turn into
-  // usage text and exit status 2, never a silent scalar fallback.  Width 1
-  // (the scalar differential baseline of the eighth invariant) is a legal
-  // value, not a rejection.
-  EXPECT_EQ(parse_positive("1"), std::size_t{1});
-  EXPECT_EQ(parse_positive("8"), std::size_t{8});
-  EXPECT_EQ(parse_positive("13"), std::size_t{13});
-  EXPECT_EQ(parse_positive("0"), std::nullopt);
-  EXPECT_EQ(parse_positive("-8"), std::nullopt);
-  EXPECT_EQ(parse_positive("8x"), std::nullopt);
-  EXPECT_EQ(parse_positive("wave"), std::nullopt);
-}
-
 TEST(Args, ParseBackendCoversEverySpellingTheClisAccept) {
   // The one parser behind loomcheck's --backend=, parallel_campaign's and
   // bench_scaling's positional backend: every enumerator round-trips, and

@@ -121,18 +121,6 @@ inline ::testing::AssertionResult traces_equal(const spec::Trace& actual,
   return ::testing::AssertionSuccess();
 }
 
-/// Keeps a forced non-Vm backend runnable under the default wave width:
-/// lane_width > 1 with backend=Drct/ViaPSL is a rejected contradiction
-/// (run_campaigns throws), so backend grids that legitimately force those
-/// backends drop to the scalar path.  The lane grid itself lives in
-/// campaign_lane_diff_test.
-inline void scalar_lanes_if_forced(abv::CampaignOptions& opt) {
-  if (opt.backend == mon::Backend::Drct ||
-      opt.backend == mon::Backend::ViaPSL) {
-    opt.lane_width = 1;
-  }
-}
-
 /// A campaign report without its "backend:" line.  Forcing Drct or Vm
 /// changes only that line: every other field of report() is semantic and
 /// must not depend on the monitor construction (the backend-independence

@@ -67,7 +67,6 @@ abv::CampaignOptions fuzz_options(support::Rng& rng) {
   o.worker_retries = rng.below(8);
   o.allow_partial = rng.below(2) != 0;
   o.supervised = rng.below(2) != 0;
-  o.lane_width = 1 + rng.below(32);
   return o;
 }
 
@@ -102,9 +101,6 @@ abv::CampaignResult fuzz_result(support::Rng& rng) {
   r.checkpoint_hits = rng.below(1000);
   r.events_skipped = rng.below(100000);
   r.worker_retries = rng.below(10);
-  r.lane_waves = rng.below(10000);
-  r.lanes_filled = rng.below(100000);
-  r.lane_capacity = r.lanes_filled + rng.below(100000);
   for (std::uint64_t i = rng.below(3); i > 0; --i) {
     abv::CampaignResult::ShardFailure f;
     f.worker = rng.below(8);
@@ -144,7 +140,6 @@ void expect_options_equal(const abv::CampaignOptions& a,
   EXPECT_EQ(a.worker_retries, b.worker_retries) << what;
   EXPECT_EQ(a.allow_partial, b.allow_partial) << what;
   EXPECT_EQ(a.supervised, b.supervised) << what;
-  EXPECT_EQ(a.lane_width, b.lane_width) << what;
 }
 
 void expect_results_bitwise_equal(const abv::CampaignResult& a,
@@ -180,9 +175,6 @@ void expect_results_bitwise_equal(const abv::CampaignResult& a,
   std::memcpy(&bbits, &b.recognizer_state_coverage, 8);
   EXPECT_EQ(abits, bbits) << what << " (recognizer_state_coverage bits)";
   EXPECT_EQ(a.worker_retries, b.worker_retries) << what;
-  EXPECT_EQ(a.lane_waves, b.lane_waves) << what;
-  EXPECT_EQ(a.lanes_filled, b.lanes_filled) << what;
-  EXPECT_EQ(a.lane_capacity, b.lane_capacity) << what;
   ASSERT_EQ(a.shard_failures.size(), b.shard_failures.size()) << what;
   for (std::size_t i = 0; i < a.shard_failures.size(); ++i) {
     EXPECT_EQ(a.shard_failures[i].worker, b.shard_failures[i].worker) << what;

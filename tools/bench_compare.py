@@ -14,7 +14,7 @@ CampaignResult::diagnostic_counters() and the bench binaries):
                   engineered-invariant-adjacent (the zero-allocation steady
                   state): hard fail beyond 10% + 2 allocs of slack.
   ratios          skip_ratio, *_hit_rate, instance_reuse_rate,
-                  lane_occupancy, bit_identical — higher is better and
+                  bit_identical — higher is better and
                   deterministic for a given fixture: hard fail on a drop
                   > 0.02 absolute (bit_identical: any drop).
   semantic        backend_viapsl, backend_vm — which monitor construction
@@ -41,8 +41,8 @@ ALLOC_REL_TOL = 0.10
 ALLOC_ABS_SLACK = 2.0
 RATIO_ABS_TOL = 0.02
 
-INFORMATIONAL = {"checkpoint_hits", "events_skipped", "lane_waves",
-                 "mon_events_per_s", "speedup"}
+INFORMATIONAL = {"checkpoint_hits", "events_skipped", "mon_events_per_s",
+                 "speedup"}
 SEMANTIC = {"backend_viapsl", "backend_vm"}
 
 
@@ -55,7 +55,7 @@ def classify(name):
     if name == "bit_identical":
         return "exact_ratio"
     if (name == "skip_ratio" or name == "instance_reuse_rate"
-            or name == "lane_occupancy" or name.endswith("_hit_rate")):
+            or name.endswith("_hit_rate")):
         return "ratio"
     if name in SEMANTIC:
         return "semantic"

@@ -6,7 +6,7 @@ Runs the headline benchmark shapes and normalizes their
 
   BENCH_campaign.json   bench_throughput: BM_CampaignMutationHeavy,
                         BM_CampaignIncremental, BM_CampaignManyProperties,
-                        BM_CampaignLaneBatch, BM_WorkerSupervision
+                        BM_WorkerSupervision
   BENCH_scaling.json    bench_scaling: the threads sweep (pinned args)
 
 Each snapshot carries a machine fingerprint (cpu count, build type,
@@ -46,13 +46,10 @@ NON_COUNTER_FIELDS = {
 # wire codec is the floor under cross-process sharding, so its frame rate
 # and allocs/frame are part of the tracked trajectory.  BM_WorkerSupervision
 # pins the supervised (poll-based) drain against the legacy blocking drain
-# so the supervision overhead stays a diffable number.  BM_CampaignLaneBatch
-# sweeps CampaignOptions::lane_width over the mutation-heavy VM shape, so
-# the wave engine's wall/unit and lane_occupancy are tracked per width.
+# so the supervision overhead stays a diffable number.
 CAMPAIGN_FILTER = (
     "^(BM_CampaignMutationHeavy|BM_CampaignIncremental|"
-    "BM_CampaignManyProperties|BM_CampaignLaneBatch|"
-    "BM_WireRoundTrip|BM_WorkerSupervision)/"
+    "BM_CampaignManyProperties|BM_WireRoundTrip|BM_WorkerSupervision)/"
 )
 
 # Pinned threads-sweep arguments: 4 threads, 8 seeds, auto backend,
