@@ -446,13 +446,6 @@ TEST(MonBytecodeRetire, ObserveBatchRetiringMidSliceEqualsTheEventLoop) {
   EXPECT_GT(mid_slice, 100u);
 }
 
-// --- compact checkpoint rungs ----------------------------------------------
-//
-// vm_save_rung / vm_load_rung are the checkpoint ladder's rung format for
-// Vm monitors: raw word and byte copies of the frame, with no strings.  A
-// loaded rung must continue exactly like the Snapshot restore it replaces
-// and like the uninterrupted run — into a frame that held anything before.
-
 // Complete frame state of a monitor as a Snapshot: stats, verdict,
 // violation, every range reason and the event ordinal.
 Snapshot frame_of(const Monitor& m) {
@@ -460,6 +453,120 @@ Snapshot frame_of(const Monitor& m) {
   m.snapshot(s);
   return s;
 }
+
+// --- shifted slices -----------------------------------------------------------
+//
+// A StallDeadline mutant's tail is a piece of the valid trace replayed with
+// every time later by a shift (Monitor::observe_shifted, vm_run_batch's
+// shift).  Each slice, cut anywhere, must land on the bytes of the
+// per-event loop over the re-timed events — for the VM's batched override
+// and for the base class's loop that Drct inherits, and with shifts that
+// saturate at Time::max().
+
+sim::Time draw_shift(support::Rng& rng) {
+  switch (rng.below(4)) {
+    case 0:
+      return sim::Time::zero();
+    case 1:
+      return sim::Time::ps(1 + rng.below(1000));
+    case 2:
+      return sim::Time::us(1 + rng.below(50));
+    default:  // saturates somewhere inside the trace
+      return sim::Time::max() - sim::Time::us(1 + rng.below(40));
+  }
+}
+
+TEST(MonBytecodeShift, ShiftedSlicesEqualTheShiftedEventLoop) {
+  std::size_t saturated = 0;
+  for (const auto& c : kCases) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(c.source, ab);
+    const auto names = names_of(p, ab);
+    const auto program = compile_vm(p);
+    for (std::uint64_t trial = 0; trial < 60; ++trial) {
+      support::Rng rng = support::Rng::stream(0x5A1F + trial, 7);
+      const spec::Trace trace = fuzz_trace(names, rng);
+      const sim::Time shift = draw_shift(rng);
+      const sim::Time end =
+          (trace.empty() ? sim::Time::zero() : trace.back().time) + shift;
+      if (end == sim::Time::max()) ++saturated;
+      const std::string what = std::string(c.label) + " trial " +
+                               std::to_string(trial) + " shift " +
+                               std::to_string(shift.picoseconds()) + "ps";
+
+      VmMonitor looped(program);
+      auto drct_looped = make_monitor(p);
+      for (const auto& ev : trace) {
+        looped.observe(ev.name, ev.time + shift);
+        drct_looped->observe(ev.name, ev.time + shift);
+      }
+      looped.finish(end);
+      drct_looped->finish(end);
+
+      VmMonitor vm(program);
+      auto drct = make_monitor(p);
+      std::size_t done = 0;
+      while (done < trace.size()) {
+        const std::size_t cut = done + 1 + rng.below(trace.size() - done);
+        vm.observe_shifted(trace.data() + done, trace.data() + cut, shift);
+        drct->observe_shifted(trace.data() + done, trace.data() + cut, shift);
+        done = cut;
+      }
+      vm.finish(end);
+      drct->finish(end);
+
+      expect_same_frame(vm, looped, frame_of(vm), what + " [vm]");
+      Snapshot drct_snap;
+      drct->snapshot(drct_snap);
+      expect_same_frame(*drct, *drct_looped, drct_snap, what + " [drct]");
+      expect_same_outcome(vm, *drct, what + " [vm vs drct]");
+    }
+  }
+  EXPECT_GT(saturated, 10u);
+}
+
+TEST(MonBytecodeShift, RetiringMidShiftedSliceEqualsTheEventLoop) {
+  // The retirement fast-forward counts the rest of a slice in one step;
+  // under a shift it must still count exactly the events the re-timed
+  // per-event loop steps.
+  for (const auto& c : kCases) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(c.source, ab);
+    const auto program = compile_vm(p);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const spec::Trace trace =
+          loom::testing::retiring_trace(p, ab, 0x5E71 + seed, 150);
+      support::Rng rng = support::Rng::stream(seed, 29);
+      const sim::Time shift = draw_shift(rng);
+      const std::string what = std::string(c.label) + " seed " +
+                               std::to_string(seed) + " shift " +
+                               std::to_string(shift.picoseconds()) + "ps";
+      VmMonitor looped(program);
+      for (const auto& ev : trace) looped.observe(ev.name, ev.time + shift);
+
+      VmMonitor whole(program);
+      whole.observe_shifted(trace.data(), trace.data() + trace.size(), shift);
+      expect_same_frame(whole, looped, frame_of(whole),
+                        what + " [whole slice]");
+
+      VmMonitor cut(program);
+      std::size_t done = 0;
+      while (done < trace.size()) {
+        const std::size_t next = done + 1 + rng.below(trace.size() - done);
+        cut.observe_shifted(trace.data() + done, trace.data() + next, shift);
+        done = next;
+      }
+      expect_same_frame(cut, looped, frame_of(cut), what + " [random cuts]");
+    }
+  }
+}
+
+// --- compact checkpoint rungs ----------------------------------------------
+//
+// vm_save_rung / vm_load_rung are the checkpoint ladder's rung format for
+// Vm monitors: raw word and byte copies of the frame, with no strings.  A
+// loaded rung must continue exactly like the Snapshot restore it replaces
+// and like the uninterrupted run — into a frame that held anything before.
 
 // Non-empty strings in a VM snapshot: the range reasons plus the
 // violation's reason.
