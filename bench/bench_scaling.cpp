@@ -1,6 +1,6 @@
 // Scaling of the sharded campaign engine: the paper's Fig. 1 loop
-// (stimuli → monitors → mutation → coverage) run serially and on a
-// work-stealing pool with growing thread counts.  Prints events/second and
+// (stimuli → monitors → mutation → coverage) run serially and on the
+// thread pool with growing thread counts.  Prints events/second and
 // speedup per thread count and verifies on the way that every parallel run
 // is bit-identical to the serial baseline (the engine's core invariant —
 // see tests/campaign_parallel_test.cpp for the exhaustive version).

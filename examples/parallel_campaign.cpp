@@ -1,6 +1,6 @@
 // The paper's Fig. 1 verification loop at scale: a batch of properties run
-// through the sharded campaign engine, serial first and then on a
-// work-stealing pool — same bits out, less wall-clock in.
+// through the sharded campaign engine, serial first and then on the
+// thread pool — same bits out, less wall-clock in.
 //
 //   $ ./examples/parallel_campaign [threads] [seeds] [auto|drct|viapsl|vm]
 //                                  [--incremental=on|off]

@@ -8,8 +8,10 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <span>
 #include <thread>
 
+#include "abv/seed_pass.hpp"
 #include "mon/checkpoint_ladder.hpp"
 #include "mon/monitors.hpp"
 #include "mon/vm.hpp"
@@ -55,8 +57,9 @@ struct CampaignJob {
 };
 
 // One per-seed cache entry: the valid trace plus — when incremental replay
-// is on — the checkpoint ladders recorded while a recorder monitor and the
-// reference oracle each walk that trace exactly once.  Rung k of
+// is on — the checkpoint ladders recorded while the monitor and the
+// reference oracle each walk that trace exactly once, and the valid unit's
+// record from that same monitor walk.  Rung k of
 // `checkpoints` is the monitor state after the first (k+1)*stride events —
 // compact VM rungs in one slab for a Vm monitor, mon::Snapshot rungs for
 // any other (mon/checkpoint_ladder.hpp); the oracle's
@@ -66,14 +69,16 @@ struct CampaignJob {
 // admits a floor rung resumes the monitor from rung p/stride - 1 and
 // replays only the suffix; its oracle resumes from p/oracle.stride rungs
 // and stops where it rejoins the valid walk; and the valid unit reads its
-// verdict from oracle.full.  The ladders are a pure function of
-// (property, seed, options), so they are deterministic no matter which
-// unit's lookup builds them.
+// verdict from oracle.full and merges `valid` instead of walking again.
+// The ladders and the record are a pure function of (property, seed,
+// options), so they are deterministic no matter which unit's lookup builds
+// them.
 struct CachedSeedTrace {
   spec::Trace trace;
   mon::CheckpointLadder checkpoints;
   spec::RefLadder oracle;
-  std::size_t stride = 0;  // 0: no ladder (incremental off or stride 0)
+  ValidRecord valid;
+  std::size_t stride = 0;  // 0: no ladder and no record
 };
 
 // Per-seed valid-trace cache shared by every worker of one run_campaigns()
@@ -131,39 +136,51 @@ std::unique_ptr<mon::Monitor> stamp_monitor(const CampaignJob& job,
 
 }  // namespace
 
-// Per-worker scratch arena for the steady-state loop
-// (CampaignOptions::reuse_scratch).  Two lifetimes coexist inside it:
-//   - the *buffers* live for the worker: the site list's capacity
-//     ratchets up once and every later unit reuses it; local_trace is only
-//     a stable home for the per-unit generated trace on the cache-off path
-//     (generation itself still allocates — it is the non-default baseline
-//     knob);
-//   - the *pool* (monitor, ViaPSL cross-check instance, ladder recorder)
-//     is scoped to one shard: begin_shard() drops it, so the draw/stamp
-//     accounting is a pure function of the deterministic shard layout and
-//     never of which worker ran which shard — that is what keeps the
-//     instance counters identical between serial and parallel runs.
+// Per-thread scratch arena for the steady-state loop
+// (CampaignOptions::reuse_scratch).  Each thread that runs shards — the
+// process pool's workers and the calling thread — keeps one for the life
+// of the thread, across campaigns.  Two lifetimes coexist inside it:
+//   - the *buffers* live for the thread: the site list's and the
+//     generation buffer's capacity ratchets up once and every later unit
+//     and campaign reuses it;
+//   - the *pool* (monitor, ViaPSL cross-check instance, seed-pass monitor)
+//     and the site list's owner are scoped to one shard: begin_shard()
+//     drops them, so the draw/stamp accounting is a pure function of the
+//     deterministic shard layout and never of which thread ran which
+//     shard — that is what keeps the instance counters identical between
+//     serial and parallel runs — and nothing borrowed from one campaign
+//     (monitors stamped from its plans, its cache entries) survives it.
 struct UnitScratch {
+  static constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
+
   // The current mutant, as an edit of its seed's valid trace: its pieces
   // borrow that trace, so it is read only within the unit that wrote it,
   // while the seed's cache entry (or local_trace) lives.
   MutantEdit edit;
-  std::vector<std::size_t> sites;  // the unit's mutation sites
-  spec::Trace local_trace;  // valid trace when the seed cache is off
+  // The alphabet sites of seed `sites_seed`'s valid trace: the site-reading
+  // units (Drop, Duplicate, SwapAdjacent) of one seed in one shard share
+  // one scan.  A shard has one property, so the seed names the trace.
+  std::vector<std::size_t> sites;
+  std::size_t sites_seed = kNoSeed;
+  // The valid trace when the seed cache is off; the generation buffer a
+  // cache entry's exact-size trace is copied from when it is on.
+  spec::Trace local_trace;
   std::unique_ptr<mon::Monitor> monitor;  // chosen-backend pool slot
   std::unique_ptr<mon::Monitor> viapsl;   // check_viapsl pool slot
-  // Checkpoint-ladder recorder: stamped once per shard, reset per seed.
-  // Ladder recording is unaccounted engine overhead, so this slot stays
-  // out of the draw/stamp accounting.
+  // The cache-entry build's monitor: stamped once per shard, reset per
+  // seed.  The valid unit accounts its logical draw in its own slot, so
+  // this one stays out of the draw/stamp accounting.
   std::unique_ptr<mon::Monitor> ladder;
 
-  /// Drops every pooled instance; buffers keep their capacity.  Also the
-  /// end-of-shard cleanup, so nothing borrowed (monitor, alphabet) can
-  /// dangle past the campaign in a worker's thread-local scratch.
+  /// Drops every pooled instance, the site list's owner and the edit's
+  /// pieces (they point into a cache entry); buffers keep their capacity.
+  /// Also the end-of-shard cleanup.
   void begin_shard() {
     monitor.reset();
     viapsl.reset();
     ladder.reset();
+    sites_seed = kNoSeed;
+    edit.view = {};
   }
 };
 
@@ -206,10 +223,11 @@ bool pool_monitors(const CampaignOptions& options) {
 // The valid trace of seed `s` is a pure function of (first_seed + s): both
 // the valid phase and every mutation unit of the seed regenerate it from
 // stream 0, so no cross-unit state needs sharing.
-spec::Trace seed_trace(const CampaignJob& job, spec::Alphabet& ab,
-                       const CampaignOptions& options, std::size_t s) {
+void seed_trace_into(const CampaignJob& job, spec::Alphabet& ab,
+                     const CampaignOptions& options, std::size_t s,
+                     spec::Trace& out) {
   support::Rng rng = support::Rng::stream(options.first_seed + s, 0);
-  return generate_valid(*job.property, ab, rng, options.stimuli);
+  generate_valid_into(*job.property, ab, rng, options.stimuli, out);
 }
 
 // The ladder only exists where it can live (the per-seed cache entry) and
@@ -219,41 +237,40 @@ bool incremental_enabled(const CampaignOptions& options) {
          options.checkpoint_stride > 0;
 }
 
-// Records the checkpoint ladders for one cached seed trace: the reference
-// oracle walks the valid trace once, saving its state after every
-// stride/4 events (at least 1), and a recorder monitor from the worker's
-// scratch (reset ≡ fresh) observes it once, keeping a rung after every
-// `stride` events.  The pass is engine overhead of the cache-entry build
-// (like generation itself): its instance and Figure-6 stats are
-// deliberately not accounted anywhere, so the ladder knob cannot move a
-// semantic counter.
-void build_checkpoint_ladder(const CampaignJob& job,
-                             const CampaignOptions& options,
-                             UnitScratch& scratch, CachedSeedTrace& entry) {
+// The one seed pass of a cache entry: the reference oracle walks the valid
+// trace, saving its state after every stride/4 events (at least 1), and a
+// monitor from the thread's scratch (reset ≡ fresh) walks it once, keeping
+// a rung after every `stride` events and the valid unit's whole record.
+// The instance is engine overhead of the cache-entry build (like
+// generation itself); the valid unit accounts the draw its record stands
+// for, so the ladder knob cannot move a semantic counter.
+void build_seed_pass(const CampaignJob& job, const CampaignOptions& options,
+                     UnitScratch& scratch, CachedSeedTrace& entry) {
   entry.stride = options.checkpoint_stride;
   entry.oracle = spec::record_reference_ladder(
       *job.property, job.plan->compiled.plan(), entry.trace,
       end_of(entry.trace), std::max<std::size_t>(1, entry.stride / 4));
-  if (entry.trace.size() < entry.stride) return;  // no full stride, no rung
   if (scratch.ladder == nullptr) {
     scratch.ladder = job.plan->compiled.instantiate();
   } else {
     scratch.ladder->reset();
   }
-  entry.checkpoints.record(*scratch.ladder, entry.trace, entry.stride);
+  entry.valid = walk_valid_trace(job.plan->compiled, *scratch.ladder,
+                                 entry.trace, &entry.checkpoints, entry.stride);
 }
 
 // Hands out the seed's valid trace: from the shared cache when trace reuse
 // is on (whichever unit asks first generates — and, with incremental
-// replay, records the checkpoint ladder — then inserts; the rest hit),
-// regenerated into the scratch's local_trace otherwise.  Cached or not,
+// replay, runs the seed pass — outside the cache's lock, while the others
+// asking for the same seed wait and then hit), regenerated into the
+// scratch's local_trace otherwise.  Cached or not,
 // the trace bytes are the same — a pure function of (first_seed + s).
 SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
                                const CampaignOptions& options, std::size_t s,
                                SeedTraceCache* cache, ShardOutcome& out,
                                UnitScratch& scratch) {
   if (cache == nullptr) {
-    scratch.local_trace = seed_trace(job, ab, options, s);
+    seed_trace_into(job, ab, options, s, scratch.local_trace);
     return {&scratch.local_trace, nullptr};
   }
   bool inserted = false;
@@ -263,12 +280,13 @@ SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
       key,
       [&] {
         CachedSeedTrace fresh;
-        fresh.trace = seed_trace(job, ab, options, s);
-        // The entry lives as long as the campaign: drop the generator's
-        // growth slack, about a third of the trace's capacity.
-        fresh.trace.shrink_to_fit();
+        // The entry lives as long as the campaign: generate into the
+        // scratch buffer and copy once, at the trace's exact size.
+        seed_trace_into(job, ab, options, s, scratch.local_trace);
+        fresh.trace.assign(scratch.local_trace.begin(),
+                           scratch.local_trace.end());
         if (incremental_enabled(options)) {
-          build_checkpoint_ladder(job, options, scratch, fresh);
+          build_seed_pass(job, options, scratch, fresh);
         }
         return fresh;
       },
@@ -357,66 +375,54 @@ void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
                     const CampaignOptions& options, std::size_t s,
                     SeedTraceCache* cache, UnitScratch& scratch,
                     ShardOutcome& out) {
-  const spec::Property& property = *job.property;
   const SeedTraceRef seed_ref = obtain_seed_trace(job, ab, options, s, cache,
                                                   out, scratch);
   const spec::Trace& valid = *seed_ref.trace;
   ++out.partial.traces;
   out.partial.events += valid.size();
+  // The seed pass already walked this trace with the monitor and the
+  // oracle when the entry has a ladder.
+  const bool seed_pass =
+      seed_ref.cached != nullptr && seed_ref.cached->stride != 0;
 
-  // Scratch path: draw from the shard's pool (stamp once, reset after);
-  // fresh path: stamp a throwaway instance per unit like the pre-pool
-  // engine.  reset ≡ fresh makes the two indistinguishable byte-for-byte.
+  // One logical draw either way, so the instance counters do not depend on
+  // whether this unit walks.  Scratch path: draw from the shard's pool
+  // (stamp once, reset after; a merged record needs no reset); fresh path:
+  // stamp a throwaway instance per unit like the pre-pool engine.
+  // reset ≡ fresh makes the two indistinguishable byte-for-byte.
   std::unique_ptr<mon::Monitor> fresh;
   mon::Monitor* monitor = nullptr;
   if (pool_monitors(options)) {
     monitor = &draw_pooled(scratch.monitor, job, options, ab,
-                           mon::Backend::Auto, out);
+                           mon::Backend::Auto, out, /*skip_reset=*/seed_pass);
   } else {
     fresh = stamp_monitor(job, options, ab, out);
     monitor = fresh.get();
   }
-  // Recognizer-state coverage samples the antecedent's range automata —
-  // the Drct recognizers or the Vm frame, which number their states alike —
-  // straight into the shard's accumulator (sampling into one instance is
-  // the merge); a ViaPSL-backed campaign has no such structure to sample.
-  const mon::AntecedentMonitor* drct = nullptr;
-  const mon::VmMonitor* vm = nullptr;
-  if (property.is_antecedent()) {
-    if (job.plan->compiled.chosen() == mon::Backend::Drct) {
-      drct = static_cast<const mon::AntecedentMonitor*>(monitor);
-      if (!out.recognizer) out.recognizer.emplace(*drct);
-    } else if (job.plan->compiled.chosen() == mon::Backend::Vm) {
-      vm = static_cast<const mon::VmMonitor*>(monitor);
-      if (!out.recognizer) out.recognizer.emplace(*vm);
-    }
+  ValidRecord walked;
+  const ValidRecord* record = seed_pass ? &seed_ref.cached->valid : nullptr;
+  if (record == nullptr) {
+    walked = walk_valid_trace(job.plan->compiled, *monitor, valid);
+    record = &walked;
   }
-  // Only events of the property alphabet can move a range automaton, so
-  // sampling after the first event and after each of those sees every
-  // state a per-event sample would.
-  const spec::NameSet& moves = job.plan->compiled.plan().alphabet;
-  for (std::size_t i = 0; i < valid.size(); ++i) {
-    const spec::TimedEvent& ev = valid[i];
-    monitor->observe(ev.name, ev.time);
-    out.alphabet->record(ev.name);
-    if (i != 0 && !moves.test(ev.name)) continue;
-    if (vm != nullptr) {
-      out.recognizer->sample(*vm);
-    } else if (drct != nullptr) {
-      out.recognizer->sample(*drct);
-    }
-  }
-  monitor->finish(end_of(valid));
-
-  // The ladder pass already walked this trace with the oracle.
   const spec::RefResult ref =
-      seed_ref.cached != nullptr && seed_ref.cached->oracle.stride != 0
-          ? seed_ref.cached->oracle.full
-          : oracle_check(job, options, valid, end_of(valid));
-  const bool monitor_ok = monitor->verdict() != mon::Verdict::Violated;
+      seed_pass ? seed_ref.cached->oracle.full
+                : oracle_check(job, options, valid, end_of(valid));
+
+  // Coverage merges into the shard's accumulators (order-independent
+  // unions, like the shard merge itself).
+  out.alphabet->merge(*record->alphabet);
+  if (record->recognizer) {
+    if (out.recognizer) {
+      out.recognizer->merge(*record->recognizer);
+    } else {
+      out.recognizer.emplace(*record->recognizer);
+    }
+  }
+  const bool monitor_ok = !record->violated;
   if (monitor_ok && !ref.rejected()) ++out.partial.valid_accepted;
   if (monitor_ok == ref.rejected()) ++out.partial.oracle_disagreements;
-  out.partial.monitor_stats.merge(monitor->stats());
+  out.partial.monitor_stats.merge(record->stats);
 
   if (options.check_viapsl) {
     // The cross-check always instantiates from the shared clause set (the
@@ -461,14 +467,17 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
   auto& stats = out.partial.mutation[k];
   support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
   const bool pooled = pool_monitors(options);
-  // The scratch path lists the valid trace's alphabet sites once for the
-  // unit's mutants_per_kind draws, and only for a kind that reads them.
-  if (options.reuse_scratch) {
-    scratch.sites.clear();
-    if (mutation_reads_sites(kAllKinds[k])) {
+  // The scratch path lists the valid trace's alphabet sites once per seed
+  // and shard, for the site-reading units' mutants_per_kind draws; the
+  // other kinds get no list (the scratch's may be another seed's).
+  std::span<const std::size_t> sites;
+  if (options.reuse_scratch && mutation_reads_sites(kAllKinds[k])) {
+    if (scratch.sites_seed != s) {
       mutation_sites_into(valid, job.plan->compiled.alphabet(),
                           scratch.sites);
+      scratch.sites_seed = s;
     }
+    sites = scratch.sites;
   }
   // Fresh-path monitor: stamped per unit (compiled) or per mutant (legacy
   // translation), exactly like the pre-scratch engine.  The scratch path
@@ -478,13 +487,13 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
   MutantEdit fresh_edit;  // the fresh path's mutant, as one whole piece
   for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
     // Scratch path: the mutant is an edit of the valid trace, from the
-    // unit's site list, and is never copied out — the oracle and the
+    // seed's site list, and is never copied out — the oracle and the
     // monitor read its pieces in place.  Fresh path: mutate() materializes
     // it like the pre-scratch engine (the same edit, so the same bytes and
     // Rng draws), read as one piece.
     const MutantEdit* mutant = &scratch.edit;
     if (options.reuse_scratch) {
-      if (!mutate_edit(valid, kAllKinds[k], property, scratch.sites, rng,
+      if (!mutate_edit(valid, kAllKinds[k], property, sites, rng,
                        scratch.edit)) {
         continue;
       }
@@ -576,35 +585,46 @@ void run_shard(const std::vector<CampaignJob>& jobs, spec::Alphabet& ab,
   scratch.begin_shard();  // end-of-shard cleanup (see UnitScratch)
 }
 
-// Runs every listed shard in this process — serially or on a work-stealing
-// pool — filling outcomes[i] for shard i.  Shared by run_campaigns (the
+// The calling thread's scratch arena, kept across campaigns (see
+// UnitScratch): the serial path and every thread of the process pool use
+// their own.
+UnitScratch& thread_scratch() {
+  static thread_local UnitScratch scratch;
+  return scratch;
+}
+
+// Runs every listed shard in this process — serially or on the process
+// pool, with the calling thread as one of at most `threads` executors —
+// filling outcomes[i] for shard i.  Shared by run_campaigns (the
 // workers=0 path) and run_campaign_worker (each worker process runs its
 // assigned slice through exactly this code, which is half of why
-// in-process ≡ cross-process holds byte for byte).
+// in-process ≡ cross-process holds byte for byte).  The pool is the
+// process-wide one, which outlives the campaign, unless the caller passes
+// its own.
 void run_shards_in_process(const std::vector<CampaignJob>& jobs,
                            spec::Alphabet& ab, const CampaignOptions& options,
                            const std::vector<Shard>& shards,
                            std::size_t threads,
-                           std::vector<ShardOutcome>& outcomes) {
+                           std::vector<ShardOutcome>& outcomes,
+                           support::ThreadPool* pool = nullptr) {
   std::optional<SeedTraceCache> trace_cache;
   if (options.reuse_traces) trace_cache.emplace(/*shard_count=*/4 * threads);
   SeedTraceCache* cache = trace_cache ? &*trace_cache : nullptr;
   if (threads <= 1 || shards.size() <= 1) {
-    UnitScratch scratch;  // one worker: the caller's thread
     for (std::size_t i = 0; i < shards.size(); ++i) {
-      run_shard(jobs, ab, options, shards[i], cache, scratch, outcomes[i]);
+      run_shard(jobs, ab, options, shards[i], cache, thread_scratch(),
+                outcomes[i]);
     }
-  } else {
-    support::ThreadPool pool(std::min(threads, shards.size()));
-    pool.for_each_index(shards.size(), [&](std::size_t i) {
-      // One arena per worker thread, reused across every shard the worker
-      // happens to run (and across campaigns on the caller's thread): the
-      // buffers' capacity ratchets, while run_shard scopes the pooled
-      // instances so the scratch never outlives anything it borrows.
-      static thread_local UnitScratch scratch;
-      run_shard(jobs, ab, options, shards[i], cache, scratch, outcomes[i]);
-    });
+    return;
   }
+  if (pool == nullptr) pool = &support::ThreadPool::shared(threads - 1);
+  pool->for_each_index(
+      shards.size(),
+      [&](std::size_t i) {
+        run_shard(jobs, ab, options, shards[i], cache, thread_scratch(),
+                  outcomes[i]);
+      },
+      threads);
 }
 
 #if LOOM_WIRE_HAS_PROCESS
@@ -1599,7 +1619,19 @@ int run_campaign_worker(int in_fd, int out_fd,
             ? options.threads
             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
     std::vector<ShardOutcome> outcomes(shards.size());
-    run_shards_in_process(jobs, ab, options, shards, threads, outcomes);
+    {
+      // A worker serves one request and exits, so its shards run on a
+      // pool scoped to the request rather than the process-wide one:
+      // every thread is joined before the first frame goes out, and the
+      // process leaves with no thread behind (ThreadSanitizer, for one,
+      // sleeps a second at exit while another thread lives, past the
+      // supervisor's grace).  A forked worker thus never touches the
+      // parent's pool either.
+      std::optional<support::ThreadPool> pool;
+      if (threads > 1 && shards.size() > 1) pool.emplace(threads - 1);
+      run_shards_in_process(jobs, ab, options, shards, threads, outcomes,
+                            pool ? &*pool : nullptr);
+    }
 
     // One partial frame per shard, in assignment order, then Done.
     for (std::size_t i = 0; i < shards.size(); ++i) {

@@ -14,8 +14,10 @@
 //! reduction.
 //!
 //! Ownership: run_campaigns() owns every artifact it creates (compiled
-//! plans, trace cache, pool); callers keep ownership of the properties and
-//! the alphabet, which must outlive the call.  Thread-safety: the alphabet
+//! plans, trace cache); its shards run on the process-wide
+//! support::ThreadPool, which outlives the call and is shared by
+//! concurrent calls.  Callers keep ownership of the properties and the
+//! alphabet, which must outlive the call.  Thread-safety: the alphabet
 //! is pre-interned during serial setup and then shared strictly read-only;
 //! compiled plans and cached traces are immutable once published.
 //! Determinism contracts (all enforced by tier-1 tests):
@@ -92,9 +94,11 @@ struct CampaignOptions {
   /// two paths byte-for-byte equal.
   bool use_compiled_plans = true;
 
-  /// Worker threads for the sharded engine: 1 runs the shards serially on
-  /// the calling thread, 0 asks the hardware, N>1 spins a work-stealing
-  /// pool.  The result does not depend on this knob.
+  /// Threads for the sharded engine: 1 runs the shards serially on the
+  /// calling thread, 0 asks the hardware, N>1 runs them on the calling
+  /// thread plus N-1 workers of the process-wide pool (grown to fit on
+  /// first use, kept for later campaigns).  The result does not depend on
+  /// this knob.
   std::size_t threads = 1;
   /// Work units per shard (a unit is one seed's valid phase or one seed's
   /// batch of one mutation kind); 0 picks a size that keeps every worker

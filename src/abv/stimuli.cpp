@@ -1,7 +1,6 @@
 #include "abv/stimuli.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 namespace loom::abv {
@@ -11,11 +10,12 @@ using support::Rng;
 
 /// Appends the events of one fragment: a random order of blocks (all ranges
 /// under ∧, a random non-empty subset under ∨), each block a random length
-/// in [u,v].
-void emit_fragment(const spec::Fragment& f, Rng& rng,
-                   const std::function<sim::Time()>& next_time,
-                   spec::Trace& out) {
-  std::vector<std::size_t> used;
+/// in [u,v].  `next_time` stamps each event (and may append a noise event
+/// first); `used` is the caller's buffer, reused across fragments.
+template <typename NextTime>
+void emit_fragment(const spec::Fragment& f, Rng& rng, NextTime& next_time,
+                   std::vector<std::size_t>& used, spec::Trace& out) {
+  used.clear();
   if (f.join == spec::Join::Conj) {
     for (std::size_t r = 0; r < f.ranges.size(); ++r) used.push_back(r);
   } else {
@@ -32,7 +32,10 @@ void emit_fragment(const spec::Fragment& f, Rng& rng,
     const spec::Range& range = f.ranges[r];
     const std::uint64_t count = rng.between(range.lo, range.hi);
     for (std::uint64_t c = 0; c < count; ++c) {
-      out.push_back({range.name, next_time()});
+      // Stamp first: next_time() may append a noise event, which must
+      // precede this one.
+      const sim::Time time = next_time();
+      out.push_back({range.name, time});
     }
   }
 }
@@ -62,17 +65,10 @@ std::uint64_t max_round_events(const spec::LooseOrdering& l) {
   return n;
 }
 
-}  // namespace
-
-void pre_intern_stimuli_names(spec::Alphabet& ab,
-                              const StimuliOptions& options) {
-  noise_pool(ab, std::max<std::size_t>(1, options.noise_names));
-}
-
-spec::Trace generate_valid(const spec::Antecedent& a, spec::Alphabet& ab,
-                           support::Rng& rng,
-                           const StimuliOptions& options) {
-  spec::Trace out;
+void generate_valid_into(const spec::Antecedent& a, spec::Alphabet& ab,
+                         support::Rng& rng, const StimuliOptions& options,
+                         spec::Trace& out) {
+  out.clear();
   std::uint64_t now_ps = 0;
   const auto pool = noise_pool(ab, std::max<std::size_t>(1, options.noise_names));
   auto next_time = [&] {
@@ -83,20 +79,21 @@ spec::Trace generate_valid(const spec::Antecedent& a, spec::Alphabet& ab,
     }
     return sim::Time::ps(now_ps);
   };
+  std::vector<std::size_t> used;
   for (std::size_t round = 0; round < options.rounds; ++round) {
     for (const auto& f : a.pattern.fragments) {
-      emit_fragment(f, rng, next_time, out);
+      emit_fragment(f, rng, next_time, used, out);
     }
-    out.push_back({a.trigger, next_time()});
+    const sim::Time time = next_time();
+    out.push_back({a.trigger, time});
     if (!a.repeated) break;  // one round suffices; later ones unconstrained
   }
-  return out;
 }
 
-spec::Trace generate_valid(const spec::TimedImplication& t,
-                           spec::Alphabet& ab, support::Rng& rng,
-                           const StimuliOptions& options) {
-  spec::Trace out;
+void generate_valid_into(const spec::TimedImplication& t, spec::Alphabet& ab,
+                         support::Rng& rng, const StimuliOptions& options,
+                         spec::Trace& out) {
+  out.clear();
   std::uint64_t now_ps = 0;
   const std::uint64_t round_events =
       max_round_events(t.antecedent) + max_round_events(t.consequent);
@@ -112,25 +109,57 @@ spec::Trace generate_valid(const spec::TimedImplication& t,
     }
     return sim::Time::ps(now_ps);
   };
+  std::vector<std::size_t> used;
   for (std::size_t round = 0; round < options.rounds; ++round) {
     for (const auto& f : t.antecedent.fragments) {
-      emit_fragment(f, rng, next_time, out);
+      emit_fragment(f, rng, next_time, used, out);
     }
     for (const auto& f : t.consequent.fragments) {
-      emit_fragment(f, rng, next_time, out);
+      emit_fragment(f, rng, next_time, used, out);
     }
     now_ps += gap_ps;  // inter-round slack
   }
-  return out;
+}
+
+}  // namespace
+
+void pre_intern_stimuli_names(spec::Alphabet& ab,
+                              const StimuliOptions& options) {
+  noise_pool(ab, std::max<std::size_t>(1, options.noise_names));
+}
+
+void generate_valid_into(const spec::Property& p, spec::Alphabet& ab,
+                         support::Rng& rng, const StimuliOptions& options,
+                         spec::Trace& out) {
+  if (p.is_antecedent()) {
+    generate_valid_into(p.antecedent(), ab, rng, options, out);
+  } else {
+    generate_valid_into(p.timed(), ab, rng, options, out);
+  }
 }
 
 spec::Trace generate_valid(const spec::Property& p, spec::Alphabet& ab,
                            support::Rng& rng,
                            const StimuliOptions& options) {
-  if (p.is_antecedent()) {
-    return generate_valid(p.antecedent(), ab, rng, options);
-  }
-  return generate_valid(p.timed(), ab, rng, options);
+  spec::Trace out;
+  generate_valid_into(p, ab, rng, options, out);
+  return out;
+}
+
+spec::Trace generate_valid(const spec::Antecedent& a, spec::Alphabet& ab,
+                           support::Rng& rng,
+                           const StimuliOptions& options) {
+  spec::Trace out;
+  generate_valid_into(a, ab, rng, options, out);
+  return out;
+}
+
+spec::Trace generate_valid(const spec::TimedImplication& t,
+                           spec::Alphabet& ab, support::Rng& rng,
+                           const StimuliOptions& options) {
+  spec::Trace out;
+  generate_valid_into(t, ab, rng, options, out);
+  return out;
 }
 
 }  // namespace loom::abv

@@ -37,6 +37,12 @@ struct StimuliOptions {
 void pre_intern_stimuli_names(spec::Alphabet& ab,
                               const StimuliOptions& options);
 
+/// generate_valid() into `out`, replacing its content and reusing its
+/// capacity: the same events and Rng draws.
+void generate_valid_into(const spec::Property& p, spec::Alphabet& ab,
+                         support::Rng& rng, const StimuliOptions& options,
+                         spec::Trace& out);
+
 /// Generates a trace satisfying the property.  The result is guaranteed
 /// accepted by the reference semantics (asserted in tests).
 spec::Trace generate_valid(const spec::Property& p, spec::Alphabet& ab,

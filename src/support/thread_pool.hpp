@@ -1,22 +1,32 @@
-// Work-stealing thread pool backing the parallel ABV campaign engine.
+// Thread pool backing the parallel ABV campaign engine.
 //
-// One deque per worker: submit() round-robins tasks across the deques, a
-// worker pops from the back of its own deque (LIFO, cache-warm) and steals
-// from the front of a sibling's (FIFO, oldest first) when its own runs dry.
-// The amount of queued-but-unstarted work is bounded by `queue_capacity`;
-// submit() blocks when the pool is saturated, giving producers back-pressure
-// instead of unbounded memory growth.  The first exception thrown by any
-// task is captured and re-thrown from wait_idle() on the calling thread, so
-// a failing shard aborts a campaign instead of vanishing on a worker.
+// Workers take tasks from one FIFO queue.  The amount of queued-but-
+// unstarted work is bounded by `queue_capacity`; submit() blocks when the
+// pool is saturated, giving producers back-pressure instead of unbounded
+// memory growth.  The first exception thrown by a submitted task is
+// captured and re-thrown from wait_idle() on the calling thread.
+//
+// for_each_index() is the campaign's entry point and keeps its own books:
+// each call is a batch with a per-call completion latch and a per-call
+// first exception, the calling thread claims indices of its own batch
+// next to at most `max_executors - 1` pool workers, and the workers it
+// enlists are optional helpers.  So two callers sharing one pool never
+// wait for each other's tasks nor receive each other's errors, and a call
+// nested inside a task always completes, on its caller if need be.
+//
+// shared() is the process-wide pool every campaign runs on: created on
+// first use, grown to the largest size asked for, never destroyed (it
+// stays reachable, so leak checkers stay quiet), and keyed on the process
+// id, so a forked child builds its own and never touches the inherited
+// one, whose threads did not survive the fork.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <condition_variable>
 #include <exception>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -29,7 +39,7 @@ class ThreadPool {
   using Task = std::function<void()>;
 
   /// Spawns `threads` workers (0 is promoted to 1); at most
-  /// `queue_capacity` tasks may sit unstarted across all deques.
+  /// `queue_capacity` tasks may sit unstarted.
   explicit ThreadPool(std::size_t threads, std::size_t queue_capacity = 4096);
 
   /// Drains every queued task, joins the workers.  An exception captured
@@ -40,7 +50,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const { return workers_.size(); }
+  std::size_t thread_count() const;
+
+  /// Spawns workers until there are at least `threads`.
+  void grow(std::size_t threads);
 
   /// Enqueues a task; blocks while the pool is saturated.
   void submit(Task task);
@@ -49,31 +62,33 @@ class ThreadPool {
   /// first exception any of them raised (if one did).
   void wait_idle();
 
-  /// Convenience fan-out: runs body(i) for every i in [0, n), blocking
-  /// until all iterations finished (exceptions propagate like wait_idle).
+  /// Runs body(i) for every i in [0, n) on the calling thread and at most
+  /// `max_executors - 1` workers (0: every worker), blocking until all
+  /// iterations finished; then re-throws the first exception an iteration
+  /// of this call raised.  Independent of every other caller's work.
   void for_each_index(std::size_t n,
-                      const std::function<void(std::size_t)>& body);
+                      const std::function<void(std::size_t)>& body,
+                      std::size_t max_executors = 0);
+
+  /// The process-wide pool, grown to at least `threads` workers.
+  static ThreadPool& shared(std::size_t threads);
 
  private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-  };
+  struct Batch;
 
-  void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, Task& out);
+  void worker_loop();
+  // Enqueues without blocking; false when the pool is saturated.
+  bool try_submit(Task& task);
 
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
+  std::deque<Task> tasks_;
 
-  std::mutex sync_;                    // guards the counters below
-  std::condition_variable work_cv_;    // queued_ went up / stopping
-  std::condition_variable space_cv_;   // queued_ went down
+  mutable std::mutex sync_;            // guards everything above and below
+  std::condition_variable work_cv_;    // a task was queued / stopping
+  std::condition_variable space_cv_;   // a queued task was taken
   std::condition_variable idle_cv_;    // in_flight_ hit zero
   std::size_t capacity_ = 0;
-  std::size_t queued_ = 0;             // submitted, not yet dequeued
   std::size_t in_flight_ = 0;          // submitted, not yet finished
-  std::size_t next_queue_ = 0;         // round-robin submit cursor
   bool stopping_ = false;
   std::exception_ptr first_error_;
 };

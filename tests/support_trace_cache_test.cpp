@@ -1,12 +1,18 @@
 // Concurrency contract of the per-seed trace cache: hammered from the
-// thread pool, every key is inserted exactly once (the factory runs under
-// the shard lock), returned references stay stable for the cache's
-// lifetime, and the sharded hit/miss counters sum to the exact lookup
-// totals after the pool drains.
+// thread pool, every key is inserted exactly once (the factory runs once
+// per key, outside the shard lock), returned references stay stable for
+// the cache's lifetime, the sharded hit/miss counters sum to the exact
+// lookup totals after the pool drains, a running factory never blocks
+// other keys of its shard, and a throwing factory leaves its key
+// retryable.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/thread_pool.hpp"
@@ -108,6 +114,94 @@ TEST(TraceCache, DistinctKeysGetDistinctEntries) {
   EXPECT_EQ(b, value_for(2));
   EXPECT_EQ(c, value_for(99));
   EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(TraceCache, ARunningFactoryDoesNotBlockOtherKeysOfItsShard) {
+  TraceCache<Value> cache(/*shard_count=*/1);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread builder([&] {
+    cache.get_or_emplace(1, [&] {
+      started.set_value();
+      released.wait();
+      return value_for(1);
+    });
+  });
+  started.get_future().wait();
+  // Key 2 shares the only shard with key 1, whose factory is still blocked.
+  auto other = std::async(std::launch::async, [&cache] {
+    return cache.get_or_emplace(2, [] { return value_for(2); });
+  });
+  const bool finished =
+      other.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  builder.join();
+  ASSERT_TRUE(finished) << "a build held the shard's lock";
+  EXPECT_EQ(other.get(), value_for(2));
+  EXPECT_EQ(cache.get_or_emplace(1, [] { return Value{}; }), value_for(1));
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(TraceCache, ConcurrentCallersForOneKeyWaitForTheOneFactory) {
+  TraceCache<Value> cache(/*shard_count=*/1);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> factory_calls{0};
+  auto make = [&] {
+    if (factory_calls.fetch_add(1) == 0) {
+      started.set_value();
+      released.wait();
+    }
+    return value_for(5);
+  };
+  bool first_inserted = false;
+  std::thread builder(
+      [&] { cache.get_or_emplace(5, make, &first_inserted); });
+  started.get_future().wait();
+  bool second_inserted = true;
+  auto waiter = std::async(std::launch::async, [&] {
+    return &cache.get_or_emplace(5, make, &second_inserted);
+  });
+  // The waiter cannot finish while the one factory for key 5 is blocked.
+  EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  release.set_value();
+  builder.join();
+  const Value* seen = waiter.get();
+  EXPECT_EQ(*seen, value_for(5));
+  EXPECT_EQ(factory_calls.load(), 1);
+  EXPECT_TRUE(first_inserted);
+  EXPECT_FALSE(second_inserted);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(TraceCache, AThrowingFactoryLeavesTheKeyRetryable) {
+  TraceCache<Value> cache;
+  int calls = 0;
+  auto flaky = [&calls]() -> Value {
+    if (++calls == 1) throw std::runtime_error("generation failed");
+    return value_for(3);
+  };
+  EXPECT_THROW(cache.get_or_emplace(3, flaky), std::runtime_error);
+  EXPECT_EQ(cache.size(), 0u);
+  bool inserted = false;
+  const Value& v = cache.get_or_emplace(3, flaky, &inserted);
+  EXPECT_TRUE(inserted) << "the next caller runs the factory again";
+  EXPECT_EQ(v, value_for(3));
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(&cache.get_or_emplace(3, flaky), &v);
+  EXPECT_EQ(calls, 2);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);  // the failed call ran a factory too
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace
