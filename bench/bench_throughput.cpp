@@ -255,16 +255,15 @@ void BM_CampaignSharded(benchmark::State& state) {
 BENCHMARK(BM_CampaignSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_CampaignMutationHeavy(benchmark::State& state) {
-  // Mutation-heavy campaign in four gears: the fully naive engine, the
-  // PR 2 cached+batched engine, the zero-allocation scratch engine
-  // (per-worker mutant buffers, per-shard monitor pools, hoisted replay
-  // host), and the scratch engine running the bytecode VM backend.  All
-  // four produce bit-identical mutation results (enforced by
-  // campaign_replay_diff_test / campaign_scratch_diff_test, whose backend
-  // grids include Vm); only the wall clock and the allocation counters
-  // differ — allocs/mutant drops to ~0 in the scratch gears once the
-  // arena is warm, and the VM gear trades the Drct monitors' virtual
-  // per-event stepping for the flat dispatch loop.
+  // Mutation-heavy campaign in two gears, numbered as in the recorded
+  // baselines: 2 is the engine under its default options (per-worker
+  // scratch, per-shard monitor pools, mutants as edits), 3 the same
+  // engine forced onto the bytecode VM backend.  Both produce the
+  // reference loop's mutation results (campaign_reference_diff_test,
+  // whose backend grid includes Vm); only the wall clock and the
+  // allocation counters differ — allocs/mutant stays ~0 once the arena is
+  // warm, and the VM gear trades the Drct monitors' virtual per-event
+  // stepping for the flat dispatch loop.
   const int gear = static_cast<int>(state.range(0));
   Fixture fx(kConfig[2], 4);
   abv::CampaignOptions opt;
@@ -272,9 +271,6 @@ void BM_CampaignMutationHeavy(benchmark::State& state) {
   opt.stimuli.rounds = 16;  // long traces: regeneration is the hot path
   opt.mutants_per_kind = 4;
   opt.threads = 1;
-  opt.reuse_traces = gear >= 1;
-  opt.batch_replay = gear >= 1;
-  opt.reuse_scratch = gear >= 2;
   if (gear >= 3) opt.backend = mon::Backend::Vm;
   CampaignTally tally;
   for (auto _ : state) {
@@ -289,25 +285,18 @@ void BM_CampaignMutationHeavy(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(tally.monitor_events));
   tally.report(state);
-  state.SetLabel(gear == 0   ? "legacy"
-                 : gear == 1 ? "reuse_traces+batch_replay"
-                 : gear == 2 ? "+scratch arenas"
-                             : "+vm backend");
+  state.SetLabel(gear == 2 ? "+scratch arenas" : "+vm backend");
 }
-BENCHMARK(BM_CampaignMutationHeavy)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->UseRealTime();
+BENCHMARK(BM_CampaignMutationHeavy)->Arg(2)->Arg(3)->UseRealTime();
 
 void BM_CampaignIncremental(benchmark::State& state) {
   // Checkpointed, suffix-only mutant replay vs full replay on the
   // mutation-heavy, long-trace shape (the BM_CampaignMutationHeavy
-  // workload where per-mutant cost is replay-dominated).  Gear 0 replays
-  // every mutant from event 0; gear 1 restores the floor checkpoint and
-  // replays only [floor, end).  Both produce bit-identical results
-  // (campaign_incremental_diff_test); the wall clock and the printed
+  // workload where per-mutant cost is replay-dominated).  Gear 0 (stride
+  // 0) replays every mutant from event 0; gear 1 (stride 32) restores the
+  // floor checkpoint and replays only [floor, end).  Both produce the
+  // reference loop's results (campaign_reference_diff_test); the wall
+  // clock and the printed
   // skip ratio — prefix events not re-stepped over the events the
   // monitors would have stepped in full — are the win.  The timed
   // property makes StallDeadline mutants (long preserved prefixes) part
@@ -319,8 +308,7 @@ void BM_CampaignIncremental(benchmark::State& state) {
   opt.stimuli.rounds = 32;  // long traces: prefix re-evaluation dominates
   opt.mutants_per_kind = 8;
   opt.threads = 1;
-  opt.incremental_replay = incremental;
-  opt.checkpoint_stride = 32;
+  opt.checkpoint_stride = incremental ? 32 : 0;
   CampaignTally tally;
   for (auto _ : state) {
     support::AllocCounter::Scope scope;
@@ -343,20 +331,16 @@ void BM_CampaignIncremental(benchmark::State& state) {
 BENCHMARK(BM_CampaignIncremental)->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_CampaignCompiledPlans(benchmark::State& state) {
-  // Translate-once vs translate-per-unit on the mutation-heavy shape: six
-  // units per seed and a fresh monitor per killed mutant make the legacy
-  // path re-run the spec→monitor translation hundreds of times per seed;
-  // the compiled path plans once and stamps/reset-reuses instances.  Both
-  // runs are byte-identical (compiled_plan_diff_test); only the wall clock
-  // differs — the label names the path, the delta is the win.
-  const bool compiled = state.range(0) != 0;
+  // The translate-once engine on the mutation-heavy, stamping-heavy shape:
+  // one plan per property, instances stamped from it and reset-reused
+  // across six units per seed and every killed mutant.  Arg 1 keeps the
+  // recorded baseline's name.
   Fixture fx(kConfig[2], 4);
   abv::CampaignOptions opt;
   opt.seeds = 48;
   opt.stimuli.rounds = 4;
   opt.mutants_per_kind = 24;  // mutation-heavy: stamping dominates
   opt.threads = 1;
-  opt.use_compiled_plans = compiled;
   CampaignTally tally;
   for (auto _ : state) {
     support::AllocCounter::Scope scope;
@@ -370,17 +354,16 @@ void BM_CampaignCompiledPlans(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(tally.monitor_events));
   tally.report(state);
-  state.SetLabel(compiled ? "compiled plans" : "legacy per-unit translation");
+  state.SetLabel("compiled plans");
 }
-BENCHMARK(BM_CampaignCompiledPlans)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_CampaignCompiledPlans)->Arg(1)->UseRealTime();
 
 void BM_CampaignManyProperties(benchmark::State& state) {
-  // The many-property shape: run_campaigns over a batch, where the legacy
-  // engine pays one translation per (property × unit), the compiled engine
-  // exactly one per property per campaign, and the plan-cache gear exactly
-  // one per property for the whole benchmark — the long-lived-embedder
-  // steady state, where every iteration after the first recompiles
-  // nothing (CampaignOptions::plan_cache).
+  // The many-property shape: run_campaigns over a batch, where gear 1 pays
+  // exactly one translation per property per campaign, and the plan-cache
+  // gear 2 exactly one per property for the whole benchmark — the
+  // long-lived-embedder steady state, where every iteration after the
+  // first recompiles nothing (CampaignOptions::plan_cache).
   const int gear = static_cast<int>(state.range(0));
   spec::Alphabet ab;
   std::vector<spec::Property> props;
@@ -397,7 +380,6 @@ void BM_CampaignManyProperties(benchmark::State& state) {
   opt.stimuli.rounds = 4;
   opt.mutants_per_kind = 12;
   opt.threads = 1;
-  opt.use_compiled_plans = gear >= 1;
   mon::CompiledPropertyCache plan_cache;
   if (gear >= 2) opt.plan_cache = &plan_cache;
   CampaignTally tally;
@@ -414,21 +396,16 @@ void BM_CampaignManyProperties(benchmark::State& state) {
   // plan_cache_hit_rate from the tally replaces the old raw hit counter:
   // gear 2 converges toward 1.0 as iterations replay the warm cache.
   tally.report(state);
-  state.SetLabel(gear == 0   ? "legacy per-unit translation"
-                 : gear == 1 ? "compiled plans"
-                             : "+cross-campaign plan cache");
+  state.SetLabel(gear == 1 ? "compiled plans" : "+cross-campaign plan cache");
 }
-BENCHMARK(BM_CampaignManyProperties)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
+BENCHMARK(BM_CampaignManyProperties)->Arg(1)->Arg(2)->UseRealTime();
 
 #if LOOM_WIRE_HAS_PROCESS
 void BM_WorkerSupervision(benchmark::State& state) {
   // Prices the supervised drain (poll-multiplexed, nonblocking readers,
-  // per-frame deadlines) against the legacy blocking drain it replaced,
-  // on a clean fork-mode cross-process campaign: arg 0 = legacy
-  // (supervised=false), arg 1 = supervised with a deadline armed.  Same
-  // bits out either way (campaign_supervision_test); the delta is what
-  // the supervision machinery costs when nothing goes wrong.
-  const bool supervised = state.range(0) != 0;
+  // per-frame deadlines) on a clean fork-mode cross-process campaign with
+  // a deadline armed: what the supervision machinery costs when nothing
+  // goes wrong.  Arg 1 keeps the recorded baseline's name.
   Fixture fx(kConfig[2], 4);
   abv::CampaignOptions opt;
   opt.seeds = 8;
@@ -437,8 +414,7 @@ void BM_WorkerSupervision(benchmark::State& state) {
   opt.threads = 1;
   opt.shard_size = 1;
   opt.workers = 2;
-  opt.supervised = supervised;
-  opt.worker_timeout_ms = supervised ? 10000 : 0;
+  opt.worker_timeout_ms = 10000;
   CampaignTally tally;
   for (auto _ : state) {
     support::AllocCounter::Scope scope;
@@ -451,9 +427,9 @@ void BM_WorkerSupervision(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(tally.monitor_events));
   tally.report(state);
-  state.SetLabel(supervised ? "supervised drain" : "legacy blocking drain");
+  state.SetLabel("supervised drain");
 }
-BENCHMARK(BM_WorkerSupervision)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_WorkerSupervision)->Arg(1)->UseRealTime();
 #endif  // LOOM_WIRE_HAS_PROCESS
 
 void BM_WireRoundTrip(benchmark::State& state) {

@@ -3,7 +3,6 @@
 // thread pool — same bits out, less wall-clock in.
 //
 //   $ ./examples/parallel_campaign [threads] [seeds] [auto|drct|viapsl|vm]
-//                                  [--incremental=on|off]
 //                                  [--checkpoint-stride=N]
 #include <chrono>
 #include <cstdio>
@@ -21,7 +20,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: parallel_campaign [threads] [seeds] [auto|drct|viapsl|vm]\n"
-    "                         [--incremental=on|off] [--checkpoint-stride=N]\n"
+    "                         [--checkpoint-stride=N]\n"
     "                         [--workers=N] [--worker-timeout-ms=N]\n"
     "                         [--worker-retries=N] [--allow-partial=on|off]\n"
     "\n"
@@ -29,12 +28,11 @@ constexpr const char* kUsage =
     "                       hardware concurrency)\n"
     "  seeds                seeds per campaign (default 24)\n"
     "  backend              monitor construction (default auto)\n"
-    "  --incremental=on|off checkpointed suffix-only mutant replay\n"
-    "                       (default on; result-neutral — the runs stay\n"
-    "                       bit-identical either way)\n"
     "  --checkpoint-stride=N  events between checkpoints on each valid\n"
-    "                       trace (default: the engine's, see\n"
-    "                       abv::CampaignOptions; N >= 1)\n"
+    "                       trace for suffix-only mutant replay (default:\n"
+    "                       the engine's, see abv::CampaignOptions; 0 =\n"
+    "                       full replay; result-neutral — the runs stay\n"
+    "                       bit-identical at any stride)\n"
 
     "  --workers=N          additionally run the campaigns across N worker\n"
     "                       subprocesses (exec'd copies of this binary\n"
@@ -67,7 +65,6 @@ int main(int argc, char** argv) {
     return abv::run_campaign_worker(0, 1);
   }
   // Flags may appear anywhere; positionals keep their order.
-  bool incremental = true;
   std::size_t checkpoint_stride = abv::CampaignOptions{}.checkpoint_stride;
   std::size_t workers = 0;
   std::size_t worker_timeout_ms = 0;
@@ -108,18 +105,11 @@ int main(int argc, char** argv) {
                            argv[k] + 16);
       }
       allow_partial = *parsed;
-    } else if (std::strncmp(argv[k], "--incremental=", 14) == 0) {
-      const auto parsed = support::parse_on_off(argv[k] + 14);
-      if (!parsed) {
-        return usage_error("bad --incremental value (want on|off): %s\n",
-                           argv[k] + 14);
-      }
-      incremental = *parsed;
     } else if (std::strncmp(argv[k], "--checkpoint-stride=", 20) == 0) {
-      const auto parsed = support::parse_positive(argv[k] + 20);
+      const auto parsed = support::parse_nonneg(argv[k] + 20);
       if (!parsed) {
         return usage_error(
-            "bad --checkpoint-stride value (want a positive count): %s\n",
+            "bad --checkpoint-stride value (want a count, 0 = off): %s\n",
             argv[k] + 20);
       }
       checkpoint_stride = *parsed;
@@ -181,7 +171,6 @@ int main(int argc, char** argv) {
   opt.mutants_per_kind = 16;
   opt.shard_size = 1;
   opt.backend = *backend;
-  opt.incremental_replay = incremental;
   opt.checkpoint_stride = checkpoint_stride;
 
   // Show what the campaigns will execute: each property's translate-once
@@ -288,7 +277,7 @@ int main(int argc, char** argv) {
       "compiled plans: %zu properties translated once each; "
       "%zu instances stamped, %zu reset-reused\n",
       properties.size(), stamped, reused);
-  if (incremental) {
+  if (checkpoint_stride > 0) {
     // A restored rung carries its prefix's stats, so the monitors' event
     // count already includes every skipped event.  Guard the denominator:
     // a zero-seed / empty-trace campaign observes nothing, and "0%" beats

@@ -13,10 +13,6 @@
 
 #include "abv/seed_pass.hpp"
 #include "mon/checkpoint_ladder.hpp"
-#include "mon/monitors.hpp"
-#include "mon/vm.hpp"
-#include "psl/clause_monitor.hpp"
-#include "sim/scheduler.hpp"
 #include "spec/parser.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace_cache.hpp"
@@ -56,10 +52,10 @@ struct CampaignJob {
   std::size_t index = 0;  // position in run_campaigns' property list
 };
 
-// One per-seed cache entry: the valid trace plus — when incremental replay
-// is on — the checkpoint ladders recorded while the monitor and the
-// reference oracle each walk that trace exactly once, and the valid unit's
-// record from that same monitor walk.  Rung k of
+// One per-seed cache entry: the valid trace plus — with a positive
+// checkpoint stride — the checkpoint ladders recorded while the monitor and
+// the reference oracle each walk that trace exactly once, and the valid
+// unit's record from that same monitor walk.  Rung k of
 // `checkpoints` is the monitor state after the first (k+1)*stride events —
 // compact VM rungs in one slab for a Vm monitor, mon::Snapshot rungs for
 // any other (mon/checkpoint_ladder.hpp); the oracle's
@@ -87,14 +83,6 @@ struct CachedSeedTrace {
 // there first.
 using SeedTraceCache = support::TraceCache<CachedSeedTrace>;
 
-// A unit's view of its seed's valid trace: the events, plus the checkpoint
-// ladder when the entry came from the cache (null on the regenerate-per-
-// unit baseline path, which has nowhere to keep a ladder).
-struct SeedTraceRef {
-  const spec::Trace* trace = nullptr;
-  const CachedSeedTrace* cached = nullptr;
-};
-
 // Accumulator local to one shard; merged into the campaign result in shard
 // index order after the pool drains.
 struct ShardOutcome {
@@ -109,37 +97,12 @@ struct Shard {
   std::size_t unit_end = 0;
 };
 
-// Stamps the monitor a work unit checks with.  On the compiled path this is
-// a cheap instantiation from the shared translate-once artifacts; on the
-// legacy path it re-runs the full per-unit translation the pre-plan engine
-// did (make_monitor re-plans the property, a ViaPSL unit re-encodes the
-// clause set).  Either way the bytes that come out are identical — that is
-// the compiled ≡ per-unit invariant of compiled_plan_diff_test.
-std::unique_ptr<mon::Monitor> stamp_monitor(const CampaignJob& job,
-                                            const CampaignOptions& options,
-                                            const spec::Alphabet& ab,
-                                            ShardOutcome& out) {
-  ++out.partial.compile_stats.instances_stamped;
-  const mon::CompiledProperty& compiled = job.plan->compiled;
-  if (options.use_compiled_plans) return compiled.instantiate();
-  if (compiled.chosen() == mon::Backend::ViaPSL) {
-    return std::make_unique<psl::ClauseMonitor>(
-        psl::encode(*job.property, compiled.max_clauses(), &ab));
-  }
-  if (compiled.chosen() == mon::Backend::Vm) {
-    // compile_vm is pure, so the re-lowered program is byte-identical to
-    // the compiled path's shared artifact.
-    return std::make_unique<mon::VmMonitor>(mon::compile_vm(*job.property));
-  }
-  return mon::make_monitor(*job.property);
-}
-
 }  // namespace
 
-// Per-thread scratch arena for the steady-state loop
-// (CampaignOptions::reuse_scratch).  Each thread that runs shards — the
-// process pool's workers and the calling thread — keeps one for the life
-// of the thread, across campaigns.  Two lifetimes coexist inside it:
+// Per-thread scratch arena for the steady-state loop.  Each thread that
+// runs shards — the process pool's workers and the calling thread — keeps
+// one for the life of the thread, across campaigns.  Two lifetimes coexist
+// inside it:
 //   - the *buffers* live for the thread: the site list's and the
 //     generation buffer's capacity ratchets up once and every later unit
 //     and campaign reuses it;
@@ -155,15 +118,14 @@ struct UnitScratch {
 
   // The current mutant, as an edit of its seed's valid trace: its pieces
   // borrow that trace, so it is read only within the unit that wrote it,
-  // while the seed's cache entry (or local_trace) lives.
+  // while the seed's cache entry lives.
   MutantEdit edit;
   // The alphabet sites of seed `sites_seed`'s valid trace: the site-reading
   // units (Drop, Duplicate, SwapAdjacent) of one seed in one shard share
   // one scan.  A shard has one property, so the seed names the trace.
   std::vector<std::size_t> sites;
   std::size_t sites_seed = kNoSeed;
-  // The valid trace when the seed cache is off; the generation buffer a
-  // cache entry's exact-size trace is copied from when it is on.
+  // The generation buffer a cache entry's exact-size trace is copied from.
   spec::Trace local_trace;
   std::unique_ptr<mon::Monitor> monitor;  // chosen-backend pool slot
   std::unique_ptr<mon::Monitor> viapsl;   // check_viapsl pool slot
@@ -186,55 +148,26 @@ struct UnitScratch {
 
 namespace {
 
-// Draws a pooled monitor instance for one work unit of the scratch path:
-// the first draw of a shard stamps from the shared plan, every later draw
-// resets the existing instance (reset ≡ fresh, mon_reset_reuse_test) —
-// valid units and mutation units alike.  `skip_reset` elides the physical
-// reset when the caller is about to restore a checkpoint rung over the
-// whole state anyway (a Snapshot restore and a compact-rung load both
-// overwrite every field a reset touches; mon_snapshot_test and MonVmRung
-// cover restoring into a dirty instance); the reuse accounting still
-// counts the logical draw either way.
+// Draws a pooled monitor instance of `backend` for one work unit: the first
+// draw of a shard stamps from the shared plan, every later draw resets the
+// existing instance (reset ≡ fresh, mon_reset_reuse_test) — valid units
+// and mutation units alike.  `skip_reset` elides the physical reset when
+// the caller is about to restore a checkpoint rung over the whole state
+// anyway (a Snapshot restore and a compact-rung load both overwrite every
+// field a reset touches; mon_snapshot_test and MonVmRung cover restoring
+// into a dirty instance); the reuse accounting still counts the logical
+// draw either way.
 mon::Monitor& draw_pooled(std::unique_ptr<mon::Monitor>& slot,
-                          const CampaignJob& job, const CampaignOptions& options,
-                          const spec::Alphabet& ab, mon::Backend backend,
+                          const CampaignJob& job, mon::Backend backend,
                           ShardOutcome& out, bool skip_reset = false) {
   if (slot == nullptr) {
-    if (backend == mon::Backend::ViaPSL) {
-      slot = job.plan->compiled.instantiate(mon::Backend::ViaPSL);
-      ++out.partial.compile_stats.instances_stamped;
-    } else {
-      slot = stamp_monitor(job, options, ab, out);
-    }
+    slot = job.plan->compiled.instantiate(backend);
+    ++out.partial.compile_stats.instances_stamped;
   } else {
     if (!skip_reset) slot->reset();
     ++out.partial.compile_stats.instance_reuses;
   }
   return *slot;
-}
-
-// The scratch path draws from the pool only when instances are stamped
-// from shared artifacts; the legacy translate-per-unit baseline keeps its
-// fresh-translation-per-unit behavior even with scratch buffers on.
-bool pool_monitors(const CampaignOptions& options) {
-  return options.reuse_scratch && options.use_compiled_plans;
-}
-
-// The valid trace of seed `s` is a pure function of (first_seed + s): both
-// the valid phase and every mutation unit of the seed regenerate it from
-// stream 0, so no cross-unit state needs sharing.
-void seed_trace_into(const CampaignJob& job, spec::Alphabet& ab,
-                     const CampaignOptions& options, std::size_t s,
-                     spec::Trace& out) {
-  support::Rng rng = support::Rng::stream(options.first_seed + s, 0);
-  generate_valid_into(*job.property, ab, rng, options.stimuli, out);
-}
-
-// The ladder only exists where it can live (the per-seed cache entry) and
-// where it has rungs to stand on (a positive stride).
-bool incremental_enabled(const CampaignOptions& options) {
-  return options.incremental_replay && options.reuse_traces &&
-         options.checkpoint_stride > 0;
 }
 
 // The one seed pass of a cache entry: the reference oracle walks the valid
@@ -243,7 +176,7 @@ bool incremental_enabled(const CampaignOptions& options) {
 // a rung after every `stride` events and the valid unit's whole record.
 // The instance is engine overhead of the cache-entry build (like
 // generation itself); the valid unit accounts the draw its record stands
-// for, so the ladder knob cannot move a semantic counter.
+// for, so the ladder cannot move a semantic counter.
 void build_seed_pass(const CampaignJob& job, const CampaignOptions& options,
                      UnitScratch& scratch, CachedSeedTrace& entry) {
   entry.stride = options.checkpoint_stride;
@@ -259,33 +192,31 @@ void build_seed_pass(const CampaignJob& job, const CampaignOptions& options,
                                  entry.trace, &entry.checkpoints, entry.stride);
 }
 
-// Hands out the seed's valid trace: from the shared cache when trace reuse
-// is on (whichever unit asks first generates — and, with incremental
-// replay, runs the seed pass — outside the cache's lock, while the others
-// asking for the same seed wait and then hit), regenerated into the
-// scratch's local_trace otherwise.  Cached or not,
-// the trace bytes are the same — a pure function of (first_seed + s).
-SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
-                               const CampaignOptions& options, std::size_t s,
-                               SeedTraceCache* cache, ShardOutcome& out,
-                               UnitScratch& scratch) {
-  if (cache == nullptr) {
-    seed_trace_into(job, ab, options, s, scratch.local_trace);
-    return {&scratch.local_trace, nullptr};
-  }
+// Hands out the seed's cache entry.  Whichever unit asks first generates
+// the trace — a pure function of (first_seed + s) — and, with a positive
+// checkpoint stride, runs the seed pass, outside the cache's lock, while
+// the others asking for the same seed wait and then hit.
+const CachedSeedTrace& obtain_seed_trace(const CampaignJob& job,
+                                         spec::Alphabet& ab,
+                                         const CampaignOptions& options,
+                                         std::size_t s, SeedTraceCache& cache,
+                                         ShardOutcome& out,
+                                         UnitScratch& scratch) {
   bool inserted = false;
   const std::uint64_t key =
       static_cast<std::uint64_t>(job.index) * options.seeds + s;
-  const CachedSeedTrace& entry = cache->get_or_emplace(
+  const CachedSeedTrace& entry = cache.get_or_emplace(
       key,
       [&] {
         CachedSeedTrace fresh;
         // The entry lives as long as the campaign: generate into the
         // scratch buffer and copy once, at the trace's exact size.
-        seed_trace_into(job, ab, options, s, scratch.local_trace);
+        support::Rng rng = support::Rng::stream(options.first_seed + s, 0);
+        generate_valid_into(*job.property, ab, rng, options.stimuli,
+                            scratch.local_trace);
         fresh.trace.assign(scratch.local_trace.begin(),
                            scratch.local_trace.end());
-        if (incremental_enabled(options)) {
+        if (options.checkpoint_stride > 0) {
           build_seed_pass(job, options, scratch, fresh);
         }
         return fresh;
@@ -296,182 +227,127 @@ SeedTraceRef obtain_seed_trace(const CampaignJob& job, spec::Alphabet& ab,
   } else {
     ++out.partial.trace_cache_hits;
   }
-  return {&entry.trace, &entry};
+  return entry;
 }
 
 // A mutant's floor rung: how many whole monitor-ladder rungs lie at or
-// below its divergence position (0: none, so the mutant is replayed from
-// the start).  MutantEdit::position guarantees the mutant shares its
-// first `position` events with the valid trace, so after that many rungs
-// the monitor state is exactly what the ladder recorded.
-std::size_t floor_rungs(const CachedSeedTrace* ladder, std::size_t position) {
-  if (ladder == nullptr) return 0;
-  return std::min(position / ladder->stride, ladder->checkpoints.count());
+// below its divergence position (0: none — or no ladder at all — so the
+// mutant is replayed from the start).  MutantEdit::position guarantees the
+// mutant shares its first `position` events with the valid trace, so after
+// that many rungs the monitor state is exactly what the ladder recorded.
+std::size_t floor_rungs(const CachedSeedTrace& seed, std::size_t position) {
+  if (seed.stride == 0) return 0;
+  return std::min(position / seed.stride, seed.checkpoints.count());
 }
 
-// The reference oracle for one unit.  A mutant of a seed with a ladder
+// A mutant's reference oracle reads its pieces in place.  With a ladder it
 // resumes from its floor on the oracle ladder (possibly the initial state)
 // and stops at the first rung past MutantEdit::aligned where its walk
-// rejoins the valid trace's.  Anything else is a full walk, where the
-// scratch path hands the compiled OrderingPlan back to the checker instead
-// of letting it re-plan the property per call.  Resumed, rejoined,
-// re-planned or not, the verdict bytes are identical (spec/reference.hpp).
-spec::RefResult oracle_check(const CampaignJob& job,
-                             const CampaignOptions& options,
-                             const spec::Trace& trace, sim::Time end_time) {
-  if (options.reuse_scratch) {
-    return spec::reference_check(*job.property, job.plan->compiled.plan(),
-                                 trace, end_time);
-  }
-  return spec::reference_check(*job.property, trace, end_time);
-}
-
-// A mutant's oracle check reads its pieces in place.  `bytes` is the
-// materialized mutant on the fresh path (reuse_scratch off), whose
-// baseline oracle re-plans the property per call and needs them.
-spec::RefResult oracle_check(const CampaignJob& job,
-                             const CampaignOptions& options,
-                             const MutantEdit& mutant,
-                             const spec::Trace* bytes,
-                             const CachedSeedTrace* ladder) {
+// rejoins the valid trace's; without one it walks in full.  Either way the
+// verdict bytes are identical (spec/reference.hpp).
+spec::RefResult oracle_check(const CampaignJob& job, const MutantEdit& mutant,
+                             const CachedSeedTrace& seed) {
   const sim::Time end_time = mutant.view.end_time();
-  if (ladder == nullptr) {
-    if (bytes != nullptr) return oracle_check(job, options, *bytes, end_time);
+  if (seed.stride == 0) {
     return spec::reference_check(*job.property, job.plan->compiled.plan(),
                                  mutant.view, end_time);
   }
-  const spec::RefLadder& oracle = ladder->oracle;
+  const spec::RefLadder& oracle = seed.oracle;
   return spec::resume_reference_check(
       *job.property, job.plan->compiled.plan(), oracle,
       std::min(mutant.position / oracle.stride, oracle.rungs.size()),
       mutant.view, end_time, mutant.aligned);
 }
 
-// Steps a mutant's events [begin, end) through `monitor`, piece by piece:
-// batched through Monitor::observe_shifted, or one observe() per event on
-// the per-event baseline (batch_replay off).  Either way the monitor sees
-// exactly the materialized mutant's events from `begin` on.
+// Steps a mutant's events [begin, end) through `monitor`, one
+// Monitor::observe_shifted call per piece: the monitor sees exactly the
+// materialized mutant's events from `begin` on.
 void replay_pieces(mon::Monitor& monitor, const spec::TraceView& view,
-                   std::size_t begin, bool batched) {
+                   std::size_t begin) {
   std::size_t base = 0;  // index of the piece's first event
   for (std::size_t i = 0; i < view.count; ++i) {
     const spec::TracePiece& piece = view.pieces[i];
     const std::size_t skip = begin > base ? begin - base : 0;
     base += piece.size;
     if (skip >= piece.size) continue;
-    const spec::TimedEvent* const first = piece.data + skip;
-    const spec::TimedEvent* const last = piece.data + piece.size;
-    if (batched) {
-      monitor.observe_shifted(first, last, piece.shift);
-      continue;
-    }
-    for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
-      monitor.observe(ev->name, ev->time + piece.shift);
-    }
+    monitor.observe_shifted(piece.data + skip, piece.data + piece.size,
+                            piece.shift);
   }
 }
 
 void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
                     const CampaignOptions& options, std::size_t s,
-                    SeedTraceCache* cache, UnitScratch& scratch,
+                    SeedTraceCache& cache, UnitScratch& scratch,
                     ShardOutcome& out) {
-  const SeedTraceRef seed_ref = obtain_seed_trace(job, ab, options, s, cache,
-                                                  out, scratch);
-  const spec::Trace& valid = *seed_ref.trace;
+  const CachedSeedTrace& seed =
+      obtain_seed_trace(job, ab, options, s, cache, out, scratch);
+  const spec::Trace& valid = seed.trace;
   ++out.partial.traces;
   out.partial.events += valid.size();
   // The seed pass already walked this trace with the monitor and the
   // oracle when the entry has a ladder.
-  const bool seed_pass =
-      seed_ref.cached != nullptr && seed_ref.cached->stride != 0;
+  const bool seed_pass = seed.stride != 0;
 
   // One logical draw either way, so the instance counters do not depend on
-  // whether this unit walks.  Scratch path: draw from the shard's pool
-  // (stamp once, reset after; a merged record needs no reset); fresh path:
-  // stamp a throwaway instance per unit like the pre-pool engine.
-  // reset ≡ fresh makes the two indistinguishable byte-for-byte.
-  std::unique_ptr<mon::Monitor> fresh;
-  mon::Monitor* monitor = nullptr;
-  if (pool_monitors(options)) {
-    monitor = &draw_pooled(scratch.monitor, job, options, ab,
-                           mon::Backend::Auto, out, /*skip_reset=*/seed_pass);
-  } else {
-    fresh = stamp_monitor(job, options, ab, out);
-    monitor = fresh.get();
-  }
+  // whether this unit walks (a merged record needs no reset).
+  mon::Monitor& monitor =
+      draw_pooled(scratch.monitor, job, job.plan->compiled.chosen(), out,
+                  /*skip_reset=*/seed_pass);
   ValidRecord walked;
-  const ValidRecord* record = seed_pass ? &seed_ref.cached->valid : nullptr;
-  if (record == nullptr) {
-    walked = walk_valid_trace(job.plan->compiled, *monitor, valid);
-    record = &walked;
-  }
+  if (!seed_pass) walked = walk_valid_trace(job.plan->compiled, monitor, valid);
+  const ValidRecord& record = seed_pass ? seed.valid : walked;
   const spec::RefResult ref =
-      seed_pass ? seed_ref.cached->oracle.full
-                : oracle_check(job, options, valid, end_of(valid));
+      seed_pass ? seed.oracle.full
+                : spec::reference_check(*job.property,
+                                        job.plan->compiled.plan(), valid,
+                                        end_of(valid));
 
   // Coverage merges into the shard's accumulators (order-independent
   // unions, like the shard merge itself).
-  out.alphabet->merge(*record->alphabet);
-  if (record->recognizer) {
+  out.alphabet->merge(*record.alphabet);
+  if (record.recognizer) {
     if (out.recognizer) {
-      out.recognizer->merge(*record->recognizer);
+      out.recognizer->merge(*record.recognizer);
     } else {
-      out.recognizer.emplace(*record->recognizer);
+      out.recognizer.emplace(*record.recognizer);
     }
   }
-  const bool monitor_ok = !record->violated;
+  const bool monitor_ok = !record.violated;
   if (monitor_ok && !ref.rejected()) ++out.partial.valid_accepted;
   if (monitor_ok == ref.rejected()) ++out.partial.oracle_disagreements;
-  out.partial.monitor_stats.merge(record->stats);
+  out.partial.monitor_stats.merge(record.stats);
 
   if (options.check_viapsl) {
-    // The cross-check always instantiates from the shared clause set (the
-    // pre-plan engine shared its encodings the same way); the scratch path
-    // additionally pools the instance per shard.
-    std::unique_ptr<mon::Monitor> fresh_viapsl;
-    mon::Monitor* viapsl = nullptr;
-    if (pool_monitors(options)) {
-      viapsl = &draw_pooled(scratch.viapsl, job, options, ab,
-                            mon::Backend::ViaPSL, out);
-    } else {
-      fresh_viapsl = job.plan->compiled.instantiate(mon::Backend::ViaPSL);
-      ++out.partial.compile_stats.instances_stamped;
-      viapsl = fresh_viapsl.get();
-    }
-    for (const auto& ev : valid) viapsl->observe(ev.name, ev.time);
-    viapsl->finish(end_of(valid));
-    if (!ref.rejected() && viapsl->verdict() == mon::Verdict::Violated) {
+    // The cross-check instantiates from the shared clause set, pooled per
+    // shard like the chosen-backend monitor.
+    mon::Monitor& viapsl =
+        draw_pooled(scratch.viapsl, job, mon::Backend::ViaPSL, out);
+    for (const auto& ev : valid) viapsl.observe(ev.name, ev.time);
+    viapsl.finish(end_of(valid));
+    if (!ref.rejected() && viapsl.verdict() == mon::Verdict::Violated) {
       ++out.partial.viapsl_false_alarms;
     }
-    out.partial.monitor_stats.merge(viapsl->stats());
+    out.partial.monitor_stats.merge(viapsl.stats());
   }
 }
 
 void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
                        const CampaignOptions& options, std::size_t s,
-                       std::size_t slot, SeedTraceCache* cache,
+                       std::size_t slot, SeedTraceCache& cache,
                        UnitScratch& scratch, ShardOutcome& out) {
   LOOM_DASSERT(slot >= 1 && slot < kSlotsPerSeed);
   const spec::Property& property = *job.property;
-  const SeedTraceRef seed_ref = obtain_seed_trace(job, ab, options, s, cache,
-                                                  out, scratch);
-  const spec::Trace& valid = *seed_ref.trace;
-  // Checkpoint ladder for suffix-only replay (null without the cache or
-  // with the knob off — those configurations replay every mutant in full).
-  const CachedSeedTrace* ladder =
-      options.incremental_replay && seed_ref.cached != nullptr &&
-              seed_ref.cached->stride != 0
-          ? seed_ref.cached
-          : nullptr;
+  const CachedSeedTrace& seed =
+      obtain_seed_trace(job, ab, options, s, cache, out, scratch);
+  const spec::Trace& valid = seed.trace;
   const std::size_t k = slot - 1;
   auto& stats = out.partial.mutation[k];
   support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
-  const bool pooled = pool_monitors(options);
-  // The scratch path lists the valid trace's alphabet sites once per seed
-  // and shard, for the site-reading units' mutants_per_kind draws; the
-  // other kinds get no list (the scratch's may be another seed's).
+  // The valid trace's alphabet sites, listed once per seed and shard for
+  // the site-reading units' mutants_per_kind draws; the other kinds get no
+  // list (the scratch's may be another seed's).
   std::span<const std::size_t> sites;
-  if (options.reuse_scratch && mutation_reads_sites(kAllKinds[k])) {
+  if (mutation_reads_sites(kAllKinds[k])) {
     if (scratch.sites_seed != s) {
       mutation_sites_into(valid, job.plan->compiled.alphabet(),
                           scratch.sites);
@@ -479,90 +355,49 @@ void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
     }
     sites = scratch.sites;
   }
-  // Fresh-path monitor: stamped per unit (compiled) or per mutant (legacy
-  // translation), exactly like the pre-scratch engine.  The scratch path
-  // draws from the shard pool instead.
-  std::unique_ptr<mon::Monitor> fresh;
-  std::optional<MutationResult> fresh_mutant;
-  MutantEdit fresh_edit;  // the fresh path's mutant, as one whole piece
+  // The mutant is an edit of the valid trace and is never copied out: the
+  // oracle and the monitor read its pieces in place.
+  const MutantEdit& mutant = scratch.edit;
   for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
-    // Scratch path: the mutant is an edit of the valid trace, from the
-    // seed's site list, and is never copied out — the oracle and the
-    // monitor read its pieces in place.  Fresh path: mutate() materializes
-    // it like the pre-scratch engine (the same edit, so the same bytes and
-    // Rng draws), read as one piece.
-    const MutantEdit* mutant = &scratch.edit;
-    if (options.reuse_scratch) {
-      if (!mutate_edit(valid, kAllKinds[k], property, sites, rng,
-                       scratch.edit)) {
-        continue;
-      }
-    } else {
-      fresh_mutant = mutate(valid, kAllKinds[k], property, rng);
-      if (!fresh_mutant) continue;
-      fresh_edit.view = spec::TraceView::of(fresh_mutant->trace);
-      fresh_edit.position = fresh_mutant->position;
-      fresh_edit.aligned = fresh_mutant->aligned;
-      mutant = &fresh_edit;
+    if (!mutate_edit(valid, kAllKinds[k], property, sites, rng,
+                     scratch.edit)) {
+      continue;
     }
     ++stats.applied;
     // Incremental replay: the oracle and the monitor both resume from the
     // mutant's floor on their ladders.  The monitor's rung is resolved
     // before drawing the monitor: when a restore will overwrite the whole
     // state, the draw below skips its redundant reset pass.
-    const spec::Trace* bytes = fresh_mutant ? &fresh_mutant->trace : nullptr;
-    if (!oracle_check(job, options, *mutant, bytes, ladder).rejected()) {
-      continue;
-    }
-    const std::size_t rungs = floor_rungs(ladder, mutant->position);
+    if (!oracle_check(job, mutant, seed).rejected()) continue;
+    const std::size_t rungs = floor_rungs(seed, mutant.position);
     ++stats.invalid;
-    const std::size_t replay_begin = rungs > 0 ? rungs * ladder->stride : 0;
-    mon::Monitor* mmon = nullptr;
-    if (pooled) {
-      mmon = &draw_pooled(scratch.monitor, job, options, ab,
-                          mon::Backend::Auto, out,
-                          /*skip_reset=*/rungs > 0);
-    } else if (fresh == nullptr || !options.use_compiled_plans) {
-      fresh = stamp_monitor(job, options, ab, out);
-      mmon = fresh.get();
-    } else {
-      if (rungs == 0) fresh->reset();
-      ++out.partial.compile_stats.instance_reuses;
-      mmon = fresh.get();
-    }
+    const std::size_t replay_begin = rungs * seed.stride;
+    mon::Monitor& mmon =
+        draw_pooled(scratch.monitor, job, job.plan->compiled.chosen(), out,
+                    /*skip_reset=*/rungs > 0);
     // The restored state already carries the prefix's stats, verdict and
     // timing registers, so replaying only [floor, end) produces bytes that
-    // match a full replay exactly (campaign_incremental_diff_test).
+    // match a full replay exactly (campaign_reference_diff_test).
     if (rungs > 0) {
-      ladder->checkpoints.restore_into(rungs - 1, *mmon);
-      LOOM_DASSERT(replay_begin <= mutant->view.size);
+      seed.checkpoints.restore_into(rungs - 1, mmon);
+      LOOM_DASSERT(replay_begin <= mutant.view.size);
       ++out.partial.checkpoint_hits;
       out.partial.events_skipped += replay_begin;
     }
-    if (options.batch_replay && bytes != nullptr) {
-      // Fresh baseline: in-simulation replay host scoped per mutant over
-      // the materialized bytes — whatever the module armed dies with it
-      // right here.
-      sim::Scheduler replay_sched;
-      mon::MonitorModule module(replay_sched, "replay", *mmon, ab);
-      module.observe_batch(*bytes, mon::MonitorModule::BatchPolicy::ReplayAll,
-                           replay_begin);
-    } else {
-      replay_pieces(*mmon, mutant->view, replay_begin, options.batch_replay);
-    }
-    mmon->finish(mutant->view.end_time());
-    if (mmon->verdict() == mon::Verdict::Violated) {
+    replay_pieces(mmon, mutant.view, replay_begin);
+    mmon.finish(mutant.view.end_time());
+    if (mmon.verdict() == mon::Verdict::Violated) {
       ++stats.detected;
     } else {
       ++stats.missed;
     }
-    out.partial.monitor_stats.merge(mmon->stats());
+    out.partial.monitor_stats.merge(mmon.stats());
   }
 }
 
 void run_shard(const std::vector<CampaignJob>& jobs, spec::Alphabet& ab,
                const CampaignOptions& options, const Shard& shard,
-               SeedTraceCache* cache, UnitScratch& scratch,
+               SeedTraceCache& cache, UnitScratch& scratch,
                ShardOutcome& out) {
   const CampaignJob& job = jobs[shard.job];
   // Fresh pool per shard (buffers keep their capacity): the
@@ -607,9 +442,7 @@ void run_shards_in_process(const std::vector<CampaignJob>& jobs,
                            std::size_t threads,
                            std::vector<ShardOutcome>& outcomes,
                            support::ThreadPool* pool = nullptr) {
-  std::optional<SeedTraceCache> trace_cache;
-  if (options.reuse_traces) trace_cache.emplace(/*shard_count=*/4 * threads);
-  SeedTraceCache* cache = trace_cache ? &*trace_cache : nullptr;
+  SeedTraceCache cache(/*shard_count=*/4 * threads);
   if (threads <= 1 || shards.size() <= 1) {
     for (std::size_t i = 0; i < shards.size(); ++i) {
       run_shard(jobs, ab, options, shards[i], cache, thread_scratch(),
@@ -722,150 +555,6 @@ std::vector<std::uint8_t> frame_request(
   std::vector<std::uint8_t> framed;
   wire::write_frame(framed, wire::Payload::WorkerRequest, enc);
   return framed;
-}
-
-// Tears the worker fleet down — both pipe ends closed so a blocked child
-// dies on EOF/EPIPE instead of hanging, every child reaped — and raises
-// WorkerFailure.  Nothing partial has been merged when this throws: both
-// drains buffer a worker's partials until its clean Done frame.
-[[noreturn]] void fail_workers(std::vector<wire::WorkerProcess>& procs,
-                               const std::string& message) {
-  for (auto& p : procs) {
-    p.close_to_child();
-    p.close_from_child();
-    p.wait();
-  }
-  throw WorkerFailure("cross-process campaign: " + message);
-}
-
-// The pre-supervision drain (CampaignOptions::supervised == false): one
-// blocking FdFrameReader per worker, drained sequentially, any failure
-// fatal.  Kept alive as the differential baseline the supervised path is
-// compared against (campaign_supervision_test) and as the yardstick
-// BM_WorkerSupervision prices the timed drain with.
-void run_shards_legacy(const std::vector<CampaignJob>& jobs,
-                       const CampaignOptions& options,
-                       const std::vector<Shard>& shards,
-                       const std::vector<std::vector<std::size_t>>& assigned,
-                       const wire::WorkerRequestData& base,
-                       std::vector<ShardOutcome>& outcomes) {
-  const std::size_t workers = assigned.size();
-  std::vector<wire::WorkerProcess> procs;
-  procs.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    // Fork-only children must close the parent-side pipe ends (and
-    // pidfds) of their already-spawned siblings: a sibling holding a read
-    // end open would swallow the EOF the parent relies on (exec-mode
-    // descriptors are close-on-exec, so the list is only load-bearing on
-    // the no-exec path).
-    std::vector<int> inherited;
-    for (const auto& p : procs) {
-      for (const int fd : {p.to_child, p.from_child, p.exit_fd}) {
-        if (fd >= 0) inherited.push_back(fd);
-      }
-    }
-    try {
-      procs.push_back(wire::spawn_worker(
-          options.worker_command,
-          [](int in, int out) { return run_campaign_worker(in, out); }, w,
-          inherited));
-    } catch (const std::exception& e) {
-      fail_workers(procs, e.what());
-    }
-  }
-
-  // Write every request first, then drain the streams one worker at a
-  // time.  No deadlock is possible: requests are small, and a worker reads
-  // its whole request before writing anything; a worker blocked on a full
-  // response pipe simply waits until its drain turn comes.
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::vector<std::uint8_t> framed =
-        frame_request(base, assigned[w], shards, /*clear_fault=*/false);
-    if (!wire::write_all(procs[w].to_child, framed.data(), framed.size())) {
-      fail_workers(procs, "worker " + std::to_string(w) +
-                              ": request write failed (worker gone?)");
-    }
-    procs[w].close_to_child();
-  }
-
-  std::vector<bool> filled(shards.size(), false);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::string who = "worker " + std::to_string(w);
-    // Buffer this worker's partials; nothing lands in `outcomes` before
-    // the worker's clean Done frame, matching partial count and exit 0.
-    std::vector<wire::WorkerPartialData> partials;
-    std::uint64_t done_count = 0;
-    bool done = false;
-    wire::FdFrameReader reader(procs[w].from_child);
-    while (!done) {
-      wire::Frame frame;
-      wire::DecodeError err;
-      const auto st = reader.next(frame, err);
-      if (st == wire::FdFrameReader::Status::Eof) {
-        const int status = procs[w].wait();
-        fail_workers(procs, who + ": stream ended before its Done frame (" +
-                                describe_worker_exit(status) + ")");
-      }
-      if (st != wire::FdFrameReader::Status::Frame) {
-        fail_workers(procs, who + ": " + err.to_string());
-      }
-      wire::Decoder d(frame.data, frame.size);
-      switch (frame.tag) {
-        case wire::Payload::WorkerPartial: {
-          partials.emplace_back();
-          if (!wire::decode_worker_partial(d, partials.back())) {
-            fail_workers(procs, who + ": " + d.error().to_string());
-          }
-          if (!d.exhausted()) {
-            fail_workers(procs,
-                         who + ": trailing bytes after a partial payload");
-          }
-          break;
-        }
-        case wire::Payload::WorkerDone: {
-          if (!wire::decode_worker_done(d, done_count) || !d.exhausted()) {
-            fail_workers(procs, who + ": malformed Done frame");
-          }
-          done = true;
-          break;
-        }
-        case wire::Payload::WorkerError: {
-          std::string message;
-          if (!wire::decode_worker_error(d, message)) {
-            message = "(malformed error frame)";
-          }
-          fail_workers(procs, who + " reported: " + message);
-        }
-        default:
-          fail_workers(procs, who + ": unexpected " +
-                                  wire::to_string(frame.tag) + " frame");
-      }
-    }
-    procs[w].close_from_child();
-    const int status = procs[w].wait();
-    if (wire::exit_code(status) != kWorkerExitOk) {
-      fail_workers(procs, who + " " + describe_worker_exit(status));
-    }
-    if (done_count != partials.size() ||
-        partials.size() != assigned[w].size()) {
-      fail_workers(
-          procs, who + ": returned " + std::to_string(partials.size()) +
-                     " partials for " + std::to_string(assigned[w].size()) +
-                     " assigned shards");
-    }
-    // Clean stream, matching count, clean exit: only now do the partials
-    // become shard outcomes, at the indices the in-process engine fills.
-    for (auto& part : partials) {
-      const std::size_t i = static_cast<std::size_t>(part.shard);
-      if (i >= shards.size() || i % workers != w || filled[i] ||
-          part.job != shards[i].job) {
-        fail_workers(procs, who + ": partial for foreign shard " +
-                                std::to_string(part.shard));
-      }
-      filled[i] = true;
-      install_partial(jobs, part, outcomes);
-    }
-  }
 }
 
 // The supervised drain: every worker's response pipe goes O_NONBLOCK, one
@@ -1311,13 +1000,8 @@ void run_shards_cross_process(const std::vector<CampaignJob>& jobs,
     assigned[i % workers].push_back(i);
   }
 
-  const wire::WorkerRequestData base = make_base_request(jobs, ab, options);
-  if (options.supervised) {
-    run_shards_supervised(jobs, options, shards, assigned, base, outcomes,
-                          sup);
-  } else {
-    run_shards_legacy(jobs, options, shards, assigned, base, outcomes);
-  }
+  run_shards_supervised(jobs, options, shards, assigned,
+                        make_base_request(jobs, ab, options), outcomes, sup);
 }
 
 #endif  // LOOM_WIRE_HAS_PROCESS
@@ -1334,10 +1018,7 @@ std::vector<PropertyPlan> compile_property_plans(
   // clause set must be materialized even when the chosen backend is Drct.
   copt.with_viapsl_artifact = options.check_viapsl;
   // Campaign Auto resolves the Drct/Vm cost-model tie to Vm — the
-  // wall-clock winner, whose checkpoint rungs are compact copies.  Set
-  // unconditionally (not gated on use_compiled_plans): both the compiled
-  // and the legacy translation legs compile through here, so invariant 3
-  // sees one resolution.
+  // wall-clock winner, whose checkpoint rungs are compact copies.
   copt.prefer_vm = true;
   for (std::size_t p = 0; p < properties.size(); ++p) {
     PropertyPlan& plan = plans[p];

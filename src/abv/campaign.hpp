@@ -20,15 +20,14 @@
 //! alphabet, which must outlive the call.  Thread-safety: the alphabet
 //! is pre-interned during serial setup and then shared strictly read-only;
 //! compiled plans and cached traces are immutable once published.
-//! Determinism contracts (all enforced by tier-1 tests):
-//!   serial ≡ parallel        (campaign_parallel_test)
-//!   cached replay ≡ live     (campaign_replay_diff_test)
-//!   compiled ≡ per-unit      (compiled_plan_diff_test)
-//!   scratch/pooled ≡ fresh   (campaign_scratch_diff_test)
-//!   incremental ≡ full replay (campaign_incremental_diff_test)
-//! A run with threads=N, any shard size, any cache/batch/plan/scratch/
-//! checkpoint knob setting is bit-identical to the serial legacy run —
-//! same counts, same coverage ratios, same report text.
+//! Determinism contract (enforced by tier-1 tests): every run equals the
+//! literal Fig. 1 loop of tests/reference_campaign.hpp — serial, in
+//! process, a fresh monitor per unit, a full oracle walk and a full replay
+//! per materialized mutant — at any threads, shard_size,
+//! checkpoint_stride and workers (campaign_reference_diff_test; serial ≡
+//! parallel also in campaign_parallel_test, in-process ≡ cross-process in
+//! campaign_process_diff_test).  Same counts, same coverage ratios, same
+//! report text.
 #pragma once
 
 #include <stdexcept>
@@ -86,14 +85,6 @@ struct CampaignOptions {
   /// monitor produces the verdicts and the Figure-6 accounting.
   mon::Backend backend = mon::Backend::Auto;
 
-  /// Compile each property once (mon::CompiledProperty) and stamp per-unit
-  /// monitor instances from the shared plan, reusing one instance per
-  /// mutation unit via Monitor::reset().  Off re-runs the full translation
-  /// inside every work unit and heap-allocates per mutant, like the
-  /// pre-plan engine.  Result-neutral — compiled_plan_diff_test holds the
-  /// two paths byte-for-byte equal.
-  bool use_compiled_plans = true;
-
   /// Threads for the sharded engine: 1 runs the shards serially on the
   /// calling thread, 0 asks the hardware, N>1 runs them on the calling
   /// thread plus N-1 workers of the process-wide pool (grown to fit on
@@ -105,49 +96,17 @@ struct CampaignOptions {
   /// busy.  The result does not depend on this knob either.
   std::size_t shard_size = 0;
 
-  /// Generate each seed's valid trace once into a concurrent per-seed
-  /// cache (support::TraceCache) and share it across the seed's six work
-  /// units, instead of regenerating it per unit.  The trace is a pure
-  /// function of the seed, so this knob cannot change the result — the
-  /// differential tests hold the engine to that.
-  bool reuse_traces = true;
-  /// Replay each mutant in batches — one Monitor::observe_shifted call per
-  /// piece of the mutant with reuse_scratch, one
-  /// MonitorModule::observe_batch (ReplayAll) call per mutant without —
-  /// instead of a raw per-event observe() loop.  Result-neutral by the
-  /// same contract.
-  bool batch_replay = true;
-
-  /// Run the steady-state loop out of per-worker scratch arenas: each
-  /// mutant is an edit of the cached valid trace (abv::mutate_edit), whose
-  /// pieces the oracle and the monitor read in place, so no mutant is ever
-  /// copied out; the reference oracle reuses the compiled OrderingPlan;
-  /// and a per-shard monitor pool lets *valid* units draw/reset()
-  /// instances exactly like mutation units (counted via
-  /// compile_stats.instance_reuses).  Off materializes every
-  /// mutant (abv::mutate) and re-allocates everything fresh per mutant like
-  /// the pre-scratch engine; the fourth differential invariant
-  /// (campaign_scratch_diff_test) holds the two paths byte-for-byte equal.
-  bool reuse_scratch = true;
-
-  /// Replay each mutant from the nearest checkpoint at or before its
-  /// mutation site instead of from event 0.  While the per-seed cache
-  /// entry is built, the engine records the monitor's state every
-  /// `checkpoint_stride` events of the valid trace — compact rungs in one
-  /// slab per seed for a Vm monitor (mon::vm_save_rung), a mon::Snapshot
-  /// per rung for Drct and ViaPSL (mon/checkpoint_ladder.hpp); a mutant
-  /// whose MutantEdit::position proves a shared prefix then
-  /// restores the floor checkpoint and batch-replays only [floor, end) —
-  /// O(suffix) instead of O(trace) per mutant.  Requires reuse_traces (the
-  /// ladder lives next to the cached trace); with the cache off the engine
-  /// silently falls back to full replay.  Result-neutral: the fifth
-  /// differential invariant (campaign_incremental_diff_test) holds
-  /// incremental byte-for-byte equal to full replay at any thread count,
-  /// backend, stride and knob combination.
-  bool incremental_replay = true;
-  /// Events between checkpoints on the valid trace (the ladder's rung
-  /// spacing): smaller strides skip more prefix per mutant but store more
-  /// rungs per seed.  The default 8 is affordable because a Vm rung is a
+  /// Incremental replay.  The engine generates each seed's valid trace
+  /// once into a per-seed cache (support::TraceCache) shared by the seed's
+  /// six work units; while that entry is built, it records the monitor's
+  /// state every `checkpoint_stride` events of the valid trace — compact
+  /// rungs in one slab per seed for a Vm monitor (mon::vm_save_rung), a
+  /// mon::Snapshot per rung for Drct and ViaPSL
+  /// (mon/checkpoint_ladder.hpp).  A mutant whose MutantEdit::position
+  /// proves a shared prefix then restores the floor checkpoint and replays
+  /// only [floor, end) — O(suffix) instead of O(trace) per mutant.
+  /// Smaller strides skip more prefix per mutant but store more rungs per
+  /// seed.  The default 8 is affordable because a Vm rung is a
   /// fixed-size copy of the frame (80–128 B on the bundled properties);
   /// with Snapshot rungs it would cost about 30% more peak memory on
   /// seed-heavy campaigns.  It also sets the reference oracle's ladder,
@@ -155,7 +114,9 @@ struct CampaignOptions {
   /// events — every 2 at the default; an oracle rung is a few dozen
   /// bytes), from which each mutant's oracle check resumes and where it
   /// stops once its walk rejoins the valid trace's.  0 disables both
-  /// ladders (full replay and full oracle walks).
+  /// ladders (full replay and full oracle walks).  Result-neutral at any
+  /// stride: campaign_reference_diff_test holds every stride to the
+  /// reference loop byte for byte.
   std::size_t checkpoint_stride = 8;
 
   /// Cross-process sharding: 0 runs every shard in this process (threads
@@ -208,12 +169,6 @@ struct CampaignOptions {
   /// other worker's results, instead of throwing WorkerFailure and
   /// discarding everything.  Off by default: all-or-nothing like PR 8.
   bool allow_partial = false;
-  /// The supervised drain (poll-multiplexed, deadline-aware, retrying) is
-  /// the default; off selects the legacy PR 8 drain — sequential blocking
-  /// reads, no deadlines, no retries, first failure throws — kept alive as
-  /// the differential baseline and the BM_WorkerSupervision yardstick.
-  /// Clean runs are byte-identical either way.
-  bool supervised = true;
 
   /// Optional cross-campaign plan cache (borrowed; must outlive the call):
   /// when set, compile_property_plans() memoizes each property's
@@ -308,16 +263,15 @@ struct CampaignResult {
   /// engine diagnostics (see CompileStats).
   CompileStats compile_stats;
 
-  /// Per-seed trace cache accounting (both 0 with reuse_traces off).  The
-  /// split is deterministic — exactly one miss per seed, every other unit
+  /// Per-seed trace cache accounting.  The split is deterministic — exactly one miss per seed, every other unit
   /// of that seed hits, regardless of thread count — but it is engine
   /// diagnostics, not part of the semantic result: report() excludes it
   /// and the differential tests compare it separately.
   std::size_t trace_cache_hits = 0;
   std::size_t trace_cache_misses = 0;
 
-  /// Incremental-replay accounting (both 0 with incremental_replay off or
-  /// no usable ladder): mutants restored from a checkpoint, and the
+  /// Incremental-replay accounting (both 0 with checkpoint_stride 0 or no
+  /// usable ladder): mutants restored from a checkpoint, and the
   /// shared-prefix events those restores skipped re-stepping.  Like the
   /// trace-cache split these are deterministic engine diagnostics —
   /// excluded from the default report() so incremental runs stay

@@ -37,9 +37,9 @@
 //! its mutants never depend on scheduling.  Every entry point draws the
 //! same Rng values and yields the same kind, position, aligned and bytes
 //! (materialized) as every other — even when the scratch arrives dirty
-//! from an unrelated earlier call (locked by
-//! tests/campaign_scratch_diff_test.cpp and the MutationSites and
-//! MutantView suites of tests/abv_mutate_position_test.cpp).
+//! from an unrelated earlier call (locked by the MutateIntoFuzz,
+//! MutationSites and MutantView suites of
+//! tests/abv_mutate_position_test.cpp).
 #pragma once
 
 #include <optional>

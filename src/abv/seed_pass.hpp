@@ -2,11 +2,11 @@
 //! Fig. 1 loop): everything the campaign reports about a seed's valid
 //! trace besides the oracle's verdict comes out of it.
 //!
-//! The campaign engine walks each seed's valid trace exactly once.  With
-//! incremental replay on, the cache-entry build walks it with a ladder —
-//! recording the checkpoint rungs the mutants resume from — and stores the
-//! record in the entry, which the seed's valid unit merges; otherwise the
-//! valid unit walks it itself, without a ladder.  Both call
+//! The campaign engine walks each seed's valid trace exactly once.  With a
+//! positive checkpoint stride, the cache-entry build walks it with a
+//! ladder — recording the checkpoint rungs the mutants resume from — and
+//! stores the record in the entry, which the seed's valid unit merges; at
+//! stride 0 the valid unit walks it itself, without a ladder.  Both call
 //! walk_valid_trace().
 //!
 //! Determinism: the record is a pure function of (property, trace) given a

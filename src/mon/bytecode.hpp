@@ -21,8 +21,9 @@
 //!
 //! Determinism: compile_vm() is a pure function of (property, plan); two
 //! compilations of the same property yield byte-identical programs, which
-//! is what keeps the campaign engine's legacy per-unit path bit-identical
-//! to the compiled path under Backend::Vm (compiled_plan_diff_test).  The
+//! is what keeps the reference loop's per-unit translation bit-identical
+//! to the campaign engine's compiled path under Backend::Vm
+//! (campaign_reference_diff_test).  The
 //! executed program reproduces the Drct monitors' verdicts, violation
 //! reports *and* Figure-6 operation accounting exactly — the abstract op
 //! schedule is compiled into the transition tables — so the VM slots into
@@ -143,7 +144,7 @@ struct VmProgram {
 
 /// Lowers a property into a VmProgram.  `plan` may be the property's
 /// shared translate-once tables (mon::CompiledProperty); when null the
-/// plan is computed here (the campaign's legacy per-unit path) — either
+/// plan is computed here (a per-unit translation) — either
 /// way the program bytes are identical, compile_vm is a pure function.
 std::shared_ptr<const VmProgram> compile_vm(
     const spec::Property& property,

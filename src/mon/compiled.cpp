@@ -103,8 +103,8 @@ CompiledProperty CompiledProperty::compile(const spec::Property& property,
   }
   if (c.chosen_ == Backend::Vm) {
     // compile_vm is pure over (property, plan), so this artifact is byte-
-    // identical to the one the legacy per-unit path rebuilds
-    // (compiled_plan_diff_test's compiled≡per-unit invariant).
+    // identical to the one a per-unit translation rebuilds (the reference
+    // loop of campaign_reference_diff_test does).
     c.vm_program_ = compile_vm(property, c.plan_);
   }
   return c;

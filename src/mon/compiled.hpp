@@ -29,7 +29,8 @@
 //! sharing one across threads and calling instantiate() concurrently is
 //! safe.  Determinism: compile() and the Auto choice are pure functions of
 //! the property, so campaigns over compiled plans stay bit-identical to
-//! per-unit translation (tests/compiled_plan_diff_test.cpp).
+//! the reference loop's per-unit translation
+//! (tests/campaign_reference_diff_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -83,9 +84,9 @@ struct CompileOptions {
   /// to Drct.  With prefer_vm set, Auto resolves that tie to Vm instead —
   /// the wall-clock winner (flat dispatch loop, compact checkpoint rungs) —
   /// while a ViaPSL cost win still takes precedence.  The campaign engine
-  /// sets this on both its compiled and legacy translation paths, so the
-  /// compiled ≡ per-unit invariant sees one resolution; standalone
-  /// compile() keeps the historic Drct default.
+  /// sets this for every plan it compiles (the reference loop of
+  /// campaign_reference_diff_test reads its backend from such a plan);
+  /// standalone compile() keeps the historic Drct default.
   bool prefer_vm = false;
 };
 
@@ -142,8 +143,8 @@ class CompiledProperty {
   /// clause budget); Auto then resolves to Drct unconditionally.
   bool viapsl_feasible() const { return viapsl_feasible_; }
   /// The clause budget this property was compiled under (callers that
-  /// re-translate — the campaign's legacy differential path — must reuse
-  /// it, not restate it).
+  /// re-translate — the reference loop of campaign_reference_diff_test —
+  /// must reuse it, not restate it).
   std::size_t max_clauses() const { return max_clauses_; }
 
   /// Stamps a fresh monitor of the chosen backend from the shared
@@ -188,7 +189,7 @@ class CompiledProperty {
 /// contention is not a concern.  Determinism: a cache hit hands back the
 /// identical immutable artifacts a fresh compile() would rebuild, so cached
 /// campaigns stay byte-for-byte equal to uncached ones
-/// (tests/campaign_scratch_diff_test.cpp).
+/// (tests/compiled_property_test.cpp).
 class CompiledPropertyCache {
  public:
   struct Stats {

@@ -11,13 +11,10 @@
 //! must outlive it; its destructor disarms any still-queued watchdog so a
 //! dead module is never called back.
 //! Thread-safety: none — modules live on the (single-threaded) simulation
-//! kernel; the campaign engine scopes one kernel + module per worker shard
-//! (reset() between mutants, watchdog arming off) on its scratch path, and
-//! one throwaway pair per replayed mutant on the fresh baseline path.
+//! kernel.
 //! Determinism: observe_batch(ReplayAll) is bit-identical to a per-event
-//! observe() loop — verdict, stats and violation alike (mon_batch_test,
-//! campaign_replay_diff_test); StopAtViolation intentionally stops early
-//! and reports at the cause.
+//! observe() loop — verdict, stats and violation alike (mon_batch_test);
+//! StopAtViolation intentionally stops early and reports at the cause.
 #pragma once
 
 #include <functional>
@@ -53,9 +50,7 @@ class MonitorModule final : public sim::Module {
     StopAtViolation,
     /// Step every event, violated or not, through the monitor's own
     /// devirtualized Monitor::observe_batch — verdict and stats land
-    /// bit-identical to a per-event observe() loop.  The campaign engine
-    /// replays cached mutant traces this way so its batched path stays
-    /// indistinguishable from the legacy one.
+    /// bit-identical to a per-event observe() loop.
     ReplayAll,
   };
 
@@ -80,15 +75,15 @@ class MonitorModule final : public sim::Module {
   /// disarms any queued watchdog and forgets the reported violation, so the
   /// callbacks fire again on the next one.  The borrowed monitor is reset
   /// separately (Monitor::reset()); together the pair is bit-identical to
-  /// constructing a fresh module + fresh monitor — the campaign engine's
-  /// hoisted replay host resets one host per mutant instead of building
-  /// one (campaign_scratch_diff_test locks the equivalence).
+  /// constructing a fresh module + fresh monitor, so a replay host can be
+  /// reset per replay instead of rebuilt (MonitorModuleReset in
+  /// mon_reset_reuse_test locks the equivalence).
   void reset();
 
   /// Toggles watchdog arming (default on).  A pure replay host whose
   /// scheduler is never pumped gains nothing from the queued entry — it
-  /// can never fire — so the campaign's scratch path turns arming off to
-  /// keep the kernel's timed queue empty across thousands of mutants.
+  /// can never fire — so a host replaying thousands of mutants turns
+  /// arming off to keep the kernel's timed queue empty.
   /// Observable behavior is unchanged wherever the scheduler never runs;
   /// in-simulation users must leave it on.
   void set_arm_watchdogs(bool arm) {

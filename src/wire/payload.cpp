@@ -151,13 +151,8 @@ void encode_options(Encoder& e, const abv::CampaignOptions& o) {
   put_size(e, o.mutants_per_kind);
   e.put_bool(o.check_viapsl);
   encode_backend(e, o.backend);
-  e.put_bool(o.use_compiled_plans);
   put_size(e, o.threads);
   put_size(e, o.shard_size);
-  e.put_bool(o.reuse_traces);
-  e.put_bool(o.batch_replay);
-  e.put_bool(o.reuse_scratch);
-  e.put_bool(o.incremental_replay);
   put_size(e, o.checkpoint_stride);
   put_size(e, o.workers);
   e.put_u64(o.worker_command.size());
@@ -167,7 +162,6 @@ void encode_options(Encoder& e, const abv::CampaignOptions& o) {
   put_size(e, o.worker_timeout_ms);
   put_size(e, o.worker_retries);
   e.put_bool(o.allow_partial);
-  e.put_bool(o.supervised);
 }
 
 bool decode_options(Decoder& d, abv::CampaignOptions& o) {
@@ -180,13 +174,8 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   o.mutants_per_kind = get_size(d);
   o.check_viapsl = d.boolean();
   o.backend = decode_backend(d);
-  o.use_compiled_plans = d.boolean();
   o.threads = get_size(d);
   o.shard_size = get_size(d);
-  o.reuse_traces = d.boolean();
-  o.batch_replay = d.boolean();
-  o.reuse_scratch = d.boolean();
-  o.incremental_replay = d.boolean();
   o.checkpoint_stride = get_size(d);
   o.workers = get_size(d);
   const std::uint64_t args = d.count(8, "worker command");
@@ -206,7 +195,6 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   o.worker_timeout_ms = get_size(d);
   o.worker_retries = get_size(d);
   o.allow_partial = d.boolean();
-  o.supervised = d.boolean();
   // Borrowed pointers never cross a process boundary.
   o.plan_cache = nullptr;
   return d.ok();

@@ -48,8 +48,11 @@ namespace loom::wire {
 /// lane-batched wave surface: the lane_width knob in CampaignOptions and
 /// the lane_waves / lanes_filled / lane_capacity counters in
 /// CampaignResult.  Version 4 removed that surface again, with the wave
-/// engine it described.
-constexpr std::uint8_t kWireVersion = 4;
+/// engine it described.  Version 5 dropped six result-neutral bools from
+/// CampaignOptions (use_compiled_plans, reuse_traces, batch_replay,
+/// reuse_scratch, incremental_replay, supervised) with the second code
+/// paths they selected.
+constexpr std::uint8_t kWireVersion = 5;
 
 /// "LOOM" as a little-endian u32 (the file starts with the bytes L O O M).
 constexpr std::uint32_t kMagic = 0x4D4F4F4Cu;

@@ -2,8 +2,8 @@
 // invariant: a campaign whose shards run in forked worker subprocesses,
 // with every partial result crossing a pipe in the versioned wire format,
 // must be byte-for-byte identical to the in-process engine — for every
-// backend, at every thread count, at every worker count, under the
-// performance knobs.  Plus lockdowns of the documented exception (the
+// backend, at every thread count, at every worker count, with and
+// without the checkpoint ladder.  Plus lockdowns of the documented exception (the
 // trace-cache split becomes per-process but stays scheduling-independent)
 // and of the instance accounting, which being a pure function of the
 // shard layout must survive the process boundary exactly.
@@ -26,17 +26,12 @@ struct CampaignRun {
   std::string report;
 };
 
-struct Knobs {
-  bool compiled = true;
-  bool reuse_traces = true;
-  bool batch_replay = true;
-  bool incremental = true;
-};
+constexpr std::size_t kDefaultStride = CampaignOptions{}.checkpoint_stride;
 
 CampaignRun run_with(const char* source, mon::Backend backend,
                      std::size_t workers, std::size_t threads,
-                     const Knobs& knobs, std::size_t shard_size = 1,
-                     bool viapsl = false) {
+                     std::size_t stride = kDefaultStride,
+                     std::size_t shard_size = 1, bool viapsl = false) {
   // A fresh alphabet per run: runs must not influence each other through
   // interned ids.
   spec::Alphabet ab;
@@ -48,12 +43,9 @@ CampaignRun run_with(const char* source, mon::Backend backend,
   opt.mutants_per_kind = 6;
   opt.check_viapsl = viapsl;
   opt.backend = backend;
-  opt.use_compiled_plans = knobs.compiled;
   opt.threads = threads;
   opt.shard_size = shard_size;
-  opt.reuse_traces = knobs.reuse_traces;
-  opt.incremental_replay = knobs.incremental;
-  opt.batch_replay = knobs.batch_replay;
+  opt.checkpoint_stride = stride;
   opt.workers = workers;  // 0: in-process; N: forked worker subprocesses
   const CampaignResult r = run_campaign(p, ab, opt);
   return {r, r.report(ab)};
@@ -63,30 +55,23 @@ class CampaignProcessDiff : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CampaignProcessDiff, CrossProcessEqualsInProcessByteForByte) {
   // The sixth engine invariant across the full grid: the in-process run is
-  // computed once per (backend, knobs) and every cross-process variant —
+  // computed once per (backend, stride) and every cross-process variant —
   // any worker count, any thread count per worker — must match it byte
   // for byte, report text included.
-  const Knobs knob_grid[] = {
-      {true, true, true, true},    // the default engine
-      {true, true, false, false},  // per-event stepping, full replay
-      {false, true, true, true},   // legacy translate-per-unit baseline
-  };
   for (const mon::Backend backend : kBackends) {
-    for (const Knobs& knobs : knob_grid) {
+    for (const std::size_t stride : {kDefaultStride, std::size_t{0}}) {
       const CampaignRun in_process =
-          run_with(GetParam(), backend, /*workers=*/0, /*threads=*/1, knobs);
+          run_with(GetParam(), backend, /*workers=*/0, /*threads=*/1, stride);
       for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                         std::size_t{3}}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
           const CampaignRun cross =
-              run_with(GetParam(), backend, workers, threads, knobs);
+              run_with(GetParam(), backend, workers, threads, stride);
           const std::string what =
               std::string("backend=") + to_string(backend) +
               " workers=" + std::to_string(workers) +
               " threads=" + std::to_string(threads) +
-              " compiled=" + std::to_string(knobs.compiled) +
-              " batch=" + std::to_string(knobs.batch_replay) +
-              " incremental=" + std::to_string(knobs.incremental);
+              " stride=" + std::to_string(stride);
           EXPECT_TRUE(loom::testing::results_identical(cross.result,
                                                        in_process.result))
               << what;
@@ -115,12 +100,12 @@ TEST_P(CampaignProcessDiff, CrossProcessEqualsInProcessByteForByte) {
 TEST_P(CampaignProcessDiff, ShardSizeStaysResultNeutralAcrossProcesses) {
   const CampaignRun in_process = run_with(GetParam(), mon::Backend::Auto,
                                           /*workers=*/0, /*threads=*/1,
-                                          Knobs{}, /*shard_size=*/6);
+                                          kDefaultStride, /*shard_size=*/6);
   for (const std::size_t shard_size : {std::size_t{1}, std::size_t{3},
                                        std::size_t{100}}) {
     const CampaignRun cross = run_with(GetParam(), mon::Backend::Auto,
-                                       /*workers=*/2, /*threads=*/2, Knobs{},
-                                       shard_size);
+                                       /*workers=*/2, /*threads=*/2,
+                                       kDefaultStride, shard_size);
     EXPECT_TRUE(
         loom::testing::results_identical(cross.result, in_process.result))
         << "shard_size=" << shard_size;
@@ -135,11 +120,12 @@ TEST_P(CampaignProcessDiff, ViaPslCrossCheckSurvivesTheProcessBoundary) {
   // else.
   const CampaignRun in_process = run_with(GetParam(), mon::Backend::Drct,
                                           /*workers=*/0, /*threads=*/1,
-                                          Knobs{}, /*shard_size=*/6,
+                                          kDefaultStride, /*shard_size=*/6,
                                           /*viapsl=*/true);
   const CampaignRun cross = run_with(GetParam(), mon::Backend::Drct,
-                                     /*workers=*/2, /*threads=*/1, Knobs{},
-                                     /*shard_size=*/6, /*viapsl=*/true);
+                                     /*workers=*/2, /*threads=*/1,
+                                     kDefaultStride, /*shard_size=*/6,
+                                     /*viapsl=*/true);
   EXPECT_TRUE(
       loom::testing::results_identical(cross.result, in_process.result));
   EXPECT_EQ(cross.report, in_process.report);
@@ -152,9 +138,9 @@ TEST_P(CampaignProcessDiff, TraceCacheSplitIsPerProcessButDeterministic) {
   // parameters — repeating the identical cross-process run reproduces it
   // counter for counter — and the semantic bytes never see it.
   const CampaignRun a = run_with(GetParam(), mon::Backend::Auto,
-                                 /*workers=*/2, /*threads=*/2, Knobs{});
+                                 /*workers=*/2, /*threads=*/2, kDefaultStride);
   const CampaignRun b = run_with(GetParam(), mon::Backend::Auto,
-                                 /*workers=*/2, /*threads=*/2, Knobs{});
+                                 /*workers=*/2, /*threads=*/2, kDefaultStride);
   EXPECT_EQ(a.result.trace_cache_hits, b.result.trace_cache_hits);
   EXPECT_EQ(a.result.trace_cache_misses, b.result.trace_cache_misses);
   EXPECT_TRUE(loom::testing::results_identical(a.result, b.result));
@@ -171,10 +157,10 @@ TEST_P(CampaignProcessDiff, MoreWorkersThanShardsClampsCleanly) {
   // fail.
   const CampaignRun in_process = run_with(GetParam(), mon::Backend::Auto,
                                           /*workers=*/0, /*threads=*/1,
-                                          Knobs{}, /*shard_size=*/100);
+                                          kDefaultStride, /*shard_size=*/100);
   const CampaignRun cross = run_with(GetParam(), mon::Backend::Auto,
-                                     /*workers=*/8, /*threads=*/1, Knobs{},
-                                     /*shard_size=*/100);
+                                     /*workers=*/8, /*threads=*/1,
+                                     kDefaultStride, /*shard_size=*/100);
   EXPECT_TRUE(
       loom::testing::results_identical(cross.result, in_process.result));
   EXPECT_EQ(cross.report, in_process.report);

@@ -226,8 +226,8 @@ struct CampaignRun {
 };
 
 CampaignRun run_shapes(std::size_t shape, mon::Backend backend,
-                       std::size_t stride, bool incremental,
-                       std::size_t mutants, std::size_t threads,
+                       std::size_t stride, std::size_t mutants,
+                       std::size_t threads,
                        std::size_t shard_size) {
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse(kShapes[shape], ab);
@@ -238,7 +238,6 @@ CampaignRun run_shapes(std::size_t shape, mon::Backend backend,
   opt.mutants_per_kind = mutants;
   opt.backend = backend;
   opt.checkpoint_stride = stride;
-  opt.incremental_replay = incremental;
   opt.threads = threads;
   opt.shard_size = shard_size;
   const CampaignResult r = run_campaign(p, ab, opt);
@@ -257,20 +256,19 @@ CampaignRun run_shapes(std::size_t shape, mon::Backend backend,
 }
 
 TEST(CampaignSeedPass, MergedRecordEqualsTheValidUnitsOwnWalk) {
-  // incremental_replay off: no ladder, so every valid unit walks its trace
-  // itself.  With it on, at any stride, the valid unit merges the record
-  // of the seed pass — the same result, and the same logical draws.
+  // Stride 0: no ladder, so every valid unit walks its trace itself.  At
+  // any positive stride the valid unit merges the record of the seed
+  // pass — the same result, and the same logical draws.
   for (std::size_t shape = 0; shape < std::size(kShapes); ++shape) {
     for (const mon::Backend backend : kBackends) {
       for (const std::size_t mutants : {std::size_t{0}, std::size_t{2}}) {
-        const CampaignRun walked = run_shapes(shape, backend, 8,
-                                              /*incremental=*/false, mutants,
-                                              /*threads=*/1, /*shard=*/0);
+        const CampaignRun walked = run_shapes(shape, backend, /*stride=*/0,
+                                              mutants, /*threads=*/1,
+                                              /*shard=*/0);
         EXPECT_TRUE(walked.result.ok()) << walked.report;
         for (const std::size_t stride : kStrides) {
           const CampaignRun merged = run_shapes(
-              shape, backend, stride, /*incremental=*/true, mutants,
-              /*threads=*/1, /*shard=*/0);
+              shape, backend, stride, mutants, /*threads=*/1, /*shard=*/0);
           const std::string where = std::string(kShapes[shape]) + " " +
                                     name_of(backend) + " stride " +
                                     std::to_string(stride) + " mutants " +
@@ -299,16 +297,16 @@ TEST(CampaignSeedPass, ShardsThatSplitASeedGiveTheDefaultLayoutsResults) {
   for (std::size_t shape = 0; shape < std::size(kShapes); ++shape) {
     for (const mon::Backend backend : kBackends) {
       const CampaignRun base =
-          run_shapes(shape, backend, 8, true, 2, /*threads=*/1, /*shard=*/0);
+          run_shapes(shape, backend, 8, 2, /*threads=*/1, /*shard=*/0);
       const std::size_t base_draws =
           base.result.compile_stats.instances_stamped +
           base.result.compile_stats.instance_reuses;
       for (const std::size_t shard_size :
            {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
         const CampaignRun serial =
-            run_shapes(shape, backend, 8, true, 2, 1, shard_size);
+            run_shapes(shape, backend, 8, 2, 1, shard_size);
         const CampaignRun parallel =
-            run_shapes(shape, backend, 8, true, 2, 4, shard_size);
+            run_shapes(shape, backend, 8, 2, 4, shard_size);
         const std::string where = std::string(kShapes[shape]) + " " +
                                   name_of(backend) + " shard " +
                                   std::to_string(shard_size);

@@ -8,9 +8,9 @@
 // throw), the frame-deadline escalation (a Hang-faulted worker that
 // ignores SIGTERM dies to SIGKILL without wedging the suite), the
 // non-blocking reap (a worker lingering after its Done frame never costs a
-// streaming sibling its deadline), the legacy blocking drain
-// (supervised=false) as the differential baseline, and the
-// descriptor-hygiene / pidfd / bounded-wait process primitives underneath.
+// streaming sibling its deadline), clean supervised runs against the
+// in-process engine and the reference loop, and the descriptor-hygiene /
+// pidfd / bounded-wait process primitives underneath.
 //
 // Custom main: the binary re-execs itself with --worker so the fork+exec
 // spawn path runs against a real exec'd worker, not just the fork-only
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "abv/campaign.hpp"
+#include "reference_campaign.hpp"
 #include "testing.hpp"
 #include "wire/payload.hpp"
 #include "wire/process.hpp"
@@ -92,11 +93,23 @@ CampaignRun run_with(const CampaignOptions& opt, const char* source = kProperty)
   return {r, r.report(ab)};
 }
 
+// The literal Fig. 1 loop (tests/reference_campaign.hpp) on kProperty.
+CampaignRun run_reference(const CampaignOptions& opt) {
+  spec::Alphabet ab;
+  auto p = loom::testing::parse(kProperty, ab);
+  const CampaignResult r = loom::testing::reference_campaign(p, ab, opt);
+  return {r, r.report(ab)};
+}
+
 // ---------------------------------------------------------------------------
 // The seventh invariant: faulted-then-retried ≡ clean, byte for byte.
 
 TEST(CampaignSupervision, FaultedThenRetriedEqualsCleanAcrossTheGrid) {
   const CampaignRun clean = run_with(small_options());
+  const CampaignRun reference = run_reference(small_options());
+  EXPECT_TRUE(
+      loom::testing::results_identical(clean.result, reference.result));
+  EXPECT_EQ(clean.report, reference.report);
   // Generous deadline: only the Hang / SlowStream cells depend on it
   // firing, and a retired worker is always re-dispatched fault-free.
   for (const bool exec_mode : {false, true}) {
@@ -371,23 +384,28 @@ TEST(CampaignSupervision, AllowPartialWithRetriesStillRecoversCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// The legacy blocking drain stays a faithful baseline.
+// A clean supervised run is the in-process run is the reference loop.
 
-TEST(CampaignSupervision, LegacyDrainMatchesSupervisedOnCleanRuns) {
+TEST(CampaignSupervision, SupervisedDrainMatchesInProcessAndReference) {
   const CampaignRun in_process = run_with(small_options());
+  const CampaignRun reference = run_reference(small_options());
+  EXPECT_TRUE(
+      loom::testing::results_identical(in_process.result, reference.result));
+  EXPECT_EQ(in_process.report, reference.report);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-    CampaignOptions sup = small_options();
-    sup.workers = workers;
-    CampaignOptions legacy = sup;
-    legacy.supervised = false;
-    const CampaignRun a = run_with(sup);
-    const CampaignRun b = run_with(legacy);
-    EXPECT_TRUE(
-        loom::testing::results_identical(a.result, in_process.result));
-    EXPECT_TRUE(
-        loom::testing::results_identical(b.result, in_process.result));
-    EXPECT_EQ(a.report, in_process.report);
-    EXPECT_EQ(b.report, in_process.report);
+    for (const std::size_t timeout_ms : {std::size_t{0}, std::size_t{10000}}) {
+      CampaignOptions opt = small_options();
+      opt.workers = workers;
+      opt.worker_timeout_ms = timeout_ms;
+      const CampaignRun cross = run_with(opt);
+      const std::string what = "workers=" + std::to_string(workers) +
+                               " timeout_ms=" + std::to_string(timeout_ms);
+      EXPECT_TRUE(
+          loom::testing::results_identical(cross.result, in_process.result))
+          << what;
+      EXPECT_EQ(cross.report, in_process.report) << what;
+      EXPECT_EQ(cross.result.worker_retries, 0u) << what;
+    }
   }
 }
 

@@ -1,19 +1,20 @@
-// Differential lockdown of the translate-once compilation layer: a
-// campaign over compiled property plans (one translation per property,
-// instances stamped from shared artifacts, reset-reused per mutation unit)
-// must be byte-for-byte identical to the legacy engine that re-ran the
-// whole spec→monitor translation inside every work unit — for every
-// backend, at every thread count, under every cache/batch knob.  Plus unit
-// lockdowns of mon::CompiledProperty itself: the Auto cost-model choice,
-// artifact materialization, instantiate() equivalence with stand-alone
-// construction, and the infeasible-shape paths.
+// Unit lockdowns of the translate-once compilation layer and what it
+// shares: mon::CompiledProperty (the Auto cost-model choice, the prefer_vm
+// tie-break, artifact materialization, instantiate() equivalence with
+// stand-alone construction, the infeasible-shape paths), the
+// cross-campaign mon::CompiledPropertyCache (hit/miss accounting, stable
+// references, alias rules of the normalized key), and the reference
+// oracle's plan-reusing overload.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "abv/campaign.hpp"
 #include "mon/compiled.hpp"
+#include "mon/monitors.hpp"
 #include "psl/clause_monitor.hpp"
+#include "spec/reference.hpp"
 #include "testing.hpp"
 
 namespace loom::abv {
@@ -22,162 +23,6 @@ namespace {
 constexpr mon::Backend kBackends[] = {
     mon::Backend::Auto, mon::Backend::Drct, mon::Backend::ViaPSL,
     mon::Backend::Vm};
-
-struct CampaignRun {
-  CampaignResult result;
-  std::string report;
-};
-
-CampaignRun run_with(const char* source, mon::Backend backend, bool compiled,
-                     std::size_t threads, bool viapsl = false,
-                     bool reuse_traces = true, bool batch_replay = true) {
-  // A fresh alphabet per run: runs must not influence each other through
-  // interned ids.
-  spec::Alphabet ab;
-  auto p = loom::testing::parse(source, ab);
-  CampaignOptions opt;
-  opt.seeds = 4;
-  opt.stimuli.rounds = 3;
-  opt.stimuli.noise_permille = 100;
-  opt.mutants_per_kind = 6;
-  opt.check_viapsl = viapsl;
-  opt.backend = backend;
-  opt.use_compiled_plans = compiled;
-  opt.threads = threads;
-  opt.shard_size = 1;  // maximal interleaving: every unit its own shard
-  opt.reuse_traces = reuse_traces;
-  opt.batch_replay = batch_replay;
-  const CampaignResult r = run_campaign(p, ab, opt);
-  return {r, r.report(ab)};
-}
-
-class CompiledPlanDiff : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(CompiledPlanDiff, CompiledEqualsPerUnitTranslationByteForByte) {
-  for (const mon::Backend backend : kBackends) {
-    const CampaignRun legacy =
-        run_with(GetParam(), backend, /*compiled=*/false, 1);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const std::string what = std::string("backend=") + to_string(backend) +
-                               " threads=" + std::to_string(threads);
-      const CampaignRun compiled =
-          run_with(GetParam(), backend, /*compiled=*/true, threads);
-      EXPECT_TRUE(
-          loom::testing::results_identical(compiled.result, legacy.result))
-          << what;
-      EXPECT_EQ(compiled.report, legacy.report) << what;
-    }
-  }
-}
-
-TEST_P(CompiledPlanDiff, CompiledPathIsDeterministicUnderEveryKnob) {
-  // Thread count, shard size and the cache/batch knobs stay pure
-  // performance knobs on the compiled path — including the diagnostics:
-  // the instance counters are a pure function of the work, not of the
-  // sharding.
-  for (const mon::Backend backend : kBackends) {
-    const CampaignRun serial = run_with(GetParam(), backend, true, 1);
-    for (const bool reuse : {false, true}) {
-      for (const bool batch : {false, true}) {
-        const CampaignRun run = run_with(GetParam(), backend, true, 4,
-                                         /*viapsl=*/false, reuse, batch);
-        const std::string what = std::string("backend=") + to_string(backend) +
-                                 " reuse=" + std::to_string(reuse) +
-                                 " batch=" + std::to_string(batch);
-        EXPECT_EQ(run.report, serial.report) << what;
-        EXPECT_EQ(run.result.compile_stats.instances_stamped,
-                  serial.result.compile_stats.instances_stamped)
-            << what;
-        EXPECT_EQ(run.result.compile_stats.instance_reuses,
-                  serial.result.compile_stats.instance_reuses)
-            << what;
-      }
-    }
-  }
-}
-
-TEST_P(CompiledPlanDiff, CompileStatsAccountTheTranslationWork) {
-  const CampaignRun compiled =
-      run_with(GetParam(), mon::Backend::Auto, true, 1);
-  const CampaignRun legacy =
-      run_with(GetParam(), mon::Backend::Auto, false, 1);
-
-  // Exactly one translation per property either way — the plans are built
-  // up front in both modes; only the per-unit work differs.
-  EXPECT_EQ(compiled.result.compile_stats.plans_built, 1u);
-  EXPECT_EQ(legacy.result.compile_stats.plans_built, 1u);
-  // Auto resolves via the cost model; for every property of the paper's
-  // evaluation the Drct construction is cheaper per event than ViaPSL
-  // (Figure 6), and the campaign's prefer_vm tie-break then lands the
-  // Drct/Vm tie on the VM.
-  EXPECT_EQ(compiled.result.compile_stats.backend_chosen, mon::Backend::Vm);
-  EXPECT_EQ(compiled.result.compile_stats.backend_requested,
-            mon::Backend::Auto);
-  // One instance per valid unit at least; the legacy path stamps at least
-  // as many (a fresh one per killed mutant) and never reuses.
-  EXPECT_GE(compiled.result.compile_stats.instances_stamped, 4u);
-  EXPECT_GE(legacy.result.compile_stats.instances_stamped,
-            compiled.result.compile_stats.instances_stamped);
-  EXPECT_EQ(legacy.result.compile_stats.instance_reuses, 0u);
-  // Reuse happens exactly when a unit kills more than one mutant:
-  // stamped + reused == legacy stamped (same monitors fed either way).
-  EXPECT_EQ(compiled.result.compile_stats.instances_stamped +
-                compiled.result.compile_stats.instance_reuses,
-            legacy.result.compile_stats.instances_stamped);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Properties, CompiledPlanDiff,
-    ::testing::Values("(n << i, true)",                               //
-                      "(({a, b, c}, &) << s, false)",                 //
-                      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
-                      "(p[2,3] => q[1,4] < r, 10us)"));
-
-TEST(CompiledPlanDiff, ViaPslCrossCheckUsesTheSharedEncoding) {
-  // check_viapsl rides along unchanged: compiled and legacy both
-  // instantiate the cross-check from the one materialized clause set.
-  const char* source = "(({a, b}, &) << s, true)";
-  const CampaignRun legacy =
-      run_with(source, mon::Backend::Drct, false, 1, /*viapsl=*/true);
-  const CampaignRun compiled =
-      run_with(source, mon::Backend::Drct, true, 4, /*viapsl=*/true);
-  EXPECT_TRUE(
-      loom::testing::results_identical(compiled.result, legacy.result));
-  EXPECT_EQ(compiled.report, legacy.report);
-  EXPECT_EQ(compiled.result.compile_stats.viapsl_encodings, 1u);
-}
-
-TEST(CompiledPlanDiff, BatchCampaignCompilesOnePlanPerProperty) {
-  const char* sources[] = {"(n << i, true)", "(p[2,3] => q[1,4] < r, 10us)"};
-  spec::Alphabet ab;
-  std::vector<spec::Property> props;
-  for (const char* s : sources) props.push_back(loom::testing::parse(s, ab));
-  std::vector<const spec::Property*> ptrs;
-  for (const auto& p : props) ptrs.push_back(&p);
-
-  CampaignOptions opt;
-  opt.seeds = 3;
-  opt.stimuli.rounds = 2;
-  opt.mutants_per_kind = 4;
-  opt.threads = 4;
-  opt.shard_size = 1;
-  const auto results = run_campaigns(ptrs, ab, opt);
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) {
-    EXPECT_EQ(r.compile_stats.plans_built, 1u);
-    EXPECT_EQ(r.compile_stats.backend_chosen, mon::Backend::Vm);
-  }
-
-  const auto plans = compile_property_plans(ptrs, ab, opt);
-  ASSERT_EQ(plans.size(), 2u);
-  for (std::size_t p = 0; p < plans.size(); ++p) {
-    EXPECT_EQ(plans[p].index, p);
-    EXPECT_EQ(plans[p].property, ptrs[p]);
-    // Copies share the translate-once artifacts instead of re-translating.
-    const mon::CompiledProperty copy = plans[p].compiled;
-    EXPECT_EQ(&copy.plan(), &plans[p].compiled.plan());
-  }
-}
 
 // --- mon::CompiledProperty unit lockdowns ---------------------------------
 
@@ -342,6 +187,124 @@ TEST(CompiledProperty, BackendParsingRoundTrips) {
   }
   EXPECT_FALSE(mon::parse_backend("psl").has_value());
   EXPECT_FALSE(mon::parse_backend("").has_value());
+}
+
+// --- plan-reusing reference oracle ----------------------------------------
+
+TEST(ReferencePlanReuse, PlanOverloadMatchesThePlanningOverload) {
+  spec::Alphabet ab;
+  for (const char* source :
+       {"(({a, b, c}, &) << s, true)", "(p[2,3] => q[1,4] < r, 10us)"}) {
+    const spec::Property p = loom::testing::parse(source, ab);
+    const auto compiled = mon::CompiledProperty::compile(p, ab);
+    StimuliOptions sopt;
+    sopt.rounds = 3;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      support::Rng rng = support::Rng::stream(seed, 0);
+      spec::Trace t = generate_valid(p, ab, rng, sopt);
+      // Perturb the tail so rejected runs are exercised too.
+      if (t.size() > 2) t.erase(t.begin() + static_cast<long>(t.size() / 2));
+      const sim::Time end = t.empty() ? sim::Time::zero() : t.back().time;
+      const auto planned = spec::reference_check(p, t, end);
+      const auto reused = spec::reference_check(p, compiled.plan(), t, end);
+      EXPECT_EQ(planned.verdict, reused.verdict) << source;
+      EXPECT_EQ(planned.error_index, reused.error_index) << source;
+      EXPECT_EQ(planned.reason, reused.reason) << source;
+    }
+  }
+}
+
+// --- mon::CompiledPropertyCache -------------------------------------------
+
+TEST(CompiledPropertyCache, CompilesOncePerKeyAndHandsOutStableEntries) {
+  spec::Alphabet ab;
+  const spec::Property p = loom::testing::parse("(({a, b}, &) << s, true)", ab);
+  mon::CompiledPropertyCache cache;
+
+  bool inserted = false;
+  const mon::CompiledProperty& first = cache.get_or_compile(p, ab, {},
+                                                            &inserted);
+  EXPECT_TRUE(inserted);
+  const mon::CompiledProperty& second = cache.get_or_compile(p, ab, {},
+                                                             &inserted);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(&first, &second);          // stable reference, shared artifacts
+  EXPECT_EQ(&first.plan(), &second.plan());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // A different backend is a different key (it changes the artifacts).
+  mon::CompileOptions viapsl;
+  viapsl.backend = mon::Backend::ViaPSL;
+  const mon::CompiledProperty& forced = cache.get_or_compile(p, ab, viapsl);
+  EXPECT_EQ(forced.chosen(), mon::Backend::ViaPSL);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(CompiledPropertyCache, KeyIncludesNameBindingsAndOptions) {
+  // Two alphabets interning the same names in different orders render the
+  // same normalized text over different ids — the key must not alias them.
+  spec::Alphabet ab1;
+  const spec::Property p1 = loom::testing::parse("(a < b << s, true)", ab1);
+  spec::Alphabet ab2;
+  ab2.name("zzz");  // shift every later id
+  const spec::Property p2 = loom::testing::parse("(a < b << s, true)", ab2);
+  EXPECT_NE(mon::CompiledPropertyCache::key_of(p1, ab1, {}),
+            mon::CompiledPropertyCache::key_of(p2, ab2, {}));
+
+  mon::CompileOptions tight;
+  tight.max_clauses = 7;
+  EXPECT_NE(mon::CompiledPropertyCache::key_of(p1, ab1, {}),
+            mon::CompiledPropertyCache::key_of(p1, ab1, tight));
+  mon::CompileOptions artifact;
+  artifact.with_viapsl_artifact = true;
+  EXPECT_NE(mon::CompiledPropertyCache::key_of(p1, ab1, {}),
+            mon::CompiledPropertyCache::key_of(p1, ab1, artifact));
+  // Same property, same alphabet, same options: same key.
+  EXPECT_EQ(mon::CompiledPropertyCache::key_of(p1, ab1, {}),
+            mon::CompiledPropertyCache::key_of(p1, ab1, {}));
+}
+
+TEST(CompiledPropertyCache, RepeatedCampaignsSkipRecompilation) {
+  const char* sources[] = {"(n << i, true)", "(p[2,3] => q[1,4] < r, 10us)"};
+  spec::Alphabet ab;
+  std::vector<spec::Property> props;
+  for (const char* s : sources) props.push_back(loom::testing::parse(s, ab));
+  std::vector<const spec::Property*> ptrs;
+  for (const auto& p : props) ptrs.push_back(&p);
+
+  CampaignOptions opt;
+  opt.seeds = 3;
+  opt.stimuli.rounds = 2;
+  opt.mutants_per_kind = 4;
+  opt.threads = 2;
+  opt.shard_size = 1;
+  const auto uncached = run_campaigns(ptrs, ab, opt);
+
+  mon::CompiledPropertyCache cache;
+  opt.plan_cache = &cache;
+  const auto first = run_campaigns(ptrs, ab, opt);
+  const auto second = run_campaigns(ptrs, ab, opt);
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    // The cache is invisible in the semantic result and the report.
+    EXPECT_TRUE(loom::testing::results_identical(first[i], uncached[i])) << i;
+    EXPECT_TRUE(loom::testing::results_identical(second[i], uncached[i])) << i;
+    EXPECT_EQ(second[i].report(ab), uncached[i].report(ab)) << i;
+    // First campaign compiles (miss), every later one reuses (hit).
+    EXPECT_EQ(first[i].compile_stats.plan_cache_misses, 1u) << i;
+    EXPECT_EQ(first[i].compile_stats.plan_cache_hits, 0u) << i;
+    EXPECT_EQ(first[i].compile_stats.plans_built, 1u) << i;
+    EXPECT_EQ(second[i].compile_stats.plan_cache_hits, 1u) << i;
+    EXPECT_EQ(second[i].compile_stats.plan_cache_misses, 0u) << i;
+    EXPECT_EQ(second[i].compile_stats.plans_built, 0u) << i;
+  }
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 }  // namespace

@@ -153,7 +153,8 @@ TEST(MonBytecodeDisasm, GoldenListingsPerPropertyShape) {
 TEST(MonBytecodeDisasm, CompileIsAPureFunctionOfTheProperty) {
   // Two compilations of the same property — one with the caller's plan,
   // one planning internally — disassemble identically, which is what lets
-  // the campaign's legacy per-unit path rebuild byte-identical programs.
+  // the reference loop's per-unit translation rebuild byte-identical
+  // programs.
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse(
       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);

@@ -3,9 +3,10 @@
 // violation report, same Figure-6 stats, same space accounting — over
 // fuzzed traces, for every monitor kind (Drct antecedent repeated and not,
 // Drct timed, ViaPSL clause network) and for instances stamped from a
-// mon::CompiledProperty.  The campaign engine's compiled path leans on
-// this: one instance per mutation unit, reset between mutants, must be
-// byte-identical to the legacy fresh-instance-per-mutant path.
+// mon::CompiledProperty.  The campaign engine's monitor pool leans on
+// this: one instance per shard, reset between units and mutants, must be
+// byte-identical to the reference loop's fresh instance per unit.  Plus
+// the replay host: a reset MonitorModule replays like a fresh one.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,6 +17,7 @@
 #include "mon/compiled.hpp"
 #include "mon/monitors.hpp"
 #include "psl/clause_monitor.hpp"
+#include "sim/scheduler.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
 
@@ -157,6 +159,48 @@ TEST(ResetReuse, CompiledInstancesFreshEqualsReset) {
     check_reset_reuse([&] { return vm.instantiate(Backend::Vm); }, names,
                       c.label);
   }
+}
+
+// --- MonitorModule reset ≡ fresh module -----------------------------------
+
+TEST(MonitorModuleReset, ResetHostReplaysLikeAFreshOne) {
+  spec::Alphabet ab;
+  const spec::Property p = loom::testing::parse("(n << i, true)", ab);
+  // The canonical violation: the trigger before any pattern round.
+  const spec::Trace bad = loom::testing::trace_of("i n", ab);
+  const auto compiled = CompiledProperty::compile(p, ab);
+
+  // Fresh host per replay: the baseline.
+  auto reference = compiled.instantiate();
+  std::size_t fresh_callbacks = 0;
+  for (int i = 0; i < 3; ++i) {
+    sim::Scheduler sched;
+    MonitorModule module(sched, "replay", *reference, ab);
+    module.on_violation([&](const Violation&) { ++fresh_callbacks; });
+    reference->reset();
+    module.observe_batch(bad, MonitorModule::BatchPolicy::ReplayAll);
+    reference->finish(bad.back().time);
+  }
+  const auto fresh_verdict = reference->verdict();
+
+  // One host, reset between replays, watchdogs off (never pumped anyway).
+  auto pooled = compiled.instantiate();
+  sim::Scheduler sched;
+  MonitorModule module(sched, "replay", *pooled, ab);
+  module.set_arm_watchdogs(false);
+  std::size_t pooled_callbacks = 0;
+  module.on_violation([&](const Violation&) { ++pooled_callbacks; });
+  for (int i = 0; i < 3; ++i) {
+    module.reset();
+    pooled->reset();
+    module.observe_batch(bad, MonitorModule::BatchPolicy::ReplayAll);
+    pooled->finish(bad.back().time);
+  }
+
+  EXPECT_EQ(fresh_callbacks, 3u);
+  EXPECT_EQ(pooled_callbacks, 3u);  // reset() re-arms the callback latch
+  EXPECT_EQ(pooled->verdict(), fresh_verdict);
+  EXPECT_EQ(pooled->stats().ops, reference->stats().ops);
 }
 
 }  // namespace

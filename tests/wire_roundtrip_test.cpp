@@ -48,13 +48,8 @@ abv::CampaignOptions fuzz_options(support::Rng& rng) {
   o.mutants_per_kind = rng.below(50);
   o.check_viapsl = rng.below(2) != 0;
   o.backend = static_cast<mon::Backend>(rng.below(4));
-  o.use_compiled_plans = rng.below(2) != 0;
   o.threads = rng.below(16);
   o.shard_size = rng.below(64);
-  o.reuse_traces = rng.below(2) != 0;
-  o.batch_replay = rng.below(2) != 0;
-  o.reuse_scratch = rng.below(2) != 0;
-  o.incremental_replay = rng.below(2) != 0;
   o.checkpoint_stride = rng.below(100);
   o.workers = rng.below(8);
   for (std::uint64_t i = rng.below(4); i > 0; --i) {
@@ -66,7 +61,6 @@ abv::CampaignOptions fuzz_options(support::Rng& rng) {
   o.worker_timeout_ms = rng.below(10000);
   o.worker_retries = rng.below(8);
   o.allow_partial = rng.below(2) != 0;
-  o.supervised = rng.below(2) != 0;
   return o;
 }
 
@@ -124,13 +118,8 @@ void expect_options_equal(const abv::CampaignOptions& a,
   EXPECT_EQ(a.mutants_per_kind, b.mutants_per_kind) << what;
   EXPECT_EQ(a.check_viapsl, b.check_viapsl) << what;
   EXPECT_EQ(a.backend, b.backend) << what;
-  EXPECT_EQ(a.use_compiled_plans, b.use_compiled_plans) << what;
   EXPECT_EQ(a.threads, b.threads) << what;
   EXPECT_EQ(a.shard_size, b.shard_size) << what;
-  EXPECT_EQ(a.reuse_traces, b.reuse_traces) << what;
-  EXPECT_EQ(a.batch_replay, b.batch_replay) << what;
-  EXPECT_EQ(a.reuse_scratch, b.reuse_scratch) << what;
-  EXPECT_EQ(a.incremental_replay, b.incremental_replay) << what;
   EXPECT_EQ(a.checkpoint_stride, b.checkpoint_stride) << what;
   EXPECT_EQ(a.workers, b.workers) << what;
   EXPECT_EQ(a.worker_command, b.worker_command) << what;
@@ -139,7 +128,6 @@ void expect_options_equal(const abv::CampaignOptions& a,
   EXPECT_EQ(a.worker_timeout_ms, b.worker_timeout_ms) << what;
   EXPECT_EQ(a.worker_retries, b.worker_retries) << what;
   EXPECT_EQ(a.allow_partial, b.allow_partial) << what;
-  EXPECT_EQ(a.supervised, b.supervised) << what;
 }
 
 void expect_results_bitwise_equal(const abv::CampaignResult& a,

@@ -45,8 +45,8 @@ NON_COUNTER_FIELDS = {
 # the wall times carry machine noise.  BM_WireRoundTrip rides along: the
 # wire codec is the floor under cross-process sharding, so its frame rate
 # and allocs/frame are part of the tracked trajectory.  BM_WorkerSupervision
-# pins the supervised (poll-based) drain against the legacy blocking drain
-# so the supervision overhead stays a diffable number.
+# prices the supervised (poll-based) drain on a clean run so the
+# supervision overhead stays a diffable number.
 CAMPAIGN_FILTER = (
     "^(BM_CampaignMutationHeavy|BM_CampaignIncremental|"
     "BM_CampaignManyProperties|BM_WireRoundTrip|BM_WorkerSupervision)/"
