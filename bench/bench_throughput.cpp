@@ -261,9 +261,13 @@ void BM_CampaignMutationHeavy(benchmark::State& state) {
   // engine forced onto the bytecode VM backend.  Both produce the
   // reference loop's mutation results (campaign_reference_diff_test,
   // whose backend grid includes Vm); only the wall clock and the
-  // allocation counters differ — allocs/mutant stays ~0 once the arena is
-  // warm, and the VM gear trades the Drct monitors' virtual per-event
-  // stepping for the flat dispatch loop.
+  // allocation counters differ, and the VM gear trades the Drct monitors'
+  // virtual per-event stepping for the flat dispatch loop.  allocs/mutant
+  // is the campaign's per-campaign and per-seed allocations (traces,
+  // ladders, results) spread over its mutants: the per-mutant loop itself
+  // allocates nothing once warm (AllocCounter.
+  // WarmedMutantLoopIsAllocationFree), so the figure falls as
+  // mutants_per_kind grows.
   const int gear = static_cast<int>(state.range(0));
   Fixture fx(kConfig[2], 4);
   abv::CampaignOptions opt;

@@ -8,7 +8,6 @@ void FragmentRecognizer::snapshot(Snapshot& out) const {
   out.put_bool(min_complete_);
   out.put_bool(in_progress_);
   out.put_time(min_complete_time_);
-  out.put_string(error_reason_);
   for (const auto& c : children_) c.snapshot(out);
 }
 
@@ -16,7 +15,6 @@ void FragmentRecognizer::restore(SnapshotReader& in) {
   min_complete_ = in.boolean();
   in_progress_ = in.boolean();
   min_complete_time_ = in.time();
-  in.string_into(error_reason_);
   for (auto& c : children_) c.restore(in);
 }
 
@@ -37,7 +35,13 @@ void FragmentRecognizer::reset() {
   for (auto& c : children_) c.reset();
   min_complete_ = false;
   in_progress_ = false;
-  error_reason_.clear();
+}
+
+spec::Reason FragmentRecognizer::error_reason() const {
+  for (const auto& c : children_) {
+    if (c.state() == RangeRecognizer::State::Error) return c.error_reason();
+  }
+  return {};
 }
 
 bool FragmentRecognizer::compute_min_complete() const {
@@ -70,7 +74,6 @@ FragmentRecognizer::Out FragmentRecognizer::step(spec::Name name,
         ++noks;
         break;
       case RangeRecognizer::Out::Err:
-        error_reason_ = c.error_reason();
         return Out::Err;
     }
   }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "mon/range_recognizer.hpp"
@@ -41,7 +40,11 @@ class FragmentRecognizer {
   /// True when any child consumed one of its names in this round.
   bool in_progress() const { return in_progress_; }
 
-  const std::string& error_reason() const { return error_reason_; }
+  /// Explanation of the last Err output: the reason of the child whose
+  /// error aborted the step.  That is the first child in the Error state,
+  /// since the step stops at the first child error and every child before
+  /// it stepped cleanly.
+  spec::Reason error_reason() const;
   const spec::FragmentPlan& plan() const { return *plan_; }
   const RangeRecognizer& child(std::size_t i) const { return children_[i]; }
   std::size_t child_count() const { return children_.size(); }
@@ -59,7 +62,6 @@ class FragmentRecognizer {
   bool min_complete_ = false;
   bool in_progress_ = false;
   sim::Time min_complete_time_;
-  std::string error_reason_;
 };
 
 }  // namespace loom::mon

@@ -6,13 +6,11 @@ namespace loom::mon {
 
 void OrderingRecognizer::snapshot(Snapshot& out) const {
   out.put_u64(active_);
-  out.put_string(error_reason_);
   for (const auto& f : fragments_) f.snapshot(out);
 }
 
 void OrderingRecognizer::restore(SnapshotReader& in) {
   active_ = static_cast<std::size_t>(in.u64());
-  in.string_into(error_reason_);
   for (auto& f : fragments_) f.restore(in);
 }
 
@@ -30,7 +28,6 @@ void OrderingRecognizer::activate() {
 
 void OrderingRecognizer::restart() {
   for (auto& f : fragments_) f.reset();
-  error_reason_.clear();
   activate();
 }
 
@@ -41,7 +38,6 @@ OrderingRecognizer::Out OrderingRecognizer::step(spec::Name name,
     case FragmentRecognizer::Out::None:
       return Out::None;
     case FragmentRecognizer::Out::Err:
-      error_reason_ = fragments_[active_].error_reason();
       return Out::Err;
     case FragmentRecognizer::Out::Ok:
       break;

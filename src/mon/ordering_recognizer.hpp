@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "mon/fragment_recognizer.hpp"
@@ -24,8 +23,8 @@ class OrderingRecognizer {
   /// Full reset + activate (used at the reset points of the patterns).
   void restart();
 
-  /// Checkpoint support: active-fragment index, error reason and every
-  /// fragment, in index order (mon/snapshot.hpp).
+  /// Checkpoint support: active-fragment index and every fragment, in
+  /// index order (mon/snapshot.hpp).
   void snapshot(Snapshot& out) const;
   void restore(SnapshotReader& in);
 
@@ -42,7 +41,11 @@ class OrderingRecognizer {
   /// True when the current round consumed at least one event.
   bool in_progress() const;
 
-  const std::string& error_reason() const { return error_reason_; }
+  /// Explanation of the last Err output: an error stops the chain in the
+  /// fragment that raised it.
+  spec::Reason error_reason() const {
+    return fragments_[active_].error_reason();
+  }
   const spec::OrderingPlan& plan() const { return *plan_; }
 
   /// Children bits + the active-fragment index.
@@ -53,7 +56,6 @@ class OrderingRecognizer {
   MonitorStats* stats_;
   std::vector<FragmentRecognizer> fragments_;
   std::size_t active_ = 0;
-  std::string error_reason_;
 };
 
 }  // namespace loom::mon

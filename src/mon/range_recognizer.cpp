@@ -4,16 +4,30 @@
 
 namespace loom::mon {
 
+spec::Reason range_reason(spec::ReasonCode code, std::uint32_t count,
+                          std::uint32_t lo, std::uint32_t hi) {
+  switch (code) {
+    case spec::ReasonCode::CountOverHi:
+      return {code, {hi}};
+    case spec::ReasonCode::BlockBelowLo:
+    case spec::ReasonCode::StopBelowLo:
+      return {code, {count, lo}};
+    default:
+      return {code};
+  }
+}
+
 void RangeRecognizer::snapshot(Snapshot& out) const {
-  out.put_u64(static_cast<std::uint64_t>(state_));
+  out.put_u64(static_cast<std::uint64_t>(state_) |
+              static_cast<std::uint64_t>(error_) << 8);
   out.put_u64(cpt_);
-  out.put_string(error_reason_);
 }
 
 void RangeRecognizer::restore(SnapshotReader& in) {
-  state_ = static_cast<State>(in.u64());
+  const std::uint64_t word = in.u64();
+  state_ = static_cast<State>(static_cast<std::uint8_t>(word));
+  error_ = static_cast<spec::ReasonCode>(static_cast<std::uint8_t>(word >> 8));
   cpt_ = static_cast<std::uint32_t>(in.u64());
-  in.string_into(error_reason_);
 }
 
 const char* to_string(RangeRecognizer::State s) {
@@ -37,13 +51,13 @@ void RangeRecognizer::start() {
 void RangeRecognizer::reset() {
   state_ = State::Idle;
   cpt_ = 0;
-  error_reason_.clear();
+  error_ = spec::ReasonCode::None;
 }
 
-RangeRecognizer::Out RangeRecognizer::fail(std::string reason) {
+RangeRecognizer::Out RangeRecognizer::fail(spec::ReasonCode code) {
   stats_->add();
   state_ = State::Error;
-  error_reason_ = std::move(reason);
+  error_ = code;
   return Out::Err;
 }
 
@@ -80,9 +94,9 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
         return Out::None;
       }
       if (in_ac()) {
-        return fail("fragment stopped before any of its ranges started");
+        return fail(spec::ReasonCode::NeverStarted);
       }
-      return fail("name from outside the active fragment (B or Af)");
+      return fail(spec::ReasonCode::OutsideFragment);
 
     case State::WaitFirstSibling:  // s2
       if (is_n()) {
@@ -99,19 +113,14 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
           state_ = State::Idle;
           return Out::Nok;
         }
-        return fail(
-            "conjunctive fragment stopped before one of its ranges was "
-            "observed");
+        return fail(spec::ReasonCode::ConjUnobserved);
       }
-      return fail("name from outside the active fragment (B or Af)");
+      return fail(spec::ReasonCode::OutsideFragment);
 
     case State::Counting:  // s3
       if (is_n()) {
         stats_->add();  // bound comparison
-        if (cpt_ == plan_->hi) {
-          return fail("more than v=" + std::to_string(plan_->hi) +
-                      " consecutive occurrences");
-        }
+        if (cpt_ == plan_->hi) return fail(spec::ReasonCode::CountOverHi);
         stats_->add();
         ++cpt_;
         return Out::None;
@@ -123,8 +132,7 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
           state_ = State::DoneSibling;
           return Out::None;
         }
-        return fail("block ended after " + std::to_string(cpt_) +
-                    " occurrences, below u=" + std::to_string(plan_->lo));
+        return fail(spec::ReasonCode::BlockBelowLo);
       }
       if (in_ac()) {
         stats_->add();
@@ -133,22 +141,19 @@ RangeRecognizer::Out RangeRecognizer::step(spec::Name name) {
           state_ = State::Idle;
           return Out::Ok;
         }
-        return fail("fragment stopped after " + std::to_string(cpt_) +
-                    " occurrences, below u=" + std::to_string(plan_->lo));
+        return fail(spec::ReasonCode::StopBelowLo);
       }
-      return fail("name from outside the active fragment (B or Af)");
+      return fail(spec::ReasonCode::OutsideFragment);
 
     case State::DoneSibling:  // s4
-      if (is_n()) {
-        return fail("range block reopened after it ended");
-      }
+      if (is_n()) return fail(spec::ReasonCode::BlockReopened);
       if (in_c()) return Out::None;
       if (in_ac()) {
         stats_->add();
         state_ = State::Idle;
         return Out::Ok;
       }
-      return fail("name from outside the active fragment (B or Af)");
+      return fail(spec::ReasonCode::OutsideFragment);
 
     case State::Error:  // s5, absorbing
       return Out::Err;

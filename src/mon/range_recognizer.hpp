@@ -16,12 +16,19 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "mon/stats.hpp"
 #include "spec/attributes.hpp"
+#include "spec/reason.hpp"
 
 namespace loom::mon {
+
+/// The reason a range automaton reports for failure `code` with block
+/// counter `count`: the counter and the bound its sentence prints.  The
+/// Drct recognizer and the VM both build their reasons here, so the two
+/// backends report the same values by construction.
+spec::Reason range_reason(spec::ReasonCode code, std::uint32_t count,
+                          std::uint32_t lo, std::uint32_t hi);
 
 class RangeRecognizer {
  public:
@@ -47,7 +54,8 @@ class RangeRecognizer {
 
   void reset();
 
-  /// Checkpoint support: state, counter and error reason (mon/snapshot.hpp).
+  /// Checkpoint support: state with error code, and counter
+  /// (mon/snapshot.hpp).
   void snapshot(Snapshot& out) const;
   void restore(SnapshotReader& in);
 
@@ -66,7 +74,9 @@ class RangeRecognizer {
   }
 
   /// Explanation of the last Err output.
-  const std::string& error_reason() const { return error_reason_; }
+  spec::Reason error_reason() const {
+    return range_reason(error_, cpt_, plan_->lo, plan_->hi);
+  }
 
   /// State bits: 3 (state encoding) + ceil(log2(v+1)) (the counter cpt).
   std::size_t space_bits() const {
@@ -74,13 +84,13 @@ class RangeRecognizer {
   }
 
  private:
-  Out fail(std::string reason);
+  Out fail(spec::ReasonCode code);
 
   const spec::RangePlan* plan_;
   MonitorStats* stats_;
   State state_ = State::Idle;
+  spec::ReasonCode error_ = spec::ReasonCode::None;
   std::uint32_t cpt_ = 0;
-  std::string error_reason_;
 };
 
 const char* to_string(RangeRecognizer::State s);

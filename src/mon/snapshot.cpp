@@ -18,6 +18,14 @@ void check_snapshot_tag(std::uint64_t word, std::uint32_t kind,
   }
 }
 
+void Snapshot::put_reason(const spec::Reason& r) {
+  put_u64(static_cast<std::uint64_t>(r.code) |
+          std::uint64_t{r.ints[0]} << 32);
+  put_u64(r.ints[1] | std::uint64_t{r.ints[2]} << 32);
+  put_time(r.times[0]);
+  put_time(r.times[1]);
+}
+
 void Snapshot::put_string(const std::string& s) {
   if (strings_used_ == strings_.size()) {
     strings_.emplace_back(s);
@@ -53,6 +61,18 @@ std::uint64_t SnapshotReader::u64() {
         "foreign format)");
   }
   return snap_->words_[word_++];
+}
+
+spec::Reason SnapshotReader::reason() {
+  spec::Reason r;
+  const std::uint64_t head = u64();
+  const std::uint64_t rest = u64();
+  r.code = static_cast<spec::ReasonCode>(static_cast<std::uint8_t>(head));
+  r.ints = {static_cast<std::uint32_t>(head >> 32),
+            static_cast<std::uint32_t>(rest),
+            static_cast<std::uint32_t>(rest >> 32)};
+  r.times = {time(), time()};
+  return r;
 }
 
 void SnapshotReader::string_into(std::string& out) {

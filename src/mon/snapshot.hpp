@@ -3,7 +3,10 @@
 //!
 //! A Snapshot captures the complete mutable state of one monitor instance —
 //! recognizer automata, Figure-6 stats, verdict, violation, timing
-//! registers — as a flat sequence of 64-bit words plus a small string pool.
+//! registers — as a flat sequence of 64-bit words.  A failure reason is a
+//! spec::Reason, stored as code words (put_reason), so no monitor writes a
+//! string; the string pool stays part of the format (and of the wire
+//! codec's view of it) for state that has no word encoding.
 //! Writers append in a fixed order (Monitor::snapshot); SnapshotReader
 //! replays the same order (Monitor::restore).  The contract every
 //! implementation keeps, locked by tests/mon_snapshot_test.cpp:
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "spec/reason.hpp"
 
 namespace loom::mon {
 
@@ -38,7 +42,7 @@ class SnapshotReader;
 /// tag word.  Bump on any layout change to a monitor's snapshot order; a
 /// restore (or wire decode) of a snapshot from a different version rejects
 /// with a clear diagnostic instead of misreading the words.
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// The tag word each monitor writes first: (version << 32) | kind, where
 /// `kind` is the monitor's four-byte ASCII constant (e.g. "ANTC").
@@ -92,9 +96,11 @@ class Snapshot {
   void put_u64(std::uint64_t v) { words_.push_back(v); }
   void put_bool(bool b) { words_.push_back(b ? 1 : 0); }
   void put_time(sim::Time t) { words_.push_back(t.picoseconds()); }
+  /// A reason as four words: the code with its first integer operand,
+  /// the other two integer operands, and the two time operands.
+  void put_reason(const spec::Reason& r);
   /// Strings land in a slot pool: a cleared buffer re-assigns into its old
-  /// slots, reusing their capacity (error reasons are empty on the hot
-  /// path, so this never grows in steady state).
+  /// slots, reusing their capacity.
   void put_string(const std::string& s);
   /// Bit vector as a length word plus 64-bit packed payload (the ViaPSL
   /// armed/range-seen sets can be wide; one word per bit would not do).
@@ -118,6 +124,8 @@ class SnapshotReader {
   std::uint64_t u64();
   bool boolean() { return u64() != 0; }
   sim::Time time() { return sim::Time::ps(u64()); }
+  /// Restores a put_reason() value.
+  spec::Reason reason();
   /// Assigns into `out` (capacity-reusing; never a fresh string).
   void string_into(std::string& out);
   /// Restores a put_bits() payload; resizes `out` only on a width change.

@@ -26,9 +26,9 @@ TimedImplicationMonitor::TimedImplicationMonitor(
 }
 
 void TimedImplicationMonitor::violate(std::size_t ordinal, sim::Time time,
-                                      spec::Name name, std::string reason) {
+                                      spec::Name name, spec::Reason reason) {
   verdict_ = Verdict::Violated;
-  violation_ = Violation{ordinal, time, name, std::move(reason)};
+  violation_ = Violation{ordinal, time, name, reason};
 }
 
 void TimedImplicationMonitor::update_timing(sim::Time now, std::size_t ordinal,
@@ -53,9 +53,9 @@ void TimedImplicationMonitor::update_timing(sim::Time now, std::size_t ordinal,
     stats_.add(3);  // flag + assignment + deadline comparison
     if (t_stop_ - t_start_ > property_.bound) {
       violate(ordinal, t_stop_, name,
-              "consequent finished after the deadline (took " +
-                  (t_stop_ - t_start_).to_string() + ", bound " +
-                  property_.bound.to_string() + ")");
+              {spec::ReasonCode::FinishedLateBy,
+               {},
+               {t_stop_ - t_start_, property_.bound}});
     }
   }
 }
@@ -74,8 +74,7 @@ void TimedImplicationMonitor::observe(spec::Name name, sim::Time time) {
   }
   stats_.add();  // deadline pre-check
   if (armed_ && !q_done_ && time > t_start_ + property_.bound) {
-    violate(ordinal, time, name,
-            "deadline elapsed before the consequent finished");
+    violate(ordinal, time, name, {spec::ReasonCode::DeadlineElapsed});
     stats_.end_event(before);
     return;
   }
@@ -109,7 +108,7 @@ void TimedImplicationMonitor::poll(sim::Time now) {
   if (verdict_ == Verdict::Violated) return;
   if (armed_ && !q_done_ && now > t_start_ + property_.bound) {
     violate(ordinal_, now, spec::kInvalidName,
-            "deadline elapsed before the consequent finished (watchdog)");
+            {spec::ReasonCode::DeadlineWatchdog});
   }
 }
 
@@ -117,8 +116,7 @@ void TimedImplicationMonitor::finish(sim::Time end_time) {
   if (verdict_ == Verdict::Violated) return;
   if (armed_ && !q_done_ && end_time > t_start_ + property_.bound) {
     violate(ordinal_, end_time, spec::kInvalidName,
-            "observation ended after the deadline with the consequent "
-            "unfinished");
+            {spec::ReasonCode::EndedLate});
     return;
   }
   // Earliest-match: a round whose consequent reached its minimum within the

@@ -77,7 +77,7 @@ class TimedImplicationMonitor final : public Monitor {
  private:
   void update_timing(sim::Time now, std::size_t ordinal, spec::Name name);
   void violate(std::size_t ordinal, sim::Time time, spec::Name name,
-               std::string reason);
+               spec::Reason reason);
 
   spec::TimedImplication property_;
   std::shared_ptr<const spec::OrderingPlan> plan_;

@@ -29,7 +29,7 @@ void snapshot_violation(Snapshot& out, const std::optional<Violation>& v) {
   out.put_u64(v->event_ordinal);
   out.put_time(v->time);
   out.put_u64(v->name);
-  out.put_string(v->reason);
+  out.put_reason(v->reason);
 }
 
 void restore_violation(SnapshotReader& in, std::optional<Violation>& v) {
@@ -41,7 +41,8 @@ void restore_violation(SnapshotReader& in, std::optional<Violation>& v) {
   v->event_ordinal = static_cast<std::size_t>(in.u64());
   v->time = in.time();
   v->name = static_cast<spec::Name>(in.u64());
-  in.string_into(v->reason);
+  v->reason = in.reason();
+  v->detail.clear();
 }
 
 const char* to_string(Verdict v) {
@@ -58,7 +59,7 @@ std::string Violation::to_string(const spec::Alphabet& ab) const {
   std::string out = "violation at event #" + std::to_string(event_ordinal);
   out += " (t=" + time.to_string() + ")";
   if (name != spec::kInvalidName) out += " on '" + ab.text(name) + "'";
-  out += ": " + reason;
+  out += ": " + text();
   return out;
 }
 

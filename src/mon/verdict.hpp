@@ -23,6 +23,7 @@
 
 #include "sim/time.hpp"
 #include "spec/alphabet.hpp"
+#include "spec/reason.hpp"
 #include "spec/reference.hpp"
 
 namespace loom::mon {
@@ -45,8 +46,18 @@ struct Violation {
   std::size_t event_ordinal = 0;
   sim::Time time;
   spec::Name name = spec::kInvalidName;
-  std::string reason;
+  /// What failed, as a code plus the operands its text prints: recording
+  /// one allocates nothing, and text() renders it on demand.
+  spec::Reason reason;
+  /// The full text of a reason whose sentence needs more than its operands:
+  /// a ViaPSL conjunct prints its clause formula, which the clause monitor
+  /// renders through its encoding.  Empty for every other reason.
+  std::string detail{};
 
+  /// The reason's text, byte for byte the diagnostic the monitor reports.
+  std::string text() const {
+    return detail.empty() ? reason.text() : detail;
+  }
   std::string to_string(const spec::Alphabet& ab) const;
 };
 
@@ -111,7 +122,9 @@ class Monitor {
 };
 
 /// Shared snapshot encoding of a violation report (all monitor kinds carry
-/// one): presence flag, ordinal, time, name, reason string.
+/// one): presence flag, ordinal, time, name and the reason's code words.
+/// The detail text is not stored — restore_violation clears it, and a
+/// monitor that writes details re-renders them after restoring.
 void snapshot_violation(Snapshot& out, const std::optional<Violation>& v);
 void restore_violation(SnapshotReader& in, std::optional<Violation>& v);
 

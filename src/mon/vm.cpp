@@ -4,11 +4,14 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "mon/range_recognizer.hpp"
 #include "mon/snapshot.hpp"
 #include "support/diagnostics.hpp"
 
-// Any step that latches an error formats a reason string — keep that code
-// out of line so the hot automaton stays small enough to inline.
+// Error paths stay out of line so the hot automaton stays small enough to
+// inline.  They format nothing: a failure is recorded as a spec::Reason
+// value (a code plus the counter and bound it prints), and its text is
+// rendered only when a caller asks for it.
 #if defined(__GNUC__) || defined(__clang__)
 #define LOOM_VM_COLD __attribute__((noinline, cold))
 #else
@@ -41,80 +44,41 @@ enum class FragOut : std::uint8_t { None, Ok, Err };
 // monitors execute, without a memory round-trip per charge.
 
 void vm_violate(const VmFrameRef& f, std::uint64_t ordinal, sim::Time time,
-                spec::Name name, std::string reason) {
+                spec::Name name, spec::Reason reason) {
   *f.verdict = Verdict::Violated;
-  *f.violation = Violation{static_cast<std::size_t>(ordinal), time, name,
-                           std::move(reason)};
+  *f.violation =
+      Violation{static_cast<std::size_t>(ordinal), time, name, reason};
 }
+
+// The erring range of an event's step and the failure it hit.  The range
+// keeps its counter (a failure never touches it), so the reason is the
+// failure kind plus that counter and the program's bounds — built once,
+// when the violation latches.
+struct RangeFault {
+  std::uint32_t range = 0;
+  spec::ReasonCode code = spec::ReasonCode::None;
+};
 
 // --- the range automaton (RangeRecognizer::step, compiled) ----------------
 // The route byte replaces the lazy is_n / in_c / in_ac membership tests,
 // but the Figure-6 accounting must not notice: every charge below equals
 // the number of tests the Drct recognizer would have evaluated for this
 // (state, class) cell plus its assignment/comparison charges, and the
-// reason strings are formatted identically.
+// failure codes are the recognizer's.
 
 LOOM_VM_COLD RangeOut range_fail(const VmFrameRef& f, std::uint64_t& ops,
-                                 std::uint32_t r, std::string reason) {
+                                 std::uint32_t r, spec::ReasonCode code,
+                                 RangeFault* fault) {
   ++ops;
   f.range_state[r] = static_cast<std::uint8_t>(RS::Error);
-  f.range_reason[r] = std::move(reason);
+  *fault = {r, code};
   return RangeOut::Err;
 }
 
-LOOM_VM_COLD RangeOut fail_outside(const VmFrameRef& f, std::uint64_t& ops,
-                                   std::uint32_t r) {
-  return range_fail(f, ops, r,
-                    "name from outside the active fragment (B or Af)");
-}
-
-LOOM_VM_COLD RangeOut fail_never_started(const VmFrameRef& f,
-                                         std::uint64_t& ops,
-                                         std::uint32_t r) {
-  return range_fail(f, ops, r,
-                    "fragment stopped before any of its ranges started");
-}
-
-LOOM_VM_COLD RangeOut fail_conj_unobserved(const VmFrameRef& f,
-                                           std::uint64_t& ops,
-                                           std::uint32_t r) {
-  return range_fail(f, ops, r,
-                    "conjunctive fragment stopped before one of its "
-                    "ranges was observed");
-}
-
-LOOM_VM_COLD RangeOut fail_over_hi(const VmFrameRef& f, std::uint64_t& ops,
-                                   std::uint32_t r, std::uint32_t hi) {
-  return range_fail(f, ops, r,
-                    "more than v=" + std::to_string(hi) +
-                        " consecutive occurrences");
-}
-
-LOOM_VM_COLD RangeOut fail_block_below_lo(const VmFrameRef& f,
-                                          std::uint64_t& ops,
-                                          std::uint32_t r, std::uint32_t cpt,
-                                          std::uint32_t lo) {
-  return range_fail(f, ops, r,
-                    "block ended after " + std::to_string(cpt) +
-                        " occurrences, below u=" + std::to_string(lo));
-}
-
-LOOM_VM_COLD RangeOut fail_stop_below_lo(const VmFrameRef& f,
-                                         std::uint64_t& ops, std::uint32_t r,
-                                         std::uint32_t cpt,
-                                         std::uint32_t lo) {
-  return range_fail(f, ops, r,
-                    "fragment stopped after " + std::to_string(cpt) +
-                        " occurrences, below u=" + std::to_string(lo));
-}
-
-LOOM_VM_COLD RangeOut fail_reopened(const VmFrameRef& f, std::uint64_t& ops,
-                                    std::uint32_t r) {
-  return range_fail(f, ops, r, "range block reopened after it ended");
-}
-
 RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
-                    std::uint64_t& ops, std::uint32_t r, std::uint8_t cls) {
+                    std::uint64_t& ops, std::uint32_t r, std::uint8_t cls,
+                    RangeFault* fault) {
+  using spec::ReasonCode;
   switch (static_cast<RS>(f.range_state[r])) {
     case RS::Idle:
       return RangeOut::None;  // not started; no events routed here
@@ -132,10 +96,10 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
           return RangeOut::None;
         case kClassAc:
           ops += 3;  // is_n + in_c + in_ac
-          return fail_never_started(f, ops, r);
+          return range_fail(f, ops, r, ReasonCode::NeverStarted, fault);
         default:
           ops += 3;
-          return fail_outside(f, ops, r);
+          return range_fail(f, ops, r, ReasonCode::OutsideFragment, fault);
       }
 
     case RS::WaitFirstSibling:  // s2
@@ -155,10 +119,10 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
             f.range_state[r] = static_cast<std::uint8_t>(RS::Idle);
             return RangeOut::Nok;
           }
-          return fail_conj_unobserved(f, ops, r);
+          return range_fail(f, ops, r, ReasonCode::ConjUnobserved, fault);
         default:
           ops += 3;
-          return fail_outside(f, ops, r);
+          return range_fail(f, ops, r, ReasonCode::OutsideFragment, fault);
       }
 
     case RS::Counting:  // s3
@@ -166,7 +130,7 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
         case kClassN:
           ops += 2;  // is_n + bound comparison
           if (f.range_cpt[r] == p.consts_of(r).hi) {
-            return fail_over_hi(f, ops, r, p.consts_of(r).hi);
+            return range_fail(f, ops, r, ReasonCode::CountOverHi, fault);
           }
           ++ops;
           ++f.range_cpt[r];
@@ -178,8 +142,7 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
             f.range_state[r] = static_cast<std::uint8_t>(RS::DoneSibling);
             return RangeOut::None;
           }
-          return fail_block_below_lo(f, ops, r, f.range_cpt[r],
-                                     p.consts_of(r).lo);
+          return range_fail(f, ops, r, ReasonCode::BlockBelowLo, fault);
         case kClassAc:
           ops += 4;
           if (f.range_cpt[r] >= p.consts_of(r).lo) {
@@ -187,18 +150,17 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
             f.range_state[r] = static_cast<std::uint8_t>(RS::Idle);
             return RangeOut::Ok;
           }
-          return fail_stop_below_lo(f, ops, r, f.range_cpt[r],
-                                    p.consts_of(r).lo);
+          return range_fail(f, ops, r, ReasonCode::StopBelowLo, fault);
         default:
           ops += 3;
-          return fail_outside(f, ops, r);
+          return range_fail(f, ops, r, ReasonCode::OutsideFragment, fault);
       }
 
     case RS::DoneSibling:  // s4
       switch (cls) {
         case kClassN:
           ++ops;
-          return fail_reopened(f, ops, r);
+          return range_fail(f, ops, r, ReasonCode::BlockReopened, fault);
         case kClassC:
           ops += 2;
           return RangeOut::None;
@@ -208,10 +170,11 @@ RangeOut range_step(const VmProgram& p, const VmFrameRef& f,
           return RangeOut::Ok;
         default:
           ops += 3;
-          return fail_outside(f, ops, r);
+          return range_fail(f, ops, r, ReasonCode::OutsideFragment, fault);
       }
 
-    case RS::Error:  // s5, absorbing (the stored reason persists)
+    case RS::Error:  // s5, absorbing (no event reaches it: the monitor
+                     // latches the violation and retires on the same event)
       return RangeOut::Err;
   }
   return RangeOut::None;
@@ -240,8 +203,7 @@ bool min_reached(const VmProgram& p, const VmFrameRef& f, std::uint32_t r) {
 
 FragOut fragment_step(const VmProgram& p, const VmFrameRef& f,
                       std::uint64_t& ops, std::uint32_t frag,
-                      spec::Name name, sim::Time time,
-                      std::uint32_t* err_range) {
+                      spec::Name name, sim::Time time, RangeFault* fault) {
   const std::uint32_t first = p.frag_first[frag];
   const std::uint32_t count = p.frag_ranges[frag];
   const std::uint8_t* route =
@@ -250,8 +212,7 @@ FragOut fragment_step(const VmProgram& p, const VmFrameRef& f,
   // first child error aborts the sweep (the remaining children are not
   // stepped), exactly like the recognizer's loop.
   for (std::uint32_t r = first; r < first + count; ++r) {
-    if (range_step(p, f, ops, r, route[r]) == RangeOut::Err) {
-      *err_range = r;
+    if (range_step(p, f, ops, r, route[r], fault) == RangeOut::Err) {
       return FragOut::Err;
     }
   }
@@ -299,7 +260,6 @@ void restart_chain(const VmProgram& p, const VmFrameRef& f,
   for (std::uint32_t r = 0; r < p.range_total; ++r) {
     f.range_state[r] = static_cast<std::uint8_t>(RS::Idle);
     f.range_cpt[r] = 0;
-    f.range_reason[r].clear();
   }
   for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
     f.frag_min_complete[frag] = 0;
@@ -315,9 +275,9 @@ void restart_chain(const VmProgram& p, const VmFrameRef& f,
 void chain_step_discarded(const VmProgram& p, const VmFrameRef& f,
                           std::uint64_t& ops, spec::Name name,
                           sim::Time time) {
-  std::uint32_t err_range = 0;
+  RangeFault fault;
   ++ops;  // active-fragment dispatch
-  switch (fragment_step(p, f, ops, *f.active, name, time, &err_range)) {
+  switch (fragment_step(p, f, ops, *f.active, name, time, &fault)) {
     case FragOut::None:
     case FragOut::Err:
       return;
@@ -328,7 +288,7 @@ void chain_step_discarded(const VmProgram& p, const VmFrameRef& f,
   ++*f.active;
   ++ops;
   start_fragment(p, f, ops, *f.active);
-  (void)fragment_step(p, f, ops, *f.active, name, time, &err_range);
+  (void)fragment_step(p, f, ops, *f.active, name, time, &fault);
 }
 
 // --- timed bookkeeping (TimedImplicationMonitor::update_timing) -----------
@@ -337,8 +297,15 @@ LOOM_VM_COLD void violate_deadline(const VmFrameRef& f, std::uint64_t ordinal,
                                    spec::Name name, sim::Time took,
                                    sim::Time bound) {
   vm_violate(f, ordinal, *f.t_stop, name,
-             "consequent finished after the deadline (took " +
-                 took.to_string() + ", bound " + bound.to_string() + ")");
+             {spec::ReasonCode::FinishedLateBy, {}, {took, bound}});
+}
+
+LOOM_VM_COLD void violate_fault(const VmProgram& p, const VmFrameRef& f,
+                                std::uint64_t ordinal, sim::Time time,
+                                spec::Name name, RangeFault fault) {
+  const RangeConst& c = p.consts_of(fault.range);
+  vm_violate(f, ordinal, time, name,
+             range_reason(fault.code, f.range_cpt[fault.range], c.lo, c.hi));
 }
 
 void update_timing(const VmProgram& p, const VmFrameRef& f,
@@ -374,7 +341,7 @@ std::uint64_t step_event_core(const VmProgram& p, const VmFrameRef& f,
                               sim::Time time) {
   std::uint64_t ops = 0;
   const std::uint64_t ordinal = (*f.ordinal)++;
-  std::uint32_t err_range = 0;
+  RangeFault fault;
   std::uint16_t pc = 0;
   for (;;) {
     const Insn in = code[pc];
@@ -392,7 +359,7 @@ std::uint64_t step_event_core(const VmProgram& p, const VmFrameRef& f,
         ++ops;  // deadline pre-check
         if (*f.armed && !*f.q_done && time > *f.t_start + p.bound) {
           vm_violate(f, ordinal, time, name,
-                     "deadline elapsed before the consequent finished");
+                     {spec::ReasonCode::DeadlineElapsed});
           return ops;
         }
         ++pc;
@@ -402,7 +369,7 @@ std::uint64_t step_event_core(const VmProgram& p, const VmFrameRef& f,
         pc = p.frag_entry[*f.active];
         break;
       case Op::StepFragment:
-        switch (fragment_step(p, f, ops, in.a, name, time, &err_range)) {
+        switch (fragment_step(p, f, ops, in.a, name, time, &fault)) {
           case FragOut::Ok:
             pc = in.b;
             break;
@@ -420,7 +387,7 @@ std::uint64_t step_event_core(const VmProgram& p, const VmFrameRef& f,
         *f.active = in.a;
         ++ops;
         start_fragment(p, f, ops, in.a);
-        (void)fragment_step(p, f, ops, in.a, name, time, &err_range);
+        (void)fragment_step(p, f, ops, in.a, name, time, &fault);
         pc = in.b;
         break;
       case Op::CompleteAntecedent:
@@ -455,9 +422,7 @@ std::uint64_t step_event_core(const VmProgram& p, const VmFrameRef& f,
         ++pc;
         break;
       case Op::LatchViolation:
-        // Copy (not move) the erring range's reason: the range keeps it,
-        // exactly like the recognizer keeps error_reason().
-        vm_violate(f, ordinal, time, name, f.range_reason[err_range]);
+        violate_fault(p, f, ordinal, time, name, fault);
         ++pc;
         break;
       case Op::Halt:
@@ -538,8 +503,7 @@ void vm_finish(const VmProgram& p, const VmFrameRef& f, sim::Time end_time) {
   if (*f.verdict == Verdict::Violated) return;
   if (*f.armed && !*f.q_done && end_time > *f.t_start + p.bound) {
     vm_violate(f, *f.ordinal, end_time, spec::kInvalidName,
-               "observation ended after the deadline with the consequent "
-               "unfinished");
+               {spec::ReasonCode::EndedLate});
     return;
   }
   // Earliest-match: a round whose consequent reached its minimum within
@@ -552,7 +516,7 @@ void vm_poll(const VmProgram& p, const VmFrameRef& f, sim::Time now) {
   if (*f.verdict == Verdict::Violated) return;
   if (*f.armed && !*f.q_done && now > *f.t_start + p.bound) {
     vm_violate(f, *f.ordinal, now, spec::kInvalidName,
-               "deadline elapsed before the consequent finished (watchdog)");
+               {spec::ReasonCode::DeadlineWatchdog});
   }
 }
 
@@ -563,7 +527,6 @@ VmMonitor::VmMonitor(std::shared_ptr<const VmProgram> program)
       range_state_(program_->range_total,
                    static_cast<std::uint8_t>(RS::Idle)),
       range_cpt_(program_->range_total, 0),
-      range_reason_(program_->range_total),
       frag_min_complete_(program_->frag_count, 0),
       frag_in_progress_(program_->frag_count, 0),
       frag_min_time_(program_->frag_count),
@@ -573,8 +536,8 @@ VmMonitor::VmMonitor(std::shared_ptr<const VmProgram> program)
 
 VmFrameRef VmMonitor::make_ref() {
   return VmFrameRef{range_state_.data(), range_cpt_.data(),
-                    range_reason_.data(), frag_min_complete_.data(),
-                    frag_in_progress_.data(), frag_min_time_.data(),
+                    frag_min_complete_.data(), frag_in_progress_.data(),
+                    frag_min_time_.data(),
                     &active_, &verdict_, &violation_, &stats_,
                     &armed_, &q_done_, &t_start_, &t_stop_,
                     &validated_or_rounds_, &ordinal_};
@@ -599,7 +562,6 @@ void vm_snapshot(const VmProgram& p, const VmFrameRef& f, Snapshot& out) {
   for (std::uint32_t r = 0; r < p.range_total; ++r) {
     out.put_u64(f.range_state[r]);
     out.put_u64(f.range_cpt[r]);
-    out.put_string(f.range_reason[r]);
   }
   for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
     out.put_bool(f.frag_min_complete[frag] != 0);
@@ -629,7 +591,6 @@ void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
   for (std::uint32_t i = 0; i < p.range_total; ++i) {
     f.range_state[i] = static_cast<std::uint8_t>(r.u64());
     f.range_cpt[i] = static_cast<std::uint32_t>(r.u64());
-    r.string_into(f.range_reason[i]);
   }
   for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
     f.frag_min_complete[frag] = r.boolean() ? 1 : 0;
@@ -665,7 +626,7 @@ bool vm_save_rung(const VmProgram& p, const VmFrameRef& f,
                   std::uint64_t* out) {
   if (f.violation->has_value()) return false;
   for (std::uint32_t r = 0; r < p.range_total; ++r) {
-    if (!f.range_reason[r].empty()) return false;
+    if (f.range_state[r] == static_cast<std::uint8_t>(RS::Error)) return false;
   }
   out[0] = f.stats->ops;
   out[1] = f.stats->events;
@@ -709,12 +670,9 @@ void vm_load_rung(const VmProgram& p, const VmFrameRef& f,
   *f.verdict = static_cast<Verdict>(static_cast<std::uint8_t>(in[7] >> 32));
   *f.armed = static_cast<std::uint8_t>(in[7] >> 40);
   *f.q_done = static_cast<std::uint8_t>(in[7] >> 48);
-  // A rung never holds a violation or a reason (vm_save_rung refuses
-  // those), so whatever the frame carried before is cleared here.
+  // A rung never holds a violation (vm_save_rung refuses one), so
+  // whatever the frame carried before is cleared here.
   f.violation->reset();
-  for (std::uint32_t r = 0; r < p.range_total; ++r) {
-    if (!f.range_reason[r].empty()) f.range_reason[r].clear();
-  }
   const std::uint64_t* const times = in + kRungHeaderWords;
   for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
     f.frag_min_time[frag] = sim::Time::ps(times[frag]);

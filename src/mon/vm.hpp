@@ -9,10 +9,10 @@
 //!
 //! Bit-identity contract (tests/mon_bytecode_test.cpp): a VmMonitor is
 //! indistinguishable from the Drct monitor of the same property — verdicts,
-//! violation reports (including the formatted runtime values in the reason
-//! strings), the Figure-6 op/event/max-ops accounting and the space bits
-//! all match exactly, event for event.  That is what admits Backend::Vm
-//! into every byte-for-byte invariant grid unchanged.
+//! violation reports (including the runtime values the reasons carry and
+//! their rendered text), the Figure-6 op/event/max-ops accounting and the
+//! space bits all match exactly, event for event.  That is what admits
+//! Backend::Vm into every byte-for-byte invariant grid unchanged.
 //!
 //! Ownership: frames own their state; the program is shared immutable.
 //! Thread-safety: one VmMonitor belongs to one thread at a time; a
@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "mon/bytecode.hpp"
@@ -35,7 +34,6 @@ namespace loom::mon {
 struct VmFrameRef {
   std::uint8_t* range_state;    // [range_total] RangeState values
   std::uint32_t* range_cpt;     // [range_total] occurrence counters
-  std::string* range_reason;    // [range_total] sticky error reasons
   std::uint8_t* frag_min_complete;  // [frag_count]
   std::uint8_t* frag_in_progress;   // [frag_count]
   sim::Time* frag_min_time;         // [frag_count]
@@ -54,7 +52,7 @@ struct VmFrameRef {
 /// Interpreter entry points (see vm.cpp for the dispatch loop).  Each
 /// mirrors the corresponding Drct monitor entry point bit for bit.  The
 /// frame is taken by reference — VmMonitor keeps a prebuilt VmFrameRef, so
-/// stepping an event never re-materializes the 16-pointer bundle.
+/// stepping an event never re-materializes the 15-pointer bundle.
 void vm_init(const VmProgram& p, const VmFrameRef& f);
 void vm_reset(const VmProgram& p, const VmFrameRef& f);
 void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
@@ -87,12 +85,12 @@ void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
 /// range_cpt, range_state, frag_min_complete and frag_in_progress packed
 /// into ceil((5·range_total + 2·frag_count) / 8) words.
 ///
-/// A rung holds no strings, so vm_save_rung refuses — returns false and
+/// A rung holds no violation, so vm_save_rung refuses — returns false and
 /// leaves `out` unspecified — a frame that carries a violation or any
-/// non-empty range error reason; the caller keeps an earlier rung instead.
-/// vm_load_rung overwrites every field of the frame: the violation resets
-/// and every range reason clears, so loading into a dirty frame (a pooled
-/// monitor that violated before) is exact without a reset.
+/// range in the error state; the caller keeps an earlier rung instead.
+/// vm_load_rung overwrites every field of the frame and resets the
+/// violation, so loading into a dirty frame (a pooled monitor that violated
+/// before) is exact without a reset.
 /// A rung is shape-bound like a Snapshot, but carries no guard: load it
 /// only into a frame of a program with the same range_total / frag_count.
 std::size_t vm_rung_words(const VmProgram& p);
@@ -161,7 +159,6 @@ class VmMonitor final : public Monitor {
   std::shared_ptr<const VmProgram> program_;
   std::vector<std::uint8_t> range_state_;
   std::vector<std::uint32_t> range_cpt_;
-  std::vector<std::string> range_reason_;
   std::vector<std::uint8_t> frag_min_complete_;
   std::vector<std::uint8_t> frag_in_progress_;
   std::vector<sim::Time> frag_min_time_;

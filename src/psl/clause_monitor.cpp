@@ -28,9 +28,20 @@ ClauseMonitor::ClauseMonitor(std::shared_ptr<const Encoding> encoding)
 }
 
 void ClauseMonitor::violate(std::size_t ordinal, sim::Time time,
-                            spec::Name name, std::string reason) {
+                            spec::Name name, spec::Reason reason) {
   verdict_ = mon::Verdict::Violated;
-  violation_ = mon::Violation{ordinal, time, name, std::move(reason)};
+  violation_ = mon::Violation{ordinal, time, name, reason};
+  render_detail();
+}
+
+void ClauseMonitor::render_detail() {
+  if (!violation_ || violation_->reason.code != spec::ReasonCode::PslConjunct) {
+    return;
+  }
+  const Clause& clause = encoding_->clauses[violation_->reason.ints[0]];
+  violation_->detail = std::string("PSL conjunct violated (") +
+                       to_string(clause.kind) + "): " +
+                       to_string(clause.formula, encoding_->vocab.texts());
 }
 
 void ClauseMonitor::reset_round() {
@@ -49,8 +60,8 @@ void ClauseMonitor::process_token(spec::Name token, sim::Time time,
     const Clause& clause = encoding_->clauses[c];
     if (armed_[c] && clause.forbid.test(token)) {
       violate(ordinal, time, token,
-              std::string("PSL conjunct violated (") + to_string(clause.kind) +
-                  "): " + to_string(clause.formula, encoding_->vocab.texts()));
+              {spec::ReasonCode::PslConjunct,
+               {static_cast<std::uint32_t>(c)}});
       return;
     }
     if (clause.arm.test(token)) armed_[c] = true;
@@ -98,9 +109,9 @@ void ClauseMonitor::process_token(spec::Name token, sim::Time time,
         q_done_ = true;
         if (time - t_start_ > encoding_->bound) {
           violate(ordinal, time, token,
-                  "consequent finished after the deadline (took " +
-                      (time - t_start_).to_string() + ", bound " +
-                      encoding_->bound.to_string() + ")");
+                  {spec::ReasonCode::FinishedLateBy,
+                   {},
+                   {time - t_start_, encoding_->bound}});
           return;
         }
       }
@@ -134,15 +145,14 @@ void ClauseMonitor::observe(spec::Name name, sim::Time time) {
   }
   if (encoding_->timed && armed_obligation_ && !q_done_ &&
       time > t_start_ + encoding_->bound) {
-    violate(ordinal, time, name,
-            "deadline elapsed before the consequent finished");
+    violate(ordinal, time, name, {spec::ReasonCode::DeadlineElapsed});
     stats_.end_event(before);
     return;
   }
   token_buffer_.clear();
   const RleLexer::Result r = lexer_.step(name, token_buffer_);
   if (r.error) {
-    violate(ordinal, time, name, "lexer: " + r.reason);
+    violate(ordinal, time, name, r.reason);
     stats_.end_event(before);
     return;
   }
@@ -178,8 +188,7 @@ void ClauseMonitor::finish(sim::Time end_time) {
   if (encoding_->timed && armed_obligation_ && !q_done_ &&
       end_time > t_start_ + encoding_->bound) {
     violate(ordinal_, end_time, spec::kInvalidName,
-            "observation ended after the deadline with the consequent "
-            "unfinished");
+            {spec::ReasonCode::EndedLate});
     return;
   }
   if (encoding_->timed && q_done_) {
@@ -195,7 +204,7 @@ void ClauseMonitor::poll(sim::Time now) {
   if (encoding_->timed && armed_obligation_ && !q_done_ &&
       now > t_start_ + encoding_->bound) {
     violate(ordinal_, now, spec::kInvalidName,
-            "deadline elapsed before the consequent finished (watchdog)");
+            {spec::ReasonCode::DeadlineWatchdog});
   }
 }
 
@@ -257,6 +266,7 @@ void ClauseMonitor::restore(const mon::Snapshot& in) {
   r.bits_into(armed_);
   verdict_ = static_cast<mon::Verdict>(r.u64());
   mon::restore_violation(r, violation_);
+  render_detail();
   in_progress_ = r.boolean();
   rounds_ = r.u64();
   ordinal_ = static_cast<std::size_t>(r.u64());

@@ -57,7 +57,11 @@ class ClauseMonitor final : public mon::Monitor {
  private:
   void process_token(spec::Name token, sim::Time time, std::size_t ordinal);
   void violate(std::size_t ordinal, sim::Time time, spec::Name name,
-               std::string reason);
+               spec::Reason reason);
+  // Renders a conjunct violation's text into Violation::detail through the
+  // encoding (the clause kind and its formula over the token names); the
+  // snapshot keeps only the clause index, so restore() renders it again.
+  void render_detail();
   void reset_round();
 
   std::shared_ptr<const Encoding> encoding_;

@@ -33,8 +33,7 @@ RleLexer::Result RleLexer::step(spec::Name source,
     ++count_;
     stats_->add();  // upper-bound comparison
     if (count_ > sr.hi) {
-      return {true, "block of '" + std::to_string(source) + "' exceeds v=" +
-                        std::to_string(sr.hi)};
+      return {true, {spec::ReasonCode::LexerOverHi, {source, sr.hi}}};
     }
     if (count_ == sr.hi && !emitted_) {
       stats_->add();
@@ -48,9 +47,8 @@ RleLexer::Result RleLexer::step(spec::Name source,
     const SourceRange& prev = vocab_->source_info(current_);
     stats_->add();  // lower-bound comparison
     if (count_ < prev.lo) {
-      return {true, "block of '" + std::to_string(current_) +
-                        "' ended after " + std::to_string(count_) +
-                        " occurrences, below u=" + std::to_string(prev.lo)};
+      return {true,
+              {spec::ReasonCode::LexerBelowLo, {current_, count_, prev.lo}}};
     }
     out.push_back(vocab_->token_for(current_, count_));
   }

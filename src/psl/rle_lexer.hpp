@@ -11,11 +11,11 @@
 // vocabulary.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "mon/stats.hpp"
 #include "psl/translate.hpp"
+#include "spec/reason.hpp"
 
 namespace loom::psl {
 
@@ -25,7 +25,7 @@ class RleLexer {
 
   struct Result {
     bool error = false;
-    std::string reason;
+    spec::Reason reason;  // LexerOverHi / LexerBelowLo when error
   };
 
   /// Feeds one source event (must be a source of the vocabulary); emitted

@@ -17,8 +17,36 @@
 // For a timed implication (P => Q, t) the chain P ++ Q is encoded the same
 // way with the tokens of Q's final fragment playing the role of i (the
 // paper's "end of Q as reset point"); the final fragment must then hold a
-// single range.  The real-time bound is checked outside PSL with the same
-// start/stop time variables as the Drct monitor, at token granularity.
+// single range.  The real-time bound is checked outside PSL, at token
+// granularity: ClauseMonitor starts the obligation when the lexer emits
+// P's last token and stops it when Q's tokens are all seen.  Those are not
+// the Drct monitor's start/stop instants (the minimum-completion times of
+// P's and Q's last fragments).
+//
+// The ViaPSL monitor therefore misses some bad prefixes the oracle and
+// Drct reject (no false alarm has been found).  Three causes, with witnesses
+// (event names 10 ns apart unless times are shown):
+//   (a) The deadline starts at token emission.  The lexer emits P's last
+//       token only when its run ends, at the next distinct name, so a
+//       stall between P and Q moves the start along with it.  For
+//       (p[2,3] => q[1,4] < r, 10us), "p@0.26us p@0.68us q@21.17us
+//       r@21.59us": Drct rejects at event 2 ("deadline elapsed before the
+//       consequent finished"); ViaPSL accepts.
+//   (b) An open run at finish() is never tokenized.  RleLexer::finish
+//       calls a block below its lower bound weakly acceptable and emits no
+//       token, so an out-of-order name in a trailing run reaches no
+//       clause.  For (p[2,3] => q[1,4] < r, 1ms), "p p p q p": Drct
+//       rejects at event 4 ("name from outside the active fragment");
+//       ViaPSL does not reject until a further q closes the run ("lexer:
+//       block ... ended after 1 occurrences, below u=2").
+//   (c) Non-informative bad prefixes.  The round can no longer complete,
+//       but every conjunct on its own is still satisfiable, so no clause
+//       fails yet and ViaPSL does not reject: "a b c i c" for (({a, b}, &)
+//       < c << i, true) (append a and the Order clause fires), "n1 n2 n3
+//       n4 n2" for (n1 => n2 < n3 < n4, 1ms), and the one-event trace "c"
+//       for (({a, b}, |) < c << i, false).
+// This is why the reference grid (tests/campaign_reference_diff_test.cpp)
+// asserts ok() for every backend except ViaPSL.
 #pragma once
 
 #include <cstdint>

@@ -44,21 +44,19 @@ class RoundWalker {
       const RangePlan& r = range_of(f, name);
       if (name == current_) {
         if (++counts_[name] > r.hi) {
-          return fail("more than v=" + std::to_string(r.hi) +
-                      " consecutive occurrences of the range name");
+          return fail({ReasonCode::RunOverHi, {r.hi}});
         }
       } else {
         if (current_ != kInvalidName) {
           const RangePlan& cur = range_of(f, current_);
           if (counts_[current_] < cur.lo) {
-            return fail("block ended after " +
-                        std::to_string(counts_[current_]) +
-                        " occurrences, below u=" + std::to_string(cur.lo));
+            return fail({ReasonCode::BlockBelowLo,
+                         {counts_[current_], cur.lo}});
           }
           closed_.set(current_);
         }
         if (closed_.test(name)) {
-          return fail("range block reopened after it ended");
+          return fail({ReasonCode::BlockReopened});
         }
         current_ = name;
         counts_[name] = 1;
@@ -73,9 +71,8 @@ class RoundWalker {
       if (current_ != kInvalidName) {
         const RangePlan& cur = range_of(f, current_);
         if (counts_[current_] < cur.lo) {
-          return fail("fragment stopped while a block had only " +
-                      std::to_string(counts_[current_]) +
-                      " occurrences, below u=" + std::to_string(cur.lo));
+          return fail({ReasonCode::StopBlockBelowLo,
+                       {counts_[current_], cur.lo}});
         }
         closed_.set(current_);
       }
@@ -84,11 +81,8 @@ class RoundWalker {
                                 ? done == f.ranges.size()
                                 : done >= 1;
       if (!complete) {
-        return fail(f.join == Join::Conj
-                        ? "conjunctive fragment stopped before all its "
-                          "ranges were observed"
-                        : "disjunctive fragment stopped before any of its "
-                          "ranges was observed");
+        return fail({f.join == Join::Conj ? ReasonCode::ConjIncomplete
+                                          : ReasonCode::DisjIncomplete});
       }
       ++k_;
       current_ = kInvalidName;
@@ -100,15 +94,15 @@ class RoundWalker {
     }
     // Out-of-place name: classify for the diagnostic.
     if (plan_->terminal.test(name)) {
-      return fail("trigger observed before the pattern was recognized");
+      return fail({ReasonCode::EarlyTrigger});
     }
     for (std::size_t j = 0; j < plan_->fragments.size(); ++j) {
       if (plan_->fragments[j].alphabet.test(name)) {
-        return fail(j < k_ ? "name belongs to an already-completed fragment"
-                           : "name belongs to a later fragment");
+        return fail({j < k_ ? ReasonCode::CompletedFragment
+                            : ReasonCode::LaterFragment});
       }
     }
-    return fail("name not in the property alphabet");  // unreachable
+    return fail({ReasonCode::OutsideAlphabet});  // unreachable
   }
 
   /// Checkpoint support for the oracle ladder.  Only the block counters of
@@ -162,7 +156,7 @@ class RoundWalker {
   bool consumed_anything() const { return consumed_; }
   bool fragment_min_complete_flag() const { return frag_min_complete_; }
   sim::Time fragment_min_time() const { return frag_min_time_; }
-  const std::string& reason() const { return reason_; }
+  const Reason& reason() const { return reason_; }
 
  private:
   static const RangePlan& range_of(const FragmentPlan& f, Name name) {
@@ -186,8 +180,8 @@ class RoundWalker {
     return false;
   }
 
-  Step fail(std::string why) {
-    reason_ = std::move(why);
+  Step fail(Reason why) {
+    reason_ = why;
     return Step::Error;
   }
 
@@ -199,7 +193,7 @@ class RoundWalker {
   bool consumed_ = false;
   bool frag_min_complete_ = false;
   sim::Time frag_min_time_;
-  std::string reason_;
+  Reason reason_;
 };
 
 // One walker per thread, rebound per check: the checks are not reentrant
@@ -265,27 +259,25 @@ class ReferenceWalk {
     if (timed_ == nullptr) {
       return {walker_.consumed_anything() ? RefVerdict::Pending
                                           : RefVerdict::Accepted,
-              kNoIndex, ""};
+              kNoIndex, {}};
     }
     if (armed_ && !q_done_ && end_time > t_start_ + timed_->bound) {
-      return {RefVerdict::Rejected,
-              size == 0 ? kNoIndex : size - 1,
-              "observation ended after the deadline with the consequent "
-              "unfinished"};
+      return {RefVerdict::Rejected, size == 0 ? kNoIndex : size - 1,
+              {ReasonCode::EndedLate}};
     }
     if (!walker_.consumed_anything()) {
-      return {RefVerdict::Accepted, kNoIndex, ""};
+      return {RefVerdict::Accepted, kNoIndex, {}};
     }
     // Mid-round at end of trace: if the final fragment already reached its
     // minimum within the deadline, the obligation is met (earliest-match).
-    if (q_done_) return {RefVerdict::Accepted, kNoIndex, ""};
-    return {RefVerdict::Pending, kNoIndex, ""};
+    if (q_done_) return {RefVerdict::Accepted, kNoIndex, {}};
+    return {RefVerdict::Pending, kNoIndex, {}};
   }
 
   /// Walks the whole of trace[begin, end) and returns its verdict.
   RefResult run(const TraceView& trace, std::size_t begin,
                 sim::Time end_time) {
-    if (advance(trace, begin, trace.size)) return std::move(result_);
+    if (advance(trace, begin, trace.size)) return result_;
     return finish(trace.size, end_time);
   }
 
@@ -330,9 +322,9 @@ class ReferenceWalk {
 
  private:
   // Decides at event `at`, which is the error index of a rejection.
-  bool decide(RefVerdict verdict, std::size_t at, std::string reason) {
+  bool decide(RefVerdict verdict, std::size_t at, Reason reason = {}) {
     result_ = {verdict, verdict == RefVerdict::Rejected ? at : kNoIndex,
-               std::move(reason)};
+               reason};
     stop_ = at + 1;
     return true;
   }
@@ -348,7 +340,7 @@ class ReferenceWalk {
         case RoundWalker::Step::Consumed:
           break;
         case RoundWalker::Step::RoundCompleted:
-          if (!repeated_) return decide(RefVerdict::Accepted, i, "");
+          if (!repeated_) return decide(RefVerdict::Accepted, i);
           walker_.reset();
           break;
         case RoundWalker::Step::Error:
@@ -377,7 +369,7 @@ class ReferenceWalk {
       const sim::Time t_stop = walker_.fragment_min_time();
       if (t_stop - t_start_ > timed_->bound) {
         return decide(RefVerdict::Rejected, index,
-                      "consequent finished after the deadline");
+                      {ReasonCode::FinishedLate});
       }
     }
     return false;
@@ -390,8 +382,7 @@ class ReferenceWalk {
       if (!plan_.alphabet.test(name)) continue;
       const sim::Time time = piece.data[i - base].time + piece.shift;
       if (armed_ && !q_done_ && time > t_start_ + timed_->bound) {
-        return decide(RefVerdict::Rejected, i,
-                      "deadline elapsed before the consequent finished");
+        return decide(RefVerdict::Rejected, i, {ReasonCode::DeadlineElapsed});
       }
       switch (walker_.step(name, time)) {
         case RoundWalker::Step::Consumed:
@@ -520,7 +511,7 @@ RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
       // Decided inside rung k's prefix: this rung and every later one
       // resume straight to the recorded verdict.
       for (; k < rungs; ++k) ladder.rungs[k].decided = true;
-      ladder.full = std::move(walk.result());
+      ladder.full = walk.result();
       return ladder;
     }
     walk.save(ladder.rungs[k], ladder.counts.data() + k * ladder.ranges);
@@ -569,7 +560,7 @@ RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
       const std::size_t next = (k + 1) * ladder.stride + delta;
       if (walk.advance(trace, at, next)) {
         if (walked != nullptr) *walked = walk.stop() - begin;
-        return std::move(walk.result());
+        return walk.result();
       }
       at = next;
       if (walk.rejoins(ladder.rungs[k],
@@ -585,8 +576,7 @@ RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,
   if (walked != nullptr) {
     *walked = (decided ? walk.stop() : trace.size) - begin;
   }
-  return decided ? std::move(walk.result())
-                 : walk.finish(trace.size, end_time);
+  return decided ? walk.result() : walk.finish(trace.size, end_time);
 }
 
 }  // namespace loom::spec

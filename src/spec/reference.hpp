@@ -11,11 +11,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/time.hpp"
 #include "spec/ast.hpp"
+#include "spec/reason.hpp"
 
 namespace loom::spec {
 
@@ -89,7 +89,9 @@ struct RefResult {
   RefVerdict verdict = RefVerdict::Accepted;
   /// Index (into the full trace) of the offending event when Rejected.
   std::size_t error_index = static_cast<std::size_t>(-1);
-  std::string reason;
+  /// Why the trace was rejected (empty otherwise); reason.text() renders
+  /// the diagnostic.
+  Reason reason;
 
   bool rejected() const { return verdict == RefVerdict::Rejected; }
 };

@@ -763,6 +763,7 @@ void expect_same_monitor(mon::Monitor& got, mon::Monitor& want,
     EXPECT_EQ(got.violation()->time, want.violation()->time) << what;
     EXPECT_EQ(got.violation()->name, want.violation()->name) << what;
     EXPECT_EQ(got.violation()->reason, want.violation()->reason) << what;
+    EXPECT_EQ(got.violation()->text(), want.violation()->text()) << what;
   }
   EXPECT_EQ(got.stats().ops, want.stats().ops) << what;
   EXPECT_EQ(got.stats().events, want.stats().events) << what;

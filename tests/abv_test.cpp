@@ -41,7 +41,7 @@ TEST_P(StimuliValid, GeneratedTracesAreAccepted) {
     const sim::Time end = t.back().time;
     const auto ref = spec::reference_check(p, t, end);
     EXPECT_NE(ref.verdict, spec::RefVerdict::Rejected)
-        << GetParam() << " seed " << seed << ": " << ref.reason << " at "
+        << GetParam() << " seed " << seed << ": " << ref.reason.text() << " at "
         << ref.error_index;
 
     // The Drct monitor agrees.
@@ -81,7 +81,7 @@ TEST(Stimuli, TimedRoundsMeetTheDeadline) {
     const spec::Trace t = generate_valid(p, ab, rng, opt);
     const auto ref = spec::reference_check(p, t, t.back().time);
     EXPECT_NE(ref.verdict, spec::RefVerdict::Rejected)
-        << "seed " << seed << ": " << ref.reason;
+        << "seed " << seed << ": " << ref.reason.text();
   }
 }
 

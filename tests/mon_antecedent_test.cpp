@@ -107,7 +107,7 @@ TEST(AntecedentMonitor, ViolationCarriesDiagnostics) {
   EXPECT_EQ(m.violation()->event_ordinal, 1u);
   EXPECT_EQ(m.violation()->time, sim::Time::ns(20));
   EXPECT_EQ(ab.text(m.violation()->name), "i");
-  EXPECT_NE(m.violation()->reason.find("below u=2"), std::string::npos);
+  EXPECT_NE(m.violation()->text().find("below u=2"), std::string::npos);
 }
 
 TEST(AntecedentMonitor, StaysViolatedAfterError) {

@@ -159,6 +159,7 @@ void expect_same_state(Monitor& batched, Monitor& looped,
     EXPECT_EQ(batched.violation()->name, looped.violation()->name) << what;
     EXPECT_EQ(batched.violation()->reason, looped.violation()->reason)
         << what;
+    EXPECT_EQ(batched.violation()->text(), looped.violation()->text()) << what;
   }
   EXPECT_EQ(batched.stats().events, looped.stats().events) << what;
   EXPECT_EQ(batched.stats().ops, looped.stats().ops) << what;

@@ -212,6 +212,7 @@ void expect_same_outcome(Monitor& vm, Monitor& drct, const std::string& what) {
     EXPECT_EQ(vm.violation()->time, drct.violation()->time) << what;
     EXPECT_EQ(vm.violation()->name, drct.violation()->name) << what;
     EXPECT_EQ(vm.violation()->reason, drct.violation()->reason) << what;
+    EXPECT_EQ(vm.violation()->text(), drct.violation()->text()) << what;
   }
   EXPECT_EQ(vm.stats().ops, drct.stats().ops) << what;
   EXPECT_EQ(vm.stats().events, drct.stats().events) << what;
@@ -565,23 +566,27 @@ TEST(MonBytecodeShift, RetiringMidShiftedSliceEqualsTheEventLoop) {
 // --- compact checkpoint rungs ----------------------------------------------
 //
 // vm_save_rung / vm_load_rung are the checkpoint ladder's rung format for
-// Vm monitors: raw word and byte copies of the frame, with no strings.  A
+// Vm monitors: raw word and byte copies of the frame, with no violation.  A
 // loaded rung must continue exactly like the Snapshot restore it replaces
 // and like the uninterrupted run — into a frame that held anything before.
 
-// Non-empty strings in a VM snapshot: the range reasons plus the
-// violation's reason.
-std::size_t reasons_in(const Snapshot& s) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < s.string_count(); ++i) {
-    if (!s.string_at(i).empty()) ++n;
+// Failure records in a VM frame: the ranges in the error state plus a
+// present violation.
+std::size_t reasons_in(const VmMonitor& m) {
+  std::size_t n = m.violation().has_value() ? 1 : 0;
+  for (std::uint32_t r = 0; r < m.program().range_total; ++r) {
+    if (m.range_state(r) ==
+        static_cast<std::uint8_t>(RangeRecognizer::State::Error)) {
+      ++n;
+    }
   }
   return n;
 }
 
 // Drives `observe` over fuzzed traces until the frame holds a violation
 // latched from a range error — so it carries a violation and at least one
-// range reason — the dirtiest state a pooled frame can be drawn in.
+// range in the error state — the dirtiest state a pooled frame can be
+// drawn in.
 template <typename Observe, typename Frame, typename Reset>
 void make_dirty(const std::vector<spec::Name>& names, std::uint64_t seed,
                 Observe observe, Frame frame, Reset reset) {
@@ -628,7 +633,7 @@ TEST(MonVmRung, LoadContinuesLikeASnapshotRestoreAndTheUninterruptedRun) {
     VmMonitor dirty(program);
     make_dirty(
         names, 0xD1E7, [&](const spec::Trace& t) { dirty.observe_batch(t); },
-        [&] { return frame_of(dirty); }, [&] { dirty.reset(); });
+        [&]() -> const VmMonitor& { return dirty; }, [&] { dirty.reset(); });
 
     const auto traces = rung_traces(p, ab, names, 0x5A7E);
     for (std::size_t ti = 0; ti < traces.size(); ++ti) {
@@ -667,7 +672,7 @@ TEST(MonVmRung, LoadContinuesLikeASnapshotRestoreAndTheUninterruptedRun) {
         }
 
         // Load into the dirty monitor: it now holds exactly the state at
-        // the cut, reasons and violation cleared.
+        // the cut, range errors and violation cleared.
         VmMonitor loaded(program);
         loaded.restore(frame_of(dirty));
         ASSERT_TRUE(loaded.violation().has_value()) << what;
@@ -705,8 +710,8 @@ TEST(MonVmRung, SaveRefusesAViolatedFrame) {
   ASSERT_EQ(m.verdict(), Verdict::Violated);
   EXPECT_FALSE(m.save_rung(rung.data()));
 
-  // A deadline violation latches no range reason: the violation alone
-  // must refuse the rung.
+  // A deadline violation leaves no range in the error state: the
+  // violation alone must refuse the rung.
   spec::Alphabet tab;
   const spec::Property timed =
       loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", tab);
@@ -718,7 +723,7 @@ TEST(MonVmRung, SaveRefusesAViolatedFrame) {
   EXPECT_TRUE(late.save_rung(timed_rung.data()));
   late.poll(sim::Time::us(20));
   ASSERT_EQ(late.verdict(), Verdict::Violated);
-  EXPECT_EQ(reasons_in(frame_of(late)), 1u);  // the violation's own
+  EXPECT_EQ(reasons_in(late), 1u);  // the violation's own
   EXPECT_FALSE(late.save_rung(timed_rung.data()));
 }
 

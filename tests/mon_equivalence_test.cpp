@@ -94,7 +94,7 @@ TEST_P(AntecedentEquivalence, MonitorAgreesWithReference) {
           << "property: " << spec::to_string(a, ab)
           << "\ntrace: " << render_trace(t, ab)
           << "\nreference: " << spec::to_string(expected.verdict) << " ("
-          << expected.reason << ")\nmonitor: " << to_string(m.verdict())
+          << expected.reason.text() << ")\nmonitor: " << to_string(m.verdict())
           << (m.violation() ? "\n  " + m.violation()->to_string(ab) : "");
       if (expected.rejected() && m.violation().has_value() &&
           expected.error_index < t.size()) {
@@ -139,7 +139,7 @@ TEST_P(TimedEquivalence, MonitorAgreesWithReference) {
           << "\ntrace: " << render_trace(t, ab)
           << "\nend: " << end.to_string()
           << "\nreference: " << spec::to_string(expected.verdict) << " ("
-          << expected.reason << ")\nmonitor: " << to_string(m.verdict())
+          << expected.reason.text() << ")\nmonitor: " << to_string(m.verdict())
           << (m.violation() ? "\n  " + m.violation()->to_string(ab) : "");
     }
   }

@@ -64,7 +64,8 @@ TEST_P(ExhaustiveAntecedent, DrctEqualsReferenceOnAllTraces) {
     AntecedentMonitor m(p.antecedent());
     loom::testing::run_monitor(m, t);
     ASSERT_EQ(loom::testing::as_ref(m.verdict()), ref.verdict)
-        << GetParam() << " on [" << render(t, ab) << "] ref=" << ref.reason;
+        << GetParam() << " on [" << render(t, ab)
+        << "] ref=" << ref.reason.text();
     if (ref.rejected() && m.violation().has_value()) {
       ASSERT_EQ(m.violation()->event_ordinal, ref.error_index)
           << GetParam() << " on [" << render(t, ab) << "]";
@@ -105,7 +106,7 @@ TEST_P(ExhaustivePslSoundness, NoFalseAlarmsAcceptedAgreement) {
     if (psl_verdict == spec::RefVerdict::Rejected) {
       ASSERT_EQ(ref.verdict, spec::RefVerdict::Rejected)
           << GetParam() << " false alarm on [" << render(t, ab) << "]: "
-          << (m.violation() ? m.violation()->reason : "");
+          << (m.violation() ? m.violation()->text() : "");
     }
     if (ref.verdict == spec::RefVerdict::Accepted) {
       ASSERT_EQ(psl_verdict, spec::RefVerdict::Accepted)
@@ -144,8 +145,8 @@ TEST_P(ExhaustiveTimed, DrctEqualsReferenceOnAllTraces) {
       loom::testing::run_monitor(m, t, end);
       ASSERT_EQ(loom::testing::as_ref(m.verdict()), ref.verdict)
           << GetParam() << " on [" << render(t, ab)
-          << "] end=" << end.to_string() << " ref=" << ref.reason
-          << (m.violation() ? "\nmon=" + m.violation()->reason : "");
+          << "] end=" << end.to_string() << " ref=" << ref.reason.text()
+          << (m.violation() ? "\nmon=" + m.violation()->text() : "");
     }
   });
   EXPECT_GT(checked, 100u);

@@ -58,6 +58,7 @@ void expect_same_outcome(Monitor& fresh, Monitor& reused,
     EXPECT_EQ(fresh.violation()->time, reused.violation()->time) << what;
     EXPECT_EQ(fresh.violation()->name, reused.violation()->name) << what;
     EXPECT_EQ(fresh.violation()->reason, reused.violation()->reason) << what;
+    EXPECT_EQ(fresh.violation()->text(), reused.violation()->text()) << what;
   }
   EXPECT_EQ(fresh.stats().ops, reused.stats().ops) << what;
   EXPECT_EQ(fresh.stats().events, reused.stats().events) << what;

@@ -59,6 +59,7 @@ void expect_same_outcome(Monitor& a, Monitor& b, const std::string& what) {
     EXPECT_EQ(a.violation()->time, b.violation()->time) << what;
     EXPECT_EQ(a.violation()->name, b.violation()->name) << what;
     EXPECT_EQ(a.violation()->reason, b.violation()->reason) << what;
+    EXPECT_EQ(a.violation()->text(), b.violation()->text()) << what;
   }
   EXPECT_EQ(a.stats().ops, b.stats().ops) << what;
   EXPECT_EQ(a.stats().events, b.stats().events) << what;
@@ -306,10 +307,10 @@ TEST(MonSnapshot, OneBufferServesManySnapshotsWithoutGrowth) {
     monitor->observe(ev.name, ev.time);
     monitor->snapshot(snap);
     // Same automaton, same word layout: reuse never changes the format.
-    // (A present violation report appends its ordinal/time/name words; the
-    // reason string lands in the reusable string pool.)
+    // (A present violation report appends its ordinal/time/name words and
+    // the reason's four code words.)
     const std::size_t expected =
-        fresh_words + (monitor->violation().has_value() ? 3u : 0u);
+        fresh_words + (monitor->violation().has_value() ? 7u : 0u);
     EXPECT_EQ(snap.word_count(), expected);
   }
 }
@@ -318,7 +319,7 @@ TEST(MonSnapshot, VmFrameBufferReuseKeepsWordCountsStable) {
   // Same lockdown for the bytecode VM frame: its flat word layout is a
   // pure function of the program shape, so reusing one buffer across a
   // whole fuzzed run never changes the count except for the violation
-  // report's three appended words.
+  // report's seven appended words.
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse(
       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
@@ -338,7 +339,7 @@ TEST(MonSnapshot, VmFrameBufferReuseKeepsWordCountsStable) {
     monitor->observe(ev.name, ev.time);
     monitor->snapshot(snap);
     const std::size_t expected =
-        fresh_words + (monitor->violation().has_value() ? 3u : 0u);
+        fresh_words + (monitor->violation().has_value() ? 7u : 0u);
     EXPECT_EQ(snap.word_count(), expected);
   }
 }
@@ -382,9 +383,12 @@ TEST(MonSnapshot, RestoreRejectsAFutureFormatVersionByName) {
       FAIL() << kind.label << ": future-version snapshot was accepted";
     } catch (const std::logic_error& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("snapshot format version 2"), std::string::npos)
+      EXPECT_NE(what.find("snapshot format version " +
+                          std::to_string(kSnapshotVersion + 1)),
+                std::string::npos)
           << kind.label << ": " << what;
-      EXPECT_NE(what.find("reads version 1"), std::string::npos)
+      EXPECT_NE(what.find("reads version " + std::to_string(kSnapshotVersion)),
+                std::string::npos)
           << kind.label << ": " << what;
     }
     // The same forged snapshot through the wire decoder: rejected with a
@@ -396,7 +400,8 @@ TEST(MonSnapshot, RestoreRejectsAFutureFormatVersionByName) {
     wire::Decoder d(enc.bytes());
     EXPECT_FALSE(wire::decode_snapshot(d, decoded)) << kind.label;
     EXPECT_FALSE(d.ok()) << kind.label;
-    EXPECT_NE(d.error().message.find("snapshot format version 2"),
+    EXPECT_NE(d.error().message.find("snapshot format version " +
+                                     std::to_string(kSnapshotVersion + 1)),
               std::string::npos)
         << kind.label << ": " << d.error().to_string();
   }

@@ -120,7 +120,7 @@ TEST(TimedMonitor, PollDetectsOverdueObligation) {
   EXPECT_EQ(m.verdict(), Verdict::Pending) << "deadline not yet passed";
   m.poll(sim::Time::ns(111));
   EXPECT_EQ(m.verdict(), Verdict::Violated);
-  EXPECT_NE(m.violation()->reason.find("watchdog"), std::string::npos);
+  EXPECT_NE(m.violation()->text().find("watchdog"), std::string::npos);
 }
 
 TEST(TimedMonitor, SpaceIncludesTheTwoTimeVariables) {

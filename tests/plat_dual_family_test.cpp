@@ -94,7 +94,7 @@ TEST(DualFamily, DroppedIrqCaughtByBothWatchdogs) {
   h.run();
   EXPECT_EQ(h.drct3->verdict(), mon::Verdict::Violated);
   EXPECT_EQ(h.psl3->verdict(), mon::Verdict::Violated);
-  EXPECT_NE(h.psl3->violation()->reason.find("deadline"), std::string::npos);
+  EXPECT_NE(h.psl3->violation()->text().find("deadline"), std::string::npos);
 }
 
 TEST(DualFamily, SlowIpuCaughtByBoth) {

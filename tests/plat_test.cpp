@@ -83,7 +83,7 @@ TEST(Platform, NominalScenarioSatisfiesBothProperties) {
   const auto& trace = h.platform.recorder().trace();
   EXPECT_GE(trace.size(), 4u * 6u);
   const auto ref2 = spec::reference_check(h.example2->property(), trace);
-  EXPECT_NE(ref2.verdict, spec::RefVerdict::Rejected) << ref2.reason;
+  EXPECT_NE(ref2.verdict, spec::RefVerdict::Rejected) << ref2.reason.text();
 }
 
 TEST(Platform, MatchOpensAndAutoClosesTheLock) {
@@ -116,7 +116,7 @@ TEST(Platform, SkippedRegisterWriteViolatesExample2) {
   ASSERT_EQ(h.example2->verdict(), mon::Verdict::Violated);
   const auto& v = *h.example2->violation();
   EXPECT_EQ(h.platform.alphabet().text(v.name), "start");
-  EXPECT_NE(v.reason.find("before"), std::string::npos);
+  EXPECT_NE(v.text().find("before"), std::string::npos);
 }
 
 TEST(Platform, EarlyStartViolatesExample2) {
@@ -137,7 +137,7 @@ TEST(Platform, DroppedIrqViolatesExample3ViaWatchdog) {
   Harness h(cfg);
   h.run(sim::Time::ms(10));
   ASSERT_EQ(h.example3->verdict(), mon::Verdict::Violated);
-  EXPECT_NE(h.example3->violation()->reason.find("deadline"),
+  EXPECT_NE(h.example3->violation()->text().find("deadline"),
             std::string::npos);
   // The watchdog reports promptly (bound is 2 ms; the round starts ~1 ms
   // in), well before the end of the 10 ms simulation.
@@ -151,7 +151,7 @@ TEST(Platform, SlowIpuViolatesExample3Deadline) {
   Harness h(cfg);
   h.run(sim::Time::ms(20));
   ASSERT_EQ(h.example3->verdict(), mon::Verdict::Violated);
-  EXPECT_NE(h.example3->violation()->reason.find("deadline"),
+  EXPECT_NE(h.example3->violation()->text().find("deadline"),
             std::string::npos);
 }
 

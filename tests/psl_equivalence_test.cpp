@@ -88,7 +88,7 @@ TEST_P(PslVsDrct, SoundnessAndResetPointAgreement) {
       const std::string context = "property: " + spec::to_string(a, ab) +
                                   "\ntrace: " + render(t, ab) +
                                   "\nreference: " + spec::to_string(ref.verdict) +
-                                  " (" + ref.reason + ")" +
+                                  " (" + ref.reason.text() + ")" +
                                   "\nviapsl: " + spec::to_string(psl);
 
       switch (ref.verdict) {
@@ -150,7 +150,7 @@ TEST(PslVsDrctValid, CleanRoundsAgreeExactly) {
     const auto ref = spec::reference_check(p.antecedent(), t);
 
     EXPECT_EQ(ref.verdict, spec::RefVerdict::Accepted)
-        << item.property << " / " << item.trace << ": " << ref.reason;
+        << item.property << " / " << item.trace << ": " << ref.reason.text();
     EXPECT_EQ(drct.verdict(), mon::Verdict::Monitoring)
         << item.property << " / " << item.trace;
     EXPECT_EQ(psl.verdict(), mon::Verdict::Monitoring)

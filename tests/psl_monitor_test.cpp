@@ -148,8 +148,8 @@ TEST(ViaPslMonitor, ViolationExplainsTheClause) {
   ClauseMonitor m(encode(p));
   run_monitor(m, trace_of("i", ab));
   ASSERT_TRUE(m.violation().has_value());
-  EXPECT_NE(m.violation()->reason.find("before"), std::string::npos);
-  EXPECT_NE(m.violation()->reason.find("until!"), std::string::npos);
+  EXPECT_NE(m.violation()->text().find("before"), std::string::npos);
+  EXPECT_NE(m.violation()->text().find("until!"), std::string::npos);
 }
 
 TEST(ViaPslMonitor, WatchdogInterface) {

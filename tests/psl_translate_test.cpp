@@ -201,7 +201,7 @@ TEST(Lexer, BlockBelowMinimumIsError) {
   lex.step(*ab.lookup("n"), out);
   const auto r = lex.step(*ab.lookup("i"), out);
   EXPECT_TRUE(r.error);
-  EXPECT_NE(r.reason.find("below u=2"), std::string::npos);
+  EXPECT_NE(r.reason.text().find("below u=2"), std::string::npos);
 }
 
 TEST(Lexer, FinishEmitsOrReportsPending) {

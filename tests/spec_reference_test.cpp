@@ -37,7 +37,7 @@ TEST_P(AntecedentRef, Verdict) {
   const RefResult r = reference_check(p->antecedent(), t);
   EXPECT_EQ(r.verdict, GetParam().expected)
       << "property: " << GetParam().property
-      << "\ntrace: " << GetParam().trace << "\nreason: " << r.reason;
+      << "\ntrace: " << GetParam().trace << "\nreason: " << r.reason.text();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -179,7 +179,7 @@ TEST_P(TimedRef, Verdict) {
       reference_check(p->timed(), t, sim::Time::ns(GetParam().end_ns));
   EXPECT_EQ(r.verdict, GetParam().expected)
       << "property: " << GetParam().property
-      << "\ntrace: " << GetParam().trace << "\nreason: " << r.reason;
+      << "\ntrace: " << GetParam().trace << "\nreason: " << r.reason.text();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,15 +1,21 @@
 // support::AllocCounter under the replacement operators of
 // src/support/alloc_hooks.cpp (this target opts in via CMake): the tally
 // moves with new/delete, Scope windows are per-thread, and — the
-// regression the counters exist to guard — a warmed mutate_into scratch
-// mutates without touching the heap at all.
+// regressions the counters exist to guard — a warmed mutate_into scratch
+// mutates without touching the heap at all, and a warmed campaign's
+// per-mutant loop (mutate, oracle, restore, replay, finish) allocates
+// nothing, rejected and violating mutants included.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "abv/campaign.hpp"
 #include "abv/mutate.hpp"
 #include "abv/stimuli.hpp"
+#include "mon/checkpoint_ladder.hpp"
+#include "mon/compiled.hpp"
+#include "spec/attributes.hpp"
 #include "support/alloc_counter.hpp"
 #include "testing.hpp"
 
@@ -124,6 +130,128 @@ TEST(AllocCounter, WarmedSitesOverloadScratchIsAllocationFree) {
   EXPECT_GT(applied, 0u);
   EXPECT_EQ(scope.allocs(), 0u)
       << "steady-state sites-overload mutate_into touched the heap";
+}
+
+// The allocations of one warmed serial campaign over `properties` at
+// `mutants_per_kind` — all on this thread, since a one-thread campaign runs
+// its shards inline.
+std::uint64_t campaign_allocs(
+    const std::vector<const spec::Property*>& properties, spec::Alphabet& ab,
+    mon::Backend backend, std::size_t mutants_per_kind) {
+  abv::CampaignOptions o;
+  o.seeds = 4;
+  o.stimuli.rounds = 64;
+  o.stimuli.noise_permille = 100;
+  o.threads = 1;
+  o.backend = backend;
+  o.first_seed = 41;
+  o.mutants_per_kind = 64;  // warm every pooled buffer at the larger size
+  (void)abv::run_campaigns(properties, ab, o);
+  o.mutants_per_kind = mutants_per_kind;
+  AllocCounter::Scope scope;
+  const auto results = abv::run_campaigns(properties, ab, o);
+  const std::uint64_t allocs = scope.allocs();
+  std::size_t detected = 0;
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.ok()) << r.report(ab);
+    for (const auto& m : r.mutation) detected += m.detected;
+  }
+  EXPECT_GT(detected, 0u);  // violating mutants ran through the loop
+  return allocs;
+}
+
+TEST(AllocCounter, WarmedMutantLoopIsAllocationFree) {
+  // Once warm, a campaign's allocations are its fixed per-campaign and
+  // per-seed work (traces, ladders, results): eight times the mutants
+  // cost no extra allocation, so the per-mutant loop — mutate, oracle,
+  // restore, replay, finish, with every rejection and violation recorded
+  // as a reason value — touches the heap zero times.  The timed chain's
+  // deadline reasons carry times.
+  spec::Alphabet ab;
+  const spec::Property antecedent = loom::testing::parse(
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
+  const spec::Property chain =
+      loom::testing::parse("(n1 => n2 < n3 < n4, 1ms)", ab);
+  const spec::Property ranged =
+      loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
+  const std::vector<const spec::Property*> properties = {&antecedent, &chain,
+                                                         &ranged};
+  for (const auto backend : {mon::Backend::Auto, mon::Backend::Drct}) {
+    const std::uint64_t few = campaign_allocs(properties, ab, backend, 8);
+    const std::uint64_t many = campaign_allocs(properties, ab, backend, 64);
+    EXPECT_EQ(few, many) << mon::to_string(backend)
+                         << ": the per-mutant loop allocated";
+  }
+}
+
+TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
+  // The two halves of one detected mutant, each warmed once and then
+  // repeated under a Scope: the oracle resumes from its ladder and
+  // rejects, and a VM restored from the monitor ladder (compact rung or
+  // Snapshot) replays the suffix and finishes violated.
+  spec::Alphabet ab;
+  const spec::Property p =
+      loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
+  mon::CompileOptions opt;
+  opt.backend = mon::Backend::Vm;
+  const mon::CompiledProperty compiled =
+      mon::CompiledProperty::compile(p, ab, opt);
+  abv::StimuliOptions sopt;
+  sopt.rounds = 16;
+  support::Rng gen = support::Rng::stream(5, 0);
+  const spec::Trace valid = abv::generate_valid(p, ab, gen, sopt);
+  constexpr std::size_t kStride = 8;
+  const sim::Time valid_end = valid.back().time;
+  const spec::RefLadder oracle = spec::record_reference_ladder(
+      p, compiled.plan(), valid, valid_end, kStride);
+  auto recorder = compiled.instantiate();
+  mon::CheckpointLadder ladder;
+  ladder.record(*recorder, valid, kStride);
+  ASSERT_TRUE(ladder.compact());
+
+  abv::MutationResult mutant;
+  support::Rng rng = support::Rng::stream(5, 1);
+  std::size_t checked = 0;
+  auto vm = compiled.instantiate();
+  mon::Snapshot snap;
+  for (int draw = 0; draw < 200 && checked < 8; ++draw) {
+    if (!abv::mutate_into(valid, abv::MutationKind::SwapAdjacent, p,
+                          compiled.alphabet(), rng, mutant)) {
+      continue;
+    }
+    const sim::Time end = mutant.trace.back().time;
+    const std::size_t floor =
+        std::min(mutant.position / kStride, ladder.count());
+    if (floor == 0) continue;
+    const auto check = [&] {
+      return spec::resume_reference_check(p, compiled.plan(), oracle,
+                                          std::min(floor, oracle.rungs.size()),
+                                          mutant.trace, end, mutant.aligned);
+    };
+    const auto replay = [&](bool compact) {
+      if (compact) {
+        ladder.restore_into(floor - 1, *vm);
+      } else {
+        vm->restore(snap);
+      }
+      vm->observe_batch(mutant.trace.data() + floor * kStride,
+                        mutant.trace.data() + mutant.trace.size());
+      vm->finish(end);
+      return vm->verdict();
+    };
+    if (!check().rejected()) continue;
+    ladder.restore_into(floor - 1, *vm);
+    vm->snapshot(snap);  // the same rung as a Snapshot
+    ASSERT_EQ(replay(true), mon::Verdict::Violated);  // warm
+    ASSERT_EQ(replay(false), mon::Verdict::Violated);
+    AllocCounter::Scope scope;
+    EXPECT_TRUE(check().rejected());
+    EXPECT_EQ(replay(true), mon::Verdict::Violated);
+    EXPECT_EQ(replay(false), mon::Verdict::Violated);
+    EXPECT_EQ(scope.allocs(), 0u) << "mutant at position " << mutant.position;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 8u);
 }
 
 }  // namespace

@@ -26,6 +26,14 @@ inline void PrintTo(const TimedEvent& ev, std::ostream* os) {
   *os << "#" << ev.name << "@" << ev.time.picoseconds() << "ps";
 }
 
+/// GTest printer: a reason renders as its code number, operands and text.
+inline void PrintTo(const Reason& r, std::ostream* os) {
+  *os << "code " << static_cast<int>(r.code) << " {" << r.ints[0] << ", "
+      << r.ints[1] << ", " << r.ints[2] << "} {"
+      << r.times[0].picoseconds() << "ps, " << r.times[1].picoseconds()
+      << "ps} \"" << r.text() << "\"";
+}
+
 }  // namespace loom::spec
 
 namespace loom::testing {
