@@ -66,7 +66,8 @@ Sample run_once(const char* source, std::size_t threads, std::size_t seeds,
   opt.stimuli.noise_permille = 100;
   opt.mutants_per_kind = 24;
   opt.threads = threads;
-  opt.shard_size = 1;  // finest grain: every unit can be stolen
+  opt.shard_size = 6;  // one seed per shard: the finest grain that runs
+                       // each seed pass once
   opt.backend = backend;
   opt.checkpoint_stride = checkpoint_stride;  // incremental replay is on
 

@@ -237,7 +237,7 @@ void BM_CampaignSharded(benchmark::State& state) {
   opt.stimuli.rounds = 4;
   opt.mutants_per_kind = 8;
   opt.threads = static_cast<std::size_t>(state.range(0));
-  opt.shard_size = 1;
+  opt.shard_size = 6;  // one seed per shard: each seed pass runs once
   CampaignTally tally;
   for (auto _ : state) {
     support::AllocCounter::Scope scope;
@@ -263,8 +263,9 @@ void BM_CampaignMutationHeavy(benchmark::State& state) {
   // whose backend grid includes Vm); only the wall clock and the
   // allocation counters differ, and the VM gear trades the Drct monitors'
   // virtual per-event stepping for the flat dispatch loop.  allocs/mutant
-  // is the campaign's per-campaign and per-seed allocations (traces,
-  // ladders, results) spread over its mutants: the per-mutant loop itself
+  // is the campaign's per-campaign and per-shard allocations (pooled
+  // instances, coverage, results) spread over its mutants: the per-mutant
+  // loop itself
   // allocates nothing once warm (AllocCounter.
   // WarmedMutantLoopIsAllocationFree), so the figure falls as
   // mutants_per_kind grows.
@@ -416,7 +417,7 @@ void BM_WorkerSupervision(benchmark::State& state) {
   opt.stimuli.rounds = 4;
   opt.mutants_per_kind = 8;
   opt.threads = 1;
-  opt.shard_size = 1;
+  opt.shard_size = 6;  // one seed per shard: each seed pass runs once
   opt.workers = 2;
   opt.worker_timeout_ms = 10000;
   CampaignTally tally;

@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   opt.stimuli.rounds = 5;
   opt.stimuli.noise_permille = 100;
   opt.mutants_per_kind = 16;
-  opt.shard_size = 1;
+  opt.shard_size = 6;  // one seed per shard
   opt.backend = *backend;
   opt.checkpoint_stride = checkpoint_stride;
 

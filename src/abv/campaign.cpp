@@ -7,15 +7,15 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <thread>
 
 #include "abv/seed_pass.hpp"
-#include "mon/checkpoint_ladder.hpp"
+#include "mon/vm.hpp"
 #include "spec/parser.hpp"
 #include "support/thread_pool.hpp"
-#include "support/trace_cache.hpp"
 #include "wire/payload.hpp"
 #include "wire/process.hpp"
 
@@ -37,6 +37,7 @@ constexpr MutationKind kAllKinds[5] = {
 // kind.  Units are independent by construction — each derives its own Rng
 // stream from (seed, slot) — which is what makes the reduction
 // order-independent and the engine deterministic under any thread count.
+// A shard runs the units of one seed that it holds as one seed task.
 constexpr std::size_t kSlotsPerSeed = 6;
 
 sim::Time end_of(const spec::Trace& t) {
@@ -49,39 +50,7 @@ sim::Time end_of(const spec::Trace& t) {
 struct CampaignJob {
   const spec::Property* property = nullptr;
   const PropertyPlan* plan = nullptr;
-  std::size_t index = 0;  // position in run_campaigns' property list
 };
-
-// One per-seed cache entry: the valid trace plus — with a positive
-// checkpoint stride — the checkpoint ladders recorded while the monitor and
-// the reference oracle each walk that trace exactly once, and the valid
-// unit's record from that same monitor walk.  Rung k of
-// `checkpoints` is the monitor state after the first (k+1)*stride events —
-// compact VM rungs in one slab for a Vm monitor, mon::Snapshot rungs for
-// any other (mon/checkpoint_ladder.hpp); the oracle's
-// ladder is four times finer (oracle.stride = max(1, stride/4)), because
-// its rungs are small and both its resume point and its reconvergence
-// point sit closer to the edit.  A mutant whose divergence position p
-// admits a floor rung resumes the monitor from rung p/stride - 1 and
-// replays only the suffix; its oracle resumes from p/oracle.stride rungs
-// and stops where it rejoins the valid walk; and the valid unit reads its
-// verdict from oracle.full and merges `valid` instead of walking again.
-// The ladders and the record are a pure function of (property, seed,
-// options), so they are deterministic no matter which unit's lookup builds
-// them.
-struct CachedSeedTrace {
-  spec::Trace trace;
-  mon::CheckpointLadder checkpoints;
-  spec::RefLadder oracle;
-  ValidRecord valid;
-  std::size_t stride = 0;  // 0: no ladder and no record
-};
-
-// Per-seed valid-trace cache shared by every worker of one run_campaigns()
-// call: keyed by (job, seed) so batch runs over several properties never
-// alias, generated on first touch by whichever of the seed's six units gets
-// there first.
-using SeedTraceCache = support::TraceCache<CachedSeedTrace>;
 
 // Accumulator local to one shard; merged into the campaign result in shard
 // index order after the pool drains.
@@ -101,143 +70,81 @@ struct Shard {
 
 // Per-thread scratch arena for the steady-state loop.  Each thread that
 // runs shards — the process pool's workers and the calling thread — keeps
-// one for the life of the thread, across campaigns.  Two lifetimes coexist
-// inside it:
-//   - the *buffers* live for the thread: the site list's and the
-//     generation buffer's capacity ratchets up once and every later unit
-//     and campaign reuses it;
-//   - the *pool* (monitor, ViaPSL cross-check instance, seed-pass monitor)
-//     and the site list's owner are scoped to one shard: begin_shard()
-//     drops them, so the draw/stamp accounting is a pure function of the
-//     deterministic shard layout and never of which thread ran which
-//     shard — that is what keeps the instance counters identical between
-//     serial and parallel runs — and nothing borrowed from one campaign
-//     (monitors stamped from its plans, its cache entries) survives it.
+// one for the life of the thread, across campaigns.  Three lifetimes
+// coexist inside it:
+//   - the *buffers* live for the thread: the seed's trace, oracle ladder,
+//     site list, mutant edits, sort buffers and fork state ratchet up to
+//     the largest seed the thread has run, and every later seed reuses
+//     their capacity, so a warm seed task allocates nothing;
+//   - their *content* lives for one seed task: the edits borrow `trace`
+//     and are all consumed before the next seed overwrites it;
+//   - the *pool* (walker, replay and ViaPSL cross-check instances) and the
+//     draw accounting are scoped to one shard: begin_shard() drops them,
+//     so the stamp/reuse counters are a pure function of the deterministic
+//     shard layout and never of which thread ran which shard, and nothing
+//     stamped from one campaign's plans survives it.
 struct UnitScratch {
-  static constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
+  spec::Trace trace;                // the seed's valid trace
+  spec::RefLadder oracle;           // its oracle ladder (stride > 0)
+  std::vector<std::size_t> sites;   // its alphabet sites
+  // The seed's invalid mutants.  A MutantEdit can be neither copied nor
+  // moved (its view points into its own patch), so a seed that needs more
+  // room replaces the array instead of regrowing it.
+  std::unique_ptr<MutantEdit[]> edits;
+  std::size_t edit_capacity = 0;
+  std::vector<std::size_t> buckets;  // counting sort over positions
+  std::vector<std::size_t> order;    // edits by ascending position
+  std::vector<std::size_t> stops;    // their distinct forked positions
+  // The walker's last saved state: a compact rung for a Vm walker (a
+  // refused save leaves it intact), a Snapshot for any other.
+  std::vector<std::uint64_t> rung;
+  mon::Snapshot snapshot;
+  std::unique_ptr<mon::Monitor> walker;  // walks the valid trace
+  std::unique_ptr<mon::Monitor> replay;  // replays the invalid mutants
+  std::unique_ptr<mon::Monitor> viapsl;  // check_viapsl cross-check
+  bool drawn = false;  // the shard made its first chosen-backend draw
 
-  // The current mutant, as an edit of its seed's valid trace: its pieces
-  // borrow that trace, so it is read only within the unit that wrote it,
-  // while the seed's cache entry lives.
-  MutantEdit edit;
-  // The alphabet sites of seed `sites_seed`'s valid trace: the site-reading
-  // units (Drop, Duplicate, SwapAdjacent) of one seed in one shard share
-  // one scan.  A shard has one property, so the seed names the trace.
-  std::vector<std::size_t> sites;
-  std::size_t sites_seed = kNoSeed;
-  // The generation buffer a cache entry's exact-size trace is copied from.
-  spec::Trace local_trace;
-  std::unique_ptr<mon::Monitor> monitor;  // chosen-backend pool slot
-  std::unique_ptr<mon::Monitor> viapsl;   // check_viapsl pool slot
-  // The cache-entry build's monitor: stamped once per shard, reset per
-  // seed.  The valid unit accounts its logical draw in its own slot, so
-  // this one stays out of the draw/stamp accounting.
-  std::unique_ptr<mon::Monitor> ladder;
-
-  /// Drops every pooled instance, the site list's owner and the edit's
-  /// pieces (they point into a cache entry); buffers keep their capacity.
-  /// Also the end-of-shard cleanup.
+  /// Drops every pooled instance and the draw accounting; buffers keep
+  /// their capacity.  Also the end-of-shard cleanup.
   void begin_shard() {
-    monitor.reset();
+    walker.reset();
+    replay.reset();
     viapsl.reset();
-    ladder.reset();
-    sites_seed = kNoSeed;
-    edit.view = {};
+    drawn = false;
+  }
+
+  /// Room for `n` edits.
+  MutantEdit* reserve_edits(std::size_t n) {
+    if (edit_capacity < n) {
+      edits = std::make_unique<MutantEdit[]>(n);
+      edit_capacity = n;
+    }
+    return edits.get();
   }
 };
 
 namespace {
 
-// Draws a pooled monitor instance of `backend` for one work unit: the first
-// draw of a shard stamps from the shared plan, every later draw resets the
-// existing instance (reset ≡ fresh, mon_reset_reuse_test) — valid units
-// and mutation units alike.  `skip_reset` elides the physical reset when
-// the caller is about to restore a checkpoint rung over the whole state
-// anyway (a Snapshot restore and a compact-rung load both overwrite every
-// field a reset touches; mon_snapshot_test and MonVmRung cover restoring
-// into a dirty instance); the reuse accounting still counts the logical
-// draw either way.
-mon::Monitor& draw_pooled(std::unique_ptr<mon::Monitor>& slot,
-                          const CampaignJob& job, mon::Backend backend,
-                          ShardOutcome& out, bool skip_reset = false) {
-  if (slot == nullptr) {
-    slot = job.plan->compiled.instantiate(backend);
-    ++out.partial.compile_stats.instances_stamped;
-  } else {
-    if (!skip_reset) slot->reset();
-    ++out.partial.compile_stats.instance_reuses;
-  }
+// The physical instance in `slot`, stamped from the shared plan on its
+// first use in a shard.
+mon::Monitor& instance(std::unique_ptr<mon::Monitor>& slot,
+                       const CampaignJob& job, mon::Backend backend) {
+  if (slot == nullptr) slot = job.plan->compiled.instantiate(backend);
   return *slot;
 }
 
-// The one seed pass of a cache entry: the reference oracle walks the valid
-// trace, saving its state after every stride/4 events (at least 1), and a
-// monitor from the thread's scratch (reset ≡ fresh) walks it once, keeping
-// a rung after every `stride` events and the valid unit's whole record.
-// The instance is engine overhead of the cache-entry build (like
-// generation itself); the valid unit accounts the draw its record stands
-// for, so the ladder cannot move a semantic counter.
-void build_seed_pass(const CampaignJob& job, const CampaignOptions& options,
-                     UnitScratch& scratch, CachedSeedTrace& entry) {
-  entry.stride = options.checkpoint_stride;
-  entry.oracle = spec::record_reference_ladder(
-      *job.property, job.plan->compiled.plan(), entry.trace,
-      end_of(entry.trace), std::max<std::size_t>(1, entry.stride / 4));
-  if (scratch.ladder == nullptr) {
-    scratch.ladder = job.plan->compiled.instantiate();
+// Accounts one logical draw of the chosen backend's pooled monitor — the
+// reference loop builds one fresh monitor per valid unit and per invalid
+// mutant.  The first draw of a shard counts as a stamp, every later one as
+// a reuse (reset ≡ fresh, mon_reset_reuse_test), whichever physical
+// instance — the walker or the replay monitor — serves it.
+void count_draw(UnitScratch& scratch, ShardOutcome& out) {
+  if (scratch.drawn) {
+    ++out.partial.compile_stats.instance_reuses;
   } else {
-    scratch.ladder->reset();
+    scratch.drawn = true;
+    ++out.partial.compile_stats.instances_stamped;
   }
-  entry.valid = walk_valid_trace(job.plan->compiled, *scratch.ladder,
-                                 entry.trace, &entry.checkpoints, entry.stride);
-}
-
-// Hands out the seed's cache entry.  Whichever unit asks first generates
-// the trace — a pure function of (first_seed + s) — and, with a positive
-// checkpoint stride, runs the seed pass, outside the cache's lock, while
-// the others asking for the same seed wait and then hit.
-const CachedSeedTrace& obtain_seed_trace(const CampaignJob& job,
-                                         spec::Alphabet& ab,
-                                         const CampaignOptions& options,
-                                         std::size_t s, SeedTraceCache& cache,
-                                         ShardOutcome& out,
-                                         UnitScratch& scratch) {
-  bool inserted = false;
-  const std::uint64_t key =
-      static_cast<std::uint64_t>(job.index) * options.seeds + s;
-  const CachedSeedTrace& entry = cache.get_or_emplace(
-      key,
-      [&] {
-        CachedSeedTrace fresh;
-        // The entry lives as long as the campaign: generate into the
-        // scratch buffer and copy once, at the trace's exact size.
-        support::Rng rng = support::Rng::stream(options.first_seed + s, 0);
-        generate_valid_into(*job.property, ab, rng, options.stimuli,
-                            scratch.local_trace);
-        fresh.trace.assign(scratch.local_trace.begin(),
-                           scratch.local_trace.end());
-        if (options.checkpoint_stride > 0) {
-          build_seed_pass(job, options, scratch, fresh);
-        }
-        return fresh;
-      },
-      &inserted);
-  if (inserted) {
-    ++out.partial.trace_cache_misses;
-  } else {
-    ++out.partial.trace_cache_hits;
-  }
-  return entry;
-}
-
-// A mutant's floor rung: how many whole monitor-ladder rungs lie at or
-// below its divergence position (0: none — or no ladder at all — so the
-// mutant is replayed from the start).  MutantEdit::position guarantees the
-// mutant shares its first `position` events with the valid trace, so after
-// that many rungs the monitor state is exactly what the ladder recorded.
-std::size_t floor_rungs(const CachedSeedTrace& seed, std::size_t position) {
-  if (seed.stride == 0) return 0;
-  return std::min(position / seed.stride, seed.checkpoints.count());
 }
 
 // A mutant's reference oracle reads its pieces in place.  With a ladder it
@@ -245,18 +152,99 @@ std::size_t floor_rungs(const CachedSeedTrace& seed, std::size_t position) {
 // and stops at the first rung past MutantEdit::aligned where its walk
 // rejoins the valid trace's; without one it walks in full.  Either way the
 // verdict bytes are identical (spec/reference.hpp).
-spec::RefResult oracle_check(const CampaignJob& job, const MutantEdit& mutant,
-                             const CachedSeedTrace& seed) {
+spec::RefResult oracle_check(const CampaignJob& job, std::size_t stride,
+                             const MutantEdit& mutant,
+                             const spec::RefLadder& oracle) {
   const sim::Time end_time = mutant.view.end_time();
-  if (seed.stride == 0) {
+  if (stride == 0) {
     return spec::reference_check(*job.property, job.plan->compiled.plan(),
                                  mutant.view, end_time);
   }
-  const spec::RefLadder& oracle = seed.oracle;
   return spec::resume_reference_check(
       *job.property, job.plan->compiled.plan(), oracle,
       std::min(mutant.position / oracle.stride, oracle.rungs.size()),
       mutant.view, end_time, mutant.aligned);
+}
+
+// Draws every mutant of the seed's mutation slots among [slot_begin,
+// slot_end), each slot from its own (seed, slot) stream in the reference
+// loop's order, checks each with the oracle and keeps the invalid ones in
+// scratch.edits; returns how many it kept.  The site-reading kinds share
+// one scan of the trace.
+std::size_t draw_invalid_mutants(const CampaignJob& job,
+                                 const CampaignOptions& options,
+                                 std::size_t s, std::size_t slot_begin,
+                                 std::size_t slot_end, UnitScratch& scratch,
+                                 ShardOutcome& out) {
+  const std::size_t first = std::max<std::size_t>(slot_begin, 1);
+  if (first >= slot_end) return 0;
+  const spec::Trace& valid = scratch.trace;
+  MutantEdit* const edits =
+      scratch.reserve_edits((slot_end - first) * options.mutants_per_kind);
+  bool sites_listed = false;
+  std::size_t kept = 0;
+  for (std::size_t slot = first; slot < slot_end; ++slot) {
+    const MutationKind kind = kAllKinds[slot - 1];
+    MutationStats& stats = out.partial.mutation[slot - 1];
+    support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
+    std::span<const std::size_t> sites;
+    if (mutation_reads_sites(kind)) {
+      if (!sites_listed) {
+        mutation_sites_into(valid, job.plan->compiled.alphabet(),
+                            scratch.sites);
+        sites_listed = true;
+      }
+      sites = scratch.sites;
+    }
+    for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
+      MutantEdit& edit = edits[kept];
+      if (!mutate_edit(valid, kind, *job.property, sites, rng, edit)) {
+        continue;
+      }
+      ++stats.applied;
+      if (!oracle_check(job, options.checkpoint_stride, edit, scratch.oracle)
+               .rejected()) {
+        continue;
+      }
+      ++stats.invalid;
+      ++kept;
+    }
+  }
+  return kept;
+}
+
+// Orders the first `kept` edits by MutantEdit::position with a stable
+// counting sort over [0, n] into scratch.order, and lists their distinct
+// positive positions in scratch.stops.  Returns how many of them lead the
+// order at position 0 — all of them without `fork` (stride 0): those
+// replay from event 0.
+std::size_t order_by_position(std::size_t kept, std::size_t n, bool fork,
+                              UnitScratch& scratch) {
+  const MutantEdit* const edits = scratch.edits.get();
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(kept);
+  scratch.stops.clear();
+  if (!fork) {
+    for (std::size_t i = 0; i < kept; ++i) order[i] = i;
+    return kept;
+  }
+  // buckets[p] ends up the number of edits at positions below p, the slot
+  // where the first edit at p goes.
+  std::vector<std::size_t>& buckets = scratch.buckets;
+  buckets.assign(n + 2, 0);
+  for (std::size_t i = 0; i < kept; ++i) ++buckets[edits[i].position + 1];
+  for (std::size_t p = 1; p < n + 2; ++p) buckets[p] += buckets[p - 1];
+  const std::size_t at_zero = buckets[1];
+  for (std::size_t i = 0; i < kept; ++i) {
+    order[buckets[edits[i].position]++] = i;
+  }
+  for (std::size_t j = at_zero; j < kept; ++j) {
+    const std::size_t p = edits[order[j]].position;
+    if (scratch.stops.empty() || scratch.stops.back() != p) {
+      scratch.stops.push_back(p);
+    }
+  }
+  return at_zero;
 }
 
 // Steps a mutant's events [begin, end) through `monitor`, one
@@ -275,130 +263,159 @@ void replay_pieces(mon::Monitor& monitor, const spec::TraceView& view,
   }
 }
 
-void run_valid_unit(const CampaignJob& job, spec::Alphabet& ab,
-                    const CampaignOptions& options, std::size_t s,
-                    SeedTraceCache& cache, UnitScratch& scratch,
-                    ShardOutcome& out) {
-  const CachedSeedTrace& seed =
-      obtain_seed_trace(job, ab, options, s, cache, out, scratch);
-  const spec::Trace& valid = seed.trace;
+// Replays one invalid mutant on the shard's pooled replay monitor and
+// tallies the verdict.  With `from` > 0 the monitor starts from the walk's
+// state saved after `from` events — a prefix the mutant shares, since
+// from <= MutantEdit::position — which already carries the prefix's stats,
+// verdict and timing registers, so the bytes match a replay from event 0
+// exactly (campaign_reference_diff_test); with `from` 0, from a reset.
+void replay_mutant(const CampaignJob& job, const MutantEdit& mutant,
+                   std::size_t from, UnitScratch& scratch, ShardOutcome& out) {
+  LOOM_DASSERT(from <= mutant.position && from <= mutant.view.size);
+  count_draw(scratch, out);
+  const mon::Backend chosen = job.plan->compiled.chosen();
+  mon::Monitor& monitor = instance(scratch.replay, job, chosen);
+  if (from == 0) {
+    monitor.reset();
+  } else {
+    // Both loads overwrite the whole state, so no reset goes first
+    // (mon_snapshot_test and MonVmRung restore into dirty instances).
+    if (chosen == mon::Backend::Vm) {
+      static_cast<mon::VmMonitor&>(monitor).load_rung(scratch.rung.data());
+    } else {
+      monitor.restore(scratch.snapshot);
+    }
+    ++out.partial.checkpoint_hits;
+    out.partial.events_skipped += from;
+  }
+  replay_pieces(monitor, mutant.view, from);
+  monitor.finish(mutant.view.end_time());
+  MutationStats& stats =
+      out.partial.mutation[static_cast<std::size_t>(mutant.kind)];
+  if (monitor.verdict() == mon::Verdict::Violated) {
+    ++stats.detected;
+  } else {
+    ++stats.missed;
+  }
+  out.partial.monitor_stats.merge(monitor.stats());
+}
+
+// The valid unit's verdicts, from the walk's record and the oracle.
+void tally_valid_unit(const CampaignJob& job, const CampaignOptions& options,
+                      const spec::Trace& valid, const ValidRecord& record,
+                      const spec::RefResult& ref, UnitScratch& scratch,
+                      ShardOutcome& out) {
+  count_draw(scratch, out);
   ++out.partial.traces;
   out.partial.events += valid.size();
-  // The seed pass already walked this trace with the monitor and the
-  // oracle when the entry has a ladder.
-  const bool seed_pass = seed.stride != 0;
-
-  // One logical draw either way, so the instance counters do not depend on
-  // whether this unit walks (a merged record needs no reset).
-  mon::Monitor& monitor =
-      draw_pooled(scratch.monitor, job, job.plan->compiled.chosen(), out,
-                  /*skip_reset=*/seed_pass);
-  ValidRecord walked;
-  if (!seed_pass) walked = walk_valid_trace(job.plan->compiled, monitor, valid);
-  const ValidRecord& record = seed_pass ? seed.valid : walked;
-  const spec::RefResult ref =
-      seed_pass ? seed.oracle.full
-                : spec::reference_check(*job.property,
-                                        job.plan->compiled.plan(), valid,
-                                        end_of(valid));
-
-  // Coverage merges into the shard's accumulators (order-independent
-  // unions, like the shard merge itself).
-  out.alphabet->merge(*record.alphabet);
-  if (record.recognizer) {
-    if (out.recognizer) {
-      out.recognizer->merge(*record.recognizer);
-    } else {
-      out.recognizer.emplace(*record.recognizer);
-    }
-  }
   const bool monitor_ok = !record.violated;
   if (monitor_ok && !ref.rejected()) ++out.partial.valid_accepted;
   if (monitor_ok == ref.rejected()) ++out.partial.oracle_disagreements;
   out.partial.monitor_stats.merge(record.stats);
-
-  if (options.check_viapsl) {
-    // The cross-check instantiates from the shared clause set, pooled per
-    // shard like the chosen-backend monitor.
-    mon::Monitor& viapsl =
-        draw_pooled(scratch.viapsl, job, mon::Backend::ViaPSL, out);
-    for (const auto& ev : valid) viapsl.observe(ev.name, ev.time);
-    viapsl.finish(end_of(valid));
-    if (!ref.rejected() && viapsl.verdict() == mon::Verdict::Violated) {
-      ++out.partial.viapsl_false_alarms;
-    }
-    out.partial.monitor_stats.merge(viapsl.stats());
+  if (!options.check_viapsl) return;
+  // The cross-check instantiates from the shared clause set, pooled per
+  // shard like the chosen-backend monitor: the first draw stamps, every
+  // later one resets.
+  if (scratch.viapsl == nullptr) {
+    ++out.partial.compile_stats.instances_stamped;
+  } else {
+    scratch.viapsl->reset();
+    ++out.partial.compile_stats.instance_reuses;
   }
+  mon::Monitor& viapsl = instance(scratch.viapsl, job, mon::Backend::ViaPSL);
+  viapsl.observe_batch(valid.data(), valid.data() + valid.size());
+  viapsl.finish(end_of(valid));
+  if (!ref.rejected() && viapsl.verdict() == mon::Verdict::Violated) {
+    ++out.partial.viapsl_false_alarms;
+  }
+  out.partial.monitor_stats.merge(viapsl.stats());
 }
 
-void run_mutation_unit(const CampaignJob& job, spec::Alphabet& ab,
-                       const CampaignOptions& options, std::size_t s,
-                       std::size_t slot, SeedTraceCache& cache,
-                       UnitScratch& scratch, ShardOutcome& out) {
-  LOOM_DASSERT(slot >= 1 && slot < kSlotsPerSeed);
-  const spec::Property& property = *job.property;
-  const CachedSeedTrace& seed =
-      obtain_seed_trace(job, ab, options, s, cache, out, scratch);
-  const spec::Trace& valid = seed.trace;
-  const std::size_t k = slot - 1;
-  auto& stats = out.partial.mutation[k];
-  support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
-  // The valid trace's alphabet sites, listed once per seed and shard for
-  // the site-reading units' mutants_per_kind draws; the other kinds get no
-  // list (the scratch's may be another seed's).
-  std::span<const std::size_t> sites;
-  if (mutation_reads_sites(kAllKinds[k])) {
-    if (scratch.sites_seed != s) {
-      mutation_sites_into(valid, job.plan->compiled.alphabet(),
-                          scratch.sites);
-      scratch.sites_seed = s;
-    }
-    sites = scratch.sites;
+// One seed task: the units [slot_begin, slot_end) of seed `s` that one
+// shard holds.  It generates the valid trace into the thread's scratch,
+// records the oracle ladder, draws and oracle-checks every mutant of its
+// mutation slots, then walks the valid trace once with the chosen monitor
+// — sampling coverage when the valid unit is among the slots — and at each
+// invalid mutant's exact divergence position saves the live state once
+// and replays every mutant that diverges there from it (split-stream
+// execution: forked replay ≡ live stepping).  At stride 0, and for a
+// mutant at position 0, the replay starts from event 0.
+void run_seed(const CampaignJob& job, spec::Alphabet& ab,
+              const CampaignOptions& options, std::size_t s,
+              std::size_t slot_begin, std::size_t slot_end,
+              UnitScratch& scratch, ShardOutcome& out) {
+  const mon::CompiledProperty& compiled = job.plan->compiled;
+  const mon::Backend chosen = compiled.chosen();
+  const std::size_t stride = options.checkpoint_stride;
+  // The seed pass serves every unit of the seed in this shard: the first
+  // counts as the miss, the others as hits.
+  ++out.partial.trace_cache_misses;
+  out.partial.trace_cache_hits += slot_end - slot_begin - 1;
+
+  support::Rng valid_rng = support::Rng::stream(options.first_seed + s, 0);
+  generate_valid_into(*job.property, ab, valid_rng, options.stimuli,
+                      scratch.trace);
+  const spec::Trace& valid = scratch.trace;
+  if (stride > 0) {
+    spec::record_reference_ladder_into(
+        *job.property, compiled.plan(), valid, end_of(valid),
+        std::max<std::size_t>(1, stride / 4), scratch.oracle);
   }
-  // The mutant is an edit of the valid trace and is never copied out: the
-  // oracle and the monitor read its pieces in place.
-  const MutantEdit& mutant = scratch.edit;
-  for (std::size_t m = 0; m < options.mutants_per_kind; ++m) {
-    if (!mutate_edit(valid, kAllKinds[k], property, sites, rng,
-                     scratch.edit)) {
-      continue;
-    }
-    ++stats.applied;
-    // Incremental replay: the oracle and the monitor both resume from the
-    // mutant's floor on their ladders.  The monitor's rung is resolved
-    // before drawing the monitor: when a restore will overwrite the whole
-    // state, the draw below skips its redundant reset pass.
-    if (!oracle_check(job, mutant, seed).rejected()) continue;
-    const std::size_t rungs = floor_rungs(seed, mutant.position);
-    ++stats.invalid;
-    const std::size_t replay_begin = rungs * seed.stride;
-    mon::Monitor& mmon =
-        draw_pooled(scratch.monitor, job, job.plan->compiled.chosen(), out,
-                    /*skip_reset=*/rungs > 0);
-    // The restored state already carries the prefix's stats, verdict and
-    // timing registers, so replaying only [floor, end) produces bytes that
-    // match a full replay exactly (campaign_reference_diff_test).
-    if (rungs > 0) {
-      seed.checkpoints.restore_into(rungs - 1, mmon);
-      LOOM_DASSERT(replay_begin <= mutant.view.size);
-      ++out.partial.checkpoint_hits;
-      out.partial.events_skipped += replay_begin;
-    }
-    replay_pieces(mmon, mutant.view, replay_begin);
-    mmon.finish(mutant.view.end_time());
-    if (mmon.verdict() == mon::Verdict::Violated) {
-      ++stats.detected;
-    } else {
-      ++stats.missed;
-    }
-    out.partial.monitor_stats.merge(mmon.stats());
+  const std::size_t kept =
+      draw_invalid_mutants(job, options, s, slot_begin, slot_end, scratch, out);
+  const std::size_t from_start =
+      order_by_position(kept, valid.size(), stride > 0, scratch);
+  const MutantEdit* const edits = scratch.edits.get();
+  const std::vector<std::size_t>& order = scratch.order;
+
+  for (std::size_t j = 0; j < from_start; ++j) {
+    replay_mutant(job, edits[order[j]], 0, scratch, out);
   }
+  const bool valid_unit = slot_begin == 0;
+  if (!valid_unit && from_start == kept) return;
+
+  mon::Monitor& walker = instance(scratch.walker, job, chosen);
+  walker.reset();
+  mon::VmMonitor* const vm = chosen == mon::Backend::Vm
+                                 ? static_cast<mon::VmMonitor*>(&walker)
+                                 : nullptr;
+  if (vm != nullptr) {
+    scratch.rung.resize(mon::vm_rung_words(vm->program()));
+  }
+  CoverageSinks sinks;
+  if (valid_unit) {
+    sinks.alphabet = &*out.alphabet;
+    sinks.recognizer = &out.recognizer;
+  }
+  std::size_t saved = 0;  // the walk position of the saved state (0: none)
+  std::size_t next = from_start;
+  const auto fork = [&](std::size_t position) {
+    // A compact rung holds no violation: once the walker violates, its
+    // saves are refused and the mutants fork from the last saved rung.
+    if (vm == nullptr) {
+      walker.snapshot(scratch.snapshot);
+      saved = position;
+    } else if (vm->save_rung(scratch.rung.data())) {
+      saved = position;
+    }
+    for (; next < kept && edits[order[next]].position == position; ++next) {
+      replay_mutant(job, edits[order[next]], saved, scratch, out);
+    }
+  };
+  const ValidRecord record =
+      walk_valid_trace(compiled, walker, valid, sinks, scratch.stops, fork);
+  LOOM_DASSERT(next == kept);
+  if (!valid_unit) return;
+  const spec::RefResult ref =
+      stride > 0 ? scratch.oracle.full
+                 : spec::reference_check(*job.property, compiled.plan(), valid,
+                                         end_of(valid));
+  tally_valid_unit(job, options, valid, record, ref, scratch, out);
 }
 
 void run_shard(const std::vector<CampaignJob>& jobs, spec::Alphabet& ab,
                const CampaignOptions& options, const Shard& shard,
-               SeedTraceCache& cache, UnitScratch& scratch,
-               ShardOutcome& out) {
+               UnitScratch& scratch, ShardOutcome& out) {
   const CampaignJob& job = jobs[shard.job];
   // Fresh pool per shard (buffers keep their capacity): the
   // instance accounting stays a pure function of the shard layout, and
@@ -408,14 +425,13 @@ void run_shard(const std::vector<CampaignJob>& jobs, spec::Alphabet& ab,
   // Workers share the one alphabet without locks or copies: setup
   // pre-interned every name stimuli generation touches, and noise_pool()
   // looks names up before interning, so generation is read-only here.
-  for (std::size_t u = shard.unit_begin; u < shard.unit_end; ++u) {
+  // Each seed the unit range touches is one seed task.
+  for (std::size_t u = shard.unit_begin; u < shard.unit_end;) {
     const std::size_t s = u / kSlotsPerSeed;
-    const std::size_t slot = u % kSlotsPerSeed;
-    if (slot == 0) {
-      run_valid_unit(job, ab, options, s, cache, scratch, out);
-    } else {
-      run_mutation_unit(job, ab, options, s, slot, cache, scratch, out);
-    }
+    const std::size_t base = s * kSlotsPerSeed;
+    const std::size_t end = std::min(shard.unit_end, base + kSlotsPerSeed);
+    run_seed(job, ab, options, s, u - base, end - base, scratch, out);
+    u = end;
   }
   scratch.begin_shard();  // end-of-shard cleanup (see UnitScratch)
 }
@@ -442,11 +458,9 @@ void run_shards_in_process(const std::vector<CampaignJob>& jobs,
                            std::size_t threads,
                            std::vector<ShardOutcome>& outcomes,
                            support::ThreadPool* pool = nullptr) {
-  SeedTraceCache cache(/*shard_count=*/4 * threads);
   if (threads <= 1 || shards.size() <= 1) {
     for (std::size_t i = 0; i < shards.size(); ++i) {
-      run_shard(jobs, ab, options, shards[i], cache, thread_scratch(),
-                outcomes[i]);
+      run_shard(jobs, ab, options, shards[i], thread_scratch(), outcomes[i]);
     }
     return;
   }
@@ -454,7 +468,7 @@ void run_shards_in_process(const std::vector<CampaignJob>& jobs,
   pool->for_each_index(
       shards.size(),
       [&](std::size_t i) {
-        run_shard(jobs, ab, options, shards[i], cache, thread_scratch(),
+        run_shard(jobs, ab, options, shards[i], thread_scratch(),
                   outcomes[i]);
       },
       threads);
@@ -1018,7 +1032,7 @@ std::vector<PropertyPlan> compile_property_plans(
   // clause set must be materialized even when the chosen backend is Drct.
   copt.with_viapsl_artifact = options.check_viapsl;
   // Campaign Auto resolves the Drct/Vm cost-model tie to Vm — the
-  // wall-clock winner, whose checkpoint rungs are compact copies.
+  // wall-clock winner, whose fork states are compact rungs.
   copt.prefer_vm = true;
   for (std::size_t p = 0; p < properties.size(); ++p) {
     PropertyPlan& plan = plans[p];
@@ -1061,7 +1075,6 @@ std::vector<CampaignResult> run_campaigns(
   for (std::size_t p = 0; p < properties.size(); ++p) {
     jobs[p].property = properties[p];
     jobs[p].plan = &plans[p];
-    jobs[p].index = p;
   }
 
   // Shard the flattened (property × seed × slot) space.  Shards never span
@@ -1072,8 +1085,12 @@ std::vector<CampaignResult> run_campaigns(
   const std::size_t units_per_job = options.seeds * kSlotsPerSeed;
   std::size_t shard_size = options.shard_size;
   if (shard_size == 0) {
+    // Whole seeds only: a seed split across shards repeats its seed pass
+    // (generation, oracle ladder, walk) in each of them.
     const std::size_t total_units = units_per_job * jobs.size();
     shard_size = std::max<std::size_t>(1, total_units / (threads * 4));
+    shard_size = (shard_size + kSlotsPerSeed - 1) / kSlotsPerSeed *
+                 kSlotsPerSeed;
   }
   std::vector<Shard> shards;
   for (std::size_t p = 0; p < jobs.size(); ++p) {
@@ -1282,7 +1299,7 @@ int run_campaign_worker(int in_fd, int out_fd,
     }
 
     // The same serial setup run_campaigns does, then the assigned shards
-    // on the in-process engine (this worker's own threads / trace cache).
+    // on the in-process engine (this worker's own threads).
     pre_intern_stimuli_names(ab, options.stimuli);
     std::vector<const spec::Property*> prop_ptrs;
     prop_ptrs.reserve(props.size());
@@ -1293,7 +1310,6 @@ int run_campaign_worker(int in_fd, int out_fd,
     for (std::size_t p = 0; p < props.size(); ++p) {
       jobs[p].property = prop_ptrs[p];
       jobs[p].plan = &plans[p];
-      jobs[p].index = p;
     }
     const std::size_t threads =
         options.threads != 0
@@ -1411,7 +1427,7 @@ CampaignResult::diagnostic_counters() const {
   const double stamped = static_cast<double>(compile_stats.instances_stamped);
   const double reuses = static_cast<double>(compile_stats.instance_reuses);
   const double skipped = static_cast<double>(events_skipped);
-  // A restored rung carries its prefix's stats, so monitor_stats.events
+  // A forked state carries its prefix's stats, so monitor_stats.events
   // already counts every skipped event: it is the whole stepped-or-skipped
   // total, and the ratio's only denominator.
   const double observed = static_cast<double>(monitor_stats.events);

@@ -13,13 +13,19 @@
 //! index, and per-shard results are merged with an order-independent
 //! reduction.
 //!
+//! Inside a shard the seed is the unit of work: each seed the shard's unit
+//! range touches is one task that generates the valid trace, checks every
+//! mutant with the oracle and walks the valid trace once, forking each
+//! invalid mutant's replay from the live monitor at its divergence
+//! position.  Nothing about a seed outlives its task.
+//!
 //! Ownership: run_campaigns() owns every artifact it creates (compiled
-//! plans, trace cache); its shards run on the process-wide
-//! support::ThreadPool, which outlives the call and is shared by
-//! concurrent calls.  Callers keep ownership of the properties and the
-//! alphabet, which must outlive the call.  Thread-safety: the alphabet
-//! is pre-interned during serial setup and then shared strictly read-only;
-//! compiled plans and cached traces are immutable once published.
+//! plans); its shards run on the process-wide support::ThreadPool, which
+//! outlives the call and is shared by concurrent calls, each thread in its
+//! own scratch buffers.  Callers keep ownership of the properties and the
+//! alphabet, which must outlive the call.  Thread-safety: the alphabet is
+//! pre-interned during serial setup and then shared strictly read-only;
+//! compiled plans are immutable once built.
 //! Determinism contract (enforced by tier-1 tests): every run equals the
 //! literal Fig. 1 loop of tests/reference_campaign.hpp — serial, in
 //! process, a fresh monitor per unit, a full oracle walk and a full replay
@@ -93,30 +99,26 @@ struct CampaignOptions {
   std::size_t threads = 1;
   /// Work units per shard (a unit is one seed's valid phase or one seed's
   /// batch of one mutation kind); 0 picks a size that keeps every worker
-  /// busy.  The result does not depend on this knob either.
+  /// busy, rounded up to whole seeds.  An explicit size may split a seed's
+  /// six units across shards; each shard then repeats the seed pass for
+  /// its share.  The result does not depend on this knob either.
   std::size_t shard_size = 0;
 
-  /// Incremental replay.  The engine generates each seed's valid trace
-  /// once into a per-seed cache (support::TraceCache) shared by the seed's
-  /// six work units; while that entry is built, it records the monitor's
-  /// state every `checkpoint_stride` events of the valid trace — compact
-  /// rungs in one slab per seed for a Vm monitor (mon::vm_save_rung), a
-  /// mon::Snapshot per rung for Drct and ViaPSL
-  /// (mon/checkpoint_ladder.hpp).  A mutant whose MutantEdit::position
-  /// proves a shared prefix then restores the floor checkpoint and replays
-  /// only [floor, end) — O(suffix) instead of O(trace) per mutant.
-  /// Smaller strides skip more prefix per mutant but store more rungs per
-  /// seed.  The default 8 is affordable because a Vm rung is a
-  /// fixed-size copy of the frame (80–128 B on the bundled properties);
-  /// with Snapshot rungs it would cost about 30% more peak memory on
-  /// seed-heavy campaigns.  It also sets the reference oracle's ladder,
-  /// recorded four times finer (every max(1, checkpoint_stride / 4)
-  /// events — every 2 at the default; an oracle rung is a few dozen
+  /// Forked replay.  A seed task walks the valid trace once with the
+  /// chosen monitor and, at each invalid mutant's MutantEdit::position —
+  /// which proves the mutant shares that prefix — saves the live state
+  /// once (a compact rung, mon::vm_save_rung, for a Vm monitor; a
+  /// mon::Snapshot otherwise) and replays every mutant diverging there
+  /// from it: O(suffix) instead of O(trace) per mutant.  A compact rung
+  /// cannot hold a violation, so once the walk violates, later mutants
+  /// fork from the last saved state (or replay from event 0).  The stride
+  /// also spaces the reference oracle's ladder: a rung every
+  /// max(1, checkpoint_stride / 4) events (an oracle rung is a few dozen
   /// bytes), from which each mutant's oracle check resumes and where it
-  /// stops once its walk rejoins the valid trace's.  0 disables both
-  /// ladders (full replay and full oracle walks).  Result-neutral at any
-  /// stride: campaign_reference_diff_test holds every stride to the
-  /// reference loop byte for byte.
+  /// stops once its walk rejoins the valid trace's.  0 turns both off:
+  /// every mutant replays from event 0 and every oracle walk is full.
+  /// Result-neutral at any stride: campaign_reference_diff_test holds
+  /// every stride to the reference loop byte for byte.
   std::size_t checkpoint_stride = 8;
 
   /// Cross-process sharding: 0 runs every shard in this process (threads
@@ -126,9 +128,8 @@ struct CampaignOptions {
   /// wire-encoded partial results that merge through the same reduction.
   /// The sixth differential invariant — in-process ≡ cross-process, locked
   /// by campaign_process_diff_test — makes this knob result-neutral like
-  /// the others, with one documented exception: the trace-cache hit/miss
-  /// *diagnostics* become per-process (a seed split across workers misses
-  /// once per worker), which report() and the semantic result never see.
+  /// the others; even the engine diagnostics agree, since they are a
+  /// function of the shard layout, which the workers share.
   /// A worker failure (death, timeout, corrupt frame, foreign version) is
   /// retried per worker_retries; once retries are exhausted it raises
   /// WorkerFailure — or, with allow_partial, degrades the result instead.
@@ -161,7 +162,7 @@ struct CampaignOptions {
   /// retried run merges byte-identically to a clean one — the seventh
   /// invariant (campaign_supervision_test).  Retry accounting lands in
   /// CampaignResult::worker_retries, an engine diagnostic like the
-  /// trace-cache split, never in the semantic result.
+  /// seed-pass split, never in the semantic result.
   std::size_t worker_retries = 0;
   /// Opt-in graceful degradation: when a worker slot exhausts its retries,
   /// record its shards as unexecuted (CampaignResult::shard_failures, the
@@ -263,17 +264,23 @@ struct CampaignResult {
   /// engine diagnostics (see CompileStats).
   CompileStats compile_stats;
 
-  /// Per-seed trace cache accounting.  The split is deterministic — exactly one miss per seed, every other unit
-  /// of that seed hits, regardless of thread count — but it is engine
-  /// diagnostics, not part of the semantic result: report() excludes it
-  /// and the differential tests compare it separately.
+  /// Seed-pass accounting (named after the per-seed trace cache it
+  /// replaced): a miss is one seed pass — one seed task of one shard — and
+  /// the seed's other units in that shard, which the pass also serves,
+  /// count as hits.  In the default layout, which never splits a seed,
+  /// that is one miss per seed and five hits.  The split is a pure
+  /// function of the shard layout, but it is engine diagnostics, not part
+  /// of the semantic result: report() excludes it and the differential
+  /// tests compare it separately.
   std::size_t trace_cache_hits = 0;
   std::size_t trace_cache_misses = 0;
 
-  /// Incremental-replay accounting (both 0 with checkpoint_stride 0 or no
-  /// usable ladder): mutants restored from a checkpoint, and the
-  /// shared-prefix events those restores skipped re-stepping.  Like the
-  /// trace-cache split these are deterministic engine diagnostics —
+  /// Forked-replay accounting (both 0 with checkpoint_stride 0): the
+  /// invalid mutants restored from a saved state of the valid walk, and
+  /// the sum of the positions they resumed from — their divergence
+  /// positions, unless a refused compact rung made them fall back to an
+  /// earlier one.  Like the seed-pass split these are deterministic
+  /// engine diagnostics —
   /// excluded from the default report() so incremental runs stay
   /// byte-identical to full-replay runs; report(ab, true) appends them.
   std::size_t checkpoint_hits = 0;
@@ -342,7 +349,7 @@ struct CampaignResult {
   /// Human-readable summary.  The default report contains only the
   /// semantic result (every performance knob leaves it byte-identical —
   /// that is the differential tests' yardstick); `with_engine_diagnostics`
-  /// appends the trace-cache and checkpoint-replay accounting lines.  A
+  /// appends the seed-pass and forked-replay accounting lines.  A
   /// degraded run adds one "degraded:" line per lost shard — part of the
   /// semantic result, since those units are missing from the aggregates.
   std::string report(const spec::Alphabet& ab,

@@ -20,12 +20,13 @@
 //! Ownership and lifetime: a MutantEdit borrows the source trace — its
 //! pieces point into it and into the edit's own patch — so it is valid
 //! while the source trace lives and stays unmoved (in the campaign engine:
-//! while the seed's cache entry lives), and it cannot be copied.  Inputs
+//! for the seed task that drew it, which owns the trace in the thread's
+//! scratch), and it can be neither copied nor moved.  Inputs
 //! are never modified.
 //! The sites overloads read a caller-owned site list (mutation_sites_into),
 //! so a caller that mutates one trace many times scans it once; the
-//! campaign engine builds the list once per mutation unit, in its
-//! per-worker scratch.
+//! campaign engine builds the list once per seed task, in its per-thread
+//! scratch.
 //! Thread-safety: pure functions of (trace, property, rng) — safe to call
 //! concurrently as long as each caller owns its Rng and its output.  Only
 //! the NameSet overloads keep hidden state: a small thread-local site
@@ -185,7 +186,7 @@ void mutation_sites_into(const spec::Trace& trace,
 bool mutation_reads_sites(MutationKind kind);
 
 /// Precomputed-sites form, for callers that mutate one trace many times
-/// (the campaign engine lists a seed's sites once per mutation unit): no
+/// (the campaign engine lists a seed's sites once per seed task): no
 /// scan and no allocation once `out` is warm.
 /// Precondition, for a kind that reads sites (mutation_reads_sites):
 /// `sites` is exactly the ascending indices of the events of `trace` whose

@@ -1,58 +1,62 @@
 #include "abv/seed_pass.hpp"
 
+#include "support/diagnostics.hpp"
+
 namespace loom::abv {
 
-ValidRecord walk_valid_trace(const mon::CompiledProperty& compiled,
-                             mon::Monitor& monitor, const spec::Trace& valid,
-                             mon::CheckpointLadder* ladder,
-                             std::size_t stride) {
-  const spec::Property& property = compiled.property();
-  ValidRecord record;
-  AlphabetCoverage& alphabet = record.alphabet.emplace(property.alphabet());
-  const mon::AntecedentMonitor* drct = nullptr;
-  const mon::VmMonitor* vm = nullptr;
-  if (property.is_antecedent()) {
-    if (compiled.chosen() == mon::Backend::Drct) {
-      drct = static_cast<const mon::AntecedentMonitor*>(&monitor);
-      record.recognizer.emplace(*drct);
-    } else if (compiled.chosen() == mon::Backend::Vm) {
-      vm = static_cast<const mon::VmMonitor*>(&monitor);
-      record.recognizer.emplace(*vm);
-    }
+ValidStepper::ValidStepper(const mon::CompiledProperty& compiled,
+                           mon::Monitor& monitor, const spec::Trace& valid,
+                           const CoverageSinks& sinks)
+    : moves_(compiled.plan().alphabet),
+      monitor_(monitor),
+      valid_(valid),
+      alphabet_(sinks.alphabet) {
+  if (sinks.recognizer == nullptr || !compiled.property().is_antecedent()) {
+    return;
   }
-  // Only events of the property alphabet can move a range automaton, so
-  // sampling after the first event and after each of those sees every
-  // state a per-event sample would.
-  const spec::NameSet& moves = compiled.plan().alphabet;
-  const spec::TimedEvent* const first_event = valid.data();
-  auto step = [&](const spec::TimedEvent* first, const spec::TimedEvent* last) {
-    if (!record.recognizer) {
-      monitor.observe_batch(first, last);
-      for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
-        alphabet.record(ev->name);
-      }
-      return;
-    }
-    for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
-      monitor.observe(ev->name, ev->time);
-      alphabet.record(ev->name);
-      if (ev != first_event && !moves.test(ev->name)) continue;
-      if (vm != nullptr) {
-        record.recognizer->sample(*vm);
-      } else {
-        record.recognizer->sample(*drct);
-      }
-    }
-  };
-  if (ladder != nullptr) {
-    ladder->record(monitor, valid, stride, step);
+  std::optional<RecognizerCoverage>& rec = *sinks.recognizer;
+  if (compiled.chosen() == mon::Backend::Drct) {
+    drct_ = static_cast<const mon::AntecedentMonitor*>(&monitor);
+    if (!rec) rec.emplace(*drct_);
+  } else if (compiled.chosen() == mon::Backend::Vm) {
+    vm_ = static_cast<const mon::VmMonitor*>(&monitor);
+    if (!rec) rec.emplace(*vm_);
   } else {
-    step(valid.data(), valid.data() + valid.size());
+    return;
   }
-  monitor.finish(valid.empty() ? sim::Time::zero() : valid.back().time);
-  record.violated = monitor.verdict() == mon::Verdict::Violated;
-  record.stats = monitor.stats();
-  return record;
+  recognizer_ = &*rec;
+}
+
+void ValidStepper::step_to(std::size_t position) {
+  LOOM_DASSERT(at_ <= position && position <= valid_.size());
+  const spec::TimedEvent* const first = valid_.data() + at_;
+  const spec::TimedEvent* const last = valid_.data() + position;
+  at_ = position;
+  if (recognizer_ == nullptr) {
+    monitor_.observe_batch(first, last);
+    if (alphabet_ != nullptr) {
+      for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
+        alphabet_->record(ev->name);
+      }
+    }
+    return;
+  }
+  for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
+    monitor_.observe(ev->name, ev->time);
+    if (alphabet_ != nullptr) alphabet_->record(ev->name);
+    if (ev != valid_.data() && !moves_.test(ev->name)) continue;
+    if (vm_ != nullptr) {
+      recognizer_->sample(*vm_);
+    } else {
+      recognizer_->sample(*drct_);
+    }
+  }
+}
+
+ValidRecord ValidStepper::finish() {
+  step_to(valid_.size());
+  monitor_.finish(valid_.empty() ? sim::Time::zero() : valid_.back().time);
+  return {monitor_.stats(), monitor_.verdict() == mon::Verdict::Violated};
 }
 
 }  // namespace loom::abv

@@ -40,8 +40,10 @@ void emit_fragment(const spec::Fragment& f, Rng& rng, NextTime& next_time,
   }
 }
 
-std::vector<spec::Name> noise_pool(spec::Alphabet& ab, std::size_t n) {
-  std::vector<spec::Name> pool;
+// Writes the names of the `n` noise events into `pool` (cleared first).
+void noise_pool(spec::Alphabet& ab, std::size_t n,
+                std::vector<spec::Name>& pool) {
+  pool.clear();
   for (std::size_t k = 0; k < n; ++k) {
     const std::string name = "zz_noise" + std::to_string(k);
     // Lookup before interning: once the names exist (the campaign engine
@@ -53,7 +55,19 @@ std::vector<spec::Name> noise_pool(spec::Alphabet& ab, std::size_t n) {
       pool.push_back(ab.name(name));
     }
   }
-  return pool;
+}
+
+// Generation buffers, one set per thread: the noise pool and the block
+// list keep their capacity across calls, so a warm generate_valid_into
+// allocates nothing beyond the growth of the trace it writes.
+struct GenerationScratch {
+  std::vector<spec::Name> pool;
+  std::vector<std::size_t> used;
+};
+
+GenerationScratch& generation_scratch() {
+  thread_local GenerationScratch scratch;
+  return scratch;
 }
 
 /// Counts an upper bound of the events in one round of the ordering.
@@ -70,7 +84,9 @@ void generate_valid_into(const spec::Antecedent& a, spec::Alphabet& ab,
                          spec::Trace& out) {
   out.clear();
   std::uint64_t now_ps = 0;
-  const auto pool = noise_pool(ab, std::max<std::size_t>(1, options.noise_names));
+  GenerationScratch& scratch = generation_scratch();
+  const std::vector<spec::Name>& pool = scratch.pool;
+  noise_pool(ab, std::max<std::size_t>(1, options.noise_names), scratch.pool);
   auto next_time = [&] {
     now_ps += 1000 * (1 + rng.below(std::max<std::uint64_t>(1, options.max_gap_ns)));
     if (options.noise_permille != 0 && rng.below(1000) < options.noise_permille) {
@@ -79,7 +95,7 @@ void generate_valid_into(const spec::Antecedent& a, spec::Alphabet& ab,
     }
     return sim::Time::ps(now_ps);
   };
-  std::vector<std::size_t> used;
+  std::vector<std::size_t>& used = scratch.used;
   for (std::size_t round = 0; round < options.rounds; ++round) {
     for (const auto& f : a.pattern.fragments) {
       emit_fragment(f, rng, next_time, used, out);
@@ -100,7 +116,9 @@ void generate_valid_into(const spec::TimedImplication& t, spec::Alphabet& ab,
   // Budget the spacing so a full round (plus slack) fits in the deadline.
   const std::uint64_t gap_ps = std::max<std::uint64_t>(
       1, t.bound.picoseconds() / (2 * (round_events + 2)));
-  const auto pool = noise_pool(ab, std::max<std::size_t>(1, options.noise_names));
+  GenerationScratch& scratch = generation_scratch();
+  const std::vector<spec::Name>& pool = scratch.pool;
+  noise_pool(ab, std::max<std::size_t>(1, options.noise_names), scratch.pool);
   auto next_time = [&] {
     now_ps += 1 + rng.below(gap_ps);
     if (options.noise_permille != 0 && rng.below(1000) < options.noise_permille) {
@@ -109,7 +127,7 @@ void generate_valid_into(const spec::TimedImplication& t, spec::Alphabet& ab,
     }
     return sim::Time::ps(now_ps);
   };
-  std::vector<std::size_t> used;
+  std::vector<std::size_t>& used = scratch.used;
   for (std::size_t round = 0; round < options.rounds; ++round) {
     for (const auto& f : t.antecedent.fragments) {
       emit_fragment(f, rng, next_time, used, out);
@@ -125,7 +143,8 @@ void generate_valid_into(const spec::TimedImplication& t, spec::Alphabet& ab,
 
 void pre_intern_stimuli_names(spec::Alphabet& ab,
                               const StimuliOptions& options) {
-  noise_pool(ab, std::max<std::size_t>(1, options.noise_names));
+  std::vector<spec::Name> pool;
+  noise_pool(ab, std::max<std::size_t>(1, options.noise_names), pool);
 }
 
 void generate_valid_into(const spec::Property& p, spec::Alphabet& ab,

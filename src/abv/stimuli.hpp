@@ -13,7 +13,8 @@
 //! parallel engines must call pre_intern_stimuli_names() serially first,
 //! after which generation only reads the alphabet.
 //! Determinism: a trace is a pure function of (property, rng stream,
-//! options); the campaign's per-seed trace cache depends on exactly that.
+//! options); the campaign engine regenerates a seed's trace in every shard
+//! that holds its units and depends on exactly that.
 #pragma once
 
 #include "spec/ast.hpp"

@@ -22,8 +22,7 @@
 //! monitor of the same kind stamped from the same plan — each monitor tags
 //! its format and restore() rejects a foreign tag.
 //! Thread-safety: a Snapshot is a plain value; concurrent readers are fine
-//! once writing stops (the campaign's checkpoint ladders are published
-//! read-only through support::TraceCache).
+//! once writing stops.
 #pragma once
 
 #include <cstddef>

@@ -77,8 +77,8 @@ void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
                 const char* who);
 
 /// Compact checkpoint rungs: a frame's state as a fixed-size block of
-/// vm_rung_words(p) words, for in-memory checkpoint ladders only (never
-/// the wire — mon::Snapshot stays the exchange format).  Layout: 8 header
+/// vm_rung_words(p) words, for in-memory checkpoints only (the campaign
+/// engine's forked replay; never the wire — mon::Snapshot stays the exchange format).  Layout: 8 header
 /// words (stats ops, events, max-ops; t_start; t_stop;
 /// validated_or_rounds; ordinal; active | verdict << 32 | armed << 40 |
 /// q_done << 48), then frag_min_time[frag_count], then the bytes of
@@ -86,8 +86,8 @@ void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
 /// into ceil((5·range_total + 2·frag_count) / 8) words.
 ///
 /// A rung holds no violation, so vm_save_rung refuses — returns false and
-/// leaves `out` unspecified — a frame that carries a violation or any
-/// range in the error state; the caller keeps an earlier rung instead.
+/// leaves `out` untouched — a frame that carries a violation or any range
+/// in the error state; the caller keeps the earlier rung `out` holds.
 /// vm_load_rung overwrites every field of the frame and resets the
 /// violation, so loading into a dirty frame (a pooled monitor that violated
 /// before) is exact without a reset.

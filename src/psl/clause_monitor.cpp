@@ -51,15 +51,15 @@ void ClauseMonitor::reset_round() {
   in_progress_ = false;
 }
 
-void ClauseMonitor::process_token(spec::Name token, sim::Time time,
-                                  std::size_t ordinal) {
+void ClauseMonitor::process_token(spec::Name token, spec::Name name,
+                                  sim::Time time, std::size_t ordinal) {
   // [14] accounting: the whole clause network re-evaluates on every token.
   stats_.add(encoding_->ops_per_token());
 
   for (std::size_t c = 0; c < encoding_->clauses.size(); ++c) {
     const Clause& clause = encoding_->clauses[c];
     if (armed_[c] && clause.forbid.test(token)) {
-      violate(ordinal, time, token,
+      violate(ordinal, time, name,
               {spec::ReasonCode::PslConjunct,
                {static_cast<std::uint32_t>(c)}});
       return;
@@ -108,7 +108,7 @@ void ClauseMonitor::process_token(spec::Name token, sim::Time time,
       if (all_done) {
         q_done_ = true;
         if (time - t_start_ > encoding_->bound) {
-          violate(ordinal, time, token,
+          violate(ordinal, time, name,
                   {spec::ReasonCode::FinishedLateBy,
                    {},
                    {time - t_start_, encoding_->bound}});
@@ -157,7 +157,7 @@ void ClauseMonitor::observe(spec::Name name, sim::Time time) {
     return;
   }
   for (const auto token : token_buffer_) {
-    process_token(token, time, ordinal);
+    process_token(token, name, time, ordinal);
     if (verdict_ == mon::Verdict::Violated ||
         verdict_ == mon::Verdict::Holds) {
       break;
@@ -178,8 +178,11 @@ void ClauseMonitor::finish(sim::Time end_time) {
   token_buffer_.clear();
   bool pending = false;
   (void)lexer_.finish(token_buffer_, pending);
+  // The lexer closes the last open block here: its token names that
+  // block's source.
   for (const auto token : token_buffer_) {
-    process_token(token, end_time, ordinal_);
+    process_token(token, encoding_->vocab.source_of(token), end_time,
+                  ordinal_);
     if (verdict_ == mon::Verdict::Violated ||
         verdict_ == mon::Verdict::Holds) {
       return;

@@ -55,7 +55,11 @@ class ClauseMonitor final : public mon::Monitor {
   std::uint64_t rounds() const { return rounds_; }
 
  private:
-  void process_token(spec::Name token, sim::Time time, std::size_t ordinal);
+  // Runs one PSL token through the clause network; `name` is the source
+  // name a violation reports (the observed event, or at finish() the
+  // closed block's).
+  void process_token(spec::Name token, spec::Name name, sim::Time time,
+                     std::size_t ordinal);
   void violate(std::size_t ordinal, sim::Time time, spec::Name name,
                spec::Reason reason);
   // Renders a conjunct violation's text into Violation::detail through the

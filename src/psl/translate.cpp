@@ -32,6 +32,7 @@ spec::Name TokenVocab::add_source(spec::Name source, std::uint32_t lo,
       texts_.push_back(text + "#" + std::to_string(k));
     }
   }
+  token_sources_.resize(texts_.size(), source);
   return sr.first_token;
 }
 

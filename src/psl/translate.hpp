@@ -91,11 +91,15 @@ class TokenVocab {
   /// Token for a block of `count` occurrences; kInvalidName if out of range.
   spec::Name token_for(spec::Name source, std::uint32_t count) const;
 
+  /// The source name whose block a token stands for (token < token_count()).
+  spec::Name source_of(spec::Name token) const { return token_sources_[token]; }
+
   /// All tokens of one source range.
   std::vector<spec::Name> tokens_of(const SourceRange& sr) const;
 
  private:
   std::vector<std::string> texts_;
+  std::vector<spec::Name> token_sources_;  // parallel to texts_
   std::vector<SourceRange> sources_;
   std::unordered_map<spec::Name, std::size_t> by_source_;
 };

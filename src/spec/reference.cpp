@@ -495,14 +495,23 @@ RefResult reference_check(const Property& p, const OrderingPlan& plan,
 RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
                                   const Trace& trace, sim::Time end_time,
                                   std::size_t stride) {
-  assert(stride > 0);
   RefLadder ladder;
+  record_reference_ladder_into(p, plan, trace, end_time, stride, ladder);
+  return ladder;
+}
+
+void record_reference_ladder_into(const Property& p, const OrderingPlan& plan,
+                                  const Trace& trace, sim::Time end_time,
+                                  std::size_t stride, RefLadder& ladder) {
+  assert(stride > 0);
   ladder.stride = stride;
   ladder.ranges = range_count(plan);
   ladder.size = trace.size();
   ladder.end_time = end_time;
   const std::size_t rungs = trace.size() / stride;
-  ladder.rungs.resize(rungs);
+  // assign, not resize: every rung starts undecided, whatever an earlier
+  // recording left in the buffer.
+  ladder.rungs.assign(rungs, RefRung{});
   ladder.counts.resize(rungs * ladder.ranges);
   const TraceView view = TraceView::of(trace);
   ReferenceWalk walk = walk_of(p, plan);
@@ -512,12 +521,11 @@ RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
       // resume straight to the recorded verdict.
       for (; k < rungs; ++k) ladder.rungs[k].decided = true;
       ladder.full = walk.result();
-      return ladder;
+      return;
     }
     walk.save(ladder.rungs[k], ladder.counts.data() + k * ladder.ranges);
   }
   ladder.full = walk.run(view, rungs * stride, end_time);
-  return ladder;
 }
 
 RefResult resume_reference_check(const Property& p, const OrderingPlan& plan,

@@ -167,6 +167,12 @@ struct RefLadder {
 RefLadder record_reference_ladder(const Property& p, const OrderingPlan& plan,
                                   const Trace& trace, sim::Time end_time,
                                   std::size_t stride);
+/// The same recording into `out`, replacing its content and reusing its
+/// buffers' capacity: the campaign engine records one ladder per seed
+/// into a per-thread ladder.
+void record_reference_ladder_into(const Property& p, const OrderingPlan& plan,
+                                  const Trace& trace, sim::Time end_time,
+                                  std::size_t stride, RefLadder& out);
 
 /// Resumes the walk after the first `floor` rungs of `ladder` (floor 0:
 /// the initial state; floor <= ladder.rungs.size()) and finishes it over

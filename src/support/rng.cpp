@@ -40,23 +40,6 @@ std::uint64_t Rng::next() {
   return result;
 }
 
-std::uint64_t Rng::below(std::uint64_t bound) {
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = -bound % bound;
-  while (true) {
-    const std::uint64_t r = next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
-std::uint64_t Rng::between(std::uint64_t lo, std::uint64_t hi) {
-  return lo + below(hi - lo + 1);
-}
-
-bool Rng::chance(std::uint32_t num, std::uint32_t den) {
-  return below(den) < num;
-}
-
 double Rng::uniform01() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }

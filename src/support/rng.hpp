@@ -20,14 +20,28 @@ class Rng {
 
   std::uint64_t next();
 
-  /// Uniform value in [0, bound); bound must be > 0.
-  std::uint64_t below(std::uint64_t bound);
+  /// Uniform value in [0, bound); bound must be > 0.  Rejection sampling
+  /// without modulo bias: the 2^64 mod bound smallest draws are rejected.
+  /// That threshold is always below `bound`, so a draw at or above `bound`
+  /// is accepted without computing it — one division in the common case.
+  /// Defined here so constant bounds fold to multiplications.
+  std::uint64_t below(std::uint64_t bound) {
+    std::uint64_t r = next();
+    if (r >= bound) return r % bound;
+    const std::uint64_t threshold = -bound % bound;
+    while (r < threshold) r = next();
+    return r % bound;
+  }
 
   /// Uniform value in [lo, hi] inclusive.
-  std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
+  std::uint64_t between(std::uint64_t lo, std::uint64_t hi) {
+    return lo + below(hi - lo + 1);
+  }
 
   /// Bernoulli draw with probability `num/den`.
-  bool chance(std::uint32_t num, std::uint32_t den);
+  bool chance(std::uint32_t num, std::uint32_t den) {
+    return below(den) < num;
+  }
 
   /// Uniform double in [0, 1).
   double uniform01();

@@ -5,16 +5,16 @@
 // reference in results_identical and in report() text.  The reference
 // translates a fresh monitor per unit, walks the oracle over every whole
 // trace and replays every materialized mutant from event 0, so each cell
-// pins the engine's shortcuts at once: the per-seed trace cache, the
-// compiled plans and pooled instances, the checkpoint and oracle ladders
-// (resume and reconvergence), mutants as edits, piecewise shifted replay,
-// the merged seed-pass record and its recognizer samples, the shard merge
-// and the wire round trip of worker partials.  A seeded fuzz over the
+// pins the engine's shortcuts at once: the seed task, the compiled plans
+// and pooled instances, the oracle ladder (resume and reconvergence),
+// mutants as edits forked from the valid walk at their positions,
+// piecewise shifted replay, the seed pass's recognizer samples, the shard
+// merge and the wire round trip of worker partials.  A seeded fuzz over the
 // campaign parameters checks reconverged ≡ full walk end to end.  Plus the
 // engine's accounting: pooled stamps + reuses equal the monitors the
 // reference builds fresh (one per valid unit, invalid mutant and ViaPSL
-// check), the trace cache misses once per seed, and the instance counters
-// do not depend on scheduling.
+// check), the default layout runs one seed pass per seed, and the instance
+// counters do not depend on scheduling.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -113,7 +113,7 @@ void expect_matches(const CampaignRun& run, const CampaignRun& ref,
                 ? 1u
                 : 0u)
       << what;
-  // Stride 0 keeps no ladder, so nothing is ever restored.
+  // Stride 0 forks nothing: every mutant replays from event 0.
   if (opt.checkpoint_stride == 0) {
     EXPECT_EQ(run.result.checkpoint_hits, 0u) << what;
     EXPECT_EQ(run.result.events_skipped, 0u) << what;
@@ -184,8 +184,8 @@ void check_grid(const GridCell& cell, std::size_t workers) {
       const CampaignRun run = run_engine(source, opt);
       expect_matches(run, ref, opt);
       if (workers == 0) {
-        // One in-process cache: whichever of a seed's six units gets
-        // there first inserts, every other unit hits.
+        // The default layout never splits a seed: one seed pass per seed,
+        // serving its five other units.
         EXPECT_EQ(run.result.trace_cache_misses, opt.seeds) << describe(opt);
         EXPECT_EQ(run.result.trace_cache_hits,
                   (kSlotsPerSeed - 1) * opt.seeds)
@@ -214,9 +214,9 @@ INSTANTIATE_TEST_SUITE_P(Cells, CampaignReferenceDiffGrid,
 class CampaignReferenceDiff : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CampaignReferenceDiff, ShardLayoutsEqualTheReference) {
-  // Shard sizes that split a seed's six units across shards (so a valid
-  // unit often merges a seed-pass record another shard's unit built), one
-  // shard for everything, and the hardware's thread count.
+  // Shard sizes that split a seed's six units across shards (so each
+  // shard repeats the seed pass for its share, often without the valid
+  // unit), one shard for everything, and the hardware's thread count.
   const CampaignOptions base = grid_options(mon::Backend::Auto, false);
   const CampaignRun ref = run_reference(GetParam(), base);
   for (const std::size_t shard_size :
@@ -305,10 +305,10 @@ const char* const kFuzzShapes[] = {
 
 TEST(CampaignReferenceDiff, FuzzedOptionsEqualTheReference) {
   // Reconverged ≡ full walk, end to end: random campaign parameters and a
-  // random stride in [1, 33] — so the monitor resumes from its ladder and
-  // the oracle from its four times finer one, stopping where each mutant
-  // rejoins the valid walk — against the reference's full walks and full
-  // replays.
+  // random stride in [1, 33] — so each mutant's monitor forks from the
+  // valid walk and its oracle resumes from a ladder rung every stride / 4
+  // events, stopping where the mutant rejoins the valid walk — against the
+  // reference's full walks and full replays.
   support::Rng rng = support::Rng::stream(0x5eed, 30);
   for (int draw = 0; draw < 200; ++draw) {
     const char* source = kFuzzShapes[rng.below(std::size(kFuzzShapes))];
@@ -334,9 +334,11 @@ TEST(CampaignReferenceDiff, FuzzedOptionsEqualTheReference) {
 }
 
 TEST(CampaignReferenceDiff, BatchRunSplitsCacheCountersPerProperty) {
-  // run_campaigns() shares one cache across properties and compiles one
+  // run_campaigns() shards both properties onto one pool and compiles one
   // plan per property; the per-result counters must still come out
   // exactly per-property, and each result equals its property's reference.
+  // At shard size 1 every unit is a shard of its own, so each runs its
+  // own seed pass: six misses per seed and no hits.
   const char* sources[] = {"(n << i, true)", "(p[2,3] => q[1,4] < r, 10us)"};
   spec::Alphabet ab;
   std::vector<spec::Property> props;
@@ -353,8 +355,8 @@ TEST(CampaignReferenceDiff, BatchRunSplitsCacheCountersPerProperty) {
   const auto results = run_campaigns(ptrs, ab, opt);
   ASSERT_EQ(results.size(), 2u);
   for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].trace_cache_misses, opt.seeds);
-    EXPECT_EQ(results[i].trace_cache_hits, (kSlotsPerSeed - 1) * opt.seeds);
+    EXPECT_EQ(results[i].trace_cache_misses, kSlotsPerSeed * opt.seeds);
+    EXPECT_EQ(results[i].trace_cache_hits, 0u);
     EXPECT_EQ(results[i].compile_stats.plans_built, 1u);
     EXPECT_EQ(results[i].compile_stats.backend_chosen, mon::Backend::Vm);
     const CampaignRun ref = run_reference(sources[i], opt);

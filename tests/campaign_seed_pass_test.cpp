@@ -1,31 +1,32 @@
-// Lockdown of the one seed pass: the cache-entry build walks each valid
-// trace once with the monitor, recording the checkpoint ladder and the
-// valid unit's whole record (MonitorStats, verdict, alphabet and
-// recognizer coverage) in that one walk, and the valid unit merges the
-// record instead of walking again.
-//   - walk_valid_trace's record equals an independent per-event walk that
-//     samples after every event, field by field, for forced Drct, forced Vm
-//     and Auto at every stride, and its ladder equals the plain recording;
-//   - the walk steps past a rung the compact ladder refuses, so the record
-//     covers the whole trace while the ladder stops there;
-//   - campaigns that merge the stored record equal campaigns whose valid
-//     unit walks itself (no ladder), instance accounting included;
+// Lockdown of the one seed pass: a seed task walks each valid trace once
+// with the monitor, sampling the valid unit's coverage into the shard's
+// accumulators and pausing at its mutants' divergence positions, where
+// their replays fork from the live state.
+//   - walk_valid_trace's record and coverage equal an independent
+//     per-event walk that samples after every event, field by field, for
+//     forced Drct, forced Vm and Auto, and the live state at every stop
+//     equals that of a monitor stepped over the same prefix;
+//   - the walk steps past a state the compact rung refuses, so the record
+//     covers the whole trace;
+//   - campaigns at every stride equal campaigns that replay every mutant
+//     from event 0 (stride 0), instance accounting included;
 //   - shard layouts that split one seed's six units across shards give the
 //     default layout's results, and their logical monitor draws add up to
 //     the same total;
-//   - a seed's site list, shared by the seed's site-reading units in one
-//     shard, never outlives the shard in the thread's scratch.
+//   - a seed's site list never outlives its seed task in the thread's
+//     scratch.
 #include <gtest/gtest.h>
 
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "abv/campaign.hpp"
 #include "abv/seed_pass.hpp"
-#include "mon/checkpoint_ladder.hpp"
 #include "mon/snapshot.hpp"
 #include "mon/vm.hpp"
 #include "testing.hpp"
@@ -64,13 +65,20 @@ mon::CompiledProperty compile_for(const spec::Property& p,
   return compile_property_plans({&p}, ab, options)[0].compiled;
 }
 
+// A walk's record together with the coverage it sampled.
+struct Walked {
+  ValidRecord record;
+  std::optional<AlphabetCoverage> alphabet;
+  std::optional<RecognizerCoverage> recognizer;
+};
+
 // The obviously-correct valid phase: one observe per event, coverage
 // recorded and sampled after every event, then finish.
-ValidRecord per_event_walk(const mon::CompiledProperty& compiled,
-                           const spec::Trace& trace) {
+Walked per_event_walk(const mon::CompiledProperty& compiled,
+                      const spec::Trace& trace) {
   std::unique_ptr<mon::Monitor> monitor = compiled.instantiate();
   const spec::Property& p = compiled.property();
-  ValidRecord want;
+  Walked want;
   want.alphabet.emplace(p.alphabet());
   const mon::AntecedentMonitor* drct = nullptr;
   const mon::VmMonitor* vm = nullptr;
@@ -90,20 +98,34 @@ ValidRecord per_event_walk(const mon::CompiledProperty& compiled,
     if (drct != nullptr) want.recognizer->sample(*drct);
   }
   monitor->finish(trace.empty() ? sim::Time::zero() : trace.back().time);
-  want.violated = monitor->verdict() == mon::Verdict::Violated;
-  want.stats = monitor->stats();
+  want.record.violated = monitor->verdict() == mon::Verdict::Violated;
+  want.record.stats = monitor->stats();
   return want;
 }
 
-::testing::AssertionResult records_equal(const ValidRecord& got,
-                                         const ValidRecord& want) {
+// walk_valid_trace with coverage sinks and stops, as a Walked.
+template <typename AtStop>
+Walked walk(const mon::CompiledProperty& compiled, mon::Monitor& monitor,
+            const spec::Trace& trace, std::span<const std::size_t> stops,
+            AtStop&& at_stop) {
+  Walked got;
+  got.alphabet.emplace(compiled.property().alphabet());
+  got.record = walk_valid_trace(compiled, monitor, trace,
+                                {&*got.alphabet, &got.recognizer}, stops,
+                                at_stop);
+  return got;
+}
+
+::testing::AssertionResult records_equal(const Walked& got,
+                                         const Walked& want) {
   std::ostringstream diff;
-  if (got.stats.ops != want.stats.ops) diff << " ops";
-  if (got.stats.events != want.stats.events) diff << " events";
-  if (got.stats.max_ops_per_event != want.stats.max_ops_per_event) {
+  if (got.record.stats.ops != want.record.stats.ops) diff << " ops";
+  if (got.record.stats.events != want.record.stats.events) diff << " events";
+  if (got.record.stats.max_ops_per_event !=
+      want.record.stats.max_ops_per_event) {
     diff << " max_ops_per_event";
   }
-  if (got.violated != want.violated) diff << " verdict";
+  if (got.record.violated != want.record.violated) diff << " verdict";
   if (!got.alphabet || !(got.alphabet->seen() == want.alphabet->seen())) {
     diff << " alphabet";
   }
@@ -129,35 +151,22 @@ ValidRecord per_event_walk(const mon::CompiledProperty& compiled,
   return ::testing::AssertionFailure() << "record differs in:" << diff.str();
 }
 
-// Every rung of `got` restores the same monitor state as rung k of `want`.
-::testing::AssertionResult ladders_equal(const mon::CompiledProperty& compiled,
-                                         const mon::CheckpointLadder& got,
-                                         const mon::CheckpointLadder& want) {
-  if (got.count() != want.count() || got.compact() != want.compact()) {
-    return ::testing::AssertionFailure()
-           << "rungs " << got.count() << " vs " << want.count();
-  }
-  for (std::size_t k = 0; k < got.count(); ++k) {
-    auto a = compiled.instantiate();
-    auto b = compiled.instantiate();
-    got.restore_into(k, *a);
-    want.restore_into(k, *b);
-    mon::Snapshot sa;
-    mon::Snapshot sb;
-    a->snapshot(sa);
-    b->snapshot(sb);
-    if (!loom::testing::snapshots_equal(sa, sb)) {
-      return ::testing::AssertionFailure() << "rung " << k << " differs";
-    }
-  }
-  return ::testing::AssertionSuccess();
+// The state of a fresh monitor of `compiled` after the first `events`
+// events of `trace`, as a Snapshot.
+mon::Snapshot state_after(const mon::CompiledProperty& compiled,
+                          const spec::Trace& trace, std::size_t events) {
+  auto m = compiled.instantiate();
+  m->observe_batch(trace.data(), trace.data() + events);
+  mon::Snapshot s;
+  m->snapshot(s);
+  return s;
 }
 
 TEST(CampaignSeedPass, RecordEqualsAnIndependentPerEventWalk) {
   StimuliOptions stimuli;  // the seeds_wide stimuli
   stimuli.rounds = 16;
   stimuli.noise_permille = 100;
-  std::size_t rungs_seen = 0;
+  std::size_t stops_seen = 0;
   for (const char* shape : kShapes) {
     for (const mon::Backend backend : kBackends) {
       spec::Alphabet ab;
@@ -167,56 +176,76 @@ TEST(CampaignSeedPass, RecordEqualsAnIndependentPerEventWalk) {
       for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         support::Rng rng = support::Rng::stream(seed, 0);
         const spec::Trace trace = generate_valid(p, ab, rng, stimuli);
-        const ValidRecord want = per_event_walk(compiled, trace);
-        EXPECT_TRUE(records_equal(
-            walk_valid_trace(compiled, *compiled.instantiate(), trace), want))
-            << shape << " " << name_of(backend) << " seed " << seed
-            << " without a ladder";
+        const Walked want = per_event_walk(compiled, trace);
+        {
+          auto monitor = compiled.instantiate();
+          EXPECT_TRUE(records_equal(
+              walk(compiled, *monitor, trace, {}, [](std::size_t) {}), want))
+              << shape << " " << name_of(backend) << " seed " << seed
+              << " without stops";
+        }
         for (const std::size_t stride : kStrides) {
-          mon::CheckpointLadder ladder;
-          const ValidRecord got = walk_valid_trace(
-              compiled, *compiled.instantiate(), trace, &ladder, stride);
+          // Stops at every multiple of the stride, 0 and the end included
+          // when they are one: at each, the live state is the state after
+          // that prefix.
+          std::vector<std::size_t> stops;
+          for (std::size_t at = 0; at <= trace.size(); at += stride) {
+            stops.push_back(at);
+          }
+          auto monitor = compiled.instantiate();
+          std::size_t visited = 0;
+          const Walked got =
+              walk(compiled, *monitor, trace, stops, [&](std::size_t at) {
+                EXPECT_EQ(at, stops[visited]);
+                ++visited;
+                mon::Snapshot live;
+                monitor->snapshot(live);
+                EXPECT_TRUE(loom::testing::snapshots_equal(
+                    live, state_after(compiled, trace, at)))
+                    << shape << " " << name_of(backend) << " seed " << seed
+                    << " stop " << at;
+              });
+          EXPECT_EQ(visited, stops.size());
           EXPECT_TRUE(records_equal(got, want))
               << shape << " " << name_of(backend) << " seed " << seed
               << " stride " << stride;
-          mon::CheckpointLadder plain;
-          auto recorder = compiled.instantiate();
-          plain.record(*recorder, trace, stride);
-          EXPECT_TRUE(ladders_equal(compiled, ladder, plain))
-              << shape << " " << name_of(backend) << " seed " << seed
-              << " stride " << stride;
-          EXPECT_EQ(ladder.count(), trace.size() / stride);
-          rungs_seen += ladder.count();
+          stops_seen += visited;
         }
       }
     }
   }
-  EXPECT_GT(rungs_seen, 0u);
+  EXPECT_GT(stops_seen, 0u);
 }
 
 TEST(CampaignSeedPass, TheWalkStepsPastARefusedRung) {
   // (n << i, true) over a trace that violates at ordinal 8 (a second i in
-  // a row; the MonVmRung case): a compact ladder at stride 2 keeps the
-  // four rungs before the violation, a Snapshot ladder all ten, and either
-  // way the record covers all twenty events and the violation.
+  // a row; the MonVmRung case): stopping every 2 events, a Vm walker's
+  // compact rung is refused from the fifth stop on, while the walk itself
+  // goes on, so the record covers all twenty events and the violation.
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse("(n << i, true)", ab);
   const spec::Trace t = loom::testing::trace_of(
       "n i n i n i n i i n i n i n i n i n i n", ab);
   ASSERT_EQ(t.size(), 20u);
+  std::vector<std::size_t> stops;
+  for (std::size_t at = 2; at <= t.size(); at += 2) stops.push_back(at);
   for (const mon::Backend backend : {mon::Backend::Vm, mon::Backend::Drct}) {
     const mon::CompiledProperty compiled = compile_for(p, ab, backend);
     ASSERT_EQ(compiled.chosen(), backend);
-    const ValidRecord want = per_event_walk(compiled, t);
-    ASSERT_TRUE(want.violated);
-    mon::CheckpointLadder ladder;
-    const ValidRecord got = walk_valid_trace(
-        compiled, *compiled.instantiate(), t, &ladder, /*stride=*/2);
+    const Walked want = per_event_walk(compiled, t);
+    ASSERT_TRUE(want.record.violated);
+    auto monitor = compiled.instantiate();
+    std::size_t saved = 0;
+    const Walked got = walk(compiled, *monitor, t, stops, [&](std::size_t) {
+      if (backend != mon::Backend::Vm) return;
+      auto& vm = static_cast<mon::VmMonitor&>(*monitor);
+      std::vector<std::uint64_t> rung(mon::vm_rung_words(vm.program()));
+      if (vm.save_rung(rung.data())) ++saved;
+    });
     EXPECT_TRUE(records_equal(got, want)) << name_of(backend);
-    EXPECT_EQ(got.stats.events, t.size()) << name_of(backend);
-    EXPECT_TRUE(got.violated) << name_of(backend);
-    EXPECT_EQ(ladder.count(), backend == mon::Backend::Vm ? 4u : 10u);
-    EXPECT_EQ(ladder.compact(), backend == mon::Backend::Vm);
+    EXPECT_EQ(got.record.stats.events, t.size()) << name_of(backend);
+    EXPECT_TRUE(got.record.violated) << name_of(backend);
+    if (backend == mon::Backend::Vm) EXPECT_EQ(saved, 4u);
   }
 }
 
@@ -255,10 +284,10 @@ CampaignRun run_shapes(std::size_t shape, mon::Backend backend,
          << ", reuses " << a.instance_reuses << " vs " << b.instance_reuses;
 }
 
-TEST(CampaignSeedPass, MergedRecordEqualsTheValidUnitsOwnWalk) {
-  // Stride 0: no ladder, so every valid unit walks its trace itself.  At
-  // any positive stride the valid unit merges the record of the seed
-  // pass — the same result, and the same logical draws.
+TEST(CampaignSeedPass, ForkedCampaignsEqualFullReplay) {
+  // Stride 0: every mutant replays from event 0 and every oracle walk is
+  // full.  At any positive stride the mutants fork from the valid walk —
+  // the same result, and the same logical draws.
   for (std::size_t shape = 0; shape < std::size(kShapes); ++shape) {
     for (const mon::Backend backend : kBackends) {
       for (const std::size_t mutants : {std::size_t{0}, std::size_t{2}}) {
@@ -288,9 +317,8 @@ TEST(CampaignSeedPass, MergedRecordEqualsTheValidUnitsOwnWalk) {
 
 TEST(CampaignSeedPass, ShardsThatSplitASeedGiveTheDefaultLayoutsResults) {
   // Shard sizes 1, 4 and 7 put one seed's six units (valid phase first) in
-  // different shards, so a seed's entry is often built by a mutation unit
-  // of another shard and the valid unit merges a record it did not walk.
-  // Per layout the instance counters are a pure function of the layout
+  // different shards, so each of them repeats the seed pass for its share
+  // of the units, often without the valid unit.  Per layout the instance counters are a pure function of the layout
   // (serial ≡ 4 threads); across layouts every unit still counts one
   // logical draw per monitor it stands for, so stamped + reused is
   // layout-independent.
@@ -360,8 +388,8 @@ std::vector<std::string> single_seed_reports(
 
 TEST(CampaignSeedPass, ASeedsSiteListDoesNotOutliveItsShard) {
   // With one seed, every campaign's site-reading units read seed 0's list:
-  // a list kept in the thread's scratch past its shard would be reused for
-  // the next campaign's, or the next property's, seed 0.
+  // a list kept in the thread's scratch past its seed task would be reused
+  // for the next campaign's, or the next property's, seed 0.
   constexpr std::uint64_t kFirstSeeds[] = {1, 77};
   std::vector<std::vector<std::string>> want(std::size(kShapes));
   for (std::size_t k = 0; k < std::size(kShapes); ++k) {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "mon/bytecode.hpp"
-#include "mon/checkpoint_ladder.hpp"
 #include "mon/compiled.hpp"
 #include "mon/monitor_module.hpp"
 #include "mon/monitors.hpp"
@@ -708,7 +707,10 @@ TEST(MonVmRung, SaveRefusesAViolatedFrame) {
   // A trigger with no preceding n violates at once.
   m.observe(ab.name("i"), sim::Time::ns(10));
   ASSERT_EQ(m.verdict(), Verdict::Violated);
+  // A refused save leaves the earlier rung untouched.
+  const std::vector<std::uint64_t> earlier = rung;
   EXPECT_FALSE(m.save_rung(rung.data()));
+  EXPECT_EQ(rung, earlier);
 
   // A deadline violation leaves no range in the error state: the
   // violation alone must refuse the rung.
@@ -735,12 +737,14 @@ Snapshot state_after(std::unique_ptr<Monitor> m, const spec::Trace& t,
   return frame_of(*m);
 }
 
-TEST(MonVmRung, LadderStopsRecordingAtTheFirstRefusedRung) {
+TEST(MonVmRung, RungsRestoreEveryPrefixUpToTheFirstRefusal) {
   // (n << i, true): every i needs its own preceding n.  The hand-built
   // trace alternates n i, but its ninth event (ordinal 8) is a second i in
-  // a row: the monitor violates there.  At stride 2 a Vm ladder keeps the
-  // four rungs before the violation and stops; a Drct ladder, whose
-  // Snapshot rungs can hold a violation, keeps all ten.
+  // a row: the monitor violates there.  Saving every 2 events, a Vm frame
+  // yields the four compact rungs before the violation and refuses every
+  // later save; a Drct monitor, whose Snapshots can hold a violation,
+  // snapshots all ten prefixes.  This is how the campaign engine forks a
+  // mutant's replay from the valid walk.
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse("(n << i, true)", ab);
   const spec::Trace t = loom::testing::trace_of(
@@ -754,48 +758,49 @@ TEST(MonVmRung, LadderStopsRecordingAtTheFirstRefusedRung) {
     ASSERT_EQ(probe.violation()->event_ordinal, 8u);
   }
   constexpr std::size_t kStride = 2;
+  const std::size_t words = vm_rung_words(*program);
 
-  VmMonitor recorder(program);
-  CheckpointLadder vm_ladder;
-  vm_ladder.record(recorder, t, kStride);
-  EXPECT_TRUE(vm_ladder.compact());
-  EXPECT_EQ(vm_ladder.count(), 4u);
+  VmMonitor walker(program);
+  std::vector<std::vector<std::uint64_t>> rungs;
+  auto drct_walker = make_monitor(p);
+  std::vector<Snapshot> snapshots;
+  std::vector<std::uint64_t> refused(words);
+  std::size_t refusals = 0;
+  for (std::size_t k = 0; k < t.size() / kStride; ++k) {
+    const spec::TimedEvent* first = t.data() + k * kStride;
+    walker.observe_batch(first, first + kStride);
+    drct_walker->observe_batch(first, first + kStride);
+    std::vector<std::uint64_t> rung(words);
+    if (walker.save_rung(rung.data())) {
+      EXPECT_EQ(refusals, 0u) << "a save succeeded after a refusal";
+      rungs.push_back(std::move(rung));
+    } else {
+      ++refusals;
+    }
+    drct_walker->snapshot(snapshots.emplace_back());
+  }
+  EXPECT_EQ(rungs.size(), 4u);
+  EXPECT_EQ(snapshots.size(), t.size() / kStride);
 
-  auto drct_recorder = make_monitor(p);
-  CheckpointLadder drct_ladder;
-  drct_ladder.record(*drct_recorder, t, kStride);
-  EXPECT_FALSE(drct_ladder.compact());
-  EXPECT_EQ(drct_ladder.count(), t.size() / kStride);
-
-  // Every recorded rung restores the state after its prefix, into a dirty
-  // monitor; re-recording replaces the content.
+  // Every saved state restores the state after its prefix into a dirty
+  // monitor.
   VmMonitor target(program);
   target.observe_batch(t);  // violated monitor
-  for (std::size_t k = 0; k < vm_ladder.count(); ++k) {
+  for (std::size_t k = 0; k < rungs.size(); ++k) {
     const Snapshot want = state_after(std::make_unique<VmMonitor>(program), t,
                                       (k + 1) * kStride);
-    vm_ladder.restore_into(k, target);
+    target.load_rung(rungs[k].data());
     EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(target), want))
         << "rung " << k;
   }
-  for (std::size_t k = 0; k < drct_ladder.count(); ++k) {
-    auto drct = make_monitor(p);
-    drct_ladder.restore_into(k, *drct);
+  auto drct = make_monitor(p);
+  drct->observe_batch(t);
+  for (std::size_t k = 0; k < snapshots.size(); ++k) {
+    drct->restore(snapshots[k]);
     EXPECT_TRUE(loom::testing::snapshots_equal(
         frame_of(*drct), state_after(make_monitor(p), t, (k + 1) * kStride)))
-        << "drct rung " << k;
+        << "drct snapshot " << k;
   }
-
-  // A valid prefix alone records every rung; the tail past the last full
-  // stride has none.
-  const spec::Trace valid(t.begin(), t.begin() + 7);
-  recorder.reset();
-  vm_ladder.record(recorder, valid, kStride);
-  EXPECT_EQ(vm_ladder.count(), 3u);
-  vm_ladder.restore_into(2, target);
-  EXPECT_TRUE(loom::testing::snapshots_equal(
-      frame_of(target),
-      state_after(std::make_unique<VmMonitor>(program), valid, 6)));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "psl/clause_monitor.hpp"
+#include "support/rng.hpp"
 #include "testing.hpp"
 
 namespace loom::psl {
@@ -174,6 +175,64 @@ TEST(ViaPslMonitor, ResetRestoresInitialState) {
   EXPECT_EQ(m.verdict(), mon::Verdict::Monitoring);
   run_monitor(m, trace_of("n i", ab));
   EXPECT_EQ(m.verdict(), mon::Verdict::Monitoring);
+}
+
+TEST(ViaPslMonitor, AViolationNamesTheEventItWasRaisedOn) {
+  // Clause-network violations (a PSL conjunct, a consequent finished past
+  // its deadline) fire on a PSL token, but report the observed event: for
+  // every violation raised inside a random trace, the name is that of the
+  // event at its ordinal, and the text renders.  The first property is the
+  // witness whose conjunct `(!i until! (a#2 || a#3))` fired on token 4 and
+  // reported the noise event z for the trigger i.
+  const char* const properties[] = {
+      "(({a[2,3], b}, &) < c << i, false)",
+      "(({a, b}, &) < c << i, true)",
+      "(n[2,4] << i, true)",
+      "(p[2,3] => q[1,4] < r, 10us)",
+      "(p => q[1,3], 10us)",
+      "(a => b[2,4], 100ns)",
+  };
+  {
+    spec::Alphabet ab;
+    const auto p = parse(properties[0], ab);
+    ClauseMonitor m(encode(p));
+    const auto t = timed_trace_of("i@1 z@20001 a@20002", ab);
+    for (const auto& ev : t) m.observe(ev.name, ev.time);
+    ASSERT_TRUE(m.violation().has_value());
+    EXPECT_EQ(m.violation()->event_ordinal, 0u);
+    EXPECT_EQ(m.violation()->name, ab.name("i"));
+  }
+  support::Rng rng = support::Rng::stream(0x9151, 0);
+  std::size_t raised = 0;
+  for (const char* source : properties) {
+    spec::Alphabet ab;
+    const auto p = parse(source, ab);
+    std::vector<spec::Name> names;
+    p.alphabet().for_each(
+        [&](std::size_t n) { names.push_back(static_cast<spec::Name>(n)); });
+    names.push_back(ab.name("z"));  // noise
+    ClauseMonitor m(encode(p));
+    for (int draw = 0; draw < 400; ++draw) {
+      spec::Trace t;
+      std::uint64_t now_ns = 0;
+      const std::size_t length = 1 + rng.below(12);
+      for (std::size_t k = 0; k < length; ++k) {
+        now_ns += 1 + rng.below(rng.chance(1, 4) ? 20000 : 20);
+        t.push_back({names[rng.below(names.size())], sim::Time::ns(now_ns)});
+      }
+      m.reset();
+      run_monitor(m, t);
+      if (!m.violation() || m.violation()->event_ordinal >= t.size()) {
+        continue;
+      }
+      ++raised;
+      const mon::Violation& v = *m.violation();
+      EXPECT_EQ(v.name, t[v.event_ordinal].name)
+          << source << " violation #" << v.event_ordinal;
+      EXPECT_NO_THROW((void)v.to_string(ab)) << source;
+    }
+  }
+  EXPECT_GT(raised, 100u);
 }
 
 }  // namespace

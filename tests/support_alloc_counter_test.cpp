@@ -13,7 +13,7 @@
 #include "abv/campaign.hpp"
 #include "abv/mutate.hpp"
 #include "abv/stimuli.hpp"
-#include "mon/checkpoint_ladder.hpp"
+#include "mon/vm.hpp"
 #include "mon/compiled.hpp"
 #include "spec/attributes.hpp"
 #include "support/alloc_counter.hpp"
@@ -184,11 +184,49 @@ TEST(AllocCounter, WarmedMutantLoopIsAllocationFree) {
   }
 }
 
+// The allocations of one warmed serial seeds_wide-shaped campaign at
+// `seeds` seeds.
+std::uint64_t seeds_wide_allocs(std::size_t seeds) {
+  spec::Alphabet ab;
+  const spec::Property set_up = loom::testing::parse(
+      "(({set_imgAddr, set_glAddr, set_glSize}, &) << start, false)", ab);
+  const spec::Property antecedent = loom::testing::parse(
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
+  const spec::Property grid =
+      loom::testing::parse("(p[2,3] => q[1,4] < r, 1ms)", ab);
+  const spec::Property single = loom::testing::parse("(n << i, true)", ab);
+  const std::vector<const spec::Property*> properties = {&set_up, &antecedent,
+                                                         &grid, &single};
+  abv::CampaignOptions o;
+  o.seeds = 64;  // warm every buffer at the larger size
+  o.stimuli.rounds = 16;
+  o.stimuli.noise_permille = 100;
+  o.mutants_per_kind = 1;
+  o.threads = 1;
+  (void)abv::run_campaigns(properties, ab, o);
+  o.seeds = seeds;
+  AllocCounter::Scope scope;
+  const auto results = abv::run_campaigns(properties, ab, o);
+  const std::uint64_t allocs = scope.allocs();
+  for (const auto& r : results) EXPECT_TRUE(r.ok()) << r.report(ab);
+  return allocs;
+}
+
+TEST(AllocCounter, WarmedCampaignAllocationsDoNotGrowWithSeeds) {
+  // Nothing about a seed is heap-allocated: the trace, the oracle ladder,
+  // the edits, the site list, the fork state and the generation buffers
+  // are the thread's scratch capacity.  One thread, so the default layout
+  // gives each property one shard at any seed count, and the per-shard
+  // and per-campaign allocations are the same at 8 seeds and at 64.
+  EXPECT_EQ(seeds_wide_allocs(8), seeds_wide_allocs(64))
+      << "a seed task allocated";
+}
+
 TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
   // The two halves of one detected mutant, each warmed once and then
   // repeated under a Scope: the oracle resumes from its ladder and
-  // rejects, and a VM restored from the monitor ladder (compact rung or
-  // Snapshot) replays the suffix and finishes violated.
+  // rejects, and a VM forked from the valid walk at the mutant's position
+  // (compact rung or Snapshot) replays the suffix and finishes violated.
   spec::Alphabet ab;
   const spec::Property p =
       loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
@@ -204,15 +242,15 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
   const sim::Time valid_end = valid.back().time;
   const spec::RefLadder oracle = spec::record_reference_ladder(
       p, compiled.plan(), valid, valid_end, kStride);
-  auto recorder = compiled.instantiate();
-  mon::CheckpointLadder ladder;
-  ladder.record(*recorder, valid, kStride);
-  ASSERT_TRUE(ladder.compact());
 
   abv::MutationResult mutant;
   support::Rng rng = support::Rng::stream(5, 1);
   std::size_t checked = 0;
+  auto walker = compiled.instantiate();
   auto vm = compiled.instantiate();
+  auto& vm_walker = dynamic_cast<mon::VmMonitor&>(*walker);
+  auto& vm_replay = dynamic_cast<mon::VmMonitor&>(*vm);
+  std::vector<std::uint64_t> rung(mon::vm_rung_words(vm_walker.program()));
   mon::Snapshot snap;
   for (int draw = 0; draw < 200 && checked < 8; ++draw) {
     if (!abv::mutate_into(valid, abv::MutationKind::SwapAdjacent, p,
@@ -220,28 +258,30 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
       continue;
     }
     const sim::Time end = mutant.trace.back().time;
-    const std::size_t floor =
-        std::min(mutant.position / kStride, ladder.count());
-    if (floor == 0) continue;
+    const std::size_t at = mutant.position;
+    if (at == 0) continue;
     const auto check = [&] {
-      return spec::resume_reference_check(p, compiled.plan(), oracle,
-                                          std::min(floor, oracle.rungs.size()),
-                                          mutant.trace, end, mutant.aligned);
+      return spec::resume_reference_check(
+          p, compiled.plan(), oracle,
+          std::min(at / kStride, oracle.rungs.size()), mutant.trace, end,
+          mutant.aligned);
     };
     const auto replay = [&](bool compact) {
       if (compact) {
-        ladder.restore_into(floor - 1, *vm);
+        vm_replay.load_rung(rung.data());
       } else {
         vm->restore(snap);
       }
-      vm->observe_batch(mutant.trace.data() + floor * kStride,
+      vm->observe_batch(mutant.trace.data() + at,
                         mutant.trace.data() + mutant.trace.size());
       vm->finish(end);
       return vm->verdict();
     };
     if (!check().rejected()) continue;
-    ladder.restore_into(floor - 1, *vm);
-    vm->snapshot(snap);  // the same rung as a Snapshot
+    walker->reset();
+    walker->observe_batch(valid.data(), valid.data() + at);
+    if (!vm_walker.save_rung(rung.data())) continue;
+    walker->snapshot(snap);  // the same state as a Snapshot
     ASSERT_EQ(replay(true), mon::Verdict::Violated);  // warm
     ASSERT_EQ(replay(false), mon::Verdict::Violated);
     AllocCounter::Scope scope;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mon/compiled.hpp"
 #include "support/args.hpp"
 #include "support/bitset.hpp"
@@ -146,6 +148,38 @@ TEST(Rng, BelowRespectsBound) {
   Rng r(7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(r.below(17), 17u);
+  }
+}
+
+// The rejection sampler below() replaced, computing the threshold on
+// every call: new and old must draw the same values from the same stream.
+std::uint64_t two_division_below(Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = -bound % bound;
+  while (true) {
+    const std::uint64_t r = rng.next();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, BelowDrawsWhatTheTwoDivisionFormulaDraws) {
+  // Small bounds almost never reject; bounds just past 2^63 reject about
+  // half of all draws, so both branches are compared.
+  std::vector<std::uint64_t> bounds;
+  for (std::uint64_t b = 1; b <= 4096; ++b) bounds.push_back(b);
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  for (const std::uint64_t b :
+       {kHalf - 1, kHalf, kHalf + 1, kHalf + 3, kHalf + 12345, ~std::uint64_t{0}}) {
+    bounds.push_back(b);
+  }
+  for (const std::uint64_t bound : bounds) {
+    Rng fresh = Rng::stream(0xb0, bound);
+    Rng old = fresh;
+    bool same = true;
+    for (int i = 0; i < 100000 && same; ++i) {
+      same = fresh.below(bound) == two_division_below(old, bound);
+    }
+    ASSERT_TRUE(same) << "bound " << bound;
+    ASSERT_EQ(fresh.next(), old.next()) << "bound " << bound;
   }
 }
 
