@@ -438,15 +438,11 @@ BENCHMARK(BM_WorkerSupervision)->Arg(1)->UseRealTime();
 #endif  // LOOM_WIRE_HAS_PROCESS
 
 void BM_WireRoundTrip(benchmark::State& state) {
-  // The versioned wire codec under cross-process load: Arg 0 frames and
+  // The versioned wire codec under cross-process load: frames and
   // re-decodes a realistic CampaignResult (what every worker partial
-  // carries), Arg 1 a long generated trace (the biggest payload the format
-  // defines).  One Encoder and capacity-reusing decode targets, the
+  // carries).  One Encoder and a capacity-reusing decode target, the
   // steady-state shape of a parent draining worker pipes — so allocs/frame
   // measures the reuse discipline, not first-touch growth.
-  const bool long_trace = state.range(0) != 0;
-  Fixture fx(kConfig[2], 64);
-
   abv::CampaignResult result;
   result.traces = 24;
   result.events = 120000;
@@ -472,7 +468,6 @@ void BM_WireRoundTrip(benchmark::State& state) {
   wire::Encoder enc;
   std::vector<std::uint8_t> framed;
   abv::CampaignResult result_out;
-  spec::Trace trace_out;
   std::uint64_t bytes = 0;
   std::uint64_t frames = 0;
   std::uint64_t allocs = 0;
@@ -480,13 +475,8 @@ void BM_WireRoundTrip(benchmark::State& state) {
     support::AllocCounter::Scope scope;
     enc.clear();
     framed.clear();
-    if (long_trace) {
-      wire::encode_trace(enc, fx.trace, fx.ab);
-      wire::write_frame(framed, wire::Payload::Trace, enc);
-    } else {
-      wire::encode_result(enc, result);
-      wire::write_frame(framed, wire::Payload::Result, enc);
-    }
+    wire::encode_result(enc, result);
+    wire::write_frame(framed, wire::Payload::Result, enc);
     wire::Frame frame;
     std::size_t consumed = 0;
     wire::DecodeError err;
@@ -496,15 +486,8 @@ void BM_WireRoundTrip(benchmark::State& state) {
       return;
     }
     wire::Decoder d(frame.data, frame.size);
-    bool ok;
-    if (long_trace) {
-      spec::Alphabet ab;
-      ok = wire::decode_trace(d, trace_out, ab);
-      benchmark::DoNotOptimize(trace_out);
-    } else {
-      ok = wire::decode_result(d, result_out);
-      benchmark::DoNotOptimize(result_out);
-    }
+    const bool ok = wire::decode_result(d, result_out);
+    benchmark::DoNotOptimize(result_out);
     if (!ok || !d.exhausted()) {
       state.SkipWithError("decode failed");
       return;
@@ -519,9 +502,9 @@ void BM_WireRoundTrip(benchmark::State& state) {
     state.counters["allocs/frame"] = benchmark::Counter(bench::safe_ratio(
         static_cast<double>(allocs), static_cast<double>(frames)));
   }
-  state.SetLabel(long_trace ? "payload=trace" : "payload=result");
+  state.SetLabel("payload=result");
 }
-BENCHMARK(BM_WireRoundTrip)->Arg(0)->Arg(1);
+BENCHMARK(BM_WireRoundTrip)->Arg(0);
 
 void BM_MonitorModulePerEvent(benchmark::State& state) {
   // In-simulation stepping, one observe() per event: every step pays the
@@ -539,23 +522,6 @@ void BM_MonitorModulePerEvent(benchmark::State& state) {
   state.SetLabel(kConfig[state.range(0)]);
 }
 BENCHMARK(BM_MonitorModulePerEvent)->DenseRange(0, 3);
-
-void BM_MonitorModuleBatch(benchmark::State& state) {
-  // Batched fast path: the whole recorded slice in one observe_batch()
-  // call, bookkeeping once at the end.
-  Fixture fx(kConfig[state.range(0)]);
-  for (auto _ : state) {
-    sim::Scheduler scheduler;
-    auto monitor = mon::make_monitor(fx.property);
-    mon::MonitorModule module(scheduler, "mon", *monitor, fx.ab);
-    module.observe_batch(fx.trace);
-    benchmark::DoNotOptimize(monitor->verdict());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.trace.size()));
-  state.SetLabel(kConfig[state.range(0)]);
-}
-BENCHMARK(BM_MonitorModuleBatch)->DenseRange(0, 3);
 
 void BM_ParseProperty(benchmark::State& state) {
   const char* source =

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "abv/seed_pass.hpp"
+#include "mon/snapshot.hpp"
 #include "mon/vm.hpp"
 #include "spec/parser.hpp"
 #include "support/thread_pool.hpp"

@@ -23,9 +23,8 @@ class AntecedentMonitor final : public Monitor {
                     std::shared_ptr<const spec::OrderingPlan> plan);
 
   void observe(spec::Name name, sim::Time time) override;
-  using Monitor::observe_batch;
-  void observe_batch(const spec::TimedEvent* begin,
-                     const spec::TimedEvent* end) override {
+  void observe_shifted(const spec::TimedEvent* begin,
+                       const spec::TimedEvent* end, sim::Time shift) override {
     for (const auto* ev = begin; ev != end; ++ev) {
       if (verdict_ == Verdict::Holds || verdict_ == Verdict::Violated) {
         // Retired: observe() would charge each remaining event 0 ops, so
@@ -35,7 +34,7 @@ class AntecedentMonitor final : public Monitor {
         ordinal_ += rest;
         return;
       }
-      observe(ev->name, ev->time);  // devirtualized
+      observe(ev->name, ev->time + shift);  // devirtualized
     }
   }
   void finish(sim::Time end_time) override;

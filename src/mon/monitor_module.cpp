@@ -18,31 +18,9 @@ void MonitorModule::observe(spec::Name name, sim::Time time) {
   after_step();
 }
 
-void MonitorModule::observe_batch(const spec::Trace& slice,
-                                  BatchPolicy policy, std::size_t begin) {
-  if (begin > slice.size()) begin = slice.size();
-  if (policy == BatchPolicy::ReplayAll) {
-    monitor_.observe_batch(slice.data() + begin,
-                           slice.data() + slice.size());
-  } else {
-    for (std::size_t i = begin; i < slice.size(); ++i) {
-      monitor_.observe(slice[i].name, slice[i].time);
-      // Stop stepping once violated: the remaining slice cannot un-violate
-      // the monitor and the violation report should point at its cause.
-      if (monitor_.verdict() == Verdict::Violated) break;
-    }
-  }
-  after_step();
-}
-
 void MonitorModule::finish() {
   monitor_.finish(scheduler().now());
   after_step();
-}
-
-void MonitorModule::reset() {
-  disarm_watchdog();
-  violation_reported_ = false;
 }
 
 void MonitorModule::after_step() {
@@ -55,7 +33,6 @@ void MonitorModule::after_step() {
 }
 
 void MonitorModule::arm_watchdog() {
-  if (!arm_watchdogs_) return;
   const auto deadline = monitor_.deadline();
   if (!deadline.has_value()) {
     if (watchdog_token_ != nullptr) *watchdog_token_ = true;  // disarm

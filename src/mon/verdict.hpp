@@ -1,5 +1,5 @@
 //! Monitor verdicts, violation reports and the Monitor interface every
-//! runtime construction (Drct and ViaPSL) implements.
+//! runtime construction (Drct, ViaPSL and the bytecode VM) implements.
 //!
 //! Ownership: a Monitor owns all of its mutable state; compiled
 //! constructions (mon::CompiledProperty) additionally share immutable
@@ -7,8 +7,9 @@
 //! Thread-safety: one Monitor belongs to one thread at a time; immutable
 //! artifacts may be shared freely across threads.
 //! Determinism contracts every implementation must keep:
-//!   - observe_batch() ≡ an observe() loop, bit for bit (verdict, stats,
-//!     violation) — the replay engine's foundation;
+//!   - observe_shifted(begin, end, shift) ≡ an observe(name, time + shift)
+//!     loop, bit for bit (verdict, stats, violation, event ordinal) — the
+//!     replay engine's foundation (mon_batch_test);
 //!   - reset() ≡ fresh construction, bit for bit, including the Figure-6
 //!     stats accounting — the instance-reuse foundation
 //!     (mon_reset_reuse_test);
@@ -61,36 +62,35 @@ struct Violation {
   std::string to_string(const spec::Alphabet& ab) const;
 };
 
-/// Common interface of all property monitors (Drct and ViaPSL), used by the
-/// ABV checker and the benches.
+/// Common interface of all property monitors (Drct, ViaPSL and the VM), used
+/// by the ABV checker, the campaign engine and the benches.
 class Monitor {
  public:
   virtual ~Monitor() = default;
 
   /// Feeds one observed interface event.
   virtual void observe(spec::Name name, sim::Time time) = 0;
-  /// Steps a recorded event range back-to-back.  Semantically identical to
-  /// calling observe() once per event — same verdict, same stats, every
-  /// event stepped even past a violation — the concrete monitors merely
-  /// override it to skip the per-event virtual dispatch.  Replay paths
-  /// (MonitorModule::BatchPolicy::ReplayAll, the campaign engine) lean on
-  /// that equivalence for their bit-identity guarantees; the range form is
-  /// what lets the checkpointed engine replay only a mutant's suffix.
-  virtual void observe_batch(const spec::TimedEvent* begin,
-                             const spec::TimedEvent* end);
+  /// Steps a recorded event range back-to-back with every time later by
+  /// `shift` (saturating at sim::Time::max()).  Semantically identical to
+  /// an observe(name, time + shift) loop — same verdict, same stats, same
+  /// violation, every event stepped even past a violation — each monitor
+  /// merely implements it without the per-event virtual dispatch, and a
+  /// retired monitor counts the rest of the range in one step.  Replay
+  /// leans on that equivalence for its bit-identity guarantees: the
+  /// campaign engine steps a mutant as pieces of a spec::TraceView, each
+  /// one call here, without materializing it.
+  virtual void observe_shifted(const spec::TimedEvent* begin,
+                               const spec::TimedEvent* end,
+                               sim::Time shift) = 0;
+  /// The range at its recorded times: observe_shifted with shift 0.
+  void observe_batch(const spec::TimedEvent* begin,
+                     const spec::TimedEvent* end) {
+    observe_shifted(begin, end, sim::Time::zero());
+  }
   /// Whole-trace convenience form of the range overload above.
   void observe_batch(const spec::Trace& slice) {
     observe_batch(slice.data(), slice.data() + slice.size());
   }
-  /// Steps a recorded event range with every time later by `shift`
-  /// (saturating): one piece of a spec::TraceView, which is how the
-  /// campaign engine replays a mutant without materializing it.  Shift 0
-  /// is observe_batch(); any other shift is an observe(name, time + shift)
-  /// loop, which the observe_batch contract makes byte-identical to a
-  /// batch over the re-timed events.  The VM overrides it with its batched
-  /// loop.
-  virtual void observe_shifted(const spec::TimedEvent* begin,
-                               const spec::TimedEvent* end, sim::Time shift);
   /// Signals end of observation at `end_time` (deadline checks).
   virtual void finish(sim::Time end_time) { (void)end_time; }
   /// Time-triggered check between events (in-simulation watchdogs).

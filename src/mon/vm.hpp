@@ -66,7 +66,7 @@ void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
 /// (saturating): a shifted piece of a mutant's spec::TraceView.
 void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
                   const spec::TimedEvent* begin, const spec::TimedEvent* end,
-                  sim::Time shift = sim::Time::zero());
+                  sim::Time shift);
 void vm_finish(const VmProgram& p, const VmFrameRef& f, sim::Time end_time);
 void vm_poll(const VmProgram& p, const VmFrameRef& f, sim::Time now);
 /// Serializes / restores one frame's complete mutable state through
@@ -111,11 +111,6 @@ class VmMonitor final : public Monitor {
 
   void observe(spec::Name name, sim::Time time) override {
     vm_step_event(*program_, frame_, name, time);
-  }
-  using Monitor::observe_batch;
-  void observe_batch(const spec::TimedEvent* begin,
-                     const spec::TimedEvent* end) override {
-    vm_run_batch(*program_, frame_, begin, end);
   }
   void observe_shifted(const spec::TimedEvent* begin,
                        const spec::TimedEvent* end, sim::Time shift) override {

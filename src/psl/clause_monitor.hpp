@@ -29,11 +29,10 @@ class ClauseMonitor final : public mon::Monitor {
   explicit ClauseMonitor(std::shared_ptr<const Encoding> encoding);
 
   void observe(spec::Name name, sim::Time time) override;
-  using mon::Monitor::observe_batch;
-  void observe_batch(const spec::TimedEvent* begin,
-                     const spec::TimedEvent* end) override {
+  void observe_shifted(const spec::TimedEvent* begin,
+                       const spec::TimedEvent* end, sim::Time shift) override {
     for (const auto* ev = begin; ev != end; ++ev) {
-      observe(ev->name, ev->time);  // devirtualized
+      observe(ev->name, ev->time + shift);  // devirtualized
     }
   }
   void finish(sim::Time end_time) override;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
+#include <exception>
 
 #if __has_include(<unistd.h>)
 #include <unistd.h>
@@ -10,21 +10,18 @@
 
 namespace loom::support {
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t queue_capacity)
-    : capacity_(queue_capacity) {
-  LOOM_DASSERT(queue_capacity > 0);
+ThreadPool::ThreadPool(std::size_t threads) {
   grow(std::max<std::size_t>(1, threads));
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(sync_);
-    idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
+    std::lock_guard<std::mutex> lock(sync_);
+    LOOM_DASSERT(open_ == nullptr);
     stopping_ = true;
   }
   work_cv_.notify_all();
   for (auto& w : workers_) w.join();
-  LOOM_DASSERT(tasks_.empty());
 }
 
 std::size_t ThreadPool::thread_count() const {
@@ -33,128 +30,103 @@ std::size_t ThreadPool::thread_count() const {
 }
 
 void ThreadPool::grow(std::size_t threads) {
-  std::lock_guard<std::mutex> lock(sync_);
+  std::unique_lock<std::mutex> lock(sync_);
   LOOM_DASSERT(!stopping_);
   while (workers_.size() < threads) {
     workers_.emplace_back([this] { worker_loop(); });
   }
+  // A thread still starting up may be inside the allocator (a sanitizer's
+  // thread set-up frees and allocates), where a fork would catch it holding
+  // a lock the child can never take: return once every worker is waiting.
+  started_cv_.wait(lock, [this] { return started_ == workers_.size(); });
 }
 
-void ThreadPool::submit(Task task) {
-  LOOM_DASSERT(task != nullptr);
-  {
-    std::unique_lock<std::mutex> lock(sync_);
-    LOOM_DASSERT(!stopping_);
-    space_cv_.wait(lock, [this] { return tasks_.size() < capacity_; });
-    tasks_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_cv_.notify_one();
-}
+// One for_each_index call, in its caller's frame.  Every executor — the
+// caller and each helper that joined — claims the next unclaimed index
+// until none is left.  The fields after `claim` are guarded by the pool's
+// sync_: the batch stays on the open list until `wanted` helpers joined
+// or its caller closed it, and the caller returns only once `joined` is
+// back to zero, so no helper touches the batch after the call returned.
+struct ThreadPool::Batch {
+  Batch(std::size_t count, const std::function<void(std::size_t)>& fn,
+        std::size_t helpers)
+      : body(fn), n(count), wanted(helpers) {}
 
-bool ThreadPool::try_submit(Task& task) {
-  {
-    std::lock_guard<std::mutex> lock(sync_);
-    if (tasks_.size() >= capacity_) return false;
-    tasks_.push_back(std::move(task));
-    ++in_flight_;
+  // Runs iterations until none is left to claim.
+  void drain(std::mutex& sync) {
+    for (;;) {
+      const std::size_t i = claim.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(sync);
+        if (!error) error = std::current_exception();
+      }
+    }
   }
-  work_cv_.notify_one();
-  return true;
+
+  const std::function<void(std::size_t)>& body;
+  const std::size_t n;
+  std::atomic<std::size_t> claim{0};
+  std::size_t wanted;              // helpers it may still take
+  std::size_t joined = 0;          // helpers inside drain()
+  Batch* next = nullptr;           // open-list link
+  std::condition_variable left;    // joined fell to zero
+  std::exception_ptr error;
+};
+
+void ThreadPool::close(Batch& batch) {
+  for (Batch** at = &open_; *at != nullptr; at = &(*at)->next) {
+    if (*at == &batch) {
+      *at = batch.next;
+      return;
+    }
+  }
 }
 
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(sync_);
+  if (++started_ == workers_.size()) started_cv_.notify_all();
   for (;;) {
-    work_cv_.wait(lock, [this] { return !tasks_.empty() || stopping_; });
-    if (tasks_.empty()) return;  // stopping, and nothing left to run
-    Task task = std::move(tasks_.front());
-    tasks_.pop_front();
+    work_cv_.wait(lock, [this] { return open_ != nullptr || stopping_; });
+    if (open_ == nullptr) return;  // stopping, and no batch wants help
+    Batch& batch = *open_;
+    ++batch.joined;
+    if (--batch.wanted == 0) close(batch);
     lock.unlock();
-    space_cv_.notify_one();
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> error_lock(sync_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    task = nullptr;  // release what the task captured before reporting idle
+    batch.drain(sync_);
     lock.lock();
-    LOOM_DASSERT(in_flight_ > 0);
-    if (--in_flight_ == 0) idle_cv_.notify_all();
+    // Notified under sync_: the caller cannot see joined == 0, return and
+    // end the batch's life before this thread has let go of the lock.
+    if (--batch.joined == 0) batch.left.notify_one();
   }
 }
-
-void ThreadPool::wait_idle() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(sync_);
-    idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-// One for_each_index call.  Every executor — the caller and each helper
-// task — claims the next unclaimed index until none is left; `left` counts
-// the iterations still running or unclaimed, and whoever finishes the last
-// one opens the latch.  Helpers hold the batch by shared_ptr, so a helper
-// the pool starts only after the caller returned finds nothing to claim
-// and touches nothing the caller owned: `body` is read only after a
-// successful claim, which happens before the latch opens.
-struct ThreadPool::Batch {
-  Batch(std::size_t count, const std::function<void(std::size_t)>& fn)
-      : body(&fn), n(count), left(count) {}
-
-  void drain() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        (*body)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!error) error = std::current_exception();
-      }
-      if (left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(mutex);
-        done = true;
-        latch.notify_all();
-      }
-    }
-  }
-
-  const std::function<void(std::size_t)>* body;
-  const std::size_t n;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> left;
-  std::mutex mutex;  // guards done and error
-  std::condition_variable latch;
-  bool done = false;
-  std::exception_ptr error;
-};
 
 void ThreadPool::for_each_index(std::size_t n,
                                 const std::function<void(std::size_t)>& body,
                                 std::size_t max_executors) {
   if (n == 0) return;
-  const std::size_t executors = std::min(
-      n, max_executors == 0 ? thread_count() + 1 : max_executors);
-  auto batch = std::make_shared<Batch>(n, body);
-  for (std::size_t h = 1; h < executors; ++h) {
-    // Helpers are optional: on a saturated pool the caller does the rest.
-    Task helper = [batch] { batch->drain(); };
-    if (!try_submit(helper)) break;
+  const std::size_t helpers = std::min(
+      n, max_executors == 0 ? thread_count() + 1 : max_executors) - 1;
+  Batch batch(n, body, helpers);
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lock(sync_);
+      Batch** at = &open_;
+      while (*at != nullptr) at = &(*at)->next;
+      *at = &batch;
+    }
+    for (std::size_t h = 0; h < helpers; ++h) work_cv_.notify_one();
   }
-  batch->drain();
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(batch->mutex);
-    batch->latch.wait(lock, [&] { return batch->done; });
-    error = batch->error;
-  }
-  if (error) std::rethrow_exception(error);
+  batch.drain(sync_);
+  // Nothing is left to claim: stop helpers from joining, then wait for the
+  // ones that did to finish the iterations they claimed.
+  std::unique_lock<std::mutex> lock(sync_);
+  close(batch);
+  batch.left.wait(lock, [&batch] { return batch.joined == 0; });
+  lock.unlock();
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 namespace {

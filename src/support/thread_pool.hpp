@@ -1,18 +1,19 @@
-// Thread pool backing the parallel ABV campaign engine.
+// Thread pool backing the parallel ABV campaign engine: a batch executor.
 //
-// Workers take tasks from one FIFO queue.  The amount of queued-but-
-// unstarted work is bounded by `queue_capacity`; submit() blocks when the
-// pool is saturated, giving producers back-pressure instead of unbounded
-// memory growth.  The first exception thrown by a submitted task is
-// captured and re-thrown from wait_idle() on the calling thread.
+// for_each_index() is its one entry point.  Each call is a batch that
+// lives in the caller's frame: the calling thread claims indices of its
+// own batch next to at most `max_executors - 1` pool workers, which join
+// the batch while it is open and leave it when nothing is left to claim.
+// Each batch keeps its own first exception, so two callers sharing one
+// pool never wait for each other's work nor receive each other's errors,
+// and a call nested inside an iteration always completes, on its caller
+// if need be.
 //
-// for_each_index() is the campaign's entry point and keeps its own books:
-// each call is a batch with a per-call completion latch and a per-call
-// first exception, the calling thread claims indices of its own batch
-// next to at most `max_executors - 1` pool workers, and the workers it
-// enlists are optional helpers.  So two callers sharing one pool never
-// wait for each other's tasks nor receive each other's errors, and a call
-// nested inside a task always completes, on its caller if need be.
+// The caller returns only after every helper that joined has left, so a
+// call allocates nothing and nothing of it outlives the return, and grow()
+// returns only once its new workers are running.  Between calls no pool
+// thread is then inside the allocator, so a fork never leaves the child a
+// lock that a pool thread held.
 //
 // shared() is the process-wide pool every campaign runs on: created on
 // first use, grown to the largest size asked for, never destroyed (it
@@ -23,8 +24,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -36,15 +35,10 @@ namespace loom::support {
 
 class ThreadPool {
  public:
-  using Task = std::function<void()>;
+  /// Spawns `threads` workers (0 is promoted to 1).
+  explicit ThreadPool(std::size_t threads);
 
-  /// Spawns `threads` workers (0 is promoted to 1); at most
-  /// `queue_capacity` tasks may sit unstarted.
-  explicit ThreadPool(std::size_t threads, std::size_t queue_capacity = 4096);
-
-  /// Drains every queued task, joins the workers.  An exception captured
-  /// but never collected through wait_idle() is dropped here (destructors
-  /// must not throw).
+  /// Joins the workers.  No for_each_index call may still be running.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -52,15 +46,9 @@ class ThreadPool {
 
   std::size_t thread_count() const;
 
-  /// Spawns workers until there are at least `threads`.
+  /// Spawns workers until there are at least `threads`, and returns once
+  /// every worker is running.
   void grow(std::size_t threads);
-
-  /// Enqueues a task; blocks while the pool is saturated.
-  void submit(Task task);
-
-  /// Blocks until every submitted task has finished, then re-throws the
-  /// first exception any of them raised (if one did).
-  void wait_idle();
 
   /// Runs body(i) for every i in [0, n) on the calling thread and at most
   /// `max_executors - 1` workers (0: every worker), blocking until all
@@ -77,20 +65,17 @@ class ThreadPool {
   struct Batch;
 
   void worker_loop();
-  // Enqueues without blocking; false when the pool is saturated.
-  bool try_submit(Task& task);
+  // Removes `batch` from the open list; requires sync_.
+  void close(Batch& batch);
 
   std::vector<std::thread> workers_;
-  std::deque<Task> tasks_;
 
-  mutable std::mutex sync_;            // guards everything above and below
-  std::condition_variable work_cv_;    // a task was queued / stopping
-  std::condition_variable space_cv_;   // a queued task was taken
-  std::condition_variable idle_cv_;    // in_flight_ hit zero
-  std::size_t capacity_ = 0;
-  std::size_t in_flight_ = 0;          // submitted, not yet finished
+  mutable std::mutex sync_;          // guards everything below
+  std::condition_variable work_cv_;  // a batch opened / stopping
+  std::condition_variable started_cv_;  // every worker reached its loop
+  std::size_t started_ = 0;          // workers that reached their loop
+  Batch* open_ = nullptr;            // batches that want helpers, oldest first
   bool stopping_ = false;
-  std::exception_ptr first_error_;
 };
 
 }  // namespace loom::support

@@ -1,7 +1,5 @@
 #include "wire/payload.hpp"
 
-#include <unordered_map>
-
 namespace loom::wire {
 namespace {
 
@@ -93,54 +91,7 @@ void decode_range_cov(Decoder& d, abv::RecognizerCoverage::RangeCov& c) {
   c.hi = d.u32();
 }
 
-}  // namespace
-
-void encode_trace(Encoder& e, const spec::Trace& trace,
-                  const spec::Alphabet& ab) {
-  // Name table in first-appearance order: the stream is self-contained, and
-  // a short trace ships only the names it actually uses.
-  std::unordered_map<spec::Name, std::uint64_t> table;
-  std::vector<spec::Name> order;
-  for (const auto& ev : trace) {
-    if (table.emplace(ev.name, order.size()).second) order.push_back(ev.name);
-  }
-  e.put_u64(order.size());
-  for (const spec::Name n : order) e.put_string(ab.text(n));
-  e.put_u64(trace.size());
-  for (const auto& ev : trace) {
-    e.put_u64(table.at(ev.name));
-    e.put_time(ev.time);
-  }
-}
-
-bool decode_trace(Decoder& d, spec::Trace& trace, spec::Alphabet& ab) {
-  // A name costs at least its 8-byte length word; an event is 16 bytes.
-  const std::uint64_t names = d.count(8, "trace name table");
-  std::vector<spec::Name> ids;
-  ids.reserve(static_cast<std::size_t>(names));
-  std::string text;
-  for (std::uint64_t i = 0; i < names && d.ok(); ++i) {
-    d.string_into(text);
-    if (d.ok()) ids.push_back(ab.name(text));
-  }
-  const std::uint64_t events = d.count(16, "trace event list");
-  trace.clear();
-  if (d.ok()) trace.reserve(static_cast<std::size_t>(events));
-  for (std::uint64_t i = 0; i < events && d.ok(); ++i) {
-    const std::size_t at = d.offset();
-    const std::uint64_t idx = d.u64();
-    const sim::Time t = d.time();
-    if (!d.ok()) break;
-    if (idx >= ids.size()) {
-      d.fail_at(at, "trace event names table entry " + std::to_string(idx) +
-                        " of " + std::to_string(ids.size()));
-      break;
-    }
-    trace.push_back({ids[static_cast<std::size_t>(idx)], t});
-  }
-  return d.ok();
-}
-
+// The options block travels only inside a WorkerRequest.
 void encode_options(Encoder& e, const abv::CampaignOptions& o) {
   e.put_u64(o.first_seed);
   put_size(e, o.seeds);
@@ -200,6 +151,8 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   return d.ok();
 }
 
+}  // namespace
+
 void encode_result(Encoder& e, const abv::CampaignResult& r) {
   put_size(e, r.traces);
   put_size(e, r.events);
@@ -255,43 +208,6 @@ bool decode_result(Decoder& d, abv::CampaignResult& r) {
     f.unit_end = get_size(d);
     d.string_into(f.diagnostic);
     if (d.ok()) r.shard_failures.push_back(std::move(f));
-  }
-  return d.ok();
-}
-
-void encode_snapshot(Encoder& e, const mon::Snapshot& snap) {
-  e.put_u64(snap.word_count());
-  for (const std::uint64_t w : snap.words()) e.put_u64(w);
-  e.put_u64(snap.string_count());
-  for (std::size_t i = 0; i < snap.string_count(); ++i) {
-    e.put_string(snap.string_at(i));
-  }
-}
-
-bool decode_snapshot(Decoder& d, mon::Snapshot& snap) {
-  const std::uint64_t words = d.count(8, "snapshot word");
-  snap.clear();
-  for (std::uint64_t i = 0; i < words && d.ok(); ++i) {
-    const std::size_t at = d.offset();
-    const std::uint64_t w = d.u64();
-    if (!d.ok()) break;
-    // The leading word is the monitor's tag: enforce the snapshot format
-    // version here too, so a foreign-version snapshot rejects at the wire
-    // with a positioned diagnostic instead of deep inside restore().
-    if (i == 0 && mon::snapshot_tag_version(w) != mon::kSnapshotVersion) {
-      d.fail_at(at, "snapshot format version " +
-                        std::to_string(mon::snapshot_tag_version(w)) +
-                        ", this build reads version " +
-                        std::to_string(mon::kSnapshotVersion));
-      break;
-    }
-    snap.put_u64(w);
-  }
-  const std::uint64_t strings = d.count(8, "snapshot string pool");
-  std::string text;
-  for (std::uint64_t i = 0; i < strings && d.ok(); ++i) {
-    d.string_into(text);
-    if (d.ok()) snap.put_string(text);
   }
   return d.ok();
 }

@@ -1,12 +1,12 @@
 //! Payload codecs: the engine types that cross the wire, written and read
 //! in a fixed field order over the wire::Encoder/Decoder primitives.
 //!
-//! Four public payloads (traces, campaign options, campaign results,
-//! monitor snapshots) plus the worker-protocol payloads behind
-//! cross-process campaign sharding.  Every decode_* validates as it reads
-//! — counts against remaining bytes before sizing containers, enum bytes
-//! against their range, snapshot tag words against the snapshot format
-//! version — and reports failures through the Decoder's positioned
+//! The campaign result (Payload::Result, which every worker partial
+//! carries) plus the worker-protocol payloads behind cross-process
+//! campaign sharding; the campaign options travel inside the worker
+//! request.  Every decode_* validates as it reads — counts against
+//! remaining bytes before sizing containers, enum bytes against their
+//! range — and reports failures through the Decoder's positioned
 //! diagnostic, so a corrupt or hostile payload rejects cleanly
 //! (tests/wire_fuzz_test.cpp holds the codecs to that under ASan+UBSan).
 //!
@@ -21,29 +21,10 @@
 #include <vector>
 
 #include "abv/campaign.hpp"
-#include "mon/snapshot.hpp"
 #include "spec/alphabet.hpp"
-#include "spec/reference.hpp"
 #include "wire/wire.hpp"
 
 namespace loom::wire {
-
-/// abv::Trace (Payload::Trace): a name table (texts in first-appearance
-/// order) plus events as (table index, picoseconds), so the byte stream is
-/// self-contained — ids are re-interned by the receiving alphabet.
-void encode_trace(Encoder& e, const spec::Trace& trace,
-                  const spec::Alphabet& ab);
-/// Interns the table into `ab`; returns false (with the Decoder holding a
-/// positioned error) on any malformation.
-bool decode_trace(Decoder& d, spec::Trace& trace, spec::Alphabet& ab);
-
-/// abv::CampaignOptions (Payload::Options).  The plan_cache pointer does
-/// not cross the wire (a decoded options block has plan_cache == nullptr);
-/// every other field round-trips, workers/worker_command/worker_fault
-/// included — the parent zeroes those itself before handing options to a
-/// worker, so a worker never recursively spawns workers.
-void encode_options(Encoder& e, const abv::CampaignOptions& options);
-bool decode_options(Decoder& d, abv::CampaignOptions& options);
 
 /// abv::CampaignResult (Payload::Result): every counter, the five
 /// MutationStats, both coverage ratios (bit-exact f64), MonitorStats,
@@ -51,13 +32,6 @@ bool decode_options(Decoder& d, abv::CampaignOptions& options);
 /// per-shard failure records of a degraded run.
 void encode_result(Encoder& e, const abv::CampaignResult& result);
 bool decode_result(Decoder& d, abv::CampaignResult& result);
-
-/// mon::Snapshot (Payload::Snapshot): the word sequence plus the string
-/// pool.  decode_snapshot rejects a snapshot whose leading tag word names
-/// a foreign format version (the same policy Monitor::restore enforces),
-/// with a positioned diagnostic instead of an exception.
-void encode_snapshot(Encoder& e, const mon::Snapshot& snap);
-bool decode_snapshot(Decoder& d, mon::Snapshot& snap);
 
 // ---------------------------------------------------------------------------
 // Worker protocol (parent campaign process <-> shard worker process).
@@ -83,7 +57,10 @@ struct WorkerShardSpec {
 /// parent's interning and plans bit for bit — the alphabet's names in id
 /// order (with directions), each property's normalized text
 /// (spec::to_string, re-parsed by the worker), the options block and the
-/// assigned shards.
+/// assigned shards.  The options block round-trips every field except the
+/// plan_cache pointer (decoded as nullptr), workers/worker_command/
+/// worker_fault included — the parent zeroes those itself before handing
+/// options to a worker, so a worker never recursively spawns workers.
 struct WorkerRequestData {
   std::vector<std::string> names;
   std::vector<std::uint8_t> directions;  // spec::Direction per name

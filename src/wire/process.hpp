@@ -197,7 +197,7 @@ class FdFrameReader {
   std::size_t header_got_ = 0;
   std::size_t payload_got_ = 0;
   bool in_payload_ = false;
-  Payload pending_tag_ = Payload::Trace;
+  Payload pending_tag_ = Payload::Result;
   std::uint64_t frames_read_ = 0;
 };
 

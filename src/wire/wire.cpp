@@ -7,10 +7,7 @@ namespace loom::wire {
 
 const char* to_string(Payload p) {
   switch (p) {
-    case Payload::Trace: return "Trace";
-    case Payload::Options: return "Options";
     case Payload::Result: return "Result";
-    case Payload::Snapshot: return "Snapshot";
     case Payload::WorkerRequest: return "WorkerRequest";
     case Payload::WorkerPartial: return "WorkerPartial";
     case Payload::WorkerDone: return "WorkerDone";
@@ -182,8 +179,11 @@ bool parse_frame_header(const std::uint8_t* data, std::size_t size,
                      std::to_string(kWireVersion));
   }
   const std::uint8_t tag = d.u8();
-  if (d.ok() && (tag < static_cast<std::uint8_t>(Payload::Trace) ||
-                 tag > static_cast<std::uint8_t>(Payload::WorkerError))) {
+  const bool known =
+      tag == static_cast<std::uint8_t>(Payload::Result) ||
+      (tag >= static_cast<std::uint8_t>(Payload::WorkerRequest) &&
+       tag <= static_cast<std::uint8_t>(Payload::WorkerError));
+  if (d.ok() && !known) {
     d.fail_at(5, "unknown payload tag " + std::to_string(tag));
   }
   const std::uint8_t r0 = d.u8();

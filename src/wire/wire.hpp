@@ -1,5 +1,5 @@
 //! Versioned binary wire format: the length-prefixed frame codec behind
-//! cross-process campaign sharding (and the future loomd daemon).
+//! cross-process campaign sharding.
 //!
 //! A frame is a fixed 16-byte header followed by the payload bytes:
 //!
@@ -51,8 +51,10 @@ namespace loom::wire {
 /// engine it described.  Version 5 dropped six result-neutral bools from
 /// CampaignOptions (use_compiled_plans, reuse_traces, batch_replay,
 /// reuse_scratch, incremental_replay, supervised) with the second code
-/// paths they selected.
-constexpr std::uint8_t kWireVersion = 5;
+/// paths they selected.  Version 6 removed the Trace, Options and Snapshot
+/// payload tags (1, 2 and 4), which no process sent; their numbers stay
+/// unassigned, so a frame carrying one rejects as an unknown tag.
+constexpr std::uint8_t kWireVersion = 6;
 
 /// "LOOM" as a little-endian u32 (the file starts with the bytes L O O M).
 constexpr std::uint32_t kMagic = 0x4D4F4F4Cu;
@@ -65,10 +67,7 @@ constexpr std::size_t kFrameHeaderBytes = 16;
 
 /// What a frame's payload bytes mean.
 enum class Payload : std::uint8_t {
-  Trace = 1,          // abv::Trace (wire/payload.hpp)
-  Options = 2,        // abv::CampaignOptions
-  Result = 3,         // abv::CampaignResult
-  Snapshot = 4,       // mon::Snapshot word buffer
+  Result = 3,         // abv::CampaignResult (wire/payload.hpp)
   WorkerRequest = 5,  // parent -> worker: alphabet, properties, shards
   WorkerPartial = 6,  // worker -> parent: one job's partial result
   WorkerDone = 7,     // worker -> parent: end of stream, summary count
@@ -172,7 +171,7 @@ void write_frame(std::vector<std::uint8_t>& out, Payload tag,
 
 /// A parsed frame view into the caller's buffer (no copy).
 struct Frame {
-  Payload tag = Payload::Trace;
+  Payload tag = Payload::Result;
   const std::uint8_t* data = nullptr;
   std::size_t size = 0;
 };
@@ -180,7 +179,7 @@ struct Frame {
 /// A validated frame header (streaming readers parse this first, then read
 /// exactly `length` payload bytes off the pipe).
 struct FrameHeader {
-  Payload tag = Payload::Trace;
+  Payload tag = Payload::Result;
   std::uint64_t length = 0;
 };
 

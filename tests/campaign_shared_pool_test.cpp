@@ -3,11 +3,14 @@
 // and each still equals its serial run (serial ≡ parallel), and a fork-only
 // worker run after the parent's pool exists builds its own pool in the
 // child and equals the in-process result (in-process ≡ cross-process).
+// Plus forks right after a batch, and right after a fresh pool's first
+// one: no pool thread is then inside the allocator, so no child hangs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <future>
 #include <string>
 #include <thread>
@@ -78,6 +81,21 @@ TEST(CampaignSharedPool, ConcurrentCampaignsEachEqualTheirSerialRun) {
 
 #if LOOM_WIRE_HAS_PROCESS
 
+// Waits for `child` until `limit` passes; a child still running then is
+// killed, and false tells the caller it hung.
+bool reap_within(pid_t child, int& status, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  pid_t done = 0;
+  while ((done = ::waitpid(child, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (done != 0) return true;
+  ::kill(child, SIGKILL);
+  ::waitpid(child, &status, 0);
+  return false;
+}
+
 TEST(ForkAfterPool, AForkedChildBuildsItsOwnPool) {
   support::ThreadPool& parent = support::ThreadPool::shared(2);
   parent.for_each_index(16, [](std::size_t) {}, 3);
@@ -92,22 +110,66 @@ TEST(ForkAfterPool, AForkedChildBuildsItsOwnPool) {
     ::_exit(&own != &parent && hits.load() == 64 ? 0 : 1);
   }
   int status = 0;
-  pid_t done = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while ((done = ::waitpid(child, &status, WNOHANG)) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  if (done == 0) {
-    ::kill(child, SIGKILL);
-    ::waitpid(child, &status, 0);
-    FAIL() << "the forked child hung on the pool";
-  }
+  ASSERT_TRUE(reap_within(child, status, std::chrono::seconds(30)))
+      << "the forked child hung on the pool";
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
   EXPECT_EQ(&support::ThreadPool::shared(1), &parent)
       << "the parent keeps its pool";
+}
+
+TEST(ForkAfterPool, AForkRightAfterEveryBatchFindsTheAllocatorFree) {
+  // Nothing of a for_each_index call outlives its return, so a fork right
+  // after one never catches a pool thread inside malloc or free: each
+  // child allocates, frees and exits, and is reaped well in time.
+  support::ThreadPool& pool = support::ThreadPool::shared(3);
+  std::atomic<std::size_t> hits{0};
+  for (int round = 0; round < 200; ++round) {
+    pool.for_each_index(
+        32, [&hits](std::size_t) { hits.fetch_add(1); }, 4);
+    const pid_t child = ::fork();
+    ASSERT_NE(child, -1);
+    if (child == 0) {
+      void* volatile block = std::malloc(4096);
+      std::free(block);
+      ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_TRUE(reap_within(child, status, std::chrono::seconds(10)))
+        << "round " << round << ": the forked child hung";
+    ASSERT_TRUE(WIFEXITED(status)) << "round " << round;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "round " << round;
+  }
+  EXPECT_EQ(hits.load(), 200u * 32u);
+}
+
+TEST(ForkAfterPool, AForkRightAfterAFreshPoolStartsThreadsInTheChild) {
+  // A new worker is inside the allocator while it starts up (a sanitizer's
+  // thread set-up frees and allocates), so the constructor returns only
+  // once every worker runs: a fork right after a fresh pool's first batch
+  // leaves the child no lock to wait on when it starts threads itself.
+  for (int round = 0; round < 100; ++round) {
+    pid_t child = 0;
+    {
+      support::ThreadPool pool(3);
+      pool.for_each_index(8, [](std::size_t) {}, 4);
+      child = ::fork();
+      ASSERT_NE(child, -1);
+      if (child == 0) {
+        std::thread starter([] {
+          void* volatile block = std::malloc(64);
+          std::free(block);
+        });
+        starter.join();
+        ::_exit(0);
+      }
+    }
+    int status = 0;
+    ASSERT_TRUE(reap_within(child, status, std::chrono::seconds(10)))
+        << "round " << round << ": the forked child hung";
+    ASSERT_TRUE(WIFEXITED(status)) << "round " << round;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "round " << round;
+  }
 }
 
 TEST(ForkAfterPool, ForkOnlyWorkersAfterAnInProcessCampaignEqualIt) {

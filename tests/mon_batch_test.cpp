@@ -1,7 +1,7 @@
-// MonitorModule::observe_batch contract: same verdict as the per-event
-// observe() path, violation callback exactly once, and the documented
-// early-stop on a violating slice.  Plus the Drct monitors' own
-// observe_batch retirement fast-forward, locked against the event loop.
+// The Monitor batch contract: observe_batch, and observe_shifted at any
+// shift, land on the bytes of an observe(name, time + shift) loop — the
+// monitors' retirement fast-forward included, and a shift that saturates
+// at sim::Time::max() part-way through a slice too.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,118 +14,10 @@
 namespace loom::mon {
 namespace {
 
-struct PathResult {
-  Verdict verdict = Verdict::Monitoring;
-  int callbacks = 0;
-  std::uint64_t monitor_events = 0;
-};
-
-PathResult run_per_event(const spec::Property& p, const spec::Alphabet& ab,
-                         const spec::Trace& trace) {
-  sim::Scheduler scheduler;
-  auto monitor = make_monitor(p);
-  MonitorModule module(scheduler, "per_event", *monitor, ab);
-  PathResult out;
-  module.on_violation([&out](const Violation&) { ++out.callbacks; });
-  for (const auto& ev : trace) module.observe(ev.name, ev.time);
-  out.verdict = monitor->verdict();
-  out.monitor_events = monitor->stats().events;
-  return out;
-}
-
-PathResult run_batch(const spec::Property& p, const spec::Alphabet& ab,
-                     const spec::Trace& trace) {
-  sim::Scheduler scheduler;
-  auto monitor = make_monitor(p);
-  MonitorModule module(scheduler, "batch", *monitor, ab);
-  PathResult out;
-  module.on_violation([&out](const Violation&) { ++out.callbacks; });
-  module.observe_batch(trace);
-  out.verdict = monitor->verdict();
-  out.monitor_events = monitor->stats().events;
-  return out;
-}
-
-TEST(MonitorModuleBatch, AgreesWithPerEventPathOnValidTrace) {
-  spec::Alphabet ab;
-  auto p = loom::testing::parse("(({a, b}, &) << s, true)", ab);
-  const spec::Trace trace = loom::testing::trace_of("a b s b a s", ab);
-  ASSERT_FALSE(spec::reference_check(p, trace, trace.back().time).rejected());
-
-  const PathResult per_event = run_per_event(p, ab, trace);
-  const PathResult batch = run_batch(p, ab, trace);
-  EXPECT_EQ(per_event.verdict, batch.verdict);
-  EXPECT_NE(batch.verdict, Verdict::Violated);
-  EXPECT_EQ(per_event.callbacks, 0);
-  EXPECT_EQ(batch.callbacks, 0);
-  // No violation → no early stop: both paths step every event.
-  EXPECT_EQ(per_event.monitor_events, batch.monitor_events);
-}
-
-TEST(MonitorModuleBatch, ViolatingSliceFiresCallbackExactlyOnce) {
-  spec::Alphabet ab;
-  auto p = loom::testing::parse("(({a, b}, &) << s, true)", ab);
-  // Trigger fires before b completes the fragment: an invalid trace.
-  const spec::Trace trace = loom::testing::trace_of("a s", ab);
-  ASSERT_TRUE(spec::reference_check(p, trace, trace.back().time).rejected());
-
-  const PathResult per_event = run_per_event(p, ab, trace);
-  const PathResult batch = run_batch(p, ab, trace);
-  EXPECT_EQ(per_event.verdict, Verdict::Violated);
-  EXPECT_EQ(batch.verdict, Verdict::Violated);
-  EXPECT_EQ(per_event.callbacks, 1);
-  EXPECT_EQ(batch.callbacks, 1);
-}
-
-TEST(MonitorModuleBatch, StopsSteppingAtTheViolation) {
-  spec::Alphabet ab;
-  auto p = loom::testing::parse("(({a, b}, &) << s, true)", ab);
-  // Violation at the second event, then a long valid-looking tail: the
-  // batch path must not keep feeding the dead monitor (documented early
-  // stop — its stats cover only events up to the violation).
-  const spec::Trace trace =
-      loom::testing::trace_of("a s a b s a b s a b s", ab);
-
-  const PathResult per_event = run_per_event(p, ab, trace);
-  const PathResult batch = run_batch(p, ab, trace);
-  EXPECT_EQ(per_event.verdict, batch.verdict);
-  EXPECT_EQ(batch.verdict, Verdict::Violated);
-  EXPECT_EQ(batch.callbacks, 1);
-  EXPECT_EQ(batch.monitor_events, 2u);
-  EXPECT_EQ(per_event.monitor_events, trace.size());
-}
-
-TEST(MonitorModuleBatch, ReplayAllMatchesPerEventStatsExactly) {
-  // The campaign's replay policy: every event stepped even past the
-  // violation, so verdict AND stats land bit-identical to an observe()
-  // loop — the equivalence the cached-replay differential tests build on.
-  spec::Alphabet ab;
-  auto p = loom::testing::parse("(({a, b}, &) << s, true)", ab);
-  const spec::Trace traces[] = {
-      loom::testing::trace_of("a b s b a s", ab),        // valid
-      loom::testing::trace_of("a s a b s a b s a b s", ab),  // violating
-  };
-  for (const auto& trace : traces) {
-    const PathResult per_event = run_per_event(p, ab, trace);
-
-    sim::Scheduler scheduler;
-    auto monitor = make_monitor(p);
-    MonitorModule module(scheduler, "replay_all", *monitor, ab);
-    int callbacks = 0;
-    module.on_violation([&callbacks](const Violation&) { ++callbacks; });
-    module.observe_batch(trace, MonitorModule::BatchPolicy::ReplayAll);
-
-    EXPECT_EQ(monitor->verdict(), per_event.verdict);
-    EXPECT_EQ(callbacks, per_event.callbacks);
-    EXPECT_EQ(monitor->stats().events, per_event.monitor_events);
-    EXPECT_EQ(monitor->stats().events, trace.size());
-  }
-}
-
-TEST(MonitorModuleBatch, MonitorLevelBatchIsObservationallyPerEvent) {
-  // Monitor::observe_batch (the devirtualized override every monitor kind
-  // carries) must be indistinguishable from an observe() loop, ops
-  // accounting included.
+TEST(MonitorBatch, MonitorLevelBatchIsObservationallyPerEvent) {
+  // Monitor::observe_batch (observe_shifted at shift 0, which every monitor
+  // kind implements without per-event dispatch) must be indistinguishable
+  // from an observe() loop, ops accounting included.
   spec::Alphabet ab;
   auto p = loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
   const spec::Trace trace = loom::testing::trace_of("p p q q r p p q r", ab);
@@ -173,11 +65,14 @@ void expect_same_state(Monitor& batched, Monitor& looped,
   EXPECT_TRUE(loom::testing::snapshots_equal(a, b)) << what;
 }
 
-TEST(MonitorBatchRetire, RetiringMidSliceEqualsTheEventLoop) {
+class MonitorBatchRetire : public ::testing::TestWithParam<sim::Time> {};
+
+TEST_P(MonitorBatchRetire, RetiringMidSliceEqualsTheEventLoop) {
   // Once a Drct monitor retires (Violated, or Holds for a non-repeated
-  // antecedent) its observe_batch counts the rest of the slice in one step
-  // instead of stepping it.  Every slice here retires part-way, whole or
-  // cut at random points; each must land on the event loop's bytes.
+  // antecedent) its observe_shifted counts the rest of the slice in one
+  // step instead of stepping it.  Every slice here retires part-way, whole
+  // or cut at random points, at the parameter's shift; each must land on
+  // the bytes of the event loop at the shifted times.
   constexpr const char* kSources[] = {
       "(n << i, true)",
       "(n[2,3] << i, false)",
@@ -185,6 +80,7 @@ TEST(MonitorBatchRetire, RetiringMidSliceEqualsTheEventLoop) {
       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
       "(p[2,3] => q[1,4] < r, 10us)",
   };
+  const sim::Time shift = GetParam();
   std::size_t violated_mid = 0, holds_mid = 0;
   for (const char* source : kSources) {
     spec::Alphabet ab;
@@ -194,7 +90,7 @@ TEST(MonitorBatchRetire, RetiringMidSliceEqualsTheEventLoop) {
       auto looped = make_monitor(p);
       std::size_t retired_at = trace.size();
       for (std::size_t i = 0; i < trace.size(); ++i) {
-        looped->observe(trace[i].name, trace[i].time);
+        looped->observe(trace[i].name, trace[i].time + shift);
         if (retired_at == trace.size() && retired(looped->verdict())) {
           retired_at = i;
         }
@@ -206,7 +102,7 @@ TEST(MonitorBatchRetire, RetiringMidSliceEqualsTheEventLoop) {
           std::string(source) + " seed " + std::to_string(seed);
 
       auto whole = make_monitor(p);
-      whole->observe_batch(trace);
+      whole->observe_shifted(trace.data(), trace.data() + trace.size(), shift);
       expect_same_state(*whole, *looped, what + " [whole slice]");
 
       auto cut = make_monitor(p);
@@ -214,7 +110,7 @@ TEST(MonitorBatchRetire, RetiringMidSliceEqualsTheEventLoop) {
       std::size_t done = 0;
       while (done < trace.size()) {
         const std::size_t next = done + 1 + rng.below(trace.size() - done);
-        cut->observe_batch(trace.data() + done, trace.data() + next);
+        cut->observe_shifted(trace.data() + done, trace.data() + next, shift);
         done = next;
       }
       expect_same_state(*cut, *looped, what + " [random cuts]");
@@ -223,6 +119,20 @@ TEST(MonitorBatchRetire, RetiringMidSliceEqualsTheEventLoop) {
   EXPECT_GT(violated_mid, 50u);
   EXPECT_GT(holds_mid, 10u);
 }
+
+// Shift 0 is observe_batch; 7 ns re-times every event; the last shift
+// saturates part-way through each slice (its retiring tails span about
+// 80 us), so the later events all land on sim::Time::max().
+std::string shift_name(const ::testing::TestParamInfo<sim::Time>& info) {
+  constexpr const char* kNames[] = {"Zero", "Nanoseconds", "SaturatingAtMax"};
+  return kNames[info.index];
+}
+
+INSTANTIATE_TEST_SUITE_P(Shifts, MonitorBatchRetire,
+                         ::testing::Values(sim::Time::zero(), sim::Time::ns(7),
+                                           sim::Time::max() -
+                                               sim::Time::us(40)),
+                         shift_name);
 
 }  // namespace
 }  // namespace loom::mon

@@ -3,9 +3,9 @@
 // conscious diff, not an accident), and the interpreter is differentially
 // fuzzed against the Drct monitors it compiles from — verdicts, violation
 // reports (reason strings included), the Figure-6 op/event/max-ops
-// accounting and the space bits must match event for event, through both
-// MonitorModule batch policies and at random batch cut points.  ViaPSL rides
-// along as the relational cross-check: a clause-network rejection must
+// accounting and the space bits must match event for event, stepped one
+// at a time or in batches cut at random points, shifted or not.  ViaPSL
+// rides along as the relational cross-check: a clause-network rejection must
 // always be confirmed by the VM (no false alarms, psl_equivalence_test's
 // relation 1 per prefix).
 #include <gtest/gtest.h>
@@ -16,12 +16,10 @@
 
 #include "mon/bytecode.hpp"
 #include "mon/compiled.hpp"
-#include "mon/monitor_module.hpp"
 #include "mon/monitors.hpp"
 #include "mon/snapshot.hpp"
 #include "mon/vm.hpp"
 #include "psl/clause_monitor.hpp"
-#include "sim/scheduler.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
 
@@ -326,60 +324,6 @@ TEST(MonBytecodeFuzz, ResetReusesTheFrameBitForBit) {
       expect_same_outcome(pooled, fresh,
                           std::string(c.label) + " trial " +
                               std::to_string(trial) + " [reset-reuse]");
-    }
-  }
-}
-
-// --- MonitorModule batch policies ------------------------------------------
-
-TEST(MonBytecodeBatch, BothModulePoliciesMatchDrctHostedTheSameWay) {
-  // Host a VM monitor and a Drct monitor in identical MonitorModules and
-  // replay random slice splits under each BatchPolicy: verdicts, stats and
-  // callback counts must agree policy for policy.
-  using Policy = MonitorModule::BatchPolicy;
-  for (const auto& c : kCases) {
-    spec::Alphabet ab;
-    const spec::Property p = loom::testing::parse(c.source, ab);
-    const auto names = names_of(p, ab);
-    const auto program = compile_vm(p);
-
-    for (const Policy policy : {Policy::StopAtViolation, Policy::ReplayAll}) {
-      for (std::uint64_t trial = 0; trial < 30; ++trial) {
-        support::Rng rng = support::Rng::stream(0x90DE + trial, 13);
-        const spec::Trace trace = fuzz_trace(names, rng);
-        const std::size_t cut =
-            trace.empty() ? 0 : rng.below(trace.size() + 1);
-        const sim::Time end =
-            trace.empty() ? sim::Time::zero() : trace.back().time;
-        const std::string what =
-            std::string(c.label) + " trial " + std::to_string(trial) +
-            (policy == Policy::ReplayAll ? " [replay-all]" : " [stop]");
-
-        VmMonitor vm(program);
-        auto drct = make_monitor(p);
-        sim::Scheduler sched;
-        MonitorModule vm_host(sched, "vm", vm, ab);
-        MonitorModule drct_host(sched, "drct", *drct, ab);
-        vm_host.set_arm_watchdogs(false);
-        drct_host.set_arm_watchdogs(false);
-        std::size_t vm_fires = 0;
-        std::size_t drct_fires = 0;
-        vm_host.on_violation([&](const Violation&) { ++vm_fires; });
-        drct_host.on_violation([&](const Violation&) { ++drct_fires; });
-
-        // Two slices around a random cut, same policy both hosts.
-        spec::Trace head(trace.begin(), trace.begin() + cut);
-        spec::Trace tail(trace.begin() + cut, trace.end());
-        vm_host.observe_batch(head, policy);
-        vm_host.observe_batch(tail, policy);
-        drct_host.observe_batch(head, policy);
-        drct_host.observe_batch(tail, policy);
-        vm.finish(end);
-        drct->finish(end);
-
-        expect_same_outcome(vm, *drct, what);
-        EXPECT_EQ(vm_fires, drct_fires) << what;
-      }
     }
   }
 }

@@ -205,11 +205,8 @@ TEST(Platform, KernelCaptureFeedsRecorderAndReplaysBitIdentically) {
   ASSERT_TRUE(p2 && p3) << sink.to_string();
   const spec::Property props[] = {*p2, *p3};
   for (std::size_t i = 0; i < 2; ++i) {
-    sim::Scheduler replay_sched;
     auto monitor = mon::make_monitor(props[i]);
-    mon::MonitorModule module(replay_sched, "replay", *monitor,
-                              h.platform.alphabet());
-    module.observe_batch(replay, mon::MonitorModule::BatchPolicy::ReplayAll);
+    monitor->observe_batch(replay);
     monitor->finish(replay.back().time);
     EXPECT_EQ(monitor->verdict(), live[i]->verdict()) << "property " << i;
     EXPECT_EQ(monitor->stats().events, live[i]->stats().events)

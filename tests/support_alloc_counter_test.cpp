@@ -4,9 +4,12 @@
 // regressions the counters exist to guard — a warmed mutate_into scratch
 // mutates without touching the heap at all, and a warmed campaign's
 // per-mutant loop (mutate, oracle, restore, replay, finish) allocates
-// nothing, rejected and violating mutants included.
+// nothing, rejected and violating mutants included, and neither does a
+// warmed ThreadPool::for_each_index call on its caller's thread.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "mon/compiled.hpp"
 #include "spec/attributes.hpp"
 #include "support/alloc_counter.hpp"
+#include "support/thread_pool.hpp"
 #include "testing.hpp"
 
 namespace loom::support {
@@ -292,6 +296,23 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
     ++checked;
   }
   EXPECT_EQ(checked, 8u);
+}
+
+TEST(ThreadPool, AWarmedCallAllocatesNothing) {
+  // A batch lives in its caller's frame and helpers join it in place: with
+  // the body built beforehand, a call — helpers enlisted or not — costs the
+  // caller's thread no heap allocation.
+  ThreadPool pool(2);
+  std::atomic<std::size_t> sum{0};
+  const std::function<void(std::size_t)> body = [&sum](std::size_t i) {
+    sum.fetch_add(i, std::memory_order_relaxed);
+  };
+  pool.for_each_index(64, body, 3);  // warm-up: workers started
+  sum = 0;
+  AllocCounter::Scope scope;
+  for (int round = 0; round < 20; ++round) pool.for_each_index(64, body, 3);
+  EXPECT_EQ(scope.allocs(), 0u);
+  EXPECT_EQ(sum.load(), 20u * (64u * 63u / 2));
 }
 
 }  // namespace

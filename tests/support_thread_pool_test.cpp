@@ -1,8 +1,8 @@
-// Unit tests for the pool behind the parallel campaign engine: completion,
-// exception propagation, bounded-queue saturation and shutdown draining;
-// for_each_index's per-call latch, per-call errors and caller
-// participation (concurrent and nested callers); and the process-wide
-// pool's growth.
+// Unit tests for the batch executor behind the parallel campaign engine:
+// for_each_index's coverage, per-call errors, executor bound and caller
+// participation (concurrent and nested callers), and the process-wide
+// pool's growth.  tests/support_alloc_counter_test.cpp checks that a call
+// allocates nothing, tests/campaign_shared_pool_test.cpp forks after it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,23 +18,13 @@
 namespace loom::support {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> counter{0};
-  ThreadPool pool(4);
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
 TEST(ThreadPool, ZeroThreadsIsPromotedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.thread_count(), 1u);
-  std::atomic<bool> ran{false};
-  pool.submit([&ran] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran.load());
+  std::vector<std::atomic<int>> hits(64);
+  pool.for_each_index(hits.size(),
+                      [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ForEachIndexCoversEveryIndexExactlyOnce) {
@@ -45,72 +35,6 @@ TEST(ThreadPool, ForEachIndexCoversEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ThreadPool, PropagatesTheFirstExceptionAndRecovers) {
-  ThreadPool pool(2);
-  std::atomic<int> survivors{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&survivors, i] {
-      if (i == 5) throw std::runtime_error("shard 5 exploded");
-      survivors.fetch_add(1);
-    });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The failure does not poison the pool: later batches run and a clean
-  // wait_idle() returns normally.
-  EXPECT_EQ(survivors.load(), 15);
-  pool.submit([&survivors] { survivors.fetch_add(1); });
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(survivors.load(), 16);
-}
-
-TEST(ThreadPool, SaturationBlocksProducersWithoutLosingTasks) {
-  // A queue bound far below the task count forces submit() into its
-  // back-pressure path; every task must still run exactly once.
-  std::atomic<int> counter{0};
-  ThreadPool pool(3, /*queue_capacity=*/2);
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&counter] {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      counter.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        counter.fetch_add(1);
-      });
-    }
-    // No wait_idle(): shutdown itself must finish the queue.
-  }
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, ManyProducersOneConsumerPool) {
-  // Cross-thread submission exercises the stealing path: producers enqueue
-  // round-robin while a single worker drains everything.
-  std::atomic<int> counter{0};
-  ThreadPool pool(1);
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&pool, &counter] {
-      for (int i = 0; i < 50; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 200);
 }
 
 TEST(ThreadPool, ConcurrentCallersDoNotWaitForEachOthersWork) {
@@ -157,7 +81,6 @@ TEST(ThreadPool, AnExceptionReachesOnlyTheCallerWhoseBatchThrew) {
     EXPECT_THROW(failing.get(), std::runtime_error);
   }
   // The per-call error is not left behind on the pool either.
-  EXPECT_NO_THROW(pool.wait_idle());
   EXPECT_NO_THROW(pool.for_each_index(8, [](std::size_t) {}));
 }
 

@@ -14,70 +14,89 @@
 #include <vector>
 
 #include "abv/campaign.hpp"
-#include "mon/snapshot.hpp"
 #include "support/rng.hpp"
-#include "testing.hpp"
 #include "wire/payload.hpp"
 #include "wire/wire.hpp"
 
 namespace loom::wire {
 namespace {
 
-// One valid framed payload of each type, used as the seed corpus every
-// corruption strategy mutates.
+// What a corpus entry's bytes are.  The campaign options cross the wire
+// only inside a worker request, so their entry is a request that carries
+// nothing else: corruption lands in the options block.
+enum class Kind {
+  Options,
+  Result,
+  WorkerRequest,
+  WorkerPartial,
+  WorkerDone,
+  WorkerError,
+};
+constexpr std::uint64_t kKinds = 6;
+
+// The frame tag that carries a kind.
+Payload tag_of(Kind kind) {
+  switch (kind) {
+    case Kind::Options:
+    case Kind::WorkerRequest: return Payload::WorkerRequest;
+    case Kind::Result: return Payload::Result;
+    case Kind::WorkerPartial: return Payload::WorkerPartial;
+    case Kind::WorkerDone: return Payload::WorkerDone;
+    case Kind::WorkerError: return Payload::WorkerError;
+  }
+  return Payload::Result;
+}
+
+// One valid payload of each kind, used as the seed corpus every corruption
+// strategy mutates.
 struct CorpusEntry {
   const char* name;
-  Payload tag;
+  Kind kind;
   std::vector<std::uint8_t> payload;  // unframed payload bytes
 };
 
-// Decodes `bytes` as payload `tag`, returning false with the decoder's
+// A worker request with no names, properties or shards: the options block
+// between three zero count words.
+std::vector<std::uint8_t> options_request(const abv::CampaignOptions& o) {
+  WorkerRequestData req;
+  req.options = o;
+  Encoder e;
+  encode_worker_request(e, req);
+  return e.bytes();
+}
+
+// Decodes `bytes` as payload `kind`, returning false with the decoder's
 // positioned error when the codec rejected.  Success is allowed (a bit
 // flip can land in a don't-care position or produce a different but
 // well-formed value); what this harness asserts is that rejection is
 // always clean and acceptance never reads out of bounds.
-bool decode_as(Payload tag, const std::uint8_t* data, std::size_t size,
+bool decode_as(Kind kind, const std::uint8_t* data, std::size_t size,
                DecodeError& err) {
   Decoder d(data, size);
   bool ok = false;
-  switch (tag) {
-    case Payload::Trace: {
-      spec::Alphabet ab;
-      spec::Trace t;
-      ok = decode_trace(d, t, ab);
-      break;
-    }
-    case Payload::Options: {
-      abv::CampaignOptions o;
-      ok = decode_options(d, o);
-      break;
-    }
-    case Payload::Result: {
-      abv::CampaignResult r;
-      ok = decode_result(d, r);
-      break;
-    }
-    case Payload::Snapshot: {
-      mon::Snapshot s;
-      ok = decode_snapshot(d, s);
-      break;
-    }
-    case Payload::WorkerRequest: {
+  switch (kind) {
+    case Kind::Options:
+    case Kind::WorkerRequest: {
       WorkerRequestData req;
       ok = decode_worker_request(d, req);
       break;
     }
-    case Payload::WorkerPartial: {
+    case Kind::Result: {
+      abv::CampaignResult r;
+      ok = decode_result(d, r);
+      break;
+    }
+    case Kind::WorkerPartial: {
       WorkerPartialData part;
       ok = decode_worker_partial(d, part);
       break;
     }
-    case Payload::WorkerDone: {
+    case Kind::WorkerDone: {
       std::uint64_t n = 0;
       ok = decode_worker_done(d, n);
       break;
     }
-    case Payload::WorkerError: {
+    case Kind::WorkerError: {
       std::string m;
       ok = decode_worker_error(d, m);
       break;
@@ -90,28 +109,12 @@ bool decode_as(Payload tag, const std::uint8_t* data, std::size_t size,
 std::vector<CorpusEntry> build_corpus() {
   std::vector<CorpusEntry> corpus;
   Encoder e;
-  support::Rng rng = support::Rng::stream(0xC0B9, 11);
 
-  {
-    spec::Alphabet ab;
-    spec::Trace t;
-    const char* pool[] = {"a", "b", "irq", "set_imgAddr"};
-    std::uint64_t ps = 0;
-    for (int i = 0; i < 12; ++i) {
-      ps += 1 + rng.below(100);
-      t.push_back({ab.name(pool[rng.below(4)]), sim::Time::ps(ps)});
-    }
-    e.clear();
-    encode_trace(e, t, ab);
-    corpus.push_back({"trace", Payload::Trace, e.bytes()});
-  }
   {
     abv::CampaignOptions o;
     o.seeds = 7;
     o.worker_command = {"loomcheck", "--worker"};
-    e.clear();
-    encode_options(e, o);
-    corpus.push_back({"options", Payload::Options, e.bytes()});
+    corpus.push_back({"options", Kind::Options, options_request(o)});
   }
   {
     abv::CampaignResult r;
@@ -121,21 +124,7 @@ std::vector<CorpusEntry> build_corpus() {
     r.mutation[2].applied = 9;
     e.clear();
     encode_result(e, r);
-    corpus.push_back({"result", Payload::Result, e.bytes()});
-  }
-  {
-    // A real monitor snapshot, tag word included.
-    spec::Alphabet ab;
-    auto p = loom::testing::parse("(({a, b}, &) < c << i, true)", ab);
-    auto compiled = mon::CompiledProperty::compile(p, ab, {});
-    auto m = compiled.instantiate();
-    m->observe(ab.name("a"), sim::Time::ns(5));
-    m->observe(ab.name("b"), sim::Time::ns(7));
-    mon::Snapshot snap;
-    m->snapshot(snap);
-    e.clear();
-    encode_snapshot(e, snap);
-    corpus.push_back({"snapshot", Payload::Snapshot, e.bytes()});
+    corpus.push_back({"result", Kind::Result, e.bytes()});
   }
   {
     WorkerRequestData req;
@@ -145,7 +134,7 @@ std::vector<CorpusEntry> build_corpus() {
     req.shards = {{0, 0, 0, 6}, {1, 0, 6, 12}};
     e.clear();
     encode_worker_request(e, req);
-    corpus.push_back({"request", Payload::WorkerRequest, e.bytes()});
+    corpus.push_back({"request", Kind::WorkerRequest, e.bytes()});
   }
   {
     WorkerPartialData part;
@@ -163,17 +152,17 @@ std::vector<CorpusEntry> build_corpus() {
     part.recognizer_rows = {{row, row}, {row}};
     e.clear();
     encode_worker_partial(e, part);
-    corpus.push_back({"partial", Payload::WorkerPartial, e.bytes()});
+    corpus.push_back({"partial", Kind::WorkerPartial, e.bytes()});
   }
   {
     e.clear();
     encode_worker_done(e, 4);
-    corpus.push_back({"done", Payload::WorkerDone, e.bytes()});
+    corpus.push_back({"done", Kind::WorkerDone, e.bytes()});
   }
   {
     e.clear();
     encode_worker_error(e, "worker 1: property parse failed");
-    corpus.push_back({"error", Payload::WorkerError, e.bytes()});
+    corpus.push_back({"error", Kind::WorkerError, e.bytes()});
   }
   return corpus;
 }
@@ -198,7 +187,7 @@ TEST(WireFuzz, PayloadTruncationAtEveryByteBoundary) {
   for (const CorpusEntry& entry : build_corpus()) {
     for (std::size_t cut = 0; cut < entry.payload.size(); ++cut) {
       DecodeError err;
-      const bool ok = decode_as(entry.tag, entry.payload.data(), cut, err);
+      const bool ok = decode_as(entry.kind, entry.payload.data(), cut, err);
       const std::string what = std::string(entry.name) + " cut at byte " +
                                std::to_string(cut);
       EXPECT_FALSE(ok) << what;
@@ -215,7 +204,7 @@ TEST(WireFuzz, FrameTruncationAtEveryByteBoundary) {
     Encoder e;
     for (const std::uint8_t b : entry.payload) e.put_u8(b);
     std::vector<std::uint8_t> framed;
-    write_frame(framed, entry.tag, e);
+    write_frame(framed, tag_of(entry.kind), e);
     for (std::size_t cut = 0; cut < framed.size(); ++cut) {
       Frame frame;
       std::size_t consumed = 0;
@@ -247,6 +236,9 @@ TEST(WireFuzz, HeaderFieldCorruptionsRejectWithNamedDiagnostics) {
       {4, kWireVersion + 1, "wire format version"},  // future version
       {4, 0, "wire format version"},              // ancient version
       {5, 0, "payload tag"},                      // tag below range
+      {5, 1, "payload tag"},                      // retired Trace tag
+      {5, 2, "payload tag"},                      // retired Options tag
+      {5, 4, "payload tag"},                      // retired Snapshot tag
       {5, 99, "payload tag"},                     // tag above range
       {6, 1, "reserved"},                         // reserved byte 6
       {7, 0x80, "reserved"},                      // reserved byte 7
@@ -313,7 +305,7 @@ TEST(WireFuzz, SingleBitFlipsNeverCrashAndRejectPositioned) {
         std::vector<std::uint8_t> bad = entry.payload;
         bad[byte] = static_cast<std::uint8_t>(bad[byte] ^ (1u << bit));
         DecodeError err;
-        if (decode_as(entry.tag, bad.data(), bad.size(), err)) {
+        if (decode_as(entry.kind, bad.data(), bad.size(), err)) {
           ++survived;  // landed in a value byte: different but well-formed
         } else {
           ++rejected;
@@ -326,7 +318,7 @@ TEST(WireFuzz, SingleBitFlipsNeverCrashAndRejectPositioned) {
     }
   }
   // The corpus is structured enough that plenty of flips must trip
-  // validation (length prefixes, enum bytes, booleans, snapshot tags)...
+  // validation (length prefixes, enum bytes, booleans)...
   EXPECT_GT(rejected, 100u);
   // ...and plenty must not (pure value bytes), proving the harness
   // exercises the acceptance path under corruption too.
@@ -352,11 +344,10 @@ TEST(WireFuzz, RandomByteSplattersNeverCrash) {
         bad.push_back(static_cast<std::uint8_t>(rng.below(256)));
       }
     }
-    // Sometimes decode as a different payload type entirely (a hostile
+    // Sometimes decode as a different payload kind entirely (a hostile
     // sender can stamp any tag on any bytes).
-    const Payload as = rng.chance(1, 3)
-                           ? static_cast<Payload>(1 + rng.below(8))
-                           : entry.tag;
+    const Kind as = rng.chance(1, 3) ? static_cast<Kind>(rng.below(kKinds))
+                                     : entry.kind;
     DecodeError err;
     if (!decode_as(as, bad.data(), bad.size(), err)) {
       ++rejected;
@@ -383,13 +374,13 @@ TEST(WireFuzz, PureGarbageStreamsRejectEverywhere) {
     } else {
       expect_positioned(err, junk.size(), "trial " + std::to_string(trial));
     }
-    for (int tag = 1; tag <= 8; ++tag) {
+    for (std::uint64_t kind = 0; kind < kKinds; ++kind) {
       DecodeError derr;
-      if (!decode_as(static_cast<Payload>(tag), junk.data(), junk.size(),
+      if (!decode_as(static_cast<Kind>(kind), junk.data(), junk.size(),
                      derr)) {
         expect_positioned(derr, junk.size(),
                           "payload trial " + std::to_string(trial) +
-                              " tag " + std::to_string(tag));
+                              " kind " + std::to_string(kind));
       }
     }
   }
@@ -438,67 +429,17 @@ TEST(WireFuzz, NestedCorruptionInsideWorkerPayloads) {
     EXPECT_EQ(d.error().offset, 0u);
   }
   {
-    // A trace event pointing past its own name table.
-    spec::Alphabet ab;
-    spec::Trace t;
-    t.push_back({ab.name("a"), sim::Time::ns(1)});
-    e.clear();
-    encode_trace(e, t, ab);
-    // Layout: count(names)=1, "a", count(events)=1, idx u64, time u64.
-    // The event's table index is the third-from-last u64; overwrite it.
-    std::vector<std::uint8_t> bad = e.bytes();
-    const std::size_t idx_at = bad.size() - 16;
-    bad[idx_at] = 9;  // index 9 into a 1-entry table
-    spec::Alphabet ab2;
-    spec::Trace back;
-    Decoder d(bad.data(), bad.size());
-    ASSERT_FALSE(decode_trace(d, back, ab2));
-    expect_positioned(d.error(), bad.size(), "trace name index");
-    EXPECT_NE(d.error().message.find("names table"), std::string::npos)
-        << d.error().to_string();
-  }
-  {
-    // A snapshot whose tag word names a future snapshot version: the wire
-    // decoder rejects it exactly like Monitor::restore would, but as a
-    // positioned diagnostic instead of an exception.
-    mon::Snapshot snap;
-    snap.put_u64(mon::snapshot_tag(0x414E5443));  // a real ANTC tag...
-    snap.put_u64(7);
-    e.clear();
-    encode_snapshot(e, snap);
-    mon::Snapshot out;
-    {
-      Decoder d(e.bytes());
-      ASSERT_TRUE(decode_snapshot(d, out));  // current version: accepted
-    }
-    snap.set_word(0, (std::uint64_t{mon::kSnapshotVersion + 1} << 32) |
-                         0x414E5443);
-    e.clear();
-    encode_snapshot(e, snap);
-    Decoder d(e.bytes());
-    ASSERT_FALSE(decode_snapshot(d, out));
-    expect_positioned(d.error(), e.size(), "future snapshot");
-    EXPECT_NE(d.error().message.find(
-                  "snapshot format version " +
-                  std::to_string(mon::kSnapshotVersion + 1)),
-              std::string::npos)
-        << d.error().to_string();
-  }
-  {
     // A boolean byte of 0xFF inside options (byte-level strictness: a
     // flipped bit cannot smuggle a vacuously-true flag through).
-    abv::CampaignOptions o;
-    e.clear();
-    encode_options(e, o);
-    std::vector<std::uint8_t> bad = e.bytes();
+    const std::vector<std::uint8_t> bad = options_request({});
     bool tripped = false;
     for (std::size_t i = 0; i < bad.size() && !tripped; ++i) {
       if (bad[i] > 1) continue;  // only bytes that could be the flags
       std::vector<std::uint8_t> mutant = bad;
       mutant[i] = 0xFF;
-      abv::CampaignOptions back;
+      WorkerRequestData back;
       Decoder d(mutant.data(), mutant.size());
-      if (!decode_options(d, back) &&
+      if (!decode_worker_request(d, back) &&
           d.error().message.find("boolean") != std::string::npos) {
         expect_positioned(d.error(), mutant.size(), "boolean strictness");
         tripped = true;
@@ -515,26 +456,24 @@ TEST(WireFuzz, WorkerFaultByteBeyondTheLastFaultIsRejected) {
   // The byte is located by diffing two encodings, not by layout arithmetic.
   constexpr auto last = abv::WorkerFault::LingerAfterDone;
   abv::CampaignOptions o;
-  Encoder plain;
-  encode_options(plain, o);
+  const std::vector<std::uint8_t> plain = options_request(o);
   o.worker_fault = last;
-  Encoder faulted;
-  encode_options(faulted, o);
+  const std::vector<std::uint8_t> faulted = options_request(o);
   ASSERT_EQ(plain.size(), faulted.size());
   std::size_t at = 0;
-  while (at < plain.size() && plain.bytes()[at] == faulted.bytes()[at]) ++at;
+  while (at < plain.size() && plain[at] == faulted[at]) ++at;
   ASSERT_LT(at, plain.size()) << "worker_fault is not encoded";
   {
-    abv::CampaignOptions back;
-    Decoder d(faulted.bytes());
-    ASSERT_TRUE(decode_options(d, back)) << d.error().to_string();
-    EXPECT_EQ(back.worker_fault, last);
+    WorkerRequestData back;
+    Decoder d(faulted);
+    ASSERT_TRUE(decode_worker_request(d, back)) << d.error().to_string();
+    EXPECT_EQ(back.options.worker_fault, last);
   }
-  std::vector<std::uint8_t> bad = faulted.bytes();
+  std::vector<std::uint8_t> bad = faulted;
   bad[at] = static_cast<std::uint8_t>(static_cast<std::uint8_t>(last) + 1);
-  abv::CampaignOptions back;
+  WorkerRequestData back;
   Decoder d(bad.data(), bad.size());
-  ASSERT_FALSE(decode_options(d, back));
+  ASSERT_FALSE(decode_worker_request(d, back));
   expect_positioned(d.error(), bad.size(), "fault byte");
   EXPECT_EQ(d.error().offset, at);
   EXPECT_NE(d.error().message.find(

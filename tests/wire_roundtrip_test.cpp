@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "abv/campaign.hpp"
-#include "mon/monitors.hpp"
-#include "mon/snapshot.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
 #include "wire/payload.hpp"
@@ -22,20 +20,6 @@
 
 namespace loom::wire {
 namespace {
-
-spec::Trace fuzz_trace(spec::Alphabet& ab, support::Rng& rng,
-                       std::size_t events) {
-  // A handful of names, some shared, some per-trace; strictly increasing
-  // times so the trace is also a plausible monitor input.
-  const char* pool[] = {"a", "b", "start", "irq", "set_imgAddr", "read_img"};
-  spec::Trace t;
-  std::uint64_t ps = 0;
-  for (std::size_t i = 0; i < events; ++i) {
-    ps += 1 + rng.below(5000);
-    t.push_back({ab.name(pool[rng.below(6)]), sim::Time::ps(ps)});
-  }
-  return t;
-}
 
 abv::CampaignOptions fuzz_options(support::Rng& rng) {
   abv::CampaignOptions o;
@@ -233,59 +217,18 @@ TEST(WireRoundTrip, PrimitivesSurviveInOrder) {
   EXPECT_TRUE(d.exhausted()) << "remaining=" << d.remaining();
 }
 
-TEST(WireRoundTrip, TracesSurviveFuzzedAndFramed) {
-  std::vector<std::uint8_t> bytes;
-  Encoder enc;
-  for (std::uint64_t trial = 0; trial < 40; ++trial) {
-    support::Rng rng = support::Rng::stream(0x51DE + trial, 17);
-    spec::Alphabet ab;
-    const spec::Trace t = fuzz_trace(ab, rng, rng.below(200));
-    enc.clear();  // one encoder serves every trial
-    encode_trace(enc, t, ab);
-    Frame frame;
-    frame_and_parse(enc, Payload::Trace, bytes, frame);
-
-    // Decode into a different alphabet: the stream must be self-contained.
-    spec::Alphabet ab2;
-    spec::Trace back;
-    Decoder d(frame.data, frame.size);
-    ASSERT_TRUE(decode_trace(d, back, ab2)) << d.error().to_string();
-    EXPECT_TRUE(d.exhausted());
-    ASSERT_EQ(back.size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      EXPECT_EQ(ab2.text(back[i].name), ab.text(t[i].name)) << i;
-      EXPECT_EQ(back[i].time, t[i].time) << i;
-    }
-  }
-}
-
-TEST(WireRoundTrip, OptionsSurviveFuzzed) {
-  Encoder enc;
-  for (std::uint64_t trial = 0; trial < 60; ++trial) {
-    support::Rng rng = support::Rng::stream(0x0F75 + trial, 3);
-    const abv::CampaignOptions o = fuzz_options(rng);
-    enc.clear();
-    encode_options(enc, o);
-    abv::CampaignOptions back;
-    Decoder d(enc.bytes());
-    ASSERT_TRUE(decode_options(d, back)) << d.error().to_string();
-    EXPECT_TRUE(d.exhausted());
-    const std::string what = "trial " + std::to_string(trial);
-    expect_options_equal(back, o, what.c_str());
-    // Borrowed pointers never cross the wire.
-    EXPECT_EQ(back.plan_cache, nullptr);
-  }
-}
-
 TEST(WireRoundTrip, ResultsSurviveFuzzed) {
+  std::vector<std::uint8_t> bytes;
   Encoder enc;
   for (std::uint64_t trial = 0; trial < 60; ++trial) {
     support::Rng rng = support::Rng::stream(0x4E54 + trial, 5);
     const abv::CampaignResult r = fuzz_result(rng);
-    enc.clear();
+    enc.clear();  // one encoder serves every trial
     encode_result(enc, r);
+    Frame frame;
+    frame_and_parse(enc, Payload::Result, bytes, frame);
     abv::CampaignResult back;
-    Decoder d(enc.bytes());
+    Decoder d(frame.data, frame.size);
     ASSERT_TRUE(decode_result(d, back)) << d.error().to_string();
     EXPECT_TRUE(d.exhausted());
     const std::string what = "trial " + std::to_string(trial);
@@ -317,48 +260,6 @@ TEST(WireRoundTrip, ARealCampaignResultSurvivesWithIdenticalReport) {
   EXPECT_EQ(back.report(ab, true), r.report(ab, true));
 }
 
-TEST(WireRoundTrip, MonitorSnapshotsSurviveAndRestore) {
-  // Snapshot a monitor mid-trace, push the snapshot through the wire, and
-  // restore a fresh instance from the decoded copy: the wire must be as
-  // invisible as the in-memory snapshot path mon_snapshot_test locks.
-  spec::Alphabet ab;
-  auto p = loom::testing::parse("(({a, b}, &) < c << i, true)", ab);
-  const mon::CompiledProperty compiled =
-      mon::CompiledProperty::compile(p, ab, {});
-  auto source = compiled.instantiate();
-  auto restored = compiled.instantiate();
-  support::Rng rng = support::Rng::stream(0xABBA, 9);
-  spec::Trace t = fuzz_trace(ab, rng, 40);
-
-  std::vector<std::uint8_t> bytes;
-  Encoder enc;
-  mon::Snapshot snap;
-  mon::Snapshot decoded;
-  for (std::size_t cut = 0; cut < t.size(); cut += 7) {
-    for (std::size_t i = 0; i < cut; ++i) {
-      source->observe(t[i].name, t[i].time);
-    }
-    source->snapshot(snap);  // buffer reuse across cuts on both sides
-    enc.clear();
-    encode_snapshot(enc, snap);
-    Frame frame;
-    frame_and_parse(enc, Payload::Snapshot, bytes, frame);
-    Decoder d(frame.data, frame.size);
-    ASSERT_TRUE(decode_snapshot(d, decoded)) << d.error().to_string();
-    EXPECT_TRUE(d.exhausted());
-    ASSERT_EQ(decoded.word_count(), snap.word_count());
-    restored->restore(decoded);
-    // The restored monitor continues exactly like the original.
-    for (std::size_t i = cut; i < t.size(); ++i) {
-      source->observe(t[i].name, t[i].time);
-      restored->observe(t[i].name, t[i].time);
-    }
-    EXPECT_EQ(restored->verdict(), source->verdict()) << "cut=" << cut;
-    EXPECT_EQ(restored->stats().ops, source->stats().ops) << "cut=" << cut;
-    source->reset();
-  }
-}
-
 TEST(WireRoundTrip, WorkerProtocolPayloadsSurvive) {
   Encoder enc;
   for (std::uint64_t trial = 0; trial < 30; ++trial) {
@@ -387,6 +288,8 @@ TEST(WireRoundTrip, WorkerProtocolPayloadsSurvive) {
     EXPECT_EQ(back.properties, req.properties);
     const std::string what = "trial " + std::to_string(trial);
     expect_options_equal(back.options, req.options, what.c_str());
+    // Borrowed pointers never cross the wire.
+    EXPECT_EQ(back.options.plan_cache, nullptr);
     ASSERT_EQ(back.shards.size(), req.shards.size());
     for (std::size_t i = 0; i < req.shards.size(); ++i) {
       EXPECT_EQ(back.shards[i].shard, req.shards[i].shard);
@@ -482,26 +385,33 @@ TEST(WireRoundTrip, EncoderClearKeepsCapacityLikeSnapshot) {
 }
 
 TEST(WireRoundTrip, MultipleFramesConcatenateAndStreamBack) {
-  // Frames are a stream format: several in one buffer parse back in order,
-  // each consuming exactly its own bytes.
-  spec::Alphabet ab;
+  // Frames are a stream format: a worker's reply — partials, then Done —
+  // parses back in order from one buffer, each frame consuming exactly its
+  // own bytes.
   support::Rng rng = support::Rng::stream(0xF00D, 2);
-  const spec::Trace t = fuzz_trace(ab, rng, 30);
-  const abv::CampaignOptions o = fuzz_options(rng);
+  WorkerRequestData req;
+  req.names = {"a", "b"};
+  req.directions = {0, 1};
+  req.properties = {"(a << b, true)"};
+  req.options = fuzz_options(rng);
+  req.shards = {{0, 0, 0, 4}};
+  WorkerPartialData part;
+  part.shard = 3;
+  part.partial = fuzz_result(rng);
 
   std::vector<std::uint8_t> stream;
   Encoder enc;
-  encode_trace(enc, t, ab);
-  write_frame(stream, Payload::Trace, enc);
+  encode_worker_request(enc, req);
+  write_frame(stream, Payload::WorkerRequest, enc);
   enc.clear();
-  encode_options(enc, o);
-  write_frame(stream, Payload::Options, enc);
+  encode_worker_partial(enc, part);
+  write_frame(stream, Payload::WorkerPartial, enc);
   enc.clear();
-  encode_worker_done(enc, 42);
+  encode_worker_done(enc, 1);
   write_frame(stream, Payload::WorkerDone, enc);
 
   std::size_t offset = 0;
-  const Payload expected[] = {Payload::Trace, Payload::Options,
+  const Payload expected[] = {Payload::WorkerRequest, Payload::WorkerPartial,
                               Payload::WorkerDone};
   for (const Payload tag : expected) {
     Frame frame;
