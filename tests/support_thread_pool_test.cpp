@@ -1,15 +1,19 @@
 // Unit tests for the batch executor behind the parallel campaign engine:
-// for_each_index's coverage, per-call errors, executor bound and caller
-// participation (concurrent and nested callers), and the process-wide
-// pool's growth.  tests/support_alloc_counter_test.cpp checks that a call
+// for_each_index's coverage (back-to-back, empty and many-caller batches),
+// per-call errors, executor bound and caller participation (concurrent and
+// nested callers), and growth, of a private pool and of the process-wide
+// one.  tests/support_alloc_counter_test.cpp checks that a call
 // allocates nothing, tests/campaign_shared_pool_test.cpp forks after it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +39,124 @@ TEST(ThreadPool, ForEachIndexCoversEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
+}
+
+TEST(ThreadPool, AnEmptyBatchNeverCallsTheBody) {
+  ThreadPool pool(2);
+  std::atomic<int> calls{0};
+  pool.for_each_index(0, [&calls](std::size_t) { calls.fetch_add(1); });
+  pool.for_each_index(0, [&calls](std::size_t) { calls.fetch_add(1); }, 1);
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ThreadPool, RunsEverySubmittedTask) {
+  // A thousand small batches back to back: each call opens its batch,
+  // takes whatever helpers join and closes it again, and none of them
+  // loses an iteration.
+  std::atomic<int> counter{0};
+  ThreadPool pool(4);
+  for (int i = 0; i < 1000; ++i) {
+    pool.for_each_index(4, [&counter](std::size_t) { counter.fetch_add(1); });
+  }
+  EXPECT_EQ(counter.load(), 4000);
+}
+
+TEST(ThreadPool, PropagatesTheFirstExceptionAndRecovers) {
+  ThreadPool pool(2);
+  std::atomic<int> survivors{0};
+  EXPECT_THROW(pool.for_each_index(16,
+                                   [&survivors](std::size_t i) {
+                                     if (i == 5) {
+                                       throw std::runtime_error(
+                                           "shard 5 exploded");
+                                     }
+                                     survivors.fetch_add(1);
+                                   }),
+               std::runtime_error);
+  // A throw ends only its own iteration: every other index still ran.
+  EXPECT_EQ(survivors.load(), 15);
+  // Two throwing iterations: the caller receives one of the two errors.
+  try {
+    pool.for_each_index(16, [](std::size_t i) {
+      if (i == 3 || i == 11) throw std::runtime_error(std::to_string(i));
+    });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_TRUE(std::string(e.what()) == "3" || std::string(e.what()) == "11")
+        << e.what();
+  }
+  // The failures do not poison the pool: the next batch runs cleanly.
+  EXPECT_NO_THROW(pool.for_each_index(
+      4, [&survivors](std::size_t) { survivors.fetch_add(1); }));
+  EXPECT_EQ(survivors.load(), 19);
+}
+
+TEST(ThreadPool, ManyProducersOneConsumerPool) {
+  // Four callers share a one-worker pool: the worker helps whichever batch
+  // is open, and every iteration of every caller runs exactly once.
+  std::atomic<int> counter{0};
+  ThreadPool pool(1);
+  std::vector<std::thread> producers;
+  for (int t = 0; t < 4; ++t) {
+    producers.emplace_back([&pool, &counter] {
+      for (int i = 0; i < 50; ++i) {
+        pool.for_each_index(4,
+                            [&counter](std::size_t) { counter.fetch_add(1); });
+      }
+    });
+  }
+  for (auto& p : producers) p.join();
+  EXPECT_EQ(counter.load(), 800);
+}
+
+TEST(ThreadPool, CallersOutnumberingTheWorkersEachRunEveryIndexOnce) {
+  // Eight callers open batches faster than two workers can help them: a
+  // batch no worker joins runs on its caller alone, and no index of any
+  // batch is lost or run twice.
+  constexpr std::size_t kCallers = 8;
+  constexpr std::size_t kIndices = 32;
+  constexpr int kRounds = 10;
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(kCallers * kIndices);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &hits, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        pool.for_each_index(kIndices, [&hits, c](std::size_t i) {
+          std::this_thread::sleep_for(std::chrono::microseconds(10));
+          hits[c * kIndices + i].fetch_add(1);
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), kRounds) << "caller " << i / kIndices
+                                       << " index " << i % kIndices;
+  }
+}
+
+TEST(ThreadPool, GrowReturnsWithEveryNewWorkerReadyToJoin) {
+  // After grow(4) a batch that wants four helpers gets all four: each
+  // iteration waits until five executors are inside the batch at once.
+  ThreadPool pool(1);
+  pool.grow(4);
+  ASSERT_EQ(pool.thread_count(), 4u);
+  std::mutex mutex;
+  std::condition_variable arrived;
+  std::set<std::thread::id> inside;
+  std::atomic<int> timed_out{0};
+  pool.for_each_index(5, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    inside.insert(std::this_thread::get_id());
+    arrived.notify_all();
+    if (!arrived.wait_for(lock, std::chrono::seconds(10),
+                          [&inside] { return inside.size() == 5; })) {
+      timed_out.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(timed_out.load(), 0);
+  EXPECT_EQ(inside.size(), 5u);
 }
 
 TEST(ThreadPool, ConcurrentCallersDoNotWaitForEachOthersWork) {

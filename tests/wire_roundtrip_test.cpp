@@ -369,6 +369,44 @@ TEST(WireRoundTrip, WorkerProtocolPayloadsSurvive) {
   }
 }
 
+TEST(WireRoundTrip, OptionsSurviveFuzzed) {
+  // The options block alone, inside an otherwise empty framed request:
+  // fuzzed values, extreme counters, and every Backend and WorkerFault
+  // value, each must come back field for field.
+  std::vector<std::uint8_t> bytes;
+  Encoder enc;
+  for (std::uint64_t trial = 0; trial < 60; ++trial) {
+    support::Rng rng = support::Rng::stream(0x0F75 + trial, 3);
+    WorkerRequestData req;
+    req.options = fuzz_options(rng);
+    if (trial % 3 == 0) {
+      req.options.first_seed = ~std::uint64_t{0};
+      req.options.seeds = ~std::uint64_t{0};
+      req.options.checkpoint_stride = 0;
+      req.options.worker_command.clear();
+    }
+    req.options.backend = static_cast<mon::Backend>(trial % 4);
+    req.options.worker_fault = static_cast<abv::WorkerFault>(
+        trial %
+        (static_cast<std::uint64_t>(abv::WorkerFault::LingerAfterDone) + 1));
+    enc.clear();
+    encode_worker_request(enc, req);
+    Frame frame;
+    frame_and_parse(enc, Payload::WorkerRequest, bytes, frame);
+    WorkerRequestData back;
+    Decoder d(frame.data, frame.size);
+    ASSERT_TRUE(decode_worker_request(d, back)) << d.error().to_string();
+    EXPECT_TRUE(d.exhausted());
+    const std::string what = "trial " + std::to_string(trial);
+    expect_options_equal(back.options, req.options, what.c_str());
+    // Borrowed pointers never cross the wire.
+    EXPECT_EQ(back.options.plan_cache, nullptr);
+    EXPECT_TRUE(back.names.empty()) << what;
+    EXPECT_TRUE(back.properties.empty()) << what;
+    EXPECT_TRUE(back.shards.empty()) << what;
+  }
+}
+
 TEST(WireRoundTrip, EncoderClearKeepsCapacityLikeSnapshot) {
   // The mon::Snapshot reuse discipline on the wire: after a warm-up frame,
   // re-encoding payloads of no larger size must not grow the buffer.
