@@ -48,10 +48,6 @@ struct CampaignTally {
   double seconds = 0.0;
   std::uint64_t trace_cache_hits = 0;
   std::uint64_t trace_cache_misses = 0;
-  std::uint64_t plan_cache_hits = 0;
-  std::uint64_t plan_cache_misses = 0;
-  std::uint64_t instances_stamped = 0;
-  std::uint64_t instance_reuses = 0;
   std::uint64_t checkpoint_hits = 0;
   std::uint64_t events_skipped = 0;
   bool backend_viapsl = false;
@@ -72,10 +68,6 @@ struct CampaignTally {
     monitor_events += r.monitor_stats.events;
     trace_cache_hits += r.trace_cache_hits;
     trace_cache_misses += r.trace_cache_misses;
-    plan_cache_hits += r.compile_stats.plan_cache_hits;
-    plan_cache_misses += r.compile_stats.plan_cache_misses;
-    instances_stamped += r.compile_stats.instances_stamped;
-    instance_reuses += r.compile_stats.instance_reuses;
     checkpoint_hits += r.checkpoint_hits;
     events_skipped += r.events_skipped;
     backend_viapsl = r.compile_stats.backend_chosen == mon::Backend::ViaPSL;
@@ -99,10 +91,6 @@ struct CampaignTally {
     }
     state.counters["trace_cache_hit_rate"] = benchmark::Counter(safe_ratio(
         d(trace_cache_hits), d(trace_cache_hits + trace_cache_misses)));
-    state.counters["plan_cache_hit_rate"] = benchmark::Counter(safe_ratio(
-        d(plan_cache_hits), d(plan_cache_hits + plan_cache_misses)));
-    state.counters["instance_reuse_rate"] = benchmark::Counter(safe_ratio(
-        d(instance_reuses), d(instances_stamped + instance_reuses)));
     state.counters["checkpoint_hits"] = benchmark::Counter(d(checkpoint_hits));
     state.counters["events_skipped"] = benchmark::Counter(d(events_skipped));
     // A restored rung carries its prefix's stats, so monitor_events
@@ -237,7 +225,7 @@ void BM_CampaignSharded(benchmark::State& state) {
   opt.stimuli.rounds = 4;
   opt.mutants_per_kind = 8;
   opt.threads = static_cast<std::size_t>(state.range(0));
-  opt.shard_size = 6;  // one seed per shard: each seed pass runs once
+  opt.shard_seeds = 1;  // one seed per shard
   CampaignTally tally;
   for (auto _ : state) {
     support::AllocCounter::Scope scope;
@@ -364,12 +352,9 @@ void BM_CampaignCompiledPlans(benchmark::State& state) {
 BENCHMARK(BM_CampaignCompiledPlans)->Arg(1)->UseRealTime();
 
 void BM_CampaignManyProperties(benchmark::State& state) {
-  // The many-property shape: run_campaigns over a batch, where gear 1 pays
-  // exactly one translation per property per campaign, and the plan-cache
-  // gear 2 exactly one per property for the whole benchmark — the
-  // long-lived-embedder steady state, where every iteration after the
-  // first recompiles nothing (CampaignOptions::plan_cache).
-  const int gear = static_cast<int>(state.range(0));
+  // The many-property shape: run_campaigns over a batch, which pays
+  // exactly one translation per property per campaign.  Arg 1 keeps the
+  // recorded baseline's name.
   spec::Alphabet ab;
   std::vector<spec::Property> props;
   for (const char* source : kConfig) {
@@ -385,8 +370,6 @@ void BM_CampaignManyProperties(benchmark::State& state) {
   opt.stimuli.rounds = 4;
   opt.mutants_per_kind = 12;
   opt.threads = 1;
-  mon::CompiledPropertyCache plan_cache;
-  if (gear >= 2) opt.plan_cache = &plan_cache;
   CampaignTally tally;
   for (auto _ : state) {
     support::AllocCounter::Scope scope;
@@ -398,12 +381,10 @@ void BM_CampaignManyProperties(benchmark::State& state) {
     benchmark::DoNotOptimize(results);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(tally.monitor_events));
-  // plan_cache_hit_rate from the tally replaces the old raw hit counter:
-  // gear 2 converges toward 1.0 as iterations replay the warm cache.
   tally.report(state);
-  state.SetLabel(gear == 1 ? "compiled plans" : "+cross-campaign plan cache");
+  state.SetLabel("compiled plans");
 }
-BENCHMARK(BM_CampaignManyProperties)->Arg(1)->Arg(2)->UseRealTime();
+BENCHMARK(BM_CampaignManyProperties)->Arg(1)->UseRealTime();
 
 #if LOOM_WIRE_HAS_PROCESS
 void BM_WorkerSupervision(benchmark::State& state) {
@@ -417,7 +398,7 @@ void BM_WorkerSupervision(benchmark::State& state) {
   opt.stimuli.rounds = 4;
   opt.mutants_per_kind = 8;
   opt.threads = 1;
-  opt.shard_size = 6;  // one seed per shard: each seed pass runs once
+  opt.shard_seeds = 1;  // one seed per shard
   opt.workers = 2;
   opt.worker_timeout_ms = 10000;
   CampaignTally tally;
@@ -457,9 +438,6 @@ void BM_WireRoundTrip(benchmark::State& state) {
   result.monitor_stats.ops = 2400000;
   result.monitor_stats.events = 120000;
   result.monitor_stats.max_ops_per_event = 24;
-  result.compile_stats.plans_built = 1;
-  result.compile_stats.instances_stamped = 12;
-  result.compile_stats.instance_reuses = 930;
   result.trace_cache_hits = 120;
   result.trace_cache_misses = 24;
   result.checkpoint_hits = 700;

@@ -33,25 +33,17 @@ constexpr MutationKind kAllKinds[5] = {
     MutationKind::Drop, MutationKind::Duplicate, MutationKind::SwapAdjacent,
     MutationKind::EarlyTrigger, MutationKind::StallDeadline};
 
-// A work unit is one cell of the sharded campaign space: slot 0 is a seed's
-// valid-stimuli phase, slots 1..5 are the seed's batch of one mutation
-// kind.  Units are independent by construction — each derives its own Rng
-// stream from (seed, slot) — which is what makes the reduction
-// order-independent and the engine deterministic under any thread count.
-// A shard runs the units of one seed that it holds as one seed task.
+// A seed has six slots: slot 0 is its valid-stimuli phase, slots 1..5 its
+// batch of one mutation kind each.  Each slot draws from its own Rng
+// stream keyed by (seed, slot), so seeds are independent by construction —
+// which is what makes the reduction order-independent and the engine
+// deterministic under any thread count.  The slots still name the work
+// units a degraded run reports as lost (ShardFailure's unit range).
 constexpr std::size_t kSlotsPerSeed = 6;
 
 sim::Time end_of(const spec::Trace& t) {
   return t.empty() ? sim::Time::zero() : t.back().time;
 }
-
-// Everything a work unit needs, shared read-only across workers once
-// run_campaigns() has finished its setup (noise names pre-interned,
-// property plans compiled, ViaPSL encodings materialized).
-struct CampaignJob {
-  const spec::Property* property = nullptr;
-  const PropertyPlan* plan = nullptr;
-};
 
 // Accumulator local to one shard; merged into the campaign result in shard
 // index order after the pool drains.
@@ -63,8 +55,8 @@ struct ShardOutcome {
 
 struct Shard {
   std::size_t job = 0;
-  std::size_t unit_begin = 0;  // within the job's seeds×slots space
-  std::size_t unit_end = 0;
+  std::size_t seed_begin = 0;  // the job's seeds [begin, end)
+  std::size_t seed_end = 0;
 };
 
 }  // namespace
@@ -79,11 +71,11 @@ struct Shard {
 //     their capacity, so a warm seed task allocates nothing;
 //   - their *content* lives for one seed task: the edits borrow `trace`
 //     and are all consumed before the next seed overwrites it;
-//   - the *pool* (walker, replay and ViaPSL cross-check instances) and the
-//     draw accounting are scoped to one shard: begin_shard() drops them,
-//     so the stamp/reuse counters are a pure function of the deterministic
-//     shard layout and never of which thread ran which shard, and nothing
-//     stamped from one campaign's plans survives it.
+//   - the *pool* (walker, replay and ViaPSL cross-check instances) is
+//     scoped to one shard: its instances are stamped from the shard's
+//     property plan, and the next shard may run another property or
+//     another campaign, so begin_shard() drops them and nothing stamped
+//     from one campaign's plans outlives it.
 struct UnitScratch {
   spec::Trace trace;                // the seed's valid trace
   spec::RefLadder oracle;           // its oracle ladder (stride > 0)
@@ -103,15 +95,13 @@ struct UnitScratch {
   std::unique_ptr<mon::Monitor> walker;  // walks the valid trace
   std::unique_ptr<mon::Monitor> replay;  // replays the invalid mutants
   std::unique_ptr<mon::Monitor> viapsl;  // check_viapsl cross-check
-  bool drawn = false;  // the shard made its first chosen-backend draw
 
-  /// Drops every pooled instance and the draw accounting; buffers keep
-  /// their capacity.  Also the end-of-shard cleanup.
+  /// Drops every pooled instance; buffers keep their capacity.  Also the
+  /// end-of-shard cleanup.
   void begin_shard() {
     walker.reset();
     replay.reset();
     viapsl.reset();
-    drawn = false;
   }
 
   /// Room for `n` edits.
@@ -129,23 +119,9 @@ namespace {
 // The physical instance in `slot`, stamped from the shared plan on its
 // first use in a shard.
 mon::Monitor& instance(std::unique_ptr<mon::Monitor>& slot,
-                       const CampaignJob& job, mon::Backend backend) {
-  if (slot == nullptr) slot = job.plan->compiled.instantiate(backend);
+                       const PropertyPlan& job, mon::Backend backend) {
+  if (slot == nullptr) slot = job.compiled.instantiate(backend);
   return *slot;
-}
-
-// Accounts one logical draw of the chosen backend's pooled monitor — the
-// reference loop builds one fresh monitor per valid unit and per invalid
-// mutant.  The first draw of a shard counts as a stamp, every later one as
-// a reuse (reset ≡ fresh, mon_reset_reuse_test), whichever physical
-// instance — the walker or the replay monitor — serves it.
-void count_draw(UnitScratch& scratch, ShardOutcome& out) {
-  if (scratch.drawn) {
-    ++out.partial.compile_stats.instance_reuses;
-  } else {
-    scratch.drawn = true;
-    ++out.partial.compile_stats.instances_stamped;
-  }
 }
 
 // A mutant's reference oracle reads its pieces in place.  With a ladder it
@@ -153,45 +129,41 @@ void count_draw(UnitScratch& scratch, ShardOutcome& out) {
 // and stops at the first rung past MutantEdit::aligned where its walk
 // rejoins the valid trace's; without one it walks in full.  Either way the
 // verdict bytes are identical (spec/reference.hpp).
-spec::RefResult oracle_check(const CampaignJob& job, std::size_t stride,
+spec::RefResult oracle_check(const PropertyPlan& job, std::size_t stride,
                              const MutantEdit& mutant,
                              const spec::RefLadder& oracle) {
   const sim::Time end_time = mutant.view.end_time();
   if (stride == 0) {
-    return spec::reference_check(*job.property, job.plan->compiled.plan(),
+    return spec::reference_check(*job.property, job.compiled.plan(),
                                  mutant.view, end_time);
   }
   return spec::resume_reference_check(
-      *job.property, job.plan->compiled.plan(), oracle,
+      *job.property, job.compiled.plan(), oracle,
       std::min(mutant.position / oracle.stride, oracle.rungs.size()),
       mutant.view, end_time, mutant.aligned);
 }
 
-// Draws every mutant of the seed's mutation slots among [slot_begin,
-// slot_end), each slot from its own (seed, slot) stream in the reference
-// loop's order, checks each with the oracle and keeps the invalid ones in
-// scratch.edits; returns how many it kept.  The site-reading kinds share
-// one scan of the trace.
-std::size_t draw_invalid_mutants(const CampaignJob& job,
+// Draws every mutant of seed `s`, each mutation slot from its own
+// (seed, slot) stream in the reference loop's order, checks each with the
+// oracle and keeps the invalid ones in scratch.edits; returns how many it
+// kept.  The site-reading kinds share one scan of the trace.
+std::size_t draw_invalid_mutants(const PropertyPlan& job,
                                  const CampaignOptions& options,
-                                 std::size_t s, std::size_t slot_begin,
-                                 std::size_t slot_end, UnitScratch& scratch,
+                                 std::size_t s, UnitScratch& scratch,
                                  ShardOutcome& out) {
-  const std::size_t first = std::max<std::size_t>(slot_begin, 1);
-  if (first >= slot_end) return 0;
   const spec::Trace& valid = scratch.trace;
-  MutantEdit* const edits =
-      scratch.reserve_edits((slot_end - first) * options.mutants_per_kind);
+  MutantEdit* const edits = scratch.reserve_edits(
+      (kSlotsPerSeed - 1) * options.mutants_per_kind);
   bool sites_listed = false;
   std::size_t kept = 0;
-  for (std::size_t slot = first; slot < slot_end; ++slot) {
+  for (std::size_t slot = 1; slot < kSlotsPerSeed; ++slot) {
     const MutationKind kind = kAllKinds[slot - 1];
     MutationStats& stats = out.partial.mutation[slot - 1];
     support::Rng rng = support::Rng::stream(options.first_seed + s, slot);
     std::span<const std::size_t> sites;
     if (mutation_reads_sites(kind)) {
       if (!sites_listed) {
-        mutation_sites_into(valid, job.plan->compiled.alphabet(),
+        mutation_sites_into(valid, job.compiled.alphabet(),
                             scratch.sites);
         sites_listed = true;
       }
@@ -270,11 +242,10 @@ void replay_pieces(mon::Monitor& monitor, const spec::TraceView& view,
 // from <= MutantEdit::position — which already carries the prefix's stats,
 // verdict and timing registers, so the bytes match a replay from event 0
 // exactly (campaign_reference_diff_test); with `from` 0, from a reset.
-void replay_mutant(const CampaignJob& job, const MutantEdit& mutant,
+void replay_mutant(const PropertyPlan& job, const MutantEdit& mutant,
                    std::size_t from, UnitScratch& scratch, ShardOutcome& out) {
   LOOM_DASSERT(from <= mutant.position && from <= mutant.view.size);
-  count_draw(scratch, out);
-  const mon::Backend chosen = job.plan->compiled.chosen();
+  const mon::Backend chosen = job.compiled.chosen();
   mon::Monitor& monitor = instance(scratch.replay, job, chosen);
   if (from == 0) {
     monitor.reset();
@@ -302,11 +273,10 @@ void replay_mutant(const CampaignJob& job, const MutantEdit& mutant,
 }
 
 // The valid unit's verdicts, from the walk's record and the oracle.
-void tally_valid_unit(const CampaignJob& job, const CampaignOptions& options,
+void tally_valid_unit(const PropertyPlan& job, const CampaignOptions& options,
                       const spec::Trace& valid, const ValidRecord& record,
                       const spec::RefResult& ref, UnitScratch& scratch,
                       ShardOutcome& out) {
-  count_draw(scratch, out);
   ++out.partial.traces;
   out.partial.events += valid.size();
   const bool monitor_ok = !record.violated;
@@ -315,15 +285,10 @@ void tally_valid_unit(const CampaignJob& job, const CampaignOptions& options,
   out.partial.monitor_stats.merge(record.stats);
   if (!options.check_viapsl) return;
   // The cross-check instantiates from the shared clause set, pooled per
-  // shard like the chosen-backend monitor: the first draw stamps, every
-  // later one resets.
-  if (scratch.viapsl == nullptr) {
-    ++out.partial.compile_stats.instances_stamped;
-  } else {
-    scratch.viapsl->reset();
-    ++out.partial.compile_stats.instance_reuses;
-  }
+  // shard like the chosen-backend monitor (reset ≡ fresh,
+  // mon_reset_reuse_test).
   mon::Monitor& viapsl = instance(scratch.viapsl, job, mon::Backend::ViaPSL);
+  viapsl.reset();
   viapsl.observe_batch(valid.data(), valid.data() + valid.size());
   viapsl.finish(end_of(valid));
   if (!ref.rejected() && viapsl.verdict() == mon::Verdict::Violated) {
@@ -332,26 +297,24 @@ void tally_valid_unit(const CampaignJob& job, const CampaignOptions& options,
   out.partial.monitor_stats.merge(viapsl.stats());
 }
 
-// One seed task: the units [slot_begin, slot_end) of seed `s` that one
-// shard holds.  It generates the valid trace into the thread's scratch,
-// records the oracle ladder, draws and oracle-checks every mutant of its
-// mutation slots, then walks the valid trace once with the chosen monitor
-// — sampling coverage when the valid unit is among the slots — and at each
-// invalid mutant's exact divergence position saves the live state once
-// and replays every mutant that diverges there from it (split-stream
-// execution: forked replay ≡ live stepping).  At stride 0, and for a
-// mutant at position 0, the replay starts from event 0.
-void run_seed(const CampaignJob& job, spec::Alphabet& ab,
+// One seed task: all six units of seed `s`.  It generates the valid trace
+// into the thread's scratch, records the oracle ladder, draws and
+// oracle-checks every mutant, then walks the valid trace once with the
+// chosen monitor, sampling coverage, and at each invalid mutant's exact
+// divergence position saves the live state once and replays every mutant
+// that diverges there from it (split-stream execution: forked replay ≡
+// live stepping).  At stride 0, and for a mutant at position 0, the
+// replay starts from event 0.
+void run_seed(const PropertyPlan& job, spec::Alphabet& ab,
               const CampaignOptions& options, std::size_t s,
-              std::size_t slot_begin, std::size_t slot_end,
               UnitScratch& scratch, ShardOutcome& out) {
-  const mon::CompiledProperty& compiled = job.plan->compiled;
+  const mon::CompiledProperty& compiled = job.compiled;
   const mon::Backend chosen = compiled.chosen();
   const std::size_t stride = options.checkpoint_stride;
-  // The seed pass serves every unit of the seed in this shard: the first
-  // counts as the miss, the others as hits.
+  // The seed pass serves all six units: the valid unit counts as the
+  // miss, the mutation units as hits.
   ++out.partial.trace_cache_misses;
-  out.partial.trace_cache_hits += slot_end - slot_begin - 1;
+  out.partial.trace_cache_hits += kSlotsPerSeed - 1;
 
   support::Rng valid_rng = support::Rng::stream(options.first_seed + s, 0);
   generate_valid_into(*job.property, ab, valid_rng, options.stimuli,
@@ -362,8 +325,7 @@ void run_seed(const CampaignJob& job, spec::Alphabet& ab,
         *job.property, compiled.plan(), valid, end_of(valid),
         std::max<std::size_t>(1, stride / 4), scratch.oracle);
   }
-  const std::size_t kept =
-      draw_invalid_mutants(job, options, s, slot_begin, slot_end, scratch, out);
+  const std::size_t kept = draw_invalid_mutants(job, options, s, scratch, out);
   const std::size_t from_start =
       order_by_position(kept, valid.size(), stride > 0, scratch);
   const MutantEdit* const edits = scratch.edits.get();
@@ -372,8 +334,6 @@ void run_seed(const CampaignJob& job, spec::Alphabet& ab,
   for (std::size_t j = 0; j < from_start; ++j) {
     replay_mutant(job, edits[order[j]], 0, scratch, out);
   }
-  const bool valid_unit = slot_begin == 0;
-  if (!valid_unit && from_start == kept) return;
 
   mon::Monitor& walker = instance(scratch.walker, job, chosen);
   walker.reset();
@@ -382,11 +342,6 @@ void run_seed(const CampaignJob& job, spec::Alphabet& ab,
                                  : nullptr;
   if (vm != nullptr) {
     scratch.rung.resize(mon::vm_rung_words(vm->program()));
-  }
-  CoverageSinks sinks;
-  if (valid_unit) {
-    sinks.alphabet = &*out.alphabet;
-    sinks.recognizer = &out.recognizer;
   }
   std::size_t saved = 0;  // the walk position of the saved state (0: none)
   std::size_t next = from_start;
@@ -403,10 +358,10 @@ void run_seed(const CampaignJob& job, spec::Alphabet& ab,
       replay_mutant(job, edits[order[next]], saved, scratch, out);
     }
   };
-  const ValidRecord record =
-      walk_valid_trace(compiled, walker, valid, sinks, scratch.stops, fork);
+  const ValidRecord record = walk_valid_trace(
+      compiled, walker, valid, {*out.alphabet, out.recognizer}, scratch.stops,
+      fork);
   LOOM_DASSERT(next == kept);
-  if (!valid_unit) return;
   const spec::RefResult ref =
       stride > 0 ? scratch.oracle.full
                  : spec::reference_check(*job.property, compiled.plan(), valid,
@@ -414,25 +369,20 @@ void run_seed(const CampaignJob& job, spec::Alphabet& ab,
   tally_valid_unit(job, options, valid, record, ref, scratch, out);
 }
 
-void run_shard(const std::vector<CampaignJob>& jobs, spec::Alphabet& ab,
+void run_shard(const std::vector<PropertyPlan>& jobs, spec::Alphabet& ab,
                const CampaignOptions& options, const Shard& shard,
                UnitScratch& scratch, ShardOutcome& out) {
-  const CampaignJob& job = jobs[shard.job];
-  // Fresh pool per shard (buffers keep their capacity): the
-  // instance accounting stays a pure function of the shard layout, and
-  // nothing borrowed survives in a worker's scratch past this campaign.
+  const PropertyPlan& job = jobs[shard.job];
+  // Fresh pool per shard (buffers keep their capacity): nothing stamped
+  // from another property's plan is reused, and nothing borrowed survives
+  // in a worker's scratch past this campaign.
   scratch.begin_shard();
   out.alphabet.emplace(job.property->alphabet());
   // Workers share the one alphabet without locks or copies: setup
   // pre-interned every name stimuli generation touches, and noise_pool()
   // looks names up before interning, so generation is read-only here.
-  // Each seed the unit range touches is one seed task.
-  for (std::size_t u = shard.unit_begin; u < shard.unit_end;) {
-    const std::size_t s = u / kSlotsPerSeed;
-    const std::size_t base = s * kSlotsPerSeed;
-    const std::size_t end = std::min(shard.unit_end, base + kSlotsPerSeed);
-    run_seed(job, ab, options, s, u - base, end - base, scratch, out);
-    u = end;
+  for (std::size_t s = shard.seed_begin; s < shard.seed_end; ++s) {
+    run_seed(job, ab, options, s, scratch, out);
   }
   scratch.begin_shard();  // end-of-shard cleanup (see UnitScratch)
 }
@@ -453,7 +403,7 @@ UnitScratch& thread_scratch() {
 // in-process ≡ cross-process holds byte for byte).  The pool is the
 // process-wide one, which outlives the campaign, unless the caller passes
 // its own.
-void run_shards_in_process(const std::vector<CampaignJob>& jobs,
+void run_shards_in_process(const std::vector<PropertyPlan>& jobs,
                            spec::Alphabet& ab, const CampaignOptions& options,
                            const std::vector<Shard>& shards,
                            std::size_t threads,
@@ -513,7 +463,7 @@ std::string describe_worker_exit(int status) {
 
 // Slots one verified partial back into `outcomes` at its shard index —
 // after which the merge loop cannot tell it from an in-process outcome.
-void install_partial(const std::vector<CampaignJob>& jobs,
+void install_partial(const std::vector<PropertyPlan>& jobs,
                      wire::WorkerPartialData& part,
                      std::vector<ShardOutcome>& outcomes) {
   ShardOutcome& out = outcomes[static_cast<std::size_t>(part.shard)];
@@ -532,9 +482,9 @@ void install_partial(const std::vector<CampaignJob>& jobs,
 // (re-interning them in that order reproduces the parent's dense ids
 // exactly), each property's normalized text, and the options with workers
 // zeroed — a worker never recursively forks its own fleet.
-wire::WorkerRequestData make_base_request(const std::vector<CampaignJob>& jobs,
-                                          const spec::Alphabet& ab,
-                                          const CampaignOptions& options) {
+wire::WorkerRequestData make_base_request(
+    const std::vector<PropertyPlan>& jobs, const spec::Alphabet& ab,
+    const CampaignOptions& options) {
   wire::WorkerRequestData base;
   base.names.reserve(ab.size());
   for (std::size_t i = 0; i < ab.size(); ++i) {
@@ -547,7 +497,6 @@ wire::WorkerRequestData make_base_request(const std::vector<CampaignJob>& jobs,
   }
   base.options = options;
   base.options.workers = 0;
-  base.options.plan_cache = nullptr;
   return base;
 }
 
@@ -563,7 +512,7 @@ std::vector<std::uint8_t> frame_request(
   req.shards.reserve(mine.size());
   for (const std::size_t i : mine) {
     req.shards.push_back(
-        {i, shards[i].job, shards[i].unit_begin, shards[i].unit_end});
+        {i, shards[i].job, shards[i].seed_begin, shards[i].seed_end});
   }
   wire::Encoder enc;
   wire::encode_worker_request(enc, req);
@@ -587,7 +536,7 @@ std::vector<std::uint8_t> frame_request(
 // with their own deadlines — so a worker slow to exit after its Done
 // frame, or slow to die after SIGTERM, never starves a sibling's stream
 // or runs down a sibling's frame deadline.
-void run_shards_supervised(const std::vector<CampaignJob>& jobs,
+void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
                            const CampaignOptions& options,
                            const std::vector<Shard>& shards,
                            const std::vector<std::vector<std::size_t>>& assigned,
@@ -986,7 +935,8 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const std::size_t w = i % workers;
     if (slots[w].state != Slot::State::Failed) continue;
-    sup.failures.push_back({w, i, shards[i].unit_begin, shards[i].unit_end,
+    sup.failures.push_back({w, i, shards[i].seed_begin * kSlotsPerSeed,
+                            shards[i].seed_end * kSlotsPerSeed,
                             slots[w].diagnostic});
   }
 }
@@ -999,7 +949,7 @@ void run_shards_supervised(const std::vector<CampaignJob>& jobs,
 // differential invariant (campaign_process_diff_test); the supervised
 // drain adds the seventh (faulted-then-retried ≡ clean,
 // campaign_supervision_test).
-void run_shards_cross_process(const std::vector<CampaignJob>& jobs,
+void run_shards_cross_process(const std::vector<PropertyPlan>& jobs,
                               spec::Alphabet& ab,
                               const CampaignOptions& options,
                               const std::vector<Shard>& shards,
@@ -1039,65 +989,61 @@ std::vector<PropertyPlan> compile_property_plans(
     PropertyPlan& plan = plans[p];
     plan.property = properties[p];
     plan.index = p;
-    if (options.plan_cache != nullptr) {
-      // Cross-campaign memoization: a hit shares an earlier campaign's
-      // immutable artifacts (CompiledProperty is a cheap handle copy), a
-      // miss compiles and publishes for the next campaign.  plans_built
-      // counts actual translations, so hits leave it at 0.
-      bool compiled_now = false;
-      plan.compiled = options.plan_cache->get_or_compile(*properties[p], ab,
-                                                         copt, &compiled_now);
-      plan.base_stats.plans_built = compiled_now ? 1 : 0;
-      plan.base_stats.plan_cache_hits = compiled_now ? 0 : 1;
-      plan.base_stats.plan_cache_misses = compiled_now ? 1 : 0;
-    } else {
-      plan.compiled = mon::CompiledProperty::compile(*properties[p], ab, copt);
-      plan.base_stats.plans_built = 1;
-    }
-    plan.base_stats.viapsl_encodings =
-        plan.compiled.encoding() != nullptr ? 1 : 0;
-    plan.base_stats.backend_requested = plan.compiled.requested();
-    plan.base_stats.backend_chosen = plan.compiled.chosen();
+    plan.compiled = mon::CompiledProperty::compile(*properties[p], ab, copt);
   }
   return plans;
 }
 
+namespace {
+
+// What both entry points set up serially on the calling thread before any
+// shard starts: every name stimuli generation could lazily intern is
+// interned, and every property is translated exactly once — plan tables,
+// backend choice, ViaPSL clause sets — so the alphabet and the plans are
+// strictly read-only once threads share them.
+struct CampaignSetup {
+  std::vector<PropertyPlan> jobs;  // one per property, in order
+  std::size_t threads = 1;         // options.threads, 0 resolved
+};
+
+CampaignSetup set_up_campaign(
+    const std::vector<const spec::Property*>& properties, spec::Alphabet& ab,
+    const CampaignOptions& options) {
+  pre_intern_stimuli_names(ab, options.stimuli);
+  CampaignSetup setup;
+  setup.jobs = compile_property_plans(properties, ab, options);
+  setup.threads =
+      options.threads != 0
+          ? options.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return setup;
+}
+
+}  // namespace
+
 std::vector<CampaignResult> run_campaigns(
     const std::vector<const spec::Property*>& properties, spec::Alphabet& ab,
     const CampaignOptions& options) {
-  // Setup runs serially on the caller: intern everything stimuli
-  // generation could lazily intern, then translate every property exactly
-  // once — plan tables, backend choice, ViaPSL clause sets — so both the
-  // alphabet and the plans are strictly read-only once workers share them.
-  pre_intern_stimuli_names(ab, options.stimuli);
-  const std::vector<PropertyPlan> plans =
-      compile_property_plans(properties, ab, options);
-  std::vector<CampaignJob> jobs(properties.size());
-  for (std::size_t p = 0; p < properties.size(); ++p) {
-    jobs[p].property = properties[p];
-    jobs[p].plan = &plans[p];
-  }
+  const CampaignSetup setup = set_up_campaign(properties, ab, options);
+  const std::vector<PropertyPlan>& jobs = setup.jobs;
+  const std::size_t threads = setup.threads;
 
-  // Shard the flattened (property × seed × slot) space.  Shards never span
-  // properties so each merges into exactly one result.
-  std::size_t threads = options.threads != 0
-                            ? options.threads
-                            : std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t units_per_job = options.seeds * kSlotsPerSeed;
-  std::size_t shard_size = options.shard_size;
-  if (shard_size == 0) {
-    // Whole seeds only: a seed split across shards repeats its seed pass
-    // (generation, oracle ladder, walk) in each of them.
-    const std::size_t total_units = units_per_job * jobs.size();
-    shard_size = std::max<std::size_t>(1, total_units / (threads * 4));
-    shard_size = (shard_size + kSlotsPerSeed - 1) / kSlotsPerSeed *
-                 kSlotsPerSeed;
+  // Shard each property's seeds into runs of whole seeds.  Shards never
+  // span properties so each merges into exactly one result.  The automatic
+  // size aims at four shards per executor: a quarter of one executor's
+  // share of the campaign's units, rounded up to whole seeds.
+  std::size_t shard_seeds = options.shard_seeds;
+  if (shard_seeds == 0) {
+    const std::size_t units = options.seeds * kSlotsPerSeed * jobs.size();
+    shard_seeds = (std::max<std::size_t>(1, units / (threads * 4)) +
+                   kSlotsPerSeed - 1) /
+                  kSlotsPerSeed;
   }
   std::vector<Shard> shards;
   for (std::size_t p = 0; p < jobs.size(); ++p) {
-    for (std::size_t begin = 0; begin < units_per_job; begin += shard_size) {
+    for (std::size_t begin = 0; begin < options.seeds; begin += shard_seeds) {
       shards.push_back(
-          {p, begin, std::min(units_per_job, begin + shard_size)});
+          {p, begin, std::min(options.seeds, begin + shard_seeds)});
     }
   }
 
@@ -1128,7 +1074,8 @@ std::vector<CampaignResult> run_campaigns(
     alphabet_covs.emplace_back(job.property->alphabet());
   }
   for (std::size_t p = 0; p < jobs.size(); ++p) {
-    results[p].compile_stats = plans[p].base_stats;
+    results[p].compile_stats = {jobs[p].compiled.requested(),
+                                jobs[p].compiled.chosen()};
   }
   std::vector<std::optional<RecognizerCoverage>> rec_covs(jobs.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
@@ -1144,7 +1091,6 @@ std::vector<CampaignResult> run_campaigns(
       result.mutation[k].merge(out.partial.mutation[k]);
     }
     result.monitor_stats.merge(out.partial.monitor_stats);
-    result.compile_stats.merge(out.partial.compile_stats);
     result.trace_cache_hits += out.partial.trace_cache_hits;
     result.trace_cache_misses += out.partial.trace_cache_misses;
     result.checkpoint_hits += out.partial.checkpoint_hits;
@@ -1270,8 +1216,8 @@ int run_campaign_worker(int in_fd, int out_fd,
         default: ab.name(req.names[i]); break;
       }
     }
-    // Re-parse the normalized property texts — the same to_string/parse
-    // round-trip the cross-campaign plan cache keys on.
+    // Re-parse the normalized property texts (spec::to_string renders a
+    // re-parseable text).
     std::vector<spec::Property> props;
     props.reserve(req.properties.size());
     for (const auto& text : req.properties) {
@@ -1285,37 +1231,26 @@ int run_campaign_worker(int in_fd, int out_fd,
     }
 
     const CampaignOptions& options = req.options;  // workers already zeroed
-    const std::size_t units_per_job = options.seeds * kSlotsPerSeed;
     std::vector<Shard> shards;
     shards.reserve(req.shards.size());
     for (const auto& s : req.shards) {
-      if (s.job >= props.size() || s.unit_begin > s.unit_end ||
-          s.unit_end > units_per_job) {
+      if (s.job >= props.size() || s.seed_begin > s.seed_end ||
+          s.seed_end > options.seeds) {
         send_error("worker: shard assignment out of range");
         return kWorkerExitBadRequest;
       }
       shards.push_back({static_cast<std::size_t>(s.job),
-                        static_cast<std::size_t>(s.unit_begin),
-                        static_cast<std::size_t>(s.unit_end)});
+                        static_cast<std::size_t>(s.seed_begin),
+                        static_cast<std::size_t>(s.seed_end)});
     }
 
     // The same serial setup run_campaigns does, then the assigned shards
     // on the in-process engine (this worker's own threads).
-    pre_intern_stimuli_names(ab, options.stimuli);
     std::vector<const spec::Property*> prop_ptrs;
     prop_ptrs.reserve(props.size());
     for (const auto& p : props) prop_ptrs.push_back(&p);
-    const std::vector<PropertyPlan> plans =
-        compile_property_plans(prop_ptrs, ab, options);
-    std::vector<CampaignJob> jobs(props.size());
-    for (std::size_t p = 0; p < props.size(); ++p) {
-      jobs[p].property = prop_ptrs[p];
-      jobs[p].plan = &plans[p];
-    }
-    const std::size_t threads =
-        options.threads != 0
-            ? options.threads
-            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const CampaignSetup setup = set_up_campaign(prop_ptrs, ab, options);
+    const std::size_t threads = setup.threads;
     std::vector<ShardOutcome> outcomes(shards.size());
     {
       // A worker serves one request and exits, so its shards run on a
@@ -1327,8 +1262,8 @@ int run_campaign_worker(int in_fd, int out_fd,
       // parent's pool either.
       std::optional<support::ThreadPool> pool;
       if (threads > 1 && shards.size() > 1) pool.emplace(threads - 1);
-      run_shards_in_process(jobs, ab, options, shards, threads, outcomes,
-                            pool ? &*pool : nullptr);
+      run_shards_in_process(setup.jobs, ab, options, shards, threads,
+                            outcomes, pool ? &*pool : nullptr);
     }
 
     // One partial frame per shard, in assignment order, then Done.
@@ -1422,11 +1357,6 @@ CampaignResult::diagnostic_counters() const {
   };
   const double trace_hits = static_cast<double>(trace_cache_hits);
   const double trace_misses = static_cast<double>(trace_cache_misses);
-  const double plan_hits = static_cast<double>(compile_stats.plan_cache_hits);
-  const double plan_misses =
-      static_cast<double>(compile_stats.plan_cache_misses);
-  const double stamped = static_cast<double>(compile_stats.instances_stamped);
-  const double reuses = static_cast<double>(compile_stats.instance_reuses);
   const double skipped = static_cast<double>(events_skipped);
   // A forked state carries its prefix's stats, so monitor_stats.events
   // already counts every skipped event: it is the whole stepped-or-skipped
@@ -1434,8 +1364,6 @@ CampaignResult::diagnostic_counters() const {
   const double observed = static_cast<double>(monitor_stats.events);
   return {
       {"trace_cache_hit_rate", ratio(trace_hits, trace_hits + trace_misses)},
-      {"plan_cache_hit_rate", ratio(plan_hits, plan_hits + plan_misses)},
-      {"instance_reuse_rate", ratio(reuses, stamped + reuses)},
       {"checkpoint_hits", static_cast<double>(checkpoint_hits)},
       {"events_skipped", skipped},
       {"skip_ratio", ratio(skipped, observed)},

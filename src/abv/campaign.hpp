@@ -7,29 +7,29 @@
 //! mutation-kill statistics and structural coverage — the input the paper's
 //! "coverage improver" would consume.
 //!
-//! The loop is embarrassingly parallel and the engine exploits that: the
-//! (seed × property × mutation-kind) space is sharded into independent work
-//! units, each drawing from its own support::Rng stream keyed by the unit
-//! index, and per-shard results are merged with an order-independent
-//! reduction.
+//! The loop is embarrassingly parallel and the engine exploits that: each
+//! property's seeds are sharded into runs of whole seeds, every seed draws
+//! its valid trace and each mutation kind's mutants from their own
+//! support::Rng streams keyed by (seed, slot), and per-shard results are
+//! merged with an order-independent reduction.
 //!
-//! Inside a shard the seed is the unit of work: each seed the shard's unit
-//! range touches is one task that generates the valid trace, checks every
-//! mutant with the oracle and walks the valid trace once, forking each
-//! invalid mutant's replay from the live monitor at its divergence
-//! position.  Nothing about a seed outlives its task.
+//! The seed is the unit of work: each seed is one task that generates the
+//! valid trace, checks every mutant with the oracle and walks the valid
+//! trace once, forking each invalid mutant's replay from the live monitor
+//! at its divergence position.  Nothing about a seed outlives its task.
 //!
-//! Ownership: run_campaigns() owns every artifact it creates (compiled
-//! plans); its shards run on the process-wide support::ThreadPool, which
-//! outlives the call and is shared by concurrent calls, each thread in its
-//! own scratch buffers.  Callers keep ownership of the properties and the
-//! alphabet, which must outlive the call.  Thread-safety: the alphabet is
+//! Ownership: run_campaigns() owns every artifact it creates (each
+//! property's plan, compiled once per call); its shards run on the
+//! process-wide support::ThreadPool, which outlives the call and is shared
+//! by concurrent calls, each thread in its own scratch buffers.  Callers
+//! keep ownership of the properties and the alphabet, which must outlive
+//! the call.  Thread-safety: the alphabet is
 //! pre-interned during serial setup and then shared strictly read-only;
 //! compiled plans are immutable once built.
 //! Determinism contract (enforced by tier-1 tests): every run equals the
 //! literal Fig. 1 loop of tests/reference_campaign.hpp — serial, in
 //! process, a fresh monitor per unit, a full oracle walk and a full replay
-//! per materialized mutant — at any threads, shard_size,
+//! per materialized mutant — at any threads, shard_seeds,
 //! checkpoint_stride and workers (campaign_reference_diff_test; serial ≡
 //! parallel also in campaign_parallel_test, in-process ≡ cross-process in
 //! campaign_process_diff_test).  Same counts, same coverage ratios, same
@@ -97,12 +97,11 @@ struct CampaignOptions {
   /// first use, kept for later campaigns).  The result does not depend on
   /// this knob.
   std::size_t threads = 1;
-  /// Work units per shard (a unit is one seed's valid phase or one seed's
-  /// batch of one mutation kind); 0 picks a size that keeps every worker
-  /// busy, rounded up to whole seeds.  An explicit size may split a seed's
-  /// six units across shards; each shard then repeats the seed pass for
-  /// its share.  The result does not depend on this knob either.
-  std::size_t shard_size = 0;
+  /// Seeds per shard (the last shard of a property may hold fewer); 0
+  /// picks a size that keeps every executor busy: about a quarter of one
+  /// executor's share of the campaign's seeds.  A shard never splits a
+  /// seed.  The result does not depend on this knob either.
+  std::size_t shard_seeds = 0;
 
   /// Forked replay.  A seed task walks the valid trace once with the
   /// chosen monitor and, at each invalid mutant's MutantEdit::position —
@@ -170,13 +169,6 @@ struct CampaignOptions {
   /// other worker's results, instead of throwing WorkerFailure and
   /// discarding everything.  Off by default: all-or-nothing like PR 8.
   bool allow_partial = false;
-
-  /// Optional cross-campaign plan cache (borrowed; must outlive the call):
-  /// when set, compile_property_plans() memoizes each property's
-  /// translate-once artifacts under its normalized text, so repeated
-  /// run_campaigns() calls in long-lived embedders skip recompilation.
-  /// The hit/miss split lands in CampaignResult::compile_stats.
-  mon::CompiledPropertyCache* plan_cache = nullptr;
 };
 
 struct MutationStats {
@@ -194,47 +186,24 @@ struct MutationStats {
   }
 };
 
-/// Accounting of the translate-once compilation layer.  The backend fields
-/// are semantic (they name the monitor construction that produced the
-/// result); the instance counters are engine diagnostics like the trace
-/// cache split — deterministic for a given knob setting, excluded from
-/// report(), and compared separately by the differential tests.
+/// The monitor construction a campaign ran: part of the semantic result,
+/// since it decides which monitor produced the verdicts (report() prints
+/// both fields).  Each property is compiled once per campaign, so there is
+/// nothing else to count.
 struct CompileStats {
-  std::size_t plans_built = 0;        // one-time property translations
-  std::size_t viapsl_encodings = 0;   // materialized clause sets
-  std::size_t instances_stamped = 0;  // monitors constructed for work units
-  std::size_t instance_reuses = 0;    // Monitor::reset() reuses of those
-  /// Cross-campaign plan-cache split (both 0 without a plan_cache): a miss
-  /// compiled this property fresh, a hit reused an earlier campaign's
-  /// artifacts.  Diagnostics like the instance counters — deterministic
-  /// for a given cache history, excluded from report().
-  std::size_t plan_cache_hits = 0;
-  std::size_t plan_cache_misses = 0;
   mon::Backend backend_requested = mon::Backend::Auto;
   mon::Backend backend_chosen = mon::Backend::Drct;
-
-  /// Order-independent shard reduction: counters are sums, the backend
-  /// fields are per-property constants (every shard agrees on them).
-  void merge(const CompileStats& other) {
-    plans_built += other.plans_built;
-    viapsl_encodings += other.viapsl_encodings;
-    instances_stamped += other.instances_stamped;
-    instance_reuses += other.instance_reuses;
-    plan_cache_hits += other.plan_cache_hits;
-    plan_cache_misses += other.plan_cache_misses;
-  }
 };
 
 /// One property's compiled campaign artifacts: the translate-once
 /// mon::CompiledProperty (recognizer tables, interned alphabet, optional
-/// ViaPSL clause set, cost-model backend choice) plus the campaign-side
-/// bookkeeping.  Built serially by compile_property_plans() before workers
+/// ViaPSL clause set, cost-model backend choice) plus its position in the
+/// campaign.  Built serially by compile_property_plans() before workers
 /// start and shared strictly read-only across all shards.
 struct PropertyPlan {
   const spec::Property* property = nullptr;
   mon::CompiledProperty compiled;
   std::size_t index = 0;      // position in run_campaigns' property list
-  CompileStats base_stats;    // plans/encodings built + backend fields
 };
 
 /// Compiles every property up front: one plan, one optional ViaPSL clause
@@ -259,19 +228,16 @@ struct CampaignResult {
   /// campaign ran (valid phases, mutants and ViaPSL checks alike).
   mon::MonitorStats monitor_stats;
 
-  /// Translate-once accounting: plans built, backend chosen, instances
-  /// stamped/reused.  The backend fields are semantic; the counters are
-  /// engine diagnostics (see CompileStats).
+  /// The requested and the chosen backend (see CompileStats).
   CompileStats compile_stats;
 
-  /// Seed-pass accounting (named after the per-seed trace cache it
-  /// replaced): a miss is one seed pass — one seed task of one shard — and
-  /// the seed's other units in that shard, which the pass also serves,
-  /// count as hits.  In the default layout, which never splits a seed,
-  /// that is one miss per seed and five hits.  The split is a pure
-  /// function of the shard layout, but it is engine diagnostics, not part
-  /// of the semantic result: report() excludes it and the differential
-  /// tests compare it separately.
+  /// Seed-pass accounting, named after the per-seed trace cache it
+  /// replaced: each seed task counts one miss for its valid unit and one
+  /// hit for each of its five mutation units, so the split is a constant
+  /// 1 : 5 per seed and carries no information.  It stays only because
+  /// perfbench's trace-cache hit rate reads it; it goes with ROADMAP item
+  /// 1.  Engine diagnostics, not part of the semantic result: report()
+  /// excludes it.
   std::size_t trace_cache_hits = 0;
   std::size_t trace_cache_misses = 0;
 
@@ -280,9 +246,9 @@ struct CampaignResult {
   /// the sum of the positions they resumed from — their divergence
   /// positions, unless a refused compact rung made them fall back to an
   /// earlier one.  Like the seed-pass split these are deterministic
-  /// engine diagnostics —
-  /// excluded from the default report() so incremental runs stay
-  /// byte-identical to full-replay runs; report(ab, true) appends them.
+  /// engine diagnostics, excluded from the default report() so
+  /// incremental runs stay byte-identical to full-replay runs;
+  /// report(ab, true) appends them.
   std::size_t checkpoint_hits = 0;
   std::size_t events_skipped = 0;
 
@@ -303,8 +269,8 @@ struct CampaignResult {
   struct ShardFailure {
     std::size_t worker = 0;      // worker slot whose retries ran out
     std::size_t shard = 0;       // index in the campaign's shard layout
-    std::size_t unit_begin = 0;  // the unexecuted unit range [begin, end)
-    std::size_t unit_end = 0;
+    std::size_t unit_begin = 0;  // the unexecuted unit range [begin, end):
+    std::size_t unit_end = 0;    // the shard's seed range times six
     std::string diagnostic;
   };
   /// Lost shards in shard-index order; empty unless allow_partial
@@ -324,12 +290,12 @@ struct CampaignResult {
     double value;
   };
 
-  /// The engine diagnostics as stable named counters: trace/plan-cache hit
-  /// rates, instance reuse rate, the incremental-replay skip ratio and the
-  /// chosen backend (0 = Drct, 1 = ViaPSL).  Every ratio guards its
-  /// denominator — a zero-work campaign (no events, no mutants, caches
-  /// off) reports 0, never NaN — so the values can go straight into
-  /// benchmark counters and JSON baselines.
+  /// The engine diagnostics as stable named counters: the seed-pass hit
+  /// rate, the forked-replay counts and skip ratio, and the chosen backend
+  /// (backend_viapsl, backend_vm: 1 when chosen).  Every ratio guards its
+  /// denominator — a zero-work campaign (no events, no mutants) reports 0,
+  /// never NaN — so the values can go straight into benchmark counters
+  /// and JSON baselines.
   std::vector<DiagnosticCounter> diagnostic_counters() const;
 
   /// A healthy campaign: monitors agree with the oracle everywhere, all

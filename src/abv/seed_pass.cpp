@@ -11,10 +11,8 @@ ValidStepper::ValidStepper(const mon::CompiledProperty& compiled,
       monitor_(monitor),
       valid_(valid),
       alphabet_(sinks.alphabet) {
-  if (sinks.recognizer == nullptr || !compiled.property().is_antecedent()) {
-    return;
-  }
-  std::optional<RecognizerCoverage>& rec = *sinks.recognizer;
+  if (!compiled.property().is_antecedent()) return;
+  std::optional<RecognizerCoverage>& rec = sinks.recognizer;
   if (compiled.chosen() == mon::Backend::Drct) {
     drct_ = static_cast<const mon::AntecedentMonitor*>(&monitor);
     if (!rec) rec.emplace(*drct_);
@@ -34,16 +32,14 @@ void ValidStepper::step_to(std::size_t position) {
   at_ = position;
   if (recognizer_ == nullptr) {
     monitor_.observe_batch(first, last);
-    if (alphabet_ != nullptr) {
-      for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
-        alphabet_->record(ev->name);
-      }
+    for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
+      alphabet_.record(ev->name);
     }
     return;
   }
   for (const spec::TimedEvent* ev = first; ev != last; ++ev) {
     monitor_.observe(ev->name, ev->time);
-    if (alphabet_ != nullptr) alphabet_->record(ev->name);
+    alphabet_.record(ev->name);
     if (ev != valid_.data() && !moves_.test(ev->name)) continue;
     if (vm_ != nullptr) {
       recognizer_->sample(*vm_);

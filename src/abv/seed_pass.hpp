@@ -4,10 +4,9 @@
 //!
 //! The campaign engine walks each seed's valid trace once per seed task
 //! (abv/campaign.cpp).  The walk samples coverage into the shard's
-//! accumulators when the seed's valid unit belongs to the shard, and it
-//! pauses at the stop points the task asks for — the divergence positions
-//! of the seed's invalid mutants — so each of them forks from the live
-//! state at its exact position.
+//! accumulators, and it pauses at the stop points the task asks for — the
+//! divergence positions of the seed's invalid mutants — so each of them
+//! forks from the live state at its exact position.
 //!
 //! Determinism: the record, the coverage samples and the state at every
 //! stop are pure functions of (property, trace) given a fresh or
@@ -33,14 +32,13 @@ struct ValidRecord {
   bool violated = false;    // the monitor's verdict was Violated
 };
 
-/// Where a walk records coverage: the accumulators of the valid unit, or
-/// none (a walk that only positions the monitor for forks).  The walk
-/// records every name into `alphabet` and, for a Drct or Vm antecedent
-/// (both number their range states alike), samples recognizer coverage
-/// into `recognizer`, emplacing it from the monitor when it is empty.
+/// Where a walk records coverage.  The walk records every name into
+/// `alphabet` and, for a Drct or Vm antecedent (both number their range
+/// states alike), samples recognizer coverage into `recognizer`, emplacing
+/// it from the monitor when it is empty.
 struct CoverageSinks {
-  AlphabetCoverage* alphabet = nullptr;
-  std::optional<RecognizerCoverage>* recognizer = nullptr;
+  AlphabetCoverage& alphabet;
+  std::optional<RecognizerCoverage>& recognizer;
 };
 
 /// Steps a valid trace through a monitor in slices.  A sampled antecedent
@@ -64,7 +62,7 @@ class ValidStepper {
   const spec::NameSet& moves_;
   mon::Monitor& monitor_;
   const spec::Trace& valid_;
-  AlphabetCoverage* alphabet_;
+  AlphabetCoverage& alphabet_;
   RecognizerCoverage* recognizer_ = nullptr;
   const mon::AntecedentMonitor* drct_ = nullptr;
   const mon::VmMonitor* vm_ = nullptr;

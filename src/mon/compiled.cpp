@@ -118,61 +118,6 @@ const std::string& CompiledProperty::text_of(spec::Name name) const {
   return names_.name(local_of_name_[name]);
 }
 
-std::string CompiledPropertyCache::key_of(const spec::Property& property,
-                                          const spec::Alphabet& ab,
-                                          const CompileOptions& options) {
-  // The normalized text alone is re-parseable but id-blind: the same
-  // property interned into two alphabets in different orders yields the
-  // same text over different Name values, and the compiled artifacts bake
-  // those values in.  Appending the name→id bindings makes the key honest.
-  std::string key = spec::to_string(property, ab);
-  property.alphabet().for_each([&](std::size_t name) {
-    key += '|';
-    key += std::to_string(name);
-    key += '=';
-    key += ab.text(static_cast<spec::Name>(name));
-  });
-  key += "|backend=";
-  key += to_string(options.backend);
-  key += "|max_clauses=";
-  key += std::to_string(options.max_clauses);
-  if (options.with_viapsl_artifact) key += "|viapsl_artifact";
-  if (options.prefer_vm) key += "|prefer_vm";
-  return key;
-}
-
-const CompiledProperty& CompiledPropertyCache::get_or_compile(
-    const spec::Property& property, const spec::Alphabet& ab,
-    const CompileOptions& options, bool* inserted) {
-  std::string key = key_of(property, ab, options);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++stats_.hits;
-    if (inserted != nullptr) *inserted = false;
-    return it->second;
-  }
-  ++stats_.misses;
-  if (inserted != nullptr) *inserted = true;
-  // std::unordered_map references are stable across rehashes and entries
-  // are never erased, so handing the mapped value out by reference is safe
-  // for the cache's lifetime.
-  return entries_
-      .emplace(std::move(key),
-               CompiledProperty::compile(property, ab, options))
-      .first->second;
-}
-
-CompiledPropertyCache::Stats CompiledPropertyCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t CompiledPropertyCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 std::unique_ptr<Monitor> CompiledProperty::instantiate(Backend backend) const {
   if (property_ == nullptr) {
     throw std::logic_error("instantiate() on a default-constructed "

@@ -19,10 +19,6 @@
 //! side; forcing ViaPSL on an untranslatable shape (timed chain whose final
 //! fragment holds several ranges, or an encoding past max_clauses) throws.
 //!
-//! CompiledPropertyCache adds the cross-campaign memoization layer: one
-//! compilation per (normalized property text, name→id bindings, compile
-//! options) for the whole lifetime of an embedder.
-//!
 //! Ownership: artifacts live behind shared_ptr<const ...>; CompiledProperty
 //! is cheap to copy and every instantiated monitor keeps its artifacts
 //! alive.  Thread-safety: a CompiledProperty is immutable after compile();
@@ -35,11 +31,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "mon/verdict.hpp"
@@ -169,55 +163,6 @@ class CompiledProperty {
   std::uint64_t drct_ops_ = 0;
   psl::PslCost viapsl_cost_;
   bool viapsl_feasible_ = false;
-};
-
-/// Cross-campaign cache of translate-once artifacts: long-lived embedders
-/// that call abv::run_campaigns repeatedly over recurring properties hand
-/// one of these in (CampaignOptions::plan_cache) and every campaign after
-/// the first skips recompilation entirely.
-///
-/// Keyed by the *normalized property text* — the re-parseable
-/// spec::to_string rendering — concatenated with the property's name→id
-/// bindings and the compile options, so two alphabets interning the same
-/// names under different ids never alias, and neither do two backends or
-/// clause budgets of the same property (key_of() exposes the exact key).
-///
-/// Ownership: the cache owns its CompiledProperty entries; get_or_compile()
-/// returns references that stay valid for the cache's lifetime (entries are
-/// never removed).  Thread-safety: one mutex around the map — compilation
-/// is rare by design (each distinct property compiles exactly once), so
-/// contention is not a concern.  Determinism: a cache hit hands back the
-/// identical immutable artifacts a fresh compile() would rebuild, so cached
-/// campaigns stay byte-for-byte equal to uncached ones
-/// (tests/compiled_property_test.cpp).
-class CompiledPropertyCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;    // lookups that found an existing entry
-    std::uint64_t misses = 0;  // lookups that compiled (== entries)
-  };
-
-  /// Returns the cached compilation of `property` under `options`,
-  /// compiling it on first sight.  When `inserted` is non-null it is set
-  /// to whether this call compiled (miss) or found an entry (hit).
-  const CompiledProperty& get_or_compile(const spec::Property& property,
-                                         const spec::Alphabet& ab,
-                                         const CompileOptions& options = {},
-                                         bool* inserted = nullptr);
-
-  /// The normalized cache key (exposed so tests can pin the aliasing
-  /// rules): property text + name→id bindings + compile options.
-  static std::string key_of(const spec::Property& property,
-                            const spec::Alphabet& ab,
-                            const CompileOptions& options);
-
-  Stats stats() const;
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, CompiledProperty> entries_;
-  Stats stats_;
 };
 
 }  // namespace loom::mon

@@ -54,23 +54,11 @@ void decode_monitor_stats(Decoder& d, mon::MonitorStats& s) {
 }
 
 void encode_compile_stats(Encoder& e, const abv::CompileStats& s) {
-  put_size(e, s.plans_built);
-  put_size(e, s.viapsl_encodings);
-  put_size(e, s.instances_stamped);
-  put_size(e, s.instance_reuses);
-  put_size(e, s.plan_cache_hits);
-  put_size(e, s.plan_cache_misses);
   encode_backend(e, s.backend_requested);
   encode_backend(e, s.backend_chosen);
 }
 
 void decode_compile_stats(Decoder& d, abv::CompileStats& s) {
-  s.plans_built = get_size(d);
-  s.viapsl_encodings = get_size(d);
-  s.instances_stamped = get_size(d);
-  s.instance_reuses = get_size(d);
-  s.plan_cache_hits = get_size(d);
-  s.plan_cache_misses = get_size(d);
   s.backend_requested = decode_backend(d);
   s.backend_chosen = decode_backend(d);
 }
@@ -103,7 +91,7 @@ void encode_options(Encoder& e, const abv::CampaignOptions& o) {
   e.put_bool(o.check_viapsl);
   encode_backend(e, o.backend);
   put_size(e, o.threads);
-  put_size(e, o.shard_size);
+  put_size(e, o.shard_seeds);
   put_size(e, o.checkpoint_stride);
   put_size(e, o.workers);
   e.put_u64(o.worker_command.size());
@@ -126,7 +114,7 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   o.check_viapsl = d.boolean();
   o.backend = decode_backend(d);
   o.threads = get_size(d);
-  o.shard_size = get_size(d);
+  o.shard_seeds = get_size(d);
   o.checkpoint_stride = get_size(d);
   o.workers = get_size(d);
   const std::uint64_t args = d.count(8, "worker command");
@@ -146,8 +134,6 @@ bool decode_options(Decoder& d, abv::CampaignOptions& o) {
   o.worker_timeout_ms = get_size(d);
   o.worker_retries = get_size(d);
   o.allow_partial = d.boolean();
-  // Borrowed pointers never cross a process boundary.
-  o.plan_cache = nullptr;
   return d.ok();
 }
 
@@ -225,8 +211,8 @@ void encode_worker_request(Encoder& e, const WorkerRequestData& req) {
   for (const auto& s : req.shards) {
     e.put_u64(s.shard);
     e.put_u64(s.job);
-    e.put_u64(s.unit_begin);
-    e.put_u64(s.unit_end);
+    e.put_u64(s.seed_begin);
+    e.put_u64(s.seed_end);
   }
 }
 
@@ -259,8 +245,8 @@ bool decode_worker_request(Decoder& d, WorkerRequestData& req) {
     WorkerShardSpec s;
     s.shard = d.u64();
     s.job = d.u64();
-    s.unit_begin = d.u64();
-    s.unit_end = d.u64();
+    s.seed_begin = d.u64();
+    s.seed_end = d.u64();
     if (d.ok()) req.shards.push_back(s);
   }
   return d.ok();

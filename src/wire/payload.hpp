@@ -28,7 +28,7 @@ namespace loom::wire {
 
 /// abv::CampaignResult (Payload::Result): every counter, the five
 /// MutationStats, both coverage ratios (bit-exact f64), MonitorStats,
-/// CompileStats, the engine diagnostics (retry count included) and the
+/// the two backends, the engine diagnostics (retry count included) and the
 /// per-shard failure records of a degraded run.
 void encode_result(Encoder& e, const abv::CampaignResult& result);
 bool decode_result(Decoder& d, abv::CampaignResult& result);
@@ -44,23 +44,23 @@ bool decode_result(Decoder& d, abv::CampaignResult& result);
 
 /// One shard assignment: `shard` is the global shard index in the parent's
 /// layout (partials slot back into the same merge order the in-process
-/// engine uses), `job` the property index, [unit_begin, unit_end) the
-/// (seed × slot) unit range.
+/// engine uses), `job` the property index, [seed_begin, seed_end) the
+/// property's seeds it runs.
 struct WorkerShardSpec {
   std::uint64_t shard = 0;
   std::uint64_t job = 0;
-  std::uint64_t unit_begin = 0;
-  std::uint64_t unit_end = 0;
+  std::uint64_t seed_begin = 0;
+  std::uint64_t seed_end = 0;
 };
 
 /// Parent -> worker: everything a fresh process needs to reproduce the
 /// parent's interning and plans bit for bit — the alphabet's names in id
 /// order (with directions), each property's normalized text
 /// (spec::to_string, re-parsed by the worker), the options block and the
-/// assigned shards.  The options block round-trips every field except the
-/// plan_cache pointer (decoded as nullptr), workers/worker_command/
-/// worker_fault included — the parent zeroes those itself before handing
-/// options to a worker, so a worker never recursively spawns workers.
+/// assigned shards.  The options block round-trips every field,
+/// workers/worker_command/worker_fault included — the parent zeroes
+/// workers itself before handing options to a worker, so a worker never
+/// recursively spawns workers.
 struct WorkerRequestData {
   std::vector<std::string> names;
   std::vector<std::uint8_t> directions;  // spec::Direction per name

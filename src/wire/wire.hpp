@@ -54,7 +54,11 @@ namespace loom::wire {
 /// paths they selected.  Version 6 removed the Trace, Options and Snapshot
 /// payload tags (1, 2 and 4), which no process sent; their numbers stay
 /// unassigned, so a frame carrying one rejects as an unknown tag.
-constexpr std::uint8_t kWireVersion = 6;
+/// Version 7 made a worker's shard assignment a seed range (it was a unit
+/// range), renamed CampaignOptions' shard_size to shard_seeds, and dropped
+/// six counters from the CampaignResult payload (plans built, ViaPSL
+/// encodings, instances stamped and reused, plan-cache hits and misses).
+constexpr std::uint8_t kWireVersion = 7;
 
 /// "LOOM" as a little-endian u32 (the file starts with the bytes L O O M).
 constexpr std::uint32_t kMagic = 0x4D4F4F4Cu;

@@ -115,7 +115,6 @@ TEST(Campaign, DiagnosticCountersAreFiniteAndGuarded) {
                        static_cast<double>(r.monitor_stats.events));
   EXPECT_GT(r.events_skipped, 0u);
   EXPECT_LT(r.events_skipped, r.monitor_stats.events);
-  EXPECT_EQ(value("plan_cache_hit_rate"), 0.0);  // no plan cache configured
   EXPECT_EQ(value("backend_viapsl"), 0.0);  // cost model never picks ViaPSL
   // Campaign Auto resolves the Drct/Vm cost-model tie to the VM (the
   // prefer_vm tie-break), so the default campaign reports backend_vm = 1.

@@ -22,7 +22,7 @@ struct CampaignRun {
 
 CampaignRun run_with(const char* source, mon::Backend backend,
                      std::size_t stride, std::size_t threads,
-                     std::size_t shard_size = 1) {
+                     std::size_t shard_seeds = 1) {
   // A fresh alphabet per run: runs must not influence each other through
   // interned ids.
   spec::Alphabet ab;
@@ -34,7 +34,7 @@ CampaignRun run_with(const char* source, mon::Backend backend,
   opt.mutants_per_kind = 6;
   opt.backend = backend;
   opt.threads = threads;
-  opt.shard_size = shard_size;
+  opt.shard_seeds = shard_seeds;
   opt.checkpoint_stride = stride;
   const CampaignResult r = run_campaign(p, ab, opt);
   return {r, r.report(ab)};
@@ -88,13 +88,15 @@ TEST_P(CampaignIncrementalDiff, DiagnosticsAreSchedulingIndependent) {
   // parameters: serial and 4-thread runs agree counter for counter at
   // every shard size and stride.
   for (const std::size_t stride : {std::size_t{1}, std::size_t{16}}) {
-    for (const std::size_t shard_size : {std::size_t{1}, std::size_t{5}}) {
+    for (const std::size_t shard_seeds :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+          std::size_t{100}}) {
       const CampaignRun serial = run_with(GetParam(), mon::Backend::Auto,
-                                          stride, 1, shard_size);
+                                          stride, 1, shard_seeds);
       const CampaignRun parallel = run_with(GetParam(), mon::Backend::Auto,
-                                            stride, 4, shard_size);
+                                            stride, 4, shard_seeds);
       const std::string what = "stride=" + std::to_string(stride) +
-                               " shard_size=" + std::to_string(shard_size);
+                               " shard_seeds=" + std::to_string(shard_seeds);
       EXPECT_EQ(parallel.report, serial.report) << what;
       EXPECT_EQ(parallel.result.checkpoint_hits,
                 serial.result.checkpoint_hits)

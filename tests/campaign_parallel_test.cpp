@@ -1,5 +1,5 @@
 // Determinism contract of the sharded campaign engine: the thread count
-// and the shard size are pure performance knobs — every CampaignResult
+// and the seeds per shard are pure performance knobs — every CampaignResult
 // field and the rendered report must be bit-identical across them.
 #include <gtest/gtest.h>
 
@@ -18,9 +18,9 @@ struct CampaignRun {
 
 // Each run parses into a fresh alphabet so runs cannot influence each other
 // through interned ids.
-CampaignRun run_with(const char* source, std::size_t threads, std::size_t shard_size,
-             bool viapsl = true,
-             mon::Backend backend = mon::Backend::Auto) {
+CampaignRun run_with(const char* source, std::size_t threads,
+                     std::size_t shard_seeds, bool viapsl = true,
+                     mon::Backend backend = mon::Backend::Auto) {
   spec::Alphabet ab;
   auto p = loom::testing::parse(source, ab);
   CampaignOptions opt;
@@ -30,7 +30,7 @@ CampaignRun run_with(const char* source, std::size_t threads, std::size_t shard_
   opt.mutants_per_kind = 8;
   opt.check_viapsl = viapsl;
   opt.threads = threads;
-  opt.shard_size = shard_size;
+  opt.shard_seeds = shard_seeds;
   opt.backend = backend;
   const CampaignResult r = run_campaign(p, ab, opt);
   return {r, r.report(ab)};
@@ -85,9 +85,12 @@ TEST_P(ParallelCampaign, ThreadCountDoesNotChangeTheResult) {
 TEST_P(ParallelCampaign, ShardSizeDoesNotChangeTheResult) {
   const CampaignRun serial = run_with(GetParam(), 1, 0);
   const CampaignRun tiny_shards = run_with(GetParam(), 8, 1);
-  expect_identical(serial, tiny_shards, "shard_size=1");
-  const CampaignRun odd_shards = run_with(GetParam(), 3, 7);
-  expect_identical(serial, odd_shards, "threads=3 shard_size=7");
+  expect_identical(serial, tiny_shards, "shard_seeds=1");
+  // Six seeds in shards of four: a short last shard.
+  const CampaignRun odd_shards = run_with(GetParam(), 3, 4);
+  expect_identical(serial, odd_shards, "threads=3 shard_seeds=4");
+  const CampaignRun one_shard = run_with(GetParam(), 4, 100);
+  expect_identical(serial, one_shard, "threads=4 shard_seeds=100");
 }
 
 TEST_P(ParallelCampaign, BackendKnobStaysDeterministicAcrossThreads) {
@@ -115,19 +118,19 @@ TEST_P(ParallelCampaign, DrctAndVmAgreeBeyondTheBackendLine) {
   // forced Vm differ only in the report's backend line — recognizer
   // coverage included.
   struct Layout {
-    std::size_t threads, shard_size;
+    std::size_t threads, shard_seeds;
   };
-  for (const Layout layout : {Layout{1, 0}, Layout{8, 1}, Layout{3, 7}}) {
+  for (const Layout layout : {Layout{1, 0}, Layout{8, 1}, Layout{3, 4}}) {
     for (const bool viapsl : {false, true}) {
       const CampaignRun drct =
-          run_with(GetParam(), layout.threads, layout.shard_size, viapsl,
+          run_with(GetParam(), layout.threads, layout.shard_seeds, viapsl,
                    mon::Backend::Drct);
       const CampaignRun vm = run_with(GetParam(), layout.threads,
-                                      layout.shard_size, viapsl,
+                                      layout.shard_seeds, viapsl,
                                       mon::Backend::Vm);
       const std::string what = "threads=" + std::to_string(layout.threads) +
-                               " shard_size=" +
-                               std::to_string(layout.shard_size) +
+                               " shard_seeds=" +
+                               std::to_string(layout.shard_seeds) +
                                " viapsl=" + std::to_string(viapsl);
       EXPECT_NE(drct.report, vm.report) << what << ": backends not forced";
       EXPECT_EQ(loom::testing::report_without_backend(drct.report),
@@ -162,7 +165,7 @@ TEST(ParallelCampaignBatch, MatchesIndividualRuns) {
   opt.stimuli.rounds = 2;
   opt.mutants_per_kind = 5;
   opt.threads = 4;
-  opt.shard_size = 1;
+  opt.shard_seeds = 1;
 
   std::vector<const spec::Property*> ptrs;
   for (const auto& p : props) ptrs.push_back(&p);

@@ -3,10 +3,10 @@
 // with every partial result crossing a pipe in the versioned wire format,
 // must be byte-for-byte identical to the in-process engine — for every
 // backend, at every thread count, at every worker count, with and
-// without the checkpoint ladder.  Plus lockdowns of the documented exception (the
-// trace-cache split becomes per-process but stays scheduling-independent)
-// and of the instance accounting, which being a pure function of the
-// shard layout must survive the process boundary exactly.
+// without the checkpoint ladder.  Plus lockdowns of the engine
+// diagnostics, which must survive the process boundary exactly: the
+// forked-replay counts and the seed-pass split (one pass per seed, since
+// a shard — and so a worker's share — never splits a seed).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,7 +31,7 @@ constexpr std::size_t kDefaultStride = CampaignOptions{}.checkpoint_stride;
 CampaignRun run_with(const char* source, mon::Backend backend,
                      std::size_t workers, std::size_t threads,
                      std::size_t stride = kDefaultStride,
-                     std::size_t shard_size = 1, bool viapsl = false) {
+                     std::size_t shard_seeds = 1, bool viapsl = false) {
   // A fresh alphabet per run: runs must not influence each other through
   // interned ids.
   spec::Alphabet ab;
@@ -44,7 +44,7 @@ CampaignRun run_with(const char* source, mon::Backend backend,
   opt.check_viapsl = viapsl;
   opt.backend = backend;
   opt.threads = threads;
-  opt.shard_size = shard_size;
+  opt.shard_seeds = shard_seeds;
   opt.checkpoint_stride = stride;
   opt.workers = workers;  // 0: in-process; N: forked worker subprocesses
   const CampaignResult r = run_campaign(p, ab, opt);
@@ -76,15 +76,6 @@ TEST_P(CampaignProcessDiff, CrossProcessEqualsInProcessByteForByte) {
                                                        in_process.result))
               << what;
           EXPECT_EQ(cross.report, in_process.report) << what;
-          // The instance accounting is a pure function of the shard
-          // layout, which both sides share — the process boundary must
-          // not show up in it.
-          EXPECT_EQ(cross.result.compile_stats.instances_stamped,
-                    in_process.result.compile_stats.instances_stamped)
-              << what;
-          EXPECT_EQ(cross.result.compile_stats.instance_reuses,
-                    in_process.result.compile_stats.instance_reuses)
-              << what;
           EXPECT_EQ(cross.result.checkpoint_hits,
                     in_process.result.checkpoint_hits)
               << what;
@@ -100,17 +91,18 @@ TEST_P(CampaignProcessDiff, CrossProcessEqualsInProcessByteForByte) {
 TEST_P(CampaignProcessDiff, ShardSizeStaysResultNeutralAcrossProcesses) {
   const CampaignRun in_process = run_with(GetParam(), mon::Backend::Auto,
                                           /*workers=*/0, /*threads=*/1,
-                                          kDefaultStride, /*shard_size=*/6);
-  for (const std::size_t shard_size : {std::size_t{1}, std::size_t{3},
-                                       std::size_t{100}}) {
+                                          kDefaultStride, /*shard_seeds=*/1);
+  for (const std::size_t shard_seeds :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        std::size_t{100}}) {
     const CampaignRun cross = run_with(GetParam(), mon::Backend::Auto,
                                        /*workers=*/2, /*threads=*/2,
-                                       kDefaultStride, shard_size);
+                                       kDefaultStride, shard_seeds);
     EXPECT_TRUE(
         loom::testing::results_identical(cross.result, in_process.result))
-        << "shard_size=" << shard_size;
+        << "shard_seeds=" << shard_seeds;
     EXPECT_EQ(cross.report, in_process.report)
-        << "shard_size=" << shard_size;
+        << "shard_seeds=" << shard_seeds;
   }
 }
 
@@ -120,47 +112,47 @@ TEST_P(CampaignProcessDiff, ViaPslCrossCheckSurvivesTheProcessBoundary) {
   // else.
   const CampaignRun in_process = run_with(GetParam(), mon::Backend::Drct,
                                           /*workers=*/0, /*threads=*/1,
-                                          kDefaultStride, /*shard_size=*/6,
+                                          kDefaultStride, /*shard_seeds=*/1,
                                           /*viapsl=*/true);
   const CampaignRun cross = run_with(GetParam(), mon::Backend::Drct,
                                      /*workers=*/2, /*threads=*/1,
-                                     kDefaultStride, /*shard_size=*/6,
+                                     kDefaultStride, /*shard_seeds=*/1,
                                      /*viapsl=*/true);
   EXPECT_TRUE(
       loom::testing::results_identical(cross.result, in_process.result));
   EXPECT_EQ(cross.report, in_process.report);
 }
 
-TEST_P(CampaignProcessDiff, TraceCacheSplitIsPerProcessButDeterministic) {
-  // The one documented diagnostic difference: each worker process owns its
-  // trace cache, so a seed whose units land on two workers misses once per
-  // worker.  The split still must be a pure function of the campaign
-  // parameters — repeating the identical cross-process run reproduces it
-  // counter for counter — and the semantic bytes never see it.
-  const CampaignRun a = run_with(GetParam(), mon::Backend::Auto,
-                                 /*workers=*/2, /*threads=*/2, kDefaultStride);
-  const CampaignRun b = run_with(GetParam(), mon::Backend::Auto,
-                                 /*workers=*/2, /*threads=*/2, kDefaultStride);
-  EXPECT_EQ(a.result.trace_cache_hits, b.result.trace_cache_hits);
-  EXPECT_EQ(a.result.trace_cache_misses, b.result.trace_cache_misses);
-  EXPECT_TRUE(loom::testing::results_identical(a.result, b.result));
-  EXPECT_EQ(a.report, b.report);
-  // Every unit either hit or missed: the split covers all six units per
-  // seed no matter how they were scattered across processes.
-  EXPECT_EQ(a.result.trace_cache_hits + a.result.trace_cache_misses,
-            6 * 4u);  // kSlotsPerSeed × seeds
+TEST_P(CampaignProcessDiff, SeedPassSplitIsOnePassPerSeedAcrossProcesses) {
+  // A worker runs whole seeds, so the seed-pass split is the in-process
+  // one at every layout: one miss (the valid unit) and five hits (the
+  // mutation units) per seed.
+  for (const std::size_t shard_seeds : {std::size_t{0}, std::size_t{3}}) {
+    const CampaignRun in_process =
+        run_with(GetParam(), mon::Backend::Auto, /*workers=*/0,
+                 /*threads=*/1, kDefaultStride, shard_seeds);
+    const CampaignRun cross =
+        run_with(GetParam(), mon::Backend::Auto, /*workers=*/2,
+                 /*threads=*/2, kDefaultStride, shard_seeds);
+    for (const CampaignRun* run : {&in_process, &cross}) {
+      EXPECT_EQ(run->result.trace_cache_misses, 4u)  // seeds
+          << "shard_seeds=" << shard_seeds;
+      EXPECT_EQ(run->result.trace_cache_hits, 5 * 4u)
+          << "shard_seeds=" << shard_seeds;
+    }
+  }
 }
 
 TEST_P(CampaignProcessDiff, MoreWorkersThanShardsClampsCleanly) {
-  // 24 units in one shard each at shard_size=100 → one shard total; asking
+  // Four seeds in one shard at shard_seeds=100 → one shard total; asking
   // for 8 workers must clamp to the shard count, not spawn idle workers or
   // fail.
   const CampaignRun in_process = run_with(GetParam(), mon::Backend::Auto,
                                           /*workers=*/0, /*threads=*/1,
-                                          kDefaultStride, /*shard_size=*/100);
+                                          kDefaultStride, /*shard_seeds=*/100);
   const CampaignRun cross = run_with(GetParam(), mon::Backend::Auto,
                                      /*workers=*/8, /*threads=*/1,
-                                     kDefaultStride, /*shard_size=*/100);
+                                     kDefaultStride, /*shard_seeds=*/100);
   EXPECT_TRUE(
       loom::testing::results_identical(cross.result, in_process.result));
   EXPECT_EQ(cross.report, in_process.report);

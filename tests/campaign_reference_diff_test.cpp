@@ -11,10 +11,7 @@
 // piecewise shifted replay, the seed pass's recognizer samples, the shard
 // merge and the wire round trip of worker partials.  A seeded fuzz over the
 // campaign parameters checks reconverged ≡ full walk end to end.  Plus the
-// engine's accounting: pooled stamps + reuses equal the monitors the
-// reference builds fresh (one per valid unit, invalid mutant and ViaPSL
-// check), the default layout runs one seed pass per seed, and the instance
-// counters do not depend on scheduling.
+// engine's accounting: every layout runs one seed pass per seed.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -80,7 +77,7 @@ std::string describe(const CampaignOptions& o) {
          " threads=" + std::to_string(o.threads) +
          " stride=" + std::to_string(o.checkpoint_stride) +
          " workers=" + std::to_string(o.workers) +
-         " shard_size=" + std::to_string(o.shard_size) +
+         " shard_seeds=" + std::to_string(o.shard_seeds) +
          " seeds=" + std::to_string(o.seeds) +
          " first_seed=" + std::to_string(o.first_seed) +
          " rounds=" + std::to_string(o.stimuli.rounds) +
@@ -89,29 +86,15 @@ std::string describe(const CampaignOptions& o) {
 }
 
 // The engine run equals the reference run, semantically and in report
-// text, and its pooled instances account for exactly the monitors the
-// reference builds fresh: one logical draw per valid unit, per invalid
-// mutant and per ViaPSL cross-check, whether a draw stamped or reset.
+// text, and runs one seed pass per seed: a shard never splits a seed.
 void expect_matches(const CampaignRun& run, const CampaignRun& ref,
                     const CampaignOptions& opt) {
   const std::string what = describe(opt);
   EXPECT_TRUE(loom::testing::results_identical(run.result, ref.result))
       << what;
   EXPECT_EQ(run.report, ref.report) << what;
-  const CampaignResult& r = run.result;
-  std::size_t draws = r.traces * (opt.check_viapsl ? 2 : 1);
-  for (const MutationStats& m : r.mutation) draws += m.invalid;
-  EXPECT_EQ(r.compile_stats.instances_stamped +
-                r.compile_stats.instance_reuses,
-            draws)
-      << what;
-  EXPECT_EQ(run.result.compile_stats.plans_built, 1u) << what;
-  EXPECT_EQ(run.result.compile_stats.viapsl_encodings,
-            opt.check_viapsl ||
-                    run.result.compile_stats.backend_chosen ==
-                        mon::Backend::ViaPSL
-                ? 1u
-                : 0u)
+  EXPECT_EQ(run.result.trace_cache_misses, opt.seeds) << what;
+  EXPECT_EQ(run.result.trace_cache_hits, (kSlotsPerSeed - 1) * opt.seeds)
       << what;
   // Stride 0 forks nothing: every mutant replays from event 0.
   if (opt.checkpoint_stride == 0) {
@@ -181,16 +164,7 @@ void check_grid(const GridCell& cell, std::size_t workers) {
       opt.threads = threads;
       opt.checkpoint_stride = stride;
       opt.workers = workers;
-      const CampaignRun run = run_engine(source, opt);
-      expect_matches(run, ref, opt);
-      if (workers == 0) {
-        // The default layout never splits a seed: one seed pass per seed,
-        // serving its five other units.
-        EXPECT_EQ(run.result.trace_cache_misses, opt.seeds) << describe(opt);
-        EXPECT_EQ(run.result.trace_cache_hits,
-                  (kSlotsPerSeed - 1) * opt.seeds)
-            << describe(opt);
-      }
+      expect_matches(run_engine(source, opt), ref, opt);
     }
   }
 }
@@ -214,48 +188,21 @@ INSTANTIATE_TEST_SUITE_P(Cells, CampaignReferenceDiffGrid,
 class CampaignReferenceDiff : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CampaignReferenceDiff, ShardLayoutsEqualTheReference) {
-  // Shard sizes that split a seed's six units across shards (so each
-  // shard repeats the seed pass for its share, often without the valid
-  // unit), one shard for everything, and the hardware's thread count.
+  // The automatic layout, one, two and three seeds per shard (three leaves
+  // a short last shard of four seeds), and one shard for everything, each
+  // at one thread, four and the hardware's count.
   const CampaignOptions base = grid_options(mon::Backend::Auto, false);
   const CampaignRun ref = run_reference(GetParam(), base);
-  for (const std::size_t shard_size :
-       {std::size_t{1}, std::size_t{4}, std::size_t{7}, std::size_t{100}}) {
+  for (const std::size_t shard_seeds :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        std::size_t{100}}) {
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
       CampaignOptions opt = base;
-      opt.shard_size = shard_size;
+      opt.shard_seeds = shard_seeds;
       opt.threads = threads;
-      const CampaignRun run = run_engine(GetParam(), opt);
-      expect_matches(run, ref, opt);
-      if (shard_size >= kSlotsPerSeed) {
-        // Units sharing a shard share pooled instances: the pool must
-        // actually reuse (every seed has a valid unit and mutants).
-        EXPECT_GT(run.result.compile_stats.instance_reuses, 0u)
-            << describe(opt);
-      }
+      expect_matches(run_engine(GetParam(), opt), ref, opt);
     }
-  }
-}
-
-TEST_P(CampaignReferenceDiff, InstanceCountersAreSchedulingIndependent) {
-  // The per-shard pool keeps even the instance diagnostics a pure function
-  // of the deterministic shard layout, never of worker scheduling: serial
-  // and 4-thread runs agree counter for counter at every shard size.
-  for (const std::size_t shard_size : {std::size_t{1}, std::size_t{5}}) {
-    CampaignOptions opt = grid_options(mon::Backend::Auto, false);
-    opt.shard_size = shard_size;
-    const CampaignRun serial = run_engine(GetParam(), opt);
-    opt.threads = 4;
-    const CampaignRun parallel = run_engine(GetParam(), opt);
-    const std::string what = "shard_size=" + std::to_string(shard_size);
-    EXPECT_EQ(parallel.report, serial.report) << what;
-    EXPECT_EQ(parallel.result.compile_stats.instances_stamped,
-              serial.result.compile_stats.instances_stamped)
-        << what;
-    EXPECT_EQ(parallel.result.compile_stats.instance_reuses,
-              serial.result.compile_stats.instance_reuses)
-        << what;
   }
 }
 
@@ -275,16 +222,12 @@ TEST_P(CampaignReferenceDiff, ReferenceIsBackendIndependent) {
 TEST_P(CampaignReferenceDiff, CompileStatsAccountTheTranslationWork) {
   const CampaignRun run =
       run_engine(GetParam(), grid_options(mon::Backend::Auto, false));
-  // Exactly one translation per property, built up front.
-  EXPECT_EQ(run.result.compile_stats.plans_built, 1u);
   // Auto resolves via the cost model; for every property of the paper's
   // evaluation the Drct construction is cheaper per event than ViaPSL
   // (Figure 6), and the campaign's prefer_vm tie-break then lands the
   // Drct/Vm tie on the VM.
   EXPECT_EQ(run.result.compile_stats.backend_chosen, mon::Backend::Vm);
   EXPECT_EQ(run.result.compile_stats.backend_requested, mon::Backend::Auto);
-  // One instance per valid unit at least.
-  EXPECT_GE(run.result.compile_stats.instances_stamped, 4u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Properties, CampaignReferenceDiff,
@@ -325,7 +268,7 @@ TEST(CampaignReferenceDiff, FuzzedOptionsEqualTheReference) {
     }
     opt.check_viapsl = encodable(source) && rng.below(4) == 0;
     opt.threads = 1 + rng.below(2);
-    opt.shard_size = rng.below(8);
+    opt.shard_seeds = rng.below(5);
     const CampaignRun run = run_engine(source, opt);
     const CampaignRun ref = run_reference(source, opt);
     SCOPED_TRACE(std::string("draw ") + std::to_string(draw) + " " + source);
@@ -337,8 +280,8 @@ TEST(CampaignReferenceDiff, BatchRunSplitsCacheCountersPerProperty) {
   // run_campaigns() shards both properties onto one pool and compiles one
   // plan per property; the per-result counters must still come out
   // exactly per-property, and each result equals its property's reference.
-  // At shard size 1 every unit is a shard of its own, so each runs its
-  // own seed pass: six misses per seed and no hits.
+  // At one seed per shard each seed is a shard of its own: one miss and
+  // five hits per seed.
   const char* sources[] = {"(n << i, true)", "(p[2,3] => q[1,4] < r, 10us)"};
   spec::Alphabet ab;
   std::vector<spec::Property> props;
@@ -351,13 +294,12 @@ TEST(CampaignReferenceDiff, BatchRunSplitsCacheCountersPerProperty) {
   opt.stimuli.rounds = 2;
   opt.mutants_per_kind = 4;
   opt.threads = 4;
-  opt.shard_size = 1;
+  opt.shard_seeds = 1;
   const auto results = run_campaigns(ptrs, ab, opt);
   ASSERT_EQ(results.size(), 2u);
   for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].trace_cache_misses, kSlotsPerSeed * opt.seeds);
-    EXPECT_EQ(results[i].trace_cache_hits, 0u);
-    EXPECT_EQ(results[i].compile_stats.plans_built, 1u);
+    EXPECT_EQ(results[i].trace_cache_misses, opt.seeds);
+    EXPECT_EQ(results[i].trace_cache_hits, (kSlotsPerSeed - 1) * opt.seeds);
     EXPECT_EQ(results[i].compile_stats.backend_chosen, mon::Backend::Vm);
     const CampaignRun ref = run_reference(sources[i], opt);
     EXPECT_TRUE(loom::testing::results_identical(results[i], ref.result))

@@ -9,10 +9,9 @@
 //   - the walk steps past a state the compact rung refuses, so the record
 //     covers the whole trace;
 //   - campaigns at every stride equal campaigns that replay every mutant
-//     from event 0 (stride 0), instance accounting included;
-//   - shard layouts that split one seed's six units across shards give the
-//     default layout's results, and their logical monitor draws add up to
-//     the same total;
+//     from event 0 (stride 0);
+//   - every layout of whole-seed shards gives the default layout's
+//     results, serially and on four threads, with one seed pass per seed;
 //   - a seed's site list never outlives its seed task in the thread's
 //     scratch.
 #include <gtest/gtest.h>
@@ -111,7 +110,7 @@ Walked walk(const mon::CompiledProperty& compiled, mon::Monitor& monitor,
   Walked got;
   got.alphabet.emplace(compiled.property().alphabet());
   got.record = walk_valid_trace(compiled, monitor, trace,
-                                {&*got.alphabet, &got.recognizer}, stops,
+                                {*got.alphabet, got.recognizer}, stops,
                                 at_stop);
   return got;
 }
@@ -257,7 +256,7 @@ struct CampaignRun {
 CampaignRun run_shapes(std::size_t shape, mon::Backend backend,
                        std::size_t stride, std::size_t mutants,
                        std::size_t threads,
-                       std::size_t shard_size) {
+                       std::size_t shard_seeds) {
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse(kShapes[shape], ab);
   CampaignOptions opt;
@@ -268,26 +267,15 @@ CampaignRun run_shapes(std::size_t shape, mon::Backend backend,
   opt.backend = backend;
   opt.checkpoint_stride = stride;
   opt.threads = threads;
-  opt.shard_size = shard_size;
+  opt.shard_seeds = shard_seeds;
   const CampaignResult r = run_campaign(p, ab, opt);
   return {r, r.report(ab)};
-}
-
-::testing::AssertionResult same_accounting(const CompileStats& a,
-                                           const CompileStats& b) {
-  if (a.instances_stamped == b.instances_stamped &&
-      a.instance_reuses == b.instance_reuses) {
-    return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << "stamped " << a.instances_stamped << " vs " << b.instances_stamped
-         << ", reuses " << a.instance_reuses << " vs " << b.instance_reuses;
 }
 
 TEST(CampaignSeedPass, ForkedCampaignsEqualFullReplay) {
   // Stride 0: every mutant replays from event 0 and every oracle walk is
   // full.  At any positive stride the mutants fork from the valid walk —
-  // the same result, and the same logical draws.
+  // the same result.
   for (std::size_t shape = 0; shape < std::size(kShapes); ++shape) {
     for (const mon::Backend backend : kBackends) {
       for (const std::size_t mutants : {std::size_t{0}, std::size_t{2}}) {
@@ -306,56 +294,43 @@ TEST(CampaignSeedPass, ForkedCampaignsEqualFullReplay) {
                                                        walked.result))
               << where;
           EXPECT_EQ(merged.report, walked.report) << where;
-          EXPECT_TRUE(same_accounting(merged.result.compile_stats,
-                                      walked.result.compile_stats))
-              << where;
         }
       }
     }
   }
 }
 
-TEST(CampaignSeedPass, ShardsThatSplitASeedGiveTheDefaultLayoutsResults) {
-  // Shard sizes 1, 4 and 7 put one seed's six units (valid phase first) in
-  // different shards, so each of them repeats the seed pass for its share
-  // of the units, often without the valid unit.  Per layout the instance counters are a pure function of the layout
-  // (serial ≡ 4 threads); across layouts every unit still counts one
-  // logical draw per monitor it stands for, so stamped + reused is
-  // layout-independent.
+TEST(CampaignSeedPass, WholeSeedShardsGiveTheDefaultLayoutsResults) {
+  // One to four seeds per shard (four leaves a short last shard of two)
+  // and one shard for everything, against the automatic layout: each
+  // shard runs whole seed tasks, so every layout runs one seed pass per
+  // seed.
   for (std::size_t shape = 0; shape < std::size(kShapes); ++shape) {
     for (const mon::Backend backend : kBackends) {
       const CampaignRun base =
           run_shapes(shape, backend, 8, 2, /*threads=*/1, /*shard=*/0);
-      const std::size_t base_draws =
-          base.result.compile_stats.instances_stamped +
-          base.result.compile_stats.instance_reuses;
-      for (const std::size_t shard_size :
-           {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
+      for (const std::size_t shard_seeds :
+           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+            std::size_t{100}}) {
         const CampaignRun serial =
-            run_shapes(shape, backend, 8, 2, 1, shard_size);
+            run_shapes(shape, backend, 8, 2, 1, shard_seeds);
         const CampaignRun parallel =
-            run_shapes(shape, backend, 8, 2, 4, shard_size);
+            run_shapes(shape, backend, 8, 2, 4, shard_seeds);
         const std::string where = std::string(kShapes[shape]) + " " +
-                                  name_of(backend) + " shard " +
-                                  std::to_string(shard_size);
+                                  name_of(backend) + " shard_seeds " +
+                                  std::to_string(shard_seeds);
         for (const CampaignRun* run : {&serial, &parallel}) {
           EXPECT_TRUE(
               loom::testing::results_identical(run->result, base.result))
               << where;
           EXPECT_EQ(run->report, base.report) << where;
-          EXPECT_EQ(run->result.compile_stats.instances_stamped +
-                        run->result.compile_stats.instance_reuses,
-                    base_draws)
+          EXPECT_EQ(run->result.trace_cache_misses,
+                    base.result.trace_cache_misses)
+              << where;
+          EXPECT_EQ(run->result.trace_cache_hits,
+                    base.result.trace_cache_hits)
               << where;
         }
-        EXPECT_TRUE(same_accounting(parallel.result.compile_stats,
-                                    serial.result.compile_stats))
-            << where;
-        EXPECT_EQ(serial.result.trace_cache_hits +
-                      serial.result.trace_cache_misses,
-                  base.result.trace_cache_hits +
-                      base.result.trace_cache_misses)
-            << where;
       }
     }
   }

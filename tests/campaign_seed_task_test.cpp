@@ -1,7 +1,7 @@
 // Lockdown of the seed task's forked replay (abv/campaign.cpp): a shard
-// runs the units it holds of one seed as one task, which walks the valid
-// trace once and forks each invalid mutant's replay from the live monitor
-// at the mutant's exact divergence position.  Every case below runs the
+// runs each of its seeds as one task, which walks the valid trace once
+// and forks each invalid mutant's replay from the live monitor at the
+// mutant's exact divergence position.  Every case below runs the
 // engine against the literal Fig. 1 loop (tests/reference_campaign.hpp) —
 // results_identical and report() text — and pins the forked-replay
 // diagnostics to their definition, re-derived here from abv::mutate and
@@ -15,8 +15,7 @@
 //   - a valid trace the Vm monitor violates, so its compact rungs are
 //     refused and later mutants fall back to the last saved state (or to
 //     event 0), while Drct's Snapshots hold the violation;
-//   - shard sizes that split a seed, in process and across workers;
-//   - the default layout never splits a seed.
+//   - every layout of whole-seed shards, in process and across workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -138,9 +137,7 @@ Forks expected_forks(const char* source, const CampaignOptions& opt) {
 }
 
 // Runs `source` under `opt` on the engine (into `run`) and the reference:
-// the same result and report, and the re-derived fork diagnostics — in the
-// default layout, or wherever no walk refuses a save (then the forks do
-// not depend on which of a seed's mutants share a shard).
+// the same result and report, and the re-derived fork diagnostics.
 Forks expect_forks_match(const char* source, const CampaignOptions& opt,
                          CampaignRun& run) {
   run = run_engine(source, opt);
@@ -148,16 +145,14 @@ Forks expect_forks_match(const char* source, const CampaignOptions& opt,
   const std::string what = std::string(source) + " backend " +
                            mon::to_string(opt.backend) + " stride " +
                            std::to_string(opt.checkpoint_stride) +
-                           " shard_size " + std::to_string(opt.shard_size) +
+                           " shard_seeds " + std::to_string(opt.shard_seeds) +
                            " workers " + std::to_string(opt.workers);
   EXPECT_TRUE(loom::testing::results_identical(run.result, ref.result))
       << what;
   EXPECT_EQ(run.report, ref.report) << what;
   const Forks f = expected_forks(source, opt);
-  if (opt.shard_size == 0 || f.fallbacks == 0) {
-    EXPECT_EQ(run.result.checkpoint_hits, f.hits) << what;
-    EXPECT_EQ(run.result.events_skipped, f.skipped) << what;
-  }
+  EXPECT_EQ(run.result.checkpoint_hits, f.hits) << what;
+  EXPECT_EQ(run.result.events_skipped, f.skipped) << what;
   std::size_t invalid = 0;
   for (const MutationStats& m : run.result.mutation) invalid += m.invalid;
   EXPECT_EQ(invalid, f.invalid) << what;
@@ -251,103 +246,37 @@ TEST(CampaignSeedTask, AValidTraceTheVmMonitorViolatesFallsBack) {
   }
 }
 
-TEST(CampaignSeedTask, SplitSeedsRepeatTheSeedPassPerShard) {
-  // Explicit shard sizes are honoured: sizes 1, 4 and 7 split seeds, in
-  // process and across two worker processes (one thread each, so no pool
-  // thread exists when the workers fork), and each shard repeats the seed
-  // pass for its share.  The seed-pass split counts one miss per (shard,
-  // seed) pair.
-  const char* const sources[] = {"(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
-                                 "(p[2,3] => q[1,4] < r, 1ms)"};
+TEST(CampaignSeedTask, EveryShardLayoutForksLikeTheReference) {
+  // The automatic layout, one, two and three seeds per shard (three leaves
+  // a short last shard of one) and one shard for everything, in process
+  // and across two worker processes (one thread each, so no pool thread
+  // exists when the workers fork).  A shard runs whole seeds, so each
+  // layout forks exactly the reference's mutants — a refused Vm save
+  // included — and runs one seed pass per seed.
+  const char* const sources[] = {
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+      "(p[2,3] => q[1,4] < r, 1ms)", "(p => q, 1ps)"};
   for (const char* source : sources) {
     CampaignOptions opt;
     opt.seeds = 4;
     opt.stimuli.rounds = 4;
     opt.stimuli.noise_permille = 100;
     opt.mutants_per_kind = 3;
-    const std::size_t units = opt.seeds * kSlotsPerSeed;
-    for (const std::size_t shard_size :
-         {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
-      std::size_t passes = 0;
-      for (std::size_t begin = 0; begin < units; begin += shard_size) {
-        const std::size_t end = std::min(units, begin + shard_size);
-        passes += (end - 1) / kSlotsPerSeed - begin / kSlotsPerSeed + 1;
-      }
+    for (const std::size_t shard_seeds :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+          std::size_t{100}}) {
       for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
-        opt.shard_size = shard_size;
+        opt.shard_seeds = shard_seeds;
         opt.workers = workers;
         CampaignRun run;
-        const Forks f = expect_forks_match(source, opt, run);
-        EXPECT_EQ(f.fallbacks, 0u);
-        EXPECT_EQ(run.result.trace_cache_misses, passes)
-            << source << " shard_size " << shard_size;
-        EXPECT_EQ(run.result.trace_cache_hits, units - passes)
-            << source << " shard_size " << shard_size;
+        expect_forks_match(source, opt, run);
+        EXPECT_EQ(run.result.trace_cache_misses, opt.seeds)
+            << source << " shard_seeds " << shard_seeds;
+        EXPECT_EQ(run.result.trace_cache_hits,
+                  (kSlotsPerSeed - 1) * opt.seeds)
+            << source << " shard_seeds " << shard_seeds;
       }
     }
-  }
-}
-
-// One seed pass per seed and property, serving the seed's five other
-// units: the default layout put every seed in one shard.
-void expect_whole_seeds(const std::vector<const char*>& sources,
-                        const CampaignOptions& opt) {
-  spec::Alphabet ab;
-  std::vector<spec::Property> props;
-  for (const char* s : sources) props.push_back(loom::testing::parse(s, ab));
-  std::vector<const spec::Property*> ptrs;
-  for (const auto& p : props) ptrs.push_back(&p);
-  const auto results = run_campaigns(ptrs, ab, opt);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].trace_cache_misses, opt.seeds)
-        << sources[i] << " threads " << opt.threads;
-    EXPECT_EQ(results[i].trace_cache_hits, (kSlotsPerSeed - 1) * opt.seeds)
-        << sources[i] << " threads " << opt.threads;
-  }
-}
-
-TEST(CampaignSeedTask, TheDefaultLayoutNeverSplitsASeed) {
-  // The perfbench shapes (run in process: the layout does not depend on
-  // the workers knob) and a 5-seed campaign, whose 30 units per property
-  // divide into no whole number of seeds per shard at most thread counts.
-  const char* const antecedent =
-      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)";
-  const char* const chain = "(n1 => n2 < n3 < n4, 1ms)";
-  CampaignOptions longo;  // mutants_long
-  longo.seeds = 4;
-  longo.stimuli.rounds = 64;
-  longo.stimuli.noise_permille = 100;
-  longo.mutants_per_kind = 32;
-  longo.threads = 1;
-  expect_whole_seeds({antecedent, chain}, longo);
-
-  CampaignOptions wide;  // seeds_wide
-  wide.seeds = 64;
-  wide.stimuli.rounds = 16;
-  wide.stimuli.noise_permille = 100;
-  wide.mutants_per_kind = 1;
-  wide.threads = 4;
-  expect_whole_seeds(
-      {"(({set_imgAddr, set_glAddr, set_glSize}, &) << start, false)",
-       antecedent, "(p[2,3] => q[1,4] < r, 1ms)", "(n << i, true)"},
-      wide);
-
-  CampaignOptions workers;  // workers_short, in process
-  workers.seeds = 8;
-  workers.stimuli.rounds = 8;
-  workers.stimuli.noise_permille = 100;
-  workers.mutants_per_kind = 8;
-  workers.threads = 1;
-  expect_whole_seeds({antecedent, chain}, workers);
-
-  CampaignOptions five;
-  five.seeds = 5;
-  five.stimuli.rounds = 2;
-  five.mutants_per_kind = 2;
-  for (const std::size_t threads : {1, 2, 3, 4, 5}) {
-    five.threads = threads;
-    expect_whole_seeds({"(n << i, true)"}, five);
-    expect_whole_seeds({"(n << i, true)", chain, antecedent}, five);
   }
 }
 

@@ -17,6 +17,7 @@
 // in-image path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -69,15 +70,15 @@ const char* fault_name(WorkerFault f) {
   return "?";
 }
 
-// seeds=2 → 12 units; shard_size=3 → exactly four shards [0,3) [3,6)
-// [6,9) [9,12), so every worker-count / fault-position case below has a
-// pinned layout.
+// seeds=4, shard_seeds=1 → exactly four shards of one seed each, units
+// [0,6) [6,12) [12,18) [18,24), so every worker-count / fault-position
+// case below has a pinned layout.
 CampaignOptions small_options() {
   CampaignOptions opt;
-  opt.seeds = 2;
+  opt.seeds = 4;
   opt.stimuli.rounds = 2;
   opt.mutants_per_kind = 2;
-  opt.shard_size = 3;
+  opt.shard_seeds = 1;
   return opt;
 }
 
@@ -245,8 +246,8 @@ TEST(CampaignSupervision, SlowStreamTimesOutLikeASilentOne) {
 }
 
 TEST(CampaignSupervision, LingeringWorkerNeverCostsAStreamingSiblingItsDeadline) {
-  // Three properties with one shard each (shard_size = a property's 12
-  // units) on two workers: worker 0 runs properties 0 and 2 (two
+  // Three properties with one shard each (two seeds in one shard) on two
+  // workers: worker 0 runs properties 0 and 2 (two
   // partials), worker 1 runs property 1 (one partial), so
   // worker_fault_at=1 arms LingerAfterDone on worker 0 alone.  Property 1
   // is the heavy one: worker 1 is still computing when worker 0 sends its
@@ -262,7 +263,8 @@ TEST(CampaignSupervision, LingeringWorkerNeverCostsAStreamingSiblingItsDeadline)
   CampaignOptions base = small_options();
   base.stimuli.rounds = 8;
   base.mutants_per_kind = 16;
-  base.shard_size = 12;
+  base.seeds = 2;
+  base.shard_seeds = 2;
   const auto run = [&](const CampaignOptions& opt) {
     spec::Alphabet ab;
     std::vector<spec::Property> props;
@@ -325,8 +327,8 @@ TEST(CampaignSupervision, ExhaustedRetriesDegradeWithPinnedFailureRecords) {
     const auto& f = r.shard_failures[i];
     EXPECT_EQ(f.shard, i);
     EXPECT_EQ(f.worker, i % 2);
-    EXPECT_EQ(f.unit_begin, 3 * i);
-    EXPECT_EQ(f.unit_end, 3 * i + 3);
+    EXPECT_EQ(f.unit_begin, 6 * i);
+    EXPECT_EQ(f.unit_end, 6 * i + 6);
     EXPECT_NE(f.diagnostic.find("bad magic"), std::string::npos)
         << f.diagnostic;
     EXPECT_NE(f.diagnostic.find("attempt 1 of 1"), std::string::npos)
@@ -337,7 +339,7 @@ TEST(CampaignSupervision, ExhaustedRetriesDegradeWithPinnedFailureRecords) {
   EXPECT_EQ(r.traces, 0u);
   // The report carries the loss, line by line, and cannot claim a pass.
   const std::string report = r.report(ab);
-  EXPECT_NE(report.find("degraded: shard 0 (units [0,3)) lost on worker 0: "),
+  EXPECT_NE(report.find("degraded: shard 0 (units [0,6)) lost on worker 0: "),
             std::string::npos)
       << report;
   EXPECT_NE(report.find("campaign FAILED"), std::string::npos) << report;
@@ -415,7 +417,7 @@ TEST(CampaignSupervision, SupervisedDrainMatchesInProcessAndReference) {
 TEST(CampaignSupervision, MoreWorkersThanShardsClamps) {
   CampaignOptions base = small_options();
   base.seeds = 1;
-  base.shard_size = 6;  // one shard of six units
+  base.shard_seeds = 1;  // one shard of one seed
   const CampaignRun in_process = run_with(base);
   CampaignOptions opt = base;
   opt.workers = 8;  // clamped to the single shard
@@ -423,6 +425,58 @@ TEST(CampaignSupervision, MoreWorkersThanShardsClamps) {
   EXPECT_TRUE(
       loom::testing::results_identical(cross.result, in_process.result));
   EXPECT_EQ(cross.report, in_process.report);
+}
+
+TEST(CampaignSupervision, TheAutomaticLayoutIsPinnedInTheFailureRecords) {
+  // With shard_seeds 0 a property's seeds split into shards of
+  // ceil(max(1, units / (4 · threads)) / 6) seeds, units being the
+  // campaign's seeds × 6 × properties.  A fully degraded run lists every
+  // shard in its failure records, so their unit ranges pin that layout:
+  // five seeds (30 units a property) divide into no whole number of seeds
+  // per shard at most thread counts.
+  const char* const sources[] = {"(n << i, true)", "(m << i, true)",
+                                 "(({a, b}, &) < c << i, true)"};
+  for (const std::size_t properties : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t threads : {1, 2, 3, 4, 5}) {
+      CampaignOptions opt;
+      opt.seeds = 5;
+      opt.stimuli.rounds = 1;
+      opt.mutants_per_kind = 1;
+      opt.threads = threads;
+      opt.workers = 1;
+      opt.worker_fault = WorkerFault::CorruptFrame;
+      opt.allow_partial = true;
+      spec::Alphabet ab;
+      std::vector<spec::Property> props;
+      for (std::size_t k = 0; k < properties; ++k) {
+        props.push_back(loom::testing::parse(sources[k], ab));
+      }
+      std::vector<const spec::Property*> ptrs;
+      for (const auto& p : props) ptrs.push_back(&p);
+      const std::vector<CampaignResult> results =
+          run_campaigns(ptrs, ab, opt);
+      const std::size_t units = opt.seeds * 6;
+      std::size_t size =
+          std::max<std::size_t>(1, units * properties / (threads * 4));
+      size = (size + 5) / 6 * 6;
+      std::size_t shard = 0;
+      for (std::size_t p = 0; p < properties; ++p) {
+        const std::string what = "properties " + std::to_string(properties) +
+                                 " threads " + std::to_string(threads) +
+                                 " property " + std::to_string(p);
+        const auto& failures = results[p].shard_failures;
+        std::size_t k = 0;
+        for (std::size_t begin = 0; begin < units; begin += size, ++k) {
+          ASSERT_LT(k, failures.size()) << what;
+          EXPECT_EQ(failures[k].shard, shard++) << what;
+          EXPECT_EQ(failures[k].unit_begin, begin) << what;
+          EXPECT_EQ(failures[k].unit_end, std::min(units, begin + size))
+              << what;
+        }
+        EXPECT_EQ(failures.size(), k) << what;
+      }
+    }
+  }
 }
 
 TEST(CampaignSupervision, ZeroSeedCampaignsWithWorkersDoNotSpawn) {

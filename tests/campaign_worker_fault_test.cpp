@@ -259,8 +259,8 @@ wire::WorkerRequestData valid_request() {
   req.directions = {0, 0, 0};
   req.properties = {kProperty};
   req.options = small_options();
-  // seeds=2 → 12 units for job 0 (6 slots per seed); two shards of 6.
-  req.shards = {{0, 0, 0, 6}, {1, 0, 6, 12}};
+  // seeds=2 for job 0; two shards of one seed each.
+  req.shards = {{0, 0, 0, 1}, {1, 0, 1, 2}};
   return req;
 }
 
@@ -278,21 +278,24 @@ TEST(CampaignWorkerDirect, UnparsableWorkerPropertyExitsBadProperty) {
 }
 
 TEST(CampaignWorkerDirect, OutOfRangeShardAssignmentExitsBadRequest) {
-  wire::WorkerRequestData req = valid_request();
-  req.shards = {{0, 0, 0, 99}};  // unit_end past seeds * slots
-  Pipes pipes;
-  pipes.send_request(framed_request(req));
-  EXPECT_EQ(pipes.run_worker(), kWorkerExitBadRequest);
-  const auto frames = drain(pipes.reply_read);
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_NE(error_text(frames[0].second).find("shard assignment"),
-            std::string::npos);
-
-  wire::WorkerRequestData foreign_job = valid_request();
-  foreign_job.shards = {{0, 7, 0, 6}};  // job 7 of a 1-property request
-  Pipes pipes2;
-  pipes2.send_request(framed_request(foreign_job));
-  EXPECT_EQ(pipes2.run_worker(), kWorkerExitBadRequest);
+  const wire::WorkerShardSpec bad[] = {
+      {0, 0, 0, 3},  // seed_end past the request's two seeds
+      {0, 0, 2, 1},  // seed_begin past seed_end
+      {0, 7, 0, 1},  // job 7 of a 1-property request
+  };
+  for (const wire::WorkerShardSpec& spec : bad) {
+    wire::WorkerRequestData req = valid_request();
+    req.shards = {spec};
+    Pipes pipes;
+    pipes.send_request(framed_request(req));
+    EXPECT_EQ(pipes.run_worker(), kWorkerExitBadRequest)
+        << "job " << spec.job << " seeds [" << spec.seed_begin << ","
+        << spec.seed_end << ")";
+    const auto frames = drain(pipes.reply_read);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_NE(error_text(frames[0].second).find("shard assignment"),
+              std::string::npos);
+  }
 }
 
 TEST(CampaignWorkerDirect, ValidRequestStreamsPartialsThenDone) {

@@ -1,14 +1,11 @@
 // Unit lockdowns of the translate-once compilation layer and what it
 // shares: mon::CompiledProperty (the Auto cost-model choice, the prefer_vm
 // tie-break, artifact materialization, instantiate() equivalence with
-// stand-alone construction, the infeasible-shape paths), the
-// cross-campaign mon::CompiledPropertyCache (hit/miss accounting, stable
-// references, alias rules of the normalized key), and the reference
+// stand-alone construction, the infeasible-shape paths) and the reference
 // oracle's plan-reusing overload.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <vector>
 
 #include "abv/campaign.hpp"
 #include "mon/compiled.hpp"
@@ -70,23 +67,6 @@ TEST(CompiledProperty, PreferVmResolvesTheAutoTieToVm) {
   ASSERT_NE(c.vm_program(), nullptr);
   EXPECT_NE(c.instantiate(), nullptr);
   EXPECT_EQ(c.vm_ops_per_event(), c.drct_ops_per_event());
-}
-
-TEST(CompiledProperty, PreferVmIsPartOfThePlanCacheKey) {
-  // Two compilations differing only in prefer_vm must not alias: their
-  // chosen backends (and materialized artifacts) differ.
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse("(n << i, true)", ab);
-  mon::CompileOptions drct_tie;
-  mon::CompileOptions vm_tie;
-  vm_tie.prefer_vm = true;
-  EXPECT_NE(mon::CompiledPropertyCache::key_of(p, ab, drct_tie),
-            mon::CompiledPropertyCache::key_of(p, ab, vm_tie));
-  mon::CompiledPropertyCache cache;
-  (void)cache.get_or_compile(p, ab, drct_tie);
-  (void)cache.get_or_compile(p, ab, vm_tie);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(CompiledProperty, ForcedViaPslMaterializesTheClauseSet) {
@@ -212,99 +192,6 @@ TEST(ReferencePlanReuse, PlanOverloadMatchesThePlanningOverload) {
       EXPECT_EQ(planned.reason, reused.reason) << source;
     }
   }
-}
-
-// --- mon::CompiledPropertyCache -------------------------------------------
-
-TEST(CompiledPropertyCache, CompilesOncePerKeyAndHandsOutStableEntries) {
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse("(({a, b}, &) << s, true)", ab);
-  mon::CompiledPropertyCache cache;
-
-  bool inserted = false;
-  const mon::CompiledProperty& first = cache.get_or_compile(p, ab, {},
-                                                            &inserted);
-  EXPECT_TRUE(inserted);
-  const mon::CompiledProperty& second = cache.get_or_compile(p, ab, {},
-                                                             &inserted);
-  EXPECT_FALSE(inserted);
-  EXPECT_EQ(&first, &second);          // stable reference, shared artifacts
-  EXPECT_EQ(&first.plan(), &second.plan());
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // A different backend is a different key (it changes the artifacts).
-  mon::CompileOptions viapsl;
-  viapsl.backend = mon::Backend::ViaPSL;
-  const mon::CompiledProperty& forced = cache.get_or_compile(p, ab, viapsl);
-  EXPECT_EQ(forced.chosen(), mon::Backend::ViaPSL);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(CompiledPropertyCache, KeyIncludesNameBindingsAndOptions) {
-  // Two alphabets interning the same names in different orders render the
-  // same normalized text over different ids — the key must not alias them.
-  spec::Alphabet ab1;
-  const spec::Property p1 = loom::testing::parse("(a < b << s, true)", ab1);
-  spec::Alphabet ab2;
-  ab2.name("zzz");  // shift every later id
-  const spec::Property p2 = loom::testing::parse("(a < b << s, true)", ab2);
-  EXPECT_NE(mon::CompiledPropertyCache::key_of(p1, ab1, {}),
-            mon::CompiledPropertyCache::key_of(p2, ab2, {}));
-
-  mon::CompileOptions tight;
-  tight.max_clauses = 7;
-  EXPECT_NE(mon::CompiledPropertyCache::key_of(p1, ab1, {}),
-            mon::CompiledPropertyCache::key_of(p1, ab1, tight));
-  mon::CompileOptions artifact;
-  artifact.with_viapsl_artifact = true;
-  EXPECT_NE(mon::CompiledPropertyCache::key_of(p1, ab1, {}),
-            mon::CompiledPropertyCache::key_of(p1, ab1, artifact));
-  // Same property, same alphabet, same options: same key.
-  EXPECT_EQ(mon::CompiledPropertyCache::key_of(p1, ab1, {}),
-            mon::CompiledPropertyCache::key_of(p1, ab1, {}));
-}
-
-TEST(CompiledPropertyCache, RepeatedCampaignsSkipRecompilation) {
-  const char* sources[] = {"(n << i, true)", "(p[2,3] => q[1,4] < r, 10us)"};
-  spec::Alphabet ab;
-  std::vector<spec::Property> props;
-  for (const char* s : sources) props.push_back(loom::testing::parse(s, ab));
-  std::vector<const spec::Property*> ptrs;
-  for (const auto& p : props) ptrs.push_back(&p);
-
-  CampaignOptions opt;
-  opt.seeds = 3;
-  opt.stimuli.rounds = 2;
-  opt.mutants_per_kind = 4;
-  opt.threads = 2;
-  opt.shard_size = 1;
-  const auto uncached = run_campaigns(ptrs, ab, opt);
-
-  mon::CompiledPropertyCache cache;
-  opt.plan_cache = &cache;
-  const auto first = run_campaigns(ptrs, ab, opt);
-  const auto second = run_campaigns(ptrs, ab, opt);
-  ASSERT_EQ(first.size(), 2u);
-  ASSERT_EQ(second.size(), 2u);
-
-  for (std::size_t i = 0; i < 2; ++i) {
-    // The cache is invisible in the semantic result and the report.
-    EXPECT_TRUE(loom::testing::results_identical(first[i], uncached[i])) << i;
-    EXPECT_TRUE(loom::testing::results_identical(second[i], uncached[i])) << i;
-    EXPECT_EQ(second[i].report(ab), uncached[i].report(ab)) << i;
-    // First campaign compiles (miss), every later one reuses (hit).
-    EXPECT_EQ(first[i].compile_stats.plan_cache_misses, 1u) << i;
-    EXPECT_EQ(first[i].compile_stats.plan_cache_hits, 0u) << i;
-    EXPECT_EQ(first[i].compile_stats.plans_built, 1u) << i;
-    EXPECT_EQ(second[i].compile_stats.plan_cache_hits, 1u) << i;
-    EXPECT_EQ(second[i].compile_stats.plan_cache_misses, 0u) << i;
-    EXPECT_EQ(second[i].compile_stats.plans_built, 0u) << i;
-  }
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 }  // namespace

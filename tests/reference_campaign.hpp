@@ -15,7 +15,7 @@
 // edit is involved, so none of the engine's shortcuts can hide in here.
 //
 // Only the semantic fields of the result are computed (what
-// results_identical and report() read).  The threads, shard_size,
+// results_identical and report() read).  The threads, shard_seeds,
 // checkpoint_stride, workers and worker fields of `options` are ignored.
 #pragma once
 

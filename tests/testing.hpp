@@ -146,8 +146,8 @@ inline std::string report_without_backend(const std::string& report) {
 }
 
 /// Field-wise CampaignResult comparison for the determinism / differential
-/// suites: lists every differing field by name.  The trace-cache hit/miss
-/// counters and the compiled-plan instance counters are engine
+/// suites: lists every differing field by name.  The seed-pass (trace-
+/// cache) split, the forked-replay counts and the retry count are engine
 /// diagnostics, deliberately excluded — compare them separately where a
 /// test pins them down.  The backend fields of compile_stats are semantic
 /// (they name the monitor construction behind the numbers) and do compare.

@@ -131,7 +131,8 @@ std::vector<CorpusEntry> build_corpus() {
     req.names = {"a", "b", "c", "noise0"};
     req.directions = {0, 0, 1, 2};
     req.properties = {"(a < b < c << i, true)"};
-    req.shards = {{0, 0, 0, 6}, {1, 0, 6, 12}};
+    req.options.seeds = 2;
+    req.shards = {{0, 0, 0, 1}, {1, 0, 1, 2}};  // one seed each
     e.clear();
     encode_worker_request(e, req);
     corpus.push_back({"request", Kind::WorkerRequest, e.bytes()});

@@ -13,10 +13,9 @@ CampaignResult::diagnostic_counters() and the bench binaries):
   allocation      allocs/unit, allocs/mutant — lower is better and
                   engineered-invariant-adjacent (the zero-allocation steady
                   state): hard fail beyond 10% + 2 allocs of slack.
-  ratios          skip_ratio, *_hit_rate, instance_reuse_rate,
-                  bit_identical — higher is better and
-                  deterministic for a given fixture: hard fail on a drop
-                  > 0.02 absolute (bit_identical: any drop).
+  ratios          skip_ratio, *_hit_rate, bit_identical — higher is
+                  better and deterministic for a given fixture: hard fail
+                  on a drop > 0.02 absolute (bit_identical: any drop).
   semantic        backend_viapsl, backend_vm — which monitor construction
                   ran; any change fails, a backend flip is never noise.
   informational   checkpoint_hits, events_skipped, mon_events_per_s,
@@ -54,8 +53,7 @@ def classify(name):
         return "alloc"
     if name == "bit_identical":
         return "exact_ratio"
-    if (name == "skip_ratio" or name == "instance_reuse_rate"
-            or name.endswith("_hit_rate")):
+    if name == "skip_ratio" or name.endswith("_hit_rate"):
         return "ratio"
     if name in SEMANTIC:
         return "semantic"
