@@ -11,7 +11,8 @@
 // piecewise shifted replay, the seed pass's recognizer samples, the shard
 // merge and the wire round trip of worker partials.  A seeded fuzz over the
 // campaign parameters checks reconverged ≡ full walk end to end.  Plus the
-// engine's accounting: every layout runs one seed pass per seed.
+// engine's accounting: every layout runs one seed pass per seed, and the
+// named diagnostics do not depend on layout, threads or processes.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -202,6 +203,46 @@ TEST_P(CampaignReferenceDiff, ShardLayoutsEqualTheReference) {
       opt.shard_seeds = shard_seeds;
       opt.threads = threads;
       expect_matches(run_engine(GetParam(), opt), ref, opt);
+    }
+  }
+}
+
+TEST_P(CampaignReferenceDiff, DiagnosticCountersAreSchedulingIndependent) {
+  // Every named engine diagnostic and the diagnostic report are a pure
+  // function of the campaign parameters, never of the layout, the thread
+  // count or the process split: two worker processes (run first, so no
+  // pool thread exists when they fork) and one, four and the hardware's
+  // threads in process agree counter for counter at every shard_seeds.
+  const CampaignOptions base = grid_options(mon::Backend::Auto, false);
+  const auto diagnostics = [&](const CampaignOptions& opt) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(GetParam(), ab);
+    const CampaignResult r = run_campaign(p, ab, opt);
+    std::string out = r.report(ab, true);
+    for (const auto& c : r.diagnostic_counters()) {
+      out += std::string(c.name) + "=" + std::to_string(c.value) + "\n";
+    }
+    return out;
+  };
+  const std::string serial = diagnostics(base);
+  EXPECT_NE(serial.find("trace_cache_hit_rate="), std::string::npos);
+  for (const std::size_t shard_seeds :
+       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{100}}) {
+    CampaignOptions opt = base;
+    opt.shard_seeds = shard_seeds;
+    opt.workers = 2;
+    EXPECT_EQ(diagnostics(opt), serial)
+        << "workers=2 shard_seeds=" << shard_seeds;
+  }
+  for (const std::size_t shard_seeds :
+       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{100}}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
+      CampaignOptions opt = base;
+      opt.shard_seeds = shard_seeds;
+      opt.threads = threads;
+      EXPECT_EQ(diagnostics(opt), serial)
+          << "threads=" << threads << " shard_seeds=" << shard_seeds;
     }
   }
 }

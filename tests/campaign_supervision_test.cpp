@@ -479,6 +479,49 @@ TEST(CampaignSupervision, TheAutomaticLayoutIsPinnedInTheFailureRecords) {
   }
 }
 
+TEST(CampaignSupervision, ExplicitLayoutsArePinnedInTheFailureRecords) {
+  // An explicit shard_seeds counts seeds, not units: five seeds of two
+  // properties at k seeds per shard give ceil(5 / k) shards a property,
+  // unit ranges [6b, 6·min(5, b + k)), the last one short when k does not
+  // divide five, and shard indices running on across the properties.
+  const char* const sources[] = {"(n << i, true)", kProperty};
+  for (const std::size_t shard_seeds : {1, 2, 3, 4, 5, 100}) {
+    CampaignOptions opt;
+    opt.seeds = 5;
+    opt.stimuli.rounds = 1;
+    opt.mutants_per_kind = 1;
+    opt.shard_seeds = shard_seeds;
+    opt.workers = 2;
+    opt.worker_fault = WorkerFault::CorruptFrame;
+    opt.worker_retries = 0;
+    opt.allow_partial = true;
+    spec::Alphabet ab;
+    std::vector<spec::Property> props;
+    for (const char* s : sources) props.push_back(loom::testing::parse(s, ab));
+    std::vector<const spec::Property*> ptrs;
+    for (const auto& p : props) ptrs.push_back(&p);
+    const std::vector<CampaignResult> results = run_campaigns(ptrs, ab, opt);
+    ASSERT_EQ(results.size(), 2u);
+    std::size_t shard = 0;
+    for (std::size_t p = 0; p < results.size(); ++p) {
+      const std::string what = "shard_seeds " + std::to_string(shard_seeds) +
+                               " property " + std::to_string(p);
+      const auto& failures = results[p].shard_failures;
+      ASSERT_EQ(failures.size(), (opt.seeds + shard_seeds - 1) / shard_seeds)
+          << what;
+      for (std::size_t k = 0; k < failures.size(); ++k) {
+        const std::size_t begin = k * shard_seeds;
+        EXPECT_EQ(failures[k].shard, shard++) << what;
+        EXPECT_EQ(failures[k].unit_begin, 6 * begin) << what;
+        EXPECT_EQ(failures[k].unit_end,
+                  6 * std::min(opt.seeds, begin + shard_seeds))
+            << what;
+      }
+      EXPECT_EQ(results[p].traces, 0u) << what;
+    }
+  }
+}
+
 TEST(CampaignSupervision, ZeroSeedCampaignsWithWorkersDoNotSpawn) {
   // No units → no shards → the workers knob is moot; the run must not
   // throw, hang or fork.

@@ -325,6 +325,94 @@ TEST(CampaignWorkerDirect, ValidRequestStreamsPartialsThenDone) {
   EXPECT_EQ(count, req.shards.size());
 }
 
+// Runs `req` on a direct worker that must succeed, and decodes its
+// partials in assignment order.
+std::vector<wire::WorkerPartialData> run_partials(
+    const wire::WorkerRequestData& req) {
+  Pipes pipes;
+  pipes.send_request(framed_request(req));
+  EXPECT_EQ(pipes.run_worker(), kWorkerExitOk);
+  const auto frames = drain(pipes.reply_read);
+  std::vector<wire::WorkerPartialData> parts;
+  for (const auto& [tag, payload] : frames) {
+    if (tag != wire::Payload::WorkerPartial) continue;
+    wire::WorkerPartialData part;
+    wire::Decoder d(payload.data(), payload.size());
+    EXPECT_TRUE(wire::decode_worker_partial(d, part))
+        << d.error().to_string();
+    parts.push_back(std::move(part));
+  }
+  EXPECT_EQ(parts.size(), req.shards.size());
+  return parts;
+}
+
+TEST(CampaignWorkerDirect, AnEmptySeedRangeIsAValidAssignment) {
+  // seed_begin == seed_end is in range (the bound is ≤, not <), at the
+  // first seed and at the request's seed count: each shard answers with
+  // an empty partial rather than an error.
+  wire::WorkerRequestData req = valid_request();
+  req.shards = {{0, 0, 0, 0}, {1, 0, 2, 2}};
+  const auto parts = run_partials(req);
+  ASSERT_EQ(parts.size(), 2u);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(parts[i].shard, req.shards[i].shard);
+    EXPECT_EQ(parts[i].partial.traces, 0u) << "shard " << i;
+    EXPECT_EQ(parts[i].partial.events, 0u) << "shard " << i;
+    EXPECT_EQ(parts[i].partial.trace_cache_misses, 0u) << "shard " << i;
+    EXPECT_EQ(parts[i].partial.trace_cache_hits, 0u) << "shard " << i;
+  }
+}
+
+TEST(CampaignWorkerDirect, APartialCoversExactlyItsAssignedSeeds) {
+  // Seeds [0,1), [1,2) and [0,2) of one property: the two-seed shard's
+  // partial is the sum of the one-seed shards' partials, and each counts
+  // one seed pass (one miss, five hits) per seed it ran.
+  wire::WorkerRequestData req = valid_request();
+  req.shards = {{0, 0, 0, 1}, {1, 0, 1, 2}, {2, 0, 0, 2}};
+  const auto parts = run_partials(req);
+  ASSERT_EQ(parts.size(), 3u);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const std::uint64_t seeds =
+        req.shards[i].seed_end - req.shards[i].seed_begin;
+    EXPECT_EQ(parts[i].partial.trace_cache_misses, seeds) << "shard " << i;
+    EXPECT_EQ(parts[i].partial.trace_cache_hits, 5 * seeds) << "shard " << i;
+    EXPECT_GT(parts[i].partial.events, 0u) << "shard " << i;
+  }
+  const CampaignResult& a = parts[0].partial;
+  const CampaignResult& b = parts[1].partial;
+  const CampaignResult& both = parts[2].partial;
+  EXPECT_EQ(both.traces, a.traces + b.traces);
+  EXPECT_EQ(both.events, a.events + b.events);
+  EXPECT_EQ(both.valid_accepted, a.valid_accepted + b.valid_accepted);
+  EXPECT_EQ(both.monitor_stats.events,
+            a.monitor_stats.events + b.monitor_stats.events);
+}
+
+TEST(CampaignWorkerDirect, ThreadCountDoesNotChangeThePartials) {
+  // The worker shares run_campaigns' set-up, threads 0 → the hardware's
+  // count included: one, two and the hardware's threads send the same
+  // partial frames byte for byte.
+  std::vector<std::vector<std::uint8_t>> serial;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+    wire::WorkerRequestData req = valid_request();
+    req.options.threads = threads;
+    Pipes pipes;
+    pipes.send_request(framed_request(req));
+    EXPECT_EQ(pipes.run_worker(), kWorkerExitOk) << "threads " << threads;
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (const auto& [tag, payload] : drain(pipes.reply_read)) {
+      payloads.push_back(payload);
+    }
+    ASSERT_EQ(payloads.size(), req.shards.size() + 1) << "threads " << threads;
+    if (threads == 1) {
+      serial = payloads;
+    } else {
+      EXPECT_EQ(payloads, serial) << "threads " << threads;
+    }
+  }
+}
+
 TEST(CampaignWorkerDirect, TrailingBytesAfterTheRequestAreRejected) {
   wire::Encoder enc;
   wire::encode_worker_request(enc, valid_request());
