@@ -6,7 +6,6 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -14,7 +13,6 @@
 
 #include "abv/seed_pass.hpp"
 #include "mon/snapshot.hpp"
-#include "mon/vm.hpp"
 #include "spec/parser.hpp"
 #include "support/thread_pool.hpp"
 #include "wire/payload.hpp"
@@ -88,10 +86,7 @@ struct UnitScratch {
   std::vector<std::size_t> buckets;  // counting sort over positions
   std::vector<std::size_t> order;    // edits by ascending position
   std::vector<std::size_t> stops;    // their distinct forked positions
-  // The walker's last saved state: a compact rung for a Vm walker (a
-  // refused save leaves it intact), a Snapshot for any other.
-  std::vector<std::uint64_t> rung;
-  mon::Snapshot snapshot;
+  mon::Snapshot snapshot;            // the walker's state at the last stop
   std::unique_ptr<mon::Monitor> walker;  // walks the valid trace
   std::unique_ptr<mon::Monitor> replay;  // replays the invalid mutants
   std::unique_ptr<mon::Monitor> viapsl;  // check_viapsl cross-check
@@ -237,26 +232,23 @@ void replay_pieces(mon::Monitor& monitor, const spec::TraceView& view,
 }
 
 // Replays one invalid mutant on the shard's pooled replay monitor and
-// tallies the verdict.  With `from` > 0 the monitor starts from the walk's
-// state saved after `from` events — a prefix the mutant shares, since
-// from <= MutantEdit::position — which already carries the prefix's stats,
-// verdict and timing registers, so the bytes match a replay from event 0
-// exactly (campaign_reference_diff_test); with `from` 0, from a reset.
+// tallies the verdict.  With `from` > 0 — the mutant's
+// MutantEdit::position, a prefix it shares with the valid trace — the
+// monitor starts from the walk's state saved there, which already carries
+// the prefix's stats, verdict and timing registers, so the bytes match a
+// replay from event 0 exactly (campaign_reference_diff_test); with `from`
+// 0, from a reset.
 void replay_mutant(const PropertyPlan& job, const MutantEdit& mutant,
                    std::size_t from, UnitScratch& scratch, ShardOutcome& out) {
-  LOOM_DASSERT(from <= mutant.position && from <= mutant.view.size);
-  const mon::Backend chosen = job.compiled.chosen();
-  mon::Monitor& monitor = instance(scratch.replay, job, chosen);
+  LOOM_DASSERT((from == 0 || from == mutant.position) &&
+               from <= mutant.view.size);
+  mon::Monitor& monitor = instance(scratch.replay, job, job.compiled.chosen());
   if (from == 0) {
     monitor.reset();
   } else {
-    // Both loads overwrite the whole state, so no reset goes first
-    // (mon_snapshot_test and MonVmRung restore into dirty instances).
-    if (chosen == mon::Backend::Vm) {
-      static_cast<mon::VmMonitor&>(monitor).load_rung(scratch.rung.data());
-    } else {
-      monitor.restore(scratch.snapshot);
-    }
+    // A restore overwrites the whole state, so no reset goes first
+    // (mon_snapshot_test restores into dirty instances).
+    monitor.restore(scratch.snapshot);
     ++out.partial.checkpoint_hits;
     out.partial.events_skipped += from;
   }
@@ -337,25 +329,11 @@ void run_seed(const PropertyPlan& job, spec::Alphabet& ab,
 
   mon::Monitor& walker = instance(scratch.walker, job, chosen);
   walker.reset();
-  mon::VmMonitor* const vm = chosen == mon::Backend::Vm
-                                 ? static_cast<mon::VmMonitor*>(&walker)
-                                 : nullptr;
-  if (vm != nullptr) {
-    scratch.rung.resize(mon::vm_rung_words(vm->program()));
-  }
-  std::size_t saved = 0;  // the walk position of the saved state (0: none)
   std::size_t next = from_start;
   const auto fork = [&](std::size_t position) {
-    // A compact rung holds no violation: once the walker violates, its
-    // saves are refused and the mutants fork from the last saved rung.
-    if (vm == nullptr) {
-      walker.snapshot(scratch.snapshot);
-      saved = position;
-    } else if (vm->save_rung(scratch.rung.data())) {
-      saved = position;
-    }
+    walker.snapshot(scratch.snapshot);
     for (; next < kept && edits[order[next]].position == position; ++next) {
-      replay_mutant(job, edits[order[next]], saved, scratch, out);
+      replay_mutant(job, edits[order[next]], position, scratch, out);
     }
   };
   const ValidRecord record = walk_valid_trace(
@@ -568,11 +546,20 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
     Clock::time_point deadline{};
     std::uint64_t done_count = 0;  // Reaping: the Done frame's count
     bool killed = false;           // Terminating: SIGKILL already sent
-    // Terminating: renders the failure over the final wait status.
-    std::function<std::string(int)> describe;
+    // Terminating: the failure, and whether the final wait status is
+    // appended to it.
+    std::string failure;
+    bool with_status = false;
   };
 
   std::vector<Slot> slots(workers);
+  // Per property, the recognizer rows a walk starts from: every partial's
+  // rows must have their shape and names.
+  std::vector<std::optional<RecognizerCoverage>> fresh_rows;
+  fresh_rows.reserve(jobs.size());
+  for (const auto& job : jobs) {
+    fresh_rows.push_back(initial_recognizer_coverage(job.compiled));
+  }
   // The distinct properties each slot's shards belong to: a retry is
   // charged to every property the re-dispatched slice serves.
   std::vector<std::vector<std::size_t>> slot_jobs(workers);
@@ -654,16 +641,18 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
   // ends close (EOF/EPIPE for a cooperative worker), SIGTERM goes out and
   // the slot turns Terminating.  The poll loop sends SIGKILL at the grace
   // deadline (a Hang-faulted worker ignores the SIGTERM and dies only to
-  // the escalation) and settles the slot once the worker is reaped.
-  // `describe` is stored, so it must capture by value.
-  const auto retire = [&](std::size_t w,
-                          std::function<std::string(int)> describe) {
+  // the escalation) and settles the slot once the worker is reaped, with
+  // `failure` as its diagnostic — followed by the worker's wait status in
+  // parentheses when `with_status` is set.
+  const auto retire = [&](std::size_t w, std::string failure,
+                          bool with_status) {
     Slot& slot = slots[w];
     slot.reader.reset();
     slot.proc.close_to_child();
     slot.proc.close_from_child();
     slot.proc.kill(SIGTERM);
-    slot.describe = std::move(describe);
+    slot.failure = std::move(failure);
+    slot.with_status = with_status;
     slot.killed = false;
     slot.deadline = Clock::now() + grace;
     slot.state = Slot::State::Terminating;
@@ -678,14 +667,14 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
     if (slot.attempts <= options.worker_retries) {
       for (const std::size_t p : slot_jobs[w]) ++sup.retries_by_job[p];
       if (!dispatch(w)) {
-        const std::string text = who_of(w) + ": " + slot.diagnostic;
-        retire(w, [text](int st) {
-          return text + " (" + describe_worker_exit(st) + ")";
-        });
+        retire(w, who_of(w) + ": " + slot.diagnostic, true);
       }
       return;
     }
-    slot.diagnostic = slot.describe(status) + " (attempt " +
+    if (slot.with_status) {
+      slot.failure += " (" + describe_worker_exit(status) + ")";
+    }
+    slot.diagnostic = slot.failure + " (attempt " +
                       std::to_string(slot.attempts) + " of " +
                       std::to_string(options.worker_retries + 1) + ")";
     slot.state = Slot::State::Failed;
@@ -699,17 +688,16 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
     Slot& slot = slots[w];
     const std::string who = who_of(w);
     if (wire::exit_code(status) != kWorkerExitOk) {
-      const std::string text = who + " " + describe_worker_exit(status);
-      retire(w, [text](int) { return text; });
+      retire(w, who + " " + describe_worker_exit(status), false);
       return;
     }
     if (slot.done_count != slot.partials.size() ||
         slot.partials.size() != assigned[w].size()) {
-      const std::string text =
-          who + ": returned " + std::to_string(slot.partials.size()) +
-          " partials for " + std::to_string(assigned[w].size()) +
-          " assigned shards";
-      retire(w, [text](int) { return text; });
+      retire(w,
+             who + ": returned " + std::to_string(slot.partials.size()) +
+                 " partials for " + std::to_string(assigned[w].size()) +
+                 " assigned shards",
+             false);
       return;
     }
     slot.state = Slot::State::Done;
@@ -727,15 +715,11 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
       const auto st = slot.reader->next(frame, err);
       if (st == wire::FdFrameReader::Status::Again) return;
       if (st == wire::FdFrameReader::Status::Eof) {
-        retire(w, [who](int status) {
-          return who + ": stream ended before its Done frame (" +
-                 describe_worker_exit(status) + ")";
-        });
+        retire(w, who + ": stream ended before its Done frame", true);
         return;
       }
       if (st != wire::FdFrameReader::Status::Frame) {
-        const std::string text = who + ": " + err.to_string();
-        retire(w, [text](int) { return text; });
+        retire(w, who + ": " + err.to_string(), false);
         return;
       }
       if (timeout_ms > 0) {
@@ -747,14 +731,11 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
         case wire::Payload::WorkerPartial: {
           wire::WorkerPartialData part;
           if (!wire::decode_worker_partial(d, part)) {
-            const std::string text = who + ": " + d.error().to_string();
-            retire(w, [text](int) { return text; });
+            retire(w, who + ": " + d.error().to_string(), false);
             return;
           }
           if (!d.exhausted()) {
-            const std::string text =
-                who + ": trailing bytes after a partial payload";
-            retire(w, [text](int) { return text; });
+            retire(w, who + ": trailing bytes after a partial payload", false);
             return;
           }
           const std::size_t i = static_cast<std::size_t>(part.shard);
@@ -766,9 +747,22 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
             if (ours) slot.got[k] = true;
           }
           if (!ours) {
-            const std::string text = who + ": partial for foreign shard " +
-                                     std::to_string(part.shard);
-            retire(w, [text](int) { return text; });
+            retire(w,
+                   who + ": partial for foreign shard " +
+                       std::to_string(part.shard),
+                   false);
+            return;
+          }
+          // The merge reads a partial's rows in the shape of the first
+          // shard's, so rows of another shape must never reach it.
+          const auto& fresh = fresh_rows[part.job];
+          if (part.has_recognizer != fresh.has_value() ||
+              (fresh && !fresh->same_rows(part.recognizer_rows))) {
+            retire(w,
+                   who + ": recognizer coverage rows of shard " +
+                       std::to_string(part.shard) +
+                       " do not match its property",
+                   false);
             return;
           }
           slot.partials.push_back(std::move(part));
@@ -777,8 +771,7 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
         case wire::Payload::WorkerDone: {
           if (!wire::decode_worker_done(d, slot.done_count) ||
               !d.exhausted()) {
-            const std::string text = who + ": malformed Done frame";
-            retire(w, [text](int) { return text; });
+            retire(w, who + ": malformed Done frame", false);
             return;
           }
           // The stream is complete; the exit is awaited in the poll set.
@@ -793,14 +786,13 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
           if (!wire::decode_worker_error(d, message)) {
             message = "(malformed error frame)";
           }
-          const std::string text = who + " reported: " + message;
-          retire(w, [text](int) { return text; });
+          retire(w, who + " reported: " + message, false);
           return;
         }
         default: {
-          const std::string text =
-              who + ": unexpected " + wire::to_string(frame.tag) + " frame";
-          retire(w, [text](int) { return text; });
+          retire(w,
+                 who + ": unexpected " + wire::to_string(frame.tag) + " frame",
+                 false);
           return;
         }
       }
@@ -809,10 +801,7 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
 
   for (std::size_t w = 0; w < workers; ++w) {
     if (!dispatch(w)) {
-      const std::string text = who_of(w) + ": " + slots[w].diagnostic;
-      retire(w, [text](int status) {
-        return text + " (" + describe_worker_exit(status) + ")";
-      });
+      retire(w, who_of(w) + ": " + slots[w].diagnostic, true);
     }
   }
 
@@ -833,20 +822,16 @@ void run_shards_supervised(const std::vector<PropertyPlan>& jobs,
       int status = 0;
       if (slot.state == Slot::State::Draining && timeout_ms > 0 &&
           now >= slot.deadline) {
-        const std::string text = who_of(w) + ": timed out after " +
-                                 std::to_string(timeout_ms) +
-                                 " ms waiting for a frame";
-        retire(w, [text](int) { return text; });
+        retire(w,
+               who_of(w) + ": timed out after " + std::to_string(timeout_ms) +
+                   " ms waiting for a frame",
+               false);
       }
       if (slot.state == Slot::State::Reaping) {
         if (slot.proc.wait_for(0, status)) {
           check_exit(w, status);
         } else if (now >= slot.deadline) {
-          const std::string who = who_of(w);
-          retire(w, [who](int st) {
-            return who + ": kept running after its Done frame (" +
-                   describe_worker_exit(st) + ")";
-          });
+          retire(w, who_of(w) + ": kept running after its Done frame", true);
         }
       }
       // Not an else: a slot retired just above settles in the same pass
@@ -983,7 +968,7 @@ std::vector<PropertyPlan> compile_property_plans(
   // clause set must be materialized even when the chosen backend is Drct.
   copt.with_viapsl_artifact = options.check_viapsl;
   // Campaign Auto resolves the Drct/Vm cost-model tie to Vm — the
-  // wall-clock winner, whose fork states are compact rungs.
+  // wall-clock winner, stepping and forking alike.
   copt.prefer_vm = true;
   for (std::size_t p = 0; p < properties.size(); ++p) {
     PropertyPlan& plan = plans[p];

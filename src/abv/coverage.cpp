@@ -96,6 +96,20 @@ void RecognizerCoverage::merge(const RecognizerCoverage& other) {
   }
 }
 
+bool RecognizerCoverage::same_rows(
+    const std::vector<std::vector<RangeCov>>& rows) const {
+  if (rows.size() != per_fragment_.size()) return false;
+  for (std::size_t f = 0; f < rows.size(); ++f) {
+    if (rows[f].size() != per_fragment_[f].size()) return false;
+    for (std::size_t r = 0; r < rows[f].size(); ++r) {
+      const RangeCov& a = rows[f][r];
+      const RangeCov& b = per_fragment_[f][r];
+      if (a.name != b.name || a.lo != b.lo || a.hi != b.hi) return false;
+    }
+  }
+  return true;
+}
+
 double RecognizerCoverage::state_ratio() const {
   std::size_t visited = 0, total = 0;
   for (const auto& frag : per_fragment_) {

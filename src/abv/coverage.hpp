@@ -98,7 +98,11 @@ class RecognizerCoverage {
 
   /// Order-independent union with coverage sampled from another monitor of
   /// the same property (state masks OR, block-length maxima take the max).
+  /// Both sides must have the same rows (same_rows).
   void merge(const RecognizerCoverage& other);
+  /// True when `rows` has this instance's shape and, row for row, its
+  /// names and bounds: what a worker's rows must pass before they merge.
+  bool same_rows(const std::vector<std::vector<RangeCov>>& rows) const;
 
   /// Visited states over reachable states (6 per range recognizer).
   double state_ratio() const;

@@ -49,6 +49,17 @@ void ValidStepper::step_to(std::size_t position) {
   }
 }
 
+std::optional<RecognizerCoverage> initial_recognizer_coverage(
+    const mon::CompiledProperty& compiled) {
+  // A stepper emplaces the rows a walk samples into as it starts.
+  const auto monitor = compiled.instantiate();
+  const spec::Trace none;
+  AlphabetCoverage alphabet(compiled.property().alphabet());
+  std::optional<RecognizerCoverage> rows;
+  const ValidStepper start(compiled, *monitor, none, {alphabet, rows});
+  return rows;
+}
+
 ValidRecord ValidStepper::finish() {
   step_to(valid_.size());
   monitor_.finish(valid_.empty() ? sim::Time::zero() : valid_.back().time);

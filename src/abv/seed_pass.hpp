@@ -69,6 +69,12 @@ class ValidStepper {
   std::size_t at_ = 0;
 };
 
+/// The recognizer coverage a walk of `compiled` samples into, before its
+/// first sample: rows shaped after a fresh monitor for a Drct or Vm
+/// antecedent, none otherwise.
+std::optional<RecognizerCoverage> initial_recognizer_coverage(
+    const mon::CompiledProperty& compiled);
+
 /// Walks `valid` through `monitor` — a fresh or just-reset instance of
 /// `compiled`'s chosen backend — recording coverage into `sinks`, and
 /// finishes at the trace's last event.  Stop points: after exactly

@@ -76,7 +76,7 @@ struct CompileOptions {
   /// Auto tie-break: the VM executes Drct's exact abstract op schedule, so
   /// the two tie under the Figure-6 cost model and ties historically went
   /// to Drct.  With prefer_vm set, Auto resolves that tie to Vm instead —
-  /// the wall-clock winner (flat dispatch loop, compact checkpoint rungs) —
+  /// the wall-clock winner (flat dispatch loop, packed snapshots) —
   /// while a ViaPSL cost win still takes precedence.  The campaign engine
   /// sets this for every plan it compiles (the reference loop of
   /// campaign_reference_diff_test reads its backend from such a plan);

@@ -63,6 +63,17 @@ std::uint64_t SnapshotReader::u64() {
   return snap_->words_[word_++];
 }
 
+const std::uint64_t* SnapshotReader::block(std::size_t n) {
+  if (snap_->words_.size() - word_ < n) {
+    throw std::logic_error(
+        "SnapshotReader: truncated block in snapshot (truncated or foreign "
+        "format)");
+  }
+  const std::uint64_t* const first = snap_->words_.data() + word_;
+  word_ += n;
+  return first;
+}
+
 spec::Reason SnapshotReader::reason() {
   spec::Reason r;
   const std::uint64_t head = u64();

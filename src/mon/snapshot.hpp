@@ -1,12 +1,13 @@
-//! Cloneable monitor state: the flat, reusable buffer behind the
-//! checkpointed-replay engine.
+//! Cloneable monitor state: the flat, reusable buffer behind the campaign
+//! engine's forked replay.
 //!
 //! A Snapshot captures the complete mutable state of one monitor instance —
 //! recognizer automata, Figure-6 stats, verdict, violation, timing
 //! registers — as a flat sequence of 64-bit words.  A failure reason is a
 //! spec::Reason, stored as code words (put_reason), so no monitor writes a
-//! string; the string pool stays part of the format (and of the wire
-//! codec's view of it) for state that has no word encoding.
+//! string; the string pool stays part of the format for state that has no
+//! word encoding.  A monitor with a fixed-size state may write it as one
+//! block (put_block / SnapshotReader::block), as the VM frame does.
 //! Writers append in a fixed order (Monitor::snapshot); SnapshotReader
 //! replays the same order (Monitor::restore).  The contract every
 //! implementation keeps, locked by tests/mon_snapshot_test.cpp:
@@ -39,9 +40,9 @@ class SnapshotReader;
 
 /// Snapshot format version, stamped into the high half of every monitor's
 /// tag word.  Bump on any layout change to a monitor's snapshot order; a
-/// restore (or wire decode) of a snapshot from a different version rejects
-/// with a clear diagnostic instead of misreading the words.
-constexpr std::uint32_t kSnapshotVersion = 2;
+/// restore of a snapshot from a different version rejects with a clear
+/// diagnostic instead of misreading the words.
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// The tag word each monitor writes first: (version << 32) | kind, where
 /// `kind` is the monitor's four-byte ASCII constant (e.g. "ANTC").
@@ -72,29 +73,28 @@ class Snapshot {
     strings_used_ = 0;
   }
 
-  /// Pre-sizes the buffers for content shaped like `other` (as many words
-  /// and strings), so writing such a snapshot performs no regrowth.
-  void reserve_like(const Snapshot& other) {
-    words_.reserve(other.words_.size());
-    strings_.reserve(other.strings_used_);
-  }
-
   bool empty() const { return words_.empty() && strings_used_ == 0; }
   std::size_t word_count() const { return words_.size(); }
 
-  /// Raw word access for the wire codec (and the version-forgery tests):
-  /// a Snapshot is semantically the word sequence plus the string pool, so
-  /// serializing one is exactly these two views.
+  /// Raw views for comparing snapshots: a Snapshot is semantically the
+  /// word sequence plus the string pool, so two are equal exactly when
+  /// these agree.
   const std::vector<std::uint64_t>& words() const { return words_; }
   std::size_t string_count() const { return strings_used_; }
   const std::string& string_at(std::size_t i) const { return strings_[i]; }
-  /// Overwrites one word in place (tests forge tag words with this; the
-  /// wire decoder never needs it).
+  /// Overwrites one word in place (tests forge tag words with this).
   void set_word(std::size_t i, std::uint64_t v) { words_[i] = v; }
 
   void put_u64(std::uint64_t v) { words_.push_back(v); }
   void put_bool(bool b) { words_.push_back(b ? 1 : 0); }
   void put_time(sim::Time t) { words_.push_back(t.picoseconds()); }
+  /// Appends `n` zero words and returns them for the caller to fill; the
+  /// pointer is valid until the next put.  SnapshotReader::block reads
+  /// them back.
+  std::uint64_t* put_block(std::size_t n) {
+    words_.resize(words_.size() + n);
+    return words_.data() + words_.size() - n;
+  }
   /// A reason as four words: the code with its first integer operand,
   /// the other two integer operands, and the two time operands.
   void put_reason(const spec::Reason& r);
@@ -123,6 +123,10 @@ class SnapshotReader {
   std::uint64_t u64();
   bool boolean() { return u64() != 0; }
   sim::Time time() { return sim::Time::ps(u64()); }
+  /// The next `n` words as one block (a put_block() payload), with one
+  /// bounds check for all of them; the pointer lives as long as the
+  /// Snapshot is not written.
+  const std::uint64_t* block(std::size_t n);
   /// Restores a put_reason() value.
   spec::Reason reason();
   /// Assigns into `out` (capacity-reusing; never a fresh string).

@@ -431,9 +431,10 @@ std::uint64_t step_event_core(const VmProgram& p, const VmFrameRef& f,
   }
 }
 
-}  // namespace
-
 // --- interpreter entry points ---------------------------------------------
+//
+// Each mirrors the corresponding Drct monitor entry point bit for bit; the
+// VmMonitor members below are thin wrappers over them.
 
 void vm_init(const VmProgram& p, const VmFrameRef& f) {
   // Fresh-construction state: the chain activates, charging one op per
@@ -474,7 +475,9 @@ void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
                   sim::Time shift) {
   // Same per-event schedule as vm_step_event in a loop — the events/ops/
   // max-ops totals land identically, they just flush once per slice, and a
-  // retired frame fast-forwards instead of stepping.
+  // retired frame fast-forwards instead of stepping.  Each event is stepped
+  // at its time plus `shift` (saturating): a shifted piece of a mutant's
+  // spec::TraceView.
   MonitorStats& st = *f.stats;
   const Insn* const code = p.code.data();
   LOOM_DASSERT(code[0].op == Op::RetireIfDone);
@@ -520,6 +523,29 @@ void vm_poll(const VmProgram& p, const VmFrameRef& f, sim::Time now) {
   }
 }
 
+// --- the packed snapshot layout -------------------------------------------
+
+// The tag and shape words, then 8 header words (see VmMonitor::snapshot).
+constexpr std::size_t kLeadWords = 2;
+constexpr std::size_t kHeaderWords = 8;
+
+// The shape guard: a snapshot only restores into a frame of the same
+// program shape (cf. ClauseMonitor's clause-count check).
+std::uint64_t shape_word(const VmProgram& p) {
+  return std::uint64_t{p.range_total} | std::uint64_t{p.frag_count} << 32;
+}
+
+std::size_t packed_bytes(const VmProgram& p) {
+  return std::size_t{5} * p.range_total + std::size_t{2} * p.frag_count;
+}
+
+// The words after the lead: header, fragment times and packed bytes.
+std::size_t body_words(const VmProgram& p) {
+  return kHeaderWords + p.frag_count + (packed_bytes(p) + 7) / 8;
+}
+
+}  // namespace
+
 // --- VmMonitor ------------------------------------------------------------
 
 VmMonitor::VmMonitor(std::shared_ptr<const VmProgram> program)
@@ -550,150 +576,94 @@ std::optional<sim::Time> VmMonitor::deadline() const {
   return std::nullopt;
 }
 
-void vm_snapshot(const VmProgram& p, const VmFrameRef& f, Snapshot& out) {
-  out.clear();
-  out.put_u64(snapshot_tag(kSnapshotKind));
-  // Shape guard: a snapshot only restores into an instance of the same
-  // program shape (cf. ClauseMonitor's clause-count check).
-  out.put_u64(p.range_total);
-  out.put_u64(p.frag_count);
-  f.stats->snapshot(out);
-  out.put_u64(*f.active);
-  for (std::uint32_t r = 0; r < p.range_total; ++r) {
-    out.put_u64(f.range_state[r]);
-    out.put_u64(f.range_cpt[r]);
-  }
-  for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
-    out.put_bool(f.frag_min_complete[frag] != 0);
-    out.put_bool(f.frag_in_progress[frag] != 0);
-    out.put_time(f.frag_min_time[frag]);
-  }
-  out.put_u64(static_cast<std::uint64_t>(*f.verdict));
-  snapshot_violation(out, *f.violation);
-  out.put_bool(*f.armed != 0);
-  out.put_bool(*f.q_done != 0);
-  out.put_time(*f.t_start);
-  out.put_time(*f.t_stop);
-  out.put_u64(*f.validated_or_rounds);
-  out.put_u64(*f.ordinal);
+void VmMonitor::observe(spec::Name name, sim::Time time) {
+  vm_step_event(*program_, frame_, name, time);
 }
 
-void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
-                const char* who) {
-  SnapshotReader r(in);
-  check_snapshot_tag(r.u64(), kSnapshotKind, who);
-  if (r.u64() != p.range_total || r.u64() != p.frag_count) {
-    throw std::logic_error(std::string(who) +
-                           ": snapshot of a different program shape");
-  }
-  f.stats->restore(r);
-  *f.active = static_cast<std::uint32_t>(r.u64());
-  for (std::uint32_t i = 0; i < p.range_total; ++i) {
-    f.range_state[i] = static_cast<std::uint8_t>(r.u64());
-    f.range_cpt[i] = static_cast<std::uint32_t>(r.u64());
-  }
-  for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
-    f.frag_min_complete[frag] = r.boolean() ? 1 : 0;
-    f.frag_in_progress[frag] = r.boolean() ? 1 : 0;
-    f.frag_min_time[frag] = r.time();
-  }
-  *f.verdict = static_cast<Verdict>(r.u64());
-  restore_violation(r, *f.violation);
-  *f.armed = r.boolean() ? 1 : 0;
-  *f.q_done = r.boolean() ? 1 : 0;
-  *f.t_start = r.time();
-  *f.t_stop = r.time();
-  *f.validated_or_rounds = r.u64();
-  *f.ordinal = r.u64();
-  LOOM_DASSERT(r.exhausted());  // format drift: snapshot wrote more fields
+void VmMonitor::observe_shifted(const spec::TimedEvent* begin,
+                                const spec::TimedEvent* end,
+                                sim::Time shift) {
+  vm_run_batch(*program_, frame_, begin, end, shift);
 }
 
-namespace {
-
-constexpr std::size_t kRungHeaderWords = 8;
-
-std::size_t rung_packed_bytes(const VmProgram& p) {
-  return std::size_t{5} * p.range_total + std::size_t{2} * p.frag_count;
+void VmMonitor::finish(sim::Time end_time) {
+  vm_finish(*program_, frame_, end_time);
 }
 
-}  // namespace
+void VmMonitor::poll(sim::Time now) { vm_poll(*program_, frame_, now); }
 
-std::size_t vm_rung_words(const VmProgram& p) {
-  return kRungHeaderWords + p.frag_count + (rung_packed_bytes(p) + 7) / 8;
-}
-
-bool vm_save_rung(const VmProgram& p, const VmFrameRef& f,
-                  std::uint64_t* out) {
-  if (f.violation->has_value()) return false;
-  for (std::uint32_t r = 0; r < p.range_total; ++r) {
-    if (f.range_state[r] == static_cast<std::uint8_t>(RS::Error)) return false;
-  }
-  out[0] = f.stats->ops;
-  out[1] = f.stats->events;
-  out[2] = f.stats->max_ops_per_event;
-  out[3] = f.t_start->picoseconds();
-  out[4] = f.t_stop->picoseconds();
-  out[5] = *f.validated_or_rounds;
-  out[6] = *f.ordinal;
-  out[7] = std::uint64_t{*f.active} |
-           std::uint64_t{static_cast<std::uint8_t>(*f.verdict)} << 32 |
-           std::uint64_t{*f.armed} << 40 | std::uint64_t{*f.q_done} << 48;
-  std::uint64_t* const times = out + kRungHeaderWords;
-  for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
-    times[frag] = f.frag_min_time[frag].picoseconds();
-  }
-  std::uint64_t* const packed = times + p.frag_count;
-  // Zero the tail word first so the padding bytes past the packed arrays
-  // are deterministic: two saves of the same state write the same words.
-  if (rung_packed_bytes(p) % 8 != 0) packed[rung_packed_bytes(p) / 8] = 0;
-  auto* bytes = reinterpret_cast<unsigned char*>(packed);
-  std::memcpy(bytes, f.range_cpt, std::size_t{4} * p.range_total);
-  bytes += std::size_t{4} * p.range_total;
-  std::memcpy(bytes, f.range_state, p.range_total);
-  bytes += p.range_total;
-  std::memcpy(bytes, f.frag_min_complete, p.frag_count);
-  bytes += p.frag_count;
-  std::memcpy(bytes, f.frag_in_progress, p.frag_count);
-  return true;
-}
-
-void vm_load_rung(const VmProgram& p, const VmFrameRef& f,
-                  const std::uint64_t* in) {
-  f.stats->ops = in[0];
-  f.stats->events = in[1];
-  f.stats->max_ops_per_event = in[2];
-  *f.t_start = sim::Time::ps(in[3]);
-  *f.t_stop = sim::Time::ps(in[4]);
-  *f.validated_or_rounds = in[5];
-  *f.ordinal = in[6];
-  *f.active = static_cast<std::uint32_t>(in[7]);
-  *f.verdict = static_cast<Verdict>(static_cast<std::uint8_t>(in[7] >> 32));
-  *f.armed = static_cast<std::uint8_t>(in[7] >> 40);
-  *f.q_done = static_cast<std::uint8_t>(in[7] >> 48);
-  // A rung never holds a violation (vm_save_rung refuses one), so
-  // whatever the frame carried before is cleared here.
-  f.violation->reset();
-  const std::uint64_t* const times = in + kRungHeaderWords;
-  for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
-    f.frag_min_time[frag] = sim::Time::ps(times[frag]);
-  }
-  const auto* bytes =
-      reinterpret_cast<const unsigned char*>(times + p.frag_count);
-  std::memcpy(f.range_cpt, bytes, std::size_t{4} * p.range_total);
-  bytes += std::size_t{4} * p.range_total;
-  std::memcpy(f.range_state, bytes, p.range_total);
-  bytes += p.range_total;
-  std::memcpy(f.frag_min_complete, bytes, p.frag_count);
-  bytes += p.frag_count;
-  std::memcpy(f.frag_in_progress, bytes, p.frag_count);
-}
+void VmMonitor::reset() { vm_reset(*program_, frame_); }
 
 void VmMonitor::snapshot(Snapshot& out) const {
-  vm_snapshot(*program_, frame_, out);
+  const VmProgram& p = *program_;
+  out.clear();
+  // One block holds everything but the violation; it comes zero-filled,
+  // so the padding past the packed bytes is deterministic: two snapshots
+  // of the same state write the same words.
+  std::uint64_t* const w = out.put_block(kLeadWords + body_words(p));
+  w[0] = snapshot_tag(kSnapshotKind);
+  w[1] = shape_word(p);
+  std::uint64_t* const head = w + kLeadWords;
+  head[0] = stats_.ops;
+  head[1] = stats_.events;
+  head[2] = stats_.max_ops_per_event;
+  head[3] = t_start_.picoseconds();
+  head[4] = t_stop_.picoseconds();
+  head[5] = validated_or_rounds_;
+  head[6] = ordinal_;
+  head[7] = std::uint64_t{active_} |
+            std::uint64_t{static_cast<std::uint8_t>(verdict_)} << 32 |
+            std::uint64_t{armed_} << 40 | std::uint64_t{q_done_} << 48;
+  std::uint64_t* const times = head + kHeaderWords;
+  for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
+    times[frag] = frag_min_time_[frag].picoseconds();
+  }
+  auto* bytes = reinterpret_cast<unsigned char*>(times + p.frag_count);
+  std::memcpy(bytes, range_cpt_.data(), std::size_t{4} * p.range_total);
+  bytes += std::size_t{4} * p.range_total;
+  std::memcpy(bytes, range_state_.data(), p.range_total);
+  bytes += p.range_total;
+  std::memcpy(bytes, frag_min_complete_.data(), p.frag_count);
+  bytes += p.frag_count;
+  std::memcpy(bytes, frag_in_progress_.data(), p.frag_count);
+  snapshot_violation(out, violation_);
 }
 
 void VmMonitor::restore(const Snapshot& in) {
-  vm_restore(*program_, frame_, in, "VmMonitor::restore");
+  const VmProgram& p = *program_;
+  SnapshotReader r(in);
+  check_snapshot_tag(r.u64(), kSnapshotKind, "VmMonitor::restore");
+  if (r.u64() != shape_word(p)) {
+    throw std::logic_error(
+        "VmMonitor::restore: snapshot of a different program shape");
+  }
+  const std::uint64_t* const head = r.block(body_words(p));
+  stats_.ops = head[0];
+  stats_.events = head[1];
+  stats_.max_ops_per_event = head[2];
+  t_start_ = sim::Time::ps(head[3]);
+  t_stop_ = sim::Time::ps(head[4]);
+  validated_or_rounds_ = head[5];
+  ordinal_ = head[6];
+  active_ = static_cast<std::uint32_t>(head[7]);
+  verdict_ = static_cast<Verdict>(static_cast<std::uint8_t>(head[7] >> 32));
+  armed_ = static_cast<std::uint8_t>(head[7] >> 40);
+  q_done_ = static_cast<std::uint8_t>(head[7] >> 48);
+  const std::uint64_t* const times = head + kHeaderWords;
+  for (std::uint32_t frag = 0; frag < p.frag_count; ++frag) {
+    frag_min_time_[frag] = sim::Time::ps(times[frag]);
+  }
+  const auto* bytes =
+      reinterpret_cast<const unsigned char*>(times + p.frag_count);
+  std::memcpy(range_cpt_.data(), bytes, std::size_t{4} * p.range_total);
+  bytes += std::size_t{4} * p.range_total;
+  std::memcpy(range_state_.data(), bytes, p.range_total);
+  bytes += p.range_total;
+  std::memcpy(frag_min_complete_.data(), bytes, p.frag_count);
+  bytes += p.frag_count;
+  std::memcpy(frag_in_progress_.data(), bytes, p.frag_count);
+  restore_violation(r, violation_);
+  LOOM_DASSERT(r.exhausted());  // format drift: snapshot wrote more fields
 }
 
 }  // namespace loom::mon

@@ -3,9 +3,11 @@
 //!
 //! VmMonitor is the mon::Monitor implementation behind Backend::Vm — one
 //! frame, the drop-in peer of the Drct/ViaPSL monitors in campaigns, CLIs
-//! and diff grids.  The interpreter entry points below take the frame as a
-//! VmFrameRef, so the compact checkpoint rungs and the snapshot codec work
-//! on any frame the same way.
+//! and diff grids.  The interpreter lives in vm.cpp and reaches the frame
+//! only through a prebuilt VmFrameRef.  A snapshot is the frame in a packed
+//! layout (VmMonitor::snapshot): a few words per fragment plus five bytes
+//! per range, so the campaign engine forks a mutant's replay from a VM walk
+//! as cheaply as it steps one.
 //!
 //! Bit-identity contract (tests/mon_bytecode_test.cpp): a VmMonitor is
 //! indistinguishable from the Drct monitor of the same property — verdicts,
@@ -29,8 +31,9 @@
 
 namespace loom::mon {
 
-/// Pointer bundle over one monitor's mutable state.  The interpreter only
-/// ever touches state through this view.
+/// Pointer bundle over one VmMonitor's mutable state: the interpreter in
+/// vm.cpp only ever touches state through this view, which the monitor
+/// builds once, so stepping an event never re-materializes it.
 struct VmFrameRef {
   std::uint8_t* range_state;    // [range_total] RangeState values
   std::uint32_t* range_cpt;     // [range_total] occurrence counters
@@ -49,56 +52,6 @@ struct VmFrameRef {
   std::uint64_t* ordinal;              // next event ordinal
 };
 
-/// Interpreter entry points (see vm.cpp for the dispatch loop).  Each
-/// mirrors the corresponding Drct monitor entry point bit for bit.  The
-/// frame is taken by reference — VmMonitor keeps a prebuilt VmFrameRef, so
-/// stepping an event never re-materializes the 15-pointer bundle.
-void vm_init(const VmProgram& p, const VmFrameRef& f);
-void vm_reset(const VmProgram& p, const VmFrameRef& f);
-void vm_step_event(const VmProgram& p, const VmFrameRef& f, spec::Name name,
-                   sim::Time time);
-/// Steps a whole event slice through one frame: identical state, verdict
-/// and Figure-6 accounting to calling vm_step_event per event, but the
-/// program pointer stays hoisted, the stats flush once per slice, and once
-/// the frame retires (retire.if would halt every later event for 0 ops) the
-/// rest of the slice is counted in one step — the campaign's batched mutant
-/// replay lands here.  Each event is stepped at its time plus `shift`
-/// (saturating): a shifted piece of a mutant's spec::TraceView.
-void vm_run_batch(const VmProgram& p, const VmFrameRef& f,
-                  const spec::TimedEvent* begin, const spec::TimedEvent* end,
-                  sim::Time shift);
-void vm_finish(const VmProgram& p, const VmFrameRef& f, sim::Time end_time);
-void vm_poll(const VmProgram& p, const VmFrameRef& f, sim::Time now);
-/// Serializes / restores one frame's complete mutable state through
-/// mon::Snapshot (tag word, shape guard, field order).  `who` names the
-/// caller in the foreign-format / shape-mismatch diagnostics.
-void vm_snapshot(const VmProgram& p, const VmFrameRef& f, Snapshot& out);
-void vm_restore(const VmProgram& p, const VmFrameRef& f, const Snapshot& in,
-                const char* who);
-
-/// Compact checkpoint rungs: a frame's state as a fixed-size block of
-/// vm_rung_words(p) words, for in-memory checkpoints only (the campaign
-/// engine's forked replay; never the wire — mon::Snapshot stays the exchange format).  Layout: 8 header
-/// words (stats ops, events, max-ops; t_start; t_stop;
-/// validated_or_rounds; ordinal; active | verdict << 32 | armed << 40 |
-/// q_done << 48), then frag_min_time[frag_count], then the bytes of
-/// range_cpt, range_state, frag_min_complete and frag_in_progress packed
-/// into ceil((5·range_total + 2·frag_count) / 8) words.
-///
-/// A rung holds no violation, so vm_save_rung refuses — returns false and
-/// leaves `out` untouched — a frame that carries a violation or any range
-/// in the error state; the caller keeps the earlier rung `out` holds.
-/// vm_load_rung overwrites every field of the frame and resets the
-/// violation, so loading into a dirty frame (a pooled monitor that violated
-/// before) is exact without a reset.
-/// A rung is shape-bound like a Snapshot, but carries no guard: load it
-/// only into a frame of a program with the same range_total / frag_count.
-std::size_t vm_rung_words(const VmProgram& p);
-bool vm_save_rung(const VmProgram& p, const VmFrameRef& f,
-                  std::uint64_t* out);
-void vm_load_rung(const VmProgram& p, const VmFrameRef& f,
-                  const std::uint64_t* in);
-
 /// The Monitor implementation behind Backend::Vm.
 class VmMonitor final : public Monitor {
  public:
@@ -109,17 +62,13 @@ class VmMonitor final : public Monitor {
   VmMonitor(const VmMonitor&) = delete;
   VmMonitor& operator=(const VmMonitor&) = delete;
 
-  void observe(spec::Name name, sim::Time time) override {
-    vm_step_event(*program_, frame_, name, time);
-  }
+  void observe(spec::Name name, sim::Time time) override;
+  /// Steps the whole slice with the program hoisted and the stats flushed
+  /// once; a frame that retires mid-slice counts the rest in one step.
   void observe_shifted(const spec::TimedEvent* begin,
-                       const spec::TimedEvent* end, sim::Time shift) override {
-    vm_run_batch(*program_, frame_, begin, end, shift);
-  }
-  void finish(sim::Time end_time) override {
-    vm_finish(*program_, frame_, end_time);
-  }
-  void poll(sim::Time now) override { vm_poll(*program_, frame_, now); }
+                       const spec::TimedEvent* end, sim::Time shift) override;
+  void finish(sim::Time end_time) override;
+  void poll(sim::Time now) override;
   std::optional<sim::Time> deadline() const override;
 
   Verdict verdict() const override { return verdict_; }
@@ -128,16 +77,18 @@ class VmMonitor final : public Monitor {
   }
   MonitorStats& stats() override { return stats_; }
   std::size_t space_bits() const override { return program_->space_bits; }
-  void reset() override { vm_reset(*program_, frame_); }
+  void reset() override;
+  /// The frame in its packed layout: the tag word, one shape word, 8
+  /// header words (stats ops, events, max-ops; t_start; t_stop;
+  /// validated_or_rounds; ordinal; active | verdict << 32 | armed << 40 |
+  /// q_done << 48), frag_min_time[frag_count], then the bytes of
+  /// range_cpt, range_state, frag_min_complete and frag_in_progress packed
+  /// into ceil((5·range_total + 2·frag_count) / 8) zero-padded words — one
+  /// Snapshot block — and last the violation (snapshot_violation).
   void snapshot(Snapshot& out) const override;
+  /// Overwrites every field, violation included, so restoring into a
+  /// dirty frame needs no reset first.
   void restore(const Snapshot& in) override;
-  /// Compact rungs (vm_save_rung / vm_load_rung) over this frame.
-  bool save_rung(std::uint64_t* out) const {
-    return vm_save_rung(*program_, frame_, out);
-  }
-  void load_rung(const std::uint64_t* in) {
-    vm_load_rung(*program_, frame_, in);
-  }
 
   const VmProgram& program() const { return *program_; }
   /// Validated triggers (antecedent) / completed P=>Q rounds (timed).

@@ -2,7 +2,7 @@
 // every stride's results equal the full-replay reference loop is the
 // reference grid's job (campaign_reference_diff_test); this suite pins the
 // checkpoint_hits / events_skipped diagnostics: they are a pure function of
-// the campaign parameters (never of scheduling or of the rung format), the
+// the campaign parameters (never of scheduling or of the backend), the
 // ladder actually fires on checkpoint-friendly shapes, and stride 0 — no
 // ladder — replays in full.
 #include <gtest/gtest.h>
@@ -44,11 +44,10 @@ class CampaignIncrementalDiff : public ::testing::TestWithParam<const char*> {
 };
 
 TEST_P(CampaignIncrementalDiff, DrctAndVmPickTheSameFloorsAtTheDefaultStride) {
-  // Forced Drct records Snapshot rungs, Vm compact rungs: both ladders
-  // must offer the same floors, so the restore and skip diagnostics —
-  // which report() leaves out — agree too, serial and parallel.  Stride 1
-  // rides along because every property restores there (the default
-  // stride restores nothing on the short non-repeated traces).
+  // Forced Drct and forced Vm fork each mutant at its divergence position,
+  // so the restore and skip diagnostics — which report() leaves out —
+  // agree, serial and parallel.  Stride 1 rides along: any positive
+  // stride forks at the same positions.
   for (const std::size_t stride :
        {CampaignOptions{}.checkpoint_stride, std::size_t{1}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {

@@ -6,8 +6,8 @@
 //     per-event walk that samples after every event, field by field, for
 //     forced Drct, forced Vm and Auto, and the live state at every stop
 //     equals that of a monitor stepped over the same prefix;
-//   - the walk steps past a state the compact rung refuses, so the record
-//     covers the whole trace;
+//   - the walk forks at every stop past a violation, Vm and Drct alike,
+//     and its record covers the whole trace;
 //   - campaigns at every stride equal campaigns that replay every mutant
 //     from event 0 (stride 0);
 //   - every layout of whole-seed shards gives the default layout's
@@ -216,11 +216,13 @@ TEST(CampaignSeedPass, RecordEqualsAnIndependentPerEventWalk) {
   EXPECT_GT(stops_seen, 0u);
 }
 
-TEST(CampaignSeedPass, TheWalkStepsPastARefusedRung) {
+TEST(CampaignSeedPass, TheWalkForksAtEveryStopPastAViolation) {
   // (n << i, true) over a trace that violates at ordinal 8 (a second i in
-  // a row; the MonVmRung case): stopping every 2 events, a Vm walker's
-  // compact rung is refused from the fifth stop on, while the walk itself
-  // goes on, so the record covers all twenty events and the violation.
+  // a row): stopping every 2 events, the live state saved at each stop —
+  // the violation included from the fifth stop on — restores into a dirty
+  // replay monitor as the state after exactly that prefix, for Vm and
+  // Drct alike, and the walk goes on, so the record covers all twenty
+  // events and the violation.
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse("(n << i, true)", ab);
   const spec::Trace t = loom::testing::trace_of(
@@ -234,17 +236,24 @@ TEST(CampaignSeedPass, TheWalkStepsPastARefusedRung) {
     const Walked want = per_event_walk(compiled, t);
     ASSERT_TRUE(want.record.violated);
     auto monitor = compiled.instantiate();
-    std::size_t saved = 0;
-    const Walked got = walk(compiled, *monitor, t, stops, [&](std::size_t) {
-      if (backend != mon::Backend::Vm) return;
-      auto& vm = static_cast<mon::VmMonitor&>(*monitor);
-      std::vector<std::uint64_t> rung(mon::vm_rung_words(vm.program()));
-      if (vm.save_rung(rung.data())) ++saved;
+    auto replay = compiled.instantiate();
+    replay->observe_batch(t);  // dirty: violated
+    mon::Snapshot saved;
+    std::size_t forked_past_violation = 0;
+    const Walked got = walk(compiled, *monitor, t, stops, [&](std::size_t at) {
+      monitor->snapshot(saved);
+      replay->restore(saved);
+      mon::Snapshot restored;
+      replay->snapshot(restored);
+      EXPECT_TRUE(loom::testing::snapshots_equal(restored,
+                                                 state_after(compiled, t, at)))
+          << name_of(backend) << " stop " << at;
+      if (replay->violation().has_value()) ++forked_past_violation;
     });
     EXPECT_TRUE(records_equal(got, want)) << name_of(backend);
     EXPECT_EQ(got.record.stats.events, t.size()) << name_of(backend);
     EXPECT_TRUE(got.record.violated) << name_of(backend);
-    if (backend == mon::Backend::Vm) EXPECT_EQ(saved, 4u);
+    EXPECT_EQ(forked_past_violation, 6u) << name_of(backend);
   }
 }
 

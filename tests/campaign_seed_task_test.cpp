@@ -12,9 +12,8 @@
 //   - an edit at the last index forks after the whole trace, before finish;
 //   - several mutants at one position share one saved state;
 //   - stall-deadline tails that saturate at sim::Time::max();
-//   - a valid trace the Vm monitor violates, so its compact rungs are
-//     refused and later mutants fall back to the last saved state (or to
-//     event 0), while Drct's Snapshots hold the violation;
+//   - a valid trace the monitor violates: mutants past the violation fork
+//     at their exact positions too, Vm and Drct alike;
 //   - every layout of whole-seed shards, in process and across workers.
 #include <gtest/gtest.h>
 
@@ -68,17 +67,14 @@ struct Forks {
   std::size_t at_end = 0;     // at the valid trace's size
   std::size_t shared = 0;     // sharing their position within their seed
   std::size_t saturated = 0;  // stall-deadline tails ending at Time::max()
-  std::size_t fallbacks = 0;  // resumed below their own position
   std::size_t violated_valid = 0;  // valid traces the monitor violates
+  std::size_t past_violation = 0;  // forked after their walk violated
 };
 
 Forks expected_forks(const char* source, const CampaignOptions& opt) {
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse(source, ab);
   const PropertyPlan plan = compile_property_plans({&p}, ab, opt)[0];
-  // A compact rung holds no violation: a Vm walk saves nothing once it has
-  // violated.
-  const bool compact = plan.compiled.chosen() == mon::Backend::Vm;
   Forks f;
   for (std::size_t s = 0; s < opt.seeds; ++s) {
     support::Rng valid_rng = support::Rng::stream(opt.first_seed + s, 0);
@@ -117,20 +113,11 @@ Forks expected_forks(const char* source, const CampaignOptions& opt) {
       if (at == valid.size()) ++f.at_end;
       if (std::count(positions.begin(), positions.end(), at) > 1) ++f.shared;
       if (opt.checkpoint_stride == 0 || at == 0) continue;
-      // The walk saves at every invalid mutant's position; a save after
-      // the violating event is refused, and the mutant resumes from the
-      // last position at or before that event (0: none, from event 0).
-      std::size_t resume = at;
-      if (compact && violation && at > *violation) {
-        resume = 0;
-        for (const std::size_t q : positions) {
-          if (q <= *violation) resume = std::max(resume, q);
-        }
-        ++f.fallbacks;
-      }
-      if (resume == 0) continue;
+      // The walk saves at every invalid mutant's position, and the mutant
+      // resumes there, whether or not the walk has violated by then.
       ++f.hits;
-      f.skipped += resume;
+      f.skipped += at;
+      if (violation && at > *violation) ++f.past_violation;
     }
   }
   return f;
@@ -223,12 +210,13 @@ TEST(CampaignSeedTask, StallDeadlineTailsThatSaturate) {
   }
 }
 
-TEST(CampaignSeedTask, AValidTraceTheVmMonitorViolatesFallsBack) {
+TEST(CampaignSeedTask, AValidTraceTheMonitorViolatesForksAtExactPositions) {
   // A 1 ps deadline: a noise event between p and q makes the generated
   // "valid" trace late, so the monitor violates it (the oracle agrees).
-  // From the violation on, a Vm walk's compact rungs are refused and
-  // later mutants fork from the last saved state or replay from event 0;
-  // Drct's Snapshots hold the violation and fork everywhere.
+  // The walk's saved state holds the violation, so the mutants past it
+  // fork at their exact positions like every other: checkpoint_hits
+  // counts the invalid mutants at positions > 0 and events_skipped sums
+  // their positions, Vm and Drct alike.
   CampaignOptions opt;
   opt.seeds = 6;
   opt.stimuli.rounds = 4;
@@ -238,11 +226,8 @@ TEST(CampaignSeedTask, AValidTraceTheVmMonitorViolatesFallsBack) {
     opt.backend = backend;
     const Forks f = expect_forks_match("(p => q, 1ps)", opt);
     EXPECT_GT(f.violated_valid, 0u);
-    if (backend == mon::Backend::Vm) {
-      EXPECT_GT(f.fallbacks, 0u);
-    } else {
-      EXPECT_EQ(f.fallbacks, 0u);
-    }
+    EXPECT_GT(f.past_violation, 0u);
+    EXPECT_EQ(f.hits, f.invalid - f.at_zero);
   }
 }
 
@@ -251,7 +236,7 @@ TEST(CampaignSeedTask, EveryShardLayoutForksLikeTheReference) {
   // a short last shard of one) and one shard for everything, in process
   // and across two worker processes (one thread each, so no pool thread
   // exists when the workers fork).  A shard runs whole seeds, so each
-  // layout forks exactly the reference's mutants — a refused Vm save
+  // layout forks exactly the reference's mutants — past a violation
   // included — and runs one seed pass per seed.
   const char* const sources[] = {
       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",

@@ -9,12 +9,14 @@
 // ignores SIGTERM dies to SIGKILL without wedging the suite), the
 // non-blocking reap (a worker lingering after its Done frame never costs a
 // streaming sibling its deadline), clean supervised runs against the
-// in-process engine and the reference loop, and the descriptor-hygiene /
-// pidfd / bounded-wait process primitives underneath.
+// in-process engine and the reference loop, the retirement of a worker
+// whose partial's recognizer rows do not fit the property, and the
+// descriptor-hygiene / pidfd / bounded-wait process primitives underneath.
 //
 // Custom main: the binary re-execs itself with --worker so the fork+exec
 // spawn path runs against a real exec'd worker, not just the fork-only
-// in-image path.
+// in-image path, and with --misshapen-rows= as a worker that rewrites the
+// recognizer rows of a partial it forwards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -412,6 +414,91 @@ TEST(CampaignSupervision, SupervisedDrainMatchesInProcessAndReference) {
 }
 
 // ---------------------------------------------------------------------------
+// Misshapen partials: recognizer rows that do not fit the property.
+
+// The test-side exec worker (--misshapen-rows=<how>, see main): runs the
+// real worker on a thread into a pipe and forwards its frames, rewriting
+// the first partial's recognizer rows — "fewer" drops the last fragment's
+// rows, "more" repeats them, "renamed" renames the first row, "none"
+// withdraws the rows, "same" changes nothing.
+int misshapen_rows_worker(const std::string& how) {
+  int fds[2];
+  if (::pipe(fds) != 0) return kWorkerExitIo;
+  int code = kWorkerExitOk;
+  std::thread real([&] {
+    code = run_campaign_worker(0, fds[1]);
+    ::close(fds[1]);
+  });
+  wire::FdFrameReader reader(fds[0]);
+  wire::Frame frame;
+  wire::DecodeError err;
+  wire::Encoder enc;
+  std::vector<std::uint8_t> framed;
+  bool rewritten = false;
+  while (reader.next(frame, err) == wire::FdFrameReader::Status::Frame) {
+    enc.clear();
+    wire::Decoder d(frame.data, frame.size);
+    wire::WorkerPartialData part;
+    if (!rewritten && frame.tag == wire::Payload::WorkerPartial &&
+        wire::decode_worker_partial(d, part)) {
+      auto& rows = part.recognizer_rows;
+      if (how == "fewer") {
+        rows.pop_back();
+      } else if (how == "more") {
+        rows.push_back(rows.back());
+      } else if (how == "renamed") {
+        rows[0][0].name += 1;
+      } else if (how == "none") {
+        part.has_recognizer = false;
+      }
+      wire::encode_worker_partial(enc, part);
+      rewritten = true;
+    } else {
+      for (std::size_t b = 0; b < frame.size; ++b) enc.put_u8(frame.data[b]);
+    }
+    framed.clear();
+    wire::write_frame(framed, frame.tag, enc);
+    if (!wire::write_all(1, framed.data(), framed.size())) break;
+  }
+  ::close(fds[0]);
+  real.join();
+  return code;
+}
+
+TEST(CampaignSupervision, MisshapenRecognizerRowsRetireTheWorker) {
+  // A partial whose rows have another shape or other names than the
+  // property's, or none for a Vm antecedent, is retired like any other
+  // malformed partial — merged, fewer rows would be read out of bounds and
+  // more or none would skew recognizer coverage.  The unchanged
+  // pass-through proves the shim itself is faithful.
+  const CampaignRun in_process = run_with(small_options());
+  for (const char* how : {"same", "fewer", "more", "renamed", "none"}) {
+    CampaignOptions opt = small_options();
+    opt.workers = 2;
+    opt.worker_command = {g_self, std::string("--misshapen-rows=") + how};
+    if (std::string(how) == "same") {
+      const CampaignRun cross = run_with(opt);
+      EXPECT_TRUE(
+          loom::testing::results_identical(cross.result, in_process.result));
+      EXPECT_EQ(cross.report, in_process.report);
+      continue;
+    }
+    try {
+      run_with(opt);
+      ADD_FAILURE() << how << ": a misshapen partial was merged";
+    } catch (const WorkerFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(": recognizer coverage rows of shard "),
+                std::string::npos)
+          << how << ": " << what;
+      EXPECT_NE(what.find(" do not match its property (attempt 1 of 1)"),
+                std::string::npos)
+          << how << ": " << what;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Worker-count and layout edges.
 
 TEST(CampaignSupervision, MoreWorkersThanShardsClamps) {
@@ -750,6 +837,11 @@ int main(int argc, char** argv) {
   // exec-mode cells of the grids re-exec this binary as their worker.
   if (argc >= 2 && std::strcmp(argv[1], "--worker") == 0) {
     return loom::abv::run_campaign_worker(0, 1);
+  }
+  constexpr const char kMisshapen[] = "--misshapen-rows=";
+  if (argc >= 2 &&
+      std::strncmp(argv[1], kMisshapen, sizeof kMisshapen - 1) == 0) {
+    return loom::abv::misshapen_rows_worker(argv[1] + sizeof kMisshapen - 1);
   }
   g_self = argv[0];
 #endif

@@ -506,246 +506,5 @@ TEST(MonBytecodeShift, RetiringMidShiftedSliceEqualsTheEventLoop) {
   }
 }
 
-// --- compact checkpoint rungs ----------------------------------------------
-//
-// vm_save_rung / vm_load_rung are the checkpoint ladder's rung format for
-// Vm monitors: raw word and byte copies of the frame, with no violation.  A
-// loaded rung must continue exactly like the Snapshot restore it replaces
-// and like the uninterrupted run — into a frame that held anything before.
-
-// Failure records in a VM frame: the ranges in the error state plus a
-// present violation.
-std::size_t reasons_in(const VmMonitor& m) {
-  std::size_t n = m.violation().has_value() ? 1 : 0;
-  for (std::uint32_t r = 0; r < m.program().range_total; ++r) {
-    if (m.range_state(r) ==
-        static_cast<std::uint8_t>(RangeRecognizer::State::Error)) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-// Drives `observe` over fuzzed traces until the frame holds a violation
-// latched from a range error — so it carries a violation and at least one
-// range in the error state — the dirtiest state a pooled frame can be
-// drawn in.
-template <typename Observe, typename Frame, typename Reset>
-void make_dirty(const std::vector<spec::Name>& names, std::uint64_t seed,
-                Observe observe, Frame frame, Reset reset) {
-  for (std::uint64_t trial = 0; trial < 200; ++trial) {
-    reset();
-    support::Rng rng = support::Rng::stream(seed + trial, 31);
-    const spec::Trace t = fuzz_trace(names, rng);
-    observe(t);
-    if (reasons_in(frame()) >= 2) return;
-  }
-  FAIL() << "no fuzzed trace left a range reason behind";
-}
-
-// The traces every rung test cuts: fuzzed ones (which violate early) and
-// retiring ones (a long valid prefix, then a fuzzed tail), so accepted and
-// refused cuts both occur in every program shape.
-std::vector<spec::Trace> rung_traces(const spec::Property& p,
-                                     spec::Alphabet& ab,
-                                     const std::vector<spec::Name>& names,
-                                     std::uint64_t seed) {
-  std::vector<spec::Trace> traces;
-  for (std::uint64_t trial = 0; trial < 40; ++trial) {
-    support::Rng rng = support::Rng::stream(seed + trial, 37);
-    traces.push_back(fuzz_trace(names, rng));
-    traces.push_back(loom::testing::retiring_trace(p, ab, seed + trial, 20));
-  }
-  return traces;
-}
-
-TEST(MonVmRung, LoadContinuesLikeASnapshotRestoreAndTheUninterruptedRun) {
-  std::size_t saved = 0;
-  std::size_t refused = 0;
-  for (const auto& c : kCases) {
-    spec::Alphabet ab;
-    const spec::Property p = loom::testing::parse(c.source, ab);
-    const auto names = names_of(p, ab);
-    const auto program = compile_vm(p);
-    const std::size_t words = vm_rung_words(*program);
-    EXPECT_EQ(words, 8 + program->frag_count +
-                         (5 * program->range_total +
-                          2 * program->frag_count + 7) / 8)
-        << c.label;
-
-    VmMonitor dirty(program);
-    make_dirty(
-        names, 0xD1E7, [&](const spec::Trace& t) { dirty.observe_batch(t); },
-        [&]() -> const VmMonitor& { return dirty; }, [&] { dirty.reset(); });
-
-    const auto traces = rung_traces(p, ab, names, 0x5A7E);
-    for (std::size_t ti = 0; ti < traces.size(); ++ti) {
-      const spec::Trace& t = traces[ti];
-      const sim::Time end = t.empty() ? sim::Time::zero() : t.back().time;
-      VmMonitor whole(program);
-      whole.observe_batch(t);
-      whole.finish(end);
-
-      for (std::size_t cut = 0; cut <= t.size(); ++cut) {
-        const std::string what = std::string(c.label) + " trace " +
-                                 std::to_string(ti) + " cut " +
-                                 std::to_string(cut);
-        VmMonitor head(program);
-        head.observe_batch(t.data(), t.data() + cut);
-        std::vector<std::uint64_t> rung(words, ~std::uint64_t{0});
-        const bool ok = head.save_rung(rung.data());
-        if (head.violation().has_value()) {
-          EXPECT_FALSE(ok) << what << ": saved a violated frame";
-        }
-        if (!ok) {
-          ++refused;
-          continue;
-        }
-        ++saved;
-        const Snapshot at_cut = frame_of(head);
-
-        // Saving is a pure function of the state: another monitor that ran
-        // the same prefix writes the same words, padding included.
-        {
-          VmMonitor twin(program);
-          twin.observe_batch(t.data(), t.data() + cut);
-          std::vector<std::uint64_t> twin_rung(words, 0);
-          ASSERT_TRUE(twin.save_rung(twin_rung.data())) << what;
-          EXPECT_EQ(twin_rung, rung) << what;
-        }
-
-        // Load into the dirty monitor: it now holds exactly the state at
-        // the cut, range errors and violation cleared.
-        VmMonitor loaded(program);
-        loaded.restore(frame_of(dirty));
-        ASSERT_TRUE(loaded.violation().has_value()) << what;
-        loaded.load_rung(rung.data());
-        EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(loaded), at_cut))
-            << what << " [monitor load]";
-
-        // Continue both: the rung-loaded monitor and a Snapshot-restored
-        // one must finish like the whole run.
-        VmMonitor restored(program);
-        restored.restore(at_cut);
-        loaded.observe_batch(t.data() + cut, t.data() + t.size());
-        restored.observe_batch(t.data() + cut, t.data() + t.size());
-        loaded.finish(end);
-        restored.finish(end);
-        expect_same_frame(loaded, whole, frame_of(loaded), what + " [load]");
-        expect_same_frame(restored, whole, frame_of(restored),
-                          what + " [restore]");
-      }
-    }
-  }
-  EXPECT_GT(saved, 2500u);
-  EXPECT_GT(refused, 2500u);
-}
-
-TEST(MonVmRung, SaveRefusesAViolatedFrame) {
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse("(n << i, true)", ab);
-  const auto program = compile_vm(p);
-  VmMonitor m(program);
-  std::vector<std::uint64_t> rung(vm_rung_words(*program));
-  EXPECT_TRUE(m.save_rung(rung.data()));
-  // A trigger with no preceding n violates at once.
-  m.observe(ab.name("i"), sim::Time::ns(10));
-  ASSERT_EQ(m.verdict(), Verdict::Violated);
-  // A refused save leaves the earlier rung untouched.
-  const std::vector<std::uint64_t> earlier = rung;
-  EXPECT_FALSE(m.save_rung(rung.data()));
-  EXPECT_EQ(rung, earlier);
-
-  // A deadline violation leaves no range in the error state: the
-  // violation alone must refuse the rung.
-  spec::Alphabet tab;
-  const spec::Property timed =
-      loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", tab);
-  const auto timed_program = compile_vm(timed);
-  VmMonitor late(timed_program);
-  late.observe(tab.name("p"), sim::Time::us(1));
-  late.observe(tab.name("p"), sim::Time::us(2));
-  std::vector<std::uint64_t> timed_rung(vm_rung_words(*timed_program));
-  EXPECT_TRUE(late.save_rung(timed_rung.data()));
-  late.poll(sim::Time::us(20));
-  ASSERT_EQ(late.verdict(), Verdict::Violated);
-  EXPECT_EQ(reasons_in(late), 1u);  // the violation's own
-  EXPECT_FALSE(late.save_rung(timed_rung.data()));
-}
-
-// The rung after (k + 1)·stride events of `t`, as a Snapshot of a monitor
-// that observed exactly that prefix.
-Snapshot state_after(std::unique_ptr<Monitor> m, const spec::Trace& t,
-                     std::size_t events) {
-  m->observe_batch(t.data(), t.data() + events);
-  return frame_of(*m);
-}
-
-TEST(MonVmRung, RungsRestoreEveryPrefixUpToTheFirstRefusal) {
-  // (n << i, true): every i needs its own preceding n.  The hand-built
-  // trace alternates n i, but its ninth event (ordinal 8) is a second i in
-  // a row: the monitor violates there.  Saving every 2 events, a Vm frame
-  // yields the four compact rungs before the violation and refuses every
-  // later save; a Drct monitor, whose Snapshots can hold a violation,
-  // snapshots all ten prefixes.  This is how the campaign engine forks a
-  // mutant's replay from the valid walk.
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse("(n << i, true)", ab);
-  const spec::Trace t = loom::testing::trace_of(
-      "n i n i n i n i i n i n i n i n i n i n", ab);
-  ASSERT_EQ(t.size(), 20u);
-  const auto program = compile_vm(p);
-  {
-    VmMonitor probe(program);
-    probe.observe_batch(t);
-    ASSERT_TRUE(probe.violation().has_value());
-    ASSERT_EQ(probe.violation()->event_ordinal, 8u);
-  }
-  constexpr std::size_t kStride = 2;
-  const std::size_t words = vm_rung_words(*program);
-
-  VmMonitor walker(program);
-  std::vector<std::vector<std::uint64_t>> rungs;
-  auto drct_walker = make_monitor(p);
-  std::vector<Snapshot> snapshots;
-  std::vector<std::uint64_t> refused(words);
-  std::size_t refusals = 0;
-  for (std::size_t k = 0; k < t.size() / kStride; ++k) {
-    const spec::TimedEvent* first = t.data() + k * kStride;
-    walker.observe_batch(first, first + kStride);
-    drct_walker->observe_batch(first, first + kStride);
-    std::vector<std::uint64_t> rung(words);
-    if (walker.save_rung(rung.data())) {
-      EXPECT_EQ(refusals, 0u) << "a save succeeded after a refusal";
-      rungs.push_back(std::move(rung));
-    } else {
-      ++refusals;
-    }
-    drct_walker->snapshot(snapshots.emplace_back());
-  }
-  EXPECT_EQ(rungs.size(), 4u);
-  EXPECT_EQ(snapshots.size(), t.size() / kStride);
-
-  // Every saved state restores the state after its prefix into a dirty
-  // monitor.
-  VmMonitor target(program);
-  target.observe_batch(t);  // violated monitor
-  for (std::size_t k = 0; k < rungs.size(); ++k) {
-    const Snapshot want = state_after(std::make_unique<VmMonitor>(program), t,
-                                      (k + 1) * kStride);
-    target.load_rung(rungs[k].data());
-    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(target), want))
-        << "rung " << k;
-  }
-  auto drct = make_monitor(p);
-  drct->observe_batch(t);
-  for (std::size_t k = 0; k < snapshots.size(); ++k) {
-    drct->restore(snapshots[k]);
-    EXPECT_TRUE(loom::testing::snapshots_equal(
-        frame_of(*drct), state_after(make_monitor(p), t, (k + 1) * kStride)))
-        << "drct snapshot " << k;
-  }
-}
-
 }  // namespace
 }  // namespace loom::mon

@@ -3,9 +3,11 @@
 // indistinguishable from an uninterrupted run (verdict, violation report,
 // Figure-6 stats, space accounting) — over fuzzed traces, for every monitor
 // kind (Drct antecedent repeated and not, Drct timed, ViaPSL clause
-// network) and for instances stamped from a mon::CompiledProperty.  The
-// checkpointed campaign engine leans on this: a mutant replayed from a
-// restored checkpoint must be byte-identical to a full replay.
+// network, the VM frame) and for instances stamped from a
+// mon::CompiledProperty.  The campaign engine leans on this: a mutant
+// replayed from the valid walk's state at its divergence position must be
+// byte-identical to a full replay — with the VM, restored into a pooled
+// frame that violated before, and from a walk that may have violated too.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -14,9 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "mon/bytecode.hpp"
 #include "mon/compiled.hpp"
 #include "mon/monitors.hpp"
+#include "mon/range_recognizer.hpp"
 #include "mon/snapshot.hpp"
+#include "mon/vm.hpp"
 #include "psl/clause_monitor.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
@@ -339,6 +344,212 @@ TEST(MonSnapshot, VmFrameBufferReuseKeepsWordCountsStable) {
     const std::size_t expected =
         fresh_words + (monitor->violation().has_value() ? 7u : 0u);
     EXPECT_EQ(snap.word_count(), expected);
+  }
+}
+
+// --- VM frames: dirty restores and violations ------------------------------
+
+Snapshot frame_of(const Monitor& m) {
+  Snapshot s;
+  m.snapshot(s);
+  return s;
+}
+
+// Failure records in a VM frame: the ranges in the error state plus a
+// present violation.
+std::size_t reasons_in(const VmMonitor& m) {
+  std::size_t n = m.violation().has_value() ? 1 : 0;
+  for (std::uint32_t r = 0; r < m.program().range_total; ++r) {
+    if (m.range_state(r) ==
+        static_cast<std::uint8_t>(RangeRecognizer::State::Error)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+void expect_same_violation(const Monitor& got, const Monitor& want,
+                           const std::string& what) {
+  ASSERT_TRUE(got.violation().has_value()) << what;
+  ASSERT_TRUE(want.violation().has_value()) << what;
+  EXPECT_EQ(got.verdict(), Verdict::Violated) << what;
+  EXPECT_EQ(got.violation()->event_ordinal, want.violation()->event_ordinal)
+      << what;
+  EXPECT_EQ(got.violation()->time, want.violation()->time) << what;
+  EXPECT_EQ(got.violation()->name, want.violation()->name) << what;
+  EXPECT_EQ(got.violation()->reason, want.violation()->reason) << what;
+  EXPECT_EQ(got.violation()->text(), want.violation()->text()) << what;
+}
+
+TEST(MonSnapshot, VmRestoreIntoADirtyFrameContinuesLikeTheUninterruptedRun) {
+  // At every cut of fuzzed traces (which violate early) and retiring ones
+  // (a long valid prefix, then a fuzzed tail), in every program shape: the
+  // state after the prefix restores into a frame holding a violation
+  // latched from a range error — the dirtiest frame a pool hands out — as
+  // exactly that state, and continues like the uninterrupted run.
+  std::size_t cuts = 0;
+  std::size_t violated_cuts = 0;
+  for (const auto& c : kCases) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(c.source, ab);
+    const auto names = names_of(p, ab);
+    const auto program = compile_vm(p);
+
+    VmMonitor dirty(program);
+    for (std::uint64_t trial = 0; reasons_in(dirty) < 2; ++trial) {
+      ASSERT_LT(trial, 200u) << c.label << ": no range error left behind";
+      dirty.reset();
+      support::Rng rng = support::Rng::stream(0xD1E7 + trial, 31);
+      dirty.observe_batch(fuzz_trace(names, rng));
+    }
+    const Snapshot dirty_state = frame_of(dirty);
+
+    for (std::uint64_t trial = 0; trial < 40; ++trial) {
+      support::Rng rng = support::Rng::stream(0x5A7E + trial, 37);
+      const spec::Trace traces[] = {
+          fuzz_trace(names, rng),
+          loom::testing::retiring_trace(p, ab, 0x5A7E + trial, 20)};
+      for (std::size_t ti = 0; ti < 2; ++ti) {
+        const spec::Trace& t = traces[ti];
+        const sim::Time end = t.empty() ? sim::Time::zero() : t.back().time;
+        VmMonitor whole(program);
+        whole.observe_batch(t);
+        whole.finish(end);
+        const Snapshot want = frame_of(whole);
+
+        VmMonitor restored(program);
+        for (std::size_t cut = 0; cut <= t.size(); ++cut) {
+          const std::string what = std::string(c.label) + " trial " +
+                                   std::to_string(trial) + " trace " +
+                                   std::to_string(ti) + " cut " +
+                                   std::to_string(cut);
+          VmMonitor head(program);
+          head.observe_batch(t.data(), t.data() + cut);
+          const Snapshot at_cut = frame_of(head);
+          // A snapshot is a pure function of the state: another monitor
+          // that ran the same prefix writes the same words, padding
+          // included.
+          {
+            VmMonitor twin(program);
+            twin.observe_batch(t.data(), t.data() + cut);
+            EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(twin), at_cut))
+                << what << " [twin]";
+          }
+          restored.restore(dirty_state);
+          ASSERT_GE(reasons_in(restored), 2u) << what;
+          restored.restore(at_cut);
+          EXPECT_TRUE(
+              loom::testing::snapshots_equal(frame_of(restored), at_cut))
+              << what << " [restore]";
+          restored.observe_batch(t.data() + cut, t.data() + t.size());
+          restored.finish(end);
+          expect_same_outcome(whole, restored, what);
+          EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(restored), want))
+              << what << " [continued]";
+          ++cuts;
+          if (head.violation().has_value()) ++violated_cuts;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cuts, 5000u);
+  EXPECT_GT(violated_cuts, 2500u);
+}
+
+TEST(MonSnapshot, AVmSnapshotHoldingAViolationRestoresIt) {
+  // (n << i, true): every i needs its own preceding n, so the ninth event
+  // (ordinal 8), a second i in a row, violates.  Saving every 2 events —
+  // how the campaign engine forks mutants from the valid walk — every
+  // state restores into a dirty monitor as the state after its prefix,
+  // and from the fifth save on it carries the violation: ordinal, time,
+  // name and reason.
+  spec::Alphabet ab;
+  const spec::Property p = loom::testing::parse("(n << i, true)", ab);
+  const spec::Trace t = loom::testing::trace_of(
+      "n i n i n i n i i n i n i n i n i n i n", ab);
+  ASSERT_EQ(t.size(), 20u);
+  const auto program = compile_vm(p);
+  VmMonitor probe(program);
+  probe.observe_batch(t);
+  ASSERT_TRUE(probe.violation().has_value());
+  ASSERT_EQ(probe.violation()->event_ordinal, 8u);
+
+  constexpr std::size_t kStride = 2;
+  VmMonitor walker(program);
+  VmMonitor target(program);
+  std::size_t with_violation = 0;
+  for (std::size_t k = 0; k < t.size() / kStride; ++k) {
+    const spec::TimedEvent* first = t.data() + k * kStride;
+    walker.observe_batch(first, first + kStride);
+    const Snapshot saved = frame_of(walker);
+    target.reset();
+    target.observe_batch(t);
+    ASSERT_GE(reasons_in(target), 2u);  // violated, range error included
+    target.restore(saved);
+    VmMonitor prefix(program);
+    prefix.observe_batch(t.data(), first + kStride);
+    const std::string what = "save " + std::to_string(k);
+    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(target),
+                                               frame_of(prefix)))
+        << what;
+    if ((k + 1) * kStride > 8) {
+      expect_same_violation(target, probe, what);
+      ++with_violation;
+    } else {
+      EXPECT_FALSE(target.violation().has_value()) << what;
+    }
+  }
+  EXPECT_EQ(with_violation, 6u);
+
+  // A deadline violation leaves no range in the error state: the
+  // violation alone is the state to carry.
+  spec::Alphabet tab;
+  const spec::Property timed =
+      loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", tab);
+  const auto timed_program = compile_vm(timed);
+  VmMonitor late(timed_program);
+  late.observe(tab.name("p"), sim::Time::us(1));
+  late.observe(tab.name("p"), sim::Time::us(2));
+  late.poll(sim::Time::us(20));
+  ASSERT_EQ(late.verdict(), Verdict::Violated);
+  ASSERT_EQ(reasons_in(late), 1u);  // the violation's own
+  VmMonitor cold(timed_program);
+  cold.restore(frame_of(late));
+  expect_same_violation(cold, late, "deadline");
+  EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(cold), frame_of(late)));
+  // Both continue alike: a retired frame stays retired.
+  late.observe(tab.name("q"), sim::Time::us(21));
+  cold.observe(tab.name("q"), sim::Time::us(21));
+  late.finish(sim::Time::us(21));
+  cold.finish(sim::Time::us(21));
+  expect_same_outcome(cold, late, "deadline [continued]");
+}
+
+TEST(MonSnapshot, VmRestoreRejectsEveryTruncation) {
+  // A VM snapshot cut short anywhere — in the tag and shape words, inside
+  // the packed block or before the violation's words — rejects with a
+  // logic_error instead of reading past its end, with and without a
+  // violation on board.
+  spec::Alphabet ab;
+  const spec::Property p = loom::testing::parse(
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
+  const auto program = compile_vm(p);
+  VmMonitor clean(program);
+  clean.observe(ab.name("n1"), sim::Time::ns(10));
+  VmMonitor violated(program);
+  violated.observe(ab.name("i"), sim::Time::ns(10));
+  ASSERT_TRUE(violated.violation().has_value());
+  for (const VmMonitor* m : {&clean, &violated}) {
+    const Snapshot full = frame_of(*m);
+    VmMonitor target(program);
+    for (std::size_t n = 0; n < full.word_count(); ++n) {
+      Snapshot cut;
+      for (std::size_t i = 0; i < n; ++i) cut.put_u64(full.words()[i]);
+      EXPECT_THROW(target.restore(cut), std::logic_error)
+          << n << " of " << full.word_count() << " words";
+    }
+    target.restore(full);
+    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(target), full));
   }
 }
 

@@ -230,7 +230,8 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
   // The two halves of one detected mutant, each warmed once and then
   // repeated under a Scope: the oracle resumes from its ladder and
   // rejects, and a VM forked from the valid walk at the mutant's position
-  // (compact rung or Snapshot) replays the suffix and finishes violated.
+  // (its Snapshot, restored into a pooled frame) replays the suffix and
+  // finishes violated.
   spec::Alphabet ab;
   const spec::Property p =
       loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
@@ -252,9 +253,7 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
   std::size_t checked = 0;
   auto walker = compiled.instantiate();
   auto vm = compiled.instantiate();
-  auto& vm_walker = dynamic_cast<mon::VmMonitor&>(*walker);
-  auto& vm_replay = dynamic_cast<mon::VmMonitor&>(*vm);
-  std::vector<std::uint64_t> rung(mon::vm_rung_words(vm_walker.program()));
+  ASSERT_NE(dynamic_cast<mon::VmMonitor*>(vm.get()), nullptr);
   mon::Snapshot snap;
   for (int draw = 0; draw < 200 && checked < 8; ++draw) {
     if (!abv::mutate_into(valid, abv::MutationKind::SwapAdjacent, p,
@@ -270,12 +269,8 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
           std::min(at / kStride, oracle.rungs.size()), mutant.trace, end,
           mutant.aligned);
     };
-    const auto replay = [&](bool compact) {
-      if (compact) {
-        vm_replay.load_rung(rung.data());
-      } else {
-        vm->restore(snap);
-      }
+    const auto replay = [&] {
+      vm->restore(snap);
       vm->observe_batch(mutant.trace.data() + at,
                         mutant.trace.data() + mutant.trace.size());
       vm->finish(end);
@@ -284,14 +279,12 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
     if (!check().rejected()) continue;
     walker->reset();
     walker->observe_batch(valid.data(), valid.data() + at);
-    if (!vm_walker.save_rung(rung.data())) continue;
-    walker->snapshot(snap);  // the same state as a Snapshot
-    ASSERT_EQ(replay(true), mon::Verdict::Violated);  // warm
-    ASSERT_EQ(replay(false), mon::Verdict::Violated);
+    walker->snapshot(snap);
+    ASSERT_EQ(replay(), mon::Verdict::Violated);  // warm
     AllocCounter::Scope scope;
     EXPECT_TRUE(check().rejected());
-    EXPECT_EQ(replay(true), mon::Verdict::Violated);
-    EXPECT_EQ(replay(false), mon::Verdict::Violated);
+    walker->snapshot(snap);  // a warmed buffer re-snapshots in place
+    EXPECT_EQ(replay(), mon::Verdict::Violated);
     EXPECT_EQ(scope.allocs(), 0u) << "mutant at position " << mutant.position;
     ++checked;
   }
