@@ -5,7 +5,7 @@
 // is bit-identical to the serial baseline (the engine's core invariant —
 // see tests/campaign_parallel_test.cpp for the exhaustive version).
 //
-//   $ ./bench_scaling [max_threads] [seeds] [auto|drct|viapsl|vm] [stride]
+//   $ ./bench_scaling [max_threads] [seeds] [auto|drct|viapsl] [stride]
 //                     [--benchmark_format=json]
 //
 // `stride` is the checkpoint spacing of the incremental (suffix-only)
@@ -84,7 +84,7 @@ Sample run_once(const char* source, std::size_t threads, std::size_t seeds,
 int usage_error(const char* fmt, const char* what, const char* prog) {
   std::fprintf(stderr, fmt, what);
   std::fprintf(stderr,
-               "usage: %s [max_threads] [seeds] [auto|drct|viapsl|vm] [stride]\n"
+               "usage: %s [max_threads] [seeds] [auto|drct|viapsl] [stride]\n"
                "          [--benchmark_format=json]\n",
                prog);
   return 2;
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
   }
   const auto backend = loom::mon::parse_backend_arg(pos_argc, pos_argv, 3);
   if (!backend) {
-    return usage_error("bad backend '%s' (want auto, drct, viapsl or vm)\n",
+    return usage_error("bad backend '%s' (want auto, drct or viapsl)\n",
                        pos_argv[3], argv[0]);
   }
   const auto stride = support::parse_count(

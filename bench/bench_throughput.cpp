@@ -18,9 +18,7 @@
 #include "wire/process.hpp"
 #include "wire/wire.hpp"
 #include "bench_json.hpp"
-#include "mon/bytecode.hpp"
 #include "mon/monitors.hpp"
-#include "mon/vm.hpp"
 #include "psl/clause_monitor.hpp"
 #include "sim/scheduler.hpp"
 #include "spec/parser.hpp"
@@ -51,7 +49,6 @@ struct CampaignTally {
   std::uint64_t checkpoint_hits = 0;
   std::uint64_t events_skipped = 0;
   bool backend_viapsl = false;
-  bool backend_vm = false;
 
   /// Times one campaign run and folds its diagnostics into the tally.
   template <typename Run>
@@ -71,7 +68,6 @@ struct CampaignTally {
     checkpoint_hits += r.checkpoint_hits;
     events_skipped += r.events_skipped;
     backend_viapsl = r.compile_stats.backend_chosen == mon::Backend::ViaPSL;
-    backend_vm = r.compile_stats.backend_chosen == mon::Backend::Vm;
   }
 
   void report(benchmark::State& state) const {
@@ -100,7 +96,6 @@ struct CampaignTally {
         safe_ratio(d(events_skipped), d(monitor_events)));
     state.counters["backend_viapsl"] =
         benchmark::Counter(backend_viapsl ? 1.0 : 0.0);
-    state.counters["backend_vm"] = benchmark::Counter(backend_vm ? 1.0 : 0.0);
   }
 };
 
@@ -145,24 +140,6 @@ void BM_DrctMonitor(benchmark::State& state) {
   state.SetLabel(kConfig[state.range(0)]);
 }
 BENCHMARK(BM_DrctMonitor)->DenseRange(0, 3);
-
-void BM_VmMonitor(benchmark::State& state) {
-  // The same trace replay as BM_DrctMonitor through the bytecode VM: one
-  // compiled program, one frame, reset-reused per iteration.  Verdicts and
-  // the Figure-6 op counts are bit-identical to the Drct row by contract
-  // (tests/mon_bytecode_test.cpp); the delta is pure dispatch mechanics.
-  Fixture fx(kConfig[state.range(0)]);
-  mon::VmMonitor monitor(mon::compile_vm(fx.property));
-  for (auto _ : state) {
-    monitor.reset();
-    for (const auto& ev : fx.trace) monitor.observe(ev.name, ev.time);
-    benchmark::DoNotOptimize(monitor.verdict());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.trace.size()));
-  state.SetLabel(kConfig[state.range(0)]);
-}
-BENCHMARK(BM_VmMonitor)->DenseRange(0, 3);
 
 void BM_ViaPslMonitor(benchmark::State& state) {
   Fixture fx(kConfig[state.range(0)]);
@@ -243,28 +220,20 @@ void BM_CampaignSharded(benchmark::State& state) {
 BENCHMARK(BM_CampaignSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_CampaignMutationHeavy(benchmark::State& state) {
-  // Mutation-heavy campaign in two gears, numbered as in the recorded
-  // baselines: 2 is the engine under its default options (per-worker
-  // scratch, per-shard monitor pools, mutants as edits), 3 the same
-  // engine forced onto the bytecode VM backend.  Both produce the
-  // reference loop's mutation results (campaign_reference_diff_test,
-  // whose backend grid includes Vm); only the wall clock and the
-  // allocation counters differ, and the VM gear trades the Drct monitors'
-  // virtual per-event stepping for the flat dispatch loop.  allocs/mutant
-  // is the campaign's per-campaign and per-shard allocations (pooled
-  // instances, coverage, results) spread over its mutants: the per-mutant
-  // loop itself
+  // Mutation-heavy campaign, gear 2 as numbered in the recorded
+  // baselines: the engine under its default options (per-worker scratch,
+  // per-shard monitor pools, mutants as edits).  allocs/mutant is the
+  // campaign's per-campaign and per-shard allocations (pooled instances,
+  // coverage, results) spread over its mutants: the per-mutant loop itself
   // allocates nothing once warm (AllocCounter.
   // WarmedMutantLoopIsAllocationFree), so the figure falls as
   // mutants_per_kind grows.
-  const int gear = static_cast<int>(state.range(0));
   Fixture fx(kConfig[2], 4);
   abv::CampaignOptions opt;
   opt.seeds = 64;
   opt.stimuli.rounds = 16;  // long traces: regeneration is the hot path
   opt.mutants_per_kind = 4;
   opt.threads = 1;
-  if (gear >= 3) opt.backend = mon::Backend::Vm;
   CampaignTally tally;
   for (auto _ : state) {
     support::AllocCounter::Scope scope;
@@ -278,9 +247,9 @@ void BM_CampaignMutationHeavy(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(tally.monitor_events));
   tally.report(state);
-  state.SetLabel(gear == 2 ? "+scratch arenas" : "+vm backend");
+  state.SetLabel("+scratch arenas");
 }
-BENCHMARK(BM_CampaignMutationHeavy)->Arg(2)->Arg(3)->UseRealTime();
+BENCHMARK(BM_CampaignMutationHeavy)->Arg(2)->UseRealTime();
 
 void BM_CampaignIncremental(benchmark::State& state) {
   // Checkpointed, suffix-only mutant replay vs full replay on the

@@ -37,9 +37,8 @@ constexpr const char* kUsage =
     "                 written by abv::to_text and the platform recorder)\n"
     "\n"
     "options:\n"
-    "  --backend=auto|drct|viapsl|vm  monitor construction (default auto:\n"
-    "                              per-property psl::cost_model choice;\n"
-    "                              vm runs the compiled bytecode backend)\n"
+    "  --backend=auto|drct|viapsl  monitor construction (default auto:\n"
+    "                              per-property psl::cost_model choice)\n"
     "  --psl                       shorthand for --backend=viapsl\n"
     "  --incremental=on|off        exercise the checkpoint snapshot/restore\n"
     "                              machinery while replaying (default off;\n"

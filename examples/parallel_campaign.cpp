@@ -2,7 +2,7 @@
 // through the sharded campaign engine, serial first and then on the
 // thread pool — same bits out, less wall-clock in.
 //
-//   $ ./examples/parallel_campaign [threads] [seeds] [auto|drct|viapsl|vm]
+//   $ ./examples/parallel_campaign [threads] [seeds] [auto|drct|viapsl]
 //                                  [--checkpoint-stride=N]
 #include <chrono>
 #include <cstdio>
@@ -19,7 +19,7 @@
 namespace {
 
 constexpr const char* kUsage =
-    "usage: parallel_campaign [threads] [seeds] [auto|drct|viapsl|vm]\n"
+    "usage: parallel_campaign [threads] [seeds] [auto|drct|viapsl]\n"
     "                         [--checkpoint-stride=N]\n"
     "                         [--workers=N] [--worker-timeout-ms=N]\n"
     "                         [--worker-retries=N] [--allow-partial=on|off]\n"
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   const std::size_t seeds = *seeds_arg;
   const auto backend = mon::parse_backend_arg(pos_argc, pos_argv, 3);
   if (!backend) {
-    return usage_error("bad backend '%s' (want auto, drct, viapsl or vm)\n",
+    return usage_error("bad backend '%s' (want auto, drct or viapsl)\n",
                        pos_argv[3]);
   }
 

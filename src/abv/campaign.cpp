@@ -967,9 +967,6 @@ std::vector<PropertyPlan> compile_property_plans(
   // The cross-check instantiates ViaPSL monitors next to Drct units, so the
   // clause set must be materialized even when the chosen backend is Drct.
   copt.with_viapsl_artifact = options.check_viapsl;
-  // Campaign Auto resolves the Drct/Vm cost-model tie to Vm — the
-  // wall-clock winner, stepping and forking alike.
-  copt.prefer_vm = true;
   for (std::size_t p = 0; p < properties.size(); ++p) {
     PropertyPlan& plan = plans[p];
     plan.property = properties[p];
@@ -1354,8 +1351,6 @@ CampaignResult::diagnostic_counters() const {
       {"skip_ratio", ratio(skipped, observed)},
       {"backend_viapsl",
        compile_stats.backend_chosen == mon::Backend::ViaPSL ? 1.0 : 0.0},
-      {"backend_vm",
-       compile_stats.backend_chosen == mon::Backend::Vm ? 1.0 : 0.0},
   };
 }
 

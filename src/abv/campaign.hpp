@@ -288,7 +288,7 @@ struct CampaignResult {
 
   /// The engine diagnostics as stable named counters: the seed-pass hit
   /// rate, the forked-replay counts and skip ratio, and the chosen backend
-  /// (backend_viapsl, backend_vm: 1 when chosen).  Every ratio guards its
+  /// (backend_viapsl: 1 when chosen).  Every ratio guards its
   /// denominator — a zero-work campaign (no events, no mutants) reports 0,
   /// never NaN — so the values can go straight into benchmark counters
   /// and JSON baselines.

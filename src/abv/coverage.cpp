@@ -33,20 +33,6 @@ RecognizerCoverage::RecognizerCoverage(const mon::AntecedentMonitor& monitor) {
   }
 }
 
-RecognizerCoverage::RecognizerCoverage(const mon::VmMonitor& monitor) {
-  const mon::VmProgram& p = monitor.program();
-  per_fragment_.resize(p.frag_count);
-  for (std::uint32_t f = 0; f < p.frag_count; ++f) {
-    per_fragment_[f].resize(p.frag_ranges[f]);
-    for (std::uint32_t r = 0; r < p.frag_ranges[f]; ++r) {
-      const std::uint32_t flat = p.frag_first[f] + r;
-      per_fragment_[f][r].name = p.range_name[flat];
-      per_fragment_[f][r].lo = p.consts_of(flat).lo;
-      per_fragment_[f][r].hi = p.consts_of(flat).hi;
-    }
-  }
-}
-
 namespace {
 
 void note(RecognizerCoverage::RangeCov& cov, unsigned state,
@@ -66,18 +52,6 @@ void RecognizerCoverage::sample(const mon::AntecedentMonitor& monitor) {
       const auto& child = frag.child(r);
       note(per_fragment_[f][r], static_cast<unsigned>(child.state()),
            child.count());
-    }
-  }
-}
-
-void RecognizerCoverage::sample(const mon::VmMonitor& monitor) {
-  const mon::VmProgram& p = monitor.program();
-  LOOM_DASSERT(p.frag_count == per_fragment_.size());
-  for (std::uint32_t f = 0; f < p.frag_count; ++f) {
-    for (std::uint32_t r = 0; r < p.frag_ranges[f]; ++r) {
-      const std::uint32_t flat = p.frag_first[f] + r;
-      note(per_fragment_[f][r], monitor.range_state(flat),
-           monitor.range_count(flat));
     }
   }
 }

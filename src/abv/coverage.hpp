@@ -7,11 +7,11 @@
 //!                       were actually hit.
 //!
 //! Ownership: RecognizerCoverage owns its rows and borrows nothing; each
-//! sample() reads the antecedent monitor it is handed (Drct or Vm: both
-//! hold the same Fig. 5 range automata), so one instance can accumulate
-//! over any number of monitors of the same property — the campaign engine
-//! samples every valid unit of a shard into one.  A ViaPSL-backed campaign
-//! has no recognizer structure to sample and reports 1.0.
+//! sample() reads the Drct antecedent monitor it is handed (its Fig. 5
+//! range automata), so one instance can accumulate over any number of
+//! monitors of the same property — the campaign engine samples every valid
+//! unit of a shard into one.  A ViaPSL-backed campaign has no recognizer
+//! structure to sample and reports 1.0.
 //! Thread-safety: instances are single-thread; campaign shards each sample
 //! into their own instance and merge() afterwards.
 //! Determinism: merge() is an order-independent union (state masks OR,
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "mon/antecedent_monitor.hpp"
-#include "mon/vm.hpp"
 
 namespace loom::abv {
 
@@ -82,19 +81,13 @@ class RecognizerCoverage {
 
   /// Empty rows shaped after the monitor's range recognizers.
   explicit RecognizerCoverage(const mon::AntecedentMonitor& monitor);
-  /// The same rows from a Vm-backed antecedent monitor, whose frame holds
-  /// the ranges in plan order.
-  explicit RecognizerCoverage(const mon::VmMonitor& monitor);
 
   /// Rebuilds an instance from wire-decoded rows.
   explicit RecognizerCoverage(std::vector<std::vector<RangeCov>> rows)
       : per_fragment_(std::move(rows)) {}
 
-  /// Records the monitor's current range states and block counters.  The
-  /// Vm frame's state bytes share RangeRecognizer::State's numbering, so
-  /// both backends fill the rows identically.
+  /// Records the monitor's current range states and block counters.
   void sample(const mon::AntecedentMonitor& monitor);
-  void sample(const mon::VmMonitor& monitor);
 
   /// Order-independent union with coverage sampled from another monitor of
   /// the same property (state masks OR, block-length maxima take the max).

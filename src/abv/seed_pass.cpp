@@ -11,17 +11,13 @@ ValidStepper::ValidStepper(const mon::CompiledProperty& compiled,
       monitor_(monitor),
       valid_(valid),
       alphabet_(sinks.alphabet) {
-  if (!compiled.property().is_antecedent()) return;
-  std::optional<RecognizerCoverage>& rec = sinks.recognizer;
-  if (compiled.chosen() == mon::Backend::Drct) {
-    drct_ = static_cast<const mon::AntecedentMonitor*>(&monitor);
-    if (!rec) rec.emplace(*drct_);
-  } else if (compiled.chosen() == mon::Backend::Vm) {
-    vm_ = static_cast<const mon::VmMonitor*>(&monitor);
-    if (!rec) rec.emplace(*vm_);
-  } else {
+  if (!compiled.property().is_antecedent() ||
+      compiled.chosen() != mon::Backend::Drct) {
     return;
   }
+  std::optional<RecognizerCoverage>& rec = sinks.recognizer;
+  drct_ = static_cast<const mon::AntecedentMonitor*>(&monitor);
+  if (!rec) rec.emplace(*drct_);
   recognizer_ = &*rec;
 }
 
@@ -41,11 +37,7 @@ void ValidStepper::step_to(std::size_t position) {
     monitor_.observe(ev->name, ev->time);
     alphabet_.record(ev->name);
     if (ev != valid_.data() && !moves_.test(ev->name)) continue;
-    if (vm_ != nullptr) {
-      recognizer_->sample(*vm_);
-    } else {
-      recognizer_->sample(*drct_);
-    }
+    recognizer_->sample(*drct_);
   }
 }
 

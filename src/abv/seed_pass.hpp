@@ -33,9 +33,8 @@ struct ValidRecord {
 };
 
 /// Where a walk records coverage.  The walk records every name into
-/// `alphabet` and, for a Drct or Vm antecedent (both number their range
-/// states alike), samples recognizer coverage into `recognizer`, emplacing
-/// it from the monitor when it is empty.
+/// `alphabet` and, for a Drct antecedent, samples recognizer coverage into
+/// `recognizer`, emplacing it from the monitor when it is empty.
 struct CoverageSinks {
   AlphabetCoverage& alphabet;
   std::optional<RecognizerCoverage>& recognizer;
@@ -65,13 +64,12 @@ class ValidStepper {
   AlphabetCoverage& alphabet_;
   RecognizerCoverage* recognizer_ = nullptr;
   const mon::AntecedentMonitor* drct_ = nullptr;
-  const mon::VmMonitor* vm_ = nullptr;
   std::size_t at_ = 0;
 };
 
 /// The recognizer coverage a walk of `compiled` samples into, before its
-/// first sample: rows shaped after a fresh monitor for a Drct or Vm
-/// antecedent, none otherwise.
+/// first sample: rows shaped after a fresh monitor for a Drct antecedent,
+/// none otherwise.
 std::optional<RecognizerCoverage> initial_recognizer_coverage(
     const mon::CompiledProperty& compiled);
 

@@ -4,7 +4,6 @@
 
 #include "mon/antecedent_monitor.hpp"
 #include "mon/timed_monitor.hpp"
-#include "mon/vm.hpp"
 #include "psl/clause_monitor.hpp"
 
 namespace loom::mon {
@@ -14,7 +13,6 @@ const char* to_string(Backend b) {
     case Backend::Auto: return "auto";
     case Backend::Drct: return "drct";
     case Backend::ViaPSL: return "viapsl";
-    case Backend::Vm: return "vm";
   }
   return "?";
 }
@@ -23,7 +21,6 @@ std::optional<Backend> parse_backend(std::string_view text) {
   if (text == "auto") return Backend::Auto;
   if (text == "drct") return Backend::Drct;
   if (text == "viapsl") return Backend::ViaPSL;
-  if (text == "vm") return Backend::Vm;
   return std::nullopt;
 }
 
@@ -80,19 +77,14 @@ CompiledProperty CompiledProperty::compile(const spec::Property& property,
       // Let psl::encode below report the precise reason (shape / budget).
       c.chosen_ = Backend::ViaPSL;
       break;
-    case Backend::Vm:
-      c.chosen_ = Backend::Vm;
-      break;
     case Backend::Auto: {
       // Per-event work of each construction, from the analytic model alone:
-      // nothing is materialized to make this choice.  Drct and Vm tie by
-      // construction (the VM runs Drct's op schedule); prefer_vm breaks
-      // the tie toward the wall-clock winner, default keeps Drct.
+      // nothing is materialized to make this choice.  Ties go to Drct.
       const std::uint64_t viapsl_ops =
           c.viapsl_cost_.ops_per_token + c.viapsl_cost_.lexer_ops;
       c.chosen_ = c.viapsl_feasible_ && viapsl_ops < c.drct_ops_
                       ? Backend::ViaPSL
-                      : (options.prefer_vm ? Backend::Vm : Backend::Drct);
+                      : Backend::Drct;
       break;
     }
   }
@@ -100,12 +92,6 @@ CompiledProperty CompiledProperty::compile(const spec::Property& property,
   if (c.chosen_ == Backend::ViaPSL || options.with_viapsl_artifact) {
     c.encoding_ = std::make_shared<const psl::Encoding>(
         psl::encode(property, options.max_clauses, &ab));
-  }
-  if (c.chosen_ == Backend::Vm) {
-    // compile_vm is pure over (property, plan), so this artifact is byte-
-    // identical to the one a per-unit translation rebuilds (the reference
-    // loop of campaign_reference_diff_test does).
-    c.vm_program_ = compile_vm(property, c.plan_);
   }
   return c;
 }
@@ -138,13 +124,6 @@ std::unique_ptr<Monitor> CompiledProperty::instantiate(Backend backend) const {
             "CompileOptions::with_viapsl_artifact or backend=ViaPSL)");
       }
       return std::make_unique<psl::ClauseMonitor>(encoding_);
-    case Backend::Vm:
-      if (vm_program_ == nullptr) {
-        throw std::logic_error(
-            "the VM program was not compiled for this property (compile "
-            "with backend=Vm)");
-      }
-      return std::make_unique<VmMonitor>(vm_program_);
     case Backend::Auto:
       break;
   }

@@ -12,12 +12,15 @@
 //! re-running any translation; combined with Monitor::reset() a caller can
 //! keep one instance per worker and reuse it across traces.
 //!
-//! Backend selection: Auto consults psl::cost_model — the analytic per-event
+//! Backend selection: Drct is the one executor of the paper's direct
+//! construction.  Auto consults psl::cost_model — the analytic per-event
 //! operation counts of both constructions, computed without materializing
-//! anything — and picks the cheaper monitor (for the paper's properties that
-//! is Drct, which is the point of its Figure 6).  Drct / ViaPSL force one
-//! side; forcing ViaPSL on an untranslatable shape (timed chain whose final
-//! fragment holds several ranges, or an encoding past max_clauses) throws.
+//! anything — and picks ViaPSL only when it is feasible and strictly
+//! cheaper, otherwise Drct (for the paper's properties that is Drct, which
+//! is the point of its Figure 6).  Campaigns and standalone compiles resolve
+//! Auto by this same rule.  Drct / ViaPSL force one side; forcing ViaPSL on
+//! an untranslatable shape (timed chain whose final fragment holds several
+//! ranges, or an encoding past max_clauses) throws.
 //!
 //! Ownership: artifacts live behind shared_ptr<const ...>; CompiledProperty
 //! is cheap to copy and every instantiated monitor keeps its artifacts
@@ -44,20 +47,16 @@
 
 namespace loom::mon {
 
-struct VmProgram;  // mon/bytecode.hpp
-
 /// Which monitor construction executes a property.
 enum class Backend : std::uint8_t {
   Auto,    // pick per property via psl::cost_model
   Drct,    // the paper's direct monitors (§6)
   ViaPSL,  // the PSL clause network of [14] (§5)
-  Vm,      // the Drct plan compiled to bytecode (mon/bytecode.hpp)
 };
 
 const char* to_string(Backend b);
 
-/// Parses "auto" / "drct" / "viapsl" / "vm" (case-sensitive, the CLI
-/// spelling).
+/// Parses "auto" / "drct" / "viapsl" (case-sensitive, the CLI spelling).
 std::optional<Backend> parse_backend(std::string_view text);
 
 /// Positional-argv form for the bench/example mains (the sibling of
@@ -73,15 +72,6 @@ struct CompileOptions {
   /// Materialize the ViaPSL encoding even when the chosen backend is Drct
   /// (the campaign's check_viapsl cross-check instantiates both sides).
   bool with_viapsl_artifact = false;
-  /// Auto tie-break: the VM executes Drct's exact abstract op schedule, so
-  /// the two tie under the Figure-6 cost model and ties historically went
-  /// to Drct.  With prefer_vm set, Auto resolves that tie to Vm instead —
-  /// the wall-clock winner (flat dispatch loop, packed snapshots) —
-  /// while a ViaPSL cost win still takes precedence.  The campaign engine
-  /// sets this for every plan it compiles (the reference loop of
-  /// campaign_reference_diff_test reads its backend from such a plan);
-  /// standalone compile() keeps the historic Drct default.
-  bool prefer_vm = false;
 };
 
 class CompiledProperty {
@@ -116,22 +106,8 @@ class CompiledProperty {
   const spec::NameSet& alphabet() const { return alphabet_; }
   const std::string& text_of(spec::Name name) const;
 
-  /// The compiled bytecode program; nullptr unless chosen()==Vm.
-  const VmProgram* vm_program() const { return vm_program_.get(); }
-  /// Owning form of the same artifact, for executors that outlive a plain
-  /// borrow (a stamped VmMonitor takes shared ownership the same way).
-  std::shared_ptr<const VmProgram> vm_program_shared() const {
-    return vm_program_;
-  }
-
   /// Analytic per-event operation estimates that drive the Auto choice.
   std::uint64_t drct_ops_per_event() const { return drct_ops_; }
-  /// The VM executes the Drct plan's exact abstract op schedule (that is
-  /// its bit-identity contract), so its analytic per-event cost equals the
-  /// Drct estimate — the Drct/Vm choice is a pure tie under the paper's
-  /// Figure-6 operation count, broken by CompileOptions::prefer_vm
-  /// (default off: ties go Drct, the historic behavior).
-  std::uint64_t vm_ops_per_event() const { return drct_ops_; }
   const psl::PslCost& viapsl_cost() const { return viapsl_cost_; }
   /// False when the ViaPSL construction cannot be materialized (shape or
   /// clause budget); Auto then resolves to Drct unconditionally.
@@ -153,7 +129,6 @@ class CompiledProperty {
   std::shared_ptr<const spec::Property> property_;
   std::shared_ptr<const spec::OrderingPlan> plan_;
   std::shared_ptr<const psl::Encoding> encoding_;
-  std::shared_ptr<const VmProgram> vm_program_;
   spec::NameSet alphabet_;
   support::Interner names_;                 // dense snapshot of the texts
   std::vector<std::uint32_t> local_of_name_;  // alphabet id -> snapshot id

@@ -4,16 +4,15 @@
 
 namespace loom::mon {
 
-spec::Reason range_reason(spec::ReasonCode code, std::uint32_t count,
-                          std::uint32_t lo, std::uint32_t hi) {
-  switch (code) {
+spec::Reason RangeRecognizer::error_reason() const {
+  switch (error_) {
     case spec::ReasonCode::CountOverHi:
-      return {code, {hi}};
+      return {error_, {plan_->hi}};
     case spec::ReasonCode::BlockBelowLo:
     case spec::ReasonCode::StopBelowLo:
-      return {code, {count, lo}};
+      return {error_, {cpt_, plan_->lo}};
     default:
-      return {code};
+      return {error_};
   }
 }
 

@@ -23,13 +23,6 @@
 
 namespace loom::mon {
 
-/// The reason a range automaton reports for failure `code` with block
-/// counter `count`: the counter and the bound its sentence prints.  The
-/// Drct recognizer and the VM both build their reasons here, so the two
-/// backends report the same values by construction.
-spec::Reason range_reason(spec::ReasonCode code, std::uint32_t count,
-                          std::uint32_t lo, std::uint32_t hi);
-
 class RangeRecognizer {
  public:
   enum class State : std::uint8_t {
@@ -73,10 +66,9 @@ class RangeRecognizer {
     return state_ == State::Counting || state_ == State::DoneSibling;
   }
 
-  /// Explanation of the last Err output.
-  spec::Reason error_reason() const {
-    return range_reason(error_, cpt_, plan_->lo, plan_->hi);
-  }
+  /// Explanation of the last Err output: its code with the block counter
+  /// and the bound its sentence prints.
+  spec::Reason error_reason() const;
 
   /// State bits: 3 (state encoding) + ceil(log2(v+1)) (the counter cpt).
   std::size_t space_bits() const {

@@ -50,28 +50,14 @@ void Snapshot::put_bits(const std::vector<bool>& bits) {
   if (filled != 0) put_u64(word);
 }
 
-std::uint64_t SnapshotReader::u64() {
-  // Always-on bounds check (one compare per word, negligible next to the
-  // monitor stepping it replaces): a truncated, empty or foreign snapshot
-  // must reject with the documented logic_error, not read out of bounds —
-  // in Release builds just as in Debug.
-  if (word_ >= snap_->words_.size()) {
-    throw std::logic_error(
-        "SnapshotReader: read past the end of a snapshot (truncated or "
-        "foreign format)");
-  }
-  return snap_->words_[word_++];
-}
-
-const std::uint64_t* SnapshotReader::block(std::size_t n) {
-  if (snap_->words_.size() - word_ < n) {
-    throw std::logic_error(
-        "SnapshotReader: truncated block in snapshot (truncated or foreign "
-        "format)");
-  }
-  const std::uint64_t* const first = snap_->words_.data() + word_;
-  word_ += n;
-  return first;
+// Always-on bounds check of u64() (one compare per word, negligible next
+// to the monitor stepping it replaces): a truncated, empty or foreign
+// snapshot must reject with the documented logic_error, not read out of
+// bounds — in Release builds just as in Debug.
+void SnapshotReader::read_past_end() {
+  throw std::logic_error(
+      "SnapshotReader: read past the end of a snapshot (truncated or "
+      "foreign format)");
 }
 
 spec::Reason SnapshotReader::reason() {

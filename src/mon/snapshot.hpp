@@ -6,11 +6,9 @@
 //! registers — as a flat sequence of 64-bit words.  A failure reason is a
 //! spec::Reason, stored as code words (put_reason), so no monitor writes a
 //! string; the string pool stays part of the format for state that has no
-//! word encoding.  A monitor with a fixed-size state may write it as one
-//! block (put_block / SnapshotReader::block), as the VM frame does.
-//! Writers append in a fixed order (Monitor::snapshot); SnapshotReader
-//! replays the same order (Monitor::restore).  The contract every
-//! implementation keeps, locked by tests/mon_snapshot_test.cpp:
+//! word encoding.  Writers append in a fixed order (Monitor::snapshot);
+//! SnapshotReader replays the same order (Monitor::restore).  The contract
+//! every implementation keeps, locked by tests/mon_snapshot_test.cpp:
 //!
 //!   restore(s) after snapshot(s) ≡ the state at snapshot time, bit for
 //!   bit — continuing observation afterwards is indistinguishable from an
@@ -88,13 +86,6 @@ class Snapshot {
   void put_u64(std::uint64_t v) { words_.push_back(v); }
   void put_bool(bool b) { words_.push_back(b ? 1 : 0); }
   void put_time(sim::Time t) { words_.push_back(t.picoseconds()); }
-  /// Appends `n` zero words and returns them for the caller to fill; the
-  /// pointer is valid until the next put.  SnapshotReader::block reads
-  /// them back.
-  std::uint64_t* put_block(std::size_t n) {
-    words_.resize(words_.size() + n);
-    return words_.data() + words_.size() - n;
-  }
   /// A reason as four words: the code with its first integer operand,
   /// the other two integer operands, and the two time operands.
   void put_reason(const spec::Reason& r);
@@ -120,13 +111,16 @@ class SnapshotReader {
  public:
   explicit SnapshotReader(const Snapshot& snap) : snap_(&snap) {}
 
-  std::uint64_t u64();
+  /// Inline because every restore reads its words through here; the
+  /// bounds check stays on in Release, only its throw is out of line.
+  std::uint64_t u64() {
+    if (word_ >= snap_->words_.size()) [[unlikely]] {
+      read_past_end();
+    }
+    return snap_->words_[word_++];
+  }
   bool boolean() { return u64() != 0; }
   sim::Time time() { return sim::Time::ps(u64()); }
-  /// The next `n` words as one block (a put_block() payload), with one
-  /// bounds check for all of them; the pointer lives as long as the
-  /// Snapshot is not written.
-  const std::uint64_t* block(std::size_t n);
   /// Restores a put_reason() value.
   spec::Reason reason();
   /// Assigns into `out` (capacity-reusing; never a fresh string).
@@ -139,6 +133,9 @@ class SnapshotReader {
   bool exhausted() const;
 
  private:
+  /// Throws the read-past-the-end std::logic_error.
+  [[noreturn]] static void read_past_end();
+
   const Snapshot* snap_;
   std::size_t word_ = 0;
   std::size_t str_ = 0;

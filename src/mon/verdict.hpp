@@ -1,5 +1,5 @@
 //! Monitor verdicts, violation reports and the Monitor interface every
-//! runtime construction (Drct, ViaPSL and the bytecode VM) implements.
+//! runtime construction (Drct and ViaPSL) implements.
 //!
 //! Ownership: a Monitor owns all of its mutable state; compiled
 //! constructions (mon::CompiledProperty) additionally share immutable
@@ -62,7 +62,7 @@ struct Violation {
   std::string to_string(const spec::Alphabet& ab) const;
 };
 
-/// Common interface of all property monitors (Drct, ViaPSL and the VM), used
+/// Common interface of all property monitors (Drct and ViaPSL), used
 /// by the ABV checker, the campaign engine and the benches.
 class Monitor {
  public:

@@ -3,7 +3,7 @@
 // when a caller asks.
 //
 // Every checker — the reference oracle (spec/reference.hpp), the Drct
-// monitors and the VM (mon/), the ViaPSL clause monitor (psl/) — records
+// monitors (mon/), the ViaPSL clause monitor (psl/) — records
 // its failures this way, so a rejected mutant costs no string formatting:
 // the campaign engine reads verdicts, never the text.  One code stands for
 // one fixed sentence; checkers that word a failure differently use
@@ -41,7 +41,7 @@ enum class ReasonCode : std::uint8_t {
   LaterFragment,      // "name belongs to a later fragment"
   OutsideAlphabet,    // "name not in the property alphabet"
   FinishedLate,       // "consequent finished after the deadline"
-  // The Drct range recognizers (paper Fig. 5) and the VM.
+  // The Drct range recognizers (paper Fig. 5).
   NeverStarted,     // "fragment stopped before any of its ranges started"
   OutsideFragment,  // "name from outside the active fragment (B or Af)"
   ConjUnobserved,   // "conjunctive fragment stopped before one of its ranges

@@ -33,9 +33,9 @@ void encode_backend(Encoder& e, mon::Backend b) {
 mon::Backend decode_backend(Decoder& d) {
   const std::size_t at = d.offset();
   const std::uint8_t b = d.u8();
-  if (d.ok() && b > static_cast<std::uint8_t>(mon::Backend::Vm)) {
+  if (d.ok() && b > static_cast<std::uint8_t>(mon::Backend::ViaPSL)) {
     d.fail_at(at, "bad backend byte " + std::to_string(b) +
-                      " (want 0..3: Auto/Drct/ViaPSL/Vm)");
+                      " (want 0..2: Auto/Drct/ViaPSL)");
     return mon::Backend::Auto;
   }
   return static_cast<mon::Backend>(b);

@@ -58,7 +58,9 @@ namespace loom::wire {
 /// range), renamed CampaignOptions' shard_size to shard_seeds, and dropped
 /// six counters from the CampaignResult payload (plans built, ViaPSL
 /// encodings, instances stamped and reused, plan-cache hits and misses).
-constexpr std::uint8_t kWireVersion = 7;
+/// Version 8 removed the bytecode backend: backend byte 3 (Vm) no longer
+/// decodes.
+constexpr std::uint8_t kWireVersion = 8;
 
 /// "LOOM" as a little-endian u32 (the file starts with the bytes L O O M).
 constexpr std::uint32_t kMagic = 0x4D4F4F4Cu;

@@ -30,23 +30,6 @@ TEST_P(CampaignPasses, FullLoopIsHealthy) {
   EXPECT_DOUBLE_EQ(r.alphabet_coverage, 1.0);
 }
 
-TEST_P(CampaignPasses, FullLoopIsHealthyUnderTheVmBackend) {
-  spec::Alphabet ab;
-  auto p = loom::testing::parse(GetParam(), ab);
-  CampaignOptions opt;
-  opt.seeds = 6;
-  opt.stimuli.rounds = 3;
-  opt.stimuli.noise_permille = 100;
-  opt.mutants_per_kind = 8;
-  opt.backend = mon::Backend::Vm;
-  const CampaignResult r = run_campaign(p, ab, opt);
-  EXPECT_TRUE(r.ok()) << r.report(ab);
-  EXPECT_EQ(r.traces, 6u);
-  EXPECT_EQ(r.valid_accepted, r.traces);
-  EXPECT_EQ(r.oracle_disagreements, 0u);
-  EXPECT_EQ(r.compile_stats.backend_chosen, mon::Backend::Vm);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Properties, CampaignPasses,
     ::testing::Values("(n << i, true)",                               //
@@ -116,50 +99,27 @@ TEST(Campaign, DiagnosticCountersAreFiniteAndGuarded) {
   EXPECT_GT(r.events_skipped, 0u);
   EXPECT_LT(r.events_skipped, r.monitor_stats.events);
   EXPECT_EQ(value("backend_viapsl"), 0.0);  // cost model never picks ViaPSL
-  // Campaign Auto resolves the Drct/Vm cost-model tie to the VM (the
-  // prefer_vm tie-break), so the default campaign reports backend_vm = 1.
-  EXPECT_EQ(value("backend_vm"), 1.0);
+  EXPECT_EQ(r.compile_stats.backend_chosen, mon::Backend::Drct);
   for (const auto& c : r.diagnostic_counters()) {
     EXPECT_TRUE(std::isfinite(c.value)) << c.name;
   }
 }
 
-TEST(Campaign, VmBackendRunsAndReportsItsCounter) {
-  // Forcing Backend::Vm must leave the campaign semantics untouched (same
-  // verdicts/kill tables as the Drct run — the VM is bit-identical to the
-  // construction it compiles from) while the backend_* diagnostic counters
-  // flip to report the choice honestly; tools/bench_compare.py treats
-  // those counters as semantic, so a silent flip would trip the perf gate.
+TEST(Campaign, ForcedViaPslReportsItsCounter) {
+  // The backend_* diagnostic counters report the choice honestly;
+  // tools/bench_compare.py treats them as semantic, so a silent flip would
+  // trip the perf gate.
   spec::Alphabet ab;
   auto p = loom::testing::parse("(({a, b}, &) < c << i, true)", ab);
   CampaignOptions opt;
   opt.seeds = 4;
   opt.stimuli.rounds = 2;
   opt.mutants_per_kind = 6;
-  opt.backend = mon::Backend::Drct;
-  const CampaignResult drct = run_campaign(p, ab, opt);
-  opt.backend = mon::Backend::Vm;
-  const CampaignResult vm = run_campaign(p, ab, opt);
-
-  ASSERT_TRUE(vm.ok()) << vm.report(ab);
-  EXPECT_EQ(vm.compile_stats.backend_chosen, mon::Backend::Vm);
-  // Same work, same kills, same Figure-6 accounting, same recognizer
-  // coverage — only the report's backend line may differ.
-  EXPECT_EQ(vm.traces, drct.traces);
-  EXPECT_EQ(vm.events, drct.events);
-  EXPECT_EQ(vm.valid_accepted, drct.valid_accepted);
-  EXPECT_EQ(vm.oracle_disagreements, drct.oracle_disagreements);
-  for (std::size_t k = 0; k < std::size(vm.mutation); ++k) {
-    EXPECT_EQ(vm.mutation[k].applied, drct.mutation[k].applied) << k;
-    EXPECT_EQ(vm.mutation[k].invalid, drct.mutation[k].invalid) << k;
-    EXPECT_EQ(vm.mutation[k].detected, drct.mutation[k].detected) << k;
-    EXPECT_EQ(vm.mutation[k].missed, drct.mutation[k].missed) << k;
-  }
-  EXPECT_EQ(vm.monitor_stats.ops, drct.monitor_stats.ops);
-  EXPECT_EQ(vm.monitor_stats.events, drct.monitor_stats.events);
-  EXPECT_EQ(vm.recognizer_state_coverage, drct.recognizer_state_coverage);
-
-  const auto counters = vm.diagnostic_counters();
+  opt.backend = mon::Backend::ViaPSL;
+  const CampaignResult r = run_campaign(p, ab, opt);
+  ASSERT_TRUE(r.ok()) << r.report(ab);
+  EXPECT_EQ(r.compile_stats.backend_chosen, mon::Backend::ViaPSL);
+  const auto counters = r.diagnostic_counters();
   const auto value = [&](const char* name) {
     for (const auto& c : counters) {
       if (std::string_view(c.name) == name) return c.value;
@@ -167,13 +127,12 @@ TEST(Campaign, VmBackendRunsAndReportsItsCounter) {
     ADD_FAILURE() << "missing counter " << name;
     return -1.0;
   };
-  EXPECT_EQ(value("backend_vm"), 1.0);
-  EXPECT_EQ(value("backend_viapsl"), 0.0);
+  EXPECT_EQ(value("backend_viapsl"), 1.0);
 }
 
 TEST(Campaign, DefaultBackendSamplesRecognizerCoverage) {
-  // Auto resolves to Vm for campaigns; its recognizer coverage must come
-  // from the VM frame, not default to a vacuous 100%.  A single-round
+  // Auto resolves to Drct; its recognizer coverage must come from the
+  // range automata, not default to a vacuous 100%.  A single-round
   // conjunctive fragment never reaches the error or counting-overflow
   // states on valid stimuli, so the honest figure is below 100%.
   spec::Alphabet ab;
@@ -182,35 +141,31 @@ TEST(Campaign, DefaultBackendSamplesRecognizerCoverage) {
   opt.seeds = 4;
   opt.mutants_per_kind = 2;
   const CampaignResult r = run_campaign(p, ab, opt);
-  ASSERT_EQ(r.compile_stats.backend_chosen, mon::Backend::Vm);
+  ASSERT_EQ(r.compile_stats.backend_chosen, mon::Backend::Drct);
   EXPECT_GT(r.recognizer_state_coverage, 0.0);
   EXPECT_LT(r.recognizer_state_coverage, 1.0);
-  opt.backend = mon::Backend::Drct;
-  EXPECT_EQ(run_campaign(p, ab, opt).recognizer_state_coverage,
-            r.recognizer_state_coverage);
 }
 
-TEST(Campaign, ForcedDrctRunsUnderDefaultOptionsLikeVm) {
+TEST(Campaign, ForcedDrctRunsUnderDefaultOptionsLikeAuto) {
   // Forcing a backend needs no other option: with default CampaignOptions
-  // a forced-Drct campaign runs, and its report is the Vm campaign's byte
-  // for byte but for the line that names the backend.
+  // a forced-Drct campaign runs, and its report is the Auto campaign's
+  // byte for byte but for the line that names the requested backend.
   spec::Alphabet ab;
   for (const char* source :
        {"(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
         "(p[2,3] => q[1,4] < r, 10us)"}) {
     auto p = loom::testing::parse(source, ab);
     CampaignOptions opt;
-    opt.backend = mon::Backend::Vm;
-    const CampaignResult vm = run_campaign(p, ab, opt);
+    const CampaignResult automatic = run_campaign(p, ab, opt);
     opt.backend = mon::Backend::Drct;
     const CampaignResult drct = run_campaign(p, ab, opt);
     ASSERT_EQ(drct.compile_stats.backend_chosen, mon::Backend::Drct);
     EXPECT_TRUE(drct.ok()) << drct.report(ab);
     EXPECT_GT(drct.checkpoint_hits, 0u) << source;
     EXPECT_EQ(loom::testing::report_without_backend(drct.report(ab)),
-              loom::testing::report_without_backend(vm.report(ab)))
+              loom::testing::report_without_backend(automatic.report(ab)))
         << source;
-    EXPECT_NE(drct.report(ab), vm.report(ab)) << source;
+    EXPECT_NE(drct.report(ab), automatic.report(ab)) << source;
   }
 }
 

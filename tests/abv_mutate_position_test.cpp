@@ -776,63 +776,61 @@ TEST(MutantView, ReplayingThePiecesFromEveryCutEqualsTheMaterializedBatch) {
   // <= position (a dirty instance, like a pooled one), then the edit's
   // pieces from the cut on through observe_shifted, then finish at the
   // view's end time — against a fresh monitor batching the materialized
-  // mutant.  Vm and Drct alike; StallDeadline's shifted tail (τ != 0) on
-  // the timed shapes.
+  // mutant, on Drct; StallDeadline's shifted tail (τ != 0) on the timed
+  // shapes.
   std::size_t shifted = 0, resumed = 0;
-  for (const mon::Backend backend : {mon::Backend::Vm, mon::Backend::Drct}) {
-    for (const char* source : kDigestShapes) {
-      spec::Alphabet ab;
-      const spec::Property property = parse_shape(source, ab);
-      mon::CompileOptions copt;
-      copt.backend = backend;
-      const mon::CompiledProperty compiled =
-          mon::CompiledProperty::compile(property, ab, copt);
-      StimuliOptions sopt;
-      sopt.rounds = 5;
-      sopt.noise_permille = 150;
-      const std::unique_ptr<mon::Monitor> prefix = compiled.instantiate();
-      const std::unique_ptr<mon::Monitor> pooled = compiled.instantiate();
-      const std::unique_ptr<mon::Monitor> whole = compiled.instantiate();
-      mon::Snapshot at_cut;
-      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        support::Rng gen_rng = support::Rng::stream(seed, 0);
-        const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
-        const std::vector<std::size_t> sites = alphabet_sites(valid, property);
-        for (const MutationKind kind : kKinds) {
-          support::Rng rng = support::Rng::stream(seed, 41);
-          for (int draw = 0; draw < 4; ++draw) {
-            MutantEdit edit;
-            if (!mutate_edit(valid, kind, property, sites, rng, edit)) {
-              continue;
-            }
-            MutationResult bytes;
-            materialize(edit, bytes);
-            whole->reset();
-            whole->observe_batch(bytes.trace);
-            whole->finish(end_of(bytes.trace));
-            if (edit.view.pieces[edit.view.count - 1].shift !=
-                sim::Time::zero()) {
-              ++shifted;
-            }
-            std::vector<std::size_t> cuts;
-            for (std::size_t c = 0; c < edit.position; c += 3) {
-              cuts.push_back(c);
-            }
-            cuts.push_back(edit.position);
-            for (const std::size_t cut : cuts) {
-              const std::string what =
-                  std::string(to_string(backend)) + " " + source + " seed " +
-                  std::to_string(seed) + " " + to_string(kind) + " draw " +
-                  std::to_string(draw) + " cut " + std::to_string(cut);
-              prefix->reset();
-              prefix->observe_batch(valid.data(), valid.data() + cut);
-              prefix->snapshot(at_cut);
-              pooled->restore(at_cut);
-              replay_pieces(*pooled, edit.view, cut);
-              pooled->finish(edit.view.end_time());
-              expect_same_monitor(*pooled, *whole, what);
-              if (cut > 0) ++resumed;
-            }
+  for (const char* source : kDigestShapes) {
+    spec::Alphabet ab;
+    const spec::Property property = parse_shape(source, ab);
+    mon::CompileOptions copt;
+    copt.backend = mon::Backend::Drct;
+    const mon::CompiledProperty compiled =
+        mon::CompiledProperty::compile(property, ab, copt);
+    StimuliOptions sopt;
+    sopt.rounds = 5;
+    sopt.noise_permille = 150;
+    const std::unique_ptr<mon::Monitor> prefix = compiled.instantiate();
+    const std::unique_ptr<mon::Monitor> pooled = compiled.instantiate();
+    const std::unique_ptr<mon::Monitor> whole = compiled.instantiate();
+    mon::Snapshot at_cut;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      support::Rng gen_rng = support::Rng::stream(seed, 0);
+      const spec::Trace valid = generate_valid(property, ab, gen_rng, sopt);
+      const std::vector<std::size_t> sites = alphabet_sites(valid, property);
+      for (const MutationKind kind : kKinds) {
+        support::Rng rng = support::Rng::stream(seed, 41);
+        for (int draw = 0; draw < 4; ++draw) {
+          MutantEdit edit;
+          if (!mutate_edit(valid, kind, property, sites, rng, edit)) {
+            continue;
+          }
+          MutationResult bytes;
+          materialize(edit, bytes);
+          whole->reset();
+          whole->observe_batch(bytes.trace);
+          whole->finish(end_of(bytes.trace));
+          if (edit.view.pieces[edit.view.count - 1].shift !=
+              sim::Time::zero()) {
+            ++shifted;
+          }
+          std::vector<std::size_t> cuts;
+          for (std::size_t c = 0; c < edit.position; c += 3) {
+            cuts.push_back(c);
+          }
+          cuts.push_back(edit.position);
+          for (const std::size_t cut : cuts) {
+            const std::string what =
+                std::string(source) + " seed " + std::to_string(seed) + " " +
+                to_string(kind) + " draw " + std::to_string(draw) + " cut " +
+                std::to_string(cut);
+            prefix->reset();
+            prefix->observe_batch(valid.data(), valid.data() + cut);
+            prefix->snapshot(at_cut);
+            pooled->restore(at_cut);
+            replay_pieces(*pooled, edit.view, cut);
+            pooled->finish(edit.view.end_time());
+            expect_same_monitor(*pooled, *whole, what);
+            if (cut > 0) ++resumed;
           }
         }
       }

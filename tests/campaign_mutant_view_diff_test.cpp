@@ -64,39 +64,35 @@ TEST_P(CampaignMutantView, ThreadsAndWorkersKeepThePiecesPathBitIdentical) {
   // The scheduling axis of the removed wave grid, on the one scalar loop:
   // the serial run is the baseline, and every thread and worker count must
   // match it byte for byte, report text included.
-  for (const mon::Backend backend : {mon::Backend::Auto, mon::Backend::Vm}) {
-    ViewConfig serial;
-    serial.backend = backend;
-    const CampaignRun baseline = run_with(GetParam(), serial);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
-        ViewConfig s = serial;
-        s.threads = threads;
-        s.workers = workers;
-        const CampaignRun run = run_with(GetParam(), s);
-        EXPECT_TRUE(
-            loom::testing::results_identical(run.result, baseline.result))
-            << describe(s);
-        EXPECT_EQ(run.report, baseline.report) << describe(s);
-      }
+  const ViewConfig serial;
+  const CampaignRun baseline = run_with(GetParam(), serial);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+      ViewConfig s = serial;
+      s.threads = threads;
+      s.workers = workers;
+      const CampaignRun run = run_with(GetParam(), s);
+      EXPECT_TRUE(
+          loom::testing::results_identical(run.result, baseline.result))
+          << describe(s);
+      EXPECT_EQ(run.report, baseline.report) << describe(s);
     }
   }
 }
 
 TEST_P(CampaignMutantView, ForcedBackendsRunUnderDefaultOptions) {
-  // Forcing a backend needs no other option.  Drct and Vm reports agree
-  // but for the line that names the backend; a forced ViaPSL campaign
-  // runs, keeps its backend, and is deterministic across thread counts.
-  ViewConfig vm;
-  vm.backend = mon::Backend::Vm;
-  const CampaignRun vm_run = run_with(GetParam(), vm);
+  // Forcing a backend needs no other option.  Forced Drct and Auto
+  // reports agree but for the line that names the requested backend; a
+  // forced ViaPSL campaign runs, keeps its backend, and is deterministic
+  // across thread counts.
+  const CampaignRun auto_run = run_with(GetParam(), ViewConfig{});
   ViewConfig drct;
   drct.backend = mon::Backend::Drct;
   const CampaignRun drct_run = run_with(GetParam(), drct);
   EXPECT_EQ(drct_run.result.compile_stats.backend_chosen,
             mon::Backend::Drct);
   EXPECT_EQ(loom::testing::report_without_backend(drct_run.report),
-            loom::testing::report_without_backend(vm_run.report));
+            loom::testing::report_without_backend(auto_run.report));
 
   ViewConfig viapsl;
   viapsl.backend = mon::Backend::ViaPSL;

@@ -97,8 +97,7 @@ TEST_P(ParallelCampaign, BackendKnobStaysDeterministicAcrossThreads) {
   // The backend grid: whichever monitor construction executes the units,
   // the thread count and shard size stay pure performance knobs.
   for (const mon::Backend backend :
-       {mon::Backend::Auto, mon::Backend::Drct, mon::Backend::ViaPSL,
-        mon::Backend::Vm}) {
+       {mon::Backend::Auto, mon::Backend::Drct, mon::Backend::ViaPSL}) {
     const CampaignRun serial =
         run_with(GetParam(), 1, 0, /*viapsl=*/false, backend);
     const CampaignRun eight =
@@ -110,36 +109,6 @@ TEST_P(ParallelCampaign, BackendKnobStaysDeterministicAcrossThreads) {
                                                .backend_chosen)),
               std::string::npos)
         << serial.report;
-  }
-}
-
-TEST_P(ParallelCampaign, DrctAndVmAgreeBeyondTheBackendLine) {
-  // Backend independence across the thread/shard grid: forced Drct and
-  // forced Vm differ only in the report's backend line — recognizer
-  // coverage included.
-  struct Layout {
-    std::size_t threads, shard_seeds;
-  };
-  for (const Layout layout : {Layout{1, 0}, Layout{8, 1}, Layout{3, 4}}) {
-    for (const bool viapsl : {false, true}) {
-      const CampaignRun drct =
-          run_with(GetParam(), layout.threads, layout.shard_seeds, viapsl,
-                   mon::Backend::Drct);
-      const CampaignRun vm = run_with(GetParam(), layout.threads,
-                                      layout.shard_seeds, viapsl,
-                                      mon::Backend::Vm);
-      const std::string what = "threads=" + std::to_string(layout.threads) +
-                               " shard_seeds=" +
-                               std::to_string(layout.shard_seeds) +
-                               " viapsl=" + std::to_string(viapsl);
-      EXPECT_NE(drct.report, vm.report) << what << ": backends not forced";
-      EXPECT_EQ(loom::testing::report_without_backend(drct.report),
-                loom::testing::report_without_backend(vm.report))
-          << what;
-      EXPECT_EQ(drct.result.recognizer_state_coverage,
-                vm.result.recognizer_state_coverage)
-          << what;
-    }
   }
 }
 

@@ -17,9 +17,8 @@
 namespace loom::abv {
 namespace {
 
-constexpr mon::Backend kBackends[] = {
-    mon::Backend::Auto, mon::Backend::Drct, mon::Backend::ViaPSL,
-    mon::Backend::Vm};
+constexpr mon::Backend kBackends[] = {mon::Backend::Auto, mon::Backend::Drct,
+                                     mon::Backend::ViaPSL};
 
 struct CampaignRun {
   CampaignResult result;

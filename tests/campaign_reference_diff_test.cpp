@@ -31,7 +31,7 @@ namespace {
 constexpr std::size_t kSlotsPerSeed = 6;  // valid phase + 5 mutation kinds
 
 constexpr mon::Backend kBackends[] = {mon::Backend::Auto, mon::Backend::Drct,
-                                      mon::Backend::Vm, mon::Backend::ViaPSL};
+                                      mon::Backend::ViaPSL};
 
 constexpr std::size_t kStrides[] = {0, 1, 3, 8, 32};
 
@@ -104,13 +104,15 @@ void expect_matches(const CampaignRun& run, const CampaignRun& ref,
   }
 }
 
-// The four properties of the grid; the property-parameterized tests below
-// run over the same list.
+// The properties of the grid; the property-parameterized tests below run
+// over the same list.
 const char* const kGridProperties[] = {
     "(n << i, true)",
     "(({a, b, c}, &) << s, false)",
     "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
     "(p[2,3] => q[1,4] < r, 10us)",
+    "(n[2,3] << i, false)",
+    "(a => b[1,3], 15ns)",
 };
 
 // One (property, backend, check_viapsl) pair of the grid: its own test
@@ -248,16 +250,19 @@ TEST_P(CampaignReferenceDiff, DiagnosticCountersAreSchedulingIndependent) {
 }
 
 TEST_P(CampaignReferenceDiff, ReferenceIsBackendIndependent) {
-  // Semantic fields must not depend on the monitor construction: the
-  // reference's forced Drct and forced Vm runs differ only in the report's
-  // backend line, so every engine cell equal to both is, too.
+  // Semantic fields must not depend on how the backend was chosen: the
+  // reference's forced Drct run and its Auto run (which resolves to Drct)
+  // differ only in the report's backend line, so every engine cell equal
+  // to both is, too.
   const CampaignRun drct =
       run_reference(GetParam(), grid_options(mon::Backend::Drct, false));
-  const CampaignRun vm =
-      run_reference(GetParam(), grid_options(mon::Backend::Vm, false));
-  EXPECT_NE(drct.report, vm.report) << "backends not forced";
+  const CampaignRun automatic =
+      run_reference(GetParam(), grid_options(mon::Backend::Auto, false));
+  EXPECT_NE(drct.report, automatic.report) << "backend request not recorded";
   EXPECT_EQ(loom::testing::report_without_backend(drct.report),
-            loom::testing::report_without_backend(vm.report));
+            loom::testing::report_without_backend(automatic.report));
+  EXPECT_EQ(drct.result.compile_stats.backend_chosen,
+            automatic.result.compile_stats.backend_chosen);
 }
 
 TEST_P(CampaignReferenceDiff, CompileStatsAccountTheTranslationWork) {
@@ -265,16 +270,15 @@ TEST_P(CampaignReferenceDiff, CompileStatsAccountTheTranslationWork) {
       run_engine(GetParam(), grid_options(mon::Backend::Auto, false));
   // Auto resolves via the cost model; for every property of the paper's
   // evaluation the Drct construction is cheaper per event than ViaPSL
-  // (Figure 6), and the campaign's prefer_vm tie-break then lands the
-  // Drct/Vm tie on the VM.
-  EXPECT_EQ(run.result.compile_stats.backend_chosen, mon::Backend::Vm);
+  // (Figure 6).
+  EXPECT_EQ(run.result.compile_stats.backend_chosen, mon::Backend::Drct);
   EXPECT_EQ(run.result.compile_stats.backend_requested, mon::Backend::Auto);
 }
 
 INSTANTIATE_TEST_SUITE_P(Properties, CampaignReferenceDiff,
                          ::testing::ValuesIn(kGridProperties));
 
-// The properties the fuzz draws from: the grid's four, the perfbench
+// The properties the fuzz draws from: the grid's first four, the perfbench
 // shapes, and one without a ViaPSL encoding.
 const char* const kFuzzShapes[] = {
     "(n << i, true)",
@@ -341,7 +345,7 @@ TEST(CampaignReferenceDiff, BatchRunSplitsCacheCountersPerProperty) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].trace_cache_misses, opt.seeds);
     EXPECT_EQ(results[i].trace_cache_hits, (kSlotsPerSeed - 1) * opt.seeds);
-    EXPECT_EQ(results[i].compile_stats.backend_chosen, mon::Backend::Vm);
+    EXPECT_EQ(results[i].compile_stats.backend_chosen, mon::Backend::Drct);
     const CampaignRun ref = run_reference(sources[i], opt);
     EXPECT_TRUE(loom::testing::results_identical(results[i], ref.result))
         << sources[i];

@@ -4,10 +4,10 @@
 // their replays fork from the live state.
 //   - walk_valid_trace's record and coverage equal an independent
 //     per-event walk that samples after every event, field by field, for
-//     forced Drct, forced Vm and Auto, and the live state at every stop
-//     equals that of a monitor stepped over the same prefix;
-//   - the walk forks at every stop past a violation, Vm and Drct alike,
-//     and its record covers the whole trace;
+//     forced Drct and Auto, and the live state at every stop equals that
+//     of a monitor stepped over the same prefix;
+//   - the walk forks at every stop past a violation, and its record covers
+//     the whole trace;
 //   - campaigns at every stride equal campaigns that replay every mutant
 //     from event 0 (stride 0);
 //   - every layout of whole-seed shards gives the default layout's
@@ -27,7 +27,6 @@
 #include "abv/campaign.hpp"
 #include "abv/seed_pass.hpp"
 #include "mon/snapshot.hpp"
-#include "mon/vm.hpp"
 #include "testing.hpp"
 
 namespace loom::abv {
@@ -41,8 +40,7 @@ const char* const kShapes[] = {
     "(n << i, true)",
 };
 
-constexpr mon::Backend kBackends[] = {mon::Backend::Auto, mon::Backend::Drct,
-                                      mon::Backend::Vm};
+constexpr mon::Backend kBackends[] = {mon::Backend::Auto, mon::Backend::Drct};
 
 constexpr std::size_t kStrides[] = {1, 3, 8, 32, 1000000};
 
@@ -50,7 +48,6 @@ const char* name_of(mon::Backend b) {
   switch (b) {
     case mon::Backend::Auto: return "Auto";
     case mon::Backend::Drct: return "Drct";
-    case mon::Backend::Vm: return "Vm";
     case mon::Backend::ViaPSL: return "ViaPSL";
   }
   return "?";
@@ -80,20 +77,13 @@ Walked per_event_walk(const mon::CompiledProperty& compiled,
   Walked want;
   want.alphabet.emplace(p.alphabet());
   const mon::AntecedentMonitor* drct = nullptr;
-  const mon::VmMonitor* vm = nullptr;
-  if (p.is_antecedent()) {
-    if (compiled.chosen() == mon::Backend::Drct) {
-      drct = dynamic_cast<const mon::AntecedentMonitor*>(monitor.get());
-      want.recognizer.emplace(*drct);
-    } else if (compiled.chosen() == mon::Backend::Vm) {
-      vm = dynamic_cast<const mon::VmMonitor*>(monitor.get());
-      want.recognizer.emplace(*vm);
-    }
+  if (p.is_antecedent() && compiled.chosen() == mon::Backend::Drct) {
+    drct = dynamic_cast<const mon::AntecedentMonitor*>(monitor.get());
+    want.recognizer.emplace(*drct);
   }
   for (const spec::TimedEvent& ev : trace) {
     monitor->observe(ev.name, ev.time);
     want.alphabet->record(ev.name);
-    if (vm != nullptr) want.recognizer->sample(*vm);
     if (drct != nullptr) want.recognizer->sample(*drct);
   }
   monitor->finish(trace.empty() ? sim::Time::zero() : trace.back().time);
@@ -220,9 +210,8 @@ TEST(CampaignSeedPass, TheWalkForksAtEveryStopPastAViolation) {
   // (n << i, true) over a trace that violates at ordinal 8 (a second i in
   // a row): stopping every 2 events, the live state saved at each stop —
   // the violation included from the fifth stop on — restores into a dirty
-  // replay monitor as the state after exactly that prefix, for Vm and
-  // Drct alike, and the walk goes on, so the record covers all twenty
-  // events and the violation.
+  // replay monitor as the state after exactly that prefix, and the walk
+  // goes on, so the record covers all twenty events and the violation.
   spec::Alphabet ab;
   const spec::Property p = loom::testing::parse("(n << i, true)", ab);
   const spec::Trace t = loom::testing::trace_of(
@@ -230,31 +219,30 @@ TEST(CampaignSeedPass, TheWalkForksAtEveryStopPastAViolation) {
   ASSERT_EQ(t.size(), 20u);
   std::vector<std::size_t> stops;
   for (std::size_t at = 2; at <= t.size(); at += 2) stops.push_back(at);
-  for (const mon::Backend backend : {mon::Backend::Vm, mon::Backend::Drct}) {
-    const mon::CompiledProperty compiled = compile_for(p, ab, backend);
-    ASSERT_EQ(compiled.chosen(), backend);
-    const Walked want = per_event_walk(compiled, t);
-    ASSERT_TRUE(want.record.violated);
-    auto monitor = compiled.instantiate();
-    auto replay = compiled.instantiate();
-    replay->observe_batch(t);  // dirty: violated
-    mon::Snapshot saved;
-    std::size_t forked_past_violation = 0;
-    const Walked got = walk(compiled, *monitor, t, stops, [&](std::size_t at) {
-      monitor->snapshot(saved);
-      replay->restore(saved);
-      mon::Snapshot restored;
-      replay->snapshot(restored);
-      EXPECT_TRUE(loom::testing::snapshots_equal(restored,
-                                                 state_after(compiled, t, at)))
-          << name_of(backend) << " stop " << at;
-      if (replay->violation().has_value()) ++forked_past_violation;
-    });
-    EXPECT_TRUE(records_equal(got, want)) << name_of(backend);
-    EXPECT_EQ(got.record.stats.events, t.size()) << name_of(backend);
-    EXPECT_TRUE(got.record.violated) << name_of(backend);
-    EXPECT_EQ(forked_past_violation, 6u) << name_of(backend);
-  }
+  const mon::CompiledProperty compiled =
+      compile_for(p, ab, mon::Backend::Drct);
+  ASSERT_EQ(compiled.chosen(), mon::Backend::Drct);
+  const Walked want = per_event_walk(compiled, t);
+  ASSERT_TRUE(want.record.violated);
+  auto monitor = compiled.instantiate();
+  auto replay = compiled.instantiate();
+  replay->observe_batch(t);  // dirty: violated
+  mon::Snapshot saved;
+  std::size_t forked_past_violation = 0;
+  const Walked got = walk(compiled, *monitor, t, stops, [&](std::size_t at) {
+    monitor->snapshot(saved);
+    replay->restore(saved);
+    mon::Snapshot restored;
+    replay->snapshot(restored);
+    EXPECT_TRUE(loom::testing::snapshots_equal(restored,
+                                               state_after(compiled, t, at)))
+        << "stop " << at;
+    if (replay->violation().has_value()) ++forked_past_violation;
+  });
+  EXPECT_TRUE(records_equal(got, want));
+  EXPECT_EQ(got.record.stats.events, t.size());
+  EXPECT_TRUE(got.record.violated);
+  EXPECT_EQ(forked_past_violation, 6u);
 }
 
 struct CampaignRun {

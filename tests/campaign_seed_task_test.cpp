@@ -13,7 +13,7 @@
 //   - several mutants at one position share one saved state;
 //   - stall-deadline tails that saturate at sim::Time::max();
 //   - a valid trace the monitor violates: mutants past the violation fork
-//     at their exact positions too, Vm and Drct alike;
+//     at their exact positions too;
 //   - every layout of whole-seed shards, in process and across workers.
 #include <gtest/gtest.h>
 
@@ -164,8 +164,7 @@ CampaignOptions short_options(mon::Backend backend) {
 }
 
 constexpr mon::Backend kForkBackends[] = {mon::Backend::Auto,
-                                          mon::Backend::Drct,
-                                          mon::Backend::Vm};
+                                          mon::Backend::Drct};
 
 TEST(CampaignSeedTask, AMutantAtPositionZeroReplaysFromEventZero) {
   for (const mon::Backend backend : kForkBackends) {
@@ -216,19 +215,17 @@ TEST(CampaignSeedTask, AValidTraceTheMonitorViolatesForksAtExactPositions) {
   // The walk's saved state holds the violation, so the mutants past it
   // fork at their exact positions like every other: checkpoint_hits
   // counts the invalid mutants at positions > 0 and events_skipped sums
-  // their positions, Vm and Drct alike.
+  // their positions.
   CampaignOptions opt;
   opt.seeds = 6;
   opt.stimuli.rounds = 4;
   opt.stimuli.noise_permille = 500;
   opt.mutants_per_kind = 6;
-  for (const mon::Backend backend : {mon::Backend::Vm, mon::Backend::Drct}) {
-    opt.backend = backend;
-    const Forks f = expect_forks_match("(p => q, 1ps)", opt);
-    EXPECT_GT(f.violated_valid, 0u);
-    EXPECT_GT(f.past_violation, 0u);
-    EXPECT_EQ(f.hits, f.invalid - f.at_zero);
-  }
+  opt.backend = mon::Backend::Drct;
+  const Forks f = expect_forks_match("(p => q, 1ps)", opt);
+  EXPECT_GT(f.violated_valid, 0u);
+  EXPECT_GT(f.past_violation, 0u);
+  EXPECT_EQ(f.hits, f.invalid - f.at_zero);
 }
 
 TEST(CampaignSeedTask, EveryShardLayoutForksLikeTheReference) {

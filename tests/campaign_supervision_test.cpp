@@ -164,7 +164,7 @@ TEST(CampaignSupervision, NthPartialFaultVariantsRecoverIdentically) {
 
 TEST(CampaignSupervision, SeventhInvariantHoldsPerBackend) {
   for (const mon::Backend backend :
-       {mon::Backend::Drct, mon::Backend::ViaPSL, mon::Backend::Vm}) {
+       {mon::Backend::Drct, mon::Backend::ViaPSL}) {
     CampaignOptions base = small_options();
     base.backend = backend;
     const CampaignRun clean = run_with(base, "(n << i, true)");
@@ -467,7 +467,7 @@ int misshapen_rows_worker(const std::string& how) {
 
 TEST(CampaignSupervision, MisshapenRecognizerRowsRetireTheWorker) {
   // A partial whose rows have another shape or other names than the
-  // property's, or none for a Vm antecedent, is retired like any other
+  // property's, or none for a Drct antecedent, is retired like any other
   // malformed partial — merged, fewer rows would be read out of bounds and
   // more or none would skew recognizer coverage.  The unchanged
   // pass-through proves the shim itself is faithful.

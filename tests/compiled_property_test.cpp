@@ -1,8 +1,8 @@
 // Unit lockdowns of the translate-once compilation layer and what it
-// shares: mon::CompiledProperty (the Auto cost-model choice, the prefer_vm
-// tie-break, artifact materialization, instantiate() equivalence with
-// stand-alone construction, the infeasible-shape paths) and the reference
-// oracle's plan-reusing overload.
+// shares: mon::CompiledProperty (the Auto cost-model choice, campaigns
+// resolving Auto alike, artifact materialization, instantiate() equivalence
+// with stand-alone construction, the infeasible-shape paths) and the
+// reference oracle's plan-reusing overload.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -17,9 +17,8 @@
 namespace loom::abv {
 namespace {
 
-constexpr mon::Backend kBackends[] = {
-    mon::Backend::Auto, mon::Backend::Drct, mon::Backend::ViaPSL,
-    mon::Backend::Vm};
+constexpr mon::Backend kBackends[] = {mon::Backend::Auto, mon::Backend::Drct,
+                                      mon::Backend::ViaPSL};
 
 // --- mon::CompiledProperty unit lockdowns ---------------------------------
 
@@ -39,34 +38,28 @@ TEST(CompiledProperty, AutoConsultsTheCostModelAndPicksDrct) {
   EXPECT_THROW((void)c.instantiate(mon::Backend::ViaPSL), std::logic_error);
 }
 
-TEST(CompiledProperty, PreferVmResolvesTheAutoTieToVm) {
-  // The campaign engine's tie-break (CompileOptions::prefer_vm): the VM
-  // executes Drct's exact op schedule, so the two tie under the cost model
-  // and the flag decides the winner — while a genuine ViaPSL cost win
-  // still takes precedence over both.
+TEST(CompiledProperty, CampaignPlansResolveAutoLikeStandaloneCompile) {
+  // One Auto rule everywhere: ViaPSL iff feasible and strictly cheaper
+  // under the exposed analytic costs, otherwise Drct — for a standalone
+  // compile() and for the plans a campaign compiles alike.
   spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse(
-      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
-  mon::CompileOptions opt;
-  opt.prefer_vm = true;
-  const auto c = mon::CompiledProperty::compile(p, ab, opt);
-  EXPECT_EQ(c.requested(), mon::Backend::Auto);
-  // The precedence rule, pinned against the exposed analytic costs: ViaPSL
-  // wins iff feasible and strictly cheaper, otherwise prefer_vm lands the
-  // Drct/Vm tie on the VM.
-  const std::uint64_t viapsl_ops =
-      c.viapsl_cost().ops_per_token + c.viapsl_cost().lexer_ops;
-  const mon::Backend expected =
-      c.viapsl_feasible() && viapsl_ops < c.drct_ops_per_event()
-          ? mon::Backend::ViaPSL
-          : mon::Backend::Vm;
-  EXPECT_EQ(c.chosen(), expected);
-  EXPECT_EQ(c.chosen(), mon::Backend::Vm);  // Drct is cheaper here (Fig. 6)
-  // The VM artifact is materialized for the chosen backend, and an
-  // instance stamps without error.
-  ASSERT_NE(c.vm_program(), nullptr);
-  EXPECT_NE(c.instantiate(), nullptr);
-  EXPECT_EQ(c.vm_ops_per_event(), c.drct_ops_per_event());
+  for (const char* source :
+       {"(n << i, true)", "(({a, b}, &) << s, true)",
+        "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+        "(p[2,3] => q[1,4] < r, 10us)", "(p => ({q1, q2}, &), 10us)"}) {
+    const spec::Property p = loom::testing::parse(source, ab);
+    const auto c = mon::CompiledProperty::compile(p, ab);
+    const std::uint64_t viapsl_ops =
+        c.viapsl_cost().ops_per_token + c.viapsl_cost().lexer_ops;
+    const mon::Backend expected =
+        c.viapsl_feasible() && viapsl_ops < c.drct_ops_per_event()
+            ? mon::Backend::ViaPSL
+            : mon::Backend::Drct;
+    EXPECT_EQ(c.chosen(), expected) << source;
+    const auto plans = compile_property_plans({&p}, ab, CampaignOptions{});
+    EXPECT_EQ(plans[0].compiled.chosen(), c.chosen()) << source;
+    EXPECT_NE(plans[0].compiled.instantiate(), nullptr) << source;
+  }
 }
 
 TEST(CompiledProperty, ForcedViaPslMaterializesTheClauseSet) {

@@ -151,12 +151,6 @@ TEST(ResetReuse, CompiledInstancesFreshEqualsReset) {
                       names, c.label);
     check_reset_reuse([&] { return compiled.instantiate(Backend::ViaPSL); },
                       names, c.label);
-    // The VM program is only built when the compile targets it.
-    CompileOptions vm_opt;
-    vm_opt.backend = Backend::Vm;
-    const CompiledProperty vm = CompiledProperty::compile(p, ab, vm_opt);
-    check_reset_reuse([&] { return vm.instantiate(Backend::Vm); }, names,
-                      c.label);
   }
 }
 

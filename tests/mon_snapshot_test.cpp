@@ -3,11 +3,11 @@
 // indistinguishable from an uninterrupted run (verdict, violation report,
 // Figure-6 stats, space accounting) — over fuzzed traces, for every monitor
 // kind (Drct antecedent repeated and not, Drct timed, ViaPSL clause
-// network, the VM frame) and for instances stamped from a
-// mon::CompiledProperty.  The campaign engine leans on this: a mutant
-// replayed from the valid walk's state at its divergence position must be
-// byte-identical to a full replay — with the VM, restored into a pooled
-// frame that violated before, and from a walk that may have violated too.
+// network) and for instances stamped from a mon::CompiledProperty.  The
+// campaign engine leans on this: a mutant replayed from the valid walk's
+// state at its divergence position must be byte-identical to a full
+// replay — restored into a pooled monitor that violated before, and from a
+// walk that may have violated too.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -16,12 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "mon/bytecode.hpp"
 #include "mon/compiled.hpp"
 #include "mon/monitors.hpp"
-#include "mon/range_recognizer.hpp"
 #include "mon/snapshot.hpp"
-#include "mon/vm.hpp"
 #include "psl/clause_monitor.hpp"
 #include "support/rng.hpp"
 #include "testing.hpp"
@@ -176,48 +173,7 @@ TEST(MonSnapshot, CompiledInstancesRoundTripAtRandomCuts) {
     check_snapshot_restore(
         [&] { return compiled.instantiate(Backend::ViaPSL); }, names,
         c.label);
-    // The bytecode VM frame: compiled separately because the program is
-    // only materialized when the compile targets Backend::Vm.
-    CompileOptions vm_opt;
-    vm_opt.backend = Backend::Vm;
-    const CompiledProperty vm = CompiledProperty::compile(p, ab, vm_opt);
-    check_snapshot_restore([&] { return vm.instantiate(Backend::Vm); }, names,
-                           c.label);
   }
-}
-
-TEST(MonSnapshot, VmRestoreCrossesInstancesOfTheSameProgram) {
-  // The pooled campaign shape: a snapshot written by one VM frame restores
-  // into a different, dirty frame stamped from the same program.
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse(
-      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
-  const auto names = names_of(p, ab);
-  CompileOptions opt;
-  opt.backend = Backend::Vm;
-  const CompiledProperty compiled = CompiledProperty::compile(p, ab, opt);
-
-  support::Rng rng = support::Rng::stream(101, 3);
-  const spec::Trace trace = fuzz_trace(names, rng);
-  const sim::Time end = trace.empty() ? sim::Time::zero() : trace.back().time;
-  const std::size_t cut = trace.size() / 2;
-
-  auto reference = compiled.instantiate();
-  feed(*reference, trace, 0, trace.size());
-  reference->finish(end);
-
-  auto writer = compiled.instantiate();
-  feed(*writer, trace, 0, cut);
-  Snapshot snap;
-  writer->snapshot(snap);
-  writer.reset();
-
-  auto pooled = compiled.instantiate();
-  feed(*pooled, trace, 0, trace.size());  // dirty from unrelated work
-  pooled->restore(snap);
-  feed(*pooled, trace, cut, trace.size());
-  pooled->finish(end);
-  expect_same_outcome(*reference, *pooled, "vm cross-instance restore");
 }
 
 TEST(MonSnapshot, RestoreCrossesInstancesOfTheSamePlan) {
@@ -269,25 +225,12 @@ TEST(MonSnapshot, RestoreRejectsAForeignMonitorKind) {
   auto viapsl = std::make_unique<psl::ClauseMonitor>(psl::encode(ante));
   EXPECT_THROW(viapsl->restore(snap), std::logic_error);
 
-  // The VM frame rejects every foreign format tag, and its own snapshots
-  // are rejected right back by the Drct monitors.
-  CompileOptions vm_opt;
-  vm_opt.backend = Backend::Vm;
-  const CompiledProperty vm_ante = CompiledProperty::compile(ante, ab, vm_opt);
-  auto vm = vm_ante.instantiate();
-  EXPECT_THROW(vm->restore(snap), std::logic_error);  // ANTC into VMFR
-  Snapshot vm_snap;
-  vm->snapshot(vm_snap);
-  EXPECT_THROW(a->restore(vm_snap), std::logic_error);  // VMFR into ANTC
-  EXPECT_THROW(t->restore(vm_snap), std::logic_error);  // VMFR into TIMD
-
-  // Same tag, different program shape: a timed chain's frame layout does
-  // not match the antecedent program's, and restore must say so rather
-  // than misread the words.
-  const CompiledProperty vm_timed =
-      CompiledProperty::compile(timed, ab, vm_opt);
-  auto vt = vm_timed.instantiate();
-  EXPECT_THROW(vt->restore(vm_snap), std::logic_error);
+  // And the clause network's snapshots are rejected right back by the
+  // Drct monitors.
+  Snapshot psl_snap;
+  viapsl->snapshot(psl_snap);
+  EXPECT_THROW(a->restore(psl_snap), std::logic_error);
+  EXPECT_THROW(t->restore(psl_snap), std::logic_error);
 }
 
 TEST(MonSnapshot, OneBufferServesManySnapshotsWithoutGrowth) {
@@ -318,54 +261,12 @@ TEST(MonSnapshot, OneBufferServesManySnapshotsWithoutGrowth) {
   }
 }
 
-TEST(MonSnapshot, VmFrameBufferReuseKeepsWordCountsStable) {
-  // Same lockdown for the bytecode VM frame: its flat word layout is a
-  // pure function of the program shape, so reusing one buffer across a
-  // whole fuzzed run never changes the count except for the violation
-  // report's seven appended words.
-  spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse(
-      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
-  const auto names = names_of(p, ab);
-  CompileOptions opt;
-  opt.backend = Backend::Vm;
-  const CompiledProperty compiled = CompiledProperty::compile(p, ab, opt);
-  auto monitor = compiled.instantiate();
-  Snapshot snap;
-  support::Rng rng = support::Rng::stream(8, 7);
-  const spec::Trace trace = fuzz_trace(names, rng);
-
-  monitor->snapshot(snap);
-  const std::size_t fresh_words = snap.word_count();
-  EXPECT_GT(fresh_words, 0u);
-  for (const auto& ev : trace) {
-    monitor->observe(ev.name, ev.time);
-    monitor->snapshot(snap);
-    const std::size_t expected =
-        fresh_words + (monitor->violation().has_value() ? 7u : 0u);
-    EXPECT_EQ(snap.word_count(), expected);
-  }
-}
-
-// --- VM frames: dirty restores and violations ------------------------------
+// --- dirty restores and violations -----------------------------------------
 
 Snapshot frame_of(const Monitor& m) {
   Snapshot s;
   m.snapshot(s);
   return s;
-}
-
-// Failure records in a VM frame: the ranges in the error state plus a
-// present violation.
-std::size_t reasons_in(const VmMonitor& m) {
-  std::size_t n = m.violation().has_value() ? 1 : 0;
-  for (std::uint32_t r = 0; r < m.program().range_total; ++r) {
-    if (m.range_state(r) ==
-        static_cast<std::uint8_t>(RangeRecognizer::State::Error)) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 void expect_same_violation(const Monitor& got, const Monitor& want,
@@ -381,28 +282,27 @@ void expect_same_violation(const Monitor& got, const Monitor& want,
   EXPECT_EQ(got.violation()->text(), want.violation()->text()) << what;
 }
 
-TEST(MonSnapshot, VmRestoreIntoADirtyFrameContinuesLikeTheUninterruptedRun) {
+TEST(MonSnapshot, RestoreIntoAViolatedMonitorContinuesLikeTheUninterruptedRun) {
   // At every cut of fuzzed traces (which violate early) and retiring ones
-  // (a long valid prefix, then a fuzzed tail), in every program shape: the
-  // state after the prefix restores into a frame holding a violation
-  // latched from a range error — the dirtiest frame a pool hands out — as
-  // exactly that state, and continues like the uninterrupted run.
+  // (a long valid prefix, then a fuzzed tail), in every property shape: the
+  // state after the prefix restores into a Drct monitor holding a
+  // violation — the dirtiest instance a pool hands out — as exactly that
+  // state, and continues like the uninterrupted run.
   std::size_t cuts = 0;
   std::size_t violated_cuts = 0;
   for (const auto& c : kCases) {
     spec::Alphabet ab;
     const spec::Property p = loom::testing::parse(c.source, ab);
     const auto names = names_of(p, ab);
-    const auto program = compile_vm(p);
 
-    VmMonitor dirty(program);
-    for (std::uint64_t trial = 0; reasons_in(dirty) < 2; ++trial) {
-      ASSERT_LT(trial, 200u) << c.label << ": no range error left behind";
-      dirty.reset();
+    const auto dirty = make_monitor(p);
+    for (std::uint64_t trial = 0; !dirty->violation().has_value(); ++trial) {
+      ASSERT_LT(trial, 200u) << c.label << ": no violation left behind";
+      dirty->reset();
       support::Rng rng = support::Rng::stream(0xD1E7 + trial, 31);
-      dirty.observe_batch(fuzz_trace(names, rng));
+      dirty->observe_batch(fuzz_trace(names, rng));
     }
-    const Snapshot dirty_state = frame_of(dirty);
+    const Snapshot dirty_state = frame_of(*dirty);
 
     for (std::uint64_t trial = 0; trial < 40; ++trial) {
       support::Rng rng = support::Rng::stream(0x5A7E + trial, 37);
@@ -412,42 +312,43 @@ TEST(MonSnapshot, VmRestoreIntoADirtyFrameContinuesLikeTheUninterruptedRun) {
       for (std::size_t ti = 0; ti < 2; ++ti) {
         const spec::Trace& t = traces[ti];
         const sim::Time end = t.empty() ? sim::Time::zero() : t.back().time;
-        VmMonitor whole(program);
-        whole.observe_batch(t);
-        whole.finish(end);
-        const Snapshot want = frame_of(whole);
+        const auto whole = make_monitor(p);
+        whole->observe_batch(t);
+        whole->finish(end);
+        const Snapshot want = frame_of(*whole);
 
-        VmMonitor restored(program);
+        const auto restored = make_monitor(p);
         for (std::size_t cut = 0; cut <= t.size(); ++cut) {
           const std::string what = std::string(c.label) + " trial " +
                                    std::to_string(trial) + " trace " +
                                    std::to_string(ti) + " cut " +
                                    std::to_string(cut);
-          VmMonitor head(program);
-          head.observe_batch(t.data(), t.data() + cut);
-          const Snapshot at_cut = frame_of(head);
+          const auto head = make_monitor(p);
+          head->observe_batch(t.data(), t.data() + cut);
+          const Snapshot at_cut = frame_of(*head);
           // A snapshot is a pure function of the state: another monitor
-          // that ran the same prefix writes the same words, padding
-          // included.
+          // that ran the same prefix writes the same words.
           {
-            VmMonitor twin(program);
-            twin.observe_batch(t.data(), t.data() + cut);
-            EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(twin), at_cut))
+            const auto twin = make_monitor(p);
+            twin->observe_batch(t.data(), t.data() + cut);
+            EXPECT_TRUE(
+                loom::testing::snapshots_equal(frame_of(*twin), at_cut))
                 << what << " [twin]";
           }
-          restored.restore(dirty_state);
-          ASSERT_GE(reasons_in(restored), 2u) << what;
-          restored.restore(at_cut);
+          restored->restore(dirty_state);
+          ASSERT_TRUE(restored->violation().has_value()) << what;
+          restored->restore(at_cut);
           EXPECT_TRUE(
-              loom::testing::snapshots_equal(frame_of(restored), at_cut))
+              loom::testing::snapshots_equal(frame_of(*restored), at_cut))
               << what << " [restore]";
-          restored.observe_batch(t.data() + cut, t.data() + t.size());
-          restored.finish(end);
-          expect_same_outcome(whole, restored, what);
-          EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(restored), want))
+          restored->observe_batch(t.data() + cut, t.data() + t.size());
+          restored->finish(end);
+          expect_same_outcome(*whole, *restored, what);
+          EXPECT_TRUE(
+              loom::testing::snapshots_equal(frame_of(*restored), want))
               << what << " [continued]";
           ++cuts;
-          if (head.violation().has_value()) ++violated_cuts;
+          if (head->violation().has_value()) ++violated_cuts;
         }
       }
     }
@@ -456,11 +357,11 @@ TEST(MonSnapshot, VmRestoreIntoADirtyFrameContinuesLikeTheUninterruptedRun) {
   EXPECT_GT(violated_cuts, 2500u);
 }
 
-TEST(MonSnapshot, AVmSnapshotHoldingAViolationRestoresIt) {
+TEST(MonSnapshot, ASnapshotHoldingAViolationRestoresIt) {
   // (n << i, true): every i needs its own preceding n, so the ninth event
   // (ordinal 8), a second i in a row, violates.  Saving every 2 events —
   // how the campaign engine forks mutants from the valid walk — every
-  // state restores into a dirty monitor as the state after its prefix,
+  // state restores into a violated monitor as the state after its prefix,
   // and from the fifth save on it carries the violation: ordinal, time,
   // name and reason.
   spec::Alphabet ab;
@@ -468,35 +369,34 @@ TEST(MonSnapshot, AVmSnapshotHoldingAViolationRestoresIt) {
   const spec::Trace t = loom::testing::trace_of(
       "n i n i n i n i i n i n i n i n i n i n", ab);
   ASSERT_EQ(t.size(), 20u);
-  const auto program = compile_vm(p);
-  VmMonitor probe(program);
-  probe.observe_batch(t);
-  ASSERT_TRUE(probe.violation().has_value());
-  ASSERT_EQ(probe.violation()->event_ordinal, 8u);
+  const auto probe = make_monitor(p);
+  probe->observe_batch(t);
+  ASSERT_TRUE(probe->violation().has_value());
+  ASSERT_EQ(probe->violation()->event_ordinal, 8u);
 
   constexpr std::size_t kStride = 2;
-  VmMonitor walker(program);
-  VmMonitor target(program);
+  const auto walker = make_monitor(p);
+  const auto target = make_monitor(p);
   std::size_t with_violation = 0;
   for (std::size_t k = 0; k < t.size() / kStride; ++k) {
     const spec::TimedEvent* first = t.data() + k * kStride;
-    walker.observe_batch(first, first + kStride);
-    const Snapshot saved = frame_of(walker);
-    target.reset();
-    target.observe_batch(t);
-    ASSERT_GE(reasons_in(target), 2u);  // violated, range error included
-    target.restore(saved);
-    VmMonitor prefix(program);
-    prefix.observe_batch(t.data(), first + kStride);
+    walker->observe_batch(first, first + kStride);
+    const Snapshot saved = frame_of(*walker);
+    target->reset();
+    target->observe_batch(t);
+    ASSERT_TRUE(target->violation().has_value());
+    target->restore(saved);
+    const auto prefix = make_monitor(p);
+    prefix->observe_batch(t.data(), first + kStride);
     const std::string what = "save " + std::to_string(k);
-    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(target),
-                                               frame_of(prefix)))
+    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(*target),
+                                               frame_of(*prefix)))
         << what;
     if ((k + 1) * kStride > 8) {
-      expect_same_violation(target, probe, what);
+      expect_same_violation(*target, *probe, what);
       ++with_violation;
     } else {
-      EXPECT_FALSE(target.violation().has_value()) << what;
+      EXPECT_FALSE(target->violation().has_value()) << what;
     }
   }
   EXPECT_EQ(with_violation, 6u);
@@ -506,50 +406,87 @@ TEST(MonSnapshot, AVmSnapshotHoldingAViolationRestoresIt) {
   spec::Alphabet tab;
   const spec::Property timed =
       loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", tab);
-  const auto timed_program = compile_vm(timed);
-  VmMonitor late(timed_program);
-  late.observe(tab.name("p"), sim::Time::us(1));
-  late.observe(tab.name("p"), sim::Time::us(2));
-  late.poll(sim::Time::us(20));
-  ASSERT_EQ(late.verdict(), Verdict::Violated);
-  ASSERT_EQ(reasons_in(late), 1u);  // the violation's own
-  VmMonitor cold(timed_program);
-  cold.restore(frame_of(late));
-  expect_same_violation(cold, late, "deadline");
-  EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(cold), frame_of(late)));
-  // Both continue alike: a retired frame stays retired.
-  late.observe(tab.name("q"), sim::Time::us(21));
-  cold.observe(tab.name("q"), sim::Time::us(21));
-  late.finish(sim::Time::us(21));
-  cold.finish(sim::Time::us(21));
-  expect_same_outcome(cold, late, "deadline [continued]");
+  const auto late = make_monitor(timed);
+  late->observe(tab.name("p"), sim::Time::us(1));
+  late->observe(tab.name("p"), sim::Time::us(2));
+  late->poll(sim::Time::us(20));
+  ASSERT_EQ(late->verdict(), Verdict::Violated);
+  const auto cold = make_monitor(timed);
+  cold->restore(frame_of(*late));
+  expect_same_violation(*cold, *late, "deadline");
+  EXPECT_TRUE(
+      loom::testing::snapshots_equal(frame_of(*cold), frame_of(*late)));
+  // Both continue alike: a retired monitor stays retired.
+  late->observe(tab.name("q"), sim::Time::us(21));
+  cold->observe(tab.name("q"), sim::Time::us(21));
+  late->finish(sim::Time::us(21));
+  cold->finish(sim::Time::us(21));
+  expect_same_outcome(*cold, *late, "deadline [continued]");
 }
 
-TEST(MonSnapshot, VmRestoreRejectsEveryTruncation) {
-  // A VM snapshot cut short anywhere — in the tag and shape words, inside
-  // the packed block or before the violation's words — rejects with a
-  // logic_error instead of reading past its end, with and without a
-  // violation on board.
+TEST(MonSnapshot, RestoreRejectsEveryTruncation) {
+  // A snapshot cut short anywhere — in the tag word, inside the automata's
+  // words or before the violation's words — rejects with a logic_error
+  // instead of reading past its end, with and without a violation on
+  // board, for every monitor kind.  A Drct snapshot holds words only, so
+  // its rejection is always the reader's read-past-the-end diagnostic.
   spec::Alphabet ab;
-  const spec::Property p = loom::testing::parse(
+  const spec::Property ante = loom::testing::parse(
       "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)", ab);
-  const auto program = compile_vm(p);
-  VmMonitor clean(program);
-  clean.observe(ab.name("n1"), sim::Time::ns(10));
-  VmMonitor violated(program);
-  violated.observe(ab.name("i"), sim::Time::ns(10));
-  ASSERT_TRUE(violated.violation().has_value());
-  for (const VmMonitor* m : {&clean, &violated}) {
-    const Snapshot full = frame_of(*m);
-    VmMonitor target(program);
-    for (std::size_t n = 0; n < full.word_count(); ++n) {
-      Snapshot cut;
-      for (std::size_t i = 0; i < n; ++i) cut.put_u64(full.words()[i]);
-      EXPECT_THROW(target.restore(cut), std::logic_error)
-          << n << " of " << full.word_count() << " words";
+  const spec::Property timed =
+      loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
+  const auto encoding = std::make_shared<const psl::Encoding>(
+      psl::encode(ante, 2000000, &ab));
+  const spec::Name n1 = ab.name("n1"), i = ab.name("i"), p = ab.name("p");
+  struct Kind {
+    const char* label;
+    MonitorFactory make;
+    spec::Name first;  // the first event of the clean run
+    spec::Trace bad;   // a run that violates
+    bool words_only;
+  };
+  const Kind kinds[] = {
+      {"antecedent", [&] { return make_monitor(ante); }, n1,
+       {{i, sim::Time::ns(10)}}, true},
+      {"timed", [&] { return make_monitor(timed); }, p,
+       {{p, sim::Time::us(1)}, {p, sim::Time::us(2)}, {p, sim::Time::us(20)}},
+       true},
+      {"viapsl",
+       [&] { return std::make_unique<psl::ClauseMonitor>(encoding); }, n1,
+       {{i, sim::Time::ns(10)}, {i, sim::Time::ns(20)}, {i, sim::Time::ns(30)}},
+       false},
+  };
+  for (const Kind& kind : kinds) {
+    const auto clean = kind.make();
+    clean->observe(kind.first, sim::Time::ns(10));
+    const auto violated = kind.make();
+    violated->observe_batch(kind.bad);
+    ASSERT_TRUE(violated->violation().has_value()) << kind.label;
+    for (const Monitor* m : {clean.get(), violated.get()}) {
+      const Snapshot full = frame_of(*m);
+      const auto target = kind.make();
+      for (std::size_t n = 0; n < full.word_count(); ++n) {
+        Snapshot cut;
+        for (std::size_t w = 0; w < n; ++w) cut.put_u64(full.words()[w]);
+        const std::string what = std::string(kind.label) + " " +
+                                 std::to_string(n) + " of " +
+                                 std::to_string(full.word_count()) + " words";
+        try {
+          target->restore(cut);
+          ADD_FAILURE() << what << ": a truncated snapshot was accepted";
+        } catch (const std::logic_error& e) {
+          if (kind.words_only) {
+            EXPECT_STREQ(e.what(),
+                         "SnapshotReader: read past the end of a snapshot "
+                         "(truncated or foreign format)")
+                << what;
+          }
+        }
+      }
+      target->restore(full);
+      EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(*target), full))
+          << kind.label;
     }
-    target.restore(full);
-    EXPECT_TRUE(loom::testing::snapshots_equal(frame_of(target), full));
   }
 }
 
@@ -563,9 +500,6 @@ TEST(MonSnapshot, RestoreRejectsAFutureFormatVersionByName) {
   const spec::Property ante = loom::testing::parse("(n << i, true)", ab);
   const spec::Property timed =
       loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
-  CompileOptions vm_opt;
-  vm_opt.backend = Backend::Vm;
-  const CompiledProperty vm_ante = CompiledProperty::compile(ante, ab, vm_opt);
   const auto encoding = std::make_shared<const psl::Encoding>(
       psl::encode(ante, 2000000, &ab));
 
@@ -573,11 +507,10 @@ TEST(MonSnapshot, RestoreRejectsAFutureFormatVersionByName) {
     const char* label;
     std::unique_ptr<Monitor> monitor;
   };
-  Kind kinds[4] = {
+  Kind kinds[3] = {
       {"antecedent", make_monitor(ante)},
       {"timed", make_monitor(timed)},
       {"viapsl", std::make_unique<psl::ClauseMonitor>(encoding)},
-      {"vm", vm_ante.instantiate()},
   };
   for (auto& kind : kinds) {
     Snapshot snap;

@@ -11,6 +11,9 @@
 //   4. reference Rejected => ViaPSL Rejected or Pending; and after
 //      appending two trigger events (forcing the reset point), ViaPSL
 //      must report Rejected too.
+// And per prefix against the Drct monitors, noise and timed properties
+// included: ViaPSL never leads — a clause-network rejection is always
+// confirmed by Drct on the same prefix and at finish.
 #include <gtest/gtest.h>
 
 #include "psl/clause_monitor.hpp"
@@ -157,6 +160,55 @@ TEST(PslVsDrctValid, CleanRoundsAgreeExactly) {
         << item.property << " / " << item.trace
         << (psl.violation() ? "\n  " + psl.violation()->to_string(ab) : "");
   }
+}
+
+TEST(PslVsDrctPrefix, ViaPslNeverLeadsOnFuzzedTraces) {
+  constexpr const char* kSources[] = {
+      "(n << i, true)",
+      "(({a, b, c}, &) << s, false)",
+      "(({n1, n2}, &) < ({n3[2,8], n4}, |) < n5 << i, true)",
+      "(p[2,3] => q[1,4] < r, 10us)",
+  };
+  std::size_t rejected = 0;
+  for (const char* source : kSources) {
+    spec::Alphabet ab;
+    const spec::Property p = loom::testing::parse(source, ab);
+    std::vector<spec::Name> names;
+    p.alphabet().for_each(
+        [&](std::size_t n) { names.push_back(static_cast<spec::Name>(n)); });
+    names.push_back(ab.name("noise_x"));
+    names.push_back(ab.name("noise_y"));
+    const auto encoding =
+        std::make_shared<const Encoding>(encode(p, 2000000, &ab));
+    for (std::uint64_t trial = 0; trial < 80; ++trial) {
+      Rng rng = Rng::stream(0xB17E + trial, 5);
+      spec::Trace trace;
+      sim::Time now;
+      for (std::size_t len = rng.below(40); trace.size() < len;) {
+        now += sim::Time::ns(1 + rng.below(2000));
+        trace.push_back({names[rng.below(names.size())], now});
+      }
+      auto drct = mon::make_monitor(p);
+      ClauseMonitor viapsl(encoding);
+      const std::string what =
+          std::string(source) + " trial " + std::to_string(trial);
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        drct->observe(trace[i].name, trace[i].time);
+        viapsl.observe(trace[i].name, trace[i].time);
+        if (viapsl.verdict() == mon::Verdict::Violated) {
+          EXPECT_EQ(drct->verdict(), mon::Verdict::Violated)
+              << what << " event " << i;
+        }
+      }
+      drct->finish(now);
+      viapsl.finish(now);
+      if (viapsl.verdict() == mon::Verdict::Violated) {
+        ++rejected;
+        EXPECT_EQ(drct->verdict(), mon::Verdict::Violated) << what;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

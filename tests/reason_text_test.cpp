@@ -1,9 +1,10 @@
 // Failure reasons are recorded as codes (spec/reason.hpp) and rendered on
 // demand; these witnesses pin the rendered text of every code, byte for
 // byte, to the checkers' established diagnostics — for the reference
-// oracle, Drct, the VM and ViaPSL, and through Violation::to_string.  A monitor's text must also survive a
-// snapshot round trip, since restoring reads the operands back out of the
-// snapshot's code words (and ViaPSL re-renders its conjunct text).
+// oracle, Drct and ViaPSL, and through Violation::to_string.  A monitor's
+// text must also survive a snapshot round trip, since restoring reads the
+// operands back out of the snapshot's code words (and ViaPSL re-renders its
+// conjunct text).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -196,7 +197,7 @@ void expect_witness(const mon::CompiledProperty& compiled,
   EXPECT_EQ(restored->violation()->to_string(ab), w.report) << what;
 }
 
-const MonitorWitness kDrctVm[] = {
+const MonitorWitness kDrct[] = {
     {ReasonCode::NeverStarted, kConj, "c@10", 10, false,
      "fragment stopped before any of its ranges started",
      "violation at event #0 (t=10 ns) on 'c': fragment stopped before any of "
@@ -239,16 +240,14 @@ const MonitorWitness kDrctVm[] = {
      "with the consequent unfinished"},
 };
 
-TEST(ReasonText, DrctAndVmWitnesses) {
-  for (const auto& w : kDrctVm) {
+TEST(ReasonText, DrctWitnesses) {
+  for (const auto& w : kDrct) {
     spec::Alphabet ab;
     const spec::Property p = loom::testing::parse(w.property, ab);
-    for (const auto backend : {mon::Backend::Drct, mon::Backend::Vm}) {
-      mon::CompileOptions opt;
-      opt.backend = backend;
-      expect_witness(mon::CompiledProperty::compile(p, ab, opt), backend, w,
-                     ab);
-    }
+    mon::CompileOptions opt;
+    opt.backend = mon::Backend::Drct;
+    expect_witness(mon::CompiledProperty::compile(p, ab, opt),
+                   mon::Backend::Drct, w, ab);
   }
 }
 

@@ -6,8 +6,8 @@
 // reference_campaign(property, ab, options) runs serially and in process.
 // Per seed it generates the valid trace from Rng::stream(first_seed + s, 0).
 // Per unit it builds a fresh monitor by per-unit translation
-// (mon::make_monitor, mon::compile_vm or psl::encode, for the backend the
-// compiled plan chose), calls observe() once per event, samples recognizer
+// (mon::make_monitor or psl::encode, for the backend the compiled plan
+// chose), calls observe() once per event, samples recognizer
 // coverage after every event, and takes the verdict from a full walk of
 // the re-planning spec::reference_check.  Each mutant is materialized with
 // abv::mutate() from Rng::stream(first_seed + s, 1 + kind) and replayed in
@@ -26,9 +26,7 @@
 #include "abv/coverage.hpp"
 #include "abv/mutate.hpp"
 #include "abv/stimuli.hpp"
-#include "mon/bytecode.hpp"
 #include "mon/monitors.hpp"
-#include "mon/vm.hpp"
 #include "psl/clause_monitor.hpp"
 #include "psl/translate.hpp"
 #include "spec/reference.hpp"
@@ -51,8 +49,6 @@ inline std::unique_ptr<mon::Monitor> translate(const spec::Property& property,
     case mon::Backend::ViaPSL:
       return std::make_unique<psl::ClauseMonitor>(
           psl::encode(property, max_clauses, &ab));
-    case mon::Backend::Vm:
-      return std::make_unique<mon::VmMonitor>(mon::compile_vm(property));
     case mon::Backend::Drct:
     case mon::Backend::Auto:
       break;
@@ -83,8 +79,7 @@ inline abv::CampaignResult reference_campaign(
       abv::compile_property_plans({&property}, ab, options)[0];
   const mon::Backend chosen = plan.compiled.chosen();
   const bool samples_recognizer =
-      property.is_antecedent() &&
-      (chosen == mon::Backend::Drct || chosen == mon::Backend::Vm);
+      property.is_antecedent() && chosen == mon::Backend::Drct;
 
   abv::CampaignResult result;
   result.compile_stats.backend_requested = plan.compiled.requested();
@@ -109,22 +104,10 @@ inline abv::CampaignResult reference_campaign(
     const std::unique_ptr<mon::Monitor> monitor = fresh(chosen);
     const auto* drct =
         dynamic_cast<const mon::AntecedentMonitor*>(monitor.get());
-    const auto* vm = dynamic_cast<const mon::VmMonitor*>(monitor.get());
-    if (samples_recognizer && !recognizer) {
-      if (vm != nullptr) {
-        recognizer.emplace(*vm);
-      } else {
-        recognizer.emplace(*drct);
-      }
-    }
+    if (samples_recognizer && !recognizer) recognizer.emplace(*drct);
     run(*monitor, valid, [&](const spec::TimedEvent& ev) {
       alphabet.record(ev.name);
-      if (!samples_recognizer) return;
-      if (vm != nullptr) {
-        recognizer->sample(*vm);
-      } else {
-        recognizer->sample(*drct);
-      }
+      if (samples_recognizer) recognizer->sample(*drct);
     });
     const bool monitor_ok = monitor->verdict() != mon::Verdict::Violated;
     if (monitor_ok && !ref.rejected()) ++result.valid_accepted;

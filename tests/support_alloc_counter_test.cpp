@@ -16,8 +16,8 @@
 #include "abv/campaign.hpp"
 #include "abv/mutate.hpp"
 #include "abv/stimuli.hpp"
-#include "mon/vm.hpp"
 #include "mon/compiled.hpp"
+#include "mon/timed_monitor.hpp"
 #include "spec/attributes.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/thread_pool.hpp"
@@ -226,17 +226,17 @@ TEST(AllocCounter, WarmedCampaignAllocationsDoNotGrowWithSeeds) {
       << "a seed task allocated";
 }
 
-TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
+TEST(AllocCounter, RejectingResumedOracleAndViolatingDrctReplayAllocateNothing) {
   // The two halves of one detected mutant, each warmed once and then
   // repeated under a Scope: the oracle resumes from its ladder and
-  // rejects, and a VM forked from the valid walk at the mutant's position
-  // (its Snapshot, restored into a pooled frame) replays the suffix and
-  // finishes violated.
+  // rejects, and a Drct monitor forked from the valid walk at the mutant's
+  // position (its Snapshot, restored into a pooled instance) replays the
+  // suffix and finishes violated.
   spec::Alphabet ab;
   const spec::Property p =
       loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
   mon::CompileOptions opt;
-  opt.backend = mon::Backend::Vm;
+  opt.backend = mon::Backend::Drct;
   const mon::CompiledProperty compiled =
       mon::CompiledProperty::compile(p, ab, opt);
   abv::StimuliOptions sopt;
@@ -252,8 +252,8 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
   support::Rng rng = support::Rng::stream(5, 1);
   std::size_t checked = 0;
   auto walker = compiled.instantiate();
-  auto vm = compiled.instantiate();
-  ASSERT_NE(dynamic_cast<mon::VmMonitor*>(vm.get()), nullptr);
+  auto drct = compiled.instantiate();
+  ASSERT_NE(dynamic_cast<mon::TimedImplicationMonitor*>(drct.get()), nullptr);
   mon::Snapshot snap;
   for (int draw = 0; draw < 200 && checked < 8; ++draw) {
     if (!abv::mutate_into(valid, abv::MutationKind::SwapAdjacent, p,
@@ -270,11 +270,11 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingVmReplayAllocateNothing) {
           mutant.aligned);
     };
     const auto replay = [&] {
-      vm->restore(snap);
-      vm->observe_batch(mutant.trace.data() + at,
-                        mutant.trace.data() + mutant.trace.size());
-      vm->finish(end);
-      return vm->verdict();
+      drct->restore(snap);
+      drct->observe_batch(mutant.trace.data() + at,
+                          mutant.trace.data() + mutant.trace.size());
+      drct->finish(end);
+      return drct->verdict();
     };
     if (!check().rejected()) continue;
     walker->reset();

@@ -288,26 +288,32 @@ TEST(Args, ParseBackendCoversEverySpellingTheClisAccept) {
   EXPECT_EQ(mon::parse_backend("auto"), mon::Backend::Auto);
   EXPECT_EQ(mon::parse_backend("drct"), mon::Backend::Drct);
   EXPECT_EQ(mon::parse_backend("viapsl"), mon::Backend::ViaPSL);
-  EXPECT_EQ(mon::parse_backend("vm"), mon::Backend::Vm);
   EXPECT_EQ(mon::parse_backend(""), std::nullopt);
-  EXPECT_EQ(mon::parse_backend("VM"), std::nullopt);    // case-sensitive
-  EXPECT_EQ(mon::parse_backend("vm "), std::nullopt);   // no trimming
+  EXPECT_EQ(mon::parse_backend("Drct"), std::nullopt);  // case-sensitive
+  EXPECT_EQ(mon::parse_backend("drct "), std::nullopt); // no trimming
+  EXPECT_EQ(mon::parse_backend("vm"), std::nullopt);    // removed backend
   EXPECT_EQ(mon::parse_backend("psl"), std::nullopt);
   EXPECT_EQ(mon::parse_backend("bytecode"), std::nullopt);
 }
 
 TEST(Args, ParseBackendArgFallsBackOnlyWhenAbsent) {
   char prog[] = "prog";
-  char vm[] = "vm";
+  char drct[] = "drct";
   char bad[] = "wasm";
+  char vm[] = "vm";
   {
-    char* argv[] = {prog, vm};
-    EXPECT_EQ(mon::parse_backend_arg(2, argv, 1), mon::Backend::Vm);
+    char* argv[] = {prog, drct};
+    EXPECT_EQ(mon::parse_backend_arg(2, argv, 1), mon::Backend::Drct);
     EXPECT_EQ(mon::parse_backend_arg(1, argv, 1), mon::Backend::Auto);
   }
   {
     // Present but unknown is nullopt — the bench/example mains exit 2.
     char* argv[] = {prog, bad};
+    EXPECT_EQ(mon::parse_backend_arg(2, argv, 1), std::nullopt);
+  }
+  {
+    // The removed bytecode backend's spelling is unknown like any other.
+    char* argv[] = {prog, vm};
     EXPECT_EQ(mon::parse_backend_arg(2, argv, 1), std::nullopt);
   }
 }

@@ -129,10 +129,9 @@ inline ::testing::AssertionResult traces_equal(const spec::Trace& actual,
   return ::testing::AssertionSuccess();
 }
 
-/// A campaign report without its "backend:" line.  Forcing Drct or Vm
-/// changes only that line: every other field of report() is semantic and
-/// must not depend on the monitor construction (the backend-independence
-/// differential compares what this leaves).
+/// A campaign report without its "backend:" line.  Forcing Drct where
+/// Auto resolves to Drct changes only that line: every other field of
+/// report() is semantic and must not depend on how the backend was chosen.
 inline std::string report_without_backend(const std::string& report) {
   std::string out;
   std::istringstream in(report);

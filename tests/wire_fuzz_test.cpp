@@ -484,6 +484,48 @@ TEST(WireFuzz, WorkerFaultByteBeyondTheLastFaultIsRejected) {
       << d.error().to_string();
 }
 
+TEST(WireFuzz, RemovedBackendByteIsRejected) {
+  // Backend byte 3 named the bytecode backend until wire version 8
+  // removed it: a current frame carrying it is refused at the byte's own
+  // offset, and a version-7 frame is refused by version before any of its
+  // payload is read.  The byte is located by diffing two encodings.
+  abv::CampaignOptions o;
+  o.backend = mon::Backend::Drct;
+  const std::vector<std::uint8_t> drct = options_request(o);
+  o.backend = mon::Backend::ViaPSL;
+  const std::vector<std::uint8_t> viapsl = options_request(o);
+  ASSERT_EQ(drct.size(), viapsl.size());
+  std::size_t at = 0;
+  while (at < drct.size() && drct[at] == viapsl[at]) ++at;
+  ASSERT_LT(at, drct.size()) << "backend is not encoded";
+
+  Encoder e;
+  for (const std::uint8_t b : viapsl) e.put_u8(b);
+  std::vector<std::uint8_t> framed;
+  write_frame(framed, Payload::WorkerRequest, e);
+  ASSERT_EQ(kWireVersion, 8);
+  framed[kFrameHeaderBytes + at] = 3;
+  Frame frame;
+  std::size_t consumed = 0;
+  DecodeError err;
+  ASSERT_TRUE(parse_frame(framed.data(), framed.size(), frame, consumed, err))
+      << err.to_string();
+  WorkerRequestData back;
+  Decoder d(frame.data, frame.size);
+  ASSERT_FALSE(decode_worker_request(d, back));
+  expect_positioned(d.error(), frame.size, "backend byte");
+  EXPECT_EQ(d.error().offset, at);
+  EXPECT_NE(d.error().message.find("bad backend byte 3"), std::string::npos)
+      << d.error().to_string();
+
+  framed[4] = 7;
+  ASSERT_FALSE(parse_frame(framed.data(), framed.size(), frame, consumed, err));
+  expect_positioned(err, framed.size(), "version 7");
+  EXPECT_EQ(err.offset, 4u);
+  EXPECT_NE(err.message.find("wire format version 7"), std::string::npos)
+      << err.to_string();
+}
+
 TEST(WireFuzz, ErrorStateIsStickyAndReadsReturnZero) {
   // After the first failure every later read is a quiet zero and the first
   // diagnostic survives — the pattern the payload codecs rely on to

@@ -31,7 +31,7 @@ abv::CampaignOptions fuzz_options(support::Rng& rng) {
   o.stimuli.max_gap_ns = rng.below(100);
   o.mutants_per_kind = rng.below(50);
   o.check_viapsl = rng.below(2) != 0;
-  o.backend = static_cast<mon::Backend>(rng.below(4));
+  o.backend = static_cast<mon::Backend>(rng.below(3));
   o.threads = rng.below(16);
   o.shard_seeds = rng.below(64);
   o.checkpoint_stride = rng.below(100);
@@ -66,8 +66,8 @@ abv::CampaignResult fuzz_result(support::Rng& rng) {
   r.monitor_stats.ops = rng.next();
   r.monitor_stats.events = rng.below(1u << 20);
   r.monitor_stats.max_ops_per_event = rng.below(1000);
-  r.compile_stats.backend_requested = static_cast<mon::Backend>(rng.below(4));
-  r.compile_stats.backend_chosen = static_cast<mon::Backend>(rng.below(4));
+  r.compile_stats.backend_requested = static_cast<mon::Backend>(rng.below(3));
+  r.compile_stats.backend_chosen = static_cast<mon::Backend>(rng.below(3));
   r.trace_cache_hits = rng.below(1000);
   r.trace_cache_misses = rng.below(1000);
   r.checkpoint_hits = rng.below(1000);
@@ -364,7 +364,7 @@ TEST(WireRoundTrip, OptionsSurviveFuzzed) {
       req.options.checkpoint_stride = 0;
       req.options.worker_command.clear();
     }
-    req.options.backend = static_cast<mon::Backend>(trial % 4);
+    req.options.backend = static_cast<mon::Backend>(trial % 3);
     req.options.worker_fault = static_cast<abv::WorkerFault>(
         trial %
         (static_cast<std::uint64_t>(abv::WorkerFault::LingerAfterDone) + 1));

@@ -16,7 +16,7 @@ CampaignResult::diagnostic_counters() and the bench binaries):
   ratios          skip_ratio, *_hit_rate, bit_identical — higher is
                   better and deterministic for a given fixture: hard fail
                   on a drop > 0.02 absolute (bit_identical: any drop).
-  semantic        backend_viapsl, backend_vm — which monitor construction
+  semantic        backend_viapsl — which monitor construction
                   ran; any change fails, a backend flip is never noise.
   informational   checkpoint_hits, events_skipped, mon_events_per_s,
                   speedup — reported, never gated (absolute counts scale
@@ -42,7 +42,7 @@ RATIO_ABS_TOL = 0.02
 
 INFORMATIONAL = {"checkpoint_hits", "events_skipped", "mon_events_per_s",
                  "speedup"}
-SEMANTIC = {"backend_viapsl", "backend_vm"}
+SEMANTIC = {"backend_viapsl"}
 
 
 def classify(name):
