@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "abv/seed_pass.hpp"
-#include "mon/snapshot.hpp"
 #include "spec/parser.hpp"
 #include "support/thread_pool.hpp"
 #include "wire/payload.hpp"
@@ -64,9 +63,9 @@ struct Shard {
 // one for the life of the thread, across campaigns.  Three lifetimes
 // coexist inside it:
 //   - the *buffers* live for the thread: the seed's trace, oracle ladder,
-//     site list, mutant edits, sort buffers and fork state ratchet up to
-//     the largest seed the thread has run, and every later seed reuses
-//     their capacity, so a warm seed task allocates nothing;
+//     site list, mutant edits and sort buffers ratchet up to the largest
+//     seed the thread has run, and every later seed reuses their
+//     capacity, so a warm seed task allocates nothing;
 //   - their *content* lives for one seed task: the edits borrow `trace`
 //     and are all consumed before the next seed overwrites it;
 //   - the *pool* (walker, replay and ViaPSL cross-check instances) is
@@ -86,7 +85,6 @@ struct UnitScratch {
   std::vector<std::size_t> buckets;  // counting sort over positions
   std::vector<std::size_t> order;    // edits by ascending position
   std::vector<std::size_t> stops;    // their distinct forked positions
-  mon::Snapshot snapshot;            // the walker's state at the last stop
   std::unique_ptr<mon::Monitor> walker;  // walks the valid trace
   std::unique_ptr<mon::Monitor> replay;  // replays the invalid mutants
   std::unique_ptr<mon::Monitor> viapsl;  // check_viapsl cross-check
@@ -234,7 +232,7 @@ void replay_pieces(mon::Monitor& monitor, const spec::TraceView& view,
 // Replays one invalid mutant on the shard's pooled replay monitor and
 // tallies the verdict.  With `from` > 0 — the mutant's
 // MutantEdit::position, a prefix it shares with the valid trace — the
-// monitor starts from the walk's state saved there, which already carries
+// monitor forks from the walker paused there, whose state already carries
 // the prefix's stats, verdict and timing registers, so the bytes match a
 // replay from event 0 exactly (campaign_reference_diff_test); with `from`
 // 0, from a reset.
@@ -246,9 +244,9 @@ void replay_mutant(const PropertyPlan& job, const MutantEdit& mutant,
   if (from == 0) {
     monitor.reset();
   } else {
-    // A restore overwrites the whole state, so no reset goes first
-    // (mon_snapshot_test restores into dirty instances).
-    monitor.restore(scratch.snapshot);
+    // A fork overwrites the whole state, so no reset goes first
+    // (mon_fork_test forks into dirty instances).
+    monitor.fork_from(*scratch.walker);
     ++out.partial.checkpoint_hits;
     out.partial.events_skipped += from;
   }
@@ -293,8 +291,8 @@ void tally_valid_unit(const PropertyPlan& job, const CampaignOptions& options,
 // into the thread's scratch, records the oracle ladder, draws and
 // oracle-checks every mutant, then walks the valid trace once with the
 // chosen monitor, sampling coverage, and at each invalid mutant's exact
-// divergence position saves the live state once and replays every mutant
-// that diverges there from it (split-stream execution: forked replay ≡
+// divergence position pauses and replays every mutant that diverges there
+// from a copy of its live state (split-stream execution: forked replay ≡
 // live stepping).  At stride 0, and for a mutant at position 0, the
 // replay starts from event 0.
 void run_seed(const PropertyPlan& job, spec::Alphabet& ab,
@@ -331,7 +329,6 @@ void run_seed(const PropertyPlan& job, spec::Alphabet& ab,
   walker.reset();
   std::size_t next = from_start;
   const auto fork = [&](std::size_t position) {
-    walker.snapshot(scratch.snapshot);
     for (; next < kept && edits[order[next]].position == position; ++next) {
       replay_mutant(job, edits[order[next]], position, scratch, out);
     }

@@ -105,10 +105,11 @@ struct CampaignOptions {
 
   /// Forked replay.  A seed task walks the valid trace once with the
   /// chosen monitor and, at each invalid mutant's MutantEdit::position —
-  /// which proves the mutant shares that prefix — saves the live state
-  /// once (Monitor::snapshot, whatever the backend and whether or not the
-  /// walk has violated) and replays every mutant diverging there from it:
-  /// O(suffix) instead of O(trace) per mutant.  The stride only turns this
+  /// which proves the mutant shares that prefix — pauses, and every
+  /// mutant diverging there forks from the paused walker
+  /// (Monitor::fork_from, whatever the backend and whether or not the
+  /// walk has violated) and replays its suffix: O(suffix) instead of
+  /// O(trace) per mutant.  The stride only turns this
   /// on; it also spaces the reference oracle's ladder: a rung every
   /// max(1, checkpoint_stride / 4) events (an oracle rung is a few dozen
   /// bytes), from which each mutant's oracle check resumes and where it
@@ -240,11 +241,12 @@ struct CampaignResult {
   std::size_t trace_cache_misses = 0;
 
   /// Forked-replay accounting (both 0 with checkpoint_stride 0): the
-  /// invalid mutants restored from a saved state of the valid walk — every
-  /// one at a position > 0 — and the sum of their positions.  Like the
-  /// seed-pass split these are deterministic engine diagnostics, excluded
-  /// from the default report() so incremental runs stay byte-identical to
-  /// full-replay runs; report(ab, true) appends them.
+  /// invalid mutants forked from the paused valid walk — every one at a
+  /// position > 0 — and the sum of their positions.  Like the seed-pass
+  /// split these are deterministic engine diagnostics, excluded from the
+  /// default report() so incremental runs stay byte-identical to
+  /// full-replay runs; report(ab, true) appends them as its "replay: N
+  /// checkpoint restores, M prefix events skipped" line.
   std::size_t checkpoint_hits = 0;
   std::size_t events_skipped = 0;
 

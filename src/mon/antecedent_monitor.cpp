@@ -104,4 +104,18 @@ void AntecedentMonitor::restore(const Snapshot& in) {
   LOOM_DASSERT(r.exhausted());  // format drift: snapshot wrote more fields
 }
 
+void AntecedentMonitor::fork_from(const Monitor& live) {
+  constexpr const char* kWho = "AntecedentMonitor::fork_from";
+  const auto& src = fork_source<AntecedentMonitor>(live, kWho);
+  if (src.plan_ != plan_) [[unlikely]] {
+    reject_fork(kWho, "an instance of another plan");
+  }
+  stats_ = src.stats_;
+  recognizer_.copy_state(src.recognizer_);
+  verdict_ = src.verdict_;
+  violation_ = src.violation_;
+  validated_ = src.validated_;
+  ordinal_ = src.ordinal_;
+}
+
 }  // namespace loom::mon

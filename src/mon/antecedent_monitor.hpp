@@ -48,6 +48,7 @@ class AntecedentMonitor final : public Monitor {
   void reset() override;
   void snapshot(Snapshot& out) const override;
   void restore(const Snapshot& in) override;
+  void fork_from(const Monitor& live) override;
 
   /// Number of trigger occurrences that were validated.
   std::uint64_t validated_triggers() const { return validated_; }

@@ -27,6 +27,16 @@ class FragmentRecognizer {
   /// order (mon/snapshot.hpp).
   void snapshot(Snapshot& out) const;
   void restore(SnapshotReader& in);
+  /// Fork support: `live`'s flags, timestamp and children, from a
+  /// recognizer of the same plan (Monitor::fork_from).
+  void copy_state(const FragmentRecognizer& live) {
+    min_complete_ = live.min_complete_;
+    in_progress_ = live.in_progress_;
+    min_complete_time_ = live.min_complete_time_;
+    for (std::size_t i = 0; i < children_.size(); ++i) {
+      children_[i].copy_state(live.children_[i]);
+    }
+  }
 
   enum class Out : std::uint8_t { None, Ok, Err };
 

@@ -27,6 +27,14 @@ class OrderingRecognizer {
   /// index order (mon/snapshot.hpp).
   void snapshot(Snapshot& out) const;
   void restore(SnapshotReader& in);
+  /// Fork support: `live`'s active-fragment index and every fragment, from
+  /// a recognizer of the same plan (Monitor::fork_from).
+  void copy_state(const OrderingRecognizer& live) {
+    active_ = live.active_;
+    for (std::size_t i = 0; i < fragments_.size(); ++i) {
+      fragments_[i].copy_state(live.fragments_[i]);
+    }
+  }
 
   enum class Out : std::uint8_t { None, Completed, Err };
 

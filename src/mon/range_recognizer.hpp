@@ -51,6 +51,13 @@ class RangeRecognizer {
   /// (mon/snapshot.hpp).
   void snapshot(Snapshot& out) const;
   void restore(SnapshotReader& in);
+  /// Fork support: takes `live`'s state, error code and counter; the plan
+  /// and stats pointers stay this recognizer's (Monitor::fork_from).
+  void copy_state(const RangeRecognizer& live) {
+    state_ = live.state_;
+    error_ = live.error_;
+    cpt_ = live.cpt_;
+  }
 
   State state() const { return state_; }
   std::uint32_t count() const { return cpt_; }

@@ -1,5 +1,8 @@
-//! Cloneable monitor state: the flat, reusable buffer behind the campaign
-//! engine's forked replay.
+//! Serialized monitor state: a flat, reusable buffer holding what
+//! Monitor::fork_from copies in place.  The campaign engine's forked replay
+//! copies the paused walker directly and never serializes; a Snapshot is
+//! for state that has to exist apart from a live instance — Checker::run's
+//! snapshot-stride round trip, the benchmarks and the tests.
 //!
 //! A Snapshot captures the complete mutable state of one monitor instance —
 //! recognizer automata, Figure-6 stats, verdict, violation, timing

@@ -176,4 +176,22 @@ void TimedImplicationMonitor::restore(const Snapshot& in) {
   LOOM_DASSERT(r.exhausted());  // format drift: snapshot wrote more fields
 }
 
+void TimedImplicationMonitor::fork_from(const Monitor& live) {
+  constexpr const char* kWho = "TimedImplicationMonitor::fork_from";
+  const auto& src = fork_source<TimedImplicationMonitor>(live, kWho);
+  if (src.plan_ != plan_) [[unlikely]] {
+    reject_fork(kWho, "an instance of another plan");
+  }
+  stats_ = src.stats_;
+  recognizer_.copy_state(src.recognizer_);
+  verdict_ = src.verdict_;
+  violation_ = src.violation_;
+  armed_ = src.armed_;
+  q_done_ = src.q_done_;
+  t_start_ = src.t_start_;
+  t_stop_ = src.t_stop_;
+  rounds_ = src.rounds_;
+  ordinal_ = src.ordinal_;
+}
+
 }  // namespace loom::mon

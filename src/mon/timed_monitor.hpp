@@ -59,6 +59,7 @@ class TimedImplicationMonitor final : public Monitor {
   void reset() override;
   void snapshot(Snapshot& out) const override;
   void restore(const Snapshot& in) override;
+  void fork_from(const Monitor& live) override;
 
   /// Completed P=>Q rounds.
   std::uint64_t completed_rounds() const { return rounds_; }

@@ -1,8 +1,14 @@
 #include "mon/verdict.hpp"
 
+#include <stdexcept>
+
 #include "mon/snapshot.hpp"
 
 namespace loom::mon {
+
+void reject_fork(const char* who, const char* source) {
+  throw std::logic_error(std::string(who) + ": cannot fork from " + source);
+}
 
 void snapshot_violation(Snapshot& out, const std::optional<Violation>& v) {
   out.put_bool(v.has_value());

@@ -13,14 +13,18 @@
 //!   - reset() ≡ fresh construction, bit for bit, including the Figure-6
 //!     stats accounting — the instance-reuse foundation
 //!     (mon_reset_reuse_test);
+//!   - fork_from(live) ≡ the state of `live`, bit for bit, stats
+//!     included — the forked-replay foundation: the campaign engine copies
+//!     the paused valid walk into its replay instance (mon_fork_test);
 //!   - restore(s) after snapshot(s) ≡ the state at snapshot time, bit for
-//!     bit, stats included — the checkpointed-replay foundation
+//!     bit, stats included — the serialized form of the same state
 //!     (mon_snapshot_test).
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <typeinfo>
 
 #include "sim/time.hpp"
 #include "spec/alphabet.hpp"
@@ -108,11 +112,23 @@ class Monitor {
   /// Restores the initial state (keeps the compiled plan).
   virtual void reset() = 0;
 
-  /// Serializes the complete mutable state — recognizers, stats, verdict,
-  /// violation, timing registers — into `out` (cleared first; capacity
-  /// reused).  The compiled plan is not part of the state: a snapshot may
-  /// be restored into any instance of the same kind stamped from the same
-  /// plan.
+  /// Overwrites this instance's complete mutable state — stats,
+  /// recognizer automata, verdict, violation, timing registers — with
+  /// that of `live`, an instance of the same kind stamped from the same
+  /// plan (the same shared artifact, compared by address), field by
+  /// field: continuing observation is then indistinguishable from
+  /// continuing `live` (mon_fork_test).  The plan, the stats
+  /// back-pointers and per-event scratch stay this instance's own, and a
+  /// warmed instance copies without touching the heap.  Throws
+  /// std::logic_error (Release included) when `live` is another kind or
+  /// was stamped from another plan.
+  virtual void fork_from(const Monitor& live) = 0;
+
+  /// Serializes the complete mutable state — the state fork_from copies:
+  /// recognizers, stats, verdict, violation, timing registers — into
+  /// `out` (cleared first; capacity reused).  The compiled plan is not
+  /// part of the state: a snapshot may be restored into any instance of
+  /// the same kind stamped from the same plan.
   virtual void snapshot(Snapshot& out) const = 0;
   /// Inverse of snapshot(): afterwards the instance is bit-identical to
   /// the one snapshot() saw — continuing observation is indistinguishable
@@ -120,6 +136,19 @@ class Monitor {
   /// std::logic_error when `in` was written by a different monitor kind.
   virtual void restore(const Snapshot& in) = 0;
 };
+
+/// fork_from's source check: throws the std::logic_error naming `who`
+/// and what was wrong with the source.
+[[noreturn]] void reject_fork(const char* who, const char* source);
+
+/// fork_from's kind check: `live` as an M, or reject_fork.
+template <class M>
+const M& fork_source(const Monitor& live, const char* who) {
+  if (typeid(live) != typeid(M)) [[unlikely]] {
+    reject_fork(who, "a monitor of another kind");
+  }
+  return static_cast<const M&>(live);
+}
 
 /// Shared snapshot encoding of a violation report (all monitor kinds carry
 /// one): presence flag, ordinal, time, name and the reason's code words.

@@ -27,10 +27,29 @@ ClauseMonitor::ClauseMonitor(std::shared_ptr<const Encoding> encoding)
   }
 }
 
+mon::Violation& ClauseMonitor::hold_violation() {
+  if (!violation_) {
+    violation_.emplace();
+    violation_->detail.swap(spare_detail_);
+  }
+  return *violation_;
+}
+
+void ClauseMonitor::drop_violation() {
+  if (!violation_) return;
+  spare_detail_.swap(violation_->detail);
+  violation_.reset();
+}
+
 void ClauseMonitor::violate(std::size_t ordinal, sim::Time time,
                             spec::Name name, spec::Reason reason) {
   verdict_ = mon::Verdict::Violated;
-  violation_ = mon::Violation{ordinal, time, name, reason};
+  mon::Violation& v = hold_violation();
+  v.event_ordinal = ordinal;
+  v.time = time;
+  v.name = name;
+  v.reason = reason;
+  v.detail.clear();
   render_detail();
 }
 
@@ -39,9 +58,11 @@ void ClauseMonitor::render_detail() {
     return;
   }
   const Clause& clause = encoding_->clauses[violation_->reason.ints[0]];
-  violation_->detail = std::string("PSL conjunct violated (") +
-                       to_string(clause.kind) + "): " +
-                       to_string(clause.formula, encoding_->vocab.texts());
+  std::string& detail = violation_->detail;
+  detail = "PSL conjunct violated (";
+  detail += to_string(clause.kind);
+  detail += "): ";
+  append_to(detail, clause.formula, encoding_->vocab.texts());
 }
 
 void ClauseMonitor::reset_round() {
@@ -237,7 +258,7 @@ void ClauseMonitor::reset() {
   lexer_.reset();
   reset_round();
   verdict_ = mon::Verdict::Monitoring;
-  violation_.reset();
+  drop_violation();
   rounds_ = 0;
   ordinal_ = 0;
   stats_.reset();
@@ -283,6 +304,33 @@ void ClauseMonitor::restore(const mon::Snapshot& in) {
   q_done_ = r.boolean();
   t_start_ = r.time();
   LOOM_DASSERT(r.exhausted());  // format drift: snapshot wrote more fields
+}
+
+void ClauseMonitor::fork_from(const mon::Monitor& live) {
+  constexpr const char* kWho = "ClauseMonitor::fork_from";
+  const auto& src = mon::fork_source<ClauseMonitor>(live, kWho);
+  if (src.encoding_ != encoding_) [[unlikely]] {
+    mon::reject_fork(kWho, "an instance of another encoding");
+  }
+  // Same encoding, so every vector already has its width: the assignments
+  // copy in place, and the violation's detail text comes along rendered,
+  // into the buffer this instance already holds.
+  stats_ = src.stats_;
+  lexer_.copy_state(src.lexer_);
+  armed_ = src.armed_;
+  verdict_ = src.verdict_;
+  if (src.violation_) {
+    hold_violation() = *src.violation_;
+  } else {
+    drop_violation();
+  }
+  in_progress_ = src.in_progress_;
+  rounds_ = src.rounds_;
+  ordinal_ = src.ordinal_;
+  range_seen_ = src.range_seen_;
+  armed_obligation_ = src.armed_obligation_;
+  q_done_ = src.q_done_;
+  t_start_ = src.t_start_;
 }
 
 }  // namespace loom::psl

@@ -48,6 +48,7 @@ class ClauseMonitor final : public mon::Monitor {
   void reset() override;
   void snapshot(mon::Snapshot& out) const override;
   void restore(const mon::Snapshot& in) override;
+  void fork_from(const mon::Monitor& live) override;
 
   const Encoding& encoding() const { return *encoding_; }
   std::size_t clause_count() const { return encoding_->clauses.size(); }
@@ -62,9 +63,14 @@ class ClauseMonitor final : public mon::Monitor {
   void violate(std::size_t ordinal, sim::Time time, spec::Name name,
                spec::Reason reason);
   // Renders a conjunct violation's text into Violation::detail through the
-  // encoding (the clause kind and its formula over the token names); the
-  // snapshot keeps only the clause index, so restore() renders it again.
+  // encoding (the clause kind and its formula over the token names), in
+  // place; the snapshot keeps only the clause index, so restore() renders
+  // it again.
   void render_detail();
+  // The violation slot, engaged, and its release: a dropped report's
+  // detail buffer waits in spare_detail_ for the next one.
+  mon::Violation& hold_violation();
+  void drop_violation();
   void reset_round();
 
   std::shared_ptr<const Encoding> encoding_;
@@ -76,7 +82,12 @@ class ClauseMonitor final : public mon::Monitor {
   bool in_progress_ = false;
   std::uint64_t rounds_ = 0;
   std::size_t ordinal_ = 0;
+  // Scratch, not state (fork_from copies neither): the lexer's tokens,
+  // and the buffer a dropped violation's detail leaves behind, which the
+  // next violation or fork reuses so a pooled instance renders without
+  // touching the heap.
   std::vector<spec::Name> token_buffer_;
+  std::string spare_detail_;
 
   // Timed bookkeeping (token granularity).
   std::vector<std::vector<bool>> range_seen_;  // [fragment][range]

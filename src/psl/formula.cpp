@@ -75,32 +75,54 @@ std::size_t temporal_size(const FormulaPtr& f) {
 
 std::string to_string(const FormulaPtr& f,
                       const std::vector<std::string>& token_texts) {
-  if (!f) return "?";
-  switch (f->op) {
-    case Op::True: return "true";
-    case Op::False: return "false";
-    case Op::Atom:
-      return f->atom < token_texts.size() ? token_texts[f->atom]
-                                          : "tok" + std::to_string(f->atom);
-    case Op::Not: return "!" + to_string(f->lhs, token_texts);
-    case Op::And:
-      return "(" + to_string(f->lhs, token_texts) + " && " +
-             to_string(f->rhs, token_texts) + ")";
-    case Op::Or:
-      return "(" + to_string(f->lhs, token_texts) + " || " +
-             to_string(f->rhs, token_texts) + ")";
-    case Op::Implies:
-      return "(" + to_string(f->lhs, token_texts) + " -> " +
-             to_string(f->rhs, token_texts) + ")";
-    case Op::Next: return "next(" + to_string(f->lhs, token_texts) + ")";
-    case Op::Until:
-      return "(" + to_string(f->lhs, token_texts) + " until! " +
-             to_string(f->rhs, token_texts) + ")";
-    case Op::Always: return "always(" + to_string(f->lhs, token_texts) + ")";
-    case Op::Eventually:
-      return "eventually(" + to_string(f->lhs, token_texts) + ")";
+  std::string out;
+  append_to(out, f, token_texts);
+  return out;
+}
+
+void append_to(std::string& out, const FormulaPtr& f,
+               const std::vector<std::string>& token_texts) {
+  if (!f) {
+    out += '?';
+    return;
   }
-  return "?";
+  const auto call = [&](const char* name) {
+    out += name;
+    out += '(';
+    append_to(out, f->lhs, token_texts);
+    out += ')';
+  };
+  const auto infix = [&](const char* op) {
+    out += '(';
+    append_to(out, f->lhs, token_texts);
+    out += op;
+    append_to(out, f->rhs, token_texts);
+    out += ')';
+  };
+  switch (f->op) {
+    case Op::True: out += "true"; return;
+    case Op::False: out += "false"; return;
+    case Op::Atom:
+      if (f->atom < token_texts.size()) {
+        out += token_texts[f->atom];
+      } else {
+        out += "tok";
+        out += std::to_string(f->atom);
+      }
+      return;
+    case Op::Not:
+      out += '!';
+      append_to(out, f->lhs, token_texts);
+      return;
+    case Op::And: infix(" && "); return;
+    case Op::Or: infix(" || "); return;
+    case Op::Implies: infix(" -> "); return;
+    case Op::Next: call("next"); return;
+    case Op::Until: infix(" until! "); return;
+    case Op::Always: call("always"); return;
+    case Op::Eventually: call("eventually"); return;
+  }
+  out += '?';
 }
 
 }  // namespace loom::psl

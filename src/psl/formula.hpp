@@ -67,5 +67,9 @@ std::size_t temporal_size(const FormulaPtr& f);
 /// Renders the formula with token names from `vocab` texts.
 std::string to_string(const FormulaPtr& f,
                       const std::vector<std::string>& token_texts);
+/// The same text appended to `out`: into a buffer with room, no heap
+/// traffic.
+void append_to(std::string& out, const FormulaPtr& f,
+               const std::vector<std::string>& token_texts);
 
 }  // namespace loom::psl

@@ -48,6 +48,12 @@ class RleLexer {
   /// emitted flag (mon/snapshot.hpp).
   void snapshot(mon::Snapshot& out) const;
   void restore(mon::SnapshotReader& in);
+  /// Fork support: `live`'s three registers (mon::Monitor::fork_from).
+  void copy_state(const RleLexer& live) {
+    current_ = live.current_;
+    count_ = live.count_;
+    emitted_ = live.emitted_;
+  }
 
   /// Lexer state: the block counter (sized by the largest upper bound), the
   /// current-source register and the emitted flag.

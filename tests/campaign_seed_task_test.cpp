@@ -212,7 +212,7 @@ TEST(CampaignSeedTask, StallDeadlineTailsThatSaturate) {
 TEST(CampaignSeedTask, AValidTraceTheMonitorViolatesForksAtExactPositions) {
   // A 1 ps deadline: a noise event between p and q makes the generated
   // "valid" trace late, so the monitor violates it (the oracle agrees).
-  // The walk's saved state holds the violation, so the mutants past it
+  // The paused walk's state holds the violation, so the mutants past it
   // fork at their exact positions like every other: checkpoint_hits
   // counts the invalid mutants at positions > 0 and events_skipped sums
   // their positions.

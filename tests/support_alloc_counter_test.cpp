@@ -18,6 +18,7 @@
 #include "abv/stimuli.hpp"
 #include "mon/compiled.hpp"
 #include "mon/timed_monitor.hpp"
+#include "psl/clause_monitor.hpp"
 #include "spec/attributes.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/thread_pool.hpp"
@@ -230,8 +231,9 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingDrctReplayAllocateNothing) 
   // The two halves of one detected mutant, each warmed once and then
   // repeated under a Scope: the oracle resumes from its ladder and
   // rejects, and a Drct monitor forked from the valid walk at the mutant's
-  // position (its Snapshot, restored into a pooled instance) replays the
-  // suffix and finishes violated.
+  // position replays the suffix and finishes violated — once from the
+  // walk's Snapshot, restored into a pooled instance, and once forked from
+  // the paused walker itself (Monitor::fork_from, the engine's form).
   spec::Alphabet ab;
   const spec::Property p =
       loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
@@ -253,6 +255,7 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingDrctReplayAllocateNothing) 
   std::size_t checked = 0;
   auto walker = compiled.instantiate();
   auto drct = compiled.instantiate();
+  auto forked = compiled.instantiate();
   ASSERT_NE(dynamic_cast<mon::TimedImplicationMonitor*>(drct.get()), nullptr);
   mon::Snapshot snap;
   for (int draw = 0; draw < 200 && checked < 8; ++draw) {
@@ -276,19 +279,88 @@ TEST(AllocCounter, RejectingResumedOracleAndViolatingDrctReplayAllocateNothing) 
       drct->finish(end);
       return drct->verdict();
     };
+    const auto fork_replay = [&] {
+      forked->fork_from(*walker);
+      forked->observe_batch(mutant.trace.data() + at,
+                            mutant.trace.data() + mutant.trace.size());
+      forked->finish(end);
+      return forked->verdict();
+    };
     if (!check().rejected()) continue;
     walker->reset();
     walker->observe_batch(valid.data(), valid.data() + at);
     walker->snapshot(snap);
     ASSERT_EQ(replay(), mon::Verdict::Violated);  // warm
+    ASSERT_EQ(fork_replay(), mon::Verdict::Violated);
     AllocCounter::Scope scope;
     EXPECT_TRUE(check().rejected());
     walker->snapshot(snap);  // a warmed buffer re-snapshots in place
     EXPECT_EQ(replay(), mon::Verdict::Violated);
     EXPECT_EQ(scope.allocs(), 0u) << "mutant at position " << mutant.position;
+    AllocCounter::Scope fork_scope;
+    EXPECT_EQ(fork_replay(), mon::Verdict::Violated);
+    EXPECT_EQ(fork_scope.allocs(), 0u)
+        << "fork of the mutant at position " << mutant.position;
     ++checked;
   }
   EXPECT_EQ(checked, 8u);
+}
+
+TEST(AllocCounter, WarmedViaPslForkAndReplayAllocateNothing) {
+  // The fork leg on the clause network: a ViaPSL instance forked from the
+  // valid walk paused at each mutant's position, warmed by one fork and
+  // replay, forks and replays the suffix again without touching the heap
+  // — its armed bits and range-seen sets copy in place, and a conjunct
+  // violation renders its clause text into the buffer it already holds.
+  spec::Alphabet ab;
+  const spec::Property p =
+      loom::testing::parse("(p[2,3] => q[1,4] < r, 10us)", ab);
+  mon::CompileOptions opt;
+  opt.backend = mon::Backend::ViaPSL;
+  const mon::CompiledProperty compiled =
+      mon::CompiledProperty::compile(p, ab, opt);
+  abv::StimuliOptions sopt;
+  sopt.rounds = 16;
+  support::Rng gen = support::Rng::stream(5, 0);
+  const spec::Trace valid = abv::generate_valid(p, ab, gen, sopt);
+
+  abv::MutationResult mutant;
+  support::Rng rng = support::Rng::stream(5, 1);
+  std::size_t checked = 0;
+  std::size_t conjuncts = 0;
+  auto walker = compiled.instantiate();
+  auto forked = compiled.instantiate();
+  ASSERT_NE(dynamic_cast<psl::ClauseMonitor*>(forked.get()), nullptr);
+  for (int draw = 0; draw < 200 && checked < 8; ++draw) {
+    if (!abv::mutate_into(valid, abv::MutationKind::SwapAdjacent, p,
+                          compiled.alphabet(), rng, mutant)) {
+      continue;
+    }
+    const sim::Time end = mutant.trace.back().time;
+    const std::size_t at = mutant.position;
+    if (at == 0) continue;
+    const auto fork_replay = [&] {
+      forked->fork_from(*walker);
+      forked->observe_batch(mutant.trace.data() + at,
+                            mutant.trace.data() + mutant.trace.size());
+      forked->finish(end);
+      return forked->verdict();
+    };
+    walker->reset();
+    walker->observe_batch(valid.data(), valid.data() + at);
+    const mon::Verdict warm = fork_replay();
+    AllocCounter::Scope scope;
+    EXPECT_EQ(fork_replay(), warm);
+    EXPECT_EQ(scope.allocs(), 0u)
+        << "fork of the mutant at position " << mutant.position;
+    if (warm == mon::Verdict::Violated &&
+        forked->violation()->reason.code == spec::ReasonCode::PslConjunct) {
+      ++conjuncts;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 8u);
+  EXPECT_GT(conjuncts, 0u);
 }
 
 TEST(ThreadPool, AWarmedCallAllocatesNothing) {
